@@ -21,6 +21,7 @@ explicit, honestly-flagged stabilization heuristic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
 
@@ -48,6 +49,20 @@ class IntMatrix:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _of(cls, rows: int, cols: int, entries: tuple[int, ...]) -> "IntMatrix":
+        """Wrap a tuple of rows * cols ints already known to be valid.
+
+        Internal results are built from int arithmetic on valid matrices, so
+        they skip the per-entry coercion and checks of the public constructor.
+        """
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "entries", entries)
+        object.__setattr__(m, "_hash", None)
+        return m
+
+    @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
         rows = [list(r) for r in rows]
         if rows:
@@ -60,16 +75,21 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
+        if n < 0:
+            raise ValueError("matrix dimensions must be nonnegative")
+        return cls._of(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, [0] * (rows * cols))
+        if rows < 0 or cols < 0:
+            raise ValueError("matrix dimensions must be nonnegative")
+        return cls._of(rows, cols, (0,) * (rows * cols))
 
     @classmethod
     def diagonal(cls, diag: Sequence[int]) -> "IntMatrix":
+        diag = [int(x) for x in diag]
         n = len(diag)
-        return cls(n, n, [diag[i] if i == j else 0 for i in range(n) for j in range(n)])
+        return cls._of(n, n, tuple(diag[i] if i == j else 0 for i in range(n) for j in range(n)))
 
     @classmethod
     def column(cls, vec: Sequence[int]) -> "IntMatrix":
@@ -96,9 +116,8 @@ class IntMatrix:
     # -- algebra -----------------------------------------------------------
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols, self.rows, [self.entry(i, j) for j in range(self.cols) for i in range(self.rows)]
-        )
+        c, ents = self.cols, self.entries
+        return IntMatrix._of(c, self.rows, tuple(x for j in range(c) for x in ents[j::c]))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -116,10 +135,10 @@ class IntMatrix:
                         if y:
                             acc[j] += x * y
             out.extend(acc)
-        return IntMatrix(self.rows, other.cols, out)
+        return IntMatrix._of(self.rows, other.cols, tuple(out))
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, [-x for x in self.entries])
+        return IntMatrix._of(self.rows, self.cols, tuple(-x for x in self.entries))
 
     def __eq__(self, other) -> bool:
         return (
@@ -165,7 +184,7 @@ class IntMatrix:
     def vstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.cols:
             raise ValueError("column count mismatch in vstack")
-        return IntMatrix(self.rows + other.rows, self.cols, self.entries + other.entries)
+        return IntMatrix._of(self.rows + other.rows, self.cols, self.entries + other.entries)
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
@@ -174,7 +193,7 @@ class IntMatrix:
         for i in range(self.rows):
             ents.extend(self.row(i))
             ents.extend(other.row(i))
-        return IntMatrix(self.rows, self.cols + other.cols, ents)
+        return IntMatrix._of(self.rows, self.cols + other.cols, tuple(ents))
 
     def determinant(self) -> int:
         """Exact determinant by fraction-free (Bareiss) elimination."""
@@ -261,17 +280,169 @@ def _nearest_quotient(x: int, d: int) -> int:
     return q
 
 
+def _axpy(dst: dict, src: dict, q: int) -> None:
+    """dst -= q * src on sparse vectors (index -> nonzero int)."""
+    for k, y in src.items():
+        z = dst.get(k, 0) - q * y
+        if z:
+            dst[k] = z
+        else:
+            del dst[k]
+
+
 def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     """Diagonalize ``m`` over Z: returns U, D, V with U @ m @ V == D.
+
+    The presolve keeps ``m`` as sparse rows with column occurrence sets and
+    repeatedly eliminates the +/-1 entry of lowest Markowitz cost
+    (row nnz - 1) * (col nnz - 1): row operations clear its column, column
+    operations clear its row, and every step is applied to sparse U rows,
+    V columns and V^-1 rows.  Relation matrices of graphs are mostly such
+    pivots (the unit-pivot elimination of Dumas, Saunders and Villard, J.
+    Symbolic Comput. 2001).  What is left has no unit entry; its nonzero rows
+    and columns form the core, which ``_dense_smith`` reduces, and the core's
+    transforms are folded into the global ones.  The diagonal holds the unit
+    pivots, then the core's diagonal, then zeros.
+    """
+    nrows, ncols = m.rows, m.cols
+    ents = m.entries
+    # live rows as {column: nonzero} and, per live column, the rows that hold
+    # it; a pivot's row and column are set to None
+    rows: list = [
+        {j: x for j, x in enumerate(ents[i * ncols : (i + 1) * ncols]) if x} for i in range(nrows)
+    ]
+    colrows: list = [set() for _ in range(ncols)]
+    for i, r in enumerate(rows):
+        for j in r:
+            colrows[j].add(i)
+    u = [{i: 1} for i in range(nrows)]  # rows of U
+    v = [{j: 1} for j in range(ncols)]  # columns of V
+    vinv = [{j: 1} for j in range(ncols)]  # rows of V^-1
+    pivots: list[tuple[int, int, int]] = []  # (row, column, unit)
+
+    # every unit entry has a heap item carrying its current cost; an item
+    # whose entry changed since it was pushed is skipped when popped
+    heap = [
+        ((len(r) - 1) * (len(colrows[j]) - 1), i, j)
+        for i, r in enumerate(rows)
+        for j, x in r.items()
+        if x == 1 or x == -1
+    ]
+    heapify(heap)
+    while heap:
+        cost, p, c = heappop(heap)
+        rp = rows[p]
+        s = rp.get(c) if rp is not None else None
+        if (s != 1 and s != -1) or cost != (len(rp) - 1) * (len(colrows[c]) - 1):
+            continue
+        pivots.append((p, c, s))
+        del rp[c]
+        rows[p] = None
+        # clear column c with row operations (s is its own inverse)
+        changed = colrows[c]
+        changed.discard(p)
+        colrows[c] = None
+        up = u[p]
+        for i in changed:
+            ri = rows[i]
+            q = ri.pop(c) * s
+            for j, y in rp.items():
+                z = ri.get(j, 0) - q * y
+                if z:
+                    if j not in ri:
+                        colrows[j].add(i)
+                    ri[j] = z
+                else:
+                    del ri[j]
+                    colrows[j].discard(i)
+            _axpy(u[i], up, q)
+        # clear row p with column operations; column c is zero off the pivot,
+        # so only V and V^-1 change (V^-1 rows of live columns are still unit)
+        vc, vic = v[c], vinv[c]
+        for j, y in rp.items():
+            q = y * s
+            _axpy(v[j], vc, q)
+            vic[j] = q
+            colrows[j].discard(p)
+        # requeue the unit entries whose row or column count changed
+        for i in changed:
+            ri = rows[i]
+            ci = len(ri) - 1
+            for j, x in ri.items():
+                if x == 1 or x == -1:
+                    heappush(heap, (ci * (len(colrows[j]) - 1), i, j))
+        for j in rp:
+            cj = len(colrows[j]) - 1
+            for i in colrows[j]:
+                x = rows[i][j]
+                if (x == 1 or x == -1) and i not in changed:
+                    heappush(heap, ((len(rows[i]) - 1) * cj, i, j))
+
+    core_rows = [i for i in range(nrows) if rows[i]]
+    core_cols = [j for j in range(ncols) if colrows[j]]
+    zero_rows = [i for i in range(nrows) if rows[i] == {}]
+    zero_cols = [j for j in range(ncols) if colrows[j] == set()]
+
+    diag = [1] * len(pivots)
+    out_u = [{k: -y for k, y in u[p].items()} if s < 0 else u[p] for p, _, s in pivots]
+    out_v = [v[c] for _, c, _ in pivots]
+    out_vinv = [vinv[c] for _, c, _ in pivots]
+    if core_rows:
+        core = [[rows[i].get(j, 0) for j in core_cols] for i in core_rows]
+        cu, cv, cvinv = _dense_smith(core)
+        diag.extend(core[t][t] for t in range(min(len(core_rows), len(core_cols))))
+        for coeffs in cu:
+            out_u.append(_combine(coeffs, [u[i] for i in core_rows]))
+        core_v = [v[j] for j in core_cols]
+        for t in range(len(core_cols)):
+            out_v.append(_combine([row[t] for row in cv], core_v))
+        out_vinv.extend({j: x for j, x in zip(core_cols, row) if x} for row in cvinv)
+    out_u.extend(u[i] for i in zero_rows)
+    out_v.extend(v[j] for j in zero_cols)
+    out_vinv.extend(vinv[j] for j in zero_cols)
+
+    dense_d = [0] * (nrows * ncols)
+    for t, x in enumerate(diag):
+        dense_d[t * ncols + t] = x
+    return SmithDecomposition(
+        u=IntMatrix._of(nrows, nrows, _dense_rows(out_u, nrows)),
+        d=IntMatrix._of(nrows, ncols, tuple(dense_d)),
+        v=IntMatrix._of(ncols, ncols, _dense_rows(out_v, ncols, transpose=True)),
+        v_inv=IntMatrix._of(ncols, ncols, _dense_rows(out_vinv, ncols)),
+    )
+
+
+def _combine(coeffs: Sequence[int], vectors: Sequence[dict]) -> dict:
+    """sum of coeffs[l] * vectors[l] on sparse vectors."""
+    acc: dict[int, int] = {}
+    for q, vec in zip(coeffs, vectors):
+        if q:
+            _axpy(acc, vec, -q)
+    return acc
+
+
+def _dense_rows(vectors: Sequence[dict], n: int, transpose: bool = False) -> tuple[int, ...]:
+    """Row-major entries of the n x n matrix with these sparse rows (or columns)."""
+    out = [0] * (n * n)
+    for t, vec in enumerate(vectors):
+        for k, x in vec.items():
+            out[k * n + t if transpose else t * n + k] = x
+    return tuple(out)
+
+
+def _dense_smith(a: list[list[int]]) -> tuple[list, list, list]:
+    """Reduce the dense matrix ``a`` in place to Smith form; returns U, V, V^-1.
 
     Pivoting picks the smallest nonzero absolute value in the remaining
     submatrix (with early exit on +/-1), reduces its row and column by
     nearest-integer division, and restarts whenever a smaller remainder
     appears.  Divisibility of later diagonal entries by earlier ones is
-    enforced by folding any offending entry into the pivot row.
+    enforced by folding any offending entry into the pivot row.  Nothing
+    bounds the growth of the transform entries here; ``smith_normal_form``
+    only hands this loop the core its unit-pivot presolve leaves.
     """
-    nrows, ncols = m.rows, m.cols
-    a = m.to_lists()
+    nrows = len(a)
+    ncols = len(a[0]) if a else 0
     u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
     v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
     vinv = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
@@ -339,8 +510,7 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
         if piv is None:
             break
         while True:
-            # always clear against the globally smallest entry: remainders at
-            # most half the pivot keep the intermediate growth polynomial
+            # clear against the smallest entry by nearest-integer division
             if piv[0] != t:
                 swap_rows(piv[0], t)
             if piv[1] != t:
@@ -393,17 +563,7 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
             for k in range(nrows):
                 u[t][k] = -u[t][k]
         t += 1
-
-    flat_a = [x for row in a for x in row]
-    flat_u = [x for row in u for x in row]
-    flat_v = [x for row in v for x in row]
-    flat_vinv = [x for row in vinv for x in row]
-    return SmithDecomposition(
-        u=IntMatrix(nrows, nrows, flat_u),
-        d=IntMatrix(nrows, ncols, flat_a),
-        v=IntMatrix(ncols, ncols, flat_v),
-        v_inv=IntMatrix(ncols, ncols, flat_vinv),
-    )
+    return u, v, vinv
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
@@ -419,7 +579,7 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     for i in range(m.cols):
         vrow = snf.v.row(i)
         ents.extend(vrow[j] for j in free_cols)
-    return IntMatrix(m.cols, len(free_cols), ents)
+    return IntMatrix._of(m.cols, len(free_cols), tuple(ents))
 
 
 # ---------------------------------------------------------------------------

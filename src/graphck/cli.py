@@ -9,6 +9,7 @@ byte-identical output (lab commands: identical for the same seed).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from statistics import median
@@ -335,9 +336,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # building the parser costs far more than parsing; parse_args leaves it
+    # unchanged, so one per process serves every call of ``main``
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except GraphFormatError as exc:

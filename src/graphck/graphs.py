@@ -46,6 +46,7 @@ def _check_edges(edges: Sequence[Edge], vertices: frozenset[str]) -> tuple[Edge,
     out: list[Edge] = []
     for e in edges:
         eid, origin, terminus = e
+        eid = str(eid)
         if eid in seen:
             raise GraphFormatError(f"duplicate edge id {eid!r}")
         seen.add(eid)
@@ -53,7 +54,7 @@ def _check_edges(edges: Sequence[Edge], vertices: frozenset[str]) -> tuple[Edge,
             raise GraphFormatError(f"edge {eid!r} has unknown origin {origin!r}")
         if terminus not in vertices:
             raise GraphFormatError(f"edge {eid!r} has unknown terminus {terminus!r}")
-        out.append((str(eid), str(origin), str(terminus)))
+        out.append((eid, str(origin), str(terminus)))
     out.sort()
     return tuple(out)
 
@@ -268,6 +269,8 @@ def graph_from_json_dict(data: object) -> FiniteGraph | GraphChain:
     for i, e in enumerate(raw_edges):
         if not isinstance(e, dict) or not {"id", "from", "to"} <= set(e):
             raise GraphFormatError(f"edge #{i} must be an object with id/from/to")
+        if not all(isinstance(e[k], str) for k in ("id", "from", "to")):
+            raise GraphFormatError(f"edge #{i}: id, from and to must be strings")
         edges.append((e["id"], e["from"], e["to"]))
     if "layers" in data or "infinite_vertices" in data:
         layers = data.get("layers")

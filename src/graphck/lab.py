@@ -201,9 +201,9 @@ def _straighten_matrix(x: np.ndarray) -> np.ndarray:
 def straighten(x: MatField | np.ndarray, max_defect: float = MAX_STRAIGHTEN_DEFECT):
     """Nearest-partial-isometry map y = x * f(x*x), fiberwise.
 
-    Requires ||x x*x - x|| <= max_defect <= 0.35; the output satisfies
-    ||y y*y - y|| <= 1e-10 and inherits every one-sided projection relation
-    p x = x, p x = 0, x p = x, x p = 0 that x had.
+    Requires finite entries and ||x x*x - x|| <= max_defect <= 0.35; the
+    output satisfies ||y y*y - y|| <= 1e-10 and inherits every one-sided
+    projection relation p x = x, p x = 0, x p = x, x p = 0 that x had.
 
     Two further structural facts hold by construction rather than by a
     testable bound: y lies in the algebra generated by x (it is x times a
@@ -213,6 +213,9 @@ def straighten(x: MatField | np.ndarray, max_defect: float = MAX_STRAIGHTEN_DEFE
     """
     if max_defect > MAX_STRAIGHTEN_DEFECT:
         raise LabError(f"max_defect must not exceed {MAX_STRAIGHTEN_DEFECT}")
+    fibers = x.fibers if isinstance(x, MatField) else (np.asarray(x, dtype=complex),)
+    if not all(np.isfinite(a).all() for a in fibers):
+        raise LabError("cannot straighten an input with NaN or infinite entries")
     defect = partial_isometry_defect(x)
     if defect > max_defect:
         raise LabError(f"defect {defect:.4g} exceeds the straightening threshold {max_defect}")

@@ -5,7 +5,9 @@ the small Smith forms, determinants for kernel ranks, exhaustive element
 checks for the tiny homomorphism cases.
 """
 
+import math
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,9 @@ from graphck.abelian import (
     parse_group_expr,
     smith_normal_form,
 )
+from graphck.graphs import FiniteGraph
+from graphck.ktheory import relation_matrix
+from graphck.synthesis import build_case_i
 
 
 def M(rows):
@@ -83,6 +88,119 @@ def test_kernel_rank_complements_diagonal_rank(rows, cols, seed):
     m = IntMatrix(rows, cols, [rng.randint(-9, 9) for _ in range(rows * cols)])
     s = smith_normal_form(m)
     assert kernel_basis(m).cols + s.rank == cols
+
+
+# ---------------------------------------------------------------------------
+# Smith normal form: unit-pivot presolve and the dense core
+# ---------------------------------------------------------------------------
+
+
+def _laplace_det(a):
+    if not a:
+        return 1
+    minors = ([r[:j] + r[j + 1 :] for r in a[1:]] for j in range(len(a[0])))
+    return sum((-1) ** j * x * _laplace_det(sub) for j, (x, sub) in enumerate(zip(a[0], minors)) if x)
+
+
+def _determinantal_diagonal(m):
+    """Oracle: d_k = D_k / D_(k-1), with D_k the gcd of all k x k minors."""
+    rows = m.to_lists()
+    diag, prev = [], 1
+    for k in range(1, min(m.rows, m.cols) + 1):
+        g = 0
+        for ri in combinations(range(m.rows), k):
+            for ci in combinations(range(m.cols), k):
+                g = math.gcd(g, _laplace_det([[rows[i][j] for j in ci] for i in ri]))
+        if g == 0:
+            break
+        diag.append(g // prev)
+        prev = g
+    return tuple(diag) + (0,) * (min(m.rows, m.cols) - len(diag))
+
+
+def _random_graph(rng, n, exempt):
+    verts = [f"v{i:02d}" for i in range(n)]
+    edges = [
+        (f"e{i}_{k}", v, rng.choice(verts))
+        for i, v in enumerate(verts)
+        for k in range(rng.choice((0, 1, 1, 2, 2, 3, 5)))
+    ]
+    return FiniteGraph(verts, edges, [v for v in verts if exempt and rng.random() < 0.3])
+
+
+def test_determinantal_oracle_examples():
+    # hand values: diag(2, 3) ~ diag(1, 6); [[2, 4], [6, 8]] has D_1 = 2, D_2 = 8
+    assert _determinantal_diagonal(IntMatrix.diagonal([2, 3])) == (1, 6)
+    assert _determinantal_diagonal(M([[2, 4], [6, 8]])) == (2, 4)
+    assert _determinantal_diagonal(M([[1, 2, 3], [2, 4, 6]])) == (1, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.booleans(), st.integers(0, 2**32 - 1))
+def test_snf_relation_matrices_of_random_graphs(n, exempt, seed):
+    m = relation_matrix(_random_graph(random.Random(seed), n, exempt))
+    smith_normal_form(m).verify(m)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 6), st.booleans(), st.integers(0, 2**32 - 1))
+def test_snf_agrees_with_determinantal_divisors(rows, cols, sparse, seed):
+    rng = random.Random(seed)
+    pool = (0, 0, 0, 1, -1, 1, 2, -2, 3, 6) if sparse else range(-9, 10)
+    m = IntMatrix(rows, cols, [rng.choice(pool) for _ in range(rows * cols)])
+    s = smith_normal_form(m)
+    s.verify(m)
+    assert s.diagonal == _determinantal_diagonal(m)
+
+
+@pytest.mark.parametrize(
+    "free,torsion,factors",
+    [(0, (2,), (2,)), (1, (3, 9), (3, 9)), (2, (4, 6), (2, 12)), (0, (2, 2, 5), (2, 10))],
+)
+def test_snf_case_i_torsion_bundles_leave_a_core(free, torsion, factors):
+    # the presolve only ever puts 1 on the diagonal, so the torsion factors
+    # come from the core, after unit pivots elsewhere in the same matrix
+    m = relation_matrix(build_case_i(free, torsion))
+    assert any(abs(x) == 1 for x in m.entries)
+    s = smith_normal_form(m)
+    s.verify(m)
+    assert tuple(x for x in s.diagonal if x > 1) == factors
+    assert s.diagonal.count(0) == free
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_snf_unit_block_stacked_on_dense_block(k, d, seed):
+    # k rows with a signed unit in their own column and arbitrary entries in
+    # the d dense columns, over a d x d block of even entries in [-9, 9]: the
+    # units are presolved and the even block is left as the core
+    rng = random.Random(seed)
+    rows = [
+        [rng.choice((1, -1)) if j == i else 0 for j in range(k)] + [rng.randint(-9, 9) for _ in range(d)]
+        for i in range(k)
+    ]
+    rows += [[0] * k + [2 * rng.randint(-4, 4) for _ in range(d)] for _ in range(d)]
+    perm = list(range(k + d))
+    rng.shuffle(rows)
+    rng.shuffle(perm)
+    m = M([[r[j] for j in perm] for r in rows])
+    s = smith_normal_form(m)
+    s.verify(m)
+    assert s.diagonal[:k] == (1,) * k
+    assert all(x % 2 == 0 for x in s.diagonal[k:])
+    if k + d <= 6:
+        assert s.diagonal == _determinantal_diagonal(m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 14), st.booleans(), st.integers(0, 2**32 - 1))
+def test_sections_and_relations_in_canonical_coordinates(n, exempt, seed):
+    g = cokernel(relation_matrix(_random_graph(random.Random(seed), n, exempt)))
+    pres = g.presentation
+    for i in range(g.ncoords):
+        assert pres.class_of(pres.section(i)) == tuple(int(j == i) for j in range(g.ncoords))
+    for row in pres.relations.iter_rows():
+        assert pres.class_of(row) == g.zero_coords()
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,51 @@ def test_ktheory_at_layer(capsys, tmp_path):
     assert data["k1"] == "Z^2"
 
 
+@pytest.mark.parametrize(
+    "edge",
+    [
+        {"id": "e", "from": ["a"], "to": "a"},
+        {"id": {"k": 1}, "from": "a", "to": "a"},
+        {"id": "e", "from": "a", "to": None},
+        {"id": 7, "from": "a", "to": "a"},
+    ],
+)
+@pytest.mark.parametrize("command", ["ktheory", "les-check", "check"])
+def test_non_string_edge_fields_exit_two(capsys, tmp_path, edge, command):
+    path = write(tmp_path, "bad.json", {"vertices": ["a"], "edges": [edge], "relation_exempt": []})
+    code, out, err = run(capsys, command, path)
+    assert code == 2 and out == ""
+    assert err == "input error: edge #0: id, from and to must be strings\n"
+
+
+def test_les_check_rejects_ids_equal_after_normalization(capsys, tmp_path):
+    # ids 1 and "1" would both name the edge "1"
+    edges = [{"id": 1, "from": "a", "to": "b"}, {"id": "1", "from": "b", "to": "a"}]
+    path = write(tmp_path, "dup.json", {"vertices": ["a", "b"], "edges": edges})
+    code, out, err = run(capsys, "les-check", path)
+    assert code == 2 and out == ""
+    assert err.startswith("input error: edge #0")
+
+
+def test_main_twice_in_one_process_is_independent(capsys, tmp_path, loop_with_exempt):
+    # one parser serves every call; flags and defaults of one call must not
+    # leak into the next
+    chain = tmp_path / "chain.json"
+    assert run(capsys, "synthesize", "--k0", "Z^2", "--k1", "Z", "--depth", "4", "-o", str(chain))[0] == 0
+    calls = [
+        ("ktheory", loop_with_exempt, "--toeplitz"),
+        ("ktheory", loop_with_exempt),
+        ("colimit", str(chain), "--window", "1"),
+        ("colimit", str(chain)),
+        ("boundary", loop_with_exempt, "--class", "1"),
+    ]
+    first = [run(capsys, *argv) for argv in calls]
+    assert [run(capsys, *argv) for argv in reversed(calls)] == first[::-1]
+    assert json.loads(first[0][1])["k1"] == "0" and json.loads(first[1][1])["k1"] == "Z"
+    assert json.loads(first[2][1])["window"] == 1 and json.loads(first[3][1])["window"] == 2
+    assert all(code == 0 for code, _, _ in first)
+
+
 def test_byte_determinism(capsys, tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

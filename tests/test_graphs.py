@@ -311,6 +311,11 @@ def test_dump_is_deterministic():
         {"vertices": ["v"], "edges": [{"id": "e", "from": "v", "to": "nope"}]},
         {"vertices": ["v"], "edges": [], "relation_exempt": ["ghost"]},
         {"vertices": ["v"], "edges": [], "layers": "bad"},
+        {"vertices": ["v"], "edges": [{"id": "e", "from": ["v"], "to": "v"}]},
+        {"vertices": ["v"], "edges": [{"id": "e", "from": "v", "to": {"v": 1}}]},
+        {"vertices": ["v"], "edges": [{"id": {"k": 1}, "from": "v", "to": "v"}]},
+        {"vertices": ["v"], "edges": [{"id": 1, "from": "v", "to": "v"}]},
+        {"vertices": ["v"], "layers": [["v"]], "edges": [{"id": "e", "from": ["v"], "to": "v"}]},
     ],
 )
 def test_malformed_inputs_raise(data):
@@ -321,6 +326,14 @@ def test_malformed_inputs_raise(data):
 def test_duplicate_edge_ids_rejected():
     with pytest.raises(GraphFormatError):
         FiniteGraph({"v"}, [("e", "v", "v"), ("e", "v", "v")])
+
+
+def test_duplicate_edge_ids_rejected_after_normalization():
+    # 1 and "1" both become the edge id "1"
+    with pytest.raises(GraphFormatError, match="duplicate edge id '1'"):
+        FiniteGraph(["a", "b"], [(1, "a", "b"), ("1", "b", "a")])
+    with pytest.raises(GraphFormatError, match="duplicate edge id '1'"):
+        GraphChain([], [["a", "b"]], [("1", "a", "b"), (1, "b", "a")])
 
 
 def test_immutability():

@@ -97,6 +97,17 @@ def test_straighten_defect_gate():
         straighten(v, max_defect=0.4)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_straighten_rejects_non_finite_input(bad):
+    x = np.eye(3, dtype=complex)
+    x[1, 2] = bad
+    with pytest.raises(LabError, match="NaN or infinite"):
+        straighten(x)
+    fibers = [np.eye(3), x]
+    with pytest.raises(LabError, match="NaN or infinite"):
+        straighten(MatField(fibers))
+
+
 def test_straighten_idempotent_and_scalar_central():
     trial = injected_defect_trial(7, 1e-2)
     field = MatField.constant(trial.x, 8)
