@@ -21,6 +21,7 @@ explicit, honestly-flagged stabilization heuristic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
@@ -159,13 +160,21 @@ class IntMatrix:
         return f"IntMatrix({self.rows}x{self.cols}, {self.to_lists()})"
 
     def mat_vec(self, vec: Sequence[int]) -> tuple[int, ...]:
-        """self @ vec with vec a column vector."""
-        if len(vec) != self.cols:
+        """self @ vec with vec a column vector.
+
+        Only the columns at nonzeros of ``vec`` are read, one slice each, so
+        the cost is rows x nnz(vec) steps rather than rows x cols.
+        """
+        c = self.cols
+        if len(vec) != c:
             raise ValueError("vector length mismatch")
-        out = []
-        for i in range(self.rows):
-            r = self.row(i)
-            out.append(sum(x * v for x, v in zip(r, vec) if x and v))
+        ents = self.entries
+        out = [0] * self.rows
+        for k, v in enumerate(vec):
+            if v:
+                for i, x in enumerate(ents[k::c]):
+                    if x:
+                        out[i] += x * v
         return tuple(out)
 
     def vec_mat(self, vec: Sequence[int]) -> tuple[int, ...]:
@@ -240,12 +249,12 @@ class SmithDecomposition:
     v: IntMatrix
     v_inv: IntMatrix
 
-    @property
+    @cached_property
     def diagonal(self) -> tuple[int, ...]:
         d = self.d
         return tuple(d.entry(i, i) for i in range(min(d.rows, d.cols)))
 
-    @property
+    @cached_property
     def rank(self) -> int:
         return sum(1 for x in self.diagonal if x != 0)
 
@@ -985,10 +994,6 @@ class GroupHom:
     def kernel_rank(self) -> int:
         """Free rank of the kernel subgroup."""
         return self.domain.free_rank - self.image_rank()
-
-    def kernel_lattice_rows(self) -> IntMatrix:
-        """Ambient-domain generators (rows) of the full preimage of 0."""
-        return _preimage_lattice_rows(self.matrix, self.codomain.presentation)
 
 
 def hom_compose(f: GroupHom, g: GroupHom) -> GroupHom:

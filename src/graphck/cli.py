@@ -215,6 +215,9 @@ def _csv_rows(rows) -> None:
 
 
 def cmd_lab_straighten(args) -> int:
+    if args.trials < 1:
+        _info(f"usage error: --trials must be at least 1, got {args.trials}")
+        return USAGE
     rows = []
     for d in (1e-2, 1e-3, 1e-4):
         residuals, moves, sided = [], [], []
@@ -356,7 +359,8 @@ def main(argv=None) -> int:
     except LabError as exc:
         _info(f"lab error: {exc}")
         return FAIL
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        # unreadable input or unwritable output path: missing, a directory, ...
         _info(f"input error: {exc}")
         return USAGE
     except ValueError as exc:

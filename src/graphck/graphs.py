@@ -121,13 +121,6 @@ class FiniteGraph:
             a[order[o]][order[t]] += 1
         return a
 
-    def induced_subgraph(self, vertices: Iterable[str], relation_exempt: Iterable[str] = ()) -> "FiniteGraph":
-        vs = frozenset(vertices)
-        if not vs <= self.vertices:
-            raise GraphFormatError("induced subgraph on unknown vertices")
-        es = [e for e in self.edges if e[1] in vs and e[2] in vs]
-        return FiniteGraph(vs, es, frozenset(relation_exempt) & vs)
-
     def is_labeled_subgraph_of(self, other: "FiniteGraph") -> bool:
         return self.vertices <= other.vertices and set(self.edges) <= set(other.edges)
 

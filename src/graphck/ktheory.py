@@ -74,16 +74,16 @@ class ChainConditionError(ValueError):
 def relation_matrix(graph: FiniteGraph, at_vertices: Sequence[str] | None = None) -> IntMatrix:
     """One relation row per vertex in ``at_vertices`` (default: the S set)."""
     verts = graph.vertex_list
+    nv = len(verts)
     vidx = {v: i for i, v in enumerate(verts)}
-    rows = []
     where = graph.s_vertices if at_vertices is None else at_vertices
-    for u in where:
-        row = [0] * len(verts)
-        row[vidx[u]] += 1
+    ents = [0] * (len(where) * nv)
+    for r, u in enumerate(where):
+        base = r * nv
+        ents[base + vidx[u]] += 1
         for _, _, t in graph.out_edges(u):
-            row[vidx[t]] -= 1
-        rows.append(row)
-    return IntMatrix.from_rows(rows, cols=len(verts))
+            ents[base + vidx[t]] -= 1
+    return IntMatrix._of(len(where), nv, tuple(ents))
 
 
 def _k1_relations_hold(graph: FiniteGraph, x: Sequence[int], at: Sequence[str]) -> bool:
@@ -102,7 +102,8 @@ class KTheoryResult:
 
     ``k1_lattice`` columns are representative integer vertex functions in
     Z^{F0} (sorted vertex order); ``k0_class_of_vertex`` maps each vertex to
-    the canonical coordinates of its class.
+    the canonical coordinates of its class.  ``k1_column`` is the lattice of
+    ``k1_lattice`` with the Smith form the degree-one check already computed.
     """
 
     graph: FiniteGraph
@@ -111,9 +112,10 @@ class KTheoryResult:
     k0_class_of_vertex: dict[str, tuple[int, ...]]
     k1: FgAbelianGroup
     k1_lattice: IntMatrix
+    k1_column: ColumnLattice = field(repr=False, compare=False)
 
     def k1_column_lattice(self) -> ColumnLattice:
-        return ColumnLattice(self.k1_lattice)
+        return self.k1_column
 
 
 def ktheory(graph: FiniteGraph) -> KTheoryResult:
@@ -133,7 +135,11 @@ def ktheory(graph: FiniteGraph) -> KTheoryResult:
     k0 = cokernel(rel, generators=verts)
     snf = k0.presentation.snf
 
-    classes = {v: k0.presentation.class_of(tuple(1 if i == vidx[v] else 0 for i in range(nv))) for v in verts}
+    classes = {}
+    for i, v in enumerate(verts):
+        unit = [0] * nv
+        unit[i] = 1
+        classes[v] = k0.presentation.class_of(unit)
 
     # route one: saturated basis of the left kernel of the relation matrix,
     # i.e. coefficient vectors over S, extended by zero off S
@@ -189,6 +195,7 @@ def ktheory(graph: FiniteGraph) -> KTheoryResult:
         k0_class_of_vertex=classes,
         k1=k1,
         k1_lattice=lattice_a,
+        k1_column=la,
     )
 
 
@@ -304,7 +311,7 @@ def les_check(graph: FiniteGraph) -> LesReport:
         [[col[i] for col in kernel_of_boundary_cols] for i in range(nv)],
         cols=len(kernel_of_boundary_cols),
     )
-    report.nodes["exact_at_k1_full"] = ColumnLattice(kt_t.k1_lattice).equals(ColumnLattice(ker_boundary))
+    report.nodes["exact_at_k1_full"] = kt_t.k1_column_lattice().equals(ColumnLattice(ker_boundary))
 
     # node 2: image of the index map equals the kernel of the ideal-class map
     im_boundary = IntMatrix.from_rows(
@@ -318,7 +325,7 @@ def les_check(graph: FiniteGraph) -> LesReport:
             vec[vidx[t]] -= 1
         jmat_cols.append(vec)
     jmat = IntMatrix.from_rows([[c[i] for c in jmat_cols] for i in range(nv)], cols=len(exempt))
-    rel_t = relation_matrix(graph)
+    rel_t = kt_t.k0.presentation.relations
     stacked = jmat.hstack(-rel_t.transpose())
     kerj_gens = kernel_basis(stacked)
     kerj = IntMatrix.from_rows(
@@ -329,16 +336,15 @@ def les_check(graph: FiniteGraph) -> LesReport:
 
     # node 3: the kernel of K0(T) -> K0(O) is the image of the ideal classes;
     # at the lattice level: full relations = S relations + ideal-class vectors
-    rel_all = relation_matrix(graph, at_vertices=verts)
-    pres_all = Presentation(verts, rel_all)
+    pres_all = kt_o.k0.presentation
     pres_aug = Presentation(verts, rel_t.vstack(jmat.transpose()))
-    ok3 = all(pres_aug.lattice_contains(r) for r in rel_all.iter_rows()) and all(
-        pres_all.lattice_contains(r) for r in rel_t.vstack(jmat.transpose()).iter_rows()
+    ok3 = all(pres_aug.lattice_contains(r) for r in pres_all.relations.iter_rows()) and all(
+        pres_all.lattice_contains(r) for r in pres_aug.relations.iter_rows()
     )
     report.nodes["exact_at_k0_toeplitz"] = ok3
 
     # consequence: the cokernel of the ideal-class map is the full K0
-    coker_j = cokernel(rel_t.vstack(jmat.transpose()), generators=verts)
+    coker_j = FgAbelianGroup.from_presentation(pres_aug)
     report.nodes["coker_ideal_map_is_k0_full"] = coker_j.is_isomorphic_to(kt_o.k0)
 
     return report
@@ -407,7 +413,7 @@ def inclusion_k0(
     ents = [0] * (nlarge * nsmall)
     for j, v in enumerate(kt_small.vertex_order):
         ents[large_idx[v] * nsmall + j] = 1
-    return GroupHom(kt_small.k0, kt_large.k0, IntMatrix(nlarge, nsmall, ents))
+    return GroupHom(kt_small.k0, kt_large.k0, IntMatrix._of(nlarge, nsmall, tuple(ents)))
 
 
 def ideal_class_image(

@@ -37,6 +37,52 @@ def M(rows):
 
 
 # ---------------------------------------------------------------------------
+# Matrix-vector products
+# ---------------------------------------------------------------------------
+
+
+def _sparse_ints(rng, n, density):
+    return [rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 9),
+    st.integers(0, 9),
+    st.sampled_from([0.0, 0.15, 0.5, 1.0]),
+    st.sampled_from([0.0, 0.15, 0.5, 1.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_mat_vec_matches_plain_loops(rows, cols, mat_density, vec_density, seed):
+    # oracle: out[i] = sum over j of m[i][j] * vec[j], summed in plain loops
+    rng = random.Random(seed)
+    m = IntMatrix(rows, cols, _sparse_ints(rng, rows * cols, mat_density))
+    vec = _sparse_ints(rng, cols, vec_density)
+    expected = []
+    for i in range(rows):
+        acc = 0
+        for j in range(cols):
+            acc += m.entry(i, j) * vec[j]
+        expected.append(acc)
+    assert m.mat_vec(vec) == tuple(expected)
+    assert m.mat_vec(tuple(vec)) == tuple(expected)
+    with pytest.raises(ValueError):
+        m.mat_vec(vec + [1])
+    if cols:
+        with pytest.raises(ValueError):
+            m.mat_vec(vec[:-1])
+
+
+def test_mat_vec_empty_shapes():
+    assert IntMatrix(0, 4, []).mat_vec((1, 0, 2, 0)) == ()
+    assert IntMatrix(3, 0, []).mat_vec(()) == (0, 0, 0)
+    assert IntMatrix(0, 0, []).mat_vec(()) == ()
+    for m, bad in ((IntMatrix(0, 4, []), (1, 2)), (IntMatrix(3, 0, []), (1,))):
+        with pytest.raises(ValueError):
+            m.mat_vec(bad)
+
+
+# ---------------------------------------------------------------------------
 # Smith normal form
 # ---------------------------------------------------------------------------
 

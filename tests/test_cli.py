@@ -89,6 +89,19 @@ def test_malformed_file_exits_two(capsys, tmp_path):
     assert "line 1" in err
 
 
+def test_directory_input_exits_two(capsys, tmp_path):
+    for command in ("check", "ktheory", "les-check", "colimit"):
+        code, out, err = run(capsys, command, str(tmp_path))
+        assert code == 2 and out == ""
+        assert err.startswith("input error:") and "Traceback" not in err
+
+
+def test_directory_output_exits_two(capsys, tmp_path):
+    code, out, err = run(capsys, "synthesize", "--k0", "Z", "--k1", "Z", "-o", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("input error:")
+
+
 def test_unknown_vertex_exits_two(capsys, tmp_path):
     path = write(
         tmp_path,
@@ -243,6 +256,13 @@ def test_lab_csv_deterministic(capsys):
     code, out2, _ = run(capsys, "lab", "straighten", "--trials", "5", "--seed", "3")
     assert out1 == out2
     assert out1.startswith("t,defect_name,value\n")
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_lab_straighten_rejects_no_trials(capsys, trials):
+    code, out, err = run(capsys, "lab", "straighten", "--trials", trials)
+    assert code == 2 and out == ""
+    assert "--trials must be at least 1" in err
 
 
 def test_lab_w_csv(capsys):

@@ -1,5 +1,6 @@
 """K-theory engine tests: single graphs, the exact sequence, and chains."""
 
+import importlib
 import random
 
 import pytest
@@ -23,6 +24,23 @@ from graphck.synthesis import build_case_i, build_case_ii, build_case_iii
 
 def loops(n):
     return FiniteGraph({"v"}, [(f"l{i}", "v", "v") for i in range(n)])
+
+
+@pytest.fixture
+def snf_calls(monkeypatch):
+    """Shapes of every Smith form computed, through both module bindings."""
+    abelian_mod = importlib.import_module("graphck.abelian")
+    ktheory_mod = importlib.import_module("graphck.ktheory")
+    orig = abelian_mod.smith_normal_form
+    calls = []
+
+    def counting(m):
+        calls.append((m.rows, m.cols))
+        return orig(m)
+
+    monkeypatch.setattr(abelian_mod, "smith_normal_form", counting)
+    monkeypatch.setattr(ktheory_mod, "smith_normal_form", counting)
+    return calls
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +181,15 @@ def test_boundary_onto_for_tower_layers():
         assert image.contains(unit)
 
 
+def test_k1_column_lattice_is_the_checked_lattice():
+    for g in (loops(1), build_case_ii(3, 1, (2,), 5).layer_graph(2), build_case_iii(2, 2, (), 5).layer_graph(1)):
+        kt = ktheory(g)
+        lat = kt.k1_column_lattice()
+        assert lat is kt.k1_column_lattice()
+        assert lat.matrix == kt.k1_lattice
+        assert lat.equals(ColumnLattice(kt.k1_lattice))
+
+
 # ---------------------------------------------------------------------------
 # Long exact sequence
 # ---------------------------------------------------------------------------
@@ -182,6 +209,20 @@ def test_les_on_tower_layer():
     assert rep.passed
     # the index map is onto, so the Toeplitz and full degree-zero groups agree
     assert rep.terms["k0_toeplitz"] == rep.terms["k0_full"]
+
+
+def test_les_reuses_the_ktheory_smith_forms(snf_calls):
+    # two ktheory calls and the node checks; the Toeplitz relation matrix, its
+    # degree-one lattice and the full presentation come from ktheory
+    rep = les_check(build_case_ii(2, 1, (), 5).layer_graph(1))
+    assert rep.passed
+    assert sorted(rep.nodes) == [
+        "coker_ideal_map_is_k0_full",
+        "exact_at_ideal",
+        "exact_at_k0_toeplitz",
+        "exact_at_k1_full",
+    ]
+    assert len(snf_calls) == 17
 
 
 def test_les_random_graphs():
@@ -395,6 +436,16 @@ def test_chain_class_map_matches_expected_kills():
     # every class dies in the colimit: the group itself is trivial
     assert rep.k0.is_trivial
     assert all(c == () for c in rep.k0_class_map.values())
+
+
+def test_chain_report_smith_form_count(snf_calls):
+    # pinned: each layer's degree-one lattice is reduced once, inside ktheory,
+    # and reused by the degree-one inclusion maps
+    chain = build_case_ii(2, 1, (3,), 6)
+    assert len(chain) == 6
+    rep = chain_ktheory_report(chain, window=2)
+    assert len(snf_calls) == 76
+    assert (rep.k0.canonical_pair(), rep.k1.canonical_pair(), rep.stabilized) == ((0, (3,)), (1, ()), True)
 
 
 def test_s_sets_on_synthesized_chains():
