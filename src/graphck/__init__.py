@@ -8,10 +8,8 @@ from .abelian import (
     Presentation,
     SmithDecomposition,
     cokernel,
-    colimit_chain,
     format_group,
     hom_compose,
-    hom_is_isomorphism,
     kernel_basis,
     parse_group_expr,
     smith_normal_form,

@@ -13,9 +13,9 @@ relation matrix and remembers enough of the transform to convert ambient
 integer vectors into canonical coordinates (``Presentation.class_of``).
 ``kernel_basis`` returns a saturated basis of the integer kernel lattice.
 ``GroupHom`` is a homomorphism between presented groups, checked for
-well-definedness at construction.  ``colimit_chain`` computes the direct
-limit of a finite prefix of a chain of groups along homomorphisms, with an
-explicit, honestly-flagged stabilization heuristic.
+well-definedness at construction.  ``colimit_chain_detailed`` computes the
+direct limit of a finite prefix of a chain of groups along homomorphisms,
+with an explicit, honestly-flagged stabilization heuristic.
 """
 
 from __future__ import annotations
@@ -949,10 +949,7 @@ class GroupHom:
                 sec = dom.presentation.section(j)
                 img = cod.presentation.class_of(self.matrix.mat_vec(sec))
                 cols.append(img)
-            ents = []
-            for i in range(cod.ncoords):
-                ents.extend(col[i] for col in cols)
-            self._canonical_matrix = IntMatrix(cod.ncoords, dom.ncoords, ents)
+            self._canonical_matrix = IntMatrix.from_rows(cols, cols=cod.ncoords).transpose()
         return self._canonical_matrix
 
     def apply_coords(self, coords: Sequence[int]) -> tuple[int, ...]:
@@ -1001,10 +998,6 @@ def hom_compose(f: GroupHom, g: GroupHom) -> GroupHom:
     if not f.codomain.presentation.same_as(g.domain.presentation):
         raise ValueError("presentation mismatch: cannot compose")
     return GroupHom(f.domain, g.codomain, g.matrix @ f.matrix)
-
-
-def hom_is_isomorphism(f: GroupHom) -> bool:
-    return f.is_isomorphism()
 
 
 # ---------------------------------------------------------------------------
@@ -1067,13 +1060,6 @@ def colimit_chain_detailed(
         groups[last], reduced[last], IntMatrix.identity(groups[last].presentation.ngens)
     )
     return ColimitResult(reduced[last], stabilized, last, reduction)
-
-
-def colimit_chain(
-    groups: Sequence[FgAbelianGroup], homs: Sequence[GroupHom], window: int
-) -> tuple[FgAbelianGroup, bool]:
-    res = colimit_chain_detailed(groups, homs, window)
-    return res.group, res.stabilized
 
 
 # ---------------------------------------------------------------------------

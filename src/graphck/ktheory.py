@@ -151,31 +151,20 @@ def ktheory(graph: FiniteGraph) -> KTheoryResult:
         for c, u in zip(coeff, svs):
             x[vidx[u]] = c
         cols.append(x)
-    lattice_a = IntMatrix.from_rows([[col[i] for col in cols] for i in range(nv)], cols=len(cols))
+    lattice_a = IntMatrix.from_rows(cols, cols=nv).transpose()
 
     # route two: vertex functions satisfying the full incoming-edge relations,
     # cut down by vanishing on the exempt vertices
     rel_all = rel if not exempt else relation_matrix(graph, at_vertices=verts)
     snf_all = smith_normal_form(rel_all) if exempt else snf
-    full_cols = [snf_all.u.row(i) for i in range(snf_all.rank, rel_all.rows)]
+    full = IntMatrix.from_rows(
+        [snf_all.u.row(i) for i in range(snf_all.rank, rel_all.rows)], cols=nv
+    ).transpose()
+    lattice_b = full
     if exempt:
         # rows of the K1(O) basis at exempt positions; kill them integrally
-        restricted = IntMatrix.from_rows(
-            [[col[vidx[u]] for col in full_cols] for u in exempt], cols=len(full_cols)
-        )
-        comb = kernel_basis(restricted)
-        cols_b = []
-        for j in range(comb.cols):
-            coeffs = comb.col(j)
-            vec = [0] * nv
-            for c, col in zip(coeffs, full_cols):
-                if c:
-                    for i in range(nv):
-                        vec[i] += c * col[i]
-            cols_b.append(vec)
-    else:
-        cols_b = [list(col) for col in full_cols]
-    lattice_b = IntMatrix.from_rows([[col[i] for col in cols_b] for i in range(nv)], cols=len(cols_b))
+        restricted = IntMatrix.from_rows([full.row(vidx[u]) for u in exempt], cols=full.cols)
+        lattice_b = full @ kernel_basis(restricted)
 
     la, lb = ColumnLattice(lattice_a), ColumnLattice(lattice_b)
     if not la.equals(lb):
@@ -228,17 +217,9 @@ class IdealClassMap:
 
 def ideal_class_map(graph: FiniteGraph, kt: KTheoryResult | None = None) -> IdealClassMap:
     kt = kt or ktheory(graph)
-    verts = kt.vertex_order
-    vidx = {v: i for i, v in enumerate(verts)}
     basis = tuple(sorted(graph.relation_exempt))
-    images = []
-    for u in basis:
-        vec = [0] * len(verts)
-        vec[vidx[u]] += 1
-        for _, _, t in graph.out_edges(u):
-            vec[vidx[t]] -= 1
-        images.append(kt.k0.coords_of(vec))
-    return IdealClassMap(basis=basis, images=tuple(images))
+    rows = relation_matrix(graph, at_vertices=basis)
+    return IdealClassMap(basis=basis, images=tuple(kt.k0.coords_of(r) for r in rows.iter_rows()))
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +251,6 @@ def les_check(graph: FiniteGraph) -> LesReport:
     """
     report = LesReport()
     verts = graph.vertex_list
-    nv = len(verts)
-    vidx = {v: i for i, v in enumerate(verts)}
     exempt = tuple(sorted(graph.relation_exempt))
 
     kt_t = ktheory(graph)
@@ -286,45 +265,15 @@ def les_check(graph: FiniteGraph) -> LesReport:
 
     # node 1: the degree-one Toeplitz lattice is exactly the kernel of the
     # index map inside the full-relation lattice
-    bdry_cols = []
-    kernel_of_boundary_cols = []
-    for j in range(kt_o.k1_lattice.cols):
-        x = kt_o.k1_lattice.col(j)
-        bdry_cols.append(boundary_map(graph, x))
-    if kt_o.k1_lattice.cols:
-        bmat = IntMatrix.from_rows(
-            [[c[i] for c in bdry_cols] for i in range(len(exempt))], cols=len(bdry_cols)
-        )
-    else:
-        bmat = IntMatrix.zero(len(exempt), 0)
-    comb = kernel_basis(bmat)
-    for j in range(comb.cols):
-        coeffs = comb.col(j)
-        vec = [0] * nv
-        for c, jj in zip(coeffs, range(kt_o.k1_lattice.cols)):
-            if c:
-                col = kt_o.k1_lattice.col(jj)
-                for i in range(nv):
-                    vec[i] += c * col[i]
-        kernel_of_boundary_cols.append(vec)
-    ker_boundary = IntMatrix.from_rows(
-        [[col[i] for col in kernel_of_boundary_cols] for i in range(nv)],
-        cols=len(kernel_of_boundary_cols),
-    )
+    k1_full = kt_o.k1_lattice
+    bdry_cols = [boundary_map(graph, k1_full.col(j)) for j in range(k1_full.cols)]
+    bmat = IntMatrix.from_rows(bdry_cols, cols=len(exempt)).transpose()
+    ker_boundary = k1_full @ kernel_basis(bmat)
     report.nodes["exact_at_k1_full"] = kt_t.k1_column_lattice().equals(ColumnLattice(ker_boundary))
 
     # node 2: image of the index map equals the kernel of the ideal-class map
-    im_boundary = IntMatrix.from_rows(
-        [[c[i] for c in bdry_cols] for i in range(len(exempt))], cols=len(bdry_cols)
-    )
-    jmat_cols = []
-    for u in exempt:
-        vec = [0] * nv
-        vec[vidx[u]] += 1
-        for _, _, t in graph.out_edges(u):
-            vec[vidx[t]] -= 1
-        jmat_cols.append(vec)
-    jmat = IntMatrix.from_rows([[c[i] for c in jmat_cols] for i in range(nv)], cols=len(exempt))
+    ideal_rows = relation_matrix(graph, at_vertices=exempt)
+    jmat = ideal_rows.transpose()
     rel_t = kt_t.k0.presentation.relations
     stacked = jmat.hstack(-rel_t.transpose())
     kerj_gens = kernel_basis(stacked)
@@ -332,12 +281,12 @@ def les_check(graph: FiniteGraph) -> LesReport:
         [[kerj_gens.entry(i, j) for j in range(kerj_gens.cols)] for i in range(len(exempt))],
         cols=kerj_gens.cols,
     )
-    report.nodes["exact_at_ideal"] = ColumnLattice(im_boundary).equals(ColumnLattice(kerj))
+    report.nodes["exact_at_ideal"] = ColumnLattice(bmat).equals(ColumnLattice(kerj))
 
     # node 3: the kernel of K0(T) -> K0(O) is the image of the ideal classes;
     # at the lattice level: full relations = S relations + ideal-class vectors
     pres_all = kt_o.k0.presentation
-    pres_aug = Presentation(verts, rel_t.vstack(jmat.transpose()))
+    pres_aug = Presentation(verts, rel_t.vstack(ideal_rows))
     ok3 = all(pres_aug.lattice_contains(r) for r in pres_all.relations.iter_rows()) and all(
         pres_all.lattice_contains(r) for r in pres_aug.relations.iter_rows()
     )
@@ -544,16 +493,8 @@ def chain_ktheory_report(chain: GraphChain, window: int = 2, force: bool = False
                     f"degree-one basis of layer {n} does not extend into layer {n + 1}"
                 )
             cols.append(coeffs)
-        ents = []
-        for i in range(dst.k1_lattice.cols):
-            ents.extend(col[i] for col in cols)
-        k1_homs.append(
-            GroupHom(
-                k1_canon_groups[n],
-                k1_canon_groups[n + 1],
-                IntMatrix(dst.k1_lattice.cols, src.k1_lattice.cols, ents),
-            )
-        )
+        matrix = IntMatrix.from_rows(cols, cols=dst.k1_lattice.cols).transpose()
+        k1_homs.append(GroupHom(k1_canon_groups[n], k1_canon_groups[n + 1], matrix))
     k1_res = colimit_chain_detailed(k1_canon_groups, k1_homs, window)
     if k1_res.group.invariant_factors:
         raise AssertionError("degree-one colimit acquired torsion; this is a bug")

@@ -18,11 +18,10 @@ from graphck.abelian import (
     FgAbelianGroup,
     GroupHom,
     IntMatrix,
-    colimit_chain,
     cokernel,
+    colimit_chain_detailed,
     format_group,
     hom_compose,
-    hom_is_isomorphism,
     kernel_basis,
     parse_group_expr,
     smith_normal_form,
@@ -358,12 +357,12 @@ def test_hom_compose_requires_same_presentation():
 
 def test_hom_iso_identity_on_mixed_group():
     g = parse_group_expr("Z + Z/2")
-    assert hom_is_isomorphism(GroupHom.identity(g))
+    assert GroupHom.identity(g).is_isomorphism()
 
 
 def test_hom_doubling_not_iso():
     z = FgAbelianGroup.canonical(1)
-    assert not hom_is_isomorphism(GroupHom(z, z, M([[2]])))
+    assert not GroupHom(z, z, M([[2]])).is_isomorphism()
 
 
 def test_hom_tripling_mod_two_is_iso():
@@ -372,7 +371,7 @@ def test_hom_tripling_mod_two_is_iso():
     tripling = GroupHom(z2, z2, M([[3]]))
     images = {x: (3 * x) % 2 for x in (0, 1)}
     assert images == {0: 0, 1: 1}
-    assert hom_is_isomorphism(tripling)
+    assert tripling.is_isomorphism()
 
 
 def test_hom_rejects_ill_defined():
@@ -397,8 +396,8 @@ def test_colimit_constant_chain():
     z = FgAbelianGroup.canonical(1)
     groups = [z] * 4
     homs = [GroupHom.identity(z)] * 3
-    group, stable = colimit_chain(groups, homs, 2)
-    assert stable and group.canonical_pair() == (1, ())
+    res = colimit_chain_detailed(groups, homs, 2)
+    assert res.stabilized and res.group.canonical_pair() == (1, ())
 
 
 def test_colimit_everything_dies():
@@ -406,31 +405,31 @@ def test_colimit_everything_dies():
     z2 = FgAbelianGroup.canonical(2)
     groups = [z2] * 6
     homs = [GroupHom.zero(z2, z2)] * 5
-    group, stable = colimit_chain(groups, homs, 2)
-    assert stable and group.is_trivial
+    res = colimit_chain_detailed(groups, homs, 2)
+    assert res.stabilized and res.group.is_trivial
 
 
 def test_colimit_doubling_never_stabilizes():
     z = FgAbelianGroup.canonical(1)
     x2 = GroupHom(z, z, M([[2]]))
     for length in (4, 6, 8):
-        group, stable = colimit_chain([z] * length, [x2] * (length - 1), 2)
-        assert not stable
-        assert group.canonical_pair() == (1, ())
+        res = colimit_chain_detailed([z] * length, [x2] * (length - 1), 2)
+        assert not res.stabilized
+        assert res.group.canonical_pair() == (1, ())
 
 
 def test_colimit_isomorphism_chain_returns_first_group():
     g = parse_group_expr("Z/2 + Z/4")
     groups = [g] * 5
     homs = [GroupHom.identity(g)] * 4
-    group, stable = colimit_chain(groups, homs, 2)
-    assert stable and group.canonical_pair() == g.canonical_pair()
+    res = colimit_chain_detailed(groups, homs, 2)
+    assert res.stabilized and res.group.canonical_pair() == g.canonical_pair()
 
 
 def test_colimit_window_too_short():
     z = FgAbelianGroup.canonical(1)
     with pytest.raises(ValueError):
-        colimit_chain([z] * 3, [GroupHom.identity(z)] * 2, 2)
+        colimit_chain_detailed([z] * 3, [GroupHom.identity(z)] * 2, 2)
 
 
 # ---------------------------------------------------------------------------

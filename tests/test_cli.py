@@ -184,6 +184,53 @@ def test_synthesize_chain_violating_a1_fails_check(capsys, tmp_path):
     assert "u" in data["witnesses"]["a1"]
 
 
+@pytest.fixture
+def empty_first_layer(tmp_path):
+    return write(
+        tmp_path,
+        "empty_layer.json",
+        {
+            "vertices": ["a"],
+            "edges": [{"id": "l1", "from": "a", "to": "a"}, {"id": "l2", "from": "a", "to": "a"}],
+            "infinite_vertices": [],
+            "layers": [[], ["a"], ["a"], ["a"]],
+        },
+    )
+
+
+def test_check_reports_empty_layer(capsys, empty_first_layer):
+    code, out, _ = run(capsys, "check", empty_first_layer)
+    assert code == 1
+    data = json.loads(out)
+    assert data["pass"] is False and data["conditions"]["a2"] is False
+    assert data["witnesses"] == {"a2": "layer 0 is empty"}
+
+
+def test_colimit_force_runs_past_empty_layer(capsys, empty_first_layer):
+    code, _, err = run(capsys, "colimit", empty_first_layer)
+    assert code == 1 and "a2" in err
+    code, out, _ = run(capsys, "colimit", empty_first_layer, "--force")
+    assert code == 0
+    data = json.loads(out)
+    assert (data["k0"], data["k1"], data["stabilized"], data["forced"]) == ("0", "0", True, True)
+
+
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ({"layers": [[1]]}, "'layers' must be an array of arrays of strings"),
+        ({"layers": [["1"]], "infinite_vertices": [1]}, "'infinite_vertices' must be an array of strings"),
+        ({"relation_exempt": [1]}, "'relation_exempt' must be an array of strings"),
+    ],
+)
+def test_non_string_vertex_items_exit_two(capsys, tmp_path, fields, message):
+    edges = [{"id": "l1", "from": "1", "to": "1"}, {"id": "l2", "from": "1", "to": "1"}]
+    path = write(tmp_path, "bad.json", {"vertices": ["1"], "edges": edges, **fields})
+    code, out, err = run(capsys, "check", path)
+    assert code == 2 and out == ""
+    assert err == f"input error: {message}\n"
+
+
 def test_ktheory_at_layer(capsys, tmp_path):
     code, out, _ = run(capsys, "synthesize", "--k0", "Z", "--k1", "Z^2", "-o", str(tmp_path / "c.json"))
     assert code == 0

@@ -192,6 +192,31 @@ def test_condition_a1_violation_reported():
     assert "u" in report.witnesses["a1"]
 
 
+def test_condition_a2_empty_layer_is_a_witness():
+    chain = GraphChain([], [[], ["a"], ["a"]], [("l1", "a", "a"), ("l2", "a", "a")])
+    report = check_condition_a(chain)
+    assert report.conditions == {"a1": True, "a2": False, "a3": True, "a4": True, "a5": True, "a6": True}
+    assert report.witnesses == {"a2": "layer 0 is empty"}
+
+
+def test_prefix_keeps_induced_edges_and_its_infinite_vertices():
+    chain = GraphChain(
+        {"u"},
+        [["v"], ["u", "v"]],
+        [("lv", "v", "v"), ("g", "u", "v"), ("h", "v", "u")],
+    )
+    first = chain.prefix(1)
+    assert (first.infinite_vertices, first.layers, first.edges) == (
+        frozenset(),
+        (frozenset({"v"}),),
+        (("lv", "v", "v"),),
+    )
+    assert chain.prefix(2) == chain
+    for n in (0, len(chain) + 1):
+        with pytest.raises(ValueError, match="out of range"):
+            chain.prefix(n)
+
+
 def test_condition_a6_violation_when_emission_stops():
     base = build_case_ii(2, 1, (), 6)
     # drop every edge from u into the vertices new at layer 3 (towers j = 4)
@@ -316,6 +341,10 @@ def test_dump_is_deterministic():
         {"vertices": ["v"], "edges": [{"id": {"k": 1}, "from": "v", "to": "v"}]},
         {"vertices": ["v"], "edges": [{"id": 1, "from": "v", "to": "v"}]},
         {"vertices": ["v"], "layers": [["v"]], "edges": [{"id": "e", "from": ["v"], "to": "v"}]},
+        # non-string items that str() would turn into known vertices
+        {"vertices": ["1"], "edges": [], "layers": [[1]]},
+        {"vertices": ["1"], "edges": [], "layers": [["1"]], "infinite_vertices": [1]},
+        {"vertices": ["1"], "edges": [], "relation_exempt": [1]},
     ],
 )
 def test_malformed_inputs_raise(data):

@@ -6,12 +6,15 @@ relations are checked here literally, as functionals vanishing on the
 computed lattices and as class equalities.
 """
 
+import importlib
+
 import pytest
 
 from graphck.abelian import parse_group_expr
-from graphck.graphs import FiniteGraph, check_condition_a, is_cycle, is_irreducible
+from graphck.graphs import FiniteGraph, check_condition_a, dump_graph, is_cycle, is_irreducible
 from graphck.ktheory import chain_ktheory_report, ktheory
 from graphck.synthesis import (
+    VERIFICATION_WINDOW,
     SynthesisRequest,
     SynthesisResult,
     build_case_i,
@@ -200,6 +203,17 @@ def test_emitted_layers_pass_conditions():
             assert is_irreducible(g) and not is_cycle(g)
 
 
+@pytest.mark.parametrize("depth", [4, 5, 7])
+def test_padded_prefix_is_the_shallow_build(depth):
+    # synthesis emits the prefix of the chain it verified
+    params = [(build_case_ii, l, p) for l in (2, 3, 4) for p in range(1, l)]
+    params += [(build_case_iii, l, p) for l in (1, 2, 3) for p in range(1, l + 1)]
+    for build, l, p in params:
+        for torsion in ((), (2,), (3, 9)):
+            padded = build(l, p, torsion, depth + 2)
+            assert dump_graph(padded.prefix(depth)) == dump_graph(build(l, p, torsion, depth))
+
+
 # ---------------------------------------------------------------------------
 # Synthesis dispatch
 # ---------------------------------------------------------------------------
@@ -262,3 +276,21 @@ def test_synthesize_mini_grid(expr0, expr1):
     assert res.verification.passed, res.verification.messages
     assert res.verification.k0.canonical_pair() == parse_group_expr(expr0).canonical_pair()
     assert res.verification.k1.canonical_pair() == parse_group_expr(expr1).canonical_pair()
+
+
+@pytest.mark.parametrize("expr0,expr1", [("Z", "Z^2"), ("Z^2 + Z/3", "Z")])
+def test_synthesize_checks_layer_conditions_once(monkeypatch, expr0, expr1):
+    lengths = []
+
+    def counting(chain):
+        lengths.append(len(chain))
+        return check_condition_a(chain)
+
+    # the package binds the name ``ktheory`` to the function, so look the
+    # modules up by name
+    for name in ("graphs", "ktheory", "synthesis"):
+        module = importlib.import_module(f"graphck.{name}")
+        monkeypatch.setattr(module, "check_condition_a", counting, raising=False)
+    res = run(expr0, expr1, depth=5)
+    assert res.verification.passed and res.verification.condition_a.passed
+    assert lengths == [5 + VERIFICATION_WINDOW]
