@@ -8,10 +8,15 @@ isomorphism questions reduce to tuple comparison.
 
 The pieces fit together as follows.  ``smith_normal_form`` diagonalizes an
 integer matrix M as ``U @ M @ V == D`` with U, V unimodular and the diagonal
-in divisibility order.  ``cokernel`` presents Z^n modulo the row lattice of a
-relation matrix and remembers enough of the transform to convert ambient
-integer vectors into canonical coordinates (``Presentation.class_of``).
-``kernel_basis`` returns a saturated basis of the integer kernel lattice.
+in divisibility order.  It keeps the transforms sparse and builds each row of
+U, column of V or row of V^-1 that comes out of the dense core reduction only
+when a caller reads it.  The callers below read only the vectors they use
+(class maps and lattice tests skip the positions with a unit diagonal entry),
+and none of them builds a dense transform.  ``cokernel`` presents Z^n modulo
+the row lattice of a relation matrix and remembers enough of the transform to
+convert ambient integer vectors into canonical coordinates
+(``Presentation.class_of``).  ``kernel_basis`` returns a saturated basis of
+the integer kernel lattice from the free columns of V.
 ``GroupHom`` is a homomorphism between presented groups, checked for
 well-definedness at construction.  ``colimit_chain_detailed`` computes the
 direct limit of a finite prefix of a chain of groups along homomorphisms,
@@ -73,6 +78,11 @@ class IntMatrix:
         else:
             ncols = 0 if cols is None else cols
         return cls(len(rows), ncols, [x for r in rows for x in r])
+
+    @classmethod
+    def from_sparse_columns(cls, rows: int, columns: Sequence[dict]) -> "IntMatrix":
+        """The rows x len(columns) matrix whose columns are these ``{row: value}`` dicts."""
+        return cls._of(rows, len(columns), _dense_rows(columns, rows, transpose=True))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -177,19 +187,6 @@ class IntMatrix:
                         out[i] += x * v
         return tuple(out)
 
-    def vec_mat(self, vec: Sequence[int]) -> tuple[int, ...]:
-        """vec @ self with vec a row vector."""
-        if len(vec) != self.rows:
-            raise ValueError("vector length mismatch")
-        acc = [0] * self.cols
-        for i, v in enumerate(vec):
-            if v:
-                r = self.row(i)
-                for j, x in enumerate(r):
-                    if x:
-                        acc[j] += v * x
-        return tuple(acc)
-
     def vstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.cols:
             raise ValueError("column count mismatch in vstack")
@@ -236,27 +233,70 @@ class IntMatrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SmithDecomposition:
     """U @ M @ V == D with U, V unimodular, D diagonal in divisibility order.
 
-    ``v_inv`` is the exact inverse of V, maintained during the reduction; it
-    gives sections of the quotient map for free (see ``Presentation``).
+    The transforms are kept sparse: rows of U, columns of V and rows of V^-1,
+    each a ``{index: nonzero}`` dict, read with ``u_row``, ``v_col`` and
+    ``vinv_row``.  The vectors of the presolve's pivots and zero lines are
+    final when ``smith_normal_form`` returns; a vector at a core position is
+    folded from the core's dense transform the first time it is read, then
+    kept.  Callers read only what they need, and most need little: a unit
+    diagonal entry constrains nothing, so classes read only the V columns at
+    non-unit positions.  ``u``, ``v``, ``v_inv`` and ``d`` build the dense
+    matrices on first use.  ``v_inv`` is the exact inverse of V; its rows
+    give sections of the quotient map (see ``Presentation``).  The returned
+    dicts are shared and must not be mutated.
     """
 
-    u: IntMatrix
-    d: IntMatrix
-    v: IntMatrix
-    v_inv: IntMatrix
+    def __init__(self, rows: int, cols: int, diagonal: Sequence[int], vectors, offset, coeffs, bases):
+        self.rows, self.cols = rows, cols
+        self.diagonal = tuple(diagonal)
+        self.rank = sum(1 for x in self.diagonal if x)
+        # per transform (U rows, V columns, V^-1 rows): a list of vectors with
+        # None at core positions, the core's coefficient rows, and the
+        # presolved vectors they combine; core position t sits at offset + t
+        self._vectors = vectors
+        self._offset = offset
+        self._coeffs = coeffs
+        self._bases = bases
+
+    def _vector(self, which: int, k: int) -> dict:
+        vecs = self._vectors[which]
+        vec = vecs[k]
+        if vec is None:
+            vec = vecs[k] = _combine(self._coeffs[which][k - self._offset], self._bases[which])
+        return vec
+
+    def u_row(self, i: int) -> dict:
+        return self._vector(0, i)
+
+    def v_col(self, j: int) -> dict:
+        return self._vector(1, j)
+
+    def vinv_row(self, j: int) -> dict:
+        return self._vector(2, j)
 
     @cached_property
-    def diagonal(self) -> tuple[int, ...]:
-        d = self.d
-        return tuple(d.entry(i, i) for i in range(min(d.rows, d.cols)))
+    def u(self) -> IntMatrix:
+        n = self.rows
+        return IntMatrix._of(n, n, _dense_rows([self.u_row(i) for i in range(n)], n))
 
     @cached_property
-    def rank(self) -> int:
-        return sum(1 for x in self.diagonal if x != 0)
+    def v(self) -> IntMatrix:
+        return IntMatrix.from_sparse_columns(self.cols, [self.v_col(j) for j in range(self.cols)])
+
+    @cached_property
+    def v_inv(self) -> IntMatrix:
+        n = self.cols
+        return IntMatrix._of(n, n, _dense_rows([self.vinv_row(j) for j in range(n)], n))
+
+    @cached_property
+    def d(self) -> IntMatrix:
+        ents = [0] * (self.rows * self.cols)
+        for t, x in enumerate(self.diagonal):
+            ents[t * self.cols + t] = x
+        return IntMatrix._of(self.rows, self.cols, tuple(ents))
 
     def verify(self, m: IntMatrix) -> None:
         """Assert the defining invariants exactly (used by tests)."""
@@ -309,9 +349,10 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     V columns and V^-1 rows.  Relation matrices of graphs are mostly such
     pivots (the unit-pivot elimination of Dumas, Saunders and Villard, J.
     Symbolic Comput. 2001).  What is left has no unit entry; its nonzero rows
-    and columns form the core, which ``_dense_smith`` reduces, and the core's
-    transforms are folded into the global ones.  The diagonal holds the unit
-    pivots, then the core's diagonal, then zeros.
+    and columns form the core, which ``_dense_smith`` reduces.  The core's
+    transforms are kept as they are: a global vector at a core position is
+    folded from them only when it is read (see ``SmithDecomposition``).  The
+    diagonal holds the unit pivots, then the core's diagonal, then zeros.
     """
     nrows, ncols = m.rows, m.cols
     ents = m.entries
@@ -329,14 +370,23 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     vinv = [{j: 1} for j in range(ncols)]  # rows of V^-1
     pivots: list[tuple[int, int, int]] = []  # (row, column, unit)
 
-    # every unit entry has a heap item carrying its current cost; an item
-    # whose entry changed since it was pushed is skipped when popped
-    heap = [
-        ((len(r) - 1) * (len(colrows[j]) - 1), i, j)
-        for i, r in enumerate(rows)
-        for j, x in r.items()
-        if x == 1 or x == -1
-    ]
+    def cheapest_unit(i: int):
+        """Heap item (cost, row, column) of row i's cheapest unit entry, or None."""
+        ri = rows[i]
+        ci = len(ri) - 1
+        best = None
+        for j, x in ri.items():
+            if x == 1 or x == -1:
+                item = (ci * (len(colrows[j]) - 1), i, j)
+                if best is None or item < best:
+                    best = item
+        return best
+
+    # every row with a unit entry has a heap item for its cheapest one, at its
+    # current cost; an item whose entry or cost changed since it was pushed is
+    # skipped when popped.  The cheapest item overall is some row's cheapest,
+    # so the pivot order is that of a heap holding every unit entry
+    heap = [item for item in map(cheapest_unit, range(nrows)) if item is not None]
     heapify(heap)
     while heap:
         cost, p, c = heappop(heap)
@@ -373,52 +423,44 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
             _axpy(v[j], vc, q)
             vic[j] = q
             colrows[j].discard(p)
-        # requeue the unit entries whose row or column count changed
-        for i in changed:
-            ri = rows[i]
-            ci = len(ri) - 1
-            for j, x in ri.items():
-                if x == 1 or x == -1:
-                    heappush(heap, (ci * (len(colrows[j]) - 1), i, j))
+        # costs changed only in the changed rows and in row p's columns
+        touched = set(changed)
         for j in rp:
-            cj = len(colrows[j]) - 1
-            for i in colrows[j]:
-                x = rows[i][j]
-                if (x == 1 or x == -1) and i not in changed:
-                    heappush(heap, ((len(rows[i]) - 1) * cj, i, j))
+            touched.update(colrows[j])
+        for i in touched:
+            item = cheapest_unit(i)
+            if item is not None:
+                heappush(heap, item)
 
+    # the transforms in output order: pivots, the core, then zero rows or
+    # columns.  Core vectors are None here and folded on first read from the
+    # core's coefficients and the presolved vectors of the core rows/columns
     core_rows = [i for i in range(nrows) if rows[i]]
     core_cols = [j for j in range(ncols) if colrows[j]]
     zero_rows = [i for i in range(nrows) if rows[i] == {}]
     zero_cols = [j for j in range(ncols) if colrows[j] == set()]
-
     diag = [1] * len(pivots)
-    out_u = [{k: -y for k, y in u[p].items()} if s < 0 else u[p] for p, _, s in pivots]
-    out_v = [v[c] for _, c, _ in pivots]
-    out_vinv = [vinv[c] for _, c, _ in pivots]
+    coeffs = bases = ((), (), ())
     if core_rows:
         core = [[rows[i].get(j, 0) for j in core_cols] for i in core_rows]
         cu, cv, cvinv = _dense_smith(core)
         diag.extend(core[t][t] for t in range(min(len(core_rows), len(core_cols))))
-        for coeffs in cu:
-            out_u.append(_combine(coeffs, [u[i] for i in core_rows]))
-        core_v = [v[j] for j in core_cols]
-        for t in range(len(core_cols)):
-            out_v.append(_combine([row[t] for row in cv], core_v))
-        out_vinv.extend({j: x for j, x in zip(core_cols, row) if x} for row in cvinv)
-    out_u.extend(u[i] for i in zero_rows)
-    out_v.extend(v[j] for j in zero_cols)
-    out_vinv.extend(vinv[j] for j in zero_cols)
-
-    dense_d = [0] * (nrows * ncols)
-    for t, x in enumerate(diag):
-        dense_d[t * ncols + t] = x
-    return SmithDecomposition(
-        u=IntMatrix._of(nrows, nrows, _dense_rows(out_u, nrows)),
-        d=IntMatrix._of(nrows, ncols, tuple(dense_d)),
-        v=IntMatrix._of(ncols, ncols, _dense_rows(out_v, ncols, transpose=True)),
-        v_inv=IntMatrix._of(ncols, ncols, _dense_rows(out_vinv, ncols)),
+        coeffs = (cu, list(zip(*cv)), cvinv)
+        bases = ([u[i] for i in core_rows], [v[j] for j in core_cols], [vinv[j] for j in core_cols])
+    diag.extend([0] * (min(nrows, ncols) - len(diag)))
+    vectors = (
+        [{k: -y for k, y in u[p].items()} if s < 0 else u[p] for p, _, s in pivots]
+        + [None] * len(core_rows)
+        + [u[i] for i in zero_rows],
+        [v[c] for _, c, _ in pivots] + [None] * len(core_cols) + [v[j] for j in zero_cols],
+        [vinv[c] for _, c, _ in pivots] + [None] * len(core_cols) + [vinv[j] for j in zero_cols],
     )
+    return SmithDecomposition(nrows, ncols, diag, vectors, len(pivots), coeffs, bases)
+
+
+def _dot(sparse: dict, vec: Sequence[int]) -> int:
+    """Inner product of a sparse vector with a dense one."""
+    return sum(x * vec[k] for k, x in sparse.items())
 
 
 def _combine(coeffs: Sequence[int], vectors: Sequence[dict]) -> dict:
@@ -431,11 +473,15 @@ def _combine(coeffs: Sequence[int], vectors: Sequence[dict]) -> dict:
 
 
 def _dense_rows(vectors: Sequence[dict], n: int, transpose: bool = False) -> tuple[int, ...]:
-    """Row-major entries of the n x n matrix with these sparse rows (or columns)."""
-    out = [0] * (n * n)
+    """Row-major entries of the matrix with these sparse rows of length n.
+
+    With ``transpose`` the vectors are its columns: the matrix is n x len(vectors).
+    """
+    m = len(vectors)
+    out = [0] * (m * n)
     for t, vec in enumerate(vectors):
         for k, x in vec.items():
-            out[k * n + t if transpose else t * n + k] = x
+            out[k * m + t if transpose else t * n + k] = x
     return tuple(out)
 
 
@@ -582,13 +628,7 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     columns of V at zero diagonal positions form a basis of it.
     """
     snf = smith_normal_form(m)
-    diag = snf.diagonal
-    free_cols = [j for j in range(m.cols) if j >= len(diag) or diag[j] == 0]
-    ents = []
-    for i in range(m.cols):
-        vrow = snf.v.row(i)
-        ents.extend(vrow[j] for j in free_cols)
-    return IntMatrix._of(m.cols, len(free_cols), tuple(ents))
+    return IntMatrix.from_sparse_columns(m.cols, [snf.v_col(j) for j in range(snf.rank, m.cols)])
 
 
 # ---------------------------------------------------------------------------
@@ -641,34 +681,45 @@ class Presentation:
     def coordinate_positions(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return self._torsion_pos, self._free_pos
 
+    # coordinate j of a vector x is (x @ V)[j]; only the torsion and free
+    # positions are read, since a unit diagonal entry constrains nothing
+
     def class_of(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Canonical coordinates of an ambient integer vector."""
         if len(vec) != self.ngens:
             raise ValueError("ambient vector length mismatch")
-        z = self.snf.v.vec_mat(vec)
-        diag = self.snf.diagonal
-        coords = [z[j] % diag[j] for j in self._torsion_pos]
-        coords.extend(z[j] for j in self._free_pos)
+        snf = self.snf
+        diag = snf.diagonal
+        coords = [_dot(snf.v_col(j), vec) % diag[j] for j in self._torsion_pos]
+        coords.extend(_dot(snf.v_col(j), vec) for j in self._free_pos)
         return tuple(coords)
+
+    def generator_classes(self) -> list[tuple[int, ...]]:
+        """``class_of`` of every generator's unit vector, one V column at a time."""
+        snf = self.snf
+        diag = snf.diagonal
+        positions = self._torsion_pos + self._free_pos
+        coords = [[0] * len(positions) for _ in range(self.ngens)]
+        for t, j in enumerate(positions):
+            d = diag[j] if t < len(self._torsion_pos) else 0
+            for i, x in snf.v_col(j).items():
+                coords[i][t] = x % d if d else x
+        return [tuple(c) for c in coords]
 
     def section(self, i: int) -> tuple[int, ...]:
         """An ambient vector whose class is the i-th canonical basis element."""
         pos = (self._torsion_pos + self._free_pos)[i]
-        return self.snf.v_inv.row(pos)
+        return _dense_rows([self.snf.vinv_row(pos)], self.ngens)
 
     def lattice_contains(self, vec: Sequence[int]) -> bool:
         """Is ``vec`` in the row lattice of the relations?"""
         if len(vec) != self.ngens:
             raise ValueError("ambient vector length mismatch")
-        z = self.snf.v.vec_mat(vec)
-        diag = self.snf.diagonal
-        for j, x in enumerate(z):
-            if j < len(diag) and diag[j] != 0:
-                if x % diag[j]:
-                    return False
-            elif x != 0:
-                return False
-        return True
+        snf = self.snf
+        diag = snf.diagonal
+        if any(_dot(snf.v_col(j), vec) % diag[j] for j in self._torsion_pos):
+            return False
+        return not any(_dot(snf.v_col(j), vec) for j in self._free_pos)
 
     def same_as(self, other: "Presentation") -> bool:
         return self.generators == other.generators and self.relations == other.relations
@@ -847,31 +898,44 @@ class ColumnLattice:
     def rank(self) -> int:
         return self.snf.rank
 
+    # vec is in the lattice iff (U @ vec)[i] is a multiple of the i-th diagonal
+    # entry (0 past the rank) for every i; rows at unit entries always pass
+
     def contains(self, vec: Sequence[int]) -> bool:
-        w = self.snf.u.mat_vec(vec)
-        diag = self.snf.diagonal
-        for i, x in enumerate(w):
-            if i < len(diag) and diag[i]:
-                if x % diag[i]:
-                    return False
-            elif x:
+        if len(vec) != self.matrix.rows:
+            raise ValueError("vector length mismatch")
+        snf = self.snf
+        diag = snf.diagonal
+        for i in range(diag.count(1), snf.rows):
+            w = _dot(snf.u_row(i), vec)
+            if (w % diag[i]) if i < snf.rank else w:
                 return False
         return True
 
     def solve(self, vec: Sequence[int]) -> tuple[int, ...] | None:
-        """Coefficients c with matrix @ c == vec, or None if vec is outside."""
-        w = self.snf.u.mat_vec(vec)
-        diag = self.snf.diagonal
-        y = [0] * self.matrix.cols
-        for i, x in enumerate(w):
-            if i < len(diag) and diag[i]:
-                if x % diag[i]:
+        """Coefficients c with matrix @ c == vec, or None if vec is outside.
+
+        c = V @ y with y[i] = (U @ vec)[i] / d_i up to the rank.
+        """
+        if len(vec) != self.matrix.rows:
+            raise ValueError("vector length mismatch")
+        snf = self.snf
+        diag = snf.diagonal
+        y = {}
+        for i in range(snf.rows):
+            w = _dot(snf.u_row(i), vec)
+            if i >= snf.rank:
+                if w:
                     return None
-                if i < self.matrix.cols:
-                    y[i] = x // diag[i]
-            elif x:
+            elif w % diag[i]:
                 return None
-        return self.snf.v.mat_vec(y)
+            elif w:
+                y[i] = w // diag[i]
+        out = [0] * self.matrix.cols
+        for i, q in y.items():
+            for k, x in snf.v_col(i).items():
+                out[k] += q * x
+        return tuple(out)
 
     def equals(self, other: "ColumnLattice") -> bool:
         if self.ambient_dim != other.ambient_dim:

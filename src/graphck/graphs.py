@@ -159,7 +159,7 @@ class GraphChain:
     what the (a4) check makes precise, per layer.
     """
 
-    __slots__ = ("infinite_vertices", "layers", "edges")
+    __slots__ = ("infinite_vertices", "layers", "edges", "_layer_graphs")
 
     def __init__(
         self,
@@ -183,6 +183,7 @@ class GraphChain:
         object.__setattr__(self, "infinite_vertices", d)
         object.__setattr__(self, "layers", lys)
         object.__setattr__(self, "edges", _check_edges(edges, lys[-1]))
+        object.__setattr__(self, "_layer_graphs", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("GraphChain is immutable")
@@ -219,10 +220,16 @@ class GraphChain:
         return tuple(e for e in self.edges if e[1] in vs and e[2] in vs)
 
     def layer_graph(self, n: int, relation_exempt: Iterable[str] | None = None) -> FiniteGraph:
+        """Layer n as a finite graph, by default exempting the layer's vertices
+        outside its Toeplitz S set; that default graph is built once per layer."""
         vs = self.layers[n]
-        if relation_exempt is None:
-            relation_exempt = vs - toeplitz_s_set(self, n)
-        return FiniteGraph(vs, self.layer_edges(n), relation_exempt)
+        if relation_exempt is not None:
+            return FiniteGraph(vs, self.layer_edges(n), relation_exempt)
+        g = self._layer_graphs.get(n)
+        if g is None:
+            g = FiniteGraph(vs, self.layer_edges(n), vs - toeplitz_s_set(self, n))
+            self._layer_graphs[n] = g
+        return g
 
     def first_layer_of(self, v: str) -> int:
         for n, layer in enumerate(self.layers):
@@ -476,9 +483,11 @@ def check_condition_a(chain: GraphChain) -> ConditionReport:
     missing = sorted(d - chain.layers[0])
     report.record("a1", not missing, f"infinite-valence vertex {missing[0]!r} not in layer 0" if missing else "")
 
+    # the layer's own graph, which chain_ktheory_report reuses; the relation
+    # exempt set plays no part in (a2)
     ok, witness = True, ""
     for n in range(nlayers):
-        g = chain.layer_graph(n, relation_exempt=())
+        g = chain.layer_graph(n)
         if not g.vertices:
             ok, witness = False, f"layer {n} is empty"
             break

@@ -125,6 +125,12 @@ def ktheory(graph: FiniteGraph) -> KTheoryResult:
     functions satisfying the incoming-edge relations on S and vanishing off
     S) are both computed and must agree; disagreement raises.
     """
+    return _ktheory(graph, None)
+
+
+def _ktheory(graph: FiniteGraph, full_k1: IntMatrix | None) -> KTheoryResult:
+    """``ktheory``, given ``full_k1``, the ``k1_lattice`` of the same graph with
+    no exempt vertex, when the caller already has it."""
     verts = graph.vertex_list
     nv = len(verts)
     vidx = {v: i for i, v in enumerate(verts)}
@@ -134,37 +140,31 @@ def ktheory(graph: FiniteGraph) -> KTheoryResult:
     rel = relation_matrix(graph)
     k0 = cokernel(rel, generators=verts)
     snf = k0.presentation.snf
+    classes = dict(zip(verts, k0.presentation.generator_classes()))
 
-    classes = {}
-    for i, v in enumerate(verts):
-        unit = [0] * nv
-        unit[i] = 1
-        classes[v] = k0.presentation.class_of(unit)
-
+    # both routes read the rows of U past the rank: they span the left kernel
     # route one: saturated basis of the left kernel of the relation matrix,
     # i.e. coefficient vectors over S, extended by zero off S
-    rank = snf.rank
+    spos = [vidx[u] for u in svs]
     cols: list[list[int]] = []
-    for i in range(rank, len(svs)):
-        coeff = snf.u.row(i)
+    for i in range(snf.rank, len(svs)):
         x = [0] * nv
-        for c, u in zip(coeff, svs):
-            x[vidx[u]] = c
+        for k, c in snf.u_row(i).items():
+            x[spos[k]] = c
         cols.append(x)
     lattice_a = IntMatrix.from_rows(cols, cols=nv).transpose()
 
-    # route two: vertex functions satisfying the full incoming-edge relations,
-    # cut down by vanishing on the exempt vertices
-    rel_all = rel if not exempt else relation_matrix(graph, at_vertices=verts)
-    snf_all = smith_normal_form(rel_all) if exempt else snf
-    full = IntMatrix.from_rows(
-        [snf_all.u.row(i) for i in range(snf_all.rank, rel_all.rows)], cols=nv
-    ).transpose()
-    lattice_b = full
+    # route two: vertex functions satisfying the full incoming-edge relations
+    # (the degree-one lattice with no exempt vertex), cut down by vanishing on
+    # the exempt vertices
+    if full_k1 is None:
+        snf_all = smith_normal_form(relation_matrix(graph, at_vertices=verts)) if exempt else snf
+        full_k1 = IntMatrix.from_sparse_columns(nv, [snf_all.u_row(i) for i in range(snf_all.rank, nv)])
+    lattice_b = full_k1
     if exempt:
         # rows of the K1(O) basis at exempt positions; kill them integrally
-        restricted = IntMatrix.from_rows([full.row(vidx[u]) for u in exempt], cols=full.cols)
-        lattice_b = full @ kernel_basis(restricted)
+        restricted = IntMatrix.from_rows([full_k1.row(vidx[u]) for u in exempt], cols=full_k1.cols)
+        lattice_b = full_k1 @ kernel_basis(restricted)
 
     la, lb = ColumnLattice(lattice_a), ColumnLattice(lattice_b)
     if not la.equals(lb):
@@ -253,9 +253,10 @@ def les_check(graph: FiniteGraph) -> LesReport:
     verts = graph.vertex_list
     exempt = tuple(sorted(graph.relation_exempt))
 
-    kt_t = ktheory(graph)
-    graph_o = FiniteGraph(graph.vertices, graph.edges, ())
-    kt_o = ktheory(graph_o)
+    # route two of the Toeplitz K1 check starts from the full-relation K1
+    # lattice, which kt_o has already computed
+    kt_o = ktheory(FiniteGraph(graph.vertices, graph.edges, ()))
+    kt_t = _ktheory(graph, kt_o.k1_lattice)
 
     report.terms["k1_toeplitz"] = format_group(kt_t.k1)
     report.terms["k1_full"] = format_group(kt_o.k1)

@@ -18,6 +18,7 @@ from graphck.abelian import (
     FgAbelianGroup,
     GroupHom,
     IntMatrix,
+    Presentation,
     cokernel,
     colimit_chain_detailed,
     format_group,
@@ -235,6 +236,86 @@ def test_snf_unit_block_stacked_on_dense_block(k, d, seed):
     assert all(x % 2 == 0 for x in s.diagonal[k:])
     if k + d <= 6:
         assert s.diagonal == _determinantal_diagonal(m)
+
+
+# ---------------------------------------------------------------------------
+# Smith transforms read on demand
+# ---------------------------------------------------------------------------
+
+MATRIX_KINDS = st.sampled_from(["sparse", "dense", "even"])
+
+
+def _random_matrix(rng, rows, cols, kind):
+    # "even" matrices have no unit entry, so all of their nonzero part is a
+    # core with non-unit diagonal entries; "sparse" ones mix units and a core
+    pool = {"sparse": (0, 0, 0, 1, -1, 1, 2, -2, 3, 6), "dense": range(-9, 10), "even": range(-8, 9, 2)}
+    return IntMatrix(rows, cols, [rng.choice(pool[kind]) for _ in range(rows * cols)])
+
+
+def _dense(vec, n):
+    return tuple(vec.get(k, 0) for k in range(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 9), st.integers(0, 9), MATRIX_KINDS, st.integers(0, 2**32 - 1))
+def test_transform_vectors_read_in_any_order_match_the_dense_transforms(rows, cols, kind, seed):
+    rng = random.Random(seed)
+    m = _random_matrix(rng, rows, cols, kind)
+    s = smith_normal_form(m)
+    readers = {"u": s.u_row, "v": s.v_col, "vinv": s.vinv_row}
+    keys = [("u", i) for i in range(rows)] + [(t, j) for t in ("v", "vinv") for j in range(cols)]
+    rng.shuffle(keys)
+    read = {(t, k): readers[t](k) for t, k in keys}
+    for (t, k), vec in read.items():
+        assert all(vec.values())  # sparse: no stored zeros
+        assert readers[t](k) is vec  # folded once, then kept
+    # the dense matrices are built after every vector was read
+    for i in range(rows):
+        assert _dense(read["u", i], rows) == s.u.row(i)
+    for j in range(cols):
+        assert _dense(read["v", j], cols) == s.v.col(j)
+        assert _dense(read["vinv", j], cols) == s.v_inv.row(j)
+    s.verify(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 7), st.integers(0, 7), MATRIX_KINDS, st.integers(0, 2**32 - 1))
+def test_generator_classes_are_the_classes_of_the_unit_vectors(rows, cols, kind, seed):
+    pres = Presentation([f"g{i}" for i in range(cols)], _random_matrix(random.Random(seed), rows, cols, kind))
+    units = [tuple(int(k == i) for k in range(cols)) for i in range(cols)]
+    assert pres.generator_classes() == [pres.class_of(e) for e in units]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 7), st.integers(0, 7), MATRIX_KINDS, st.integers(0, 2**32 - 1))
+def test_sparse_lattice_queries_match_the_dense_transforms(rows, cols, kind, seed):
+    # oracle: coordinates from the whole products vec @ V and U @ vec
+    rng = random.Random(seed)
+    m = _random_matrix(rng, rows, cols, kind)
+    pres, lat = Presentation([f"g{i}" for i in range(cols)], m), ColumnLattice(m)
+
+    def fits(z, diag):
+        return all((x % diag[i] == 0) if i < len(diag) and diag[i] else x == 0 for i, x in enumerate(z))
+
+    for vec in [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(4)] + [
+        m.transpose().mat_vec([rng.randint(-3, 3) for _ in range(rows)]) for _ in range(2)
+    ]:
+        s = pres.snf
+        z = s.v.transpose().mat_vec(vec)
+        torsion, free = pres.coordinate_positions()
+        assert pres.class_of(vec) == tuple([z[j] % s.diagonal[j] for j in torsion] + [z[j] for j in free])
+        assert pres.lattice_contains(vec) == fits(z, s.diagonal)
+    for vec in [[rng.randint(-3, 3) for _ in range(rows)] for _ in range(4)] + [
+        m.mat_vec([rng.randint(-3, 3) for _ in range(cols)]) for _ in range(2)
+    ]:
+        inside = fits(lat.snf.u.mat_vec(vec), lat.snf.diagonal)
+        assert lat.contains(vec) == inside
+        coeffs = lat.solve(vec)
+        assert (coeffs is not None) == inside
+        if inside:
+            assert m.mat_vec(coeffs) == tuple(vec)
+    with pytest.raises(ValueError):
+        lat.contains([0] * (rows + 1))
 
 
 @settings(max_examples=40, deadline=None)

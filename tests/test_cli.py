@@ -1,8 +1,14 @@
 """Command-line interface tests: exit codes, formats, determinism."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphck.cli import main
 
@@ -351,3 +357,68 @@ def test_synthesize_then_colimit_reproduces_request(capsys, tmp_path, expr0, exp
     assert code == 0
     data = json.loads(out)
     assert data["k0"] == res["k0"] and data["k1"] == res["k1"]
+
+
+# ---------------------------------------------------------------------------
+# Any JSON value as input
+# ---------------------------------------------------------------------------
+
+# a lone surrogate loads as a name but cannot be encoded on output
+VERTEX = st.sampled_from(["a", "b", "c", "\ud800"])
+FIELDS = ("vertices", "edges", "relation_exempt", "layers", "infinite_vertices", "id", "from", "to")
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3) | VERTEX,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(FIELDS) | st.text(max_size=2), children, max_size=5),
+    max_leaves=12,
+)
+EDGE = st.fixed_dictionaries({"id": st.sampled_from(["e", "f", "g", "h"]) | ANY_JSON, "from": VERTEX, "to": VERTEX})
+GRAPH_LIKE = st.fixed_dictionaries(
+    {"vertices": st.lists(VERTEX, max_size=3), "edges": st.lists(EDGE, max_size=5)},
+    optional={"relation_exempt": st.lists(VERTEX, max_size=2), "layers": ANY_JSON, "infinite_vertices": ANY_JSON},
+)
+
+
+@st.composite
+def chain_like(draw):
+    # nested layers over a vertex list, so that most draws load as chains
+    verts = draw(st.lists(st.sampled_from("abcde"), min_size=1, max_size=5, unique=True))
+    cuts = sorted(draw(st.lists(st.integers(0, len(verts)), min_size=1, max_size=5)))
+    names = verts[: cuts[-1]] or ["a"]
+    edge = st.tuples(st.sampled_from(names), st.sampled_from(names))
+    ends = draw(st.lists(edge, max_size=9))
+    return {
+        "vertices": verts[: cuts[-1]],
+        "layers": [verts[:k] for k in cuts],
+        "infinite_vertices": draw(st.lists(st.sampled_from(names), max_size=2, unique=True)),
+        "edges": [{"id": f"e{i}", "from": o, "to": t} for i, (o, t) in enumerate(ends)],
+    }
+
+
+FILE_COMMANDS = (
+    ("check",),
+    ("ktheory",),
+    ("ktheory", "--toeplitz", "--at", "0"),
+    ("colimit", "--window", "1"),
+    ("colimit", "--force"),
+    ("boundary", "--class", "1,0"),
+    ("les-check",),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(value=ANY_JSON | GRAPH_LIKE | chain_like())
+def test_any_json_file_gives_an_exit_code_and_no_traceback(value):
+    # stdout and stderr encode strictly, as a UTF-8 terminal does
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(value, fh)
+        for command, *flags in FILE_COMMANDS:
+            out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+            err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, path, *flags])
+            err.flush()
+            assert code in (0, 1, 2), (command, code)
+            assert b"Traceback" not in err.buffer.getvalue()

@@ -213,7 +213,9 @@ def test_les_on_tower_layer():
 
 def test_les_reuses_the_ktheory_smith_forms(snf_calls):
     # two ktheory calls and the node checks; the Toeplitz relation matrix, its
-    # degree-one lattice and the full presentation come from ktheory
+    # degree-one lattice and the full presentation come from ktheory, and the
+    # Toeplitz K1 check starts from the full K1 lattice instead of reducing
+    # the full relation matrix again
     rep = les_check(build_case_ii(2, 1, (), 5).layer_graph(1))
     assert rep.passed
     assert sorted(rep.nodes) == [
@@ -222,7 +224,7 @@ def test_les_reuses_the_ktheory_smith_forms(snf_calls):
         "exact_at_k0_toeplitz",
         "exact_at_k1_full",
     ]
-    assert len(snf_calls) == 17
+    assert len(snf_calls) == 16
 
 
 def test_les_random_graphs():
@@ -446,6 +448,63 @@ def test_chain_report_smith_form_count(snf_calls):
     rep = chain_ktheory_report(chain, window=2)
     assert len(snf_calls) == 76
     assert (rep.k0.canonical_pair(), rep.k1.canonical_pair(), rep.stabilized) == ((0, (3,)), (1, ()), True)
+
+
+def test_chain_report_builds_each_layer_graph_once(monkeypatch):
+    # (a2) and the layer K-theory read the same graph of each layer
+    graphs_mod = importlib.import_module("graphck.graphs")
+    orig = graphs_mod.FiniteGraph.__init__
+    built = []
+
+    def counting(self, vertices, *args, **kwargs):
+        built.append(len(set(vertices)))
+        orig(self, vertices, *args, **kwargs)
+
+    monkeypatch.setattr(graphs_mod.FiniteGraph, "__init__", counting)
+    chain = build_case_ii(2, 1, (3,), 6)
+    rep = chain_ktheory_report(chain, window=2)
+    assert rep.condition_a.passed
+    assert built == [len(layer) for layer in chain.layers]
+    assert [kt.graph for kt in rep.layer_results] == [chain.layer_graph(n) for n in range(len(chain))]
+    assert chain.layer_graph(1) is rep.layer_results[1].graph
+    assert chain.layer_graph(1, relation_exempt=()).relation_exempt == frozenset()
+
+
+@pytest.mark.parametrize(
+    "graph,folds,core_vectors",
+    [
+        # one unit pivot, then a 3x3 core with diagonal (1, 2, 10): K0 reads
+        # the V columns at the two torsion positions and K1 = 0 reads no U row
+        (build_case_i(0, (2, 2, 5)), 2, 9),
+        # one exempt vertex: the Toeplitz and the full relation matrix each
+        # leave a 1x1 core, and the one vector read is K0's torsion V column
+        (build_case_ii(2, 1, (3,), 6).layer_graph(2), 1, 6),
+    ],
+)
+def test_ktheory_folds_only_the_transform_vectors_it_reads(monkeypatch, graph, folds, core_vectors):
+    abelian_mod = importlib.import_module("graphck.abelian")
+    ktheory_mod = importlib.import_module("graphck.ktheory")
+    orig_combine, orig_snf = abelian_mod._combine, abelian_mod.smith_normal_form
+    combined, snfs = [], []
+
+    def combine(coeffs, vectors):
+        combined.append(len(vectors))
+        return orig_combine(coeffs, vectors)
+
+    def snf(m):
+        snfs.append((m, orig_snf(m)))
+        return snfs[-1][1]
+
+    monkeypatch.setattr(abelian_mod, "_combine", combine)
+    monkeypatch.setattr(abelian_mod, "smith_normal_form", snf)
+    monkeypatch.setattr(ktheory_mod, "smith_normal_form", snf)
+    ktheory(graph)
+    assert len(combined) == folds
+    assert not any(name in vars(s) for _, s in snfs for name in ("u", "v", "v_inv", "d"))
+    # the dense transforms fold every core row of U, column of V and row of V^-1
+    for m, s in snfs:
+        s.verify(m)
+    assert len(combined) == core_vectors
 
 
 def test_s_sets_on_synthesized_chains():
