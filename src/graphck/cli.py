@@ -35,7 +35,14 @@ from .ktheory import (
     ktheory,
     les_check,
 )
-from .lab import LabError, lemma36_w, partial_isometry_defect, straighten, straighten_family
+from .lab import (
+    LabError,
+    condition_o_residuals,
+    lemma36_w,
+    partial_isometry_defect,
+    straighten,
+    straighten_family,
+)
 from .scenarios import (
     CANONICAL_FAMILY_SCENARIOS,
     CANONICAL_W_SCENARIOS,
@@ -74,16 +81,24 @@ def cmd_check(args) -> int:
         )
         _info(f"finite graph: {'PASS' if ok else 'FAIL'}")
         return PASS if ok else FAIL
-    cond = check_condition_a(graph)
+    # the chain report checks (a1)-(a6) first; reuse its verdict
+    rep = None
+    if len(graph) < args.window + 2:
+        cond = check_condition_a(graph)
+    else:
+        try:
+            rep = chain_ktheory_report(graph, window=args.window)
+            cond = rep.condition_a
+        except ChainConditionError as exc:
+            cond = exc.report
     out = {"type": "chain", **cond.to_json_dict()}
     ok = cond.passed
     if not cond.passed:
         out["b2"] = "skipped: layer conditions failed"
-    elif len(graph) < args.window + 2:
+    elif rep is None:
         out["b2"] = "skipped: prefix too short for the window"
         _info("b2 skipped: the chain prefix is too short for the window")
     else:
-        rep = chain_ktheory_report(graph, window=args.window)
         out["b2"] = rep.condition_b2.to_json_dict()
         ok = ok and rep.condition_b2.passed
         if rep.condition_b2.unchecked:
@@ -266,8 +281,6 @@ def cmd_lab_family(args) -> int:
         return USAGE
     sc = family_scenario(args.scenario, seed=args.seed)
     out = straighten_family(sc.small, sc.large, sc.infinite_vertices, sc.fields)
-    from .lab import condition_o_residuals
-
     res = condition_o_residuals(sc.large, sc.infinite_vertices, out)
     rows = [(0.0, f"residual_{name}", val) for name, val in sorted(res.items())]
     drift = max(((out[e] - sc.fields[e]).norm() for e in sc.new_edge_ids), default=0.0)

@@ -231,12 +231,6 @@ class GraphChain:
             self._layer_graphs[n] = g
         return g
 
-    def first_layer_of(self, v: str) -> int:
-        for n, layer in enumerate(self.layers):
-            if v in layer:
-                return n
-        raise KeyError(v)
-
     def __eq__(self, other):
         return (
             isinstance(other, GraphChain)
@@ -503,38 +497,39 @@ def check_condition_a(chain: GraphChain) -> ConditionReport:
     # cannot fail; it stays in the report for transparency
     report.record("a3", True)
 
-    ok, witness = True, ""
-    for n in range(nlayers):
-        layer = chain.layers[n]
-        for eid, o, t in chain.edges:
-            if o in layer and o not in d and t not in layer:
-                ok, witness = False, f"edge {eid!r} leaves layer {n} from finite-valence vertex {o!r}"
-                break
-        if not ok:
-            break
-    report.record("a4", ok, witness)
-
-    ok, witness = True, ""
-    for n in range(nlayers - 1):
-        layer, nxt = chain.layers[n], chain.layers[n + 1]
-        for eid, o, t in chain.edges:
-            if t in layer and o not in nxt:
-                ok, witness = False, f"edge {eid!r} enters layer {n} from outside layer {n + 1}"
-                break
-        if not ok:
-            break
-    report.record("a5", ok, witness)
-
-    ok, witness = True, ""
-    for n in range(nlayers):
-        new = chain.new_vertices(n)
-        for u in sorted(d):
-            if not any(o == u and t in new for _, o, t in chain.edges):
-                ok, witness = False, f"vertex {u!r} emits no edge into the new part of layer {n}"
-                break
-        if not ok:
-            break
-    report.record("a6", ok, witness)
+    # (a4)-(a6) in one pass over the edges, from each vertex's first layer.
+    # Layers are nested, so an edge o -> t leaves layers first(o) ..
+    # first(t) - 1 and enters layers first(t) .. first(o) - 2 from outside the
+    # next one.  Its lowest such layer witnesses it, and the sorted edge order
+    # breaks ties as a per-layer scan would.
+    first: dict[str, int] = {}
+    for n in range(nlayers - 1, -1, -1):
+        first.update(dict.fromkeys(chain.layers[n], n))
+    leaves = enters = None
+    reached: dict[str, set[int]] = {u: set() for u in d}
+    for eid, o, t in chain.edges:
+        fo, ft = first[o], first[t]
+        if o not in d and fo < ft and (leaves is None or fo < leaves[0]):
+            leaves = (fo, eid, o)
+        if fo >= ft + 2 and (enters is None or ft < enters[0]):
+            enters = (ft, eid)
+        if o in d:
+            reached[o].add(ft)
+    report.record(
+        "a4",
+        leaves is None,
+        f"edge {leaves[1]!r} leaves layer {leaves[0]} from finite-valence vertex {leaves[2]!r}" if leaves else "",
+    )
+    report.record(
+        "a5",
+        enters is None,
+        f"edge {enters[1]!r} enters layer {enters[0]} from outside layer {enters[0] + 1}" if enters else "",
+    )
+    # (a6): each infinite-valence vertex reaches the new part of every layer
+    gap = next(((n, u) for n in range(nlayers) for u in sorted(d) if n not in reached[u]), None)
+    report.record(
+        "a6", gap is None, f"vertex {gap[1]!r} emits no edge into the new part of layer {gap[0]}" if gap else ""
+    )
 
     return report
 

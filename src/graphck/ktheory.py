@@ -40,10 +40,10 @@ from .abelian import (
     GroupHom,
     IntMatrix,
     Presentation,
+    _preimage_lattice_rows,
     cokernel,
     colimit_chain_detailed,
     format_group,
-    hom_compose,
     kernel_basis,
     smith_normal_form,
 )
@@ -274,20 +274,13 @@ def les_check(graph: FiniteGraph) -> LesReport:
 
     # node 2: image of the index map equals the kernel of the ideal-class map
     ideal_rows = relation_matrix(graph, at_vertices=exempt)
-    jmat = ideal_rows.transpose()
-    rel_t = kt_t.k0.presentation.relations
-    stacked = jmat.hstack(-rel_t.transpose())
-    kerj_gens = kernel_basis(stacked)
-    kerj = IntMatrix.from_rows(
-        [[kerj_gens.entry(i, j) for j in range(kerj_gens.cols)] for i in range(len(exempt))],
-        cols=kerj_gens.cols,
-    )
+    kerj = _preimage_lattice_rows(ideal_rows.transpose(), kt_t.k0.presentation).transpose()
     report.nodes["exact_at_ideal"] = ColumnLattice(bmat).equals(ColumnLattice(kerj))
 
     # node 3: the kernel of K0(T) -> K0(O) is the image of the ideal classes;
     # at the lattice level: full relations = S relations + ideal-class vectors
     pres_all = kt_o.k0.presentation
-    pres_aug = Presentation(verts, rel_t.vstack(ideal_rows))
+    pres_aug = Presentation(verts, kt_t.k0.presentation.relations.vstack(ideal_rows))
     ok3 = all(pres_aug.lattice_contains(r) for r in pres_all.relations.iter_rows()) and all(
         pres_all.lattice_contains(r) for r in pres_aug.relations.iter_rows()
     )
@@ -500,21 +493,11 @@ def chain_ktheory_report(chain: GraphChain, window: int = 2, force: bool = False
     if k1_res.group.invariant_factors:
         raise AssertionError("degree-one colimit acquired torsion; this is a bug")
 
-    # colimit classes: push every vertex class to the settled layer, then reduce
+    # colimit classes: every chain map is a generator inclusion, so a vertex
+    # class pushed to the settled layer is that layer's own class; reduce it
     settled = k0_res.settled_index
-    suffix: list[GroupHom | None] = [None] * (settled + 1)
-    for m in range(settled, -1, -1):
-        if m == settled:
-            continue
-        nxt = suffix[m + 1]
-        suffix[m] = k0_canon_homs[m] if nxt is None else hom_compose(k0_canon_homs[m], nxt)
-    class_map: dict[str, tuple[int, ...]] = {}
-    for v in sorted(chain.layers[settled]):
-        m = chain.first_layer_of(v)
-        coords = kts[m].k0_class_of_vertex[v]
-        if m < settled:
-            coords = suffix[m].apply_coords(coords)
-        class_map[v] = k0_res.reduction.apply_coords(coords)
+    top = kts[settled].k0_class_of_vertex
+    class_map = {v: k0_res.reduction.apply_coords(top[v]) for v in sorted(chain.layers[settled])}
 
     cond_b2 = check_condition_b2(chain, class_map)
 

@@ -4,9 +4,12 @@ The model algebra is the C*-algebra of functions on the grid {0, .., G} with
 values in m x m complex matrices; the distinguished ideal J consists of the
 fields vanishing at the last grid point (``ideal_fiber=None`` degenerately
 takes J to be the whole algebra).  The norm is the max over fibers of the
-operator norm.  Scalar fields are exactly central, so quasi-central
-approximate-unit commutators vanish identically and the experiments isolate
-the norm-limit content of the three tools:
+operator norm.  A ``MatField`` stores its fibers as one read-only
+``(G + 1, m, m)`` array, so arithmetic, adjoints, norms and the functional
+calculus are single numpy operations on the whole stack; the same formulas
+accept a bare m x m matrix.  Scalar fields are exactly central, so
+quasi-central approximate-unit commutators vanish identically and the
+experiments isolate the norm-limit content of the three tools:
 
 * ``straighten``: functional calculus x -> x * f(x*x) with
   f(t) = t^{-1/2} on (1/2, inf) and 0 below, turning an approximate partial
@@ -55,30 +58,38 @@ class LabError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _adj(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of every matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def _norm(a: np.ndarray) -> float:
+    """Operator norm of a matrix, or the largest over a stack."""
+    return float(np.linalg.norm(a, 2, axis=(-2, -1)).max())
+
+
 class MatField:
-    """A function on {0..grid_size} with values in m x m complex matrices."""
+    """A function on {0..grid_size} with values in m x m complex matrices.
+
+    ``fibers`` is one read-only ``(grid_size + 1, m, m)`` array, copied from
+    the input at construction; every operation acts on the whole stack.
+    """
 
     __slots__ = ("grid_size", "dim", "fibers")
 
-    def __init__(self, fibers: Sequence[np.ndarray]):
+    def __init__(self, fibers: Sequence[np.ndarray] | np.ndarray):
         if not len(fibers):
             raise LabError("a field needs at least one fiber")
-        arrs = []
-        dim = None
-        for f in fibers:
-            a = np.asarray(f, dtype=complex)
-            if a.ndim != 2 or a.shape[0] != a.shape[1]:
-                raise LabError("fibers must be square matrices")
-            if dim is None:
-                dim = a.shape[0]
-            elif a.shape[0] != dim:
-                raise LabError("all fibers must share one dimension")
-            a = a.copy()
-            a.flags.writeable = False
-            arrs.append(a)
-        object.__setattr__(self, "grid_size", len(arrs) - 1)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "fibers", tuple(arrs))
+        try:
+            stack = np.array(fibers, dtype=complex)
+        except ValueError:
+            raise LabError("all fibers must be square matrices of one dimension") from None
+        if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+            raise LabError("all fibers must be square matrices of one dimension")
+        stack.flags.writeable = False
+        object.__setattr__(self, "grid_size", stack.shape[0] - 1)
+        object.__setattr__(self, "dim", stack.shape[1])
+        object.__setattr__(self, "fibers", stack)
 
     def __setattr__(self, name, value):
         raise AttributeError("MatField is immutable")
@@ -89,8 +100,7 @@ class MatField:
 
     @classmethod
     def zero(cls, grid_size: int, dim: int) -> "MatField":
-        z = np.zeros((dim, dim), dtype=complex)
-        return cls([z] * (grid_size + 1))
+        return cls(np.zeros((grid_size + 1, dim, dim)))
 
     @classmethod
     def scalar(cls, values: Sequence[float], dim: int) -> "MatField":
@@ -102,36 +112,34 @@ class MatField:
 
     def __add__(self, other: "MatField") -> "MatField":
         self._check_compatible(other)
-        return MatField([a + b for a, b in zip(self.fibers, other.fibers)])
+        return MatField(self.fibers + other.fibers)
 
     def __sub__(self, other: "MatField") -> "MatField":
         self._check_compatible(other)
-        return MatField([a - b for a, b in zip(self.fibers, other.fibers)])
+        return MatField(self.fibers - other.fibers)
 
     def __matmul__(self, other: "MatField") -> "MatField":
         self._check_compatible(other)
-        return MatField([a @ b for a, b in zip(self.fibers, other.fibers)])
+        return MatField(self.fibers @ other.fibers)
 
     def __mul__(self, scalar: complex) -> "MatField":
-        return MatField([scalar * a for a in self.fibers])
+        return MatField(scalar * self.fibers)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "MatField":
-        return MatField([-a for a in self.fibers])
-
-    def adjoint(self) -> "MatField":
-        return MatField([a.conj().T for a in self.fibers])
+        return MatField(-self.fibers)
 
     @property
     def H(self) -> "MatField":
-        return self.adjoint()
+        """The adjoint field."""
+        return MatField(_adj(self.fibers))
 
     def norm(self) -> float:
-        return max(float(np.linalg.norm(a, 2)) for a in self.fibers)
+        return _norm(self.fibers)
 
     def fiber_norm(self, s: int) -> float:
-        return float(np.linalg.norm(self.fibers[s], 2))
+        return _norm(self.fibers[s])
 
     def _check_compatible(self, other: "MatField") -> None:
         if self.grid_size != other.grid_size or self.dim != other.dim:
@@ -151,11 +159,13 @@ def j_residual(x: MatField, ideal_fiber: int | None) -> float:
     return x.fiber_norm(ideal_fiber)
 
 
+def _stack(x: MatField | np.ndarray) -> np.ndarray:
+    return x.fibers if isinstance(x, MatField) else np.asarray(x, dtype=complex)
+
+
 def partial_isometry_defect(x: MatField | np.ndarray) -> float:
-    if isinstance(x, MatField):
-        return ((x @ x.H @ x) - x).norm()
-    a = np.asarray(x, dtype=complex)
-    return float(np.linalg.norm(a @ a.conj().T @ a - a, 2))
+    a = _stack(x)
+    return _norm(a @ _adj(a) @ a - a)
 
 
 def ramp_profile(grid_size: int) -> tuple[float, ...]:
@@ -187,17 +197,6 @@ def approximate_unit(grid_size: int, dim: int, t: float) -> tuple[MatField, MatF
 # ---------------------------------------------------------------------------
 
 
-def _straighten_matrix(x: np.ndarray) -> np.ndarray:
-    h = x.conj().T @ x
-    asym = float(np.linalg.norm(h - h.conj().T, 2))
-    if asym > HERMITIAN_TOL:
-        raise LabError(f"x*x is not Hermitian to {HERMITIAN_TOL} (residue {asym:.2e})")
-    h = (h + h.conj().T) / 2.0
-    evals, q = np.linalg.eigh(h)
-    f = np.where(evals > 0.5, 1.0 / np.sqrt(np.maximum(evals, 0.25)), 0.0)
-    return x @ ((q * f) @ q.conj().T)
-
-
 def straighten(x: MatField | np.ndarray, max_defect: float = MAX_STRAIGHTEN_DEFECT):
     """Nearest-partial-isometry map y = x * f(x*x), fiberwise.
 
@@ -213,20 +212,23 @@ def straighten(x: MatField | np.ndarray, max_defect: float = MAX_STRAIGHTEN_DEFE
     """
     if max_defect > MAX_STRAIGHTEN_DEFECT:
         raise LabError(f"max_defect must not exceed {MAX_STRAIGHTEN_DEFECT}")
-    fibers = x.fibers if isinstance(x, MatField) else (np.asarray(x, dtype=complex),)
-    if not all(np.isfinite(a).all() for a in fibers):
+    a = _stack(x)
+    if not np.isfinite(a).all():
         raise LabError("cannot straighten an input with NaN or infinite entries")
-    defect = partial_isometry_defect(x)
+    defect = partial_isometry_defect(a)
     if defect > max_defect:
         raise LabError(f"defect {defect:.4g} exceeds the straightening threshold {max_defect}")
-    if isinstance(x, MatField):
-        y = MatField([_straighten_matrix(a) for a in x.fibers])
-    else:
-        y = _straighten_matrix(np.asarray(x, dtype=complex))
+    h = _adj(a) @ a
+    asym = _norm(h - _adj(h))
+    if asym > HERMITIAN_TOL:
+        raise LabError(f"x*x is not Hermitian to {HERMITIAN_TOL} (residue {asym:.2e})")
+    evals, q = np.linalg.eigh((h + _adj(h)) / 2.0)
+    f = np.where(evals > 0.5, 1.0 / np.sqrt(np.maximum(evals, 0.25)), 0.0)
+    y = a @ ((q * f[..., None, :]) @ _adj(q))
     residual = partial_isometry_defect(y)
     if residual > EXACT_TOL:
         raise LabError(f"straightening failed to converge (residual {residual:.2e})")
-    return y
+    return MatField(y) if isinstance(x, MatField) else y
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +287,7 @@ def lemma36_w(
     if pre["a_defect"] > EXACT_TOL:
         raise LabError("a must be an exact partial isometry")
     if ideal_fiber is not None:
-        bg = b.fiber(ideal_fiber)
-        pre["b_defect_at_ideal"] = float(np.linalg.norm(bg @ bg.conj().T @ bg - bg, 2))
+        pre["b_defect_at_ideal"] = partial_isometry_defect(b.fiber(ideal_fiber))
         if pre["b_defect_at_ideal"] > EXACT_TOL:
             raise LabError("b must be a partial isometry at the ideal fiber")
     if case == "i":
@@ -318,8 +319,9 @@ def lemma36_w(
         rhs1 = (h @ h @ (a.H @ a)) + (k @ k @ (b.H @ b)) + (h @ k @ (r + r.H))
     rhs2 = (h @ h @ (a @ a.H)) + (k @ k @ (b @ b.H)) + (h @ k @ ((b @ r @ a.H) + (a @ r.H @ b.H)))
 
+    www_minus_w = (w @ wsw) - w
     report = DefectReport(t=t)
-    report.defects["www_minus_w"] = ((w @ wsw) - w).norm()
+    report.defects["www_minus_w"] = www_minus_w.norm()
     report.defects["wsw_vs_formula"] = (wsw - rhs1).norm()
     if case == "i":
         # in this scalar-central model the w w* formula for case i is an
@@ -330,11 +332,7 @@ def lemma36_w(
     for ktag, val in pre.items():
         report.j_residuals[f"pre:{ktag}"] = val
     if ideal_fiber is not None:
-        report.j_residuals["defect_at_ideal"] = float(
-            np.linalg.norm(
-                (w @ wsw - w).fiber(ideal_fiber), 2
-            )
-        )
+        report.j_residuals["defect_at_ideal"] = www_minus_w.fiber_norm(ideal_fiber)
     return w, report
 
 
@@ -365,10 +363,7 @@ def _vertex_projections(
             out = [fields[e[0]] @ fields[e[0]].H for e in graph.out_edges(v) if e[0] in fields]
             if not out:
                 raise LabError(f"vertex {v!r} has no edges carrying fields")
-            acc = out[0]
-            for x in out[1:]:
-                acc = acc + x
-            xi[v] = acc
+            xi[v] = sum(out[1:], out[0])
         else:
             raise LabError(f"infinite-valence vertex {v!r} needs an incoming edge to define its projection")
     return xi, residual
@@ -412,10 +407,8 @@ def condition_o_residuals(
         out = graph.out_edges(u)
         if not out:
             continue
-        acc = fields[out[0][0]] @ fields[out[0][0]].H
-        for e in out[1:]:
-            acc = acc + (fields[e[0]] @ fields[e[0]].H)
-        res["o6"] = max(res["o6"], (xi[u] - acc).norm())
+        ranges = [fields[e[0]] @ fields[e[0]].H for e in out]
+        res["o6"] = max(res["o6"], (xi[u] - sum(ranges[1:], ranges[0])).norm())
     return res
 
 
@@ -522,15 +515,9 @@ def straighten_family(
         xi, _ = _vertex_projections(small, d, {eid: fields[eid] for eid in small_ids})
     else:
         xi = {}
-    p_total = MatField.zero(grid, dim)
-    for u in small.vertices:
-        p_total = p_total + xi[u]
-    q_of: dict[str, MatField] = {}
-    for u in sorted(d):
-        acc = MatField.zero(grid, dim)
-        for e in small.out_edges(u):
-            acc = acc + (fields[e[0]] @ fields[e[0]].H)
-        q_of[u] = acc
+    zero = MatField.zero(grid, dim)
+    p_total = sum((xi[u] for u in small.vertices), zero)
+    q_of = {u: sum((fields[e[0]] @ fields[e[0]].H for e in small.out_edges(u)), zero) for u in sorted(d)}
 
     one = MatField.constant(np.eye(dim, dtype=complex), grid)
 
@@ -551,7 +538,7 @@ def straighten_family(
     # pass one: straighten new edges away from infinite-valence origins
     b_fields: dict[str, MatField] = {}
     plain = [e for e in new_edges if e[1] not in d]
-    secured = MatField.zero(grid, dim)
+    secured = zero
     for e in plain:
         cand = (one - secured) @ fields[e[0]]
         b = straighten(cand)
@@ -570,12 +557,10 @@ def straighten_family(
             win = win + (b @ b.H)
 
     # projections of the new vertices from the secured ranges
-    b_vertex: dict[str, MatField] = {}
-    for v in sorted(large.vertices - small.vertices):
-        acc = MatField.zero(grid, dim)
-        for e in large.out_edges(v):
-            acc = acc + (b_fields[e[0]] @ b_fields[e[0]].H)
-        b_vertex[v] = acc
+    b_vertex = {
+        v: sum((b_fields[e[0]] @ b_fields[e[0]].H for e in large.out_edges(v)), zero)
+        for v in sorted(large.vertices - small.vertices)
+    }
 
     # pass three: align initial projections with intertwiners
     out: dict[str, MatField] = {e[0]: fields[e[0]] for e in small.edges}

@@ -1,6 +1,7 @@
 """Command-line interface tests: exit codes, formats, determinism."""
 
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -188,6 +189,53 @@ def test_synthesize_chain_violating_a1_fails_check(capsys, tmp_path):
     data = json.loads(out)
     assert data["conditions"]["a1"] is False
     assert "u" in data["witnesses"]["a1"]
+
+
+def chain_data(edges, infinite, layers):
+    return {
+        "vertices": sorted(layers[-1]),
+        "edges": [{"id": e, "from": o, "to": t} for e, o, t in edges],
+        "infinite_vertices": infinite,
+        "layers": layers,
+    }
+
+
+@pytest.mark.parametrize("case", ["long", "failing", "short"])
+def test_check_runs_layer_conditions_once(capsys, tmp_path, monkeypatch, case):
+    if case == "long":
+        path = str(tmp_path / "chain.json")
+        assert run(capsys, "synthesize", "--k0", "Z/2", "--k1", "Z^2", "--depth", "6", "-o", path)[0] == 0
+        argv, want_code, want_b2 = ("check", path), 0, None
+    elif case == "failing":
+        # u outside layer 0 fails (a1); window 0 makes the two layers long
+        # enough for the b2 check
+        edges = [("lv1", "v", "v"), ("lv2", "v", "v"), ("g", "u", "v"), ("h", "v", "u")]
+        path = write(tmp_path, "chain.json", chain_data(edges, ["u"], [["v"], ["u", "v"]]))
+        argv, want_code, want_b2 = ("check", path, "--window", "0"), 1, "skipped: layer conditions failed"
+    else:
+        edges = [("g", "v", "u"), ("lv", "v", "v"), ("h", "u", "v"), ("hw", "u", "w"), ("lw", "w", "w"), ("back", "w", "v")]
+        path = write(tmp_path, "chain.json", chain_data(edges, ["u"], [["u", "v"], ["u", "v", "w"]]))
+        argv, want_code, want_b2 = ("check", path), 0, "skipped: prefix too short for the window"
+    calls = []
+    # the package binds the name ``ktheory`` to the function, so look the
+    # modules up by name
+    graphs_mod = importlib.import_module("graphck.graphs")
+    orig = graphs_mod.check_condition_a
+
+    def counting(chain):
+        calls.append(len(chain))
+        return orig(chain)
+
+    for name in ("graphs", "ktheory", "cli"):
+        monkeypatch.setattr(importlib.import_module(f"graphck.{name}"), "check_condition_a", counting)
+    code, out, _ = run(capsys, *argv)
+    data = json.loads(out)
+    assert code == want_code and data["pass"] is (want_code == 0)
+    if want_b2 is None:
+        assert data["b2"]["passed"]
+    else:
+        assert data["b2"] == want_b2
+    assert len(calls) == 1
 
 
 @pytest.fixture

@@ -249,6 +249,66 @@ def test_condition_a4_violation():
     assert "escape" in report.witnesses["a4"]
 
 
+def per_layer_edge_conditions(chain):
+    """(a4)-(a6) by their definitions: one scan of the edges per layer."""
+    d = chain.infinite_vertices
+    verdicts, witnesses = {}, {}
+
+    def first_failure(scans):
+        for witness in scans:
+            if witness:
+                return witness
+        return ""
+
+    a4 = first_failure(
+        f"edge {eid!r} leaves layer {n} from finite-valence vertex {o!r}"
+        for n, layer in enumerate(chain.layers)
+        for eid, o, t in chain.edges
+        if o in layer and o not in d and t not in layer
+    )
+    a5 = first_failure(
+        f"edge {eid!r} enters layer {n} from outside layer {n + 1}"
+        for n in range(len(chain) - 1)
+        for eid, o, t in chain.edges
+        if t in chain.layers[n] and o not in chain.layers[n + 1]
+    )
+    a6 = first_failure(
+        f"vertex {u!r} emits no edge into the new part of layer {n}"
+        for n in range(len(chain))
+        for u in sorted(d)
+        if not any(o == u and t in chain.new_vertices(n) for _, o, t in chain.edges)
+    )
+    for name, witness in (("a4", a4), ("a5", a5), ("a6", a6)):
+        verdicts[name] = not witness
+        if witness:
+            witnesses[name] = witness
+    return verdicts, witnesses
+
+
+def random_chain(rng):
+    verts = [f"v{j}" for j in range(rng.randint(1, 9))]
+    rng.shuffle(verts)
+    sizes = sorted(rng.randint(1, len(verts)) for _ in range(rng.randint(1, 6)))
+    top = verts[: sizes[-1]]
+    edges = [(f"e{k:02d}", rng.choice(top), rng.choice(top)) for k in range(rng.randint(0, 4 * len(top)))]
+    return GraphChain([v for v in top if rng.random() < 0.25], [verts[:s] for s in sizes], edges)
+
+
+def test_edge_conditions_match_per_layer_scans():
+    rng = random.Random(20)
+    chains = [random_chain(rng) for _ in range(1500)]
+    chains += [build_case_ii(2, 1, (), 6), build_case_iii(2, 1, (3,), 5), build_case_iii(3, 2, (2,), 7)]
+    seen = set()
+    for chain in chains:
+        report = check_condition_a(chain)
+        verdicts, witnesses = per_layer_edge_conditions(chain)
+        assert {k: report.conditions[k] for k in verdicts} == verdicts
+        assert {k: v for k, v in report.witnesses.items() if k in verdicts} == witnesses
+        seen.update(verdicts.items())
+    # the sample holds passing and failing chains for every condition
+    assert seen == {(k, ok) for k in ("a4", "a5", "a6") for ok in (True, False)}
+
+
 # ---------------------------------------------------------------------------
 # Out-star matching (b2)
 # ---------------------------------------------------------------------------

@@ -440,6 +440,28 @@ def test_chain_class_map_matches_expected_kills():
     assert all(c == () for c in rep.k0_class_map.values())
 
 
+@pytest.mark.parametrize(
+    "chain",
+    [build_case_ii(3, 1, (2,), 6), build_case_ii(2, 1, (), 7), build_case_iii(2, 1, (3,), 6)],
+    ids=["case_ii_torsion", "case_ii_deep", "case_iii"],
+)
+def test_chain_vertex_classes_push_to_the_settled_layer_class(chain):
+    # the colimit class map reads each vertex's class in the settled layer;
+    # pushing the class from the vertex's first layer through the inclusion
+    # maps must land on that same class
+    rep = chain_ktheory_report(chain, window=2)
+    kts, settled = rep.layer_results, rep.settled_index
+    pushed = 0
+    for m in range(settled):
+        for v in sorted(chain.new_vertices(m)):
+            coords = kts[m].k0_class_of_vertex[v]
+            for hom in rep.k0_homs[m:settled]:
+                coords = hom.apply_coords(coords)
+            assert coords == kts[settled].k0_class_of_vertex[v]
+            pushed += 1
+    assert pushed == len(chain.layers[settled - 1])
+
+
 def test_chain_report_smith_form_count(snf_calls):
     # pinned: each layer's degree-one lattice is reduced once, inside ktheory,
     # and reused by the degree-one inclusion maps

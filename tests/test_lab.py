@@ -16,6 +16,7 @@ from graphck.lab import (
     _intertwiner_fiber,
 )
 from graphck.scenarios import (
+    CANONICAL_FAMILY_SCENARIOS,
     CANONICAL_W_SCENARIOS,
     family_scenario,
     injected_defect_trial,
@@ -50,6 +51,65 @@ def test_matfield_immutable():
 def test_matfield_mismatch():
     with pytest.raises(LabError):
         MatField.zero(2, 2) + MatField.zero(3, 2)
+
+
+def scenario_fields():
+    for name in CANONICAL_W_SCENARIOS + ("scalar",):
+        sc = lemma36_scenario(name)
+        yield from (f for f in (sc.a, sc.b, sc.r) if f is not None)
+    for name in CANONICAL_FAMILY_SCENARIOS:
+        for seed in range(3):
+            yield from family_scenario(name, seed=seed).fields.values()
+
+
+def test_matfield_stack_operations_equal_per_fiber_loops_exactly():
+    fields = list(scenario_fields())
+    assert len(fields) > 20
+    for f in fields:
+        assert f.norm() == max(float(np.linalg.norm(a, 2)) for a in f.fibers)
+        assert (f.H.fibers == np.stack([a.conj().T for a in f.fibers])).all()
+        assert ((f @ f.H).fibers == np.stack([a @ a.conj().T.copy() for a in f.fibers])).all()
+        assert ((f - 2.0 * f).fibers == np.stack([a - 2.0 * a for a in f.fibers])).all()
+
+
+def test_matfield_holds_one_read_only_stack():
+    f = MatField.scalar([0.5, 1.0, 2.0], 3)
+    assert f.fibers.shape == (3, 3, 3) and f.fibers.dtype == complex
+    assert (f.grid_size, f.dim) == (2, 3)
+    assert not f.fibers.flags.writeable
+    with pytest.raises(ValueError):
+        f.fibers[1, 0, 0] = 7.0
+    for g in (f + f, f - f, f @ f, 2.0 * f, -f, f.H, MatField.zero(2, 3), MatField.constant(np.eye(3), 2)):
+        assert g.fibers.shape == (3, 3, 3) and not g.fibers.flags.writeable
+
+
+def test_matfield_copies_its_input_once():
+    src = [np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)]
+    stack = np.stack(src)
+    from_list, from_stack = MatField(src), MatField(stack)
+    src[0][0, 0] = 5.0
+    stack[1, 1, 1] = 5.0
+    for f in (from_list, from_stack):
+        assert f.fiber(0)[0, 0] == 1.0 and f.fiber(1)[1, 1] == 0.0
+        assert f.norm() == 1.0
+
+
+@pytest.mark.parametrize(
+    "fibers",
+    [
+        [],
+        np.zeros((0, 2, 2)),
+        [np.eye(2), np.eye(3)],
+        [np.eye(2), np.ones(2)],
+        [np.ones((2, 3))],
+        [np.ones(4)],
+        np.ones((3, 2, 2, 2)),
+    ],
+    ids=["empty", "empty_stack", "ragged", "ragged_rank", "non_square", "vectors", "four_dim"],
+)
+def test_matfield_rejects_empty_ragged_and_non_square_fibers(fibers):
+    with pytest.raises(LabError):
+        MatField(fibers)
 
 
 def test_approximate_unit_profile():
@@ -106,6 +166,26 @@ def test_straighten_rejects_non_finite_input(bad):
     fibers = [np.eye(3), x]
     with pytest.raises(LabError, match="NaN or infinite"):
         straighten(MatField(fibers))
+
+
+def svd_straighten(x):
+    """Nearest partial isometry: keep the singular vectors with sigma^2 > 1/2."""
+    u, sv, vh = np.linalg.svd(x)
+    keep = sv**2 > 0.5
+    return u[:, keep] @ vh[keep, :]
+
+
+def test_straighten_matches_the_svd_oracle():
+    trials = [injected_defect_trial(seed, d) for seed in range(6) for d in (1e-2, 1e-3, 0.3)]
+    for t in trials:
+        y = straighten(t.x)
+        assert isinstance(y, np.ndarray)
+        assert np.linalg.norm(y - svd_straighten(t.x), 2) <= 1e-12
+    field = MatField([t.x for t in trials])
+    y = straighten(field)
+    assert isinstance(y, MatField) and y.grid_size == len(trials) - 1
+    for s, t in enumerate(trials):
+        assert np.linalg.norm(y.fiber(s) - svd_straighten(t.x), 2) <= 1e-12
 
 
 def test_straighten_idempotent_and_scalar_central():
