@@ -8,11 +8,14 @@ isomorphism questions reduce to tuple comparison.
 
 The pieces fit together as follows.  ``smith_normal_form`` diagonalizes an
 integer matrix M as ``U @ M @ V == D`` with U, V unimodular and the diagonal
-in divisibility order.  It keeps the transforms sparse and builds each row of
-U, column of V or row of V^-1 that comes out of the dense core reduction only
-when a caller reads it.  The callers below read only the vectors they use
-(class maps and lattice tests skip the positions with a unit diagonal entry),
-and none of them builds a dense transform.  ``cokernel`` presents Z^n modulo
+in divisibility order.  It keeps the transforms sparse.  The dense core
+reduction only logs its operations, and a row of U, column of V or row of
+V^-1 at a core position is replayed from that log when a caller reads it.
+The callers below read only the vectors they use (class maps skip the
+positions with a unit diagonal entry, and lattice tests multiply by U without
+reading its rows), and none of them builds a dense transform.  Groups given
+in canonical form carry their diagonal presentation with identity transforms
+and need no reduction.  ``cokernel`` presents Z^n modulo
 the row lattice of a relation matrix and remembers enough of the transform to
 convert ambient integer vectors into canonical coordinates
 (``Presentation.class_of``).  ``kernel_basis`` returns a saturated basis of
@@ -239,33 +242,41 @@ class SmithDecomposition:
     The transforms are kept sparse: rows of U, columns of V and rows of V^-1,
     each a ``{index: nonzero}`` dict, read with ``u_row``, ``v_col`` and
     ``vinv_row``.  The vectors of the presolve's pivots and zero lines are
-    final when ``smith_normal_form`` returns; a vector at a core position is
-    folded from the core's dense transform the first time it is read, then
-    kept.  Callers read only what they need, and most need little: a unit
-    diagonal entry constrains nothing, so classes read only the V columns at
-    non-unit positions.  ``u``, ``v``, ``v_inv`` and ``d`` build the dense
-    matrices on first use.  ``v_inv`` is the exact inverse of V; its rows
-    give sections of the quotient map (see ``Presentation``).  The returned
-    dicts are shared and must not be mutated.
+    final when ``smith_normal_form`` returns.  A vector at a core position is
+    built the first time it is read, then kept: the core reduction's
+    operation log is replayed on one unit vector (see ``_replay``) and the
+    result combines the presolved vectors of the core.  Callers read only
+    what they need, and most need little: a unit diagonal entry constrains
+    nothing, so classes read only the V columns at non-unit positions, and
+    ``u_mul`` runs the row log forward on the one vector it multiplies.
+    ``u``, ``v``, ``v_inv`` and ``d`` build the dense matrices on first use.
+    ``v_inv`` is the exact inverse of V; its rows give sections of the
+    quotient map (see ``Presentation``).  The returned dicts are shared and
+    must not be mutated.
     """
 
-    def __init__(self, rows: int, cols: int, diagonal: Sequence[int], vectors, offset, coeffs, bases):
+    def __init__(
+        self, rows: int, cols: int, diagonal: Sequence[int], vectors, offset=0, bases=((), (), ()), logs=((), ())
+    ):
         self.rows, self.cols = rows, cols
         self.diagonal = tuple(diagonal)
         self.rank = sum(1 for x in self.diagonal if x)
         # per transform (U rows, V columns, V^-1 rows): a list of vectors with
-        # None at core positions, the core's coefficient rows, and the
-        # presolved vectors they combine; core position t sits at offset + t
+        # None at core positions, and the presolved vectors of the core rows
+        # or columns; core position t sits at offset + t.  ``logs`` holds the
+        # core reduction's row and column operations (see ``_dense_smith``)
         self._vectors = vectors
         self._offset = offset
-        self._coeffs = coeffs
         self._bases = bases
+        self._logs = logs
 
     def _vector(self, which: int, k: int) -> dict:
         vecs = self._vectors[which]
         vec = vecs[k]
         if vec is None:
-            vec = vecs[k] = _combine(self._coeffs[which][k - self._offset], self._bases[which])
+            bases = self._bases[which]
+            coeffs = _replay(self._logs[which > 0], len(bases), k - self._offset, which == 2)
+            vec = vecs[k] = _combine(coeffs, bases)
         return vec
 
     def u_row(self, i: int) -> dict:
@@ -276,6 +287,28 @@ class SmithDecomposition:
 
     def vinv_row(self, j: int) -> dict:
         return self._vector(2, j)
+
+    def u_mul(self, vec: Sequence[int], start: int = 0) -> list[int]:
+        """(U @ vec)[start:], building no core row of U.
+
+        Presolved rows are dotted with ``vec``.  The core block is the core's
+        U applied to the dots of the core's presolved rows: its row log runs
+        forward on that one vector.
+        """
+        rows, bases = self._vectors[0], self._bases[0]
+        off, end = self._offset, self._offset + len(bases)
+        out = [_dot(rows[k], vec) for k in range(start, off)]
+        if start < end:
+            x = [_dot(b, vec) for b in bases]
+            for i, j, q in self._logs[0]:
+                if q:
+                    y = x[j]
+                    if y:
+                        x[i] -= q * y
+                else:
+                    x[i], x[j] = x[j], x[i]
+            out += x[max(start - off, 0) :]
+        return out + [_dot(rows[k], vec) for k in range(max(start, end), len(rows))]
 
     @cached_property
     def u(self) -> IntMatrix:
@@ -342,22 +375,55 @@ def _axpy(dst: dict, src: dict, q: int) -> None:
 def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     """Diagonalize ``m`` over Z: returns U, D, V with U @ m @ V == D.
 
-    The presolve keeps ``m`` as sparse rows with column occurrence sets and
-    repeatedly eliminates the +/-1 entry of lowest Markowitz cost
-    (row nnz - 1) * (col nnz - 1): row operations clear its column, column
-    operations clear its row, and every step is applied to sparse U rows,
-    V columns and V^-1 rows.  Relation matrices of graphs are mostly such
-    pivots (the unit-pivot elimination of Dumas, Saunders and Villard, J.
-    Symbolic Comput. 2001).  What is left has no unit entry; its nonzero rows
-    and columns form the core, which ``_dense_smith`` reduces.  The core's
-    transforms are kept as they are: a global vector at a core position is
-    folded from them only when it is read (see ``SmithDecomposition``).  The
+    ``_presolve`` eliminates unit pivots on sparse rows and transforms.  What
+    is left has no unit entry; its nonzero rows and columns form the core,
+    which ``_dense_smith`` reduces, logging its operations rather than
+    applying them to transforms.  A global vector at a core position is built
+    from that log only when it is read (see ``SmithDecomposition``).  The
     diagonal holds the unit pivots, then the core's diagonal, then zeros.
     """
     nrows, ncols = m.rows, m.cols
+    rows, colrows, u, v, vinv, pivots = _presolve(m)
+    # the transforms in output order: pivots, the core, then zero rows or
+    # columns.  Core vectors are None here and built on first read from the
+    # core's logs and the presolved vectors of the core rows/columns
+    core_rows = [i for i in range(nrows) if rows[i]]
+    core_cols = [j for j in range(ncols) if colrows[j]]
+    zero_rows = [i for i in range(nrows) if rows[i] == {}]
+    zero_cols = [j for j in range(ncols) if colrows[j] == set()]
+    diag = [1] * len(pivots)
+    bases, logs = ((), (), ()), ((), ())
+    if core_rows:
+        core = [[rows[i].get(j, 0) for j in core_cols] for i in core_rows]
+        logs = _dense_smith(core)
+        diag.extend(core[t][t] for t in range(min(len(core_rows), len(core_cols))))
+        bases = ([u[i] for i in core_rows], [v[j] for j in core_cols], [vinv[j] for j in core_cols])
+    diag.extend([0] * (min(nrows, ncols) - len(diag)))
+    vectors = (
+        [{k: -y for k, y in u[p].items()} if s < 0 else u[p] for p, _, s in pivots]
+        + [None] * len(core_rows)
+        + [u[i] for i in zero_rows],
+        [v[c] for _, c, _ in pivots] + [None] * len(core_cols) + [v[j] for j in zero_cols],
+        [vinv[c] for _, c, _ in pivots] + [None] * len(core_cols) + [vinv[j] for j in zero_cols],
+    )
+    return SmithDecomposition(nrows, ncols, diag, vectors, len(pivots), bases, logs)
+
+
+def _presolve(m: IntMatrix):
+    """Eliminate the unit entries of ``m`` in Markowitz order.
+
+    Keeps ``m`` as sparse rows with column occurrence sets and repeatedly
+    eliminates the +/-1 entry of lowest (cost, row, column), with cost the
+    Markowitz count (row nnz - 1) * (col nnz - 1): row operations clear its
+    column, column operations clear its row, and every step is applied to
+    sparse U rows, V columns and V^-1 rows.  Relation matrices of graphs are
+    mostly such pivots (the unit-pivot elimination of Dumas, Saunders and
+    Villard, J. Symbolic Comput. 2001).  Returns the rows left ({column:
+    nonzero}, None at pivot rows), the column occurrence sets (None at pivot
+    columns), the sparse transforms and the pivots as (row, column, unit).
+    """
+    nrows, ncols = m.rows, m.cols
     ents = m.entries
-    # live rows as {column: nonzero} and, per live column, the rows that hold
-    # it; a pivot's row and column are set to None
     rows: list = [
         {j: x for j, x in enumerate(ents[i * ncols : (i + 1) * ncols]) if x} for i in range(nrows)
     ]
@@ -368,7 +434,7 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     u = [{i: 1} for i in range(nrows)]  # rows of U
     v = [{j: 1} for j in range(ncols)]  # columns of V
     vinv = [{j: 1} for j in range(ncols)]  # rows of V^-1
-    pivots: list[tuple[int, int, int]] = []  # (row, column, unit)
+    pivots: list[tuple[int, int, int]] = []
 
     def cheapest_unit(i: int):
         """Heap item (cost, row, column) of row i's cheapest unit entry, or None."""
@@ -382,11 +448,12 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
                     best = item
         return best
 
-    # every row with a unit entry has a heap item for its cheapest one, at its
-    # current cost; an item whose entry or cost changed since it was pushed is
-    # skipped when popped.  The cheapest item overall is some row's cheapest,
-    # so the pivot order is that of a heap holding every unit entry
-    heap = [item for item in map(cheapest_unit, range(nrows)) if item is not None]
+    # best[i] is row i's cheapest unit entry at its current cost, and is in
+    # the heap; an item whose entry or cost changed since it was pushed is
+    # skipped when popped.  The cheapest item overall is some row's best, so
+    # the pivot order is that of a heap holding every unit entry
+    best = [cheapest_unit(i) for i in range(nrows)]
+    heap = [item for item in best if item is not None]
     heapify(heap)
     while heap:
         cost, p, c = heappop(heap)
@@ -423,39 +490,34 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
             _axpy(v[j], vc, q)
             vic[j] = q
             colrows[j].discard(p)
-        # costs changed only in the changed rows and in row p's columns
-        touched = set(changed)
+        # costs changed only in the changed rows and at row p's columns.  A
+        # changed row, or one whose best entry is at such a column, is
+        # rescanned; any other row's best can only be beaten at those columns
+        rescan = set(changed)
         for j in rp:
-            touched.update(colrows[j])
-        for i in touched:
-            item = cheapest_unit(i)
+            for i in colrows[j]:
+                if i not in rescan and best[i] is not None and best[i][2] in rp:
+                    rescan.add(i)
+        for i in rescan:
+            item = best[i] = cheapest_unit(i)
             if item is not None:
                 heappush(heap, item)
-
-    # the transforms in output order: pivots, the core, then zero rows or
-    # columns.  Core vectors are None here and folded on first read from the
-    # core's coefficients and the presolved vectors of the core rows/columns
-    core_rows = [i for i in range(nrows) if rows[i]]
-    core_cols = [j for j in range(ncols) if colrows[j]]
-    zero_rows = [i for i in range(nrows) if rows[i] == {}]
-    zero_cols = [j for j in range(ncols) if colrows[j] == set()]
-    diag = [1] * len(pivots)
-    coeffs = bases = ((), (), ())
-    if core_rows:
-        core = [[rows[i].get(j, 0) for j in core_cols] for i in core_rows]
-        cu, cv, cvinv = _dense_smith(core)
-        diag.extend(core[t][t] for t in range(min(len(core_rows), len(core_cols))))
-        coeffs = (cu, list(zip(*cv)), cvinv)
-        bases = ([u[i] for i in core_rows], [v[j] for j in core_cols], [vinv[j] for j in core_cols])
-    diag.extend([0] * (min(nrows, ncols) - len(diag)))
-    vectors = (
-        [{k: -y for k, y in u[p].items()} if s < 0 else u[p] for p, _, s in pivots]
-        + [None] * len(core_rows)
-        + [u[i] for i in zero_rows],
-        [v[c] for _, c, _ in pivots] + [None] * len(core_cols) + [v[j] for j in zero_cols],
-        [vinv[c] for _, c, _ in pivots] + [None] * len(core_cols) + [vinv[j] for j in zero_cols],
-    )
-    return SmithDecomposition(nrows, ncols, diag, vectors, len(pivots), coeffs, bases)
+        pushed = set()
+        for j in rp:
+            cj = len(colrows[j]) - 1
+            for i in colrows[j]:
+                if i in rescan or best[i] is None:
+                    continue
+                ri = rows[i]
+                x = ri[j]
+                if x == 1 or x == -1:
+                    item = ((len(ri) - 1) * cj, i, j)
+                    if item < best[i]:
+                        best[i] = item
+                        pushed.add(i)
+        for i in pushed:
+            heappush(heap, best[i])
+    return rows, colrows, u, v, vinv, pivots
 
 
 def _dot(sparse: dict, vec: Sequence[int]) -> int:
@@ -485,33 +547,57 @@ def _dense_rows(vectors: Sequence[dict], n: int, transpose: bool = False) -> tup
     return tuple(out)
 
 
-def _dense_smith(a: list[list[int]]) -> tuple[list, list, list]:
-    """Reduce the dense matrix ``a`` in place to Smith form; returns U, V, V^-1.
+def _replay(log: Sequence[tuple[int, int, int]], n: int, t: int, inverse: bool) -> list[int]:
+    """Line t of a core transform, replayed from its log on the unit vector e_t.
+
+    With the row log this is row t of U; with the column log, column t of V,
+    or with ``inverse`` row t of V^-1.  A transform is the product of its
+    logged operations, U = E_k ... E_1, V = F_1 ... F_k and V^-1 = F_k^-1
+    ... F_1^-1, so each of these vectors takes e_t through the operations in
+    reverse, at O(1) per operation.
+    """
+    x = [0] * n
+    x[t] = 1
+    if inverse:
+        for i, j, q in reversed(log):
+            if q:
+                y = x[j]
+                if y:
+                    x[i] += q * y
+            else:
+                x[i], x[j] = x[j], x[i]
+    else:
+        for i, j, q in reversed(log):
+            if q:
+                y = x[i]
+                if y:
+                    x[j] -= q * y
+            else:
+                x[i], x[j] = x[j], x[i]
+    return x
+
+
+def _dense_smith(a: list[list[int]]) -> tuple[list, list]:
+    """Reduce the dense matrix ``a`` in place to Smith form; returns its logs.
 
     Pivoting picks the smallest nonzero absolute value in the remaining
     submatrix (with early exit on +/-1), reduces its row and column by
     nearest-integer division, and restarts whenever a smaller remainder
     appears.  Divisibility of later diagonal entries by earlier ones is
     enforced by folding any offending entry into the pivot row.  Nothing
-    bounds the growth of the transform entries here; ``smith_normal_form``
-    only hands this loop the core its unit-pivot presolve leaves.
+    bounds the growth of the transforms here; ``smith_normal_form`` only
+    hands this loop the core its unit-pivot presolve leaves.
+
+    No transform is kept.  The row log and the column log list the
+    operations in order as (i, j, q): "line i -= q * line j" for q != 0, a
+    swap of lines i and j for q == 0.  A fold of row j into row t is
+    (t, j, -1) and a negation of row t is (t, t, 2).  ``_replay`` and
+    ``SmithDecomposition.u_mul`` read the transforms from them.
     """
     nrows = len(a)
     ncols = len(a[0]) if a else 0
-    u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
-    v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-    vinv = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
+    rlog: list[tuple[int, int, int]] = []
+    clog: list[tuple[int, int, int]] = []
 
     def row_axpy(i, j, q):
         # row i -= q * row j
@@ -520,27 +606,15 @@ def _dense_smith(a: list[list[int]]) -> tuple[list, list, list]:
             x = aj[k]
             if x:
                 ai[k] -= q * x
-        ui, uj = u[i], u[j]
-        for k in range(nrows):
-            x = uj[k]
-            if x:
-                ui[k] -= q * x
+        rlog.append((i, j, q))
 
     def col_axpy(i, j, q):
-        # col i -= q * col j  (on a and v); inverse row op on vinv
+        # col i -= q * col j
         for row in a:
             x = row[j]
             if x:
                 row[i] -= q * x
-        for row in v:
-            x = row[j]
-            if x:
-                row[i] -= q * x
-        vi, vj = vinv[i], vinv[j]
-        for k in range(ncols):
-            x = vi[k]
-            if x:
-                vj[k] += q * x
+        clog.append((i, j, q))
 
     def find_pivot(t):
         best = None
@@ -567,9 +641,13 @@ def _dense_smith(a: list[list[int]]) -> tuple[list, list, list]:
         while True:
             # clear against the smallest entry by nearest-integer division
             if piv[0] != t:
-                swap_rows(piv[0], t)
+                a[piv[0]], a[t] = a[t], a[piv[0]]
+                rlog.append((piv[0], t, 0))
             if piv[1] != t:
-                swap_cols(piv[1], t)
+                j = piv[1]
+                for row in a:
+                    row[j], row[t] = row[t], row[j]
+                clog.append((j, t, 0))
             d = a[t][t]
             dirty = False
             for i in range(t + 1, nrows):
@@ -605,20 +683,12 @@ def _dense_smith(a: list[list[int]]) -> tuple[list, list, list]:
                     break
             if culprit is None:
                 break
-            ri, rt = a[culprit], a[t]
-            for k in range(ncols):
-                rt[k] += ri[k]
-            ui, ut = u[culprit], u[t]
-            for k in range(nrows):
-                ut[k] += ui[k]
+            row_axpy(t, culprit, -1)
             piv = (t, t)
         if a[t][t] < 0:
-            for k in range(ncols):
-                a[t][k] = -a[t][k]
-            for k in range(nrows):
-                u[t][k] = -u[t][k]
+            row_axpy(t, t, 2)
         t += 1
-    return u, v, vinv
+    return rlog, clog
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
@@ -661,12 +731,14 @@ class Presentation:
         "_free_pos",
     )
 
-    def __init__(self, generators: Sequence[str], relations: IntMatrix):
+    def __init__(
+        self, generators: Sequence[str], relations: IntMatrix, snf: SmithDecomposition | None = None
+    ):
         self.generators = tuple(generators)
         if relations.cols != len(self.generators):
             raise ValueError("relation matrix width must match generator count")
         self.relations = relations
-        self.snf = smith_normal_form(relations)
+        self.snf = smith_normal_form(relations) if snf is None else snf
         diag = self.snf.diagonal
         self.free_rank, self.invariant_factors = _canonical_from_diagonal(diag, relations.cols)
         self._torsion_pos = tuple(j for j, x in enumerate(diag) if x >= 2)
@@ -732,7 +804,7 @@ class FgAbelianGroup:
     the next; ``free_rank`` counts the Z summands.  The canonical pair is the
     unique comparison key: two groups are isomorphic iff the pairs agree.
     Every group carries a presentation; groups built straight from canonical
-    data get the diagonal one.
+    data get the diagonal one, whose Smith form needs no reduction.
     """
 
     __slots__ = ("free_rank", "invariant_factors", "presentation")
@@ -755,11 +827,13 @@ class FgAbelianGroup:
         if presentation is None:
             n = len(factors) + free_rank
             gens = tuple(f"g{i + 1}" for i in range(n))
-            rel = IntMatrix.from_rows(
-                [[factors[i] if j == i else 0 for j in range(n)] for i in range(len(factors))],
-                cols=n,
+            rel = IntMatrix._of(
+                len(factors), n, tuple(x if j == i else 0 for i, x in enumerate(factors) for j in range(n))
             )
-            presentation = Presentation(gens, rel)
+            # rel is already in Smith form: every transform is the identity
+            units = [{k: 1} for k in range(n)]
+            snf = SmithDecomposition(len(factors), n, factors, (units[: len(factors)], units, units))
+            presentation = Presentation(gens, rel, snf)
         else:
             if (presentation.free_rank, presentation.invariant_factors) != (
                 free_rank,
@@ -905,12 +979,9 @@ class ColumnLattice:
         if len(vec) != self.matrix.rows:
             raise ValueError("vector length mismatch")
         snf = self.snf
-        diag = snf.diagonal
-        for i in range(diag.count(1), snf.rows):
-            w = _dot(snf.u_row(i), vec)
-            if (w % diag[i]) if i < snf.rank else w:
-                return False
-        return True
+        diag, rank = snf.diagonal, snf.rank
+        start = diag.count(1)
+        return not any((x % diag[i]) if i < rank else x for i, x in enumerate(snf.u_mul(vec, start), start))
 
     def solve(self, vec: Sequence[int]) -> tuple[int, ...] | None:
         """Coefficients c with matrix @ c == vec, or None if vec is outside.
@@ -921,20 +992,15 @@ class ColumnLattice:
             raise ValueError("vector length mismatch")
         snf = self.snf
         diag = snf.diagonal
-        y = {}
-        for i in range(snf.rows):
-            w = _dot(snf.u_row(i), vec)
-            if i >= snf.rank:
-                if w:
-                    return None
-            elif w % diag[i]:
-                return None
-            elif w:
-                y[i] = w // diag[i]
+        w = snf.u_mul(vec)
+        if any(w[snf.rank :]) or any(w[i] % diag[i] for i in range(snf.rank)):
+            return None
         out = [0] * self.matrix.cols
-        for i, q in y.items():
-            for k, x in snf.v_col(i).items():
-                out[k] += q * x
+        for i in range(snf.rank):
+            q = w[i] // diag[i]
+            if q:
+                for k, x in snf.v_col(i).items():
+                    out[k] += q * x
         return tuple(out)
 
     def equals(self, other: "ColumnLattice") -> bool:

@@ -65,7 +65,7 @@ def _adj(a: np.ndarray) -> np.ndarray:
 
 def _norm(a: np.ndarray) -> float:
     """Operator norm of a matrix, or the largest over a stack."""
-    return float(np.linalg.norm(a, 2, axis=(-2, -1)).max())
+    return float(np.linalg.svd(a, compute_uv=False)[..., 0].max())
 
 
 class MatField:
@@ -290,34 +290,36 @@ def lemma36_w(
         pre["b_defect_at_ideal"] = partial_isometry_defect(b.fiber(ideal_fiber))
         if pre["b_defect_at_ideal"] > EXACT_TOL:
             raise LabError("b must be a partial isometry at the ideal fiber")
+    # each product below is formed once, with the association of the formulas
+    aha, bhb = a.H @ a, b.H @ b
+    pre["a*b"] = j_residual(a.H @ b, ideal_fiber)
     if case == "i":
-        r = a.H @ a
-        pre["a*b"] = j_residual(a.H @ b, ideal_fiber)
-        pre["a*a-b*b"] = j_residual((a.H @ a) - (b.H @ b), ideal_fiber)
+        r = aha
+        pre["a*a-b*b"] = j_residual(aha - bhb, ideal_fiber)
     else:
         if r is None:
             raise LabError("case ii needs the intertwining element r")
-        pre["a*b"] = j_residual(a.H @ b, ideal_fiber)
         pre["ab*"] = j_residual(a @ b.H, ideal_fiber)
-        pre["r*r-a*a"] = j_residual((r.H @ r) - (a.H @ a), ideal_fiber)
-        pre["rr*-b*b"] = j_residual((r @ r.H) - (b.H @ b), ideal_fiber)
+        pre["r*r-a*a"] = j_residual((r.H @ r) - aha, ideal_fiber)
+        pre["rr*-b*b"] = j_residual((r @ r.H) - bhb, ideal_fiber)
     bad = {k: v for k, v in pre.items() if v > EXACT_TOL}
     if bad:
         raise LabError(f"precondition residuals too large: {bad}")
 
     h, k = approximate_unit(a.grid_size, a.dim, t)
+    hh, kk, hk = h @ h, k @ k, h @ k
     if case == "i":
         w = (h @ a) + (k @ b)
     else:
-        w = (h @ h @ a) + (k @ k @ b) + (h @ k @ ((a @ r.H) + (b @ r)))
+        w = (hh @ a) + (kk @ b) + (hk @ ((a @ r.H) + (b @ r)))
 
     wsw = w.H @ w
     wws = w @ w.H
     if case == "i":
-        rhs1 = a.H @ a
+        rhs1 = aha
     else:
-        rhs1 = (h @ h @ (a.H @ a)) + (k @ k @ (b.H @ b)) + (h @ k @ (r + r.H))
-    rhs2 = (h @ h @ (a @ a.H)) + (k @ k @ (b @ b.H)) + (h @ k @ ((b @ r @ a.H) + (a @ r.H @ b.H)))
+        rhs1 = (hh @ aha) + (kk @ bhb) + (hk @ (r + r.H))
+    rhs2 = (hh @ (a @ a.H)) + (kk @ (b @ b.H)) + (hk @ ((b @ r @ a.H) + (a @ r.H @ b.H)))
 
     www_minus_w = (w @ wsw) - w
     report = DefectReport(t=t)

@@ -7,12 +7,14 @@ checks for the tiny homomorphism cases.
 
 import math
 import random
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphck import abelian
 from graphck.abelian import (
     ColumnLattice,
     FgAbelianGroup,
@@ -316,6 +318,211 @@ def test_sparse_lattice_queries_match_the_dense_transforms(rows, cols, kind, see
             assert m.mat_vec(coeffs) == tuple(vec)
     with pytest.raises(ValueError):
         lat.contains([0] * (rows + 1))
+
+
+# ---------------------------------------------------------------------------
+# Core transforms replayed from the operation log
+# ---------------------------------------------------------------------------
+
+
+def _eager_dense_smith(a):
+    """Reference core reduction: the same pivoting as ``abelian._dense_smith``,
+    but keeping dense U, V and V^-1 current through every operation.
+    Returns them, with ``a`` reduced in place to its diagonal form."""
+    nrows = len(a)
+    ncols = len(a[0]) if a else 0
+    u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
+    v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+    vinv = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+        vinv[i], vinv[j] = vinv[j], vinv[i]
+
+    def row_axpy(i, j, q):
+        for k in range(ncols):
+            a[i][k] -= q * a[j][k]
+        for k in range(nrows):
+            u[i][k] -= q * u[j][k]
+
+    def col_axpy(i, j, q):
+        for row in a:
+            row[i] -= q * row[j]
+        for row in v:
+            row[i] -= q * row[j]
+        for k in range(ncols):
+            vinv[j][k] += q * vinv[i][k]
+
+    def find_pivot(t):
+        best, best_val = None, 0
+        for i in range(t, nrows):
+            for j in range(t, ncols):
+                x = abs(a[i][j])
+                if x and (best is None or x < best_val):
+                    best, best_val = (i, j), x
+                    if x == 1:
+                        return best
+        return best
+
+    t = 0
+    while t < min(nrows, ncols):
+        piv = find_pivot(t)
+        if piv is None:
+            break
+        while True:
+            if piv[0] != t:
+                swap_rows(piv[0], t)
+            if piv[1] != t:
+                swap_cols(piv[1], t)
+            d = a[t][t]
+            dirty = False
+            for i in range(t + 1, nrows):
+                if a[i][t]:
+                    q = abelian._nearest_quotient(a[i][t], d)
+                    if q:
+                        row_axpy(i, t, q)
+                    dirty = dirty or bool(a[i][t])
+            for j in range(t + 1, ncols):
+                if a[t][j]:
+                    q = abelian._nearest_quotient(a[t][j], d)
+                    if q:
+                        col_axpy(j, t, q)
+                    dirty = dirty or bool(a[t][j])
+            if dirty:
+                piv = find_pivot(t)
+                continue
+            if d in (1, -1):
+                break
+            culprit = next(
+                (i for i in range(t + 1, nrows) if any(a[i][j] % d for j in range(t + 1, ncols))), None
+            )
+            if culprit is None:
+                break
+            for k in range(ncols):
+                a[t][k] += a[culprit][k]
+            for k in range(nrows):
+                u[t][k] += u[culprit][k]
+            piv = (t, t)
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
+        t += 1
+    return u, v, vinv
+
+
+CORE_KINDS = st.sampled_from(["dense", "even", "tall"])
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 9), CORE_KINDS, st.integers(0, 2**32 - 1))
+def test_replayed_core_vectors_match_the_eager_reduction(rows, cols, kind, seed):
+    # no entry is 0 or +/-1, so the presolve leaves the whole matrix as the
+    # core and every global transform vector is a core vector
+    rng = random.Random(seed)
+    if kind == "tall":
+        rows, cols = 5 * rows + 10, 1 + cols % 2
+    pool = {
+        "dense": [x for x in range(-9, 10) if abs(x) > 1],
+        "even": [x for x in range(-8, 9, 2) if x],
+        "tall": [x for x in range(-300, 301) if abs(x) > 1],
+    }[kind]
+    m = IntMatrix(rows, cols, [rng.choice(pool) for _ in range(rows * cols)])
+    a = m.to_lists()
+    eu, ev, evinv = _eager_dense_smith(a)
+    eager = {"u": eu, "v": [list(c) for c in zip(*ev)], "vinv": evinv}
+    s = smith_normal_form(m)
+    readers = {"u": s.u_row, "v": s.v_col, "vinv": s.vinv_row}
+    keys = [("u", i) for i in range(rows)] + [(t, j) for t in ("v", "vinv") for j in range(cols)]
+    rng.shuffle(keys)
+    for t, k in keys:
+        n = rows if t == "u" else cols
+        assert _dense(readers[t](k), n) == tuple(eager[t][k])
+    assert s.diagonal == tuple(a[t][t] for t in range(min(rows, cols)))
+    inside = m.mat_vec([rng.randint(-3, 3) for _ in range(cols)])
+    for vec in ([rng.randint(-5, 5) for _ in range(rows)], inside):
+        assert s.u_mul(vec) == [sum(x * y for x, y in zip(r, vec)) for r in eu]
+    s.verify(m)
+
+
+def _full_rescan_pivots(m):
+    """Reference presolve order: each step scans every unit entry left for the
+    lowest (Markowitz cost, row, column), then clears that entry's column.
+    Returns the pivots as (row, column, unit) and the rows left."""
+    rows = {i: {j: x for j, x in enumerate(m.row(i)) if x} for i in range(m.rows)}
+    pivots = []
+    while True:
+        colcount = Counter(j for r in rows.values() for j in r)
+        units = [
+            ((len(r) - 1) * (colcount[j] - 1), i, j)
+            for i, r in rows.items()
+            for j, x in r.items()
+            if abs(x) == 1
+        ]
+        if not units:
+            return pivots, rows
+        _, p, c = min(units)
+        rp = rows.pop(p)
+        unit = rp.pop(c)
+        pivots.append((p, c, unit))
+        for r in rows.values():
+            if c in r:
+                q = r.pop(c) * unit
+                for j, y in rp.items():
+                    z = r.get(j, 0) - q * y
+                    if z:
+                        r[j] = z
+                    else:
+                        r.pop(j, None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 14),
+    st.integers(0, 14),
+    st.sampled_from([0.1, 0.25, 0.5]),
+    st.sampled_from([(1, -1), (1, -1, 1, -1, 2, -3)]),
+    st.integers(0, 2**32 - 1),
+)
+def test_presolve_pivot_order_matches_a_full_rescan(rows, cols, density, pool, seed):
+    rng = random.Random(seed)
+    m = IntMatrix(rows, cols, [rng.choice(pool) if rng.random() < density else 0 for _ in range(rows * cols)])
+    left, _, _, _, _, pivots = abelian._presolve(m)
+    ref_pivots, ref_left = _full_rescan_pivots(m)
+    assert pivots == ref_pivots
+    assert {i: r for i, r in enumerate(left) if r is not None} == ref_left
+
+
+def _torsion_factor_sets():
+    pool = (2, 3, 4, 9)
+    multisets = [()] + [ms for k in (1, 2, 3) for ms in combinations_with_replacement(pool, k)]
+    texts = {" + ".join(f"Z/{n}" for n in ms) or "0" for ms in multisets}
+    return sorted({parse_group_expr(text).invariant_factors for text in texts})
+
+
+@pytest.mark.parametrize("free", range(4))
+def test_canonical_groups_take_their_smith_form_without_a_reduction(monkeypatch, free):
+    for factors in _torsion_factor_sets():
+        reductions = []
+        monkeypatch.setattr(abelian, "smith_normal_form", lambda m: reductions.append(m))
+        g = FgAbelianGroup.canonical(free, factors)
+        monkeypatch.undo()
+        assert reductions == []
+        rel, s = g.presentation.relations, g.presentation.snf
+        ref = smith_normal_form(rel)
+        assert (s.rows, s.cols, s.diagonal, s.rank) == (ref.rows, ref.cols, ref.diagonal, ref.rank)
+        assert [s.u_row(i) for i in range(s.rows)] == [ref.u_row(i) for i in range(ref.rows)]
+        assert [s.v_col(j) for j in range(s.cols)] == [ref.v_col(j) for j in range(ref.cols)]
+        assert [s.vinv_row(j) for j in range(s.cols)] == [ref.vinv_row(j) for j in range(ref.cols)]
+        assert (s.u, s.v, s.v_inv, s.d) == (ref.u, ref.v, ref.v_inv, ref.d)
+        s.verify(rel)
+        assert g.canonical_pair() == (free, factors)
 
 
 @settings(max_examples=40, deadline=None)

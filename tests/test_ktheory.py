@@ -224,7 +224,7 @@ def test_les_reuses_the_ktheory_smith_forms(snf_calls):
         "exact_at_k0_toeplitz",
         "exact_at_k1_full",
     ]
-    assert len(snf_calls) == 16
+    assert len(snf_calls) == 13
 
 
 def test_les_random_graphs():
@@ -464,11 +464,12 @@ def test_chain_vertex_classes_push_to_the_settled_layer_class(chain):
 
 def test_chain_report_smith_form_count(snf_calls):
     # pinned: each layer's degree-one lattice is reduced once, inside ktheory,
-    # and reused by the degree-one inclusion maps
+    # and reused by the degree-one inclusion maps; canonical groups take their
+    # diagonal Smith forms without a reduction
     chain = build_case_ii(2, 1, (3,), 6)
     assert len(chain) == 6
     rep = chain_ktheory_report(chain, window=2)
-    assert len(snf_calls) == 76
+    assert len(snf_calls) == 58
     assert (rep.k0.canonical_pair(), rep.k1.canonical_pair(), rep.stabilized) == ((0, (3,)), (1, ()), True)
 
 
@@ -527,6 +528,50 @@ def test_ktheory_folds_only_the_transform_vectors_it_reads(monkeypatch, graph, f
     for m, s in snfs:
         s.verify(m)
     assert len(combined) == core_vectors
+
+
+@pytest.mark.parametrize(
+    "n,outdeg,seed,exempt,pinned",
+    [
+        # out-degree 20 leaves dense cores, 29x45 (Toeplitz) and 46x46 (full):
+        # K0 = Z^16 reads the 16 V columns at the free positions of the first,
+        # and the second has full rank, so no U row of it is read
+        (80, 20, 7, True, (5, 16, 257, (16, ()), (0, ()))),
+        # K0 = Z + Z/2 reads the torsion V column of an 11x10 core and K1 = Z
+        # its one U row past the rank; both degree-one lattices are 100x1 with
+        # a 97x1 core, whose membership tests run the row log forward instead
+        (100, 3, 1, False, (3, 2, 229, (1, (2,)), (1, ()))),
+    ],
+)
+def test_ktheory_replays_only_the_core_vectors_it_reads(monkeypatch, n, outdeg, seed, exempt, pinned):
+    rng = random.Random(seed)
+    verts = [f"v{i:03d}" for i in range(n)]
+    edges = [(f"e{i * outdeg + k:04d}", verts[i], rng.choice(verts)) for i in range(n) for k in range(outdeg)]
+    graph = FiniteGraph(verts, edges, sorted(rng.sample(verts, n // 5)) if exempt else [])
+    abelian_mod = importlib.import_module("graphck.abelian")
+    ktheory_mod = importlib.import_module("graphck.ktheory")
+    orig_replay, orig_snf = abelian_mod._replay, abelian_mod.smith_normal_form
+    replayed, snfs = [], []
+
+    def replay(log, n, t, inverse):
+        replayed.append((id(log), t, inverse))
+        return orig_replay(log, n, t, inverse)
+
+    def snf(m):
+        snfs.append(orig_snf(m))
+        return snfs[-1]
+
+    monkeypatch.setattr(abelian_mod, "_replay", replay)
+    monkeypatch.setattr(abelian_mod, "smith_normal_form", snf)
+    monkeypatch.setattr(ktheory_mod, "smith_normal_form", snf)
+    kt = ktheory(graph)
+    # each vector read is replayed once, and no dense transform is built
+    assert len(set(replayed)) == len(replayed)
+    assert not any(name in vars(s) for s in snfs for name in ("u", "v", "v_inv", "d"))
+    # core vectors: rows of U, columns of V and rows of V^-1 over every core
+    core_vectors = sum(len(s._bases[0]) + 2 * len(s._bases[1]) for s in snfs)
+    got = (len(snfs), len(replayed), core_vectors, kt.k0.canonical_pair(), kt.k1.canonical_pair())
+    assert got == pinned
 
 
 def test_s_sets_on_synthesized_chains():
