@@ -8,18 +8,18 @@ isomorphism questions reduce to tuple comparison.
 
 The pieces fit together as follows.  ``smith_normal_form`` diagonalizes an
 integer matrix M as ``U @ M @ V == D`` with U, V unimodular and the diagonal
-in divisibility order.  It keeps the transforms sparse.  The dense core
-reduction only logs its operations, and a row of U, column of V or row of
-V^-1 at a core position is replayed from that log when a caller reads it.
-The callers below read only the vectors they use (class maps skip the
-positions with a unit diagonal entry, and lattice tests multiply by U without
-reading its rows), and none of them builds a dense transform.  Groups given
-in canonical form carry their diagonal presentation with identity transforms
-and need no reduction.  ``cokernel`` presents Z^n modulo
-the row lattice of a relation matrix and remembers enough of the transform to
-convert ambient integer vectors into canonical coordinates
-(``Presentation.class_of``).  ``kernel_basis`` returns a saturated basis of
-the integer kernel lattice from the free columns of V.
+in divisibility order.  It keeps no transform.  The sparse unit-pivot
+presolve and the dense core reduction append their operations to one row
+log and one column log, and a row of U, column of V or row of V^-1 is
+replayed from a log when a caller reads it.  The callers below read only the
+vectors they use (class maps skip the positions with a unit diagonal entry,
+and lattice tests run the row log forward on the vector they test), and none
+of them builds a dense transform.  Groups given in canonical form carry
+their diagonal presentation with empty logs and need no reduction.
+``cokernel`` presents Z^n modulo the row lattice of a relation matrix and
+remembers enough of the transform to convert ambient integer vectors into
+canonical coordinates (``Presentation.class_of``).  ``kernel_basis`` returns
+a saturated basis of the integer kernel lattice from the free columns of V.
 ``GroupHom`` is a homomorphism between presented groups, checked for
 well-definedness at construction.  ``colimit_chain_detailed`` computes the
 direct limit of a finite prefix of a chain of groups along homomorphisms,
@@ -28,6 +28,7 @@ with an explicit, honestly-flagged stabilization heuristic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
@@ -104,10 +105,6 @@ class IntMatrix:
         diag = [int(x) for x in diag]
         n = len(diag)
         return cls._of(n, n, tuple(diag[i] if i == j else 0 for i in range(n) for j in range(n)))
-
-    @classmethod
-    def column(cls, vec: Sequence[int]) -> "IntMatrix":
-        return cls(len(vec), 1, list(vec))
 
     # -- access ------------------------------------------------------------
 
@@ -239,44 +236,40 @@ class IntMatrix:
 class SmithDecomposition:
     """U @ M @ V == D with U, V unimodular, D diagonal in divisibility order.
 
-    The transforms are kept sparse: rows of U, columns of V and rows of V^-1,
-    each a ``{index: nonzero}`` dict, read with ``u_row``, ``v_col`` and
-    ``vinv_row``.  The vectors of the presolve's pivots and zero lines are
-    final when ``smith_normal_form`` returns.  A vector at a core position is
-    built the first time it is read, then kept: the core reduction's
-    operation log is replayed on one unit vector (see ``_replay``) and the
-    result combines the presolved vectors of the core.  Callers read only
-    what they need, and most need little: a unit diagonal entry constrains
-    nothing, so classes read only the V columns at non-unit positions, and
-    ``u_mul`` runs the row log forward on the one vector it multiplies.
-    ``u``, ``v``, ``v_inv`` and ``d`` build the dense matrices on first use.
-    ``v_inv`` is the exact inverse of V; its rows give sections of the
-    quotient map (see ``Presentation``).  The returned dicts are shared and
-    must not be mutated.
+    No transform is stored.  The reduction keeps one row log and one column
+    log of its operations in the matrix's own row and column indices (the
+    format of ``_dense_smith``), and two output orders: diagonal position k
+    sits at row ``e_order[k]`` and column ``f_order[k]`` of the reduced
+    matrix.  Row k of U is replayed from the row log on the unit vector at
+    row ``e_order[k]``, and column k of V and row k of V^-1 from the column
+    log on the one at column ``f_order[k]`` (see ``_replay``).  Each is
+    replayed the first time it is read with ``u_row``, ``v_col`` or
+    ``vinv_row``, then kept as an ``{index: nonzero}`` dict.  Callers read
+    only what they need, and
+    most need little: a unit diagonal entry constrains nothing, so classes
+    read only the V columns at non-unit positions, and ``u_mul`` runs the row
+    log forward on the one vector it multiplies.  ``u``, ``v``, ``v_inv``
+    and ``d`` build the dense matrices on first use.  ``v_inv`` is the exact
+    inverse of V; its rows give sections of the quotient map (see
+    ``Presentation``).  The returned dicts are shared and must not be
+    mutated.
     """
 
-    def __init__(
-        self, rows: int, cols: int, diagonal: Sequence[int], vectors, offset=0, bases=((), (), ()), logs=((), ())
-    ):
+    def __init__(self, rows: int, cols: int, diagonal: Sequence[int], orders, logs):
         self.rows, self.cols = rows, cols
         self.diagonal = tuple(diagonal)
         self.rank = sum(1 for x in self.diagonal if x)
-        # per transform (U rows, V columns, V^-1 rows): a list of vectors with
-        # None at core positions, and the presolved vectors of the core rows
-        # or columns; core position t sits at offset + t.  ``logs`` holds the
-        # core reduction's row and column operations (see ``_dense_smith``)
-        self._vectors = vectors
-        self._offset = offset
-        self._bases = bases
-        self._logs = logs
+        self._orders = orders  # (e_order, f_order)
+        self._logs = logs  # (row log, column log)
+        self._read = ({}, {}, {})  # the vectors read so far: U rows, V columns, V^-1 rows
 
     def _vector(self, which: int, k: int) -> dict:
-        vecs = self._vectors[which]
-        vec = vecs[k]
+        read = self._read[which]
+        vec = read.get(k)
         if vec is None:
-            bases = self._bases[which]
-            coeffs = _replay(self._logs[which > 0], len(bases), k - self._offset, which == 2)
-            vec = vecs[k] = _combine(coeffs, bases)
+            side = which > 0
+            x = _replay(self._logs[side], self.cols if side else self.rows, self._orders[side][k], which == 2)
+            vec = read[k] = {i: y for i, y in enumerate(x) if y}
         return vec
 
     def u_row(self, i: int) -> dict:
@@ -289,26 +282,17 @@ class SmithDecomposition:
         return self._vector(2, j)
 
     def u_mul(self, vec: Sequence[int], start: int = 0) -> list[int]:
-        """(U @ vec)[start:], building no core row of U.
-
-        Presolved rows are dotted with ``vec``.  The core block is the core's
-        U applied to the dots of the core's presolved rows: its row log runs
-        forward on that one vector.
-        """
-        rows, bases = self._vectors[0], self._bases[0]
-        off, end = self._offset, self._offset + len(bases)
-        out = [_dot(rows[k], vec) for k in range(start, off)]
-        if start < end:
-            x = [_dot(b, vec) for b in bases]
-            for i, j, q in self._logs[0]:
-                if q:
-                    y = x[j]
-                    if y:
-                        x[i] -= q * y
-                else:
-                    x[i], x[j] = x[j], x[i]
-            out += x[max(start - off, 0) :]
-        return out + [_dot(rows[k], vec) for k in range(max(start, end), len(rows))]
+        """(U @ vec)[start:], building no row of U: the row log runs forward on ``vec``."""
+        x = list(vec)
+        for i, j, q in self._logs[0]:
+            if q:
+                y = x[j]
+                if y:
+                    x[i] -= q * y
+            else:
+                x[i], x[j] = x[j], x[i]
+        order = self._orders[0]
+        return [x[order[k]] for k in range(start, self.rows)]
 
     @cached_property
     def u(self) -> IntMatrix:
@@ -362,51 +346,32 @@ def _nearest_quotient(x: int, d: int) -> int:
     return q
 
 
-def _axpy(dst: dict, src: dict, q: int) -> None:
-    """dst -= q * src on sparse vectors (index -> nonzero int)."""
-    for k, y in src.items():
-        z = dst.get(k, 0) - q * y
-        if z:
-            dst[k] = z
-        else:
-            del dst[k]
-
-
 def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     """Diagonalize ``m`` over Z: returns U, D, V with U @ m @ V == D.
 
-    ``_presolve`` eliminates unit pivots on sparse rows and transforms.  What
-    is left has no unit entry; its nonzero rows and columns form the core,
-    which ``_dense_smith`` reduces, logging its operations rather than
-    applying them to transforms.  A global vector at a core position is built
-    from that log only when it is read (see ``SmithDecomposition``).  The
-    diagonal holds the unit pivots, then the core's diagonal, then zeros.
+    ``_presolve`` eliminates unit pivots on sparse rows, logging each row and
+    column operation.  What is left has no unit entry; its nonzero rows and
+    columns form the core, which ``_dense_smith`` reduces with logs of its
+    own.  Those are appended to the presolve's, translated to the matrix's
+    indices, so one row log and one column log give every transform vector
+    (see ``SmithDecomposition``).  The diagonal, and the output order of rows
+    and columns, hold the unit pivots, then the core, then zero lines.
     """
     nrows, ncols = m.rows, m.cols
-    rows, colrows, u, v, vinv, pivots = _presolve(m)
-    # the transforms in output order: pivots, the core, then zero rows or
-    # columns.  Core vectors are None here and built on first read from the
-    # core's logs and the presolved vectors of the core rows/columns
+    rows, colrows, pivots, rlog, clog = _presolve(m)
     core_rows = [i for i in range(nrows) if rows[i]]
     core_cols = [j for j in range(ncols) if colrows[j]]
-    zero_rows = [i for i in range(nrows) if rows[i] == {}]
-    zero_cols = [j for j in range(ncols) if colrows[j] == set()]
     diag = [1] * len(pivots)
-    bases, logs = ((), (), ()), ((), ())
     if core_rows:
         core = [[rows[i].get(j, 0) for j in core_cols] for i in core_rows]
-        logs = _dense_smith(core)
+        core_rlog, core_clog = _dense_smith(core)
+        rlog += [(core_rows[i], core_rows[j], q) for i, j, q in core_rlog]
+        clog += [(core_cols[i], core_cols[j], q) for i, j, q in core_clog]
         diag.extend(core[t][t] for t in range(min(len(core_rows), len(core_cols))))
-        bases = ([u[i] for i in core_rows], [v[j] for j in core_cols], [vinv[j] for j in core_cols])
     diag.extend([0] * (min(nrows, ncols) - len(diag)))
-    vectors = (
-        [{k: -y for k, y in u[p].items()} if s < 0 else u[p] for p, _, s in pivots]
-        + [None] * len(core_rows)
-        + [u[i] for i in zero_rows],
-        [v[c] for _, c, _ in pivots] + [None] * len(core_cols) + [v[j] for j in zero_cols],
-        [vinv[c] for _, c, _ in pivots] + [None] * len(core_cols) + [vinv[j] for j in zero_cols],
-    )
-    return SmithDecomposition(nrows, ncols, diag, vectors, len(pivots), bases, logs)
+    e_order = [p for p, _, _ in pivots] + core_rows + [i for i in range(nrows) if rows[i] == {}]
+    f_order = [c for _, c, _ in pivots] + core_cols + [j for j in range(ncols) if colrows[j] == set()]
+    return SmithDecomposition(nrows, ncols, diag, (e_order, f_order), (rlog, clog))
 
 
 def _presolve(m: IntMatrix):
@@ -415,12 +380,14 @@ def _presolve(m: IntMatrix):
     Keeps ``m`` as sparse rows with column occurrence sets and repeatedly
     eliminates the +/-1 entry of lowest (cost, row, column), with cost the
     Markowitz count (row nnz - 1) * (col nnz - 1): row operations clear its
-    column, column operations clear its row, and every step is applied to
-    sparse U rows, V columns and V^-1 rows.  Relation matrices of graphs are
-    mostly such pivots (the unit-pivot elimination of Dumas, Saunders and
-    Villard, J. Symbolic Comput. 2001).  Returns the rows left ({column:
+    column, column operations clear its row, and a -1 pivot's row is negated.
+    Relation matrices of graphs are mostly such pivots (the unit-pivot
+    elimination of Dumas, Saunders and Villard, J. Symbolic Comput. 2001).
+    No transform is kept: each step is appended to a row log or a column log
+    in the format of ``_dense_smith``.  Returns the rows left ({column:
     nonzero}, None at pivot rows), the column occurrence sets (None at pivot
-    columns), the sparse transforms and the pivots as (row, column, unit).
+    columns), the pivots as (row, column, unit), the row log and the column
+    log.
     """
     nrows, ncols = m.rows, m.cols
     ents = m.entries
@@ -431,10 +398,9 @@ def _presolve(m: IntMatrix):
     for i, r in enumerate(rows):
         for j in r:
             colrows[j].add(i)
-    u = [{i: 1} for i in range(nrows)]  # rows of U
-    v = [{j: 1} for j in range(ncols)]  # columns of V
-    vinv = [{j: 1} for j in range(ncols)]  # rows of V^-1
     pivots: list[tuple[int, int, int]] = []
+    rlog: list[tuple[int, int, int]] = []
+    clog: list[tuple[int, int, int]] = []
 
     def cheapest_unit(i: int):
         """Heap item (cost, row, column) of row i's cheapest unit entry, or None."""
@@ -468,7 +434,6 @@ def _presolve(m: IntMatrix):
         changed = colrows[c]
         changed.discard(p)
         colrows[c] = None
-        up = u[p]
         for i in changed:
             ri = rows[i]
             q = ri.pop(c) * s
@@ -481,14 +446,13 @@ def _presolve(m: IntMatrix):
                 else:
                     del ri[j]
                     colrows[j].discard(i)
-            _axpy(u[i], up, q)
+            rlog.append((i, p, q))
+        if s < 0:
+            rlog.append((p, p, 2))
         # clear row p with column operations; column c is zero off the pivot,
-        # so only V and V^-1 change (V^-1 rows of live columns are still unit)
-        vc, vic = v[c], vinv[c]
+        # so they change no other row
         for j, y in rp.items():
-            q = y * s
-            _axpy(v[j], vc, q)
-            vic[j] = q
+            clog.append((j, c, y * s))
             colrows[j].discard(p)
         # costs changed only in the changed rows and at row p's columns.  A
         # changed row, or one whose best entry is at such a column, is
@@ -517,21 +481,12 @@ def _presolve(m: IntMatrix):
                         pushed.add(i)
         for i in pushed:
             heappush(heap, best[i])
-    return rows, colrows, u, v, vinv, pivots
+    return rows, colrows, pivots, rlog, clog
 
 
 def _dot(sparse: dict, vec: Sequence[int]) -> int:
     """Inner product of a sparse vector with a dense one."""
     return sum(x * vec[k] for k, x in sparse.items())
-
-
-def _combine(coeffs: Sequence[int], vectors: Sequence[dict]) -> dict:
-    """sum of coeffs[l] * vectors[l] on sparse vectors."""
-    acc: dict[int, int] = {}
-    for q, vec in zip(coeffs, vectors):
-        if q:
-            _axpy(acc, vec, -q)
-    return acc
 
 
 def _dense_rows(vectors: Sequence[dict], n: int, transpose: bool = False) -> tuple[int, ...]:
@@ -548,7 +503,7 @@ def _dense_rows(vectors: Sequence[dict], n: int, transpose: bool = False) -> tup
 
 
 def _replay(log: Sequence[tuple[int, int, int]], n: int, t: int, inverse: bool) -> list[int]:
-    """Line t of a core transform, replayed from its log on the unit vector e_t.
+    """Line t of a transform, replayed from its log on the unit vector e_t.
 
     With the row log this is row t of U; with the column log, column t of V,
     or with ``inverse`` row t of V^-1.  A transform is the product of its
@@ -831,8 +786,7 @@ class FgAbelianGroup:
                 len(factors), n, tuple(x if j == i else 0 for i, x in enumerate(factors) for j in range(n))
             )
             # rel is already in Smith form: every transform is the identity
-            units = [{k: 1} for k in range(n)]
-            snf = SmithDecomposition(len(factors), n, factors, (units[: len(factors)], units, units))
+            snf = SmithDecomposition(len(factors), n, factors, (range(len(factors)), range(n)), ((), ()))
             presentation = Presentation(gens, rel, snf)
         else:
             if (presentation.free_rank, presentation.invariant_factors) != (
@@ -922,20 +876,8 @@ class FgAbelianGroup:
         order = 1
         for x, d in zip(coords[:nfac], self.invariant_factors):
             if x:
-                g = _gcd(x, d)
-                order = _lcm(order, d // g)
+                order = math.lcm(order, d // math.gcd(x, d))
         return order
-
-
-def _gcd(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // _gcd(a, b) if a and b else 0
 
 
 def cokernel(m: IntMatrix, generators: Sequence[str] | None = None) -> FgAbelianGroup:
@@ -1096,12 +1038,13 @@ class GroupHom:
     def zero(cls, domain: FgAbelianGroup, codomain: FgAbelianGroup) -> "GroupHom":
         return cls(domain, codomain, IntMatrix.zero(codomain.presentation.ngens, domain.presentation.ngens))
 
-    def is_surjective(self) -> bool:
+    def _cokernel_pair(self) -> tuple[int, tuple[int, ...]]:
+        """Canonical pair of the codomain modulo the image."""
         stacked = self.codomain.presentation.relations.vstack(self.matrix.transpose())
-        free, factors = _canonical_from_diagonal(
-            smith_normal_form(stacked).diagonal, self.codomain.presentation.ngens
-        )
-        return free == 0 and not factors
+        return _canonical_from_diagonal(smith_normal_form(stacked).diagonal, self.codomain.presentation.ngens)
+
+    def is_surjective(self) -> bool:
+        return self._cokernel_pair() == (0, ())
 
     def is_injective(self) -> bool:
         pre = _preimage_lattice_rows(self.matrix, self.codomain.presentation)
@@ -1112,11 +1055,7 @@ class GroupHom:
         return self.is_surjective() and self.is_injective()
 
     def image_rank(self) -> int:
-        stacked = self.codomain.presentation.relations.vstack(self.matrix.transpose())
-        free, factors = _canonical_from_diagonal(
-            smith_normal_form(stacked).diagonal, self.codomain.presentation.ngens
-        )
-        return self.codomain.free_rank - free
+        return self.codomain.free_rank - self._cokernel_pair()[0]
 
     def kernel_rank(self) -> int:
         """Free rank of the kernel subgroup."""

@@ -264,6 +264,10 @@ def cmd_lab_w(args) -> int:
     except ValueError:
         _info("--t must be a comma-separated list of floats")
         return USAGE
+    bad = [t for t in ts if not 0.0 <= t < 1.0]  # NaN fails both comparisons
+    if bad:
+        _info(f"usage error: --t must lie in [0, 1), got {bad[0]}")
+        return USAGE
     rows = []
     for t in ts:
         _, rep = lemma36_w(sc.a, sc.b, sc.r, t, sc.case, ideal_fiber=sc.ideal_fiber)

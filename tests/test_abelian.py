@@ -451,11 +451,26 @@ def test_replayed_core_vectors_match_the_eager_reduction(rows, cols, kind, seed)
     s.verify(m)
 
 
-def _full_rescan_pivots(m):
-    """Reference presolve order: each step scans every unit entry left for the
-    lowest (Markowitz cost, row, column), then clears that entry's column.
-    Returns the pivots as (row, column, unit) and the rows left."""
+def _axpy(dst, src, q):
+    """dst -= q * src on sparse vectors (index -> nonzero int)."""
+    for k, y in src.items():
+        z = dst.get(k, 0) - q * y
+        if z:
+            dst[k] = z
+        else:
+            del dst[k]
+
+
+def _full_rescan_presolve(m):
+    """Reference presolve: each step scans every unit entry left for the
+    lowest (Markowitz cost, row, column), then clears that entry's column
+    with row operations and its row with column operations, applying each
+    to sparse U rows, V columns and V^-1 rows as it goes.  Returns the
+    pivots as (row, column, unit), the rows left and the three transforms."""
     rows = {i: {j: x for j, x in enumerate(m.row(i)) if x} for i in range(m.rows)}
+    u = [{i: 1} for i in range(m.rows)]
+    v = [{j: 1} for j in range(m.cols)]
+    vinv = [{j: 1} for j in range(m.cols)]
     pivots = []
     while True:
         colcount = Counter(j for r in rows.values() for j in r)
@@ -466,12 +481,12 @@ def _full_rescan_pivots(m):
             if abs(x) == 1
         ]
         if not units:
-            return pivots, rows
+            return pivots, rows, u, v, vinv
         _, p, c = min(units)
         rp = rows.pop(p)
         unit = rp.pop(c)
         pivots.append((p, c, unit))
-        for r in rows.values():
+        for i, r in rows.items():
             if c in r:
                 q = r.pop(c) * unit
                 for j, y in rp.items():
@@ -480,6 +495,10 @@ def _full_rescan_pivots(m):
                         r[j] = z
                     else:
                         r.pop(j, None)
+                _axpy(u[i], u[p], q)
+        for j, y in rp.items():
+            _axpy(v[j], v[c], y * unit)
+            _axpy(vinv[c], vinv[j], -y * unit)
 
 
 @settings(max_examples=200, deadline=None)
@@ -493,10 +512,66 @@ def _full_rescan_pivots(m):
 def test_presolve_pivot_order_matches_a_full_rescan(rows, cols, density, pool, seed):
     rng = random.Random(seed)
     m = IntMatrix(rows, cols, [rng.choice(pool) if rng.random() < density else 0 for _ in range(rows * cols)])
-    left, _, _, _, _, pivots = abelian._presolve(m)
-    ref_pivots, ref_left = _full_rescan_pivots(m)
+    left, _, pivots, _, _ = abelian._presolve(m)
+    ref_pivots, ref_left, _, _, _ = _full_rescan_presolve(m)
     assert pivots == ref_pivots
     assert {i: r for i, r in enumerate(left) if r is not None} == ref_left
+
+
+def _fold(coeffs, vectors):
+    """sum of coeffs[l] * vectors[l] on sparse vectors."""
+    acc = {}
+    for q, vec in zip(coeffs, vectors):
+        if q:
+            _axpy(acc, vec, -q)
+    return acc
+
+
+def _eager_smith_vectors(m):
+    """Reference transforms in output order: the eager presolve, the eager
+    dense reduction of the core it leaves, and each core vector folded from
+    the presolved vectors of the core rows or columns."""
+    pivots, left, u, v, vinv = _full_rescan_presolve(m)
+    core_rows = sorted(i for i, r in left.items() if r)
+    core_cols = sorted({j for r in left.values() for j in r})
+    zero_rows = sorted(i for i, r in left.items() if not r)
+    zero_cols = sorted(set(range(m.cols)) - {c for _, c, _ in pivots} - set(core_cols))
+    eu, ev, evinv = _eager_dense_smith([[left[i].get(j, 0) for j in core_cols] for i in core_rows])
+    ev_cols = [list(c) for c in zip(*ev)]
+    return (
+        [{k: s * x for k, x in u[p].items()} for p, _, s in pivots]
+        + [_fold(r, [u[i] for i in core_rows]) for r in eu]
+        + [u[i] for i in zero_rows],
+        [v[c] for _, c, _ in pivots]
+        + [_fold(c, [v[j] for j in core_cols]) for c in ev_cols]
+        + [v[j] for j in zero_cols],
+        [vinv[c] for _, c, _ in pivots]
+        + [_fold(r, [vinv[j] for j in core_cols]) for r in evinv]
+        + [vinv[j] for j in zero_cols],
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 14), st.sampled_from(["sparse", "graph", "graph with exempt rows"]), st.integers(0, 2**32 - 1)
+)
+def test_transform_vectors_match_the_eager_presolve_and_core(n, kind, seed):
+    # graph relation matrices are mostly unit pivots around a small core, and
+    # "sparse" matrices mix units and a core, so both phases do work
+    rng = random.Random(seed)
+    if kind == "sparse":
+        m = _random_matrix(rng, n, rng.randint(0, 14), kind)
+    else:
+        m = relation_matrix(_random_graph(rng, n, kind != "graph"))
+    s = smith_normal_form(m)
+    eu, ev, evinv = _eager_smith_vectors(m)
+    assert [s.u_row(i) for i in range(m.rows)] == eu
+    assert [s.v_col(j) for j in range(m.cols)] == ev
+    assert [s.vinv_row(j) for j in range(m.cols)] == evinv
+    inside = m.mat_vec([rng.randint(-3, 3) for _ in range(m.cols)])
+    for vec in ([rng.randint(-5, 5) for _ in range(m.rows)], inside):
+        start = rng.randint(0, m.rows)
+        assert s.u_mul(vec, start) == [abelian._dot(r, vec) for r in eu[start:]]
 
 
 def _torsion_factor_sets():

@@ -374,6 +374,19 @@ def test_lab_w_csv(capsys):
     assert any(line.startswith("0.99,wsw_vs_formula") for line in lines)
 
 
+@pytest.mark.parametrize("t", ["nan", "inf", "2", "0.5,-0.1"])
+def test_lab_w_rejects_t_outside_the_unit_interval(capsys, t):
+    code, out, err = run(capsys, "lab", "w", "--t", t)
+    assert code == 2 and out == ""
+    assert "usage error: --t must lie in [0, 1)" in err
+
+
+def test_lab_w_accepts_t_at_the_ends_of_the_unit_interval(capsys):
+    code, out, _ = run(capsys, "lab", "w", "--t", "0,0.999")
+    assert code == 0
+    assert {line.split(",")[0] for line in out.strip().splitlines()[1:]} == {"0.0", "0.999"}
+
+
 def test_lab_family_csv(capsys):
     code, out, _ = run(capsys, "lab", "family", "--scenario", "unitary_extension")
     assert code == 0

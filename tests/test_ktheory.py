@@ -493,41 +493,63 @@ def test_chain_report_builds_each_layer_graph_once(monkeypatch):
     assert chain.layer_graph(1, relation_exempt=()).relation_exempt == frozenset()
 
 
-@pytest.mark.parametrize(
-    "graph,folds,core_vectors",
-    [
-        # one unit pivot, then a 3x3 core with diagonal (1, 2, 10): K0 reads
-        # the V columns at the two torsion positions and K1 = 0 reads no U row
-        (build_case_i(0, (2, 2, 5)), 2, 9),
-        # one exempt vertex: the Toeplitz and the full relation matrix each
-        # leave a 1x1 core, and the one vector read is K0's torsion V column
-        (build_case_ii(2, 1, (3,), 6).layer_graph(2), 1, 6),
-    ],
-)
-def test_ktheory_folds_only_the_transform_vectors_it_reads(monkeypatch, graph, folds, core_vectors):
+def _count_replays(monkeypatch):
+    """Route every Smith form through a recorder; returns the list of Smith
+    forms and the list of ``_replay`` calls, one per transform vector built."""
     abelian_mod = importlib.import_module("graphck.abelian")
     ktheory_mod = importlib.import_module("graphck.ktheory")
-    orig_combine, orig_snf = abelian_mod._combine, abelian_mod.smith_normal_form
-    combined, snfs = [], []
+    orig_replay, orig_snf = abelian_mod._replay, abelian_mod.smith_normal_form
+    replayed, snfs = [], []
 
-    def combine(coeffs, vectors):
-        combined.append(len(vectors))
-        return orig_combine(coeffs, vectors)
+    def replay(log, n, t, inverse):
+        replayed.append((t, inverse))
+        return orig_replay(log, n, t, inverse)
 
     def snf(m):
         snfs.append((m, orig_snf(m)))
         return snfs[-1][1]
 
-    monkeypatch.setattr(abelian_mod, "_combine", combine)
+    monkeypatch.setattr(abelian_mod, "_replay", replay)
     monkeypatch.setattr(abelian_mod, "smith_normal_form", snf)
     monkeypatch.setattr(ktheory_mod, "smith_normal_form", snf)
+    return snfs, replayed
+
+
+def _assert_each_vector_replayed_once(snfs, replayed):
+    # every replay fills one slot of a read cache, so a vector replayed twice
+    # would leave fewer cached vectors than replays
+    assert len(replayed) == sum(len(read) for _, s in snfs for read in s._read)
+
+
+def _built_dense_transforms(snfs):
+    return any(name in vars(s) for _, s in snfs for name in ("u", "v", "v_inv", "d"))
+
+
+@pytest.mark.parametrize(
+    "graph,reads,vectors",
+    [
+        # one unit pivot, then a 3x3 core with diagonal (1, 2, 10): K0 reads
+        # the V columns at the two torsion positions, K1 = 0 reads no U row,
+        # and the dense transforms of the three Smith forms hold 20 vectors
+        (build_case_i(0, (2, 2, 5)), 2, 20),
+        # one exempt vertex: K0 reads one torsion and two free V columns of
+        # the Toeplitz matrix and K1 its one U row past the rank; route two
+        # reads the two U rows past the rank of the full relation matrix and
+        # one kernel V column of the exempt rows' 1x2 restriction
+        (build_case_ii(2, 1, (3,), 6).layer_graph(2), 7, 144),
+    ],
+)
+def test_ktheory_folds_only_the_transform_vectors_it_reads(monkeypatch, graph, reads, vectors):
+    snfs, replayed = _count_replays(monkeypatch)
     ktheory(graph)
-    assert len(combined) == folds
-    assert not any(name in vars(s) for _, s in snfs for name in ("u", "v", "v_inv", "d"))
-    # the dense transforms fold every core row of U, column of V and row of V^-1
+    assert len(replayed) == reads
+    _assert_each_vector_replayed_once(snfs, replayed)
+    assert not _built_dense_transforms(snfs)
+    # the dense transforms replay every row of U, column of V and row of V^-1
     for m, s in snfs:
         s.verify(m)
-    assert len(combined) == core_vectors
+    _assert_each_vector_replayed_once(snfs, replayed)
+    assert len(replayed) == sum(s.rows + 2 * s.cols for _, s in snfs) == vectors
 
 
 @pytest.mark.parametrize(
@@ -536,11 +558,12 @@ def test_ktheory_folds_only_the_transform_vectors_it_reads(monkeypatch, graph, f
         # out-degree 20 leaves dense cores, 29x45 (Toeplitz) and 46x46 (full):
         # K0 = Z^16 reads the 16 V columns at the free positions of the first,
         # and the second has full rank, so no U row of it is read
-        (80, 20, 7, True, (5, 16, 257, (16, ()), (0, ()))),
-        # K0 = Z + Z/2 reads the torsion V column of an 11x10 core and K1 = Z
-        # its one U row past the rank; both degree-one lattices are 100x1 with
-        # a 97x1 core, whose membership tests run the row log forward instead
-        (100, 3, 1, False, (3, 2, 229, (1, (2,)), (1, ()))),
+        (80, 20, 7, True, (5, 16, 16694, (16, ()), (0, ()))),
+        # K0 = Z + Z/2 reads the torsion V column of an 11x10 core, and K1 = Z
+        # its one U row past the rank and the zero row's; both degree-one
+        # lattices are 100x1 with a 97x1 core, whose membership tests run the
+        # row log forward instead
+        (100, 3, 1, False, (3, 3, 1916, (1, (2,)), (1, ()))),
     ],
 )
 def test_ktheory_replays_only_the_core_vectors_it_reads(monkeypatch, n, outdeg, seed, exempt, pinned):
@@ -548,29 +571,14 @@ def test_ktheory_replays_only_the_core_vectors_it_reads(monkeypatch, n, outdeg, 
     verts = [f"v{i:03d}" for i in range(n)]
     edges = [(f"e{i * outdeg + k:04d}", verts[i], rng.choice(verts)) for i in range(n) for k in range(outdeg)]
     graph = FiniteGraph(verts, edges, sorted(rng.sample(verts, n // 5)) if exempt else [])
-    abelian_mod = importlib.import_module("graphck.abelian")
-    ktheory_mod = importlib.import_module("graphck.ktheory")
-    orig_replay, orig_snf = abelian_mod._replay, abelian_mod.smith_normal_form
-    replayed, snfs = [], []
-
-    def replay(log, n, t, inverse):
-        replayed.append((id(log), t, inverse))
-        return orig_replay(log, n, t, inverse)
-
-    def snf(m):
-        snfs.append(orig_snf(m))
-        return snfs[-1]
-
-    monkeypatch.setattr(abelian_mod, "_replay", replay)
-    monkeypatch.setattr(abelian_mod, "smith_normal_form", snf)
-    monkeypatch.setattr(ktheory_mod, "smith_normal_form", snf)
+    snfs, replayed = _count_replays(monkeypatch)
     kt = ktheory(graph)
-    # each vector read is replayed once, and no dense transform is built
-    assert len(set(replayed)) == len(replayed)
-    assert not any(name in vars(s) for s in snfs for name in ("u", "v", "v_inv", "d"))
-    # core vectors: rows of U, columns of V and rows of V^-1 over every core
-    core_vectors = sum(len(s._bases[0]) + 2 * len(s._bases[1]) for s in snfs)
-    got = (len(snfs), len(replayed), core_vectors, kt.k0.canonical_pair(), kt.k1.canonical_pair())
+    _assert_each_vector_replayed_once(snfs, replayed)
+    assert not _built_dense_transforms(snfs)
+    # the row and column operations logged over every Smith form: each
+    # vector read replays one of these logs in full
+    ops = sum(len(log) for _, s in snfs for log in s._logs)
+    got = (len(snfs), len(replayed), ops, kt.k0.canonical_pair(), kt.k1.canonical_pair())
     assert got == pinned
 
 
