@@ -8,12 +8,15 @@ generators by one relation per u in S:
 
 i.e. K0 = cokernel of the relation matrix R whose row at u is
 e_u - sum e_{t(e)}.  The degree-one group is free; it is computed along two
-independent routes and the two answers are required to agree exactly:
+routes and the two answers are required to agree exactly:
 
-* as the kernel of the map Z^S -> Z^{F0} sending c to sum c_u * row_u, and
-* as the sublattice of integer vertex functions x satisfying
-  x(u) = sum_{e into u} x(o(e)) at every vertex, intersected with the
-  functions vanishing off S (the index-map description).
+* as the kernel of the map Z^S -> Z^{F0} sending c to sum c_u * row_u,
+  read from the rows of U past the rank in the Smith form of R, and
+* as the sublattice of integer vertex functions x vanishing off S with
+  x(u) = sum_{e into u} x(o(e)) at every vertex (the index-map
+  description).  On Z^S these equations are the transposed matrix R^T, so
+  this is the kernel of R^T, read from the V columns of its own Smith form.
+  With no exempt vertex the two routes read the same Smith form of R.
 
 The index (boundary) map sends such an x to the vector
 (-sum_{e into u} x(o(e)))_{u outside S}; ``les_check`` verifies exactness of
@@ -45,7 +48,6 @@ from .abelian import (
     colimit_chain_detailed,
     format_group,
     kernel_basis,
-    smith_normal_form,
 )
 from .graphs import (
     B2Report,
@@ -122,15 +124,9 @@ def ktheory(graph: FiniteGraph) -> KTheoryResult:
     """K0 and K1 of the algebra of ``graph`` with its relation-exempt set.
 
     The two descriptions of K1 (kernel of the relation map, and vertex
-    functions satisfying the incoming-edge relations on S and vanishing off
-    S) are both computed and must agree; disagreement raises.
+    functions satisfying the incoming-edge relations and vanishing off S)
+    are both computed and must agree; disagreement raises.
     """
-    return _ktheory(graph, None)
-
-
-def _ktheory(graph: FiniteGraph, full_k1: IntMatrix | None) -> KTheoryResult:
-    """``ktheory``, given ``full_k1``, the ``k1_lattice`` of the same graph with
-    no exempt vertex, when the caller already has it."""
     verts = graph.vertex_list
     nv = len(verts)
     vidx = {v: i for i, v in enumerate(verts)}
@@ -141,36 +137,31 @@ def _ktheory(graph: FiniteGraph, full_k1: IntMatrix | None) -> KTheoryResult:
     k0 = cokernel(rel, generators=verts)
     snf = k0.presentation.snf
     classes = dict(zip(verts, k0.presentation.generator_classes()))
-
-    # both routes read the rows of U past the rank: they span the left kernel
-    # route one: saturated basis of the left kernel of the relation matrix,
-    # i.e. coefficient vectors over S, extended by zero off S
     spos = [vidx[u] for u in svs]
-    cols: list[list[int]] = []
-    for i in range(snf.rank, len(svs)):
-        x = [0] * nv
-        for k, c in snf.u_row(i).items():
-            x[spos[k]] = c
-        cols.append(x)
-    lattice_a = IntMatrix.from_rows(cols, cols=nv).transpose()
 
-    # route two: vertex functions satisfying the full incoming-edge relations
-    # (the degree-one lattice with no exempt vertex), cut down by vanishing on
-    # the exempt vertices
-    if full_k1 is None:
-        snf_all = smith_normal_form(relation_matrix(graph, at_vertices=verts)) if exempt else snf
-        full_k1 = IntMatrix.from_sparse_columns(nv, [snf_all.u_row(i) for i in range(snf_all.rank, nv)])
-    lattice_b = full_k1
+    def off_s_zero(vectors) -> IntMatrix:
+        # coefficient vectors over S, extended by zero off S, as columns
+        return IntMatrix.from_sparse_columns(nv, [{spos[k]: c for k, c in x.items()} for x in vectors])
+
+    # route one: the rows of U past the rank of the relation matrix span its
+    # left kernel, the c in Z^S with sum c_u * row_u = 0
+    lattice_a = off_s_zero(snf.u_row(i) for i in range(snf.rank, len(svs)))
+
+    # route two: vertex functions vanishing off S with x(u) = sum of x(o(e))
+    # over edges into u at every vertex u.  On Z^S these equations are the
+    # transposed relation matrix, so with exempt vertices route two is its
+    # kernel, a Smith form of its own; with none it reuses route one's rows
     if exempt:
-        # rows of the K1(O) basis at exempt positions; kill them integrally
-        restricted = IntMatrix.from_rows([full_k1.row(vidx[u]) for u in exempt], cols=full_k1.cols)
-        lattice_b = full_k1 @ kernel_basis(restricted)
+        ker = kernel_basis(rel.transpose())
+        lattice_b = off_s_zero(dict(enumerate(ker.col(j))) for j in range(ker.cols))
+    else:
+        lattice_b = lattice_a
 
     la, lb = ColumnLattice(lattice_a), ColumnLattice(lattice_b)
     if not la.equals(lb):
         raise AssertionError("the two K1 computations disagree; this is a bug")
 
-    for col in cols:
+    for col in (lattice_a.col(j) for j in range(lattice_a.cols)):
         if not _k1_relations_hold(graph, col, svs):
             raise AssertionError("K1 representative violates a relation on S")
         if any(col[vidx[u]] for u in exempt):
@@ -253,10 +244,8 @@ def les_check(graph: FiniteGraph) -> LesReport:
     verts = graph.vertex_list
     exempt = tuple(sorted(graph.relation_exempt))
 
-    # route two of the Toeplitz K1 check starts from the full-relation K1
-    # lattice, which kt_o has already computed
     kt_o = ktheory(FiniteGraph(graph.vertices, graph.edges, ()))
-    kt_t = _ktheory(graph, kt_o.k1_lattice)
+    kt_t = ktheory(graph)
 
     report.terms["k1_toeplitz"] = format_group(kt_t.k1)
     report.terms["k1_full"] = format_group(kt_o.k1)

@@ -96,6 +96,16 @@ def test_malformed_file_exits_two(capsys, tmp_path):
     assert "line 1" in err
 
 
+def test_deeply_nested_file_exits_two(capsys, tmp_path):
+    # json.load recurses once per bracket and overflows the interpreter stack
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000, encoding="utf-8")
+    for command in ("check", "ktheory", "les-check"):
+        code, out, err = run(capsys, command, str(deep))
+        assert code == 2, command
+        assert out == "" and "nested too deeply" in err and "Traceback" not in err
+
+
 def test_directory_input_exits_two(capsys, tmp_path):
     for command in ("check", "ktheory", "les-check", "colimit"):
         code, out, err = run(capsys, command, str(tmp_path))

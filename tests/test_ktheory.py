@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from graphck.abelian import ColumnLattice, IntMatrix
+from graphck.abelian import ColumnLattice, IntMatrix, kernel_basis, smith_normal_form
 from graphck.graphs import FiniteGraph, GraphChain
 from graphck.ktheory import (
     boundary_map,
@@ -28,9 +28,8 @@ def loops(n):
 
 @pytest.fixture
 def snf_calls(monkeypatch):
-    """Shapes of every Smith form computed, through both module bindings."""
+    """Shapes of every Smith form computed."""
     abelian_mod = importlib.import_module("graphck.abelian")
-    ktheory_mod = importlib.import_module("graphck.ktheory")
     orig = abelian_mod.smith_normal_form
     calls = []
 
@@ -39,7 +38,6 @@ def snf_calls(monkeypatch):
         return orig(m)
 
     monkeypatch.setattr(abelian_mod, "smith_normal_form", counting)
-    monkeypatch.setattr(ktheory_mod, "smith_normal_form", counting)
     return calls
 
 
@@ -190,6 +188,108 @@ def test_k1_column_lattice_is_the_checked_lattice():
         assert lat.equals(ColumnLattice(kt.k1_lattice))
 
 
+def _full_relation_route_two(graph):
+    """Route two as first formulated, kept as a reference: the left kernel of
+    the full relation matrix (the degree-one lattice with no exempt vertex),
+    cut down to the vectors vanishing on the exempt vertices."""
+    verts = graph.vertex_list
+    full = smith_normal_form(relation_matrix(graph, at_vertices=verts))
+    full_k1 = IntMatrix.from_sparse_columns(len(verts), [full.u_row(i) for i in range(full.rank, len(verts))])
+    at_exempt = [full_k1.row(verts.index(u)) for u in sorted(graph.relation_exempt)]
+    return full_k1 @ kernel_basis(IntMatrix.from_rows(at_exempt, cols=full_k1.cols))
+
+
+def _recorded_route_two(monkeypatch, graph):
+    """ktheory(graph) and its route-two lattice, the kernel of the transposed
+    relation matrix extended by zero off S."""
+    ktheory_mod = importlib.import_module("graphck.ktheory")
+    kernels = []
+
+    def recording(m):
+        kernels.append(kernel_basis(m))
+        return kernels[-1]
+
+    monkeypatch.setattr(ktheory_mod, "kernel_basis", recording)
+    kt = ktheory(graph)
+    monkeypatch.undo()
+    (ker,) = kernels
+    verts, svs = graph.vertex_list, graph.s_vertices
+    rows = [(0,) * ker.cols] * len(verts)
+    for k, u in enumerate(svs):
+        rows[verts.index(u)] = ker.row(k)
+    return kt, IntMatrix.from_rows(rows, cols=ker.cols)
+
+
+def _route_two_graphs():
+    rng = random.Random(93)
+    for _ in range(300):
+        nv = rng.randint(1, 12)
+        verts = [f"v{i:02d}" for i in range(nv)]
+        edges = [(f"e{k:02d}", rng.choice(verts), rng.choice(verts)) for k in range(rng.randint(0, 3 * nv))]
+        exempt = [v for v in verts if rng.random() < rng.choice((0.1, 0.3, 0.6))] or [rng.choice(verts)]
+        yield FiniteGraph(verts, edges, exempt)
+    for chain in (build_case_ii(3, 1, (2,), 6), build_case_ii(2, 1, (3,), 6), build_case_iii(3, 1, (2,), 6)):
+        for n in range(len(chain)):
+            yield chain.layer_graph(n)
+
+
+def test_route_two_matches_the_full_relation_formulation(monkeypatch):
+    nonzero = 0
+    for g in _route_two_graphs():
+        assert g.relation_exempt
+        kt, route_two = _recorded_route_two(monkeypatch, g)
+        reference = ColumnLattice(_full_relation_route_two(g))
+        assert reference.equals(ColumnLattice(route_two)), (g.vertex_list, g.edges, sorted(g.relation_exempt))
+        assert reference.equals(kt.k1_column_lattice())
+        nonzero += not kt.k1.is_trivial
+    # 60 of the random graphs and all 18 chain layers have K1 != 0
+    assert nonzero == 78
+
+
+@pytest.mark.parametrize("corrupt", ["drop", "double"])
+@pytest.mark.parametrize(
+    "graph",
+    [build_case_ii(3, 1, (2,), 5).layer_graph(2), build_case_iii(3, 1, (2,), 5).layer_graph(2)],
+)
+def test_dual_route_check_catches_a_corrupted_route_two(monkeypatch, graph, corrupt):
+    kt = ktheory(graph)
+    assert graph.relation_exempt and kt.k1.free_rank >= 1
+    ktheory_mod = importlib.import_module("graphck.ktheory")
+
+    def corrupted(m):
+        ker = kernel_basis(m)
+        cols = [ker.col(j) for j in range(ker.cols)]
+        if corrupt == "drop":
+            cols.pop()
+        else:
+            cols[0] = [2 * x for x in cols[0]]
+        return IntMatrix.from_rows(cols, cols=m.cols).transpose()
+
+    monkeypatch.setattr(ktheory_mod, "kernel_basis", corrupted)
+    with pytest.raises(AssertionError, match="two K1 computations disagree"):
+        ktheory(graph)
+
+
+def test_ktheory_with_exempt_vertices_reduces_no_full_relation_matrix(snf_calls):
+    rng = random.Random(5)
+    verts = [f"v{i:02d}" for i in range(40)]
+    edges = [(f"e{k:03d}", rng.choice(verts), rng.choice(verts)) for k in range(120)]
+    graphs = [
+        FiniteGraph(verts, edges, rng.sample(verts, 8)),
+        build_case_ii(3, 1, (2,), 6).layer_graph(4),
+        build_case_iii(3, 1, (2,), 6).layer_graph(4),
+    ]
+    for g in graphs:
+        del snf_calls[:]
+        ktheory(g)
+        nv, ns = len(g.vertex_list), len(g.s_vertices)
+        assert 0 < ns < nv
+        # the relation matrix for K0 and route one, its transpose for route
+        # two, and the nv-row lattices of the two routes
+        assert snf_calls[:2] == [(ns, nv), (nv, ns)]
+        assert (nv, nv) not in snf_calls
+
+
 # ---------------------------------------------------------------------------
 # Long exact sequence
 # ---------------------------------------------------------------------------
@@ -213,9 +313,9 @@ def test_les_on_tower_layer():
 
 def test_les_reuses_the_ktheory_smith_forms(snf_calls):
     # two ktheory calls and the node checks; the Toeplitz relation matrix, its
-    # degree-one lattice and the full presentation come from ktheory, and the
-    # Toeplitz K1 check starts from the full K1 lattice instead of reducing
-    # the full relation matrix again
+    # degree-one lattice and the full presentation come from ktheory.  The
+    # Toeplitz ktheory reduces the transposed Toeplitz matrix for route two,
+    # never the full relation matrix, which only the full ktheory reduces
     rep = les_check(build_case_ii(2, 1, (), 5).layer_graph(1))
     assert rep.passed
     assert sorted(rep.nodes) == [
@@ -465,11 +565,13 @@ def test_chain_vertex_classes_push_to_the_settled_layer_class(chain):
 def test_chain_report_smith_form_count(snf_calls):
     # pinned: each layer's degree-one lattice is reduced once, inside ktheory,
     # and reused by the degree-one inclusion maps; canonical groups take their
-    # diagonal Smith forms without a reduction
+    # diagonal Smith forms without a reduction; every layer has an exempt
+    # vertex, so its route two reduces the transposed relation matrix and no
+    # full relation matrix
     chain = build_case_ii(2, 1, (3,), 6)
     assert len(chain) == 6
     rep = chain_ktheory_report(chain, window=2)
-    assert len(snf_calls) == 58
+    assert len(snf_calls) == 52
     assert (rep.k0.canonical_pair(), rep.k1.canonical_pair(), rep.stabilized) == ((0, (3,)), (1, ()), True)
 
 
@@ -497,7 +599,6 @@ def _count_replays(monkeypatch):
     """Route every Smith form through a recorder; returns the list of Smith
     forms and the list of ``_replay`` calls, one per transform vector built."""
     abelian_mod = importlib.import_module("graphck.abelian")
-    ktheory_mod = importlib.import_module("graphck.ktheory")
     orig_replay, orig_snf = abelian_mod._replay, abelian_mod.smith_normal_form
     replayed, snfs = [], []
 
@@ -511,7 +612,6 @@ def _count_replays(monkeypatch):
 
     monkeypatch.setattr(abelian_mod, "_replay", replay)
     monkeypatch.setattr(abelian_mod, "smith_normal_form", snf)
-    monkeypatch.setattr(ktheory_mod, "smith_normal_form", snf)
     return snfs, replayed
 
 
@@ -533,10 +633,9 @@ def _built_dense_transforms(snfs):
         # and the dense transforms of the three Smith forms hold 20 vectors
         (build_case_i(0, (2, 2, 5)), 2, 20),
         # one exempt vertex: K0 reads one torsion and two free V columns of
-        # the Toeplitz matrix and K1 its one U row past the rank; route two
-        # reads the two U rows past the rank of the full relation matrix and
-        # one kernel V column of the exempt rows' 1x2 restriction
-        (build_case_ii(2, 1, (3,), 6).layer_graph(2), 7, 144),
+        # the 16x17 Toeplitz matrix and K1 its one U row past the rank; route
+        # two reads the one kernel V column of the 17x16 transposed matrix
+        (build_case_ii(2, 1, (3,), 6).layer_graph(2), 5, 137),
     ],
 )
 def test_ktheory_folds_only_the_transform_vectors_it_reads(monkeypatch, graph, reads, vectors):
@@ -555,10 +654,11 @@ def test_ktheory_folds_only_the_transform_vectors_it_reads(monkeypatch, graph, r
 @pytest.mark.parametrize(
     "n,outdeg,seed,exempt,pinned",
     [
-        # out-degree 20 leaves dense cores, 29x45 (Toeplitz) and 46x46 (full):
-        # K0 = Z^16 reads the 16 V columns at the free positions of the first,
-        # and the second has full rank, so no U row of it is read
-        (80, 20, 7, True, (5, 16, 16694, (16, ()), (0, ()))),
+        # out-degree 20 leaves dense cores in the 64x80 Toeplitz matrix (29x45)
+        # and in its transpose: K0 = Z^16 reads the 16 V columns at the free
+        # positions of the first; K1 = 0, so route one reads no U row and
+        # route two no kernel V column of the transpose
+        (80, 20, 7, True, (4, 16, 12797, (16, ()), (0, ()))),
         # K0 = Z + Z/2 reads the torsion V column of an 11x10 core, and K1 = Z
         # its one U row past the rank and the zero row's; both degree-one
         # lattices are 100x1 with a 97x1 core, whose membership tests run the
