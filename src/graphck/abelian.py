@@ -28,6 +28,7 @@ with an explicit, honestly-flagged stabilization heuristic.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -128,7 +129,7 @@ class IntMatrix:
 
     def transpose(self) -> "IntMatrix":
         c, ents = self.cols, self.entries
-        return IntMatrix._of(c, self.rows, tuple(x for j in range(c) for x in ents[j::c]))
+        return IntMatrix._of(c, self.rows, tuple(itertools.chain.from_iterable(ents[j::c] for j in range(c))))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -294,6 +295,10 @@ class SmithDecomposition:
         order = self._orders[0]
         return [x[order[k]] for k in range(start, self.rows)]
 
+    def kernel(self) -> IntMatrix:
+        """Basis of {x : M @ x == 0} as columns: the columns of V past the rank."""
+        return IntMatrix.from_sparse_columns(self.cols, [self.v_col(j) for j in range(self.rank, self.cols)])
+
     @cached_property
     def u(self) -> IntMatrix:
         n = self.rows
@@ -355,9 +360,12 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     own.  Those are appended to the presolve's, translated to the matrix's
     indices, so one row log and one column log give every transform vector
     (see ``SmithDecomposition``).  The diagonal, and the output order of rows
-    and columns, hold the unit pivots, then the core, then zero lines.
+    and columns, hold the unit pivots, then the core, then zero lines.  A
+    matrix with no row or no column is its own Smith form.
     """
     nrows, ncols = m.rows, m.cols
+    if not nrows or not ncols:
+        return SmithDecomposition(nrows, ncols, (), (range(nrows), range(ncols)), ((), ()))
     rows, colrows, pivots, rlog, clog = _presolve(m)
     core_rows = [i for i in range(nrows) if rows[i]]
     core_cols = [j for j in range(ncols) if colrows[j]]
@@ -652,8 +660,7 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     The kernel of an integer matrix is saturated (a direct summand), and the
     columns of V at zero diagonal positions form a basis of it.
     """
-    snf = smith_normal_form(m)
-    return IntMatrix.from_sparse_columns(m.cols, [snf.v_col(j) for j in range(snf.rank, m.cols)])
+    return smith_normal_form(m).kernel()
 
 
 # ---------------------------------------------------------------------------
@@ -996,6 +1003,18 @@ class GroupHom:
         self._canonical_matrix = None
         self._verify_well_defined()
 
+    @classmethod
+    def _of(cls, domain: FgAbelianGroup, codomain: FgAbelianGroup, matrix: IntMatrix) -> "GroupHom":
+        """Wrap a matrix its caller has already proved well defined.
+
+        Skips the shape check and the relation-by-relation test of the public
+        constructor; ``ktheory.inclusion_k0`` proves both from the graphs.
+        """
+        hom = object.__new__(cls)
+        hom.domain, hom.codomain, hom.matrix = domain, codomain, matrix
+        hom._canonical_matrix = None
+        return hom
+
     def _verify_well_defined(self):
         cod = self.codomain.presentation
         cod_rows = set(cod.relations.iter_rows())
@@ -1107,19 +1126,20 @@ def colimit_chain_detailed(
         ):
             raise ValueError(f"hom {i} does not connect groups {i} -> {i + 1}")
 
+    # only the reduced groups of the final stretch are read
     last = n - 1 - window
-    reduced: list[FgAbelianGroup] = []
-    for i in range(last + 1):
+    first = last - min(window + 1, last)
+    reduced: dict[int, FgAbelianGroup] = {}
+    for i in range(first, last + 1):
         comp = homs[i]
         for j in range(i + 1, i + window):
             comp = hom_compose(comp, homs[j])
         pre = _preimage_lattice_rows(comp.matrix, groups[i + window].presentation)
         rel = groups[i].presentation.relations.vstack(pre)
-        reduced.append(cokernel(rel, groups[i].presentation.generators))
+        reduced[i] = cokernel(rel, groups[i].presentation.generators)
 
-    checks = min(window + 1, last)
     stabilized = True
-    for i in range(last - checks, last):
+    for i in range(first, last):
         induced = GroupHom(reduced[i], reduced[i + 1], homs[i].matrix)
         if not induced.is_isomorphism():
             stabilized = False

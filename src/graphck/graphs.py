@@ -126,7 +126,7 @@ class FiniteGraph:
         return self.vertices <= other.vertices and set(self.edges) <= set(other.edges)
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, FiniteGraph)
             and self.vertices == other.vertices
             and self.edges == other.edges
@@ -537,23 +537,22 @@ def check_condition_a(chain: GraphChain) -> ConditionReport:
 
 
 def _out_star_shape(
-    graph_edges: Sequence[Edge], u: str, classes: Mapping[str, tuple]
-) -> list[tuple[int, bool, tuple]] | None:
+    termini: Sequence[str], u: str, classes: Mapping[str, tuple]
+) -> tuple[tuple[int, bool, tuple], ...] | None:
     """Multiset describing u's out-star: (multiplicity, is-loop, terminus class).
 
-    Returns None when some terminus has no class available.
+    ``termini`` lists the terminus of every edge leaving u.  Returns None
+    when some terminus has no class available.
     """
     per_terminus: dict[str, int] = {}
-    for _, o, t in graph_edges:
-        if o == u:
-            per_terminus[t] = per_terminus.get(t, 0) + 1
+    for t in termini:
+        per_terminus[t] = per_terminus.get(t, 0) + 1
     shape = []
     for t, count in per_terminus.items():
         if t not in classes:
             return None
         shape.append((count, t == u, tuple(classes[t])))
-    shape.sort()
-    return shape
+    return tuple(sorted(shape))
 
 
 @dataclass
@@ -589,21 +588,22 @@ def check_condition_b2(chain: GraphChain, k0_class: Mapping[str, tuple]) -> B2Re
     """
     report = B2Report()
     d = chain.infinite_vertices
-    candidates = sorted(chain.layers[0] - d)
-    cand_shapes = {}
-    for v in candidates:
-        cand_shapes[v] = _out_star_shape(chain.edges, v, k0_class)
+    termini: dict[str, list[str]] = {}
+    for _, o, t in chain.edges:
+        termini.setdefault(o, []).append(t)
+    # the first layer-0 vertex, in sorted order, of each out-star shape
+    first_with: dict[tuple, str] = {}
+    for v in sorted(chain.layers[0] - d):
+        shape = _out_star_shape(termini.get(v, ()), v, k0_class)
+        if shape is not None:
+            first_with.setdefault(shape, v)
 
     for u in sorted(chain.vertices - chain.layers[0] - d):
-        shape = _out_star_shape(chain.edges, u, k0_class)
+        shape = _out_star_shape(termini.get(u, ()), u, k0_class)
         if shape is None:
             report.unchecked.append(u)
             continue
-        found = None
-        for v in candidates:
-            if cand_shapes[v] is not None and cand_shapes[v] == shape:
-                found = v
-                break
+        found = first_with.get(shape)
         if found is None:
             report.failures[u] = "no layer-0 vertex with an isomorphic out-star"
         else:

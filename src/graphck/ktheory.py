@@ -150,14 +150,12 @@ def ktheory(graph: FiniteGraph) -> KTheoryResult:
     # route two: vertex functions vanishing off S with x(u) = sum of x(o(e))
     # over edges into u at every vertex u.  On Z^S these equations are the
     # transposed relation matrix, so with exempt vertices route two is its
-    # kernel, a Smith form of its own; with none it reuses route one's rows
+    # kernel, a Smith form of its own; with none it reuses route one's lattice
     if exempt:
         ker = kernel_basis(rel.transpose())
         lattice_b = off_s_zero(dict(enumerate(ker.col(j))) for j in range(ker.cols))
-    else:
-        lattice_b = lattice_a
-
-    la, lb = ColumnLattice(lattice_a), ColumnLattice(lattice_b)
+    la = ColumnLattice(lattice_a)
+    lb = ColumnLattice(lattice_b) if exempt else la
     if not la.equals(lb):
         raise AssertionError("the two K1 computations disagree; this is a bug")
 
@@ -244,8 +242,9 @@ def les_check(graph: FiniteGraph) -> LesReport:
     verts = graph.vertex_list
     exempt = tuple(sorted(graph.relation_exempt))
 
-    kt_o = ktheory(FiniteGraph(graph.vertices, graph.edges, ()))
     kt_t = ktheory(graph)
+    # with no exempt vertex the graph is its own full-relation graph
+    kt_o = ktheory(FiniteGraph(graph.vertices, graph.edges, ())) if exempt else kt_t
 
     report.terms["k1_toeplitz"] = format_group(kt_t.k1)
     report.terms["k1_full"] = format_group(kt_o.k1)
@@ -258,13 +257,14 @@ def les_check(graph: FiniteGraph) -> LesReport:
     k1_full = kt_o.k1_lattice
     bdry_cols = [boundary_map(graph, k1_full.col(j)) for j in range(k1_full.cols)]
     bmat = IntMatrix.from_rows(bdry_cols, cols=len(exempt)).transpose()
-    ker_boundary = k1_full @ kernel_basis(bmat)
+    image = ColumnLattice(bmat)  # its Smith form gives node 1's kernel and node 2's image
+    ker_boundary = k1_full @ image.snf.kernel()
     report.nodes["exact_at_k1_full"] = kt_t.k1_column_lattice().equals(ColumnLattice(ker_boundary))
 
     # node 2: image of the index map equals the kernel of the ideal-class map
     ideal_rows = relation_matrix(graph, at_vertices=exempt)
     kerj = _preimage_lattice_rows(ideal_rows.transpose(), kt_t.k0.presentation).transpose()
-    report.nodes["exact_at_ideal"] = ColumnLattice(bmat).equals(ColumnLattice(kerj))
+    report.nodes["exact_at_ideal"] = image.equals(ColumnLattice(kerj))
 
     # node 3: the kernel of K0(T) -> K0(O) is the image of the ideal classes;
     # at the lattice level: full relations = S relations + ideal-class vectors
@@ -332,7 +332,11 @@ def inclusion_k0(
     """Generator-wise map of Toeplitz K0 groups along a graph inclusion.
 
     Requires each relation vertex of the small graph to have identical
-    out-edge sets in both graphs, so the relation rows literally agree.
+    out-edge sets in both graphs.  That proves the map well defined: S of the
+    small graph lies in S of the large one, so each small relation row is
+    sent to the large relation row of the same vertex.  The hom is therefore
+    built without the relation-by-relation test of ``GroupHom``; the proof
+    needs the given K-theory results to be those of the two graphs.
     """
     _require_inclusion(small, large)
     for u in small.s_vertices:
@@ -340,12 +344,14 @@ def inclusion_k0(
             raise ValueError(f"out-edges at relation vertex {u!r} differ between the graphs")
     kt_small = kt_small or ktheory(small)
     kt_large = kt_large or ktheory(large)
+    if kt_small.graph != small or kt_large.graph != large:
+        raise ValueError("the K-theory results passed are not those of the two graphs")
     large_idx = {v: i for i, v in enumerate(kt_large.vertex_order)}
     nlarge, nsmall = len(kt_large.vertex_order), len(kt_small.vertex_order)
     ents = [0] * (nlarge * nsmall)
     for j, v in enumerate(kt_small.vertex_order):
         ents[large_idx[v] * nsmall + j] = 1
-    return GroupHom(kt_small.k0, kt_large.k0, IntMatrix._of(nlarge, nsmall, tuple(ents)))
+    return GroupHom._of(kt_small.k0, kt_large.k0, IntMatrix._of(nlarge, nsmall, tuple(ents)))
 
 
 def ideal_class_image(
@@ -422,10 +428,24 @@ def _canonical_sibling(group: FgAbelianGroup) -> FgAbelianGroup:
     return FgAbelianGroup.canonical(group.free_rank, group.invariant_factors)
 
 
-def _canonicalize_k0_hom(
-    hom: GroupHom, dom_c: FgAbelianGroup, cod_c: FgAbelianGroup
-) -> GroupHom:
-    return GroupHom(dom_c, cod_c, hom.canonical_matrix())
+def _canonical_inclusion_k0(small: KTheoryResult, large: KTheoryResult) -> IntMatrix:
+    """Canonical-coordinate matrix of the degree-zero map of a layer inclusion.
+
+    The section of canonical generator j is a vertex vector of the small
+    layer, and the inclusion sends each vertex to itself.  So column j is the
+    reduced sum of the large layer's vertex classes, weighted by the section.
+    """
+    pres, order = small.k0.presentation, small.vertex_order
+    cod, classes = large.k0, large.k0_class_of_vertex
+    torsion, free = pres.coordinate_positions()
+    cols = []
+    for pos in torsion + free:
+        acc = [0] * cod.ncoords
+        for i, x in pres.snf.vinv_row(pos).items():
+            for t, y in enumerate(classes[order[i]]):
+                acc[t] += x * y
+        cols.append(cod.reduce_coords(acc))
+    return IntMatrix.from_rows(cols, cols=cod.ncoords).transpose()
 
 
 def chain_ktheory_report(chain: GraphChain, window: int = 2, force: bool = False) -> ChainKTheory:
@@ -445,14 +465,15 @@ def chain_ktheory_report(chain: GraphChain, window: int = 2, force: bool = False
     layer_graphs = [chain.layer_graph(n) for n in range(nlayers)]
     kts = [ktheory(g) for g in layer_graphs]
 
-    # degree zero: presentation-level inclusions, then canonical-coordinate chain
+    # degree zero: presentation-level inclusions, checked from the graphs,
+    # then the canonical-coordinate chain read from the layer classes
     k0_homs = [
         inclusion_k0(layer_graphs[n], layer_graphs[n + 1], kts[n], kts[n + 1])
         for n in range(nlayers - 1)
     ]
     k0_canon_groups = [_canonical_sibling(kt.k0) for kt in kts]
     k0_canon_homs = [
-        _canonicalize_k0_hom(k0_homs[n], k0_canon_groups[n], k0_canon_groups[n + 1])
+        GroupHom(k0_canon_groups[n], k0_canon_groups[n + 1], _canonical_inclusion_k0(kts[n], kts[n + 1]))
         for n in range(nlayers - 1)
     ]
     k0_res = colimit_chain_detailed(k0_canon_groups, k0_canon_homs, window)

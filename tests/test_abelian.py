@@ -116,6 +116,33 @@ def test_snf_empty_shapes():
         s.verify(m)
 
 
+@pytest.mark.parametrize("n", range(6))
+def test_snf_with_no_row_or_column_runs_no_presolve(monkeypatch, n):
+    # such a matrix is its own Smith form: every transform is the identity
+    def no_presolve(m):
+        raise AssertionError("the presolve ran on a matrix with no row or no column")
+
+    monkeypatch.setattr(abelian, "_presolve", no_presolve)
+    for m in (IntMatrix(n, 0, []), IntMatrix(0, n, [])):
+        s = smith_normal_form(m)
+        assert (s.diagonal, s.rank) == ((), 0)
+        s.verify(m)
+        assert [s.u_row(i) for i in range(m.rows)] == [{i: 1} for i in range(m.rows)]
+        assert [s.v_col(j) for j in range(m.cols)] == [{j: 1} for j in range(m.cols)]
+        assert [s.vinv_row(j) for j in range(m.cols)] == [{j: 1} for j in range(m.cols)]
+        assert s.kernel() == IntMatrix.identity(m.cols)
+
+
+@pytest.mark.parametrize("rows,cols", [(0, 0), (0, 3), (3, 0), (1, 1), (1, 5), (5, 1), (4, 7), (9, 9)])
+def test_transpose_matches_plain_loops(rows, cols):
+    rng = random.Random(rows * 10 + cols)
+    m = IntMatrix(rows, cols, [rng.randint(-5, 5) for _ in range(rows * cols)])
+    t = m.transpose()
+    assert (t.rows, t.cols) == (cols, rows)
+    assert t.to_lists() == [[m.entry(i, j) for i in range(rows)] for j in range(cols)]
+    assert t.transpose() == m
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(0, 8),
@@ -787,6 +814,54 @@ def test_colimit_isomorphism_chain_returns_first_group():
     homs = [GroupHom.identity(g)] * 4
     res = colimit_chain_detailed(groups, homs, 2)
     assert res.stabilized and res.group.canonical_pair() == g.canonical_pair()
+
+
+def _colimit_reducing_every_group(groups, homs, window):
+    """The colimit as first written: a reduced group for every index up to
+    the settled one.  Returns (reduced group, stabilized, settled index)."""
+    last = len(groups) - 1 - window
+    reduced = []
+    for i in range(last + 1):
+        comp = homs[i]
+        for j in range(i + 1, i + window):
+            comp = hom_compose(comp, homs[j])
+        pre = abelian._preimage_lattice_rows(comp.matrix, groups[i + window].presentation)
+        rel = groups[i].presentation.relations.vstack(pre)
+        reduced.append(cokernel(rel, groups[i].presentation.generators))
+    checks = min(window + 1, last)
+    stabilized = all(
+        GroupHom(reduced[i], reduced[i + 1], homs[i].matrix).is_isomorphism() for i in range(last - checks, last)
+    )
+    return reduced[last], stabilized, last
+
+
+def _deep_chains():
+    z, z2, mixed = FgAbelianGroup.canonical(1), FgAbelianGroup.canonical(2), parse_group_expr("Z + Z/2 + Z/4")
+    shift = GroupHom(z2, z2, M([[0, 0], [1, 0]]))  # kills the second generator after one step
+    onto = GroupHom(mixed, mixed, M([[1, 0, 0], [0, 1, 2], [0, 0, 1]]))
+    return {
+        "doubling": ([z] * 18, [GroupHom(z, z, M([[2]]))] * 17),
+        "shift": ([z2] * 18, [shift] * 17),
+        "mixed": ([mixed] * 18, [onto] * 17),
+    }
+
+
+@pytest.mark.parametrize("name", ["doubling", "shift", "mixed"])
+@pytest.mark.parametrize("window", [1, 2, 3])
+def test_colimit_reduces_only_the_final_stretch(monkeypatch, name, window):
+    # a depth-16 chain: the stabilization check reads the reduced groups at
+    # the last window + 2 indices, so only those are computed
+    groups, homs = _deep_chains()[name]
+    ref_group, ref_stabilized, ref_last = _colimit_reducing_every_group(groups, homs, window)
+    calls = []
+    monkeypatch.setattr(abelian, "cokernel", lambda m, gens=None: calls.append(m) or cokernel(m, gens))
+    res = colimit_chain_detailed(groups, homs, window)
+    assert len(calls) == window + 2 < ref_last + 1
+    assert (res.settled_index, res.stabilized) == (ref_last, ref_stabilized)
+    assert res.group.canonical_pair() == ref_group.canonical_pair()
+    assert res.group.presentation.relations == ref_group.presentation.relations
+    assert res.reduction.matrix == IntMatrix.identity(groups[ref_last].presentation.ngens)
+    assert res.reduction.codomain is res.group
 
 
 def test_colimit_window_too_short():

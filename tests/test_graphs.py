@@ -23,6 +23,7 @@ from graphck.graphs import (
     is_irreducible,
     toeplitz_s_set,
 )
+from graphck.ktheory import chain_ktheory_report
 from graphck.synthesis import build_case_ii, build_case_iii
 
 
@@ -359,6 +360,56 @@ def test_b2_missing_classes_are_unchecked():
     report = check_condition_b2(chain, {"u": (0,), "v": (0,), "w": (0,)})
     assert report.unchecked == ["x"]
     assert report.passed  # unchecked is not failure
+
+
+def per_vertex_b2(chain, classes):
+    """(b2) by its definition: every out-star read from a scan of all edges."""
+    d = chain.infinite_vertices
+
+    def shape(u):
+        counts = {}
+        for _, o, t in chain.edges:
+            if o == u:
+                counts[t] = counts.get(t, 0) + 1
+        if any(t not in classes for t in counts):
+            return None
+        return sorted((c, t == u, tuple(classes[t])) for t, c in counts.items())
+
+    candidates = sorted(chain.layers[0] - d)
+    matches, failures, unchecked = {}, {}, []
+    for u in sorted(chain.vertices - chain.layers[0] - d):
+        want = shape(u)
+        if want is None:
+            unchecked.append(u)
+            continue
+        found = next((v for v in candidates if shape(v) is not None and shape(v) == want), None)
+        if found is None:
+            failures[u] = "no layer-0 vertex with an isomorphic out-star"
+        else:
+            matches[u] = found
+    return {"passed": not failures, "matches": matches, "failures": failures, "unchecked": unchecked}
+
+
+def test_b2_matches_a_per_vertex_scan():
+    rng = random.Random(41)
+    cases = []
+    for chain in (build_case_ii(2, 1, (), 6), build_case_ii(3, 1, (2,), 6), build_case_iii(2, 1, (3,), 6)):
+        classes = chain_ktheory_report(chain, window=2).k0_class_map
+        cases.append((chain, classes))
+        # a class map that misses a vertex, and one that moves a class
+        cases.append((chain, {v: c for v, c in classes.items() if v != min(classes)}))
+        cases.append((chain, {**classes, max(classes): (7,) * len(classes[max(classes)])}))
+    for _ in range(600):
+        chain = random_chain(rng)
+        classes = {v: (rng.randint(0, 2),) for v in chain.vertices if rng.random() < 0.9}
+        cases.append((chain, classes))
+    seen = set()
+    for chain, classes in cases:
+        report = check_condition_b2(chain, classes).to_json_dict()
+        assert report == per_vertex_b2(chain, classes)
+        seen.update(k for k in ("matches", "failures", "unchecked") if report[k])
+    # the sample matches, fails and leaves vertices unchecked
+    assert seen == {"matches", "failures", "unchecked"}
 
 
 # ---------------------------------------------------------------------------

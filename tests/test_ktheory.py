@@ -5,9 +5,10 @@ import random
 
 import pytest
 
-from graphck.abelian import ColumnLattice, IntMatrix, kernel_basis, smith_normal_form
+from graphck.abelian import ColumnLattice, GroupHom, IntMatrix, kernel_basis, smith_normal_form
 from graphck.graphs import FiniteGraph, GraphChain
 from graphck.ktheory import (
+    _canonical_inclusion_k0,
     boundary_map,
     chain_ktheory,
     chain_ktheory_report,
@@ -315,7 +316,9 @@ def test_les_reuses_the_ktheory_smith_forms(snf_calls):
     # two ktheory calls and the node checks; the Toeplitz relation matrix, its
     # degree-one lattice and the full presentation come from ktheory.  The
     # Toeplitz ktheory reduces the transposed Toeplitz matrix for route two,
-    # never the full relation matrix, which only the full ktheory reduces
+    # never the full relation matrix, which only the full ktheory reduces.
+    # The full ktheory has no exempt vertex, so its two routes share one
+    # lattice, and node 1's kernel and node 2's image read one Smith form
     rep = les_check(build_case_ii(2, 1, (), 5).layer_graph(1))
     assert rep.passed
     assert sorted(rep.nodes) == [
@@ -324,7 +327,7 @@ def test_les_reuses_the_ktheory_smith_forms(snf_calls):
         "exact_at_k0_toeplitz",
         "exact_at_k1_full",
     ]
-    assert len(snf_calls) == 13
+    assert len(snf_calls) == 11
 
 
 def test_les_random_graphs():
@@ -416,6 +419,43 @@ def test_inclusion_k0_rejects_row_mismatch():
     )
     with pytest.raises(ValueError):
         inclusion_k0(f, g)
+
+
+@pytest.mark.parametrize(
+    "chain",
+    [
+        build_case_ii(3, 1, (2,), 6),
+        build_case_ii(4, 2, (3, 9), 5),
+        build_case_iii(2, 1, (3,), 6),
+        build_case_iii(3, 2, (2, 4), 5),
+    ],
+)
+def test_inclusion_k0_is_proved_well_defined_from_the_graphs(monkeypatch, chain):
+    # the structural proof stands in for GroupHom's relation-by-relation test,
+    # which accepts every layer inclusion; the canonical-coordinate matrix
+    # read from the large layer's classes is the one pushed through sections
+    layers = [chain.layer_graph(n) for n in range(len(chain))]
+    kts = [ktheory(g) for g in layers]
+    assert any(kt.k0.invariant_factors for kt in kts)
+    for n in range(len(chain) - 1):
+        with monkeypatch.context() as m:
+            m.setattr(GroupHom, "_verify_well_defined", lambda self: pytest.fail("relation test ran"))
+            hom = inclusion_k0(layers[n], layers[n + 1], kts[n], kts[n + 1])
+        checked = GroupHom(kts[n].k0, kts[n + 1].k0, hom.matrix)
+        assert (hom.domain, hom.codomain) == (checked.domain, checked.codomain)
+        assert _canonical_inclusion_k0(kts[n], kts[n + 1]) == hom.canonical_matrix() == checked.canonical_matrix()
+
+
+def test_inclusion_k0_rejects_ktheory_of_another_graph():
+    chain = build_case_ii(3, 1, (2,), 5)
+    f, g, h = (chain.layer_graph(n) for n in range(3))
+    kt_f, kt_g, kt_h = ktheory(f), ktheory(g), ktheory(h)
+    assert inclusion_k0(f, g, kt_f, kt_g).matrix == inclusion_k0(f, g).matrix
+    # the same vertices and edges with another exempt set is another graph
+    f_full = FiniteGraph(f.vertices, f.edges, ())
+    for kts in ((kt_g, kt_g), (kt_f, kt_h), (kt_h, kt_g), (ktheory(f_full), kt_g)):
+        with pytest.raises(ValueError, match="not those of the two graphs"):
+            inclusion_k0(f, g, *kts)
 
 
 # ---------------------------------------------------------------------------
@@ -629,9 +669,10 @@ def _built_dense_transforms(snfs):
     "graph,reads,vectors",
     [
         # one unit pivot, then a 3x3 core with diagonal (1, 2, 10): K0 reads
-        # the V columns at the two torsion positions, K1 = 0 reads no U row,
-        # and the dense transforms of the three Smith forms hold 20 vectors
-        (build_case_i(0, (2, 2, 5)), 2, 20),
+        # the V columns at the two torsion positions, K1 = 0 reads no U row;
+        # with no exempt vertex both routes share one degree-one lattice, and
+        # the dense transforms of the two Smith forms hold 16 vectors
+        (build_case_i(0, (2, 2, 5)), 2, 16),
         # one exempt vertex: K0 reads one torsion and two free V columns of
         # the 16x17 Toeplitz matrix and K1 its one U row past the rank; route
         # two reads the one kernel V column of the 17x16 transposed matrix
@@ -660,10 +701,10 @@ def test_ktheory_folds_only_the_transform_vectors_it_reads(monkeypatch, graph, r
         # route two no kernel V column of the transpose
         (80, 20, 7, True, (4, 16, 12797, (16, ()), (0, ()))),
         # K0 = Z + Z/2 reads the torsion V column of an 11x10 core, and K1 = Z
-        # its one U row past the rank and the zero row's; both degree-one
-        # lattices are 100x1 with a 97x1 core, whose membership tests run the
-        # row log forward instead
-        (100, 3, 1, False, (3, 3, 1916, (1, (2,)), (1, ()))),
+        # its one U row past the rank and the zero row's; the degree-one
+        # lattice, shared by both routes, is 100x1 with a 97x1 core, whose
+        # membership tests run the row log forward instead
+        (100, 3, 1, False, (2, 3, 1531, (1, (2,)), (1, ()))),
     ],
 )
 def test_ktheory_replays_only_the_core_vectors_it_reads(monkeypatch, n, outdeg, seed, exempt, pinned):
