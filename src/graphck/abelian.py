@@ -4,7 +4,10 @@ Everything in this module is exact: matrices carry Python ints (arbitrary
 precision is mandatory, since Smith normal form intermediates can exceed
 machine words even for small inputs), Smith normal forms come with their
 unimodular transforms, and groups are kept in invariant-factor form so that
-isomorphism questions reduce to tuple comparison.
+isomorphism questions reduce to tuple comparison.  A matrix is its sparse
+rows, one ``{column: nonzero}`` dict per row, all the way from the relation
+rows of a graph to the Smith form's presolve, which eliminates on copies of
+them; a dense view is built only where one is read.
 
 The pieces fit together as follows.  ``smith_normal_form`` diagonalizes an
 integer matrix M as ``U @ M @ V == D`` with U, V unimodular and the diagonal
@@ -37,9 +40,16 @@ from typing import Iterable, Sequence
 
 
 class IntMatrix:
-    """Immutable dense integer matrix, row-major, arbitrary precision."""
+    """Immutable integer matrix, arbitrary precision, held as its sparse rows.
 
-    __slots__ = ("rows", "cols", "entries", "_hash")
+    ``sparse_rows`` holds one ``{column: nonzero}`` dict per row.  No row
+    stores a zero and none is mutated after construction, so matrices may
+    share rows.  ``row``, ``col`` and ``entry`` read the rows; the dense
+    row-major tuple ``entries`` is derived from them on first read, for
+    hashing, printing and readers outside the package.
+    """
+
+    __slots__ = ("rows", "cols", "sparse_rows", "_entries", "_hash")
 
     def __init__(self, rows: int, cols: int, entries: Sequence[int]):
         if rows < 0 or cols < 0:
@@ -49,9 +59,14 @@ class IntMatrix:
             raise ValueError(
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(entries)}"
             )
+        dense_rows = (entries[i * cols : (i + 1) * cols] for i in range(rows))
+        self._set(rows, cols, tuple({j: x for j, x in enumerate(r) if x} for r in dense_rows))
+
+    def _set(self, rows: int, cols: int, sparse_rows: tuple[dict, ...]) -> None:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "sparse_rows", sparse_rows)
+        object.__setattr__(self, "_entries", None)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
@@ -60,17 +75,16 @@ class IntMatrix:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _of(cls, rows: int, cols: int, entries: tuple[int, ...]) -> "IntMatrix":
-        """Wrap a tuple of rows * cols ints already known to be valid.
+    def _of(cls, rows: int, cols: int, sparse_rows: tuple[dict, ...]) -> "IntMatrix":
+        """Wrap ``rows`` sparse rows of width ``cols`` already known to be valid.
 
-        Internal results are built from int arithmetic on valid matrices, so
-        they skip the per-entry coercion and checks of the public constructor.
+        Every row maps columns below ``cols`` to nonzero ints and is never
+        mutated again.  Internal results are built that way from valid
+        matrices, so they skip the coercion and checks of the public
+        constructor.
         """
         m = object.__new__(cls)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "entries", entries)
-        object.__setattr__(m, "_hash", None)
+        m._set(rows, cols, sparse_rows)
         return m
 
     @classmethod
@@ -87,77 +101,80 @@ class IntMatrix:
     @classmethod
     def from_sparse_columns(cls, rows: int, columns: Sequence[dict]) -> "IntMatrix":
         """The rows x len(columns) matrix whose columns are these ``{row: value}`` dicts."""
-        return cls._of(rows, len(columns), _dense_rows(columns, rows, transpose=True))
+        return cls._of(rows, len(columns), _transpose(columns, rows))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         if n < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        return cls._of(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        return cls._of(n, n, tuple({i: 1} for i in range(n)))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntMatrix":
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        return cls._of(rows, cols, (0,) * (rows * cols))
+        return cls._of(rows, cols, tuple({} for _ in range(rows)))
 
     @classmethod
     def diagonal(cls, diag: Sequence[int]) -> "IntMatrix":
         diag = [int(x) for x in diag]
-        n = len(diag)
-        return cls._of(n, n, tuple(diag[i] if i == j else 0 for i in range(n) for j in range(n)))
+        return cls._of(len(diag), len(diag), tuple({i: x} if x else {} for i, x in enumerate(diag)))
 
     # -- access ------------------------------------------------------------
 
+    @property
+    def entries(self) -> tuple[int, ...]:
+        """The row-major dense entries, built from the rows on first read."""
+        ents = self._entries
+        if ents is None:
+            ents = tuple(itertools.chain.from_iterable(self.iter_rows()))
+            object.__setattr__(self, "_entries", ents)
+        return ents
+
     def entry(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
+        return self.sparse_rows[i].get(j, 0)
 
     def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        return _dense(self.sparse_rows[i], self.cols)
 
     def col(self, j: int) -> tuple[int, ...]:
-        return self.entries[j :: self.cols] if self.cols else ()
+        return tuple(r.get(j, 0) for r in self.sparse_rows)
 
     def iter_rows(self):
-        for i in range(self.rows):
-            yield self.row(i)
+        for r in self.sparse_rows:
+            yield _dense(r, self.cols)
 
     def to_lists(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
+        return [list(r) for r in self.iter_rows()]
 
     # -- algebra -----------------------------------------------------------
 
     def transpose(self) -> "IntMatrix":
-        c, ents = self.cols, self.entries
-        return IntMatrix._of(c, self.rows, tuple(itertools.chain.from_iterable(ents[j::c] for j in range(c))))
+        return IntMatrix._of(self.cols, self.rows, _transpose(self.sparse_rows, self.cols))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
+        orows = other.sparse_rows
         out = []
-        orows = other.to_lists()
-        for i in range(self.rows):
-            r = self.row(i)
-            acc = [0] * other.cols
-            for k, x in enumerate(r):
-                if x:
-                    ork = orows[k]
-                    for j in range(other.cols):
-                        y = ork[j]
-                        if y:
-                            acc[j] += x * y
-            out.extend(acc)
+        for r in self.sparse_rows:
+            acc: dict = {}
+            for k, x in r.items():
+                for j, y in orows[k].items():
+                    acc[j] = acc.get(j, 0) + x * y
+            out.append({j: z for j, z in acc.items() if z})
         return IntMatrix._of(self.rows, other.cols, tuple(out))
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix._of(self.rows, self.cols, tuple(-x for x in self.entries))
+        rows = tuple({j: -x for j, x in r.items()} for r in self.sparse_rows)
+        return IntMatrix._of(self.rows, self.cols, rows)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, IntMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.sparse_rows == other.sparse_rows
         )
 
     def __hash__(self):
@@ -171,36 +188,23 @@ class IntMatrix:
         return f"IntMatrix({self.rows}x{self.cols}, {self.to_lists()})"
 
     def mat_vec(self, vec: Sequence[int]) -> tuple[int, ...]:
-        """self @ vec with vec a column vector.
-
-        Only the columns at nonzeros of ``vec`` are read, one slice each, so
-        the cost is rows x nnz(vec) steps rather than rows x cols.
-        """
-        c = self.cols
-        if len(vec) != c:
+        """self @ vec with vec a column vector, in nnz(self) steps."""
+        if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        ents = self.entries
-        out = [0] * self.rows
-        for k, v in enumerate(vec):
-            if v:
-                for i, x in enumerate(ents[k::c]):
-                    if x:
-                        out[i] += x * v
-        return tuple(out)
+        return tuple(sum([x * vec[j] for j, x in r.items()]) for r in self.sparse_rows)
 
     def vstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.cols:
             raise ValueError("column count mismatch in vstack")
-        return IntMatrix._of(self.rows + other.rows, self.cols, self.entries + other.entries)
+        return IntMatrix._of(self.rows + other.rows, self.cols, self.sparse_rows + other.sparse_rows)
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
             raise ValueError("row count mismatch in hstack")
-        ents = []
-        for i in range(self.rows):
-            ents.extend(self.row(i))
-            ents.extend(other.row(i))
-        return IntMatrix._of(self.rows, self.cols + other.cols, tuple(ents))
+        c = self.cols
+        pairs = zip(self.sparse_rows, other.sparse_rows)
+        rows = tuple({**a, **{j + c: x for j, x in b.items()}} for a, b in pairs)
+        return IntMatrix._of(self.rows, c + other.cols, rows)
 
     def determinant(self) -> int:
         """Exact determinant by fraction-free (Bareiss) elimination."""
@@ -250,7 +254,7 @@ class SmithDecomposition:
     most need little: a unit diagonal entry constrains nothing, so classes
     read only the V columns at non-unit positions, and ``u_mul`` runs the row
     log forward on the one vector it multiplies.  ``u``, ``v``, ``v_inv``
-    and ``d`` build the dense matrices on first use.  ``v_inv`` is the exact
+    and ``d`` build the whole matrices on first use.  ``v_inv`` is the exact
     inverse of V; its rows give sections of the quotient map (see
     ``Presentation``).  The returned dicts are shared and must not be
     mutated.
@@ -301,8 +305,7 @@ class SmithDecomposition:
 
     @cached_property
     def u(self) -> IntMatrix:
-        n = self.rows
-        return IntMatrix._of(n, n, _dense_rows([self.u_row(i) for i in range(n)], n))
+        return IntMatrix._of(self.rows, self.rows, tuple(self.u_row(i) for i in range(self.rows)))
 
     @cached_property
     def v(self) -> IntMatrix:
@@ -310,15 +313,13 @@ class SmithDecomposition:
 
     @cached_property
     def v_inv(self) -> IntMatrix:
-        n = self.cols
-        return IntMatrix._of(n, n, _dense_rows([self.vinv_row(j) for j in range(n)], n))
+        return IntMatrix._of(self.cols, self.cols, tuple(self.vinv_row(j) for j in range(self.cols)))
 
     @cached_property
     def d(self) -> IntMatrix:
-        ents = [0] * (self.rows * self.cols)
-        for t, x in enumerate(self.diagonal):
-            ents[t * self.cols + t] = x
-        return IntMatrix._of(self.rows, self.cols, tuple(ents))
+        diag = self.diagonal
+        rows = tuple({t: diag[t]} if t < len(diag) and diag[t] else {} for t in range(self.rows))
+        return IntMatrix._of(self.rows, self.cols, rows)
 
     def verify(self, m: IntMatrix) -> None:
         """Assert the defining invariants exactly (used by tests)."""
@@ -385,10 +386,11 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
 def _presolve(m: IntMatrix):
     """Eliminate the unit entries of ``m`` in Markowitz order.
 
-    Keeps ``m`` as sparse rows with column occurrence sets and repeatedly
-    eliminates the +/-1 entry of lowest (cost, row, column), with cost the
-    Markowitz count (row nnz - 1) * (col nnz - 1): row operations clear its
-    column, column operations clear its row, and a -1 pivot's row is negated.
+    Works on copies of ``m``'s sparse rows, with column occurrence sets,
+    and repeatedly eliminates the +/-1 entry of lowest (cost, row, column),
+    with cost the Markowitz count (row nnz - 1) * (col nnz - 1): row
+    operations clear its column, column operations clear its row, and a -1
+    pivot's row is negated.
     Relation matrices of graphs are mostly such pivots (the unit-pivot
     elimination of Dumas, Saunders and Villard, J. Symbolic Comput. 2001).
     No transform is kept: each step is appended to a row log or a column log
@@ -398,10 +400,7 @@ def _presolve(m: IntMatrix):
     log.
     """
     nrows, ncols = m.rows, m.cols
-    ents = m.entries
-    rows: list = [
-        {j: x for j, x in enumerate(ents[i * ncols : (i + 1) * ncols]) if x} for i in range(nrows)
-    ]
+    rows: list = [dict(r) for r in m.sparse_rows]
     colrows: list = [set() for _ in range(ncols)]
     for i, r in enumerate(rows):
         for j in r:
@@ -497,16 +496,24 @@ def _dot(sparse: dict, vec: Sequence[int]) -> int:
     return sum(x * vec[k] for k, x in sparse.items())
 
 
-def _dense_rows(vectors: Sequence[dict], n: int, transpose: bool = False) -> tuple[int, ...]:
-    """Row-major entries of the matrix with these sparse rows of length n.
+def _dense(vec: dict, n: int) -> tuple[int, ...]:
+    """The length-n tuple of a sparse vector."""
+    out = [0] * n
+    for k, x in vec.items():
+        out[k] = x
+    return tuple(out)
 
-    With ``transpose`` the vectors are its columns: the matrix is n x len(vectors).
+
+def _transpose(lines: Sequence[dict], n: int) -> tuple[dict, ...]:
+    """The n sparse lines across these sparse lines of length n, zeros dropped.
+
+    Rows in give the columns out, and columns in give the rows out.
     """
-    m = len(vectors)
-    out = [0] * (m * n)
-    for t, vec in enumerate(vectors):
-        for k, x in vec.items():
-            out[k * m + t if transpose else t * n + k] = x
+    out: list[dict] = [{} for _ in range(n)]
+    for i, line in enumerate(lines):
+        for j, x in line.items():
+            if x:
+                out[j][i] = x
     return tuple(out)
 
 
@@ -743,7 +750,7 @@ class Presentation:
     def section(self, i: int) -> tuple[int, ...]:
         """An ambient vector whose class is the i-th canonical basis element."""
         pos = (self._torsion_pos + self._free_pos)[i]
-        return _dense_rows([self.snf.vinv_row(pos)], self.ngens)
+        return _dense(self.snf.vinv_row(pos), self.ngens)
 
     def lattice_contains(self, vec: Sequence[int]) -> bool:
         """Is ``vec`` in the row lattice of the relations?"""
@@ -789,9 +796,7 @@ class FgAbelianGroup:
         if presentation is None:
             n = len(factors) + free_rank
             gens = tuple(f"g{i + 1}" for i in range(n))
-            rel = IntMatrix._of(
-                len(factors), n, tuple(x if j == i else 0 for i, x in enumerate(factors) for j in range(n))
-            )
+            rel = IntMatrix._of(len(factors), n, tuple({i: x} for i, x in enumerate(factors)))
             # rel is already in Smith form: every transform is the identity
             snf = SmithDecomposition(len(factors), n, factors, (range(len(factors)), range(n)), ((), ()))
             presentation = Presentation(gens, rel, snf)
@@ -975,11 +980,8 @@ def _preimage_lattice_rows(hom_matrix: IntMatrix, codomain: Presentation) -> Int
     stacked = hom_matrix.hstack(-rel_t)
     ker = kernel_basis(stacked)
     ngen = hom_matrix.cols
-    rows = []
-    for j in range(ker.cols):
-        coljth = tuple(ker.entry(i, j) for i in range(ngen))
-        rows.append(coljth)
-    return IntMatrix.from_rows(rows, cols=ngen)
+    rows = tuple({i: x for i, x in col.items() if i < ngen} for col in ker.transpose().sparse_rows)
+    return IntMatrix._of(ker.cols, ngen, rows)
 
 
 class GroupHom:
@@ -1040,7 +1042,8 @@ class GroupHom:
                 sec = dom.presentation.section(j)
                 img = cod.presentation.class_of(self.matrix.mat_vec(sec))
                 cols.append(img)
-            self._canonical_matrix = IntMatrix.from_rows(cols, cols=cod.ncoords).transpose()
+            cols = [dict(enumerate(c)) for c in cols]
+            self._canonical_matrix = IntMatrix.from_sparse_columns(cod.ncoords, cols)
         return self._canonical_matrix
 
     def apply_coords(self, coords: Sequence[int]) -> tuple[int, ...]:
@@ -1193,11 +1196,13 @@ def parse_group_expr(text: str) -> FgAbelianGroup:
             torsion.append(nval)
         else:
             raise ValueError(f"syntax error in term {term!r}")
-    factors: tuple[int, ...] = ()
-    if torsion:
-        snf = smith_normal_form(IntMatrix.diagonal(torsion))
-        factors = tuple(x for x in snf.diagonal if x >= 2)
-    return FgAbelianGroup.canonical(free, factors)
+    # Z/a + Z/b is Z/gcd + Z/lcm; after every pair is replaced so, each
+    # order divides the later ones and the units lead
+    for i in range(len(torsion)):
+        for j in range(i + 1, len(torsion)):
+            g = math.gcd(torsion[i], torsion[j])
+            torsion[i], torsion[j] = g, torsion[i] // g * torsion[j]
+    return FgAbelianGroup.canonical(free, [x for x in torsion if x >= 2])
 
 
 def format_group(group: FgAbelianGroup) -> str:

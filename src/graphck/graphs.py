@@ -61,9 +61,16 @@ def _check_edges(edges: Sequence[Edge], vertices: frozenset[str]) -> tuple[Edge,
 
 
 class FiniteGraph:
-    """Finite directed multigraph with a relation-exempt vertex set."""
+    """Finite directed multigraph with a relation-exempt vertex set.
 
-    __slots__ = ("vertices", "edges", "relation_exempt", "_out", "_in")
+    ``vertex_list`` and ``s_vertices`` are the sorted vertices and relation
+    vertices, and ``vertex_index`` maps each vertex to its position in
+    ``vertex_list``, the matrix index of the vertex everywhere.
+    """
+
+    __slots__ = (
+        "vertices", "edges", "relation_exempt", "vertex_list", "s_vertices", "vertex_index", "_out", "_in"
+    )
 
     def __init__(
         self,
@@ -77,29 +84,44 @@ class FiniteGraph:
             raise GraphFormatError(
                 f"relation_exempt contains unknown vertices: {sorted(exempt - vset)}"
             )
-        object.__setattr__(self, "vertices", vset)
-        object.__setattr__(self, "edges", _check_edges(edges, vset))
-        object.__setattr__(self, "relation_exempt", exempt)
-        out: dict[str, list[Edge]] = {v: [] for v in vset}
-        inc: dict[str, list[Edge]] = {v: [] for v in vset}
-        for e in self.edges:
+        self._set(vset, _check_edges(edges, vset), exempt)
+
+    @classmethod
+    def _of(cls, vertices: frozenset[str], edges: tuple[Edge, ...], exempt: frozenset[str]) -> "FiniteGraph":
+        """Wrap data its caller has already checked.
+
+        ``edges`` must be sorted, with unique string ids and endpoints in
+        ``vertices``, and ``exempt`` a subset of ``vertices``: what
+        ``_check_edges`` and the public constructor establish.  A chain's
+        layer edges are a sorted subset of its checked edges.
+        """
+        g = object.__new__(cls)
+        g._set(vertices, edges, exempt)
+        return g
+
+    def _set(self, vertices: frozenset[str], edges: tuple[Edge, ...], exempt: frozenset[str]) -> None:
+        vertex_list = tuple(sorted(vertices))
+        out: dict[str, list[Edge]] = {v: [] for v in vertex_list}
+        inc: dict[str, list[Edge]] = {v: [] for v in vertex_list}
+        for e in edges:
             out[e[1]].append(e)
             inc[e[2]].append(e)
-        object.__setattr__(self, "_out", {v: tuple(es) for v, es in out.items()})
-        object.__setattr__(self, "_in", {v: tuple(es) for v, es in inc.items()})
+        for name, value in (
+            ("vertices", vertices),
+            ("edges", edges),
+            ("relation_exempt", exempt),
+            ("vertex_list", vertex_list),
+            ("s_vertices", tuple(v for v in vertex_list if v not in exempt)),
+            ("vertex_index", {v: i for i, v in enumerate(vertex_list)}),
+            ("_out", {v: tuple(es) for v, es in out.items()}),
+            ("_in", {v: tuple(es) for v, es in inc.items()}),
+        ):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteGraph is immutable")
 
     # -- views --------------------------------------------------------------
-
-    @property
-    def vertex_list(self) -> tuple[str, ...]:
-        return tuple(sorted(self.vertices))
-
-    @property
-    def s_vertices(self) -> tuple[str, ...]:
-        return tuple(sorted(self.vertices - self.relation_exempt))
 
     def out_edges(self, v: str) -> tuple[Edge, ...]:
         return self._out[v]
@@ -115,7 +137,7 @@ class FiniteGraph:
 
     def incidence_matrix(self) -> list[list[int]]:
         """A[u][v] = number of edges u -> v, rows/cols in sorted vertex order."""
-        order = {v: i for i, v in enumerate(self.vertex_list)}
+        order = self.vertex_index
         n = len(order)
         a = [[0] * n for _ in range(n)]
         for _, o, t in self.edges:
@@ -227,7 +249,8 @@ class GraphChain:
             return FiniteGraph(vs, self.layer_edges(n), relation_exempt)
         g = self._layer_graphs.get(n)
         if g is None:
-            g = FiniteGraph(vs, self.layer_edges(n), vs - toeplitz_s_set(self, n))
+            # the layer edges are a sorted subset of the checked chain edges
+            g = FiniteGraph._of(vs, self.layer_edges(n), vs - toeplitz_s_set(self, n))
             self._layer_graphs[n] = g
         return g
 
@@ -320,57 +343,21 @@ def dump_graph(graph: FiniteGraph | GraphChain) -> str:
 
 
 def _strongly_connected(graph: FiniteGraph) -> bool:
+    """Do a forward and a backward search from one vertex both reach every vertex?"""
     verts = graph.vertex_list
     if not verts:
         return False
-    index = {v: i for i, v in enumerate(verts)}
-    succ: list[list[int]] = [[] for _ in verts]
-    for _, o, t in graph.edges:
-        succ[index[o]].append(index[t])
-
-    # iterative Tarjan, counting components
-    n = len(verts)
-    disc = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    ncomp = 0
-    counter = 0
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                disc[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for k in range(pi, len(succ[v])):
-                w = succ[v][k]
-                if disc[w] == -1:
-                    work[-1] = (v, k + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], disc[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == disc[v]:
-                ncomp += 1
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    if w == v:
-                        break
-    return ncomp == 1
+    for adjacent, end in ((graph._out, 2), (graph._in, 1)):
+        seen = {verts[0]}
+        stack = [verts[0]]
+        while stack:
+            for e in adjacent[stack.pop()]:
+                if e[end] not in seen:
+                    seen.add(e[end])
+                    stack.append(e[end])
+        if len(seen) < len(verts):
+            return False
+    return True
 
 
 def is_irreducible(graph: FiniteGraph) -> bool:

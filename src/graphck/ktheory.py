@@ -75,22 +75,20 @@ class ChainConditionError(ValueError):
 
 def relation_matrix(graph: FiniteGraph, at_vertices: Sequence[str] | None = None) -> IntMatrix:
     """One relation row per vertex in ``at_vertices`` (default: the S set)."""
-    verts = graph.vertex_list
-    nv = len(verts)
-    vidx = {v: i for i, v in enumerate(verts)}
+    vidx = graph.vertex_index
     where = graph.s_vertices if at_vertices is None else at_vertices
-    ents = [0] * (len(where) * nv)
-    for r, u in enumerate(where):
-        base = r * nv
-        ents[base + vidx[u]] += 1
+    rows = []
+    for u in where:
+        row = {vidx[u]: 1}
         for _, _, t in graph.out_edges(u):
-            ents[base + vidx[t]] -= 1
-    return IntMatrix._of(len(where), nv, tuple(ents))
+            j = vidx[t]
+            row[j] = row.get(j, 0) - 1
+        rows.append({j: x for j, x in row.items() if x})  # one loop at u cancels e_u
+    return IntMatrix._of(len(where), len(vidx), tuple(rows))
 
 
 def _k1_relations_hold(graph: FiniteGraph, x: Sequence[int], at: Sequence[str]) -> bool:
-    verts = graph.vertex_list
-    vidx = {v: i for i, v in enumerate(verts)}
+    vidx = graph.vertex_index
     for u in at:
         incoming = sum(x[vidx[o]] for _, o, _ in graph.in_edges(u))
         if x[vidx[u]] != incoming:
@@ -129,7 +127,7 @@ def ktheory(graph: FiniteGraph) -> KTheoryResult:
     """
     verts = graph.vertex_list
     nv = len(verts)
-    vidx = {v: i for i, v in enumerate(verts)}
+    vidx = graph.vertex_index
     svs = graph.s_vertices
     exempt = tuple(sorted(graph.relation_exempt))
 
@@ -153,7 +151,7 @@ def ktheory(graph: FiniteGraph) -> KTheoryResult:
     # kernel, a Smith form of its own; with none it reuses route one's lattice
     if exempt:
         ker = kernel_basis(rel.transpose())
-        lattice_b = off_s_zero(dict(enumerate(ker.col(j))) for j in range(ker.cols))
+        lattice_b = off_s_zero(ker.transpose().sparse_rows)
     la = ColumnLattice(lattice_a)
     lb = ColumnLattice(lattice_b) if exempt else la
     if not la.equals(lb):
@@ -187,7 +185,7 @@ def boundary_map(graph: FiniteGraph, x: Sequence[int]) -> tuple[int, ...]:
     verts = graph.vertex_list
     if len(x) != len(verts):
         raise ValueError("class vector length must match the vertex count")
-    vidx = {v: i for i, v in enumerate(verts)}
+    vidx = graph.vertex_index
     if not _k1_relations_hold(graph, x, verts):
         raise ValueError("vector is not a degree-one class of the full-relation algebra")
     out = []
@@ -243,8 +241,9 @@ def les_check(graph: FiniteGraph) -> LesReport:
     exempt = tuple(sorted(graph.relation_exempt))
 
     kt_t = ktheory(graph)
-    # with no exempt vertex the graph is its own full-relation graph
-    kt_o = ktheory(FiniteGraph(graph.vertices, graph.edges, ())) if exempt else kt_t
+    # with no exempt vertex the graph is its own full-relation graph; with
+    # one, that graph has the same checked vertices and edges
+    kt_o = ktheory(FiniteGraph._of(graph.vertices, graph.edges, frozenset())) if exempt else kt_t
 
     report.terms["k1_toeplitz"] = format_group(kt_t.k1)
     report.terms["k1_full"] = format_group(kt_o.k1)
@@ -256,7 +255,7 @@ def les_check(graph: FiniteGraph) -> LesReport:
     # index map inside the full-relation lattice
     k1_full = kt_o.k1_lattice
     bdry_cols = [boundary_map(graph, k1_full.col(j)) for j in range(k1_full.cols)]
-    bmat = IntMatrix.from_rows(bdry_cols, cols=len(exempt)).transpose()
+    bmat = IntMatrix.from_sparse_columns(len(exempt), [dict(enumerate(c)) for c in bdry_cols])
     image = ColumnLattice(bmat)  # its Smith form gives node 1's kernel and node 2's image
     ker_boundary = k1_full @ image.snf.kernel()
     report.nodes["exact_at_k1_full"] = kt_t.k1_column_lattice().equals(ColumnLattice(ker_boundary))
@@ -346,12 +345,12 @@ def inclusion_k0(
     kt_large = kt_large or ktheory(large)
     if kt_small.graph != small or kt_large.graph != large:
         raise ValueError("the K-theory results passed are not those of the two graphs")
-    large_idx = {v: i for i, v in enumerate(kt_large.vertex_order)}
-    nlarge, nsmall = len(kt_large.vertex_order), len(kt_small.vertex_order)
-    ents = [0] * (nlarge * nsmall)
+    large_idx = large.vertex_index
+    rows: list[dict] = [{} for _ in large_idx]
     for j, v in enumerate(kt_small.vertex_order):
-        ents[large_idx[v] * nsmall + j] = 1
-    return GroupHom._of(kt_small.k0, kt_large.k0, IntMatrix._of(nlarge, nsmall, tuple(ents)))
+        rows[large_idx[v]] = {j: 1}
+    matrix = IntMatrix._of(len(rows), len(kt_small.vertex_order), tuple(rows))
+    return GroupHom._of(kt_small.k0, kt_large.k0, matrix)
 
 
 def ideal_class_image(
@@ -445,7 +444,7 @@ def _canonical_inclusion_k0(small: KTheoryResult, large: KTheoryResult) -> IntMa
             for t, y in enumerate(classes[order[i]]):
                 acc[t] += x * y
         cols.append(cod.reduce_coords(acc))
-    return IntMatrix.from_rows(cols, cols=cod.ncoords).transpose()
+    return IntMatrix.from_sparse_columns(cod.ncoords, [dict(enumerate(c)) for c in cols])
 
 
 def chain_ktheory_report(chain: GraphChain, window: int = 2, force: bool = False) -> ChainKTheory:
@@ -484,7 +483,7 @@ def chain_ktheory_report(chain: GraphChain, window: int = 2, force: bool = False
     for n in range(nlayers - 1):
         src, dst = kts[n], kts[n + 1]
         dst_lat = dst.k1_column_lattice()
-        dst_idx = {v: i for i, v in enumerate(dst.vertex_order)}
+        dst_idx = dst.graph.vertex_index
         cols = []
         for j in range(src.k1_lattice.cols):
             x = src.k1_lattice.col(j)
@@ -497,7 +496,7 @@ def chain_ktheory_report(chain: GraphChain, window: int = 2, force: bool = False
                     f"degree-one basis of layer {n} does not extend into layer {n + 1}"
                 )
             cols.append(coeffs)
-        matrix = IntMatrix.from_rows(cols, cols=dst.k1_lattice.cols).transpose()
+        matrix = IntMatrix.from_sparse_columns(dst.k1_lattice.cols, [dict(enumerate(c)) for c in cols])
         k1_homs.append(GroupHom(k1_canon_groups[n], k1_canon_groups[n + 1], matrix))
     k1_res = colimit_chain_detailed(k1_canon_groups, k1_homs, window)
     if k1_res.group.invariant_factors:

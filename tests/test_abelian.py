@@ -7,6 +7,7 @@ checks for the tiny homomorphism cases.
 
 import math
 import random
+from fractions import Fraction
 from collections import Counter
 from itertools import combinations, combinations_with_replacement
 
@@ -82,6 +83,106 @@ def test_mat_vec_empty_shapes():
     for m, bad in ((IntMatrix(0, 4, []), (1, 2)), (IntMatrix(3, 0, []), (1,))):
         with pytest.raises(ValueError):
             m.mat_vec(bad)
+
+
+# ---------------------------------------------------------------------------
+# The sparse-row representation against plain lists
+# ---------------------------------------------------------------------------
+
+
+def _plain_matmul(a, b, inner, width):
+    return [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(width)] for i in range(len(a))]
+
+
+def _plain_det(a):
+    # Gaussian elimination over the rationals
+    a = [[Fraction(x) for x in r] for r in a]
+    det = Fraction(1)
+    for k in range(len(a)):
+        p = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, len(a)):
+            q = a[i][k] / a[k][k]
+            a[i] = [x - q * y for x, y in zip(a[i], a[k])]
+    return int(det)
+
+
+def _sparse_columns_with_zeros(rng, rows, cols, density):
+    # every column dict also stores some explicit zeros, which must be dropped
+    columns = []
+    for _ in range(cols):
+        col = {i: x for i, x in enumerate(_sparse_ints(rng, rows, density)) if x or rng.random() < 0.4}
+        columns.append(col)
+    return columns
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 9),
+    st.integers(0, 9),
+    st.integers(0, 9),
+    st.sampled_from([0.0, 0.2, 0.6, 1.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_int_matrix_operations_match_plain_lists(rows, cols, other, density, seed):
+    rng = random.Random(seed)
+    a = [_sparse_ints(rng, cols, density) for _ in range(rows)]  # explicit zeros throughout
+    m = IntMatrix(rows, cols, [x for r in a for x in r])
+    columns = _sparse_columns_with_zeros(rng, rows, cols, density)
+    c = IntMatrix.from_sparse_columns(rows, columns)
+    b = [_sparse_ints(rng, other, density) for _ in range(cols)]
+    mb = IntMatrix(cols, other, [x for r in b for x in r])
+    under = [_sparse_ints(rng, cols, density) for _ in range(other)]
+    side = [_sparse_ints(rng, other, density) for _ in range(rows)]
+    vec = _sparse_ints(rng, cols, density)
+    built = [
+        m,
+        c,
+        m.transpose(),
+        m.vstack(IntMatrix.from_rows(under, cols=cols)),
+        m.hstack(IntMatrix(rows, other, [x for r in side for x in r])),
+        m @ mb,
+        -m,
+        IntMatrix.identity(rows),
+        IntMatrix.zero(rows, cols),
+        IntMatrix.diagonal(a[0] if a else []),
+    ]
+    expected = [
+        a,
+        [[columns[j].get(i, 0) for j in range(cols)] for i in range(rows)],
+        [[a[i][j] for i in range(rows)] for j in range(cols)],
+        a + under,
+        [r + t for r, t in zip(a, side)],
+        _plain_matmul(a, b, cols, other),
+        [[-x for x in r] for r in a],
+        [[int(i == j) for j in range(rows)] for i in range(rows)],
+        [[0] * cols for _ in range(rows)],
+        [[a[0][i] if i == j else 0 for j in range(cols)] for i in range(cols)] if a else [],
+    ]
+    widths = [cols, cols, rows, cols, cols + other, other, cols, rows, cols, cols if rows else 0]
+    for got, want, width in zip(built, expected, widths):
+        assert (got.rows, got.cols) == (len(want), width)
+        assert got.to_lists() == want
+        assert got.entries == tuple(x for r in want for x in r)
+        assert [got.row(i) for i in range(got.rows)] == [tuple(r) for r in want]
+        assert list(got.iter_rows()) == [tuple(r) for r in want]
+        assert [got.col(j) for j in range(got.cols)] == [tuple(r[j] for r in want) for j in range(width)]
+        assert all(got.entry(i, j) == want[i][j] for i in range(got.rows) for j in range(got.cols))
+        assert all(all(r.values()) for r in got.sparse_rows)  # no stored zero
+        rebuilt = IntMatrix(got.rows, got.cols, got.entries)
+        assert rebuilt == got and hash(rebuilt) == hash(got)
+    assert m.mat_vec(vec) == tuple(sum(x * y for x, y in zip(r, vec)) for r in a)
+    assert (c == m) == (expected[1] == a)
+    assert m != IntMatrix(rows + 1, cols, [0] * ((rows + 1) * cols))
+    if rows == cols:
+        assert m.determinant() == _plain_det(a)
+        assert c.determinant() == _plain_det(expected[1])
+    smith_normal_form(c).verify(c)
 
 
 # ---------------------------------------------------------------------------
@@ -885,6 +986,16 @@ def test_parse_crt_normalization():
     s = smith_normal_form(IntMatrix.diagonal([2, 3]))
     assert s.diagonal == (1, 6)
     assert parse_group_expr("Z/2 + Z/3").canonical_pair() == (0, (6,))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_parse_normalizes_torsion_as_the_smith_form(seed):
+    # oracle: the Smith form of the diagonal matrix of the orders
+    rng = random.Random(seed)
+    torsion = [rng.choice((2, 3, 4, 5, 6, 8, 9, 12, 16, 25, 27, 30, 36)) for _ in range(rng.randint(1, 7))]
+    expected = tuple(x for x in smith_normal_form(IntMatrix.diagonal(torsion)).diagonal if x >= 2)
+    text = " + ".join(["Z^2"] + [f"Z/{n}" for n in torsion])
+    assert parse_group_expr(text).canonical_pair() == (2, expected)
 
 
 def test_parse_trivial():

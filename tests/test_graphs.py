@@ -131,6 +131,37 @@ def test_cycle_implies_irreducible_and_exit_property():
             assert every_cycle_has_exit(g)
 
 
+def reach_all_pairs(graph):
+    """Oracle: is every vertex reachable from every vertex?  A fixpoint of the
+    reachability relation over all ordered pairs, closed under edges."""
+    verts = graph.vertex_list
+    reach = {(v, v) for v in verts}
+    changed = True
+    while changed:
+        changed = False
+        for _, o, t in graph.edges:
+            for v in verts:
+                if (v, o) in reach and (v, t) not in reach:
+                    reach.add((v, t))
+                    changed = True
+    return bool(verts) and len(reach) == len(verts) ** 2
+
+
+def test_strong_connectivity_against_all_pairs_reachability():
+    # random graphs with loops, parallel edges, single vertices and isolated
+    # vertices, then every layer of synthesized chains
+    rng = random.Random(11)
+    graphs = [random_graph(rng, max_vertices=7, max_edges=rng.choice((3, 8, 16))) for _ in range(600)]
+    graphs += [G({"v"}, []), G({"v"}, [("v", "v")]), G({"u", "v"}, [("u", "u")]), G({"u", "v"}, [("u", "v")] * 2)]
+    graphs += [G({"a", "b", "c"}, [("a", "b"), ("b", "a"), ("b", "a")])]
+    chains = [build_case_ii(2, 1, (), 5), build_case_iii(2, 1, (3,), 5), build_case_ii(3, 2, (2,), 4)]
+    graphs += [chain.layer_graph(n) for chain in chains for n in range(len(chain))]
+    assert sum(map(reach_all_pairs, graphs)) not in (0, len(graphs))
+    for g in graphs:
+        assert is_irreducible(g) == reach_all_pairs(g), (g.vertex_list, g.edges)
+    assert not is_cycle(FiniteGraph(set(), []))
+
+
 # ---------------------------------------------------------------------------
 # Chains: S sets and conditions
 # ---------------------------------------------------------------------------
@@ -474,6 +505,36 @@ def test_duplicate_edge_ids_rejected_after_normalization():
         FiniteGraph(["a", "b"], [(1, "a", "b"), ("1", "b", "a")])
     with pytest.raises(GraphFormatError, match="duplicate edge id '1'"):
         GraphChain([], [["a", "b"]], [("1", "a", "b"), (1, "b", "a")])
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [("e", "a", "b"), ("e", "b", "a")],  # duplicate id
+        [("e", "a", "b"), ("f", "b", "z")],  # dangling terminus
+        [("e", "z", "a")],  # dangling origin
+    ],
+)
+def test_chain_rejects_bad_edges_before_any_layer_graph(edges):
+    # layer graphs skip the edge check, so the chain's own check must catch
+    # every bad edge, whatever layer it would fall in
+    with pytest.raises(GraphFormatError):
+        GraphChain([], [["a"], ["a", "b"]], edges)
+
+
+def test_layer_graphs_equal_checked_graphs():
+    chain = build_case_iii(2, 1, (3,), 5)
+    for n in range(len(chain)):
+        g = chain.layer_graph(n)
+        checked = FiniteGraph(g.vertex_list, g.edges, g.relation_exempt)
+        assert g == checked
+        assert (g.vertex_list, g.s_vertices, g.vertex_index) == (
+            checked.vertex_list,
+            checked.s_vertices,
+            checked.vertex_index,
+        )
+        for v in g.vertices:
+            assert (g.out_edges(v), g.in_edges(v)) == (checked.out_edges(v), checked.in_edges(v))
 
 
 def test_immutability():

@@ -616,16 +616,17 @@ def test_chain_report_smith_form_count(snf_calls):
 
 
 def test_chain_report_builds_each_layer_graph_once(monkeypatch):
-    # (a2) and the layer K-theory read the same graph of each layer
+    # (a2) and the layer K-theory read the same graph of each layer, which
+    # layer_graph wraps from the chain's checked edges without a new check
     graphs_mod = importlib.import_module("graphck.graphs")
-    orig = graphs_mod.FiniteGraph.__init__
+    orig = graphs_mod.FiniteGraph._of
     built = []
 
-    def counting(self, vertices, *args, **kwargs):
-        built.append(len(set(vertices)))
-        orig(self, vertices, *args, **kwargs)
+    def counting(cls, vertices, *args):
+        built.append(len(vertices))
+        return orig(vertices, *args)
 
-    monkeypatch.setattr(graphs_mod.FiniteGraph, "__init__", counting)
+    monkeypatch.setattr(graphs_mod.FiniteGraph, "_of", classmethod(counting))
     chain = build_case_ii(2, 1, (3,), 6)
     rep = chain_ktheory_report(chain, window=2)
     assert rep.condition_a.passed
