@@ -144,6 +144,14 @@ class IntMatrix:
         for r in self.sparse_rows:
             yield _dense(r, self.cols)
 
+    def sparse_columns(self) -> tuple[dict, ...]:
+        """Every column as a ``{row: nonzero}`` dict, in one pass over the rows."""
+        return _transpose(self.sparse_rows, self.cols)
+
+    def columns(self) -> list[tuple[int, ...]]:
+        """Every column as a dense tuple, read from ``sparse_columns``."""
+        return [_dense(c, self.rows) for c in self.sparse_columns()]
+
     def to_lists(self) -> list[list[int]]:
         return [list(r) for r in self.iter_rows()]
 
@@ -960,13 +968,9 @@ class ColumnLattice:
     def equals(self, other: "ColumnLattice") -> bool:
         if self.ambient_dim != other.ambient_dim:
             return False
-        for j in range(self.matrix.cols):
-            if not other.contains(self.matrix.col(j)):
-                return False
-        for j in range(other.matrix.cols):
-            if not self.contains(other.matrix.col(j)):
-                return False
-        return True
+        return all(map(other.contains, self.matrix.columns())) and all(
+            map(self.contains, other.matrix.columns())
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -1019,12 +1023,17 @@ class GroupHom:
 
     def _verify_well_defined(self):
         cod = self.codomain.presentation
-        cod_rows = set(cod.relations.iter_rows())
-        for rel in self.domain.presentation.relations.iter_rows():
-            image = self.matrix.mat_vec(rel)
-            if image in cod_rows:
+        cod_rows = {frozenset(r.items()) for r in cod.relations.sparse_rows}
+        cols = self.matrix.sparse_columns()
+        for rel in self.domain.presentation.relations.sparse_rows:
+            acc: dict = {}
+            for k, x in rel.items():
+                for i, y in cols[k].items():
+                    acc[i] = acc.get(i, 0) + x * y
+            image = {i: z for i, z in acc.items() if z}
+            if frozenset(image.items()) in cod_rows:
                 continue
-            if not cod.lattice_contains(image):
+            if not cod.lattice_contains(_dense(image, cod.ngens)):
                 raise ValueError("hom is not well defined: a relation maps outside the lattice")
 
     # -- actions -----------------------------------------------------------
@@ -1165,11 +1174,20 @@ def parse_group_expr(text: str) -> FgAbelianGroup:
     The result is normalized to invariant-factor form, so e.g. Z/2 + Z/3
     comes back as Z/6 while Z/2 + Z/4 keeps both factors.
     """
+    return FgAbelianGroup.canonical(*parse_group_pair(text))
+
+
+def parse_group_pair(text: str) -> tuple[int, tuple[int, ...]]:
+    """The canonical pair (free rank, invariant factors) of a group expression.
+
+    Builds no group, so a caller can bound the rank before allocating
+    anything that grows with it.
+    """
     s = text.strip()
     if not s:
         raise ValueError("empty group expression")
     if s == "0":
-        return FgAbelianGroup.trivial()
+        return 0, ()
     free = 0
     torsion: list[int] = []
     for raw in s.split("+"):
@@ -1202,7 +1220,7 @@ def parse_group_expr(text: str) -> FgAbelianGroup:
         for j in range(i + 1, len(torsion)):
             g = math.gcd(torsion[i], torsion[j])
             torsion[i], torsion[j] = g, torsion[i] // g * torsion[j]
-    return FgAbelianGroup.canonical(free, [x for x in torsion if x >= 2])
+    return free, tuple(x for x in torsion if x >= 2)
 
 
 def format_group(group: FgAbelianGroup) -> str:

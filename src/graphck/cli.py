@@ -16,7 +16,7 @@ from statistics import median
 
 import numpy as np
 
-from .abelian import format_group, parse_group_expr
+from .abelian import format_group
 from .graphs import (
     FiniteGraph,
     GraphChain,
@@ -136,7 +136,7 @@ def cmd_ktheory(args) -> int:
             "k0": format_group(kt.k0),
             "k1": format_group(kt.k1),
             "k0_classes": {v: list(kt.k0_class_of_vertex[v]) for v in kt.vertex_order},
-            "k1_basis": [list(kt.k1_lattice.col(j)) for j in range(kt.k1_lattice.cols)],
+            "k1_basis": [list(x) for x in kt.k1_lattice.columns()],
         }
     )
     _info(f"K0 = {format_group(kt.k0)}, K1 = {format_group(kt.k1)}")
@@ -198,9 +198,7 @@ def cmd_les_check(args) -> int:
 
 def cmd_synthesize(args) -> int:
     try:
-        g0 = parse_group_expr(args.k0)
-        g1 = parse_group_expr(args.k1)
-        req = SynthesisRequest(g0, g1, depth=args.depth)
+        req = SynthesisRequest.parse(args.k0, args.k1, depth=args.depth)
     except ValueError as exc:
         _info(f"usage error: {exc}")
         return USAGE

@@ -25,7 +25,12 @@ the six-term sequence
     0 -> K1(T) -> K1(O) -> Z^{S^c} -> K0(T) -> K0(O) -> 0
 
 at every interior node, which is a theorem: a failure always indicates an
-implementation bug, making the check a strong self-test.
+implementation bug, making the check a strong self-test.  The nodes read the
+degree-one lattices and the canonical K0 class maps of the Toeplitz and the
+full-relation results; the only matrices they reduce themselves are indexed
+by exempt vertices, K1(O) basis vectors and K0(T) coordinates.  At K0 the
+check is a certificate (a well-defined map from coker j onto an isomorphic
+group), and a failing node reports a witness.
 
 Chains of graphs get their K-theory as a direct limit: per-layer results,
 inclusion-induced maps (extension by zero in degree one, generator-wise in
@@ -42,8 +47,6 @@ from .abelian import (
     FgAbelianGroup,
     GroupHom,
     IntMatrix,
-    Presentation,
-    _preimage_lattice_rows,
     cokernel,
     colimit_chain_detailed,
     format_group,
@@ -157,7 +160,7 @@ def ktheory(graph: FiniteGraph) -> KTheoryResult:
     if not la.equals(lb):
         raise AssertionError("the two K1 computations disagree; this is a bug")
 
-    for col in (lattice_a.col(j) for j in range(lattice_a.cols)):
+    for col in lattice_a.columns():
         if not _k1_relations_hold(graph, col, svs):
             raise AssertionError("K1 representative violates a relation on S")
         if any(col[vidx[u]] for u in exempt):
@@ -202,11 +205,25 @@ class IdealClassMap:
     images: tuple[tuple[int, ...], ...]  # canonical K0 coordinates
 
 
+def _relation_classes(kt: KTheoryResult, at: Sequence[str]) -> list[tuple[int, ...]]:
+    """Canonical K0 class of the relation row e_u - sum e_{t(e)} at each u in ``at``.
+
+    Read from the vertex classes and the out-edges; no Smith form.
+    """
+    classes, k0 = kt.k0_class_of_vertex, kt.k0
+    out = []
+    for u in at:
+        acc = classes[u]
+        for _, _, t in kt.graph.out_edges(u):
+            acc = [a - b for a, b in zip(acc, classes[t])]
+        out.append(k0.reduce_coords(acc))
+    return out
+
+
 def ideal_class_map(graph: FiniteGraph, kt: KTheoryResult | None = None) -> IdealClassMap:
     kt = kt or ktheory(graph)
     basis = tuple(sorted(graph.relation_exempt))
-    rows = relation_matrix(graph, at_vertices=basis)
-    return IdealClassMap(basis=basis, images=tuple(kt.k0.coords_of(r) for r in rows.iter_rows()))
+    return IdealClassMap(basis=basis, images=tuple(_relation_classes(kt, basis)))
 
 
 # ---------------------------------------------------------------------------
@@ -216,28 +233,86 @@ def ideal_class_map(graph: FiniteGraph, kt: KTheoryResult | None = None) -> Idea
 
 @dataclass
 class LesReport:
-    """Exactness verdicts for the Toeplitz extension sequence."""
+    """Exactness verdicts for the Toeplitz extension sequence.
+
+    ``witnesses`` maps each failing node to the first vector, vertex or
+    generator that failed its check; ``to_json_dict`` emits them only when a
+    node fails.
+    """
 
     nodes: dict[str, bool] = field(default_factory=dict)
     terms: dict[str, str] = field(default_factory=dict)
+    witnesses: dict[str, dict] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
         return all(self.nodes.values())
 
+    def record(self, node: str, witness: dict | None) -> None:
+        self.nodes[node] = witness is None
+        if witness is not None:
+            self.witnesses[node] = witness
+
     def to_json_dict(self) -> dict:
-        return {"passed": self.passed, "nodes": dict(sorted(self.nodes.items())), "terms": dict(self.terms)}
+        out = {"passed": self.passed, "nodes": dict(sorted(self.nodes.items())), "terms": dict(self.terms)}
+        if not self.passed:
+            out["witnesses"] = dict(sorted(self.witnesses.items()))
+        return out
+
+
+def _first(witnesses) -> dict | None:
+    return next(iter(witnesses), None)
+
+
+def _combine(coeffs: Sequence[int], vectors: Sequence[Sequence[int]], n: int) -> list[int]:
+    """The sum of coeffs[k] * vectors[k], each vector of length n."""
+    acc = [0] * n
+    for c, vec in zip(coeffs, vectors):
+        if c:
+            acc = [a + c * y for a, y in zip(acc, vec)]
+    return acc
 
 
 def les_check(graph: FiniteGraph) -> LesReport:
     """Verify exactness of 0 -> K1(T) -> K1(O) -> Z^{S^c} -> K0(T) -> K0(O) -> 0.
 
-    All five terms are computed independently and exactness is checked at the
-    three interior nodes.  Exactness here is a matter of exact integer linear
-    algebra, so any failure means a bug, not bad input.
+    The four K-groups come from two independent ``ktheory`` calls, on the
+    graph (T) and on its full-relation graph (O).  The nodes read what those
+    calls hold: the degree-one lattices with their Smith forms, and the K0
+    class maps in canonical coordinates.  Besides them only two small
+    matrices are reduced: B below, with a row per exempt vertex and a column
+    per K1(O) basis vector, and the presentation of coker j, with a column
+    per K0(T) coordinate.
+
+    * ``exact_at_k1_full``: B is the index map on the K1(O) basis.  Every
+      basis vector of ker B, taken into Z^{F0}, lies in K1(T), and every
+      K1(T) basis vector solves in K1(O) to coefficients that B kills.  The
+      kernel is saturated, so this is lattice equality.
+    * ``exact_at_ideal``: J is the matrix of the ideal-class map
+      j: Z^{S^c} -> K0(T); its column at exempt u is the class of u's
+      relation row, read from the class map and the out-edges.  coker j is
+      presented by the K0(T) torsion rows and the rows of J^T, and the rows
+      of U past the rank of its Smith form span the left kernel, whose J^T
+      part generates ker j.  Every generator of ker j lies in the image of
+      B, and J kills every column of B.
+    * ``exact_at_k0_toeplitz`` is (a), (b) and (c):
+      (a) the Toeplitz class map kills every relation row at S and the full
+      class map every relation row, so phi: K0(T) -> K0(O), [v] -> [v], is
+      well defined and phi j = 0;
+      (b) coker j has the invariants of K0(O);
+      (c) the full vertex classes generate K0(O): each canonical generator
+      is the class of its section, a vertex vector read from the full
+      Smith form.
+      Then phi induces a surjection coker j -> K0(O) between isomorphic
+      finitely generated abelian groups.  Such groups are Hopfian, so it is
+      an isomorphism: ker phi = im j, and phi is onto.
+    * ``coker_ideal_map_is_k0_full`` is (b) and (c).
+
+    Exactness is a theorem of exact integer linear algebra, so any failure
+    means a bug, not bad input.  ``LesReport.witnesses`` names, for each
+    failing node, the first vector, vertex or generator that failed.
     """
     report = LesReport()
-    verts = graph.vertex_list
     exempt = tuple(sorted(graph.relation_exempt))
 
     kt_t = ktheory(graph)
@@ -251,32 +326,71 @@ def les_check(graph: FiniteGraph) -> LesReport:
     report.terms["k0_toeplitz"] = format_group(kt_t.k0)
     report.terms["k0_full"] = format_group(kt_o.k0)
 
-    # node 1: the degree-one Toeplitz lattice is exactly the kernel of the
-    # index map inside the full-relation lattice
+    # node 1: the degree-one Toeplitz lattice is the kernel of the index map
+    # inside the full-relation lattice
     k1_full = kt_o.k1_lattice
-    bdry_cols = [boundary_map(graph, k1_full.col(j)) for j in range(k1_full.cols)]
+    bdry_cols = [boundary_map(graph, x) for x in k1_full.columns()]
     bmat = IntMatrix.from_sparse_columns(len(exempt), [dict(enumerate(c)) for c in bdry_cols])
     image = ColumnLattice(bmat)  # its Smith form gives node 1's kernel and node 2's image
     ker_boundary = k1_full @ image.snf.kernel()
-    report.nodes["exact_at_k1_full"] = kt_t.k1_column_lattice().equals(ColumnLattice(ker_boundary))
-
-    # node 2: image of the index map equals the kernel of the ideal-class map
-    ideal_rows = relation_matrix(graph, at_vertices=exempt)
-    kerj = _preimage_lattice_rows(ideal_rows.transpose(), kt_t.k0.presentation).transpose()
-    report.nodes["exact_at_ideal"] = image.equals(ColumnLattice(kerj))
-
-    # node 3: the kernel of K0(T) -> K0(O) is the image of the ideal classes;
-    # at the lattice level: full relations = S relations + ideal-class vectors
-    pres_all = kt_o.k0.presentation
-    pres_aug = Presentation(verts, kt_t.k0.presentation.relations.vstack(ideal_rows))
-    ok3 = all(pres_aug.lattice_contains(r) for r in pres_all.relations.iter_rows()) and all(
-        pres_all.lattice_contains(r) for r in pres_aug.relations.iter_rows()
+    witness = _first(
+        {"check": "the kernel of the index map lies in K1(T)", "vector": list(x)}
+        for x in ker_boundary.columns()
+        if not kt_t.k1_column.contains(x)
+    ) or _first(
+        {"check": "K1(T) lies in the kernel of the index map", "vector": list(x)}
+        for x, c in ((x, kt_o.k1_column.solve(x)) for x in kt_t.k1_lattice.columns())
+        if c is None or any(bmat.mat_vec(c))
     )
-    report.nodes["exact_at_k0_toeplitz"] = ok3
+    report.record("exact_at_k1_full", witness)
 
-    # consequence: the cokernel of the ideal-class map is the full K0
-    coker_j = FgAbelianGroup.from_presentation(pres_aug)
-    report.nodes["coker_ideal_map_is_k0_full"] = coker_j.is_isomorphic_to(kt_o.k0)
+    # node 2: the image of the index map is the kernel of the ideal-class map
+    k0_t = kt_t.k0
+    ideal = _relation_classes(kt_t, exempt)
+    rows = tuple({i: d} for i, d in enumerate(k0_t.invariant_factors))
+    nt = len(rows)
+    rows += tuple({i: x for i, x in enumerate(c) if x} for c in ideal)
+    coker_j = cokernel(IntMatrix._of(len(rows), k0_t.ncoords, rows))
+    snf = coker_j.presentation.snf
+    kerj = ([snf.u_row(r).get(nt + k, 0) for k in range(len(exempt))] for r in range(snf.rank, len(rows)))
+    witness = _first(
+        {"check": "the kernel of the ideal-class map lies in the image of the index map", "vector": x}
+        for x in kerj
+        if not image.contains(x)
+    ) or _first(
+        {"check": "the ideal-class map kills the image of the index map", "vector": list(b)}
+        for b in bdry_cols
+        if any(k0_t.reduce_coords(_combine(b, ideal, k0_t.ncoords)))
+    )
+    report.record("exact_at_ideal", witness)
+
+    # node 3 on the two independent Smith forms, as in the docstring
+    class_maps = [("Toeplitz", kt_t, graph.s_vertices)]
+    if exempt:
+        class_maps.append(("full", kt_o, graph.vertex_list))
+    killed = _first(
+        {"check": f"the {name} class map kills the relation row at the vertex", "vertex": u}
+        for name, kt, at in class_maps
+        for u, c in zip(at, _relation_classes(kt, at))
+        if any(c)
+    )
+    same = None
+    if not coker_j.is_isomorphic_to(kt_o.k0):
+        same = {
+            "check": "coker j is K0(O)",
+            "coker_j": format_group(coker_j),
+            "k0_full": format_group(kt_o.k0),
+        }
+    k0_o = kt_o.k0
+    pres_o, n = k0_o.presentation, k0_o.ncoords
+    classes_o = [kt_o.k0_class_of_vertex[v] for v in pres_o.generators]
+    onto = _first(
+        {"check": "the full vertex classes generate K0(O)", "generator": k, "section": list(s)}
+        for k, s in ((k, pres_o.section(k)) for k in range(n))
+        if k0_o.reduce_coords(_combine(s, classes_o, n)) != tuple(int(i == k) for i in range(n))
+    )
+    report.record("exact_at_k0_toeplitz", killed or same or onto)
+    report.record("coker_ideal_map_is_k0_full", same or onto)
 
     return report
 
@@ -485,11 +599,10 @@ def chain_ktheory_report(chain: GraphChain, window: int = 2, force: bool = False
         dst_lat = dst.k1_column_lattice()
         dst_idx = dst.graph.vertex_index
         cols = []
-        for j in range(src.k1_lattice.cols):
-            x = src.k1_lattice.col(j)
+        for x in src.k1_lattice.sparse_columns():
             ext = [0] * len(dst.vertex_order)
-            for val, v in zip(x, src.vertex_order):
-                ext[dst_idx[v]] = val
+            for i, val in x.items():
+                ext[dst_idx[src.vertex_order[i]]] = val
             coeffs = dst_lat.solve(ext)
             if coeffs is None:
                 raise ValueError(

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .abelian import FgAbelianGroup, format_group
+from .abelian import FgAbelianGroup, format_group, parse_group_pair
 from .graphs import (
     B2Report,
     ConditionReport,
@@ -44,6 +44,11 @@ from .graphs import (
 from .ktheory import chain_ktheory_report, ktheory
 
 VERIFICATION_WINDOW = 2
+# requests whose construction would hold more edges than this, counted once
+# per layer that verification builds, are refused before anything is built.
+# Near the bound a build peaks below 500 MB; the largest equal-rank graph,
+# for (Z^998, Z^998), takes about four minutes (2-core x86-64, Python 3.11)
+MAX_EDGE_LAYERS = 1_000_000
 
 
 class EdgeBag:
@@ -196,6 +201,37 @@ def build_case_iii(l: int, p: int, torsion: Sequence[int] = (), depth: int = 6) 
 # ---------------------------------------------------------------------------
 
 
+def edge_layers(r0: int, torsion: Sequence[int], r1: int, depth: int) -> int:
+    """Edges of the construction for ranks (r0, r1), times the layers verified.
+
+    Case i is one graph.  A chain is built and verified with ``depth +
+    VERIFICATION_WINDOW`` layers, and each layer graph holds at most all of
+    the chain's edges.  The counts follow the constructions: the case-i
+    part has (l+1)(l+2) + sum(torsion) + len(torsion) edges, and each tower
+    1 + 7 maxj (case ii) or 1 + 6 maxj (case iii) edges.
+    """
+
+    def base(l: int) -> int:
+        return (l + 1) * (l + 2) + sum(torsion) + len(torsion)
+
+    if r0 == r1:
+        return base(r0)
+    layers = depth + VERIFICATION_WINDOW
+    if r0 < r1:
+        edges = base(r1 + 1) + (r1 - r0 + 1) * (1 + 7 * layers)
+    else:
+        edges = base(r0) + (r0 - r1) * (1 + 6 * (layers + 1))
+    return edges * layers
+
+
+def _check_size(r0: int, torsion: Sequence[int], r1: int, depth: int) -> None:
+    if edge_layers(r0, torsion, r1, depth) > MAX_EDGE_LAYERS:
+        raise ValueError(
+            f"the construction would build more edges over its verified layers "
+            f"than the bound of {MAX_EDGE_LAYERS}"
+        )
+
+
 @dataclass(frozen=True)
 class SynthesisRequest:
     g0: FgAbelianGroup
@@ -207,6 +243,18 @@ class SynthesisRequest:
             raise ValueError("the realization construction requires a free degree-one group")
         if self.depth < 4:
             raise ValueError("depth must be at least 4")
+        _check_size(self.g0.free_rank, self.g0.invariant_factors, self.g1.free_rank, self.depth)
+
+    @classmethod
+    def parse(cls, k0: str, k1: str, depth: int = 6) -> "SynthesisRequest":
+        """The request for two group expressions.
+
+        The size bound is checked on the parsed ranks before either group is
+        built, since a group allocates per unit of rank.
+        """
+        (r0, torsion0), (r1, torsion1) = parse_group_pair(k0), parse_group_pair(k1)
+        _check_size(r0, torsion0, r1, depth)
+        return cls(FgAbelianGroup.canonical(r0, torsion0), FgAbelianGroup.canonical(r1, torsion1), depth)
 
 
 @dataclass

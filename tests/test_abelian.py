@@ -172,6 +172,8 @@ def test_int_matrix_operations_match_plain_lists(rows, cols, other, density, see
         assert [got.row(i) for i in range(got.rows)] == [tuple(r) for r in want]
         assert list(got.iter_rows()) == [tuple(r) for r in want]
         assert [got.col(j) for j in range(got.cols)] == [tuple(r[j] for r in want) for j in range(width)]
+        assert got.columns() == [got.col(j) for j in range(got.cols)]
+        assert got.sparse_columns() == tuple({i: x for i, x in enumerate(col) if x} for col in got.columns())
         assert all(got.entry(i, j) == want[i][j] for i in range(got.rows) for j in range(got.cols))
         assert all(all(r.values()) for r in got.sparse_rows)  # no stored zero
         rebuilt = IntMatrix(got.rows, got.cols, got.entries)
@@ -870,6 +872,33 @@ def test_hom_rejects_ill_defined():
     z = FgAbelianGroup.canonical(1)
     with pytest.raises(ValueError):
         GroupHom(z2, z, M([[1]]))  # sends an order-2 element to infinite order
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_hom_well_definedness_matches_the_dense_relation_test(seed):
+    # reference: every domain relation, as a dense vector, maps through the
+    # dense matrix into the codomain relation lattice
+    rng = random.Random(seed)
+    nd, nc = rng.randint(0, 4), rng.randint(0, 4)
+
+    def presented(n):
+        rels = [[rng.choice([0, 0, 1, 2, -3, 4]) for _ in range(n)] for _ in range(rng.randint(0, 3))]
+        return cokernel(IntMatrix.from_rows(rels, cols=n))
+
+    dom, cod = presented(nd), presented(nc)
+    if rng.random() < 0.3:
+        # a codomain relation row as a literal image, the fast path
+        dom = cokernel(IntMatrix.from_rows([[1] + [0] * (nd - 1)] if nd else [], cols=nd))
+    mat = M([[rng.randint(-2, 2) for _ in range(nd)] for _ in range(nc)]) if nc else IntMatrix.zero(0, nd)
+    expected = all(
+        cod.presentation.lattice_contains(mat.mat_vec(rel)) for rel in dom.presentation.relations.iter_rows()
+    )
+    if expected:
+        GroupHom(dom, cod, mat)
+    else:
+        with pytest.raises(ValueError):
+            GroupHom(dom, cod, mat)
 
 
 def test_hom_kernel_rank():

@@ -5,6 +5,9 @@ import importlib
 import io
 import json
 import os
+import resource
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -493,3 +496,29 @@ def test_any_json_file_gives_an_exit_code_and_no_traceback(value):
             err.flush()
             assert code in (0, 1, 2), (command, code)
             assert b"Traceback" not in err.buffer.getvalue()
+
+
+def _address_space_cap():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "k0,k1",
+    [("Z^99999999999999999999", "Z"), ("Z/99999999999999999999999", "Z"), ("Z^3000", "Z^3000")],
+)
+def test_synthesize_refuses_oversized_requests_under_a_memory_cap(k0, k1):
+    # under a 1 GB address-space cap these ran out of memory with a traceback
+    # (a name per rank, n parallel edges, quadratically many edges)
+    src = os.path.dirname(os.path.dirname(importlib.import_module("graphck").__file__))
+    env = {"PYTHONPATH": src, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphck.cli", "synthesize", "--k0", k0, "--k1", k1],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+        preexec_fn=_address_space_cap,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "than the bound" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == ""

@@ -1,12 +1,28 @@
 """K-theory engine tests: single graphs, the exact sequence, and chains."""
 
+import dataclasses
 import importlib
+import json
+import math
 import random
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
-from graphck.abelian import ColumnLattice, GroupHom, IntMatrix, kernel_basis, smith_normal_form
-from graphck.graphs import FiniteGraph, GraphChain
+from graphck import cli
+from graphck.abelian import (
+    ColumnLattice,
+    FgAbelianGroup,
+    GroupHom,
+    IntMatrix,
+    Presentation,
+    _preimage_lattice_rows,
+    format_group,
+    kernel_basis,
+    smith_normal_form,
+)
+from graphck.graphs import FiniteGraph, GraphChain, dump_graph
 from graphck.ktheory import (
     _canonical_inclusion_k0,
     boundary_map,
@@ -314,11 +330,13 @@ def test_les_on_tower_layer():
 
 def test_les_reuses_the_ktheory_smith_forms(snf_calls):
     # two ktheory calls and the node checks; the Toeplitz relation matrix, its
-    # degree-one lattice and the full presentation come from ktheory.  The
-    # Toeplitz ktheory reduces the transposed Toeplitz matrix for route two,
-    # never the full relation matrix, which only the full ktheory reduces.
-    # The full ktheory has no exempt vertex, so its two routes share one
-    # lattice, and node 1's kernel and node 2's image read one Smith form
+    # degree-one lattice and both class maps come from ktheory.  The Toeplitz
+    # ktheory reduces the transposed Toeplitz matrix for route two, never the
+    # full relation matrix, which only the full ktheory reduces.  The full
+    # ktheory has no exempt vertex, so its two routes share one lattice.  The
+    # nodes add two Smith forms: the index-map matrix B, whose Smith form
+    # gives node 1's kernel and node 2's image, and the presentation of
+    # coker j, which gives node 2's kernel and node 3's cokernel
     rep = les_check(build_case_ii(2, 1, (), 5).layer_graph(1))
     assert rep.passed
     assert sorted(rep.nodes) == [
@@ -327,7 +345,43 @@ def test_les_reuses_the_ktheory_smith_forms(snf_calls):
         "exact_at_k0_toeplitz",
         "exact_at_k1_full",
     ]
-    assert len(snf_calls) == 11
+    assert len(snf_calls) == 8
+
+
+def _les_node_shapes(monkeypatch, snf_calls, graph):
+    """Shapes of the Smith forms les_check computes outside its ktheory calls."""
+    ktheory_mod = importlib.import_module("graphck.ktheory")
+    orig = ktheory_mod.ktheory
+    ends = []
+
+    def marking(g):
+        kt = orig(g)
+        ends.append(len(snf_calls))
+        return kt
+
+    del snf_calls[:]
+    with monkeypatch.context() as m:
+        m.setattr(ktheory_mod, "ktheory", marking)
+        assert les_check(graph).passed
+    return snf_calls[ends[-1] :]
+
+
+def test_les_nodes_reduce_no_vertex_sized_matrix(monkeypatch, snf_calls):
+    # beyond the two ktheory calls, les_check reduces B (one row per exempt
+    # vertex, one column per K1(O) basis vector) and the presentation of
+    # coker j (the K0(T) torsion rows and one row per exempt vertex, one
+    # column per K0(T) coordinate)
+    graphs = [build_case_ii(2, 1, (), 5).layer_graph(n) for n in range(4)]
+    graphs += [g for g, _ in zip(_les_graphs(40, 5), range(40))]
+    for g in graphs:
+        ne = len(g.relation_exempt)
+        kt_t = ktheory(g)
+        kt_o = ktheory(FiniteGraph(g.vertices, g.edges)) if ne else kt_t
+        shapes = _les_node_shapes(monkeypatch, snf_calls, g)
+        assert shapes == [(ne, kt_o.k1.rank), (len(kt_t.k0.invariant_factors) + ne, kt_t.k0.ncoords)]
+    for g in graphs[:4]:
+        nv = len(g.vertex_list)
+        assert nv not in [cols for _, cols in _les_node_shapes(monkeypatch, snf_calls, g)]
 
 
 def test_les_random_graphs():
@@ -339,6 +393,299 @@ def test_les_random_graphs():
         exempt = {v for v in verts if rng.random() < 0.35}
         rep = les_check(FiniteGraph(verts, edges, exempt))
         assert rep.passed, (verts, edges, exempt, rep.nodes)
+
+
+def _les_graphs(n, seed):
+    """The empty graph, then n random graphs with at most eight vertices.
+
+    They cycle through loop-only graphs, torsion-heavy graphs (bundles of
+    parallel edges) and plain random ones, and through no, all and some
+    exempt vertices.
+    """
+    rng = random.Random(seed)
+    yield FiniteGraph([], [])
+    for i in range(n):
+        nv = rng.randint(1, 8)
+        verts = [f"v{j}" for j in range(nv)]
+        kind = i % 3
+        if kind == 0:
+            loops = [rng.choice(verts) for _ in range(rng.randint(0, 2 * nv))]
+            edges = [(f"e{k}", v, v) for k, v in enumerate(loops)]
+        elif kind == 1:
+            ends = [(rng.choice(verts), rng.choice(verts)) for _ in range(rng.randint(1, 2 * nv))]
+            edges = [(f"e{k}_{c}", o, t) for k, (o, t) in enumerate(ends) for c in range(rng.randint(1, 6))]
+        else:
+            edges = [(f"e{k}", rng.choice(verts), rng.choice(verts)) for k in range(rng.randint(0, 3 * nv))]
+        mode = i % 4
+        exempt = set() if mode == 0 else set(verts) if mode == 1 else {v for v in verts if rng.random() < 0.4}
+        yield FiniteGraph(verts, edges, exempt)
+
+
+def _reference_les_nodes(graph):
+    """The vertex-space formulation of the three nodes, kept as a reference.
+
+    Node 1 compares K1(T) with the kernel of the index map as lattices, node
+    2 compares the image of the index map with the preimage, in Z^{S^c}, of
+    the Toeplitz relation lattice under the exempt relation rows, and node 3
+    compares the full relation lattice with the Toeplitz relations stacked
+    on the exempt relation rows.
+    """
+    exempt = tuple(sorted(graph.relation_exempt))
+    kt_t = ktheory(graph)
+    kt_o = ktheory(FiniteGraph(graph.vertices, graph.edges)) if exempt else kt_t
+    nodes = {}
+    k1_full = kt_o.k1_lattice
+    bdry_cols = [boundary_map(graph, k1_full.col(j)) for j in range(k1_full.cols)]
+    image = ColumnLattice(IntMatrix.from_sparse_columns(len(exempt), [dict(enumerate(c)) for c in bdry_cols]))
+    ker_boundary = k1_full @ image.snf.kernel()
+    nodes["exact_at_k1_full"] = kt_t.k1_column.equals(ColumnLattice(ker_boundary))
+    ideal_rows = relation_matrix(graph, at_vertices=exempt)
+    kerj = _preimage_lattice_rows(ideal_rows.transpose(), kt_t.k0.presentation).transpose()
+    nodes["exact_at_ideal"] = image.equals(ColumnLattice(kerj))
+    pres_all = kt_o.k0.presentation
+    pres_aug = Presentation(graph.vertex_list, kt_t.k0.presentation.relations.vstack(ideal_rows))
+    nodes["exact_at_k0_toeplitz"] = all(
+        pres_aug.lattice_contains(r) for r in pres_all.relations.iter_rows()
+    ) and all(pres_all.lattice_contains(r) for r in pres_aug.relations.iter_rows())
+    coker_j = FgAbelianGroup.from_presentation(pres_aug)
+    nodes["coker_ideal_map_is_k0_full"] = coker_j.is_isomorphic_to(kt_o.k0)
+    return nodes, coker_j
+
+
+def test_les_nodes_match_the_vertex_space_formulation():
+    graphs = list(_les_graphs(520, 2026))
+    kinds = Counter()
+    for g in graphs:
+        rep = les_check(g)
+        ref, _ = _reference_les_nodes(g)
+        assert rep.nodes == ref, (g.vertices, g.edges, g.relation_exempt)
+        assert rep.passed and "witnesses" not in rep.to_json_dict()
+        kt = ktheory(g)
+        kinds["empty"] += not g.vertices
+        kinds["loop-only"] += bool(g.edges) and all(o == t for _, o, t in g.edges)
+        kinds["no exempt"] += bool(g.vertices) and not g.relation_exempt
+        kinds["all exempt"] += bool(g.vertices) and g.relation_exempt == set(g.vertices)
+        kinds["torsion"] += bool(kt.k0.invariant_factors)
+        kinds["torsion >= 3"] += bool(kt.k0.invariant_factors) and kt.k0.invariant_factors[-1] >= 3
+    assert len(graphs) > 500
+    assert kinds["empty"] == 1 and min(kinds.values()) >= 1 and kinds["torsion"] >= 100, kinds
+
+
+# ---------------------------------------------------------------------------
+# Mutations: a corrupted input to les_check fails the named node, and the
+# witness it reports is confirmed by a recheck that does not use its code
+# ---------------------------------------------------------------------------
+
+
+def _corrupting(monkeypatch, corrupt):
+    """Route les_check's ktheory calls through ``corrupt(graph, result)``."""
+    ktheory_mod = importlib.import_module("graphck.ktheory")
+    orig = ktheory_mod.ktheory
+    monkeypatch.setattr(ktheory_mod, "ktheory", lambda g: corrupt(g, orig(g)))
+
+
+def _exempt_graphs(n, seed):
+    return [g for g in _les_graphs(n, seed) if g.relation_exempt and g.s_vertices]
+
+
+def _generates(group, classes):
+    """Do these canonical coordinate vectors generate the group?  One Smith form."""
+    rows = [[d if i == k else 0 for i in range(group.ncoords)] for k, d in enumerate(group.invariant_factors)]
+    stacked = IntMatrix.from_rows(rows + [list(c) for c in classes], cols=group.ncoords)
+    return smith_normal_form(stacked).diagonal.count(1) == group.ncoords
+
+
+def _recheck_k0_witness(graph, kt_t, kt_o, witness):
+    """Confirm a node-3 witness from dense relation rows and sums of classes."""
+    if "vertex" in witness:
+        kt = kt_t if witness["check"].startswith("the Toeplitz") else kt_o
+        full = FiniteGraph(graph.vertices, graph.edges)
+        row = relation_matrix(full, at_vertices=[witness["vertex"]]).row(0)
+        classes = [kt.k0_class_of_vertex[v] for v in graph.vertex_list]
+        total = [sum(x * c[i] for x, c in zip(row, classes)) for i in range(kt.k0.ncoords)]
+        return any(kt.k0.reduce_coords(total))
+    if "coker_j" in witness:
+        _, coker_j = _reference_les_nodes(graph)
+        return witness["coker_j"] == format_group(coker_j) and witness["k0_full"] == format_group(kt_o.k0)
+    k, section = witness["generator"], witness["section"]
+    classes = [kt_o.k0_class_of_vertex[v] for v in graph.vertex_list]
+    total = [sum(x * c[i] for x, c in zip(section, classes)) for i in range(kt_o.k0.ncoords)]
+    return kt_o.k0.reduce_coords(total) != tuple(int(i == k) for i in range(kt_o.k0.ncoords))
+
+
+def test_les_node3_catches_a_class_map_that_is_not_an_isomorphism(monkeypatch):
+    # one coordinate of one vertex's full class is shifted by one.  The
+    # shifted map Z^{F0} -> K0(O) is an isomorphism of K0(O) exactly when it
+    # kills every full relation row and its classes generate K0(O) (Hopfian);
+    # both are decided here from dense rows and one Smith form
+    rng = random.Random(7)
+    caught = applicable = 0
+    for g in _exempt_graphs(400, 11):
+        kt_t = ktheory(g)
+        kt_o = ktheory(FiniteGraph(g.vertices, g.edges))
+        if not kt_o.k0.ncoords:
+            continue
+        v = rng.choice(g.vertex_list)
+        k = rng.randrange(kt_o.k0.ncoords)
+        bad = dict(kt_o.k0_class_of_vertex)
+        bad[v] = kt_o.k0.reduce_coords([c + (i == k) for i, c in enumerate(bad[v])])
+        bad_o = dataclasses.replace(kt_o, k0_class_of_vertex=bad)
+        rows = relation_matrix(FiniteGraph(g.vertices, g.edges)).iter_rows()
+        classes = [bad[u] for u in g.vertex_list]
+        n = kt_o.k0.ncoords
+        kills = all(
+            not any(kt_o.k0.reduce_coords([sum(x * c[i] for x, c in zip(r, classes)) for i in range(n)]))
+            for r in rows
+        )
+        if kills and _generates(kt_o.k0, classes):
+            continue
+        applicable += 1
+        with monkeypatch.context() as m:
+            _corrupting(m, lambda graph, kt: bad_o if not graph.relation_exempt else kt)
+            rep = les_check(g)
+        assert rep.nodes["exact_at_k1_full"] and rep.nodes["exact_at_ideal"]
+        assert not rep.nodes["exact_at_k0_toeplitz"]
+        assert _recheck_k0_witness(g, kt_t, bad_o, rep.witnesses["exact_at_k0_toeplitz"])
+        caught += 1
+    assert applicable >= 80 and caught == applicable
+
+
+def test_les_node3_catches_a_class_map_that_misses_generators(monkeypatch):
+    # doubling every full class kills every relation row still, but the
+    # classes then lie in 2 K0(O), which is proper when K0(O) has a free or an
+    # even torsion summand; only the generation check can see it
+    checked = 0
+    for g in _exempt_graphs(300, 12):
+        kt_t = ktheory(g)
+        kt_o = ktheory(FiniteGraph(g.vertices, g.edges))
+        if not (kt_o.k0.free_rank or any(d % 2 == 0 for d in kt_o.k0.invariant_factors)):
+            continue
+        doubled = {v: kt_o.k0.reduce_coords([2 * c for c in x]) for v, x in kt_o.k0_class_of_vertex.items()}
+        bad_o = dataclasses.replace(kt_o, k0_class_of_vertex=doubled)
+        assert not _generates(kt_o.k0, doubled.values())
+        with monkeypatch.context() as m:
+            _corrupting(m, lambda graph, kt: bad_o if not graph.relation_exempt else kt)
+            rep = les_check(g)
+        failing = [n for n, ok in rep.nodes.items() if not ok]
+        assert failing == ["exact_at_k0_toeplitz", "coker_ideal_map_is_k0_full"]
+        witness = rep.witnesses["coker_ideal_map_is_k0_full"]
+        assert witness == rep.witnesses["exact_at_k0_toeplitz"] and "generator" in witness
+        assert _recheck_k0_witness(g, kt_t, bad_o, witness)
+        checked += 1
+    assert checked >= 50
+
+
+def test_les_node3_catches_corrupted_k0_full_invariants(monkeypatch):
+    # every invariant factor of K0(O) doubled, coordinates unchanged
+    checked = 0
+    for g in _exempt_graphs(300, 13):
+        kt_t = ktheory(g)
+        kt_o = ktheory(FiniteGraph(g.vertices, g.edges))
+        if not kt_o.k0.invariant_factors:
+            continue
+        bad = object.__new__(FgAbelianGroup)
+        bad.free_rank, bad.presentation = kt_o.k0.free_rank, kt_o.k0.presentation
+        bad.invariant_factors = tuple(2 * d for d in kt_o.k0.invariant_factors)
+        bad_o = dataclasses.replace(kt_o, k0=bad)
+        with monkeypatch.context() as m:
+            _corrupting(m, lambda graph, kt: bad_o if not graph.relation_exempt else kt)
+            rep = les_check(g)
+        assert not rep.nodes["exact_at_k0_toeplitz"] and not rep.nodes["coker_ideal_map_is_k0_full"]
+        assert rep.terms["k0_full"] == format_group(bad)
+        for node in ("exact_at_k0_toeplitz", "coker_ideal_map_is_k0_full"):
+            assert _recheck_k0_witness(g, kt_t, bad_o, rep.witnesses[node])
+        checked += 1
+    assert checked >= 30
+
+
+def test_les_node1_catches_a_doubled_k1_toeplitz_column(monkeypatch):
+    checked = 0
+    for g in _exempt_graphs(400, 14):
+        kt_t = ktheory(g)
+        if not kt_t.k1.rank:
+            continue
+        cols = [dict(c) for c in kt_t.k1_lattice.sparse_columns()]
+        cols[0] = {i: 2 * x for i, x in cols[0].items()}
+        lattice = IntMatrix.from_sparse_columns(kt_t.k1_lattice.rows, cols)
+        bad_t = dataclasses.replace(kt_t, k1_lattice=lattice, k1_column=ColumnLattice(lattice))
+        with monkeypatch.context() as m:
+            _corrupting(m, lambda graph, kt: bad_t if graph.relation_exempt else kt)
+            rep = les_check(g)
+        assert [n for n, ok in rep.nodes.items() if not ok] == ["exact_at_k1_full"]
+        x = rep.witnesses["exact_at_k1_full"]["vector"]
+        # x is a full-relation degree-one vector the index map kills, and its
+        # coordinate on the doubled basis vector is odd
+        assert not any(boundary_map(g, x))
+        coeffs = kt_t.k1_column.solve(x)
+        assert coeffs is not None and coeffs[0] % 2 == 1
+        checked += 1
+    assert checked >= 30
+
+
+def _lattice_invariants(cols, n):
+    """(rank, gcd of the maximal nonzero minors) of the lattice these columns span."""
+    for r in range(min(n, len(cols)), 0, -1):
+        g = 0
+        for rs in combinations(range(n), r):
+            for cs in combinations(range(len(cols)), r):
+                g = math.gcd(g, IntMatrix.from_rows([[cols[c][i] for c in cs] for i in rs]).determinant())
+        if g:
+            return r, g
+    return 0, 1
+
+
+def _zeroing_first_boundary(m, ne):
+    """Make the first index-map column les_check computes zero."""
+    ktheory_mod = importlib.import_module("graphck.ktheory")
+    orig, calls = ktheory_mod.boundary_map, []
+
+    def first_zero(graph, x):
+        calls.append(x)
+        return (0,) * ne if len(calls) == 1 else orig(graph, x)
+
+    m.setattr(ktheory_mod, "boundary_map", first_zero)
+
+
+def test_les_node2_catches_a_zeroed_index_map_column(monkeypatch, capsys, tmp_path):
+    checked = 0
+    for g in _exempt_graphs(800, 15):
+        if len(g.vertex_list) > 6:
+            continue
+        ne = len(g.relation_exempt)
+        kt_t = ktheory(g)
+        kt_o = ktheory(FiniteGraph(g.vertices, g.edges))
+        cols = [boundary_map(g, x) for x in kt_o.k1_lattice.columns()]
+        if not cols:
+            continue
+        zeroed = [(0,) * ne] + cols[1:]
+        if _lattice_invariants(zeroed, ne) == _lattice_invariants(cols, ne):
+            continue  # the zeroed column was redundant
+        with monkeypatch.context() as m:
+            _zeroing_first_boundary(m, ne)
+            rep = les_check(g)
+        assert not rep.nodes["exact_at_ideal"]
+        x = rep.witnesses["exact_at_ideal"]["vector"]
+        # x is in the kernel of the ideal-class map: the class of the sum of
+        # x_u times u's relation row vanishes in K0(T)
+        rows = relation_matrix(g, at_vertices=sorted(g.relation_exempt)).to_lists()
+        ambient = [sum(x[k] * rows[k][i] for k in range(ne)) for i in range(len(g.vertex_list))]
+        assert not any(kt_t.k0.coords_of(ambient))
+        # and outside the lattice of the corrupted index-map columns
+        assert _lattice_invariants(zeroed + [tuple(x)], ne) != _lattice_invariants(zeroed, ne)
+        checked += 1
+        if checked == 1:
+            # the CLI prints the failing nodes with their witnesses, exit 1
+            path = tmp_path / "g.json"
+            path.write_text(dump_graph(g))
+            capsys.readouterr()
+            with monkeypatch.context() as m:
+                _zeroing_first_boundary(m, ne)
+                code = cli.main(["les-check", str(path)])
+            out = json.loads(capsys.readouterr().out)
+            assert code == 1 and not out["passed"]
+            assert set(out["witnesses"]) == {n for n, ok in out["nodes"].items() if not ok}
+            assert out["witnesses"]["exact_at_ideal"] == rep.witnesses["exact_at_ideal"]
+    assert checked >= 20
 
 
 def test_ideal_class_map_basis():

@@ -14,12 +14,14 @@ from graphck.abelian import parse_group_expr
 from graphck.graphs import FiniteGraph, check_condition_a, dump_graph, is_cycle, is_irreducible
 from graphck.ktheory import chain_ktheory_report, ktheory
 from graphck.synthesis import (
+    MAX_EDGE_LAYERS,
     VERIFICATION_WINDOW,
     SynthesisRequest,
     SynthesisResult,
     build_case_i,
     build_case_ii,
     build_case_iii,
+    edge_layers,
     synthesize,
 )
 
@@ -256,6 +258,38 @@ def test_synthesize_rejects_torsion_in_degree_one():
 def test_synthesize_rejects_trivial_pair():
     with pytest.raises(ValueError):
         run("0", "0")
+
+
+def test_edge_layers_counts_what_the_constructions_build():
+    for r0 in range(4):
+        for r1 in range(4):
+            for torsion in [(), (2,), (2, 6), (3, 3, 9)]:
+                for depth in (4, 7):
+                    layers = depth + VERIFICATION_WINDOW
+                    if r0 == r1:
+                        if not r0 and not torsion:
+                            continue
+                        built = len(build_case_i(r0, torsion).edges)
+                    elif r0 < r1:
+                        built = len(build_case_ii(r1 + 1, r1 - r0, torsion, layers).edges) * layers
+                    else:
+                        built = len(build_case_iii(r0, r0 - r1, torsion, layers).edges) * layers
+                    assert edge_layers(r0, torsion, r1, depth) == built, (r0, r1, torsion, depth)
+
+
+def test_synthesize_refuses_requests_above_the_size_bound():
+    # the largest equal-rank request under the bound is accepted (and not
+    # built here); one more rank is refused, from the groups or the text
+    l = max(k for k in range(2000) if edge_layers(k, (), k, 6) <= MAX_EDGE_LAYERS)
+    assert SynthesisRequest.parse(f"Z^{l}", f"Z^{l}").g0.free_rank == l
+    with pytest.raises(ValueError, match="than the bound"):
+        SynthesisRequest.parse(f"Z^{l + 1}", f"Z^{l + 1}")
+    with pytest.raises(ValueError, match="than the bound"):
+        SynthesisRequest(parse_group_expr(f"Z^{l + 1}"), parse_group_expr(f"Z^{l + 1}"))
+    # huge ranks, torsion orders and depths are refused from the parsed text
+    for k0, k1, depth in [("Z^" + "9" * 20, "Z", 6), ("Z/" + "9" * 23, "Z", 6), ("Z", "Z^2", 10**6)]:
+        with pytest.raises(ValueError, match="than the bound"):
+            SynthesisRequest.parse(k0, k1, depth)
 
 
 def test_synthesize_b2_witnesses_match_towers():
