@@ -11,13 +11,14 @@ them; a dense view is built only where one is read.
 
 The pieces fit together as follows.  ``smith_normal_form`` diagonalizes an
 integer matrix M as ``U @ M @ V == D`` with U, V unimodular and the diagonal
-in divisibility order.  It keeps no transform.  The sparse unit-pivot
-presolve and the dense core reduction append their operations to one row
-log and one column log, and a row of U, column of V or row of V^-1 is
-replayed from a log when a caller reads it.  The callers below read only the
-vectors they use (class maps skip the positions with a unit diagonal entry,
-and lattice tests run the row log forward on the vector they test), and none
-of them builds a dense transform.  Groups given in canonical form carry
+in divisibility order.  It keeps no transform.  A sparse presolve
+eliminates unit pivots, shortest row first, and a dense reduction finishes
+the core they leave; both append their operations to one row log and one
+column log, and a row of U, column of V or row of V^-1 is replayed from a
+log when a caller reads it.  The callers below read only the vectors they
+use (class maps skip the positions with a unit diagonal entry, and lattice
+tests run the row log forward on the vector they test), and none of them
+builds a dense transform.  Groups given in canonical form carry
 their diagonal presentation with empty logs and need no reduction.
 ``cokernel`` presents Z^n modulo the row lattice of a relation matrix and
 remembers enough of the transform to convert ambient integer vectors into
@@ -363,14 +364,16 @@ def _nearest_quotient(x: int, d: int) -> int:
 def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     """Diagonalize ``m`` over Z: returns U, D, V with U @ m @ V == D.
 
-    ``_presolve`` eliminates unit pivots on sparse rows, logging each row and
-    column operation.  What is left has no unit entry; its nonzero rows and
-    columns form the core, which ``_dense_smith`` reduces with logs of its
-    own.  Those are appended to the presolve's, translated to the matrix's
-    indices, so one row log and one column log give every transform vector
-    (see ``SmithDecomposition``).  The diagonal, and the output order of rows
-    and columns, hold the unit pivots, then the core, then zero lines.  A
-    matrix with no row or no column is its own Smith form.
+    ``_presolve`` eliminates the unit pivots on sparse rows, shortest row
+    first, logging each row and column operation.  What is left has no unit
+    entry; its nonzero rows and columns form the core, which ``_dense_smith``
+    reduces with logs of its own.  Those are appended to the presolve's,
+    translated to the matrix's indices, so one row log and one column log
+    give every transform vector (see ``SmithDecomposition``).  The diagonal,
+    and the output order of rows and columns, hold the unit pivots, then the
+    core, then zero lines.  D depends only on ``m``; U and V, and with them
+    every coordinate read through them, depend on the pivot order.  A matrix
+    with no row or no column is its own Smith form.
     """
     nrows, ncols = m.rows, m.cols
     if not nrows or not ncols:
@@ -392,58 +395,56 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
 
 
 def _presolve(m: IntMatrix):
-    """Eliminate the unit entries of ``m`` in Markowitz order.
+    """Eliminate the unit entries of ``m``, shortest row first.
 
-    Works on copies of ``m``'s sparse rows, with column occurrence sets,
-    and repeatedly eliminates the +/-1 entry of lowest (cost, row, column),
-    with cost the Markowitz count (row nnz - 1) * (col nnz - 1): row
-    operations clear its column, column operations clear its row, and a -1
-    pivot's row is negated.
-    Relation matrices of graphs are mostly such pivots (the unit-pivot
-    elimination of Dumas, Saunders and Villard, J. Symbolic Comput. 2001).
+    Works on copies of ``m``'s sparse rows, with column occurrence sets.
+    Each step takes the shortest row that still holds a +/-1 (ties to the
+    lowest row) and, in it, the unit whose column has the fewest nonzeros
+    (ties to the lowest column): row operations clear that column, column
+    operations clear the row, and a -1 pivot's row is negated.  Relation
+    matrices of graphs are mostly such pivots (the unit-pivot elimination of
+    Dumas, Saunders and Villard, J. Symbolic Comput. 2001).
+
+    This is a restricted Markowitz search (Zlatev, SIAM J. Numer. Anal.
+    1980): a heap of (row length, row) and a unit count per row, both kept
+    up to date inside the fill loop at O(1) per entry.  No global Markowitz
+    order, (row nnz - 1) * (col nnz - 1) over every unit, is kept.  Keeping
+    it meant rescanning every row of every column in the pivot row at each
+    pivot, which was most of the presolve's time: fed the same pivot
+    sequence with that search removed, the presolve ran the Smith-form
+    inputs of one ``ktheory_big`` benchmark pass in 0.14 s instead of
+    0.55 s.  This order takes 0.26 s there and leaves cores with 6% more
+    cells (best of 3, one process on a 2-core x86-64 host, Python 3.11).
+
     No transform is kept: each step is appended to a row log or a column log
     in the format of ``_dense_smith``.  Returns the rows left ({column:
     nonzero}, None at pivot rows), the column occurrence sets (None at pivot
     columns), the pivots as (row, column, unit), the row log and the column
     log.
     """
-    nrows, ncols = m.rows, m.cols
     rows: list = [dict(r) for r in m.sparse_rows]
-    colrows: list = [set() for _ in range(ncols)]
+    colrows: list = [set() for _ in range(m.cols)]
+    units = [0] * m.rows
     for i, r in enumerate(rows):
-        for j in r:
+        for j, x in r.items():
             colrows[j].add(i)
+            if x == 1 or x == -1:
+                units[i] += 1
     pivots: list[tuple[int, int, int]] = []
     rlog: list[tuple[int, int, int]] = []
     clog: list[tuple[int, int, int]] = []
-
-    def cheapest_unit(i: int):
-        """Heap item (cost, row, column) of row i's cheapest unit entry, or None."""
-        ri = rows[i]
-        ci = len(ri) - 1
-        best = None
-        for j, x in ri.items():
-            if x == 1 or x == -1:
-                item = (ci * (len(colrows[j]) - 1), i, j)
-                if best is None or item < best:
-                    best = item
-        return best
-
-    # best[i] is row i's cheapest unit entry at its current cost, and is in
-    # the heap; an item whose entry or cost changed since it was pushed is
-    # skipped when popped.  The cheapest item overall is some row's best, so
-    # the pivot order is that of a heap holding every unit entry
-    best = [cheapest_unit(i) for i in range(nrows)]
-    heap = [item for item in best if item is not None]
+    # every row holding a unit has an item at its current length; an item
+    # whose row is gone, unit-free or of another length is stale
+    heap = [(len(r), i) for i, r in enumerate(rows) if units[i]]
     heapify(heap)
     while heap:
-        cost, p, c = heappop(heap)
+        length, p = heappop(heap)
         rp = rows[p]
-        s = rp.get(c) if rp is not None else None
-        if (s != 1 and s != -1) or cost != (len(rp) - 1) * (len(colrows[c]) - 1):
+        if rp is None or not units[p] or length != len(rp):
             continue
+        c = min((len(colrows[j]), j) for j, x in rp.items() if x == 1 or x == -1)[1]
+        s = rp.pop(c)
         pivots.append((p, c, s))
-        del rp[c]
         rows[p] = None
         # clear column c with row operations (s is its own inverse)
         changed = colrows[c]
@@ -452,15 +453,24 @@ def _presolve(m: IntMatrix):
         for i in changed:
             ri = rows[i]
             q = ri.pop(c) * s
+            u = units[i] - (q == 1 or q == -1)
             for j, y in rp.items():
-                z = ri.get(j, 0) - q * y
+                x = ri.get(j, 0)
+                z = x - q * y
+                if x == 1 or x == -1:
+                    u -= 1
                 if z:
-                    if j not in ri:
+                    if not x:
                         colrows[j].add(i)
+                    if z == 1 or z == -1:
+                        u += 1
                     ri[j] = z
                 else:
                     del ri[j]
                     colrows[j].discard(i)
+            units[i] = u
+            if u:
+                heappush(heap, (len(ri), i))
             rlog.append((i, p, q))
         if s < 0:
             rlog.append((p, p, 2))
@@ -469,33 +479,6 @@ def _presolve(m: IntMatrix):
         for j, y in rp.items():
             clog.append((j, c, y * s))
             colrows[j].discard(p)
-        # costs changed only in the changed rows and at row p's columns.  A
-        # changed row, or one whose best entry is at such a column, is
-        # rescanned; any other row's best can only be beaten at those columns
-        rescan = set(changed)
-        for j in rp:
-            for i in colrows[j]:
-                if i not in rescan and best[i] is not None and best[i][2] in rp:
-                    rescan.add(i)
-        for i in rescan:
-            item = best[i] = cheapest_unit(i)
-            if item is not None:
-                heappush(heap, item)
-        pushed = set()
-        for j in rp:
-            cj = len(colrows[j]) - 1
-            for i in colrows[j]:
-                if i in rescan or best[i] is None:
-                    continue
-                ri = rows[i]
-                x = ri[j]
-                if x == 1 or x == -1:
-                    item = ((len(ri) - 1) * cj, i, j)
-                    if item < best[i]:
-                        best[i] = item
-                        pushed.add(i)
-        for i in pushed:
-            heappush(heap, best[i])
     return rows, colrows, pivots, rlog, clog
 
 
@@ -577,21 +560,22 @@ def _dense_smith(a: list[list[int]]) -> tuple[list, list]:
     rlog: list[tuple[int, int, int]] = []
     clog: list[tuple[int, int, int]] = []
 
+    # rows and columns before the current pivot position t are cleared, so
+    # every operation at step t touches only lines t onwards
     def row_axpy(i, j, q):
         # row i -= q * row j
         ai, aj = a[i], a[j]
-        for k in range(ncols):
+        for k in range(t, ncols):
             x = aj[k]
             if x:
                 ai[k] -= q * x
         rlog.append((i, j, q))
 
-    def col_axpy(i, j, q):
-        # col i -= q * col j
-        for row in a:
-            x = row[j]
-            if x:
-                row[i] -= q * x
+    def col_axpy(i, j, q, at):
+        # col i -= q * col j, where col j is zero off the rows in ``at``
+        for r in at:
+            row = a[r]
+            row[i] -= q * row[j]
         clog.append((i, j, q))
 
     def find_pivot(t):
@@ -623,25 +607,25 @@ def _dense_smith(a: list[list[int]]) -> tuple[list, list]:
                 rlog.append((piv[0], t, 0))
             if piv[1] != t:
                 j = piv[1]
-                for row in a:
+                for row in a[t:]:
                     row[j], row[t] = row[t], row[j]
                 clog.append((j, t, 0))
             d = a[t][t]
-            dirty = False
             for i in range(t + 1, nrows):
                 x = a[i][t]
                 if x:
                     q = _nearest_quotient(x, d)
                     if q:
                         row_axpy(i, t, q)
-                    if a[i][t]:
-                        dirty = True
+            # column t is now zero off row t and the rows with a remainder
+            at = [t] + [i for i in range(t + 1, nrows) if a[i][t]]
+            dirty = len(at) > 1
             for j in range(t + 1, ncols):
                 x = a[t][j]
                 if x:
                     q = _nearest_quotient(x, d)
                     if q:
-                        col_axpy(j, t, q)
+                        col_axpy(j, t, q, at)
                     if a[t][j]:
                         dirty = True
             if dirty:

@@ -40,7 +40,7 @@ degree zero), and the stabilization-flagged colimit from ``abelian``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .abelian import (
     ColumnLattice,
@@ -188,13 +188,19 @@ def boundary_map(graph: FiniteGraph, x: Sequence[int]) -> tuple[int, ...]:
     verts = graph.vertex_list
     if len(x) != len(verts):
         raise ValueError("class vector length must match the vertex count")
-    vidx = graph.vertex_index
     if not _k1_relations_hold(graph, x, verts):
         raise ValueError("vector is not a degree-one class of the full-relation algebra")
-    out = []
-    for u in sorted(graph.relation_exempt):
-        out.append(-sum(x[vidx[o]] for _, o, _ in graph.in_edges(u)))
-    return tuple(out)
+    return _index_map(graph, [dict(enumerate(x))])[0]
+
+
+def _index_map(graph: FiniteGraph, columns: Iterable[dict]) -> list[tuple[int, ...]]:
+    """``boundary_map`` of each ``{vertex index: value}`` column, unchecked.
+
+    For callers whose columns are already known to be degree-one classes.
+    """
+    vidx = graph.vertex_index
+    origins = [[vidx[o] for _, o, _ in graph.in_edges(u)] for u in sorted(graph.relation_exempt)]
+    return [tuple(-sum(x.get(o, 0) for o in at) for at in origins) for x in columns]
 
 
 @dataclass
@@ -327,9 +333,10 @@ def les_check(graph: FiniteGraph) -> LesReport:
     report.terms["k0_full"] = format_group(kt_o.k0)
 
     # node 1: the degree-one Toeplitz lattice is the kernel of the index map
-    # inside the full-relation lattice
+    # inside the full-relation lattice.  ktheory(graph_o) checked that its
+    # basis satisfies the relation at every vertex, so B needs no recheck
     k1_full = kt_o.k1_lattice
-    bdry_cols = [boundary_map(graph, x) for x in k1_full.columns()]
+    bdry_cols = _index_map(graph, k1_full.sparse_columns())
     bmat = IntMatrix.from_sparse_columns(len(exempt), [dict(enumerate(c)) for c in bdry_cols])
     image = ColumnLattice(bmat)  # its Smith form gives node 1's kernel and node 2's image
     ker_boundary = k1_full @ image.snf.kernel()

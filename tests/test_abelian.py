@@ -581,6 +581,108 @@ def test_replayed_core_vectors_match_the_eager_reduction(rows, cols, kind, seed)
     s.verify(m)
 
 
+def _full_sweep_dense_smith(a):
+    """Reference core reduction: the pivoting and logs of
+    ``abelian._dense_smith``, with every row operation run over every column
+    and every column operation and column swap over every row, cleared lines
+    included."""
+    nrows, ncols = len(a), len(a[0]) if a else 0
+    rlog, clog = [], []
+
+    def row_axpy(i, j, q):
+        for k in range(ncols):
+            if a[j][k]:
+                a[i][k] -= q * a[j][k]
+        rlog.append((i, j, q))
+
+    def col_axpy(i, j, q):
+        for row in a:
+            if row[j]:
+                row[i] -= q * row[j]
+        clog.append((i, j, q))
+
+    def find_pivot(t):
+        best = None
+        for i in range(t, nrows):
+            for j in range(t, ncols):
+                if a[i][j] and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
+                    best = (i, j)
+                    if abs(a[i][j]) == 1:
+                        return best
+        return best
+
+    t = 0
+    while t < min(nrows, ncols):
+        piv = find_pivot(t)
+        if piv is None:
+            break
+        while True:
+            if piv[0] != t:
+                a[piv[0]], a[t] = a[t], a[piv[0]]
+                rlog.append((piv[0], t, 0))
+            if piv[1] != t:
+                j = piv[1]
+                for row in a:
+                    row[j], row[t] = row[t], row[j]
+                clog.append((j, t, 0))
+            d = a[t][t]
+            dirty = False
+            for i in range(t + 1, nrows):
+                if a[i][t]:
+                    q = abelian._nearest_quotient(a[i][t], d)
+                    if q:
+                        row_axpy(i, t, q)
+                    dirty = dirty or bool(a[i][t])
+            for j in range(t + 1, ncols):
+                if a[t][j]:
+                    q = abelian._nearest_quotient(a[t][j], d)
+                    if q:
+                        col_axpy(j, t, q)
+                    dirty = dirty or bool(a[t][j])
+            if dirty:
+                piv = find_pivot(t)
+                continue
+            if d in (1, -1):
+                break
+            culprit = next(
+                (i for i in range(t + 1, nrows) if any(a[i][j] % d for j in range(t + 1, ncols))), None
+            )
+            if culprit is None:
+                break
+            row_axpy(t, culprit, -1)
+            piv = (t, t)
+        if a[t][t] < 0:
+            row_axpy(t, t, 2)
+        t += 1
+    return rlog, clog
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["square", "tall", "wide"]),
+    st.sampled_from(["mixed", "unit-free", "even"]),
+    st.integers(1, 9),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_dense_core_logs_match_the_full_sweep_reduction(shape, pool, n, zero_column, seed):
+    rng = random.Random(seed)
+    rows, cols = {"square": (n, n), "tall": (3 * n + 2, n), "wide": (n, 3 * n + 2)}[shape]
+    values = {
+        "mixed": range(-9, 10),
+        "unit-free": [x for x in range(-40, 41) if abs(x) != 1],
+        "even": range(-12, 13, 2),
+    }[pool]
+    a = [[rng.choice(values) for _ in range(cols)] for _ in range(rows)]
+    if zero_column:
+        j = rng.randrange(cols)
+        for r in a:
+            r[j] = 0
+    b = [list(r) for r in a]
+    assert abelian._dense_smith(a) == _full_sweep_dense_smith(b)
+    assert a == b
+
+
 def _axpy(dst, src, q):
     """dst -= q * src on sparse vectors (index -> nonzero int)."""
     for k, y in src.items():
@@ -592,27 +694,25 @@ def _axpy(dst, src, q):
 
 
 def _full_rescan_presolve(m):
-    """Reference presolve: each step scans every unit entry left for the
-    lowest (Markowitz cost, row, column), then clears that entry's column
-    with row operations and its row with column operations, applying each
-    to sparse U rows, V columns and V^-1 rows as it goes.  Returns the
-    pivots as (row, column, unit), the rows left and the three transforms."""
+    """Reference presolve: each step scans every row left for the shortest
+    one holding a unit (ties to the lowest row) and, in it, the unit whose
+    column has the fewest nonzeros (ties to the lowest column), then clears
+    that entry's column with row operations and its row with column
+    operations, applying each to sparse U rows, V columns and V^-1 rows as
+    it goes.  Returns the pivots as (row, column, unit), the rows left and
+    the three transforms."""
     rows = {i: {j: x for j, x in enumerate(m.row(i)) if x} for i in range(m.rows)}
     u = [{i: 1} for i in range(m.rows)]
     v = [{j: 1} for j in range(m.cols)]
     vinv = [{j: 1} for j in range(m.cols)]
     pivots = []
     while True:
-        colcount = Counter(j for r in rows.values() for j in r)
-        units = [
-            ((len(r) - 1) * (colcount[j] - 1), i, j)
-            for i, r in rows.items()
-            for j, x in r.items()
-            if abs(x) == 1
-        ]
-        if not units:
+        with_units = [(len(r), i) for i, r in rows.items() if any(abs(x) == 1 for x in r.values())]
+        if not with_units:
             return pivots, rows, u, v, vinv
-        _, p, c = min(units)
+        _, p = min(with_units)
+        colcount = Counter(j for r in rows.values() for j in r)
+        _, c = min((colcount[j], j) for j, x in rows[p].items() if abs(x) == 1)
         rp = rows.pop(p)
         unit = rp.pop(c)
         pivots.append((p, c, unit))
@@ -646,6 +746,25 @@ def test_presolve_pivot_order_matches_a_full_rescan(rows, cols, density, pool, s
     ref_pivots, ref_left, _, _, _ = _full_rescan_presolve(m)
     assert pivots == ref_pivots
     assert {i: r for i, r in enumerate(left) if r is not None} == ref_left
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 57, 200])
+def test_presolve_eliminates_an_arrow_matrix_without_fill(n):
+    # unit diagonal, dense first row and column: pivoting the dense row first
+    # would fill the whole matrix, while each short row costs one row and one
+    # column operation
+    rng = random.Random(n)
+    pool = (1, -1, 2, -3, 5)
+    rows = [{j: rng.choice(pool) for j in range(n)}]
+    rows += [{0: rng.choice(pool), i: 1} for i in range(1, n)]
+    m = IntMatrix._of(n, n, tuple(rows))
+    left, _, pivots, rlog, clog = abelian._presolve(m)
+    negations = sum(1 for i, j, _ in rlog if i == j)
+    assert len(rlog) - negations + len(clog) == 2 * (n - 1)
+    assert sum(1 for r in left if r) <= 1
+    assert negations == sum(1 for _, _, s in pivots if s < 0)
+    if n <= 10:
+        smith_normal_form(m).verify(m)
 
 
 def _fold(coeffs, vectors):
