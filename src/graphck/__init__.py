@@ -32,12 +32,8 @@ from .ktheory import (
     ChainKTheory,
     KTheoryResult,
     boundary_map,
-    chain_ktheory,
     chain_ktheory_report,
-    ideal_class_image,
-    ideal_class_map,
     inclusion_k0,
-    inclusion_k1,
     ktheory,
     les_check,
     relation_matrix,

@@ -808,19 +808,7 @@ class FgAbelianGroup:
     def canonical(cls, free_rank: int, invariant_factors: Sequence[int] = ()) -> "FgAbelianGroup":
         return cls(free_rank, invariant_factors)
 
-    @classmethod
-    def trivial(cls) -> "FgAbelianGroup":
-        return cls(0, ())
-
-    @classmethod
-    def from_presentation(cls, presentation: Presentation) -> "FgAbelianGroup":
-        return cls(presentation.free_rank, presentation.invariant_factors, presentation)
-
     # -- structure ---------------------------------------------------------
-
-    @property
-    def rank(self) -> int:
-        return self.free_rank
 
     @property
     def is_trivial(self) -> bool:
@@ -859,41 +847,18 @@ class FgAbelianGroup:
                 out.append(x)
         return tuple(out)
 
-    def add_coords(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-        return self.reduce_coords([x + y for x, y in zip(a, b)])
-
-    def scale_coords(self, n: int, a: Sequence[int]) -> tuple[int, ...]:
-        return self.reduce_coords([n * x for x in a])
-
-    def zero_coords(self) -> tuple[int, ...]:
-        return (0,) * self.ncoords
-
-    def coords_of(self, ambient_vec: Sequence[int]) -> tuple[int, ...]:
-        return self.presentation.class_of(ambient_vec)
-
-    def element_order(self, coords: Sequence[int]) -> int:
-        """Order of the element (0 means infinite)."""
-        coords = self.reduce_coords(coords)
-        nfac = len(self.invariant_factors)
-        if any(coords[nfac:]):
-            return 0
-        order = 1
-        for x, d in zip(coords[:nfac], self.invariant_factors):
-            if x:
-                order = math.lcm(order, d // math.gcd(x, d))
-        return order
-
 
 def cokernel(m: IntMatrix, generators: Sequence[str] | None = None) -> FgAbelianGroup:
     """Z^cols(m) modulo the row lattice of ``m``, with a retained presentation.
 
     Rows of ``m`` are relations on the ambient generators.  The result's
-    ``coords_of`` maps any ambient vector to canonical coordinates.
+    ``presentation.class_of`` maps any ambient vector to canonical
+    coordinates.
     """
     if generators is None:
         generators = tuple(f"g{i + 1}" for i in range(m.cols))
     pres = Presentation(generators, m)
-    return FgAbelianGroup.from_presentation(pres)
+    return FgAbelianGroup(pres.free_rank, pres.invariant_factors, pres)
 
 
 # ---------------------------------------------------------------------------
@@ -1022,10 +987,6 @@ class GroupHom:
 
     # -- actions -----------------------------------------------------------
 
-    def apply_ambient(self, vec: Sequence[int]) -> tuple[int, ...]:
-        """Image (as an ambient codomain vector) of an ambient domain vector."""
-        return self.matrix.mat_vec(vec)
-
     def canonical_matrix(self) -> IntMatrix:
         """Action on canonical coordinates (column j = image of canonical gen j)."""
         if self._canonical_matrix is None:
@@ -1044,14 +1005,6 @@ class GroupHom:
         return self.codomain.reduce_coords(self.canonical_matrix().mat_vec(coords))
 
     # -- structure ---------------------------------------------------------
-
-    @classmethod
-    def identity(cls, group: FgAbelianGroup) -> "GroupHom":
-        return cls(group, group, IntMatrix.identity(group.presentation.ngens))
-
-    @classmethod
-    def zero(cls, domain: FgAbelianGroup, codomain: FgAbelianGroup) -> "GroupHom":
-        return cls(domain, codomain, IntMatrix.zero(codomain.presentation.ngens, domain.presentation.ngens))
 
     def _cokernel_pair(self) -> tuple[int, tuple[int, ...]]:
         """Canonical pair of the codomain modulo the image."""

@@ -135,15 +135,6 @@ class FiniteGraph:
     def in_degree(self, v: str) -> int:
         return len(self._in[v])
 
-    def incidence_matrix(self) -> list[list[int]]:
-        """A[u][v] = number of edges u -> v, rows/cols in sorted vertex order."""
-        order = self.vertex_index
-        n = len(order)
-        a = [[0] * n for _ in range(n)]
-        for _, o, t in self.edges:
-            a[order[o]][order[t]] += 1
-        return a
-
     def is_labeled_subgraph_of(self, other: "FiniteGraph") -> bool:
         return self.vertices <= other.vertices and set(self.edges) <= set(other.edges)
 
@@ -216,15 +207,6 @@ class GraphChain:
     @property
     def vertices(self) -> frozenset[str]:
         return self.layers[-1]
-
-    def layer_vertices(self, n: int) -> frozenset[str]:
-        return self.layers[n]
-
-    def new_vertices(self, n: int) -> frozenset[str]:
-        """Vertices first appearing in layer n (layer -1 is empty)."""
-        if n == 0:
-            return self.layers[0]
-        return self.layers[n] - self.layers[n - 1]
 
     def prefix(self, n: int) -> "GraphChain":
         """The first n layers with the edges induced on them.

@@ -90,13 +90,20 @@ def relation_matrix(graph: FiniteGraph, at_vertices: Sequence[str] | None = None
     return IntMatrix._of(len(where), len(vidx), tuple(rows))
 
 
-def _k1_relations_hold(graph: FiniteGraph, x: Sequence[int], at: Sequence[str]) -> bool:
-    vidx = graph.vertex_index
-    for u in at:
-        incoming = sum(x[vidx[o]] for _, o, _ in graph.in_edges(u))
-        if x[vidx[u]] != incoming:
-            return False
-    return True
+def _k1_relations_hold(graph: FiniteGraph, x: dict, at: Sequence[str]) -> bool:
+    """Whether x(u) = sum of x(o(e)) over the edges e into u, at every u in ``at``.
+
+    ``x`` maps vertex indices to values; absent indices are zero.  Each value
+    is added along the out-edges of its vertex, so the sums cost the
+    out-degrees of the support, not every in-edge of ``at``.
+    """
+    verts, vidx = graph.vertex_list, graph.vertex_index
+    incoming: dict = {}
+    for i, val in x.items():
+        for _, _, t in graph.out_edges(verts[i]):
+            j = vidx[t]
+            incoming[j] = incoming.get(j, 0) + val
+    return all(x.get(j, 0) == incoming.get(j, 0) for j in map(vidx.__getitem__, at))
 
 
 @dataclass
@@ -116,9 +123,6 @@ class KTheoryResult:
     k1: FgAbelianGroup
     k1_lattice: IntMatrix
     k1_column: ColumnLattice = field(repr=False, compare=False)
-
-    def k1_column_lattice(self) -> ColumnLattice:
-        return self.k1_column
 
 
 def ktheory(graph: FiniteGraph) -> KTheoryResult:
@@ -160,10 +164,10 @@ def ktheory(graph: FiniteGraph) -> KTheoryResult:
     if not la.equals(lb):
         raise AssertionError("the two K1 computations disagree; this is a bug")
 
-    for col in lattice_a.columns():
+    for col in lattice_a.sparse_columns():
         if not _k1_relations_hold(graph, col, svs):
             raise AssertionError("K1 representative violates a relation on S")
-        if any(col[vidx[u]] for u in exempt):
+        if any(vidx[u] in col for u in exempt):
             raise AssertionError("K1 representative does not vanish off S")
 
     k1 = FgAbelianGroup.canonical(lattice_a.cols)
@@ -188,9 +192,10 @@ def boundary_map(graph: FiniteGraph, x: Sequence[int]) -> tuple[int, ...]:
     verts = graph.vertex_list
     if len(x) != len(verts):
         raise ValueError("class vector length must match the vertex count")
-    if not _k1_relations_hold(graph, x, verts):
+    col = dict(enumerate(x))
+    if not _k1_relations_hold(graph, col, verts):
         raise ValueError("vector is not a degree-one class of the full-relation algebra")
-    return _index_map(graph, [dict(enumerate(x))])[0]
+    return _index_map(graph, [col])[0]
 
 
 def _index_map(graph: FiniteGraph, columns: Iterable[dict]) -> list[tuple[int, ...]]:
@@ -201,14 +206,6 @@ def _index_map(graph: FiniteGraph, columns: Iterable[dict]) -> list[tuple[int, .
     vidx = graph.vertex_index
     origins = [[vidx[o] for _, o, _ in graph.in_edges(u)] for u in sorted(graph.relation_exempt)]
     return [tuple(-sum(x.get(o, 0) for o in at) for at in origins) for x in columns]
-
-
-@dataclass
-class IdealClassMap:
-    """Images of the exempt-vertex ideal generators in the Toeplitz K0."""
-
-    basis: tuple[str, ...]  # sorted exempt vertices
-    images: tuple[tuple[int, ...], ...]  # canonical K0 coordinates
 
 
 def _relation_classes(kt: KTheoryResult, at: Sequence[str]) -> list[tuple[int, ...]]:
@@ -224,12 +221,6 @@ def _relation_classes(kt: KTheoryResult, at: Sequence[str]) -> list[tuple[int, .
             acc = [a - b for a, b in zip(acc, classes[t])]
         out.append(k0.reduce_coords(acc))
     return out
-
-
-def ideal_class_map(graph: FiniteGraph, kt: KTheoryResult | None = None) -> IdealClassMap:
-    kt = kt or ktheory(graph)
-    basis = tuple(sorted(graph.relation_exempt))
-    return IdealClassMap(basis=basis, images=tuple(_relation_classes(kt, basis)))
 
 
 # ---------------------------------------------------------------------------
@@ -407,42 +398,6 @@ def les_check(graph: FiniteGraph) -> LesReport:
 # ---------------------------------------------------------------------------
 
 
-def _require_inclusion(small: FiniteGraph, large: FiniteGraph) -> None:
-    if not small.is_labeled_subgraph_of(large):
-        raise ValueError("the first graph is not a labeled subgraph of the second")
-    if not set(small.s_vertices) <= set(large.s_vertices):
-        raise ValueError("the relation set must not shrink along the inclusion")
-
-
-def inclusion_k1(
-    small: FiniteGraph,
-    large: FiniteGraph,
-    x: Sequence[int],
-    kt_small: KTheoryResult | None = None,
-    kt_large: KTheoryResult | None = None,
-) -> tuple[int, ...]:
-    """Extension by zero of a degree-one representative along an inclusion.
-
-    The result is verified to lie in the larger degree-one lattice; failure
-    means some finite-valence vertex of the small graph gained out-edges,
-    which the chain conditions forbid.
-    """
-    _require_inclusion(small, large)
-    kt_small = kt_small or ktheory(small)
-    kt_large = kt_large or ktheory(large)
-    if len(x) != len(kt_small.vertex_order):
-        raise ValueError("representative length must match the small vertex count")
-    if not kt_small.k1_column_lattice().contains(x):
-        raise ValueError("vector is not in the degree-one lattice of the small graph")
-    small_idx = {v: i for i, v in enumerate(kt_small.vertex_order)}
-    ext = tuple(x[small_idx[v]] if v in small_idx else 0 for v in kt_large.vertex_order)
-    if not kt_large.k1_column_lattice().contains(ext):
-        raise ValueError(
-            "extension by zero left the degree-one lattice; a finite-valence vertex gained edges"
-        )
-    return ext
-
-
 def inclusion_k0(
     small: FiniteGraph,
     large: FiniteGraph,
@@ -458,7 +413,10 @@ def inclusion_k0(
     built without the relation-by-relation test of ``GroupHom``; the proof
     needs the given K-theory results to be those of the two graphs.
     """
-    _require_inclusion(small, large)
+    if not small.is_labeled_subgraph_of(large):
+        raise ValueError("the first graph is not a labeled subgraph of the second")
+    if not set(small.s_vertices) <= set(large.s_vertices):
+        raise ValueError("the relation set must not shrink along the inclusion")
     for u in small.s_vertices:
         if set(small.out_edges(u)) != set(large.out_edges(u)):
             raise ValueError(f"out-edges at relation vertex {u!r} differ between the graphs")
@@ -472,53 +430,6 @@ def inclusion_k0(
         rows[large_idx[v]] = {j: 1}
     matrix = IntMatrix._of(len(rows), len(kt_small.vertex_order), tuple(rows))
     return GroupHom._of(kt_small.k0, kt_large.k0, matrix)
-
-
-def ideal_class_image(
-    small: FiniteGraph,
-    large: FiniteGraph,
-    u: str,
-    kt_small: KTheoryResult | None = None,
-    kt_large: KTheoryResult | None = None,
-) -> tuple[tuple[int, ...], str]:
-    """Image in the large Toeplitz K0 of the ideal generator at exempt u.
-
-    Evaluates [u] - sum over all large out-edges of [t(e)] plus the
-    correction for edges the large graph added at u, and cross-checks it
-    against pushing the small ideal class through ``inclusion_k0``.  The
-    cross-check runs only when u stays exempt in the large graph (the chain
-    situation); otherwise the formula value is returned flagged unverified.
-    """
-    if u not in small.relation_exempt:
-        raise ValueError(f"vertex {u!r} is not relation-exempt in the small graph")
-    _require_inclusion(small, large)
-    kt_small = kt_small or ktheory(small)
-    kt_large = kt_large or ktheory(large)
-    verts = kt_large.vertex_order
-    vidx = {v: i for i, v in enumerate(verts)}
-    small_edges = set(small.edges)
-
-    vec = [0] * len(verts)
-    vec[vidx[u]] += 1
-    for e in large.out_edges(u):
-        vec[vidx[e[2]]] -= 1
-    for e in large.out_edges(u):
-        if e not in small_edges:
-            vec[vidx[e[2]]] += 1
-    formula = kt_large.k0.coords_of(vec)
-
-    if u in large.relation_exempt:
-        small_vec = [0] * len(kt_small.vertex_order)
-        sidx = {v: i for i, v in enumerate(kt_small.vertex_order)}
-        small_vec[sidx[u]] += 1
-        for e in small.out_edges(u):
-            small_vec[sidx[e[2]]] -= 1
-        hom = inclusion_k0(small, large, kt_small, kt_large)
-        pushed = kt_large.k0.coords_of(hom.apply_ambient(small_vec))
-        if pushed != formula:
-            raise AssertionError("ideal-class image disagrees with the pushed class; this is a bug")
-        return formula, "verified"
-    return formula, "unverified: vertex gains the summation relation in the larger graph"
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +514,7 @@ def chain_ktheory_report(chain: GraphChain, window: int = 2, force: bool = False
     k1_homs = []
     for n in range(nlayers - 1):
         src, dst = kts[n], kts[n + 1]
-        dst_lat = dst.k1_column_lattice()
+        dst_lat = dst.k1_column
         dst_idx = dst.graph.vertex_index
         cols = []
         for x in src.k1_lattice.sparse_columns():
@@ -645,10 +556,3 @@ def chain_ktheory_report(chain: GraphChain, window: int = 2, force: bool = False
         k1_homs=k1_homs,
     )
 
-
-def chain_ktheory(
-    chain: GraphChain, window: int = 2, force: bool = False
-) -> tuple[FgAbelianGroup, FgAbelianGroup, bool]:
-    """Colimit K-theory of the chain: (K0, K1, stabilized)."""
-    rep = chain_ktheory_report(chain, window=window, force=force)
-    return rep.k0, rep.k1, rep.stabilized

@@ -47,7 +47,7 @@ VERIFICATION_WINDOW = 2
 # requests whose construction would hold more edges than this, counted once
 # per layer that verification builds, are refused before anything is built.
 # Near the bound a build peaks below 500 MB; the largest equal-rank graph,
-# for (Z^998, Z^998), takes about four minutes (2-core x86-64, Python 3.11)
+# for (Z^998, Z^998), takes about six seconds (2-core x86-64, Python 3.11)
 MAX_EDGE_LAYERS = 1_000_000
 
 

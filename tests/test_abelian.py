@@ -857,7 +857,7 @@ def test_sections_and_relations_in_canonical_coordinates(n, exempt, seed):
     for i in range(g.ncoords):
         assert pres.class_of(pres.section(i)) == tuple(int(j == i) for j in range(g.ncoords))
     for row in pres.relations.iter_rows():
-        assert pres.class_of(row) == g.zero_coords()
+        assert pres.class_of(row) == (0,) * g.ncoords
 
 
 # ---------------------------------------------------------------------------
@@ -883,9 +883,9 @@ def test_cokernel_mixed():
 
 def test_cokernel_class_map():
     g = cokernel(M([[2, 0]]))
-    one = g.coords_of((1, 0))
-    assert g.add_coords(one, one) == g.zero_coords()
-    assert g.coords_of((0, 1)) != g.zero_coords()
+    one = g.presentation.class_of((1, 0))
+    assert g.reduce_coords([x + y for x, y in zip(one, one)]) == (0, 0)
+    assert g.presentation.class_of((0, 1)) != (0, 0)
 
 
 def test_cokernel_invariant_under_unimodular_transforms():
@@ -947,9 +947,10 @@ def test_kernel_is_saturated():
 
 def test_hom_compose_identity_and_zero():
     g = parse_group_expr("Z + Z/2")
-    ident = GroupHom.identity(g)
+    n = g.presentation.ngens
+    ident = GroupHom(g, g, IntMatrix.identity(n))
     assert hom_compose(ident, ident).matrix == ident.matrix
-    zero = GroupHom.zero(g, g)
+    zero = GroupHom(g, g, IntMatrix.zero(n, n))
     assert hom_compose(zero, ident).matrix == zero.matrix
 
 
@@ -964,12 +965,12 @@ def test_hom_compose_requires_same_presentation():
     z = FgAbelianGroup.canonical(1)
     z2 = FgAbelianGroup.canonical(2)
     with pytest.raises(ValueError):
-        hom_compose(GroupHom.identity(z), GroupHom.identity(z2))
+        hom_compose(GroupHom(z, z, IntMatrix.identity(1)), GroupHom(z2, z2, IntMatrix.identity(2)))
 
 
 def test_hom_iso_identity_on_mixed_group():
     g = parse_group_expr("Z + Z/2")
-    assert GroupHom.identity(g).is_isomorphism()
+    assert GroupHom(g, g, IntMatrix.identity(g.presentation.ngens)).is_isomorphism()
 
 
 def test_hom_doubling_not_iso():
@@ -1034,7 +1035,7 @@ def test_hom_kernel_rank():
 def test_colimit_constant_chain():
     z = FgAbelianGroup.canonical(1)
     groups = [z] * 4
-    homs = [GroupHom.identity(z)] * 3
+    homs = [GroupHom(z, z, IntMatrix.identity(1))] * 3
     res = colimit_chain_detailed(groups, homs, 2)
     assert res.stabilized and res.group.canonical_pair() == (1, ())
 
@@ -1043,7 +1044,7 @@ def test_colimit_everything_dies():
     # both basis elements are killed at every step and replaced by fresh ones
     z2 = FgAbelianGroup.canonical(2)
     groups = [z2] * 6
-    homs = [GroupHom.zero(z2, z2)] * 5
+    homs = [GroupHom(z2, z2, IntMatrix.zero(2, 2))] * 5
     res = colimit_chain_detailed(groups, homs, 2)
     assert res.stabilized and res.group.is_trivial
 
@@ -1060,7 +1061,7 @@ def test_colimit_doubling_never_stabilizes():
 def test_colimit_isomorphism_chain_returns_first_group():
     g = parse_group_expr("Z/2 + Z/4")
     groups = [g] * 5
-    homs = [GroupHom.identity(g)] * 4
+    homs = [GroupHom(g, g, IntMatrix.identity(g.presentation.ngens))] * 4
     res = colimit_chain_detailed(groups, homs, 2)
     assert res.stabilized and res.group.canonical_pair() == g.canonical_pair()
 
@@ -1116,7 +1117,7 @@ def test_colimit_reduces_only_the_final_stretch(monkeypatch, name, window):
 def test_colimit_window_too_short():
     z = FgAbelianGroup.canonical(1)
     with pytest.raises(ValueError):
-        colimit_chain_detailed([z] * 3, [GroupHom.identity(z)] * 2, 2)
+        colimit_chain_detailed([z] * 3, [GroupHom(z, z, IntMatrix.identity(1))] * 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -1173,13 +1174,6 @@ def test_parse_format_roundtrip(text):
 
 def test_format_examples():
     assert format_group(parse_group_expr("Z/3 + Z^2")) == "Z^2 + Z/3"
-    assert format_group(FgAbelianGroup.trivial()) == "0"
+    assert format_group(FgAbelianGroup.canonical(0)) == "0"
     assert format_group(FgAbelianGroup.canonical(1)) == "Z"
 
-
-def test_element_order():
-    g = parse_group_expr("Z + Z/4")  # canonical coordinates: (Z/4 part, Z part)
-    assert g.element_order((0, 0)) == 1
-    assert g.element_order((1, 0)) == 4
-    assert g.element_order((2, 0)) == 2
-    assert g.element_order((0, 1)) == 0

@@ -252,7 +252,7 @@ def test_prefix_keeps_induced_edges_and_its_infinite_vertices():
 def test_condition_a6_violation_when_emission_stops():
     base = build_case_ii(2, 1, (), 6)
     # drop every edge from u into the vertices new at layer 3 (towers j = 4)
-    new3 = base.new_vertices(3)
+    new3 = base.layers[3] - base.layers[2]
     pruned = [e for e in base.edges if not (e[1] == "u" and e[2] in new3)]
     chain = GraphChain({"u"}, base.layers, pruned)
     report = check_condition_a(chain)
@@ -284,6 +284,8 @@ def test_condition_a4_violation():
 def per_layer_edge_conditions(chain):
     """(a4)-(a6) by their definitions: one scan of the edges per layer."""
     d = chain.infinite_vertices
+    # the new part of layer n: the vertices first appearing in it
+    new = [chain.layers[0]] + [b - a for a, b in zip(chain.layers, chain.layers[1:])]
     verdicts, witnesses = {}, {}
 
     def first_failure(scans):
@@ -308,7 +310,7 @@ def per_layer_edge_conditions(chain):
         f"vertex {u!r} emits no edge into the new part of layer {n}"
         for n in range(len(chain))
         for u in sorted(d)
-        if not any(o == u and t in chain.new_vertices(n) for _, o, t in chain.edges)
+        if not any(o == u and t in new[n] for _, o, t in chain.edges)
     )
     for name, witness in (("a4", a4), ("a5", a5), ("a6", a6)):
         verdicts[name] = not witness
