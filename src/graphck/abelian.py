@@ -45,7 +45,7 @@ class IntMatrix:
 
     ``sparse_rows`` holds one ``{column: nonzero}`` dict per row.  No row
     stores a zero and none is mutated after construction, so matrices may
-    share rows.  ``row``, ``col`` and ``entry`` read the rows; the dense
+    share rows.  ``entry`` and ``columns`` read the rows; the dense
     row-major tuple ``entries`` is derived from them on first read, for
     hashing, printing and readers outside the package.
     """
@@ -110,17 +110,6 @@ class IntMatrix:
             raise ValueError("matrix dimensions must be nonnegative")
         return cls._of(n, n, tuple({i: 1} for i in range(n)))
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        if rows < 0 or cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        return cls._of(rows, cols, tuple({} for _ in range(rows)))
-
-    @classmethod
-    def diagonal(cls, diag: Sequence[int]) -> "IntMatrix":
-        diag = [int(x) for x in diag]
-        return cls._of(len(diag), len(diag), tuple({i: x} if x else {} for i, x in enumerate(diag)))
-
     # -- access ------------------------------------------------------------
 
     @property
@@ -134,12 +123,6 @@ class IntMatrix:
 
     def entry(self, i: int, j: int) -> int:
         return self.sparse_rows[i].get(j, 0)
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return _dense(self.sparse_rows[i], self.cols)
-
-    def col(self, j: int) -> tuple[int, ...]:
-        return tuple(r.get(j, 0) for r in self.sparse_rows)
 
     def iter_rows(self):
         for r in self.sparse_rows:
@@ -957,18 +940,6 @@ class GroupHom:
         self.matrix = matrix
         self._canonical_matrix = None
         self._verify_well_defined()
-
-    @classmethod
-    def _of(cls, domain: FgAbelianGroup, codomain: FgAbelianGroup, matrix: IntMatrix) -> "GroupHom":
-        """Wrap a matrix its caller has already proved well defined.
-
-        Skips the shape check and the relation-by-relation test of the public
-        constructor; ``ktheory.inclusion_k0`` proves both from the graphs.
-        """
-        hom = object.__new__(cls)
-        hom.domain, hom.codomain, hom.matrix = domain, codomain, matrix
-        hom._canonical_matrix = None
-        return hom
 
     def _verify_well_defined(self):
         cod = self.codomain.presentation

@@ -22,6 +22,7 @@ from .graphs import (
     GraphChain,
     GraphFormatError,
     check_condition_a,
+    check_condition_b2,
     dump_graph,
     every_cycle_has_exit,
     is_cycle,
@@ -64,6 +65,9 @@ def _info(msg: str) -> None:
 
 
 def cmd_check(args) -> int:
+    if args.window < 1:
+        _info(f"usage error: --window must be at least 1, got {args.window}")
+        return USAGE
     graph = load_graph(args.file)
     if isinstance(graph, FiniteGraph):
         irr = is_irreducible(graph) if graph.vertices else False
@@ -99,11 +103,12 @@ def cmd_check(args) -> int:
         out["b2"] = "skipped: prefix too short for the window"
         _info("b2 skipped: the chain prefix is too short for the window")
     else:
-        out["b2"] = rep.condition_b2.to_json_dict()
-        ok = ok and rep.condition_b2.passed
-        if rep.condition_b2.unchecked:
+        b2 = check_condition_b2(graph, rep.k0_class_map)
+        out["b2"] = b2.to_json_dict()
+        ok = ok and b2.passed
+        if b2.unchecked:
             _info(
-                f"b2: {len(rep.condition_b2.unchecked)} vertices beyond the "
+                f"b2: {len(b2.unchecked)} vertices beyond the "
                 f"stabilization window were not checked"
             )
     out["pass"] = ok
@@ -144,6 +149,9 @@ def cmd_ktheory(args) -> int:
 
 
 def cmd_colimit(args) -> int:
+    if args.window < 1:
+        _info(f"usage error: --window must be at least 1, got {args.window}")
+        return USAGE
     graph = load_graph(args.file)
     if not isinstance(graph, GraphChain):
         raise GraphFormatError("colimit needs a chain file")

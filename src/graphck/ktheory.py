@@ -52,14 +52,7 @@ from .abelian import (
     format_group,
     kernel_basis,
 )
-from .graphs import (
-    B2Report,
-    ConditionReport,
-    FiniteGraph,
-    GraphChain,
-    check_condition_a,
-    check_condition_b2,
-)
+from .graphs import ConditionReport, FiniteGraph, GraphChain, check_condition_a
 
 
 class ChainConditionError(ValueError):
@@ -401,17 +394,22 @@ def les_check(graph: FiniteGraph) -> LesReport:
 def inclusion_k0(
     small: FiniteGraph,
     large: FiniteGraph,
-    kt_small: KTheoryResult | None = None,
-    kt_large: KTheoryResult | None = None,
+    kt_small: KTheoryResult,
+    kt_large: KTheoryResult,
 ) -> GroupHom:
-    """Generator-wise map of Toeplitz K0 groups along a graph inclusion.
+    """Degree-zero map of a graph inclusion, in canonical coordinates.
 
-    Requires each relation vertex of the small graph to have identical
-    out-edge sets in both graphs.  That proves the map well defined: S of the
-    small graph lies in S of the large one, so each small relation row is
-    sent to the large relation row of the same vertex.  The hom is therefore
-    built without the relation-by-relation test of ``GroupHom``; the proof
-    needs the given K-theory results to be those of the two graphs.
+    The inclusion sends each vertex to itself.  It is well defined when each
+    relation vertex of the small graph has identical out-edge sets in both
+    graphs: S of the small graph lies in S of the large one, so each small
+    relation row is sent to the large relation row of the same vertex.  Both
+    are checked, and the K-theory results must be those of the two graphs.
+
+    The section of canonical generator j is a vertex vector of the small
+    graph, so column j is the reduced sum of the large graph's vertex
+    classes, weighted by the section.  The hom runs between the canonical
+    groups of the two K0 groups, whose constructor checks it against the
+    torsion orders.
     """
     if not small.is_labeled_subgraph_of(large):
         raise ValueError("the first graph is not a labeled subgraph of the second")
@@ -420,16 +418,24 @@ def inclusion_k0(
     for u in small.s_vertices:
         if set(small.out_edges(u)) != set(large.out_edges(u)):
             raise ValueError(f"out-edges at relation vertex {u!r} differ between the graphs")
-    kt_small = kt_small or ktheory(small)
-    kt_large = kt_large or ktheory(large)
     if kt_small.graph != small or kt_large.graph != large:
         raise ValueError("the K-theory results passed are not those of the two graphs")
-    large_idx = large.vertex_index
-    rows: list[dict] = [{} for _ in large_idx]
-    for j, v in enumerate(kt_small.vertex_order):
-        rows[large_idx[v]] = {j: 1}
-    matrix = IntMatrix._of(len(rows), len(kt_small.vertex_order), tuple(rows))
-    return GroupHom._of(kt_small.k0, kt_large.k0, matrix)
+    pres, order = kt_small.k0.presentation, kt_small.vertex_order
+    cod, classes = kt_large.k0, kt_large.k0_class_of_vertex
+    torsion, free = pres.coordinate_positions()
+    cols = []
+    for pos in torsion + free:
+        acc = [0] * cod.ncoords
+        for i, x in pres.snf.vinv_row(pos).items():
+            for t, y in enumerate(classes[order[i]]):
+                acc[t] += x * y
+        cols.append(dict(enumerate(cod.reduce_coords(acc))))
+    matrix = IntMatrix.from_sparse_columns(cod.ncoords, cols)
+    return GroupHom(
+        FgAbelianGroup.canonical(*kt_small.k0.canonical_pair()),
+        FgAbelianGroup.canonical(*cod.canonical_pair()),
+        matrix,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -448,44 +454,21 @@ class ChainKTheory:
     forced: bool
     settled_index: int
     condition_a: ConditionReport
-    condition_b2: B2Report
     layer_results: list[KTheoryResult]
     k0_class_map: dict[str, tuple[int, ...]]
-    k0_homs: list[GroupHom]  # presentation-level inclusion maps between layers
+    k0_homs: list[GroupHom]  # canonical-coordinate inclusion maps between layers
     k1_homs: list[GroupHom]  # canonical-coordinate maps between free layers
 
 
-def _canonical_sibling(group: FgAbelianGroup) -> FgAbelianGroup:
-    return FgAbelianGroup.canonical(group.free_rank, group.invariant_factors)
-
-
-def _canonical_inclusion_k0(small: KTheoryResult, large: KTheoryResult) -> IntMatrix:
-    """Canonical-coordinate matrix of the degree-zero map of a layer inclusion.
-
-    The section of canonical generator j is a vertex vector of the small
-    layer, and the inclusion sends each vertex to itself.  So column j is the
-    reduced sum of the large layer's vertex classes, weighted by the section.
-    """
-    pres, order = small.k0.presentation, small.vertex_order
-    cod, classes = large.k0, large.k0_class_of_vertex
-    torsion, free = pres.coordinate_positions()
-    cols = []
-    for pos in torsion + free:
-        acc = [0] * cod.ncoords
-        for i, x in pres.snf.vinv_row(pos).items():
-            for t, y in enumerate(classes[order[i]]):
-                acc[t] += x * y
-        cols.append(cod.reduce_coords(acc))
-    return IntMatrix.from_sparse_columns(cod.ncoords, [dict(enumerate(c)) for c in cols])
-
-
 def chain_ktheory_report(chain: GraphChain, window: int = 2, force: bool = False) -> ChainKTheory:
-    """Layerwise K-theory, inclusion maps, colimits, and the b2 matching.
+    """Layerwise K-theory, inclusion maps and colimits.
 
     The colimit class map covers vertices of layers up to the settled index
     (length - 1 - window); vertices beyond it have no reduced class within
-    this prefix and are reported by the b2 check as unchecked.
+    this prefix, and ``check_condition_b2`` reports them as unchecked.
     """
+    if window < 1:
+        raise ValueError("window must be >= 1")
     cond_a = check_condition_a(chain)
     if not cond_a.passed and not force:
         raise ChainConditionError(cond_a)
@@ -496,21 +479,15 @@ def chain_ktheory_report(chain: GraphChain, window: int = 2, force: bool = False
     layer_graphs = [chain.layer_graph(n) for n in range(nlayers)]
     kts = [ktheory(g) for g in layer_graphs]
 
-    # degree zero: presentation-level inclusions, checked from the graphs,
-    # then the canonical-coordinate chain read from the layer classes
+    # degree zero: canonical-coordinate inclusions, read from the layer classes
     k0_homs = [
         inclusion_k0(layer_graphs[n], layer_graphs[n + 1], kts[n], kts[n + 1])
         for n in range(nlayers - 1)
     ]
-    k0_canon_groups = [_canonical_sibling(kt.k0) for kt in kts]
-    k0_canon_homs = [
-        GroupHom(k0_canon_groups[n], k0_canon_groups[n + 1], _canonical_inclusion_k0(kts[n], kts[n + 1]))
-        for n in range(nlayers - 1)
-    ]
-    k0_res = colimit_chain_detailed(k0_canon_groups, k0_canon_homs, window)
+    k0_groups = [h.domain for h in k0_homs] + [k0_homs[-1].codomain]
+    k0_res = colimit_chain_detailed(k0_groups, k0_homs, window)
 
     # degree one: solve each basis column in the next lattice
-    k1_canon_groups = [_canonical_sibling(kt.k1) for kt in kts]
     k1_homs = []
     for n in range(nlayers - 1):
         src, dst = kts[n], kts[n + 1]
@@ -528,8 +505,8 @@ def chain_ktheory_report(chain: GraphChain, window: int = 2, force: bool = False
                 )
             cols.append(coeffs)
         matrix = IntMatrix.from_sparse_columns(dst.k1_lattice.cols, [dict(enumerate(c)) for c in cols])
-        k1_homs.append(GroupHom(k1_canon_groups[n], k1_canon_groups[n + 1], matrix))
-    k1_res = colimit_chain_detailed(k1_canon_groups, k1_homs, window)
+        k1_homs.append(GroupHom(src.k1, dst.k1, matrix))
+    k1_res = colimit_chain_detailed([kt.k1 for kt in kts], k1_homs, window)
     if k1_res.group.invariant_factors:
         raise AssertionError("degree-one colimit acquired torsion; this is a bug")
 
@@ -539,8 +516,6 @@ def chain_ktheory_report(chain: GraphChain, window: int = 2, force: bool = False
     top = kts[settled].k0_class_of_vertex
     class_map = {v: k0_res.reduction.apply_coords(top[v]) for v in sorted(chain.layers[settled])}
 
-    cond_b2 = check_condition_b2(chain, class_map)
-
     return ChainKTheory(
         k0=k0_res.group,
         k1=k1_res.group,
@@ -549,7 +524,6 @@ def chain_ktheory_report(chain: GraphChain, window: int = 2, force: bool = False
         forced=force and not cond_a.passed,
         settled_index=settled,
         condition_a=cond_a,
-        condition_b2=cond_b2,
         layer_results=kts,
         k0_class_map=class_map,
         k0_homs=k0_homs,

@@ -47,6 +47,7 @@ from .graphs import FiniteGraph
 HERMITIAN_TOL = 1e-12
 EXACT_TOL = 1e-10
 MAX_STRAIGHTEN_DEFECT = 0.35
+FAMILY_TOL = 0.05  # largest relation defect straighten_family accepts on the large graph
 
 
 class LabError(ValueError):
@@ -197,10 +198,10 @@ def approximate_unit(grid_size: int, dim: int, t: float) -> tuple[MatField, MatF
 # ---------------------------------------------------------------------------
 
 
-def straighten(x: MatField | np.ndarray, max_defect: float = MAX_STRAIGHTEN_DEFECT):
+def straighten(x: MatField | np.ndarray):
     """Nearest-partial-isometry map y = x * f(x*x), fiberwise.
 
-    Requires finite entries and ||x x*x - x|| <= max_defect <= 0.35; the
+    Requires finite entries and ||x x*x - x|| <= MAX_STRAIGHTEN_DEFECT; the
     output satisfies ||y y*y - y|| <= 1e-10 and inherits every one-sided
     projection relation p x = x, p x = 0, x p = x, x p = 0 that x had.
 
@@ -210,14 +211,12 @@ def straighten(x: MatField | np.ndarray, max_defect: float = MAX_STRAIGHTEN_DEFE
     defect x x*x - x.  In matrix fibers these are not independently
     assertable as numerical checks, so they are documented, not tested.
     """
-    if max_defect > MAX_STRAIGHTEN_DEFECT:
-        raise LabError(f"max_defect must not exceed {MAX_STRAIGHTEN_DEFECT}")
     a = _stack(x)
     if not np.isfinite(a).all():
         raise LabError("cannot straighten an input with NaN or infinite entries")
     defect = partial_isometry_defect(a)
-    if defect > max_defect:
-        raise LabError(f"defect {defect:.4g} exceeds the straightening threshold {max_defect}")
+    if defect > MAX_STRAIGHTEN_DEFECT:
+        raise LabError(f"defect {defect:.4g} exceeds the straightening threshold {MAX_STRAIGHTEN_DEFECT}")
     h = _adj(a) @ a
     asym = _norm(h - _adj(h))
     if asym > HERMITIAN_TOL:
@@ -450,7 +449,6 @@ def straighten_family(
     large: FiniteGraph,
     infinite_vertices: frozenset[str] | set[str],
     fields: Mapping[str, MatField],
-    tol: float = 0.05,
     ideal_fiber: int | None = "default",
 ) -> dict[str, MatField]:
     """Extend an exact family on ``small`` to an exact family on ``large``.
@@ -461,7 +459,7 @@ def straighten_family(
     the family restricted to small edges satisfies the generating relations
     exactly (<= 1e-10); each new-edge field equals its compression by the
     blocks the construction preserves; and the family on the large graph
-    satisfies the relations up to ``tol`` (<= 0.05) with exactness at the
+    satisfies the relations up to ``FAMILY_TOL`` with exactness at the
     ideal fiber.
 
     The output agrees with the input on small edges (the same objects), is
@@ -469,8 +467,6 @@ def straighten_family(
     same blocks.
     """
     d = frozenset(infinite_vertices)
-    if tol > 0.05:
-        raise LabError("tol must not exceed 0.05")
     if not small.is_labeled_subgraph_of(large):
         raise LabError("the first graph must be a labeled subgraph of the second")
     if not d <= small.vertices:
@@ -501,8 +497,8 @@ def straighten_family(
             raise LabError(f"small-graph family is not exact (worst residual {worst:.2e})")
     large_res = condition_o_residuals(large, d, fields)
     worst = max(large_res.values())
-    if worst > tol:
-        raise LabError(f"family defects {worst:.4g} exceed tol {tol}")
+    if worst > FAMILY_TOL:
+        raise LabError(f"family defects {worst:.4g} exceed tol {FAMILY_TOL}")
     if ideal_fiber is not None:
         ideal_graph_fields = {
             eid: MatField([f.fiber(ideal_fiber)]) for eid, f in fields.items()

@@ -26,6 +26,8 @@ from .lab import MatField, partial_isometry_defect
 
 GRID = 16
 DIM = 4
+TRIAL_DIM = 6
+FAMILY_NOISE = 1e-3
 
 
 def _unit(i: int, j: int, dim: int) -> np.ndarray:
@@ -115,7 +117,7 @@ def random_partial_isometry(rng: np.random.Generator, dim: int, rank: int) -> np
     return u[:, :rank] @ vh[:rank, :]
 
 
-def injected_defect_trial(seed: int, defect: float, dim: int = 6) -> StraightenTrial:
+def injected_defect_trial(seed: int, defect: float) -> StraightenTrial:
     """A perturbed partial isometry with the stated defect, hit by bisection.
 
     The perturbation is compressed between the isometry's range and initial
@@ -123,11 +125,11 @@ def injected_defect_trial(seed: int, defect: float, dim: int = 6) -> StraightenT
     and must survive straightening.
     """
     rng = np.random.default_rng(seed)
-    rank = int(rng.integers(1, dim))
-    v = random_partial_isometry(rng, dim, rank)
+    rank = int(rng.integers(1, TRIAL_DIM))
+    v = random_partial_isometry(rng, TRIAL_DIM, rank)
     p = v @ v.conj().T
     q = v.conj().T @ v
-    noise = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    noise = rng.normal(size=(TRIAL_DIM, TRIAL_DIM)) + 1j * rng.normal(size=(TRIAL_DIM, TRIAL_DIM))
     noise = p @ noise @ q
     noise /= np.linalg.norm(noise, 2)
 
@@ -164,22 +166,20 @@ class FamilyScenario:
     new_edge_ids: tuple[str, ...]
 
 
-def _perturb_into_block(
-    exact: MatField, rng: np.random.Generator, scale: float, left: np.ndarray, right: np.ndarray
-) -> MatField:
-    """Exact field plus block-compressed noise, untouched at the last fiber."""
+def _perturb_into_block(exact: MatField, rng: np.random.Generator, left: np.ndarray, right: np.ndarray) -> MatField:
+    """Exact field plus ``FAMILY_NOISE`` of block-compressed noise, untouched at the last fiber."""
     fibers = []
     grid = exact.grid_size
     for s in range(grid + 1):
         f = exact.fiber(s).copy()
-        if s < grid and scale:
+        if s < grid:
             n = rng.normal(size=f.shape) + 1j * rng.normal(size=f.shape)
-            f = f + scale * (left @ n @ right)
+            f = f + FAMILY_NOISE * (left @ n @ right)
         fibers.append(f)
     return MatField(fibers)
 
 
-def family_scenario(name: str, seed: int = 0, noise: float = 1e-3) -> FamilyScenario:
+def family_scenario(name: str, seed: int = 0) -> FamilyScenario:
     """Graph pair, infinite-valence set, and input fields, by scenario name.
 
     * ``identity``: large equals small; nothing to straighten.
@@ -203,7 +203,7 @@ def family_scenario(name: str, seed: int = 0, noise: float = 1e-3) -> FamilyScen
         one_minus_p = np.eye(dim) - xi_v
         fields = {
             "lv": loop,
-            "e": _perturb_into_block(exact_e, rng, noise, one_minus_p, xi_v),
+            "e": _perturb_into_block(exact_e, rng, one_minus_p, xi_v),
         }
         return FamilyScenario(name, small, large, frozenset(), fields, ("e",))
     if name == "orthogonal_pair":
@@ -229,10 +229,10 @@ def family_scenario(name: str, seed: int = 0, noise: float = 1e-3) -> FamilyScen
         kx = _unit(5, 5, dim)
         fields = {
             "g": MatField.constant(g, GRID),
-            "e1": _perturb_into_block(MatField.constant(e1, GRID), rng, noise, xi_u, rest),
-            "e2": _perturb_into_block(MatField.constant(e2, GRID), rng, noise, xi_u, rest),
-            "j": _perturb_into_block(MatField.constant(jj, GRID), rng, noise, rest, rest),
-            "kx": _perturb_into_block(MatField.constant(kx, GRID), rng, noise, rest, rest),
+            "e1": _perturb_into_block(MatField.constant(e1, GRID), rng, xi_u, rest),
+            "e2": _perturb_into_block(MatField.constant(e2, GRID), rng, xi_u, rest),
+            "j": _perturb_into_block(MatField.constant(jj, GRID), rng, rest, rest),
+            "kx": _perturb_into_block(MatField.constant(kx, GRID), rng, rest, rest),
         }
         return FamilyScenario(name, small, large, frozenset({"u"}), fields,
                               ("e1", "e2", "j", "kx"))

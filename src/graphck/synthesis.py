@@ -317,9 +317,9 @@ def _verify_chain(emitted: GraphChain, padded: GraphChain, req: SynthesisRequest
     induced edge sets (a2, a3), its edges are a subset of the padded edges
     (a4, a5), and its infinite-valence vertices are those of the padded
     chain in its layers, with every padded edge between its vertices kept
-    (a1, a6).  The out-star matching (b2) is checked on the emitted chain
-    itself, since the padded report leaves the padded-only vertices
-    unchecked.
+    (a1, a6).  The out-star matching (b2) is checked once, on the emitted
+    chain with the padded report's class map, which gives every emitted
+    vertex a class.
     """
     messages = []
     rep = chain_ktheory_report(padded, window=VERIFICATION_WINDOW)

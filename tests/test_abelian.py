@@ -140,6 +140,7 @@ def test_int_matrix_operations_match_plain_lists(rows, cols, other, density, see
     under = [_sparse_ints(rng, cols, density) for _ in range(other)]
     side = [_sparse_ints(rng, other, density) for _ in range(rows)]
     vec = _sparse_ints(rng, cols, density)
+    diag = [[a[0][i] if i == j else 0 for j in range(cols)] for i in range(cols)] if a else []
     built = [
         m,
         c,
@@ -149,8 +150,8 @@ def test_int_matrix_operations_match_plain_lists(rows, cols, other, density, see
         m @ mb,
         -m,
         IntMatrix.identity(rows),
-        IntMatrix.zero(rows, cols),
-        IntMatrix.diagonal(a[0] if a else []),
+        IntMatrix(rows, cols, [0] * (rows * cols)),
+        IntMatrix.from_rows(diag),
     ]
     expected = [
         a,
@@ -162,17 +163,15 @@ def test_int_matrix_operations_match_plain_lists(rows, cols, other, density, see
         [[-x for x in r] for r in a],
         [[int(i == j) for j in range(rows)] for i in range(rows)],
         [[0] * cols for _ in range(rows)],
-        [[a[0][i] if i == j else 0 for j in range(cols)] for i in range(cols)] if a else [],
+        diag,
     ]
     widths = [cols, cols, rows, cols, cols + other, other, cols, rows, cols, cols if rows else 0]
     for got, want, width in zip(built, expected, widths):
         assert (got.rows, got.cols) == (len(want), width)
         assert got.to_lists() == want
         assert got.entries == tuple(x for r in want for x in r)
-        assert [got.row(i) for i in range(got.rows)] == [tuple(r) for r in want]
         assert list(got.iter_rows()) == [tuple(r) for r in want]
-        assert [got.col(j) for j in range(got.cols)] == [tuple(r[j] for r in want) for j in range(width)]
-        assert got.columns() == [got.col(j) for j in range(got.cols)]
+        assert got.columns() == [tuple(r[j] for r in want) for j in range(width)]
         assert got.sparse_columns() == tuple({i: x for i, x in enumerate(col) if x} for col in got.columns())
         assert all(got.entry(i, j) == want[i][j] for i in range(got.rows) for j in range(got.cols))
         assert all(all(r.values()) for r in got.sparse_rows)  # no stored zero
@@ -308,7 +307,7 @@ def _random_graph(rng, n, exempt):
 
 def test_determinantal_oracle_examples():
     # hand values: diag(2, 3) ~ diag(1, 6); [[2, 4], [6, 8]] has D_1 = 2, D_2 = 8
-    assert _determinantal_diagonal(IntMatrix.diagonal([2, 3])) == (1, 6)
+    assert _determinantal_diagonal(IntMatrix.from_rows([[2, 0], [0, 3]])) == (1, 6)
     assert _determinantal_diagonal(M([[2, 4], [6, 8]])) == (2, 4)
     assert _determinantal_diagonal(M([[1, 2, 3], [2, 4, 6]])) == (1, 0)
 
@@ -402,11 +401,12 @@ def test_transform_vectors_read_in_any_order_match_the_dense_transforms(rows, co
         assert all(vec.values())  # sparse: no stored zeros
         assert readers[t](k) is vec  # folded once, then kept
     # the dense matrices are built after every vector was read
+    u_rows, v_cols, vinv_rows = s.u.to_lists(), s.v.columns(), s.v_inv.to_lists()
     for i in range(rows):
-        assert _dense(read["u", i], rows) == s.u.row(i)
+        assert list(_dense(read["u", i], rows)) == u_rows[i]
     for j in range(cols):
-        assert _dense(read["v", j], cols) == s.v.col(j)
-        assert _dense(read["vinv", j], cols) == s.v_inv.row(j)
+        assert _dense(read["v", j], cols) == v_cols[j]
+        assert list(_dense(read["vinv", j], cols)) == vinv_rows[j]
     s.verify(m)
 
 
@@ -701,7 +701,7 @@ def _full_rescan_presolve(m):
     operations, applying each to sparse U rows, V columns and V^-1 rows as
     it goes.  Returns the pivots as (row, column, unit), the rows left and
     the three transforms."""
-    rows = {i: {j: x for j, x in enumerate(m.row(i)) if x} for i in range(m.rows)}
+    rows = {i: {j: x for j, x in enumerate(r) if x} for i, r in enumerate(m.to_lists())}
     u = [{i: 1} for i in range(m.rows)]
     v = [{j: 1} for j in range(m.cols)]
     vinv = [{j: 1} for j in range(m.cols)]
@@ -934,8 +934,8 @@ def test_kernel_is_saturated():
         kb = kernel_basis(m)
         lat = ColumnLattice(kb)
         # saturation: any integer vector with 2x in the kernel lattice is in it
-        for j in range(kb.cols):
-            doubled = tuple(2 * x for x in kb.col(j))
+        for col in kb.columns():
+            doubled = tuple(2 * x for x in col)
             assert lat.contains(doubled)
             assert all(x % 2 == 0 for x in doubled)
 
@@ -950,7 +950,7 @@ def test_hom_compose_identity_and_zero():
     n = g.presentation.ngens
     ident = GroupHom(g, g, IntMatrix.identity(n))
     assert hom_compose(ident, ident).matrix == ident.matrix
-    zero = GroupHom(g, g, IntMatrix.zero(n, n))
+    zero = GroupHom(g, g, IntMatrix(n, n, [0] * (n * n)))
     assert hom_compose(zero, ident).matrix == zero.matrix
 
 
@@ -1010,7 +1010,7 @@ def test_hom_well_definedness_matches_the_dense_relation_test(seed):
     if rng.random() < 0.3:
         # a codomain relation row as a literal image, the fast path
         dom = cokernel(IntMatrix.from_rows([[1] + [0] * (nd - 1)] if nd else [], cols=nd))
-    mat = M([[rng.randint(-2, 2) for _ in range(nd)] for _ in range(nc)]) if nc else IntMatrix.zero(0, nd)
+    mat = M([[rng.randint(-2, 2) for _ in range(nd)] for _ in range(nc)]) if nc else IntMatrix(0, nd, [])
     expected = all(
         cod.presentation.lattice_contains(mat.mat_vec(rel)) for rel in dom.presentation.relations.iter_rows()
     )
@@ -1044,7 +1044,7 @@ def test_colimit_everything_dies():
     # both basis elements are killed at every step and replaced by fresh ones
     z2 = FgAbelianGroup.canonical(2)
     groups = [z2] * 6
-    homs = [GroupHom(z2, z2, IntMatrix.zero(2, 2))] * 5
+    homs = [GroupHom(z2, z2, IntMatrix(2, 2, [0] * 4))] * 5
     res = colimit_chain_detailed(groups, homs, 2)
     assert res.stabilized and res.group.is_trivial
 
@@ -1132,7 +1132,7 @@ def test_parse_free_and_torsion():
 
 def test_parse_crt_normalization():
     # oracle: the Smith form of diag(2, 3) is diag(1, 6)
-    s = smith_normal_form(IntMatrix.diagonal([2, 3]))
+    s = smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]]))
     assert s.diagonal == (1, 6)
     assert parse_group_expr("Z/2 + Z/3").canonical_pair() == (0, (6,))
 
@@ -1142,7 +1142,8 @@ def test_parse_normalizes_torsion_as_the_smith_form(seed):
     # oracle: the Smith form of the diagonal matrix of the orders
     rng = random.Random(seed)
     torsion = [rng.choice((2, 3, 4, 5, 6, 8, 9, 12, 16, 25, 27, 30, 36)) for _ in range(rng.randint(1, 7))]
-    expected = tuple(x for x in smith_normal_form(IntMatrix.diagonal(torsion)).diagonal if x >= 2)
+    diag = IntMatrix.from_rows([[x if i == j else 0 for j in range(len(torsion))] for i, x in enumerate(torsion)])
+    expected = tuple(x for x in smith_normal_form(diag).diagonal if x >= 2)
     text = " + ".join(["Z^2"] + [f"Z/{n}" for n in torsion])
     assert parse_group_expr(text).canonical_pair() == (2, expected)
 

@@ -220,11 +220,11 @@ def test_check_runs_layer_conditions_once(capsys, tmp_path, monkeypatch, case):
         assert run(capsys, "synthesize", "--k0", "Z/2", "--k1", "Z^2", "--depth", "6", "-o", path)[0] == 0
         argv, want_code, want_b2 = ("check", path), 0, None
     elif case == "failing":
-        # u outside layer 0 fails (a1); window 0 makes the two layers long
+        # u outside layer 0 fails (a1); window 1 makes the three layers long
         # enough for the b2 check
         edges = [("lv1", "v", "v"), ("lv2", "v", "v"), ("g", "u", "v"), ("h", "v", "u")]
-        path = write(tmp_path, "chain.json", chain_data(edges, ["u"], [["v"], ["u", "v"]]))
-        argv, want_code, want_b2 = ("check", path, "--window", "0"), 1, "skipped: layer conditions failed"
+        path = write(tmp_path, "chain.json", chain_data(edges, ["u"], [["v"], ["u", "v"], ["u", "v"]]))
+        argv, want_code, want_b2 = ("check", path, "--window", "1"), 1, "skipped: layer conditions failed"
     else:
         edges = [("g", "v", "u"), ("lv", "v", "v"), ("h", "u", "v"), ("hw", "u", "w"), ("lw", "w", "w"), ("back", "w", "v")]
         path = write(tmp_path, "chain.json", chain_data(edges, ["u"], [["u", "v"], ["u", "v", "w"]]))
@@ -249,6 +249,23 @@ def test_check_runs_layer_conditions_once(capsys, tmp_path, monkeypatch, case):
     else:
         assert data["b2"] == want_b2
     assert len(calls) == 1
+
+
+def test_window_below_one_is_a_usage_error(capsys, tmp_path, monkeypatch):
+    passing = str(tmp_path / "passing.json")
+    assert run(capsys, "synthesize", "--k0", "Z/2", "--k1", "Z^2", "--depth", "6", "-o", passing)[0] == 0
+    # u outside layer 0 fails (a1)
+    edges = [("lv1", "v", "v"), ("lv2", "v", "v"), ("g", "u", "v"), ("h", "v", "u")]
+    failing = write(tmp_path, "failing.json", chain_data(edges, ["u"], [["v"], ["u", "v"], ["u", "v"]]))
+    assert [run(capsys, cmd, failing, "--window", "1")[0] for cmd in ("check", "colimit")] == [1, 1]
+    # the window is refused before the file is read
+    monkeypatch.setattr(importlib.import_module("graphck.cli"), "load_graph", lambda path: pytest.fail("file loaded"))
+    for command in ("check", "colimit"):
+        for window in ("0", "-1"):
+            for path in (passing, failing):
+                code, out, err = run(capsys, command, path, "--window", window)
+                assert (code, out) == (2, "")
+                assert err == f"usage error: --window must be at least 1, got {window}\n"
 
 
 @pytest.fixture

@@ -25,7 +25,6 @@ from graphck.abelian import (
 )
 from graphck.graphs import FiniteGraph, GraphChain, dump_graph
 from graphck.ktheory import (
-    _canonical_inclusion_k0,
     _k1_relations_hold,
     _relation_classes,
     boundary_map,
@@ -86,9 +85,8 @@ def test_case_i_k_theory(l, torsion):
 
     expected_torsion = ()
     if torsion:
-        expected_torsion = tuple(
-            x for x in smith_normal_form(IntMatrix.diagonal(list(torsion))).diagonal if x >= 2
-        )
+        diag = [[x if i == j else 0 for j in range(len(torsion))] for i, x in enumerate(torsion)]
+        expected_torsion = tuple(x for x in smith_normal_form(IntMatrix.from_rows(diag)).diagonal if x >= 2)
     assert kt.k0.canonical_pair() == (l, expected_torsion)
     assert kt.k1.canonical_pair() == (l, ())
 
@@ -193,7 +191,7 @@ def test_boundary_onto_for_tower_layers():
     layer = chain.layer_graph(2)
     full = FiniteGraph(layer.vertices, layer.edges, ())
     kt_full = ktheory(full)
-    cols = [boundary_map(layer, kt_full.k1_lattice.col(j)) for j in range(kt_full.k1_lattice.cols)]
+    cols = [boundary_map(layer, x) for x in kt_full.k1_lattice.columns()]
     exempt = sorted(layer.relation_exempt)
     image = ColumnLattice(
         IntMatrix.from_rows([[c[i] for c in cols] for i in range(len(exempt))], cols=len(cols))
@@ -218,7 +216,8 @@ def _full_relation_route_two(graph):
     verts = graph.vertex_list
     full = smith_normal_form(relation_matrix(graph, at_vertices=verts))
     full_k1 = IntMatrix.from_sparse_columns(len(verts), [full.u_row(i) for i in range(full.rank, len(verts))])
-    at_exempt = [full_k1.row(verts.index(u)) for u in sorted(graph.relation_exempt)]
+    full_rows = full_k1.to_lists()
+    at_exempt = [full_rows[verts.index(u)] for u in sorted(graph.relation_exempt)]
     return full_k1 @ kernel_basis(IntMatrix.from_rows(at_exempt, cols=full_k1.cols))
 
 
@@ -238,8 +237,8 @@ def _recorded_route_two(monkeypatch, graph):
     (ker,) = kernels
     verts, svs = graph.vertex_list, graph.s_vertices
     rows = [(0,) * ker.cols] * len(verts)
-    for k, u in enumerate(svs):
-        rows[verts.index(u)] = ker.row(k)
+    for u, row in zip(svs, ker.to_lists()):
+        rows[verts.index(u)] = row
     return kt, IntMatrix.from_rows(rows, cols=ker.cols)
 
 
@@ -281,7 +280,7 @@ def test_dual_route_check_catches_a_corrupted_route_two(monkeypatch, graph, corr
 
     def corrupted(m):
         ker = kernel_basis(m)
-        cols = [ker.col(j) for j in range(ker.cols)]
+        cols = ker.columns()
         if corrupt == "drop":
             cols.pop()
         else:
@@ -510,7 +509,7 @@ def _reference_les_nodes(graph):
     kt_o = ktheory(FiniteGraph(graph.vertices, graph.edges)) if exempt else kt_t
     nodes = {}
     k1_full = kt_o.k1_lattice
-    bdry_cols = [boundary_map(graph, k1_full.col(j)) for j in range(k1_full.cols)]
+    bdry_cols = [boundary_map(graph, x) for x in k1_full.columns()]
     image = ColumnLattice(IntMatrix.from_sparse_columns(len(exempt), [dict(enumerate(c)) for c in bdry_cols]))
     ker_boundary = k1_full @ image.snf.kernel()
     nodes["exact_at_k1_full"] = kt_t.k1_column.equals(ColumnLattice(ker_boundary))
@@ -575,7 +574,7 @@ def _recheck_k0_witness(graph, kt_t, kt_o, witness):
     if "vertex" in witness:
         kt = kt_t if witness["check"].startswith("the Toeplitz") else kt_o
         full = FiniteGraph(graph.vertices, graph.edges)
-        row = relation_matrix(full, at_vertices=[witness["vertex"]]).row(0)
+        (row,) = relation_matrix(full, at_vertices=[witness["vertex"]]).to_lists()
         classes = [kt.k0_class_of_vertex[v] for v in graph.vertex_list]
         total = [sum(x * c[i] for x, c in zip(row, classes)) for i in range(kt.k0.ncoords)]
         return any(kt.k0.reduce_coords(total))
@@ -801,7 +800,8 @@ def test_inclusion_k1_towers_give_isomorphism():
 
 def test_inclusion_k0_identity():
     g = loops(1)
-    hom = inclusion_k0(g, g)
+    kt = ktheory(g)
+    hom = inclusion_k0(g, g, kt, kt)
     assert hom.is_isomorphism()
 
 
@@ -833,8 +833,8 @@ def test_inclusion_k0_rejects_row_mismatch():
         {"v", "w"},
         [("l", "v", "v"), ("e", "v", "w"), ("wl", "w", "w"), ("back", "w", "v")],
     )
-    with pytest.raises(ValueError):
-        inclusion_k0(f, g)
+    with pytest.raises(ValueError, match="out-edges at relation vertex 'v' differ"):
+        inclusion_k0(f, g, ktheory(f), ktheory(g))
 
 
 @pytest.mark.parametrize(
@@ -846,27 +846,27 @@ def test_inclusion_k0_rejects_row_mismatch():
         build_case_iii(3, 2, (2, 4), 5),
     ],
 )
-def test_inclusion_k0_is_proved_well_defined_from_the_graphs(monkeypatch, chain):
-    # the structural proof stands in for GroupHom's relation-by-relation test,
-    # which accepts every layer inclusion; the canonical-coordinate matrix
-    # read from the large layer's classes is the one pushed through sections
+def test_inclusion_k0_is_proved_well_defined_from_the_graphs(chain):
+    # reference: the vertex-selector matrix between the layer presentations,
+    # which GroupHom checks relation by relation and pushes through sections;
+    # the map read from the large layer's classes must be its canonical matrix
     layers = [chain.layer_graph(n) for n in range(len(chain))]
     kts = [ktheory(g) for g in layers]
     assert any(kt.k0.invariant_factors for kt in kts)
     for n in range(len(chain) - 1):
-        with monkeypatch.context() as m:
-            m.setattr(GroupHom, "_verify_well_defined", lambda self: pytest.fail("relation test ran"))
-            hom = inclusion_k0(layers[n], layers[n + 1], kts[n], kts[n + 1])
-        checked = GroupHom(kts[n].k0, kts[n + 1].k0, hom.matrix)
-        assert (hom.domain, hom.codomain) == (checked.domain, checked.codomain)
-        assert _canonical_inclusion_k0(kts[n], kts[n + 1]) == hom.canonical_matrix() == checked.canonical_matrix()
+        small, large = kts[n], kts[n + 1]
+        rows = [[int(v == w) for v in small.vertex_order] for w in large.vertex_order]
+        selector = GroupHom(small.k0, large.k0, IntMatrix.from_rows(rows, cols=len(small.vertex_order)))
+        hom = inclusion_k0(layers[n], layers[n + 1], small, large)
+        assert (hom.domain, hom.codomain) == (small.k0, large.k0)
+        assert hom.matrix == selector.canonical_matrix()
 
 
 def test_inclusion_k0_rejects_ktheory_of_another_graph():
     chain = build_case_ii(3, 1, (2,), 5)
     f, g, h = (chain.layer_graph(n) for n in range(3))
     kt_f, kt_g, kt_h = ktheory(f), ktheory(g), ktheory(h)
-    assert inclusion_k0(f, g, kt_f, kt_g).matrix == inclusion_k0(f, g).matrix
+    assert inclusion_k0(f, g, kt_f, kt_g).domain == kt_f.k0
     # the same vertices and edges with another exempt set is another graph
     f_full = FiniteGraph(f.vertices, f.edges, ())
     for kts in ((kt_g, kt_g), (kt_f, kt_h), (kt_h, kt_g), (ktheory(f_full), kt_g)):
@@ -972,6 +972,14 @@ def test_chain_vertex_classes_push_to_the_settled_layer_class(chain):
             assert coords == kts[settled].k0_class_of_vertex[v]
             pushed += 1
     assert pushed == len(chain.layers[settled - 1])
+
+
+@pytest.mark.parametrize("window", [0, -1])
+def test_chain_report_refuses_a_window_below_one_before_any_work(monkeypatch, window):
+    ktheory_mod = importlib.import_module("graphck.ktheory")
+    monkeypatch.setattr(ktheory_mod, "check_condition_a", lambda chain: pytest.fail("the chain was checked"))
+    with pytest.raises(ValueError, match="window must be >= 1"):
+        chain_ktheory_report(build_case_ii(2, 1, (), 5), window=window)
 
 
 def test_chain_report_smith_form_count(snf_calls):
@@ -1117,7 +1125,7 @@ def test_boundary_onto_for_separated_towers():
     kt_full = ktheory(full)
     exempt = sorted(layer.relation_exempt)
     assert len(exempt) == 2
-    cols = [boundary_map(layer, kt_full.k1_lattice.col(j)) for j in range(kt_full.k1_lattice.cols)]
+    cols = [boundary_map(layer, x) for x in kt_full.k1_lattice.columns()]
     image = ColumnLattice(
         IntMatrix.from_rows([[c[i] for c in cols] for i in range(len(exempt))], cols=len(cols))
     )

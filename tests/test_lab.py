@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from graphck import scenarios
 from graphck.lab import (
     LabError,
     MatField,
@@ -153,8 +154,6 @@ def test_straighten_defect_gate():
     v = random_partial_isometry(rng, 4, 2)
     with pytest.raises(LabError):
         straighten(0.5 * v)  # defect 0.5 * 0.75 = 0.375 > 0.35
-    with pytest.raises(LabError):
-        straighten(v, max_defect=0.4)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
@@ -329,9 +328,10 @@ def test_family_orthogonal_pair_ranges_exactly_orthogonal():
     assert cross <= 1e-12
 
 
-def test_family_rejects_excess_defects():
-    sc = family_scenario("unitary_extension", seed=1, noise=0.2)
-    with pytest.raises(LabError):
+def test_family_rejects_excess_defects(monkeypatch):
+    monkeypatch.setattr(scenarios, "FAMILY_NOISE", 0.2)
+    sc = family_scenario("unitary_extension", seed=1)
+    with pytest.raises(LabError, match="family defects .* exceed tol 0.05"):
         straighten_family(sc.small, sc.large, sc.infinite_vertices, sc.fields)
 
 
@@ -341,12 +341,6 @@ def test_family_rejects_inexact_small_family():
     fields["g"] = 0.99 * fields["g"]
     with pytest.raises(LabError):
         straighten_family(sc.small, sc.large, sc.infinite_vertices, fields)
-
-
-def test_family_rejects_tol_above_cap():
-    sc = family_scenario("identity")
-    with pytest.raises(LabError):
-        straighten_family(sc.small, sc.large, sc.infinite_vertices, sc.fields, tol=0.2)
 
 
 def test_intertwiner_rank_mismatch():

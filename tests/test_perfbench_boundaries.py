@@ -57,12 +57,14 @@ def test_tracer_observes_a_smith_form(monkeypatch):
     assert sizes["max_bits"] >= 1
 
 
-def test_one_request_of_every_workload_kind_runs_and_checks(monkeypatch, tmp_path):
-    load("oracle", monkeypatch)
-    workloads = load("workloads", monkeypatch)
-    gk = SimpleNamespace(np=np, **{n: importlib.import_module(f"graphck.{n}") for n in GRAPHCK_MODULES})
-    Request, sc = workloads.Request, gk.scenarios
+def graphck_namespace():
+    """The ``gk`` namespace the workloads read graphck through."""
+    return SimpleNamespace(np=np, **{n: importlib.import_module(f"graphck.{n}") for n in GRAPHCK_MODULES})
 
+
+def small_requests(workloads, gk, tmp_path):
+    """A few small requests per workload, of every kind in ``workloads.KINDS``."""
+    Request, sc = workloads.Request, gk.scenarios
     verts, edges = workloads._random_graph(random.Random(3), 8, 2)
     exempt = verts[:2]
     path = tmp_path / "g.json"
@@ -75,15 +77,27 @@ def test_one_request_of_every_workload_kind_runs_and_checks(monkeypatch, tmp_pat
             }
         )
     )
-    requests = [
-        workloads._synth_request(1, 1, (2,), workloads.GRID_DEPTH),
-        Request("k:T", "ktheory", gk.graphs.FiniteGraph(verts, edges, exempt), (verts, edges, exempt)),
-        Request("k:O", "ktheory", gk.graphs.FiniteGraph(verts, edges), (verts, edges, [])),
-        Request("les", "les", str(path), (verts, edges, exempt)),
-        Request("s", "lab_straighten", [sc.injected_defect_trial(5, 1e-3)]),
-        Request("w", "lab_w", (sc.lemma36_scenario(sc.CANONICAL_W_SCENARIOS[0]), [0.5, 0.9])),
-        Request("f", "lab_family", sc.family_scenario(sc.CANONICAL_FAMILY_SCENARIOS[1], seed=1)),
-    ]
+    synth = ((1, 1, (2,)), (0, 1, ()), (2, 1, ()))  # cases i, ii and iii
+    return {
+        "synth_chains": [workloads._synth_request(r0, r1, t, workloads.GRID_DEPTH) for r0, r1, t in synth],
+        "ktheory_big": [
+            Request("k:T", "ktheory", gk.graphs.FiniteGraph(verts, edges, exempt), (verts, edges, exempt)),
+            Request("k:O", "ktheory", gk.graphs.FiniteGraph(verts, edges), (verts, edges, [])),
+        ],
+        "les_small": [Request("les", "les", str(path), (verts, edges, exempt))],
+        "lab_numeric": [
+            Request("s", "lab_straighten", [sc.injected_defect_trial(5, 1e-3)]),
+            Request("w", "lab_w", (sc.lemma36_scenario(sc.CANONICAL_W_SCENARIOS[0]), [0.5, 0.9])),
+            Request("f", "lab_family", sc.family_scenario(sc.CANONICAL_FAMILY_SCENARIOS[1], seed=1)),
+        ],
+    }
+
+
+def test_one_request_of_every_workload_kind_runs_and_checks(monkeypatch, tmp_path):
+    load("oracle", monkeypatch)
+    workloads = load("workloads", monkeypatch)
+    gk = graphck_namespace()
+    requests = [r for reqs in small_requests(workloads, gk, tmp_path).values() for r in reqs]
     assert {r.kind for r in requests} == set(workloads.KINDS)
     for req in requests:
         run, answer, check = workloads.KINDS[req.kind]
@@ -92,3 +106,24 @@ def test_one_request_of_every_workload_kind_runs_and_checks(monkeypatch, tmp_pat
         assert check(gk, req, obj) is None, req.key
         if answer is not None:
             assert answer(obj)
+
+
+def test_every_expected_boundary_is_entered(monkeypatch, tmp_path):
+    # a traced benchmark run fails on an expected boundary it never enters
+    tracer = load("tracer", monkeypatch)
+    load("oracle", monkeypatch)
+    workloads = load("workloads", monkeypatch)
+    gk = graphck_namespace()
+    per_workload = small_requests(workloads, gk, tmp_path)
+    assert set(per_workload) == set(workloads.EXPECTED_BOUNDARIES)
+    for workload, requests in per_workload.items():
+        tr = tracer.Tracer()
+        tr.install()
+        try:
+            for req in requests:
+                workloads.KINDS[req.kind][0](gk, req.payload)
+        finally:
+            tr.uninstall()
+        counters, _ = tr.summary()
+        never = [n for n in workloads.EXPECTED_BOUNDARIES[workload] if not counters[f"{n}.calls"]]
+        assert not never, workload

@@ -30,8 +30,7 @@ from graphck.synthesis import (
 def functional_vanishes(kt, coeffs_by_vertex):
     """Does sum coeff(v) * x(v) vanish on every degree-one representative?"""
     order = {v: i for i, v in enumerate(kt.vertex_order)}
-    for j in range(kt.k1_lattice.cols):
-        col = kt.k1_lattice.col(j)
+    for col in kt.k1_lattice.columns():
         total = sum(c * col[order[v]] for v, c in coeffs_by_vertex.items())
         if total != 0:
             return False
@@ -333,3 +332,21 @@ def test_synthesize_checks_layer_conditions_once(monkeypatch, expr0, expr1):
     res = run(expr0, expr1, depth=5)
     assert res.verification.passed and res.verification.condition_a.passed
     assert lengths == [5 + VERIFICATION_WINDOW]
+
+
+@pytest.mark.parametrize("expr0,expr1", [("Z", "Z^2"), ("Z^2 + Z/3", "Z")])
+def test_synthesize_checks_b2_once_on_the_emitted_chain(monkeypatch, expr0, expr1):
+    graphs_mod = importlib.import_module("graphck.graphs")
+    orig = graphs_mod.check_condition_b2
+    lengths = []
+
+    def counting(chain, k0_class):
+        lengths.append(len(chain))
+        return orig(chain, k0_class)
+
+    for name in ("graphs", "ktheory", "synthesis"):
+        module = importlib.import_module(f"graphck.{name}")
+        monkeypatch.setattr(module, "check_condition_b2", counting, raising=False)
+    res = run(expr0, expr1, depth=5)
+    assert res.verification.passed and res.verification.condition_b2.passed
+    assert lengths == [5]
