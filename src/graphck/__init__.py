@@ -5,7 +5,6 @@ from .abelian import (
     FgAbelianGroup,
     GroupHom,
     IntMatrix,
-    Presentation,
     SmithDecomposition,
     cokernel,
     format_group,

@@ -22,7 +22,7 @@ builds a dense transform.  Groups given in canonical form carry
 their diagonal presentation with empty logs and need no reduction.
 ``cokernel`` presents Z^n modulo the row lattice of a relation matrix and
 remembers enough of the transform to convert ambient integer vectors into
-canonical coordinates (``Presentation.class_of``).  ``kernel_basis`` returns
+canonical coordinates (``FgAbelianGroup.class_of``).  ``kernel_basis`` returns
 a saturated basis of the integer kernel lattice from the free columns of V.
 ``GroupHom`` is a homomorphism between presented groups, checked for
 well-definedness at construction.  ``colimit_chain_detailed`` computes the
@@ -248,7 +248,7 @@ class SmithDecomposition:
     log forward on the one vector it multiplies.  ``u``, ``v``, ``v_inv``
     and ``d`` build the whole matrices on first use.  ``v_inv`` is the exact
     inverse of V; its rows give sections of the quotient map (see
-    ``Presentation``).  The returned dicts are shared and must not be
+    ``FgAbelianGroup.section``).  The returned dicts are shared and must not be
     mutated.
     """
 
@@ -657,12 +657,17 @@ def _canonical_from_diagonal(diag: Iterable[int], ambient: int) -> tuple[int, tu
     return free, factors
 
 
-class Presentation:
-    """Generators and relations, canonicalized once by Smith normal form.
+class FgAbelianGroup:
+    """A finitely generated abelian group, given by generators and relations.
 
-    ``relations`` rows are integer relations on the generators; the quotient
-    group Z^n / rowspace(relations) is put in canonical form and ambient
-    vectors can be converted to canonical coordinates and back.
+    ``relations`` rows are integer relations on the generators; the group
+    Z^n / rowspace(relations) is put in invariant-factor form once, by Smith
+    normal form.  ``invariant_factors`` are the torsion orders, each >= 2 and
+    each dividing the next; ``free_rank`` counts the Z summands.  The
+    canonical pair is the unique comparison key: two groups are isomorphic
+    iff the pairs agree.  Ambient vectors convert to canonical coordinates
+    and back.  Groups built straight from canonical data get the diagonal
+    presentation, whose Smith form needs no reduction.
     """
 
     __slots__ = (
@@ -684,15 +689,67 @@ class Presentation:
         self.relations = relations
         self.snf = smith_normal_form(relations) if snf is None else snf
         diag = self.snf.diagonal
-        self.free_rank, self.invariant_factors = _canonical_from_diagonal(diag, relations.cols)
+        self.free_rank, factors = _canonical_from_diagonal(diag, relations.cols)
+        for x, y in zip(factors, factors[1:]):
+            if y % x:
+                raise ValueError("invariant factors must be in divisibility order")
+        self.invariant_factors = factors
         self._torsion_pos = tuple(j for j, x in enumerate(diag) if x >= 2)
         self._free_pos = tuple(
             j for j in range(relations.cols) if j >= len(diag) or diag[j] == 0
         )
 
+    # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def canonical(cls, free_rank: int, invariant_factors: Sequence[int] = ()) -> "FgAbelianGroup":
+        factors = tuple(int(x) for x in invariant_factors)
+        for x in factors:
+            if x < 2:
+                raise ValueError("invariant factors must be >= 2")
+        if free_rank < 0:
+            raise ValueError("free rank must be nonnegative")
+        n = len(factors) + free_rank
+        rel = IntMatrix._of(len(factors), n, tuple({i: x} for i, x in enumerate(factors)))
+        # rel is already in Smith form: every transform is the identity
+        snf = SmithDecomposition(len(factors), n, factors, (range(len(factors)), range(n)), ((), ()))
+        return cls([f"g{i + 1}" for i in range(n)], rel, snf)
+
+    # -- structure ---------------------------------------------------------
+
     @property
     def ngens(self) -> int:
         return len(self.generators)
+
+    @property
+    def is_trivial(self) -> bool:
+        return self.free_rank == 0 and not self.invariant_factors
+
+    @property
+    def ncoords(self) -> int:
+        return len(self.invariant_factors) + self.free_rank
+
+    def canonical_pair(self) -> tuple[int, tuple[int, ...]]:
+        return (self.free_rank, self.invariant_factors)
+
+    def is_isomorphic_to(self, other: "FgAbelianGroup") -> bool:
+        return self.canonical_pair() == other.canonical_pair()
+
+    def same_as(self, other: "FgAbelianGroup") -> bool:
+        """Same generators and relations, not just the same isomorphism class."""
+        return self.generators == other.generators and self.relations == other.relations
+
+    def __eq__(self, other) -> bool:
+        # equality is isomorphism-class equality; presentations may differ
+        return isinstance(other, FgAbelianGroup) and self.canonical_pair() == other.canonical_pair()
+
+    def __hash__(self):
+        return hash(self.canonical_pair())
+
+    def __repr__(self):
+        return f"FgAbelianGroup({format_group(self)!r})"
+
+    # -- canonical coordinates ---------------------------------------------
 
     def coordinate_positions(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return self._torsion_pos, self._free_pos
@@ -729,95 +786,7 @@ class Presentation:
 
     def lattice_contains(self, vec: Sequence[int]) -> bool:
         """Is ``vec`` in the row lattice of the relations?"""
-        if len(vec) != self.ngens:
-            raise ValueError("ambient vector length mismatch")
-        snf = self.snf
-        diag = snf.diagonal
-        if any(_dot(snf.v_col(j), vec) % diag[j] for j in self._torsion_pos):
-            return False
-        return not any(_dot(snf.v_col(j), vec) for j in self._free_pos)
-
-    def same_as(self, other: "Presentation") -> bool:
-        return self.generators == other.generators and self.relations == other.relations
-
-
-class FgAbelianGroup:
-    """A finitely generated abelian group in invariant-factor form.
-
-    ``invariant_factors`` are the torsion orders, each >= 2 and each dividing
-    the next; ``free_rank`` counts the Z summands.  The canonical pair is the
-    unique comparison key: two groups are isomorphic iff the pairs agree.
-    Every group carries a presentation; groups built straight from canonical
-    data get the diagonal one, whose Smith form needs no reduction.
-    """
-
-    __slots__ = ("free_rank", "invariant_factors", "presentation")
-
-    def __init__(
-        self,
-        free_rank: int,
-        invariant_factors: Sequence[int],
-        presentation: Presentation | None = None,
-    ):
-        factors = tuple(int(x) for x in invariant_factors)
-        for x in factors:
-            if x < 2:
-                raise ValueError("invariant factors must be >= 2")
-        for x, y in zip(factors, factors[1:]):
-            if y % x:
-                raise ValueError("invariant factors must be in divisibility order")
-        if free_rank < 0:
-            raise ValueError("free rank must be nonnegative")
-        if presentation is None:
-            n = len(factors) + free_rank
-            gens = tuple(f"g{i + 1}" for i in range(n))
-            rel = IntMatrix._of(len(factors), n, tuple({i: x} for i, x in enumerate(factors)))
-            # rel is already in Smith form: every transform is the identity
-            snf = SmithDecomposition(len(factors), n, factors, (range(len(factors)), range(n)), ((), ()))
-            presentation = Presentation(gens, rel, snf)
-        else:
-            if (presentation.free_rank, presentation.invariant_factors) != (
-                free_rank,
-                factors,
-            ):
-                raise ValueError("presentation does not canonicalize to the stated form")
-        self.free_rank = free_rank
-        self.invariant_factors = factors
-        self.presentation = presentation
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def canonical(cls, free_rank: int, invariant_factors: Sequence[int] = ()) -> "FgAbelianGroup":
-        return cls(free_rank, invariant_factors)
-
-    # -- structure ---------------------------------------------------------
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.invariant_factors
-
-    @property
-    def ncoords(self) -> int:
-        return len(self.invariant_factors) + self.free_rank
-
-    def canonical_pair(self) -> tuple[int, tuple[int, ...]]:
-        return (self.free_rank, self.invariant_factors)
-
-    def is_isomorphic_to(self, other: "FgAbelianGroup") -> bool:
-        return self.canonical_pair() == other.canonical_pair()
-
-    def __eq__(self, other) -> bool:
-        # equality is isomorphism-class equality; presentations may differ
-        return isinstance(other, FgAbelianGroup) and self.canonical_pair() == other.canonical_pair()
-
-    def __hash__(self):
-        return hash(self.canonical_pair())
-
-    def __repr__(self):
-        return f"FgAbelianGroup({format_group(self)!r})"
-
-    # -- element arithmetic in canonical coordinates ------------------------
+        return not any(self.class_of(vec))
 
     def reduce_coords(self, coords: Sequence[int]) -> tuple[int, ...]:
         if len(coords) != self.ncoords:
@@ -832,16 +801,14 @@ class FgAbelianGroup:
 
 
 def cokernel(m: IntMatrix, generators: Sequence[str] | None = None) -> FgAbelianGroup:
-    """Z^cols(m) modulo the row lattice of ``m``, with a retained presentation.
+    """Z^cols(m) modulo the row lattice of ``m``, presented by ``m``.
 
     Rows of ``m`` are relations on the ambient generators.  The result's
-    ``presentation.class_of`` maps any ambient vector to canonical
-    coordinates.
+    ``class_of`` maps any ambient vector to canonical coordinates.
     """
     if generators is None:
         generators = tuple(f"g{i + 1}" for i in range(m.cols))
-    pres = Presentation(generators, m)
-    return FgAbelianGroup(pres.free_rank, pres.invariant_factors, pres)
+    return FgAbelianGroup(generators, m)
 
 
 # ---------------------------------------------------------------------------
@@ -910,7 +877,7 @@ class ColumnLattice:
 # ---------------------------------------------------------------------------
 
 
-def _preimage_lattice_rows(hom_matrix: IntMatrix, codomain: Presentation) -> IntMatrix:
+def _preimage_lattice_rows(hom_matrix: IntMatrix, codomain: FgAbelianGroup) -> IntMatrix:
     """Generators (as rows) of {x : hom_matrix @ x in codomain relation lattice}."""
     rel_t = codomain.relations.transpose()
     stacked = hom_matrix.hstack(-rel_t)
@@ -933,7 +900,7 @@ class GroupHom:
     __slots__ = ("domain", "codomain", "matrix", "_canonical_matrix")
 
     def __init__(self, domain: FgAbelianGroup, codomain: FgAbelianGroup, matrix: IntMatrix):
-        if matrix.cols != domain.presentation.ngens or matrix.rows != codomain.presentation.ngens:
+        if matrix.cols != domain.ngens or matrix.rows != codomain.ngens:
             raise ValueError("hom matrix shape does not match the presentations")
         self.domain = domain
         self.codomain = codomain
@@ -942,10 +909,10 @@ class GroupHom:
         self._verify_well_defined()
 
     def _verify_well_defined(self):
-        cod = self.codomain.presentation
+        cod = self.codomain
         cod_rows = {frozenset(r.items()) for r in cod.relations.sparse_rows}
         cols = self.matrix.sparse_columns()
-        for rel in self.domain.presentation.relations.sparse_rows:
+        for rel in self.domain.relations.sparse_rows:
             acc: dict = {}
             for k, x in rel.items():
                 for i, y in cols[k].items():
@@ -964,8 +931,8 @@ class GroupHom:
             dom, cod = self.domain, self.codomain
             cols = []
             for j in range(dom.ncoords):
-                sec = dom.presentation.section(j)
-                img = cod.presentation.class_of(self.matrix.mat_vec(sec))
+                sec = dom.section(j)
+                img = cod.class_of(self.matrix.mat_vec(sec))
                 cols.append(img)
             cols = [dict(enumerate(c)) for c in cols]
             self._canonical_matrix = IntMatrix.from_sparse_columns(cod.ncoords, cols)
@@ -979,19 +946,16 @@ class GroupHom:
 
     def _cokernel_pair(self) -> tuple[int, tuple[int, ...]]:
         """Canonical pair of the codomain modulo the image."""
-        stacked = self.codomain.presentation.relations.vstack(self.matrix.transpose())
-        return _canonical_from_diagonal(smith_normal_form(stacked).diagonal, self.codomain.presentation.ngens)
+        stacked = self.codomain.relations.vstack(self.matrix.transpose())
+        return _canonical_from_diagonal(smith_normal_form(stacked).diagonal, self.codomain.ngens)
 
     def is_surjective(self) -> bool:
         return self._cokernel_pair() == (0, ())
 
-    def is_injective(self) -> bool:
-        pre = _preimage_lattice_rows(self.matrix, self.codomain.presentation)
-        dom = self.domain.presentation
-        return all(dom.lattice_contains(row) for row in pre.iter_rows())
-
     def is_isomorphism(self) -> bool:
-        return self.is_surjective() and self.is_injective()
+        # finitely generated abelian groups are Hopfian: a surjection between
+        # isomorphic ones is injective
+        return self.domain == self.codomain and self.is_surjective()
 
     def image_rank(self) -> int:
         return self.codomain.free_rank - self._cokernel_pair()[0]
@@ -1003,7 +967,7 @@ class GroupHom:
 
 def hom_compose(f: GroupHom, g: GroupHom) -> GroupHom:
     """g after f.  Requires f.codomain and g.domain to share a presentation."""
-    if not f.codomain.presentation.same_as(g.domain.presentation):
+    if not f.codomain.same_as(g.domain):
         raise ValueError("presentation mismatch: cannot compose")
     return GroupHom(f.domain, g.codomain, g.matrix @ f.matrix)
 
@@ -1041,9 +1005,7 @@ def colimit_chain_detailed(
     if n < window + 2:
         raise ValueError(f"chain of length {n} is too short for window {window}")
     for i, h in enumerate(homs):
-        if not h.domain.presentation.same_as(groups[i].presentation) or not h.codomain.presentation.same_as(
-            groups[i + 1].presentation
-        ):
+        if not h.domain.same_as(groups[i]) or not h.codomain.same_as(groups[i + 1]):
             raise ValueError(f"hom {i} does not connect groups {i} -> {i + 1}")
 
     # only the reduced groups of the final stretch are read
@@ -1054,9 +1016,9 @@ def colimit_chain_detailed(
         comp = homs[i]
         for j in range(i + 1, i + window):
             comp = hom_compose(comp, homs[j])
-        pre = _preimage_lattice_rows(comp.matrix, groups[i + window].presentation)
-        rel = groups[i].presentation.relations.vstack(pre)
-        reduced[i] = cokernel(rel, groups[i].presentation.generators)
+        pre = _preimage_lattice_rows(comp.matrix, groups[i + window])
+        rel = groups[i].relations.vstack(pre)
+        reduced[i] = cokernel(rel, groups[i].generators)
 
     stabilized = True
     for i in range(first, last):
@@ -1065,9 +1027,7 @@ def colimit_chain_detailed(
             stabilized = False
             break
 
-    reduction = GroupHom(
-        groups[last], reduced[last], IntMatrix.identity(groups[last].presentation.ngens)
-    )
+    reduction = GroupHom(groups[last], reduced[last], IntMatrix.identity(groups[last].ngens))
     return ColimitResult(reduced[last], stabilized, last, reduction)
 
 

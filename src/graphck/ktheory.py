@@ -133,8 +133,8 @@ def ktheory(graph: FiniteGraph) -> KTheoryResult:
 
     rel = relation_matrix(graph)
     k0 = cokernel(rel, generators=verts)
-    snf = k0.presentation.snf
-    classes = dict(zip(verts, k0.presentation.generator_classes()))
+    snf = k0.snf
+    classes = dict(zip(verts, k0.generator_classes()))
     spos = [vidx[u] for u in svs]
 
     def off_s_zero(vectors) -> IntMatrix:
@@ -342,7 +342,7 @@ def les_check(graph: FiniteGraph) -> LesReport:
     nt = len(rows)
     rows += tuple({i: x for i, x in enumerate(c) if x} for c in ideal)
     coker_j = cokernel(IntMatrix._of(len(rows), k0_t.ncoords, rows))
-    snf = coker_j.presentation.snf
+    snf = coker_j.snf
     kerj = ([snf.u_row(r).get(nt + k, 0) for k in range(len(exempt))] for r in range(snf.rank, len(rows)))
     witness = _first(
         {"check": "the kernel of the ideal-class map lies in the image of the index map", "vector": x}
@@ -373,11 +373,11 @@ def les_check(graph: FiniteGraph) -> LesReport:
             "k0_full": format_group(kt_o.k0),
         }
     k0_o = kt_o.k0
-    pres_o, n = k0_o.presentation, k0_o.ncoords
-    classes_o = [kt_o.k0_class_of_vertex[v] for v in pres_o.generators]
+    n = k0_o.ncoords
+    classes_o = [kt_o.k0_class_of_vertex[v] for v in k0_o.generators]
     onto = _first(
         {"check": "the full vertex classes generate K0(O)", "generator": k, "section": list(s)}
-        for k, s in ((k, pres_o.section(k)) for k in range(n))
+        for k, s in ((k, k0_o.section(k)) for k in range(n))
         if k0_o.reduce_coords(_combine(s, classes_o, n)) != tuple(int(i == k) for i in range(n))
     )
     report.record("exact_at_k0_toeplitz", killed or same or onto)
@@ -420,19 +420,19 @@ def inclusion_k0(
             raise ValueError(f"out-edges at relation vertex {u!r} differ between the graphs")
     if kt_small.graph != small or kt_large.graph != large:
         raise ValueError("the K-theory results passed are not those of the two graphs")
-    pres, order = kt_small.k0.presentation, kt_small.vertex_order
+    dom, order = kt_small.k0, kt_small.vertex_order
     cod, classes = kt_large.k0, kt_large.k0_class_of_vertex
-    torsion, free = pres.coordinate_positions()
+    torsion, free = dom.coordinate_positions()
     cols = []
     for pos in torsion + free:
         acc = [0] * cod.ncoords
-        for i, x in pres.snf.vinv_row(pos).items():
+        for i, x in dom.snf.vinv_row(pos).items():
             for t, y in enumerate(classes[order[i]]):
                 acc[t] += x * y
         cols.append(dict(enumerate(cod.reduce_coords(acc))))
     matrix = IntMatrix.from_sparse_columns(cod.ncoords, cols)
     return GroupHom(
-        FgAbelianGroup.canonical(*kt_small.k0.canonical_pair()),
+        FgAbelianGroup.canonical(*dom.canonical_pair()),
         FgAbelianGroup.canonical(*cod.canonical_pair()),
         matrix,
     )
@@ -469,12 +469,12 @@ def chain_ktheory_report(chain: GraphChain, window: int = 2, force: bool = False
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    cond_a = check_condition_a(chain)
-    if not cond_a.passed and not force:
-        raise ChainConditionError(cond_a)
     nlayers = len(chain)
     if nlayers < window + 2:
         raise ValueError(f"chain of length {nlayers} is too short for window {window}")
+    cond_a = check_condition_a(chain)
+    if not cond_a.passed and not force:
+        raise ChainConditionError(cond_a)
 
     layer_graphs = [chain.layer_graph(n) for n in range(nlayers)]
     kts = [ktheory(g) for g in layer_graphs]

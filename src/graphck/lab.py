@@ -261,7 +261,7 @@ def lemma36_w(
     r: MatField | None,
     t: float,
     case: str,
-    ideal_fiber: int | None = "default",
+    ideal_fiber: int | None,
 ) -> tuple[MatField, DefectReport]:
     """Interpolate an exact partial isometry a with a mod-J one b.
 
@@ -278,8 +278,6 @@ def lemma36_w(
         raise LabError("case must be 'i' or 'ii'")
     if not 0.0 <= t < 1.0:
         raise LabError("t must lie in [0, 1)")
-    if ideal_fiber == "default":
-        ideal_fiber = a.grid_size
 
     pre: dict[str, float] = {}
     pre["a_defect"] = partial_isometry_defect(a)
@@ -449,7 +447,6 @@ def straighten_family(
     large: FiniteGraph,
     infinite_vertices: frozenset[str] | set[str],
     fields: Mapping[str, MatField],
-    ideal_fiber: int | None = "default",
 ) -> dict[str, MatField]:
     """Extend an exact family on ``small`` to an exact family on ``large``.
 
@@ -460,7 +457,7 @@ def straighten_family(
     exactly (<= 1e-10); each new-edge field equals its compression by the
     blocks the construction preserves; and the family on the large graph
     satisfies the relations up to ``FAMILY_TOL`` with exactness at the
-    ideal fiber.
+    ideal fiber, the last grid point.
 
     The output agrees with the input on small edges (the same objects), is
     exact to 1e-10 on the large graph, and keeps every new field within the
@@ -483,8 +480,6 @@ def straighten_family(
 
     some_field = fields[large.edges[0][0]]
     grid, dim = some_field.grid_size, some_field.dim
-    if ideal_fiber == "default":
-        ideal_fiber = grid
 
     small_ids = {e[0] for e in small.edges}
     new_edges = [e for e in large.edges if e[0] not in small_ids]
@@ -499,14 +494,11 @@ def straighten_family(
     worst = max(large_res.values())
     if worst > FAMILY_TOL:
         raise LabError(f"family defects {worst:.4g} exceed tol {FAMILY_TOL}")
-    if ideal_fiber is not None:
-        ideal_graph_fields = {
-            eid: MatField([f.fiber(ideal_fiber)]) for eid, f in fields.items()
-        }
-        ideal_res = condition_o_residuals(large, d, ideal_graph_fields)
-        worst = max(ideal_res.values())
-        if worst > EXACT_TOL:
-            raise LabError(f"family is not exact at the ideal fiber (residual {worst:.2e})")
+    ideal_graph_fields = {eid: MatField([f.fiber(grid)]) for eid, f in fields.items()}
+    ideal_res = condition_o_residuals(large, d, ideal_graph_fields)
+    worst = max(ideal_res.values())
+    if worst > EXACT_TOL:
+        raise LabError(f"family is not exact at the ideal fiber (residual {worst:.2e})")
 
     # block data of the small family
     if small.vertices:
@@ -575,9 +567,8 @@ def straighten_family(
     for e in new_edges:
         if not out[e[0]].allclose(block_compress(out, e), 1e-9):
             raise LabError(f"straightened edge {e[0]!r} left its block")
-    if ideal_fiber is not None:
-        for e in new_edges:
-            drift = (out[e[0]] - fields[e[0]]).fiber_norm(ideal_fiber)
-            if drift > EXACT_TOL:
-                raise LabError(f"straightening moved edge {e[0]!r} at the ideal fiber")
+    for e in new_edges:
+        drift = (out[e[0]] - fields[e[0]]).fiber_norm(grid)
+        if drift > EXACT_TOL:
+            raise LabError(f"straightening moved edge {e[0]!r} at the ideal fiber")
     return out

@@ -21,7 +21,6 @@ from graphck.abelian import (
     FgAbelianGroup,
     GroupHom,
     IntMatrix,
-    Presentation,
     cokernel,
     colimit_chain_detailed,
     format_group,
@@ -413,9 +412,9 @@ def test_transform_vectors_read_in_any_order_match_the_dense_transforms(rows, co
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 7), st.integers(0, 7), MATRIX_KINDS, st.integers(0, 2**32 - 1))
 def test_generator_classes_are_the_classes_of_the_unit_vectors(rows, cols, kind, seed):
-    pres = Presentation([f"g{i}" for i in range(cols)], _random_matrix(random.Random(seed), rows, cols, kind))
+    g = cokernel(_random_matrix(random.Random(seed), rows, cols, kind))
     units = [tuple(int(k == i) for k in range(cols)) for i in range(cols)]
-    assert pres.generator_classes() == [pres.class_of(e) for e in units]
+    assert g.generator_classes() == [g.class_of(e) for e in units]
 
 
 @settings(max_examples=100, deadline=None)
@@ -424,7 +423,7 @@ def test_sparse_lattice_queries_match_the_dense_transforms(rows, cols, kind, see
     # oracle: coordinates from the whole products vec @ V and U @ vec
     rng = random.Random(seed)
     m = _random_matrix(rng, rows, cols, kind)
-    pres, lat = Presentation([f"g{i}" for i in range(cols)], m), ColumnLattice(m)
+    g, lat = cokernel(m), ColumnLattice(m)
 
     def fits(z, diag):
         return all((x % diag[i] == 0) if i < len(diag) and diag[i] else x == 0 for i, x in enumerate(z))
@@ -432,11 +431,11 @@ def test_sparse_lattice_queries_match_the_dense_transforms(rows, cols, kind, see
     for vec in [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(4)] + [
         m.transpose().mat_vec([rng.randint(-3, 3) for _ in range(rows)]) for _ in range(2)
     ]:
-        s = pres.snf
+        s = g.snf
         z = s.v.transpose().mat_vec(vec)
-        torsion, free = pres.coordinate_positions()
-        assert pres.class_of(vec) == tuple([z[j] % s.diagonal[j] for j in torsion] + [z[j] for j in free])
-        assert pres.lattice_contains(vec) == fits(z, s.diagonal)
+        torsion, free = g.coordinate_positions()
+        assert g.class_of(vec) == tuple([z[j] % s.diagonal[j] for j in torsion] + [z[j] for j in free])
+        assert g.lattice_contains(vec) == fits(z, s.diagonal)
     for vec in [[rng.randint(-3, 3) for _ in range(rows)] for _ in range(4)] + [
         m.mat_vec([rng.randint(-3, 3) for _ in range(cols)]) for _ in range(2)
     ]:
@@ -838,7 +837,7 @@ def test_canonical_groups_take_their_smith_form_without_a_reduction(monkeypatch,
         g = FgAbelianGroup.canonical(free, factors)
         monkeypatch.undo()
         assert reductions == []
-        rel, s = g.presentation.relations, g.presentation.snf
+        rel, s = g.relations, g.snf
         ref = smith_normal_form(rel)
         assert (s.rows, s.cols, s.diagonal, s.rank) == (ref.rows, ref.cols, ref.diagonal, ref.rank)
         assert [s.u_row(i) for i in range(s.rows)] == [ref.u_row(i) for i in range(ref.rows)]
@@ -849,15 +848,28 @@ def test_canonical_groups_take_their_smith_form_without_a_reduction(monkeypatch,
         assert g.canonical_pair() == (free, factors)
 
 
+@pytest.mark.parametrize(
+    "free,factors,message",
+    [
+        (0, (1,), "must be >= 2"),
+        (1, (0,), "must be >= 2"),
+        (0, (4, 6), "divisibility order"),
+        (-1, (), "nonnegative"),
+    ],
+)
+def test_canonical_rejects_malformed_invariants(free, factors, message):
+    with pytest.raises(ValueError, match=message):
+        FgAbelianGroup.canonical(free, factors)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 14), st.booleans(), st.integers(0, 2**32 - 1))
 def test_sections_and_relations_in_canonical_coordinates(n, exempt, seed):
     g = cokernel(relation_matrix(_random_graph(random.Random(seed), n, exempt)))
-    pres = g.presentation
     for i in range(g.ncoords):
-        assert pres.class_of(pres.section(i)) == tuple(int(j == i) for j in range(g.ncoords))
-    for row in pres.relations.iter_rows():
-        assert pres.class_of(row) == (0,) * g.ncoords
+        assert g.class_of(g.section(i)) == tuple(int(j == i) for j in range(g.ncoords))
+    for row in g.relations.iter_rows():
+        assert g.class_of(row) == (0,) * g.ncoords
 
 
 # ---------------------------------------------------------------------------
@@ -883,9 +895,9 @@ def test_cokernel_mixed():
 
 def test_cokernel_class_map():
     g = cokernel(M([[2, 0]]))
-    one = g.presentation.class_of((1, 0))
+    one = g.class_of((1, 0))
     assert g.reduce_coords([x + y for x, y in zip(one, one)]) == (0, 0)
-    assert g.presentation.class_of((0, 1)) != (0, 0)
+    assert g.class_of((0, 1)) != (0, 0)
 
 
 def test_cokernel_invariant_under_unimodular_transforms():
@@ -947,7 +959,7 @@ def test_kernel_is_saturated():
 
 def test_hom_compose_identity_and_zero():
     g = parse_group_expr("Z + Z/2")
-    n = g.presentation.ngens
+    n = g.ngens
     ident = GroupHom(g, g, IntMatrix.identity(n))
     assert hom_compose(ident, ident).matrix == ident.matrix
     zero = GroupHom(g, g, IntMatrix(n, n, [0] * (n * n)))
@@ -970,7 +982,7 @@ def test_hom_compose_requires_same_presentation():
 
 def test_hom_iso_identity_on_mixed_group():
     g = parse_group_expr("Z + Z/2")
-    assert GroupHom(g, g, IntMatrix.identity(g.presentation.ngens)).is_isomorphism()
+    assert GroupHom(g, g, IntMatrix.identity(g.ngens)).is_isomorphism()
 
 
 def test_hom_doubling_not_iso():
@@ -1011,14 +1023,51 @@ def test_hom_well_definedness_matches_the_dense_relation_test(seed):
         # a codomain relation row as a literal image, the fast path
         dom = cokernel(IntMatrix.from_rows([[1] + [0] * (nd - 1)] if nd else [], cols=nd))
     mat = M([[rng.randint(-2, 2) for _ in range(nd)] for _ in range(nc)]) if nc else IntMatrix(0, nd, [])
-    expected = all(
-        cod.presentation.lattice_contains(mat.mat_vec(rel)) for rel in dom.presentation.relations.iter_rows()
-    )
+    expected = all(cod.lattice_contains(mat.mat_vec(rel)) for rel in dom.relations.iter_rows())
     if expected:
         GroupHom(dom, cod, mat)
     else:
         with pytest.raises(ValueError):
             GroupHom(dom, cod, mat)
+
+
+def _is_isomorphism_by_preimage_lattice(hom):
+    """The isomorphism test as first written: onto, and every generator of the
+    preimage of the codomain relation lattice lies in the domain's."""
+    pre = abelian._preimage_lattice_rows(hom.matrix, hom.codomain)
+    return hom.is_surjective() and all(hom.domain.lattice_contains(row) for row in pre.iter_rows())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["unimodular", "quotient", "random"]), st.integers(0, 2**32 - 1))
+def test_isomorphism_test_matches_the_preimage_lattice_test(kind, seed):
+    rng = random.Random(seed)
+    n = rng.randint(0, 4)
+
+    def rows(count, width):
+        return [[rng.choice([0, 0, 1, 2, -3, 4]) for _ in range(width)] for _ in range(count)]
+
+    rels = IntMatrix.from_rows(rows(rng.randint(0, 3), n), cols=n)
+    if kind == "unimodular":
+        # W is invertible over Z and the codomain relations are the domain's
+        # images, so the hom is an isomorphism
+        mat = _random_unimodular(rng, n)
+        cod_rels = rels @ mat.transpose()
+    elif kind == "quotient":
+        # the identity onto extra relations that may already hold
+        mat = IntMatrix.identity(n)
+        extra = [rels.transpose().mat_vec([rng.randint(-2, 2) for _ in range(rels.rows)])]
+        cod_rels = rels.vstack(IntMatrix.from_rows(extra + rows(rng.randint(0, 1), n), cols=n))
+    else:
+        # a random matrix, with the images of the domain relations among
+        # the codomain's and maybe more
+        nc = rng.randint(0, 4)
+        mat = M([[rng.randint(-2, 2) for _ in range(n)] for _ in range(nc)]) if nc else IntMatrix(0, n, [])
+        cod_rels = (rels @ mat.transpose()).vstack(IntMatrix.from_rows(rows(rng.randint(0, 2), nc), cols=nc))
+    hom = GroupHom(cokernel(rels), cokernel(cod_rels), mat)
+    assert hom.is_isomorphism() == _is_isomorphism_by_preimage_lattice(hom)
+    if kind == "unimodular":
+        assert hom.is_isomorphism()
 
 
 def test_hom_kernel_rank():
@@ -1061,7 +1110,7 @@ def test_colimit_doubling_never_stabilizes():
 def test_colimit_isomorphism_chain_returns_first_group():
     g = parse_group_expr("Z/2 + Z/4")
     groups = [g] * 5
-    homs = [GroupHom(g, g, IntMatrix.identity(g.presentation.ngens))] * 4
+    homs = [GroupHom(g, g, IntMatrix.identity(g.ngens))] * 4
     res = colimit_chain_detailed(groups, homs, 2)
     assert res.stabilized and res.group.canonical_pair() == g.canonical_pair()
 
@@ -1075,9 +1124,9 @@ def _colimit_reducing_every_group(groups, homs, window):
         comp = homs[i]
         for j in range(i + 1, i + window):
             comp = hom_compose(comp, homs[j])
-        pre = abelian._preimage_lattice_rows(comp.matrix, groups[i + window].presentation)
-        rel = groups[i].presentation.relations.vstack(pre)
-        reduced.append(cokernel(rel, groups[i].presentation.generators))
+        pre = abelian._preimage_lattice_rows(comp.matrix, groups[i + window])
+        rel = groups[i].relations.vstack(pre)
+        reduced.append(cokernel(rel, groups[i].generators))
     checks = min(window + 1, last)
     stabilized = all(
         GroupHom(reduced[i], reduced[i + 1], homs[i].matrix).is_isomorphism() for i in range(last - checks, last)
@@ -1109,8 +1158,8 @@ def test_colimit_reduces_only_the_final_stretch(monkeypatch, name, window):
     assert len(calls) == window + 2 < ref_last + 1
     assert (res.settled_index, res.stabilized) == (ref_last, ref_stabilized)
     assert res.group.canonical_pair() == ref_group.canonical_pair()
-    assert res.group.presentation.relations == ref_group.presentation.relations
-    assert res.reduction.matrix == IntMatrix.identity(groups[ref_last].presentation.ngens)
+    assert res.group.relations == ref_group.relations
+    assert res.reduction.matrix == IntMatrix.identity(groups[ref_last].ngens)
     assert res.reduction.codomain is res.group
 
 

@@ -268,6 +268,27 @@ def test_window_below_one_is_a_usage_error(capsys, tmp_path, monkeypatch):
                 assert err == f"usage error: --window must be at least 1, got {window}\n"
 
 
+@pytest.mark.parametrize("force", [False, True])
+@pytest.mark.parametrize("layers", ["passing", "failing"])
+def test_colimit_on_a_chain_too_short_for_the_window_is_a_usage_error(capsys, tmp_path, monkeypatch, layers, force):
+    if layers == "passing":
+        path = str(tmp_path / "passing.json")
+        assert run(capsys, "synthesize", "--k0", "Z/2", "--k1", "Z^2", "--depth", "6", "-o", path)[0] == 0
+    else:
+        # u outside layer 0 fails (a1)
+        edges = [("lv1", "v", "v"), ("lv2", "v", "v"), ("g", "u", "v"), ("h", "v", "u")]
+        path = write(tmp_path, "failing.json", chain_data(edges, ["u"], [["v"], ["u", "v"], ["u", "v"]]))
+    with open(path, encoding="utf-8") as fh:
+        nlayers = len(json.load(fh)["layers"])
+    monkeypatch.setattr(
+        importlib.import_module("graphck.ktheory"), "check_condition_a", lambda chain: pytest.fail("chain checked")
+    )
+    window = str(nlayers - 1)
+    code, out, err = run(capsys, "colimit", path, "--window", window, *(["--force"] if force else []))
+    assert (code, out) == (2, "")
+    assert err == f"error: chain of length {nlayers} is too short for window {window}\n"
+
+
 @pytest.fixture
 def empty_first_layer(tmp_path):
     return write(

@@ -273,8 +273,8 @@ def test_w_precondition_residual_gate():
     # b fails to be a partial isometry at the ideal fiber
     a = MatField.constant(np.array([[0, 1], [0, 0]], dtype=complex), 4)
     b = MatField.constant(0.5 * np.array([[0, 0], [1, 0]], dtype=complex), 4)
-    with pytest.raises(LabError):
-        lemma36_w(a, b, None, 0.5, "i")
+    with pytest.raises(LabError, match="partial isometry at the ideal fiber"):
+        lemma36_w(a, b, None, 0.5, "i", ideal_fiber=4)
 
 
 def test_w_not_partial_isometry_a_rejected():
