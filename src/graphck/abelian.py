@@ -13,9 +13,10 @@ The pieces fit together as follows.  ``smith_normal_form`` diagonalizes an
 integer matrix M as ``U @ M @ V == D`` with U, V unimodular and the diagonal
 in divisibility order.  It keeps no transform.  A sparse presolve
 eliminates unit pivots, shortest row first, and a dense reduction finishes
-the core they leave; both append their operations to one row log and one
-column log, and a row of U, column of V or row of V^-1 is replayed from a
-log when a caller reads it.  The callers below read only the vectors they
+the core they leave, clearing each pivot's column before its row; both
+append their operations to one row log and one column log, and a row of
+U, column of V or row of V^-1 is replayed from a log when a caller reads
+it.  The callers below read only the vectors they
 use (class maps skip the positions with a unit diagonal entry, and lattice
 tests run the row log forward on the vector they test), and none of them
 builds a dense transform.  Groups given in canonical form carry
@@ -524,19 +525,30 @@ def _replay(log: Sequence[tuple[int, int, int]], n: int, t: int, inverse: bool) 
 def _dense_smith(a: list[list[int]]) -> tuple[list, list]:
     """Reduce the dense matrix ``a`` in place to Smith form; returns its logs.
 
-    Pivoting picks the smallest nonzero absolute value in the remaining
-    submatrix (with early exit on +/-1), reduces its row and column by
-    nearest-integer division, and restarts whenever a smaller remainder
-    appears.  Divisibility of later diagonal entries by earlier ones is
-    enforced by folding any offending entry into the pivot row.  Nothing
-    bounds the growth of the transforms here; ``smith_normal_form`` only
+    Each step t opens on the smallest nonzero absolute value in the
+    remaining submatrix (with early exit on +/-1) and clears the pivot's
+    column before its row (Kannan and Bachem, SIAM J. Comput. 1979).  The
+    column pass reduces every row by nearest-integer division and swaps in
+    the smallest remainder as the pivot, until column t is zero off row t.
+    Then one round of column operations reduces row t; with column t clear,
+    each changes row t alone.  A remainder left in row t is swapped in as
+    the pivot column and the column pass runs again.  Divisibility of later
+    diagonal entries by earlier ones is enforced by folding any offending
+    row into the pivot row.
+
+    The column goes first because callers read V columns, each a replay of
+    the whole column log: this order logs one round of column operations
+    per pivot (another only when row t keeps a remainder), where clearing
+    the row first would log every round there.  ``smith_normal_form`` only
     hands this loop the core its unit-pivot presolve leaves.
 
     No transform is kept.  The row log and the column log list the
     operations in order as (i, j, q): "line i -= q * line j" for q != 0, a
     swap of lines i and j for q == 0.  A fold of row j into row t is
-    (t, j, -1) and a negation of row t is (t, t, 2).  ``_replay`` and
-    ``SmithDecomposition.u_mul`` read the transforms from them.
+    (t, j, -1) and a negation of row t is (t, t, 2), which stays in the row
+    log because ``_replay``'s inverse branch takes the column log to hold no
+    negation.  ``_replay`` and ``SmithDecomposition.u_mul`` read the
+    transforms from the logs.
     """
     nrows = len(a)
     ncols = len(a[0]) if a else 0
@@ -553,13 +565,6 @@ def _dense_smith(a: list[list[int]]) -> tuple[list, list]:
             if x:
                 ai[k] -= q * x
         rlog.append((i, j, q))
-
-    def col_axpy(i, j, q, at):
-        # col i -= q * col j, where col j is zero off the rows in ``at``
-        for r in at:
-            row = a[r]
-            row[i] -= q * row[j]
-        clog.append((i, j, q))
 
     def find_pivot(t):
         best = None
@@ -583,53 +588,65 @@ def _dense_smith(a: list[list[int]]) -> tuple[list, list]:
         piv = find_pivot(t)
         if piv is None:
             break
+        i, j = piv
         while True:
-            # clear against the smallest entry by nearest-integer division
-            if piv[0] != t:
-                a[piv[0]], a[t] = a[t], a[piv[0]]
-                rlog.append((piv[0], t, 0))
-            if piv[1] != t:
-                j = piv[1]
+            if j != t:
                 for row in a[t:]:
                     row[j], row[t] = row[t], row[j]
                 clog.append((j, t, 0))
-            d = a[t][t]
-            for i in range(t + 1, nrows):
-                x = a[i][t]
+            # column pass: swap row i in as the pivot row and reduce every
+            # row against it, until no row keeps a remainder
+            while True:
+                if i != t:
+                    a[i], a[t] = a[t], a[i]
+                    rlog.append((i, t, 0))
+                d = a[t][t]
+                i, least = t, 0
+                for r in range(t + 1, nrows):
+                    x = a[r][t]
+                    if x:
+                        q = _nearest_quotient(x, d)
+                        if q:
+                            row_axpy(r, t, q)
+                            x = a[r][t]
+                        if x:
+                            x = -x if x < 0 else x
+                            if not least or x < least:
+                                i, least = r, x
+                if not least:
+                    break
+            # row pass: column t is zero off row t, so each column operation
+            # changes row t alone
+            at = a[t]
+            j, least = t, 0
+            for k in range(t + 1, ncols):
+                x = at[k]
                 if x:
                     q = _nearest_quotient(x, d)
                     if q:
-                        row_axpy(i, t, q)
-            # column t is now zero off row t and the rows with a remainder
-            at = [t] + [i for i in range(t + 1, nrows) if a[i][t]]
-            dirty = len(at) > 1
-            for j in range(t + 1, ncols):
-                x = a[t][j]
-                if x:
-                    q = _nearest_quotient(x, d)
-                    if q:
-                        col_axpy(j, t, q, at)
-                    if a[t][j]:
-                        dirty = True
-            if dirty:
-                piv = find_pivot(t)
+                        x = at[k] = x - q * d
+                        clog.append((k, t, q))
+                    if x:
+                        x = -x if x < 0 else x
+                        if not least or x < least:
+                            j, least = k, x
+            if least:
                 continue
             if d in (1, -1):
                 break
             # force divisibility: pull a non-multiple into the pivot row
             culprit = None
-            for i in range(t + 1, nrows):
-                ai = a[i]
-                for j in range(t + 1, ncols):
-                    if ai[j] % d:
-                        culprit = i
+            for r in range(t + 1, nrows):
+                ar = a[r]
+                for k in range(t + 1, ncols):
+                    if ar[k] % d:
+                        culprit = r
                         break
                 if culprit is not None:
                     break
             if culprit is None:
                 break
             row_axpy(t, culprit, -1)
-            piv = (t, t)
         if a[t][t] < 0:
             row_axpy(t, t, 2)
         t += 1

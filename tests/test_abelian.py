@@ -12,7 +12,7 @@ from collections import Counter
 from itertools import combinations, combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphck import abelian
@@ -505,32 +505,40 @@ def _eager_dense_smith(a):
         piv = find_pivot(t)
         if piv is None:
             break
+        i, j = piv
         while True:
-            if piv[0] != t:
-                swap_rows(piv[0], t)
-            if piv[1] != t:
-                swap_cols(piv[1], t)
-            d = a[t][t]
-            dirty = False
-            for i in range(t + 1, nrows):
-                if a[i][t]:
-                    q = abelian._nearest_quotient(a[i][t], d)
+            if j != t:
+                swap_cols(j, t)
+                j = t
+            # column t first, swapping in its smallest remainder each round
+            while True:
+                if i != t:
+                    swap_rows(i, t)
+                    i = t
+                d = a[t][t]
+                for r in range(t + 1, nrows):
+                    if a[r][t]:
+                        q = abelian._nearest_quotient(a[r][t], d)
+                        if q:
+                            row_axpy(r, t, q)
+                left = [r for r in range(t + 1, nrows) if a[r][t]]
+                if not left:
+                    break
+                i = min(left, key=lambda r: abs(a[r][t]))
+            # then one round on row t
+            for k in range(t + 1, ncols):
+                if a[t][k]:
+                    q = abelian._nearest_quotient(a[t][k], d)
                     if q:
-                        row_axpy(i, t, q)
-                    dirty = dirty or bool(a[i][t])
-            for j in range(t + 1, ncols):
-                if a[t][j]:
-                    q = abelian._nearest_quotient(a[t][j], d)
-                    if q:
-                        col_axpy(j, t, q)
-                    dirty = dirty or bool(a[t][j])
-            if dirty:
-                piv = find_pivot(t)
+                        col_axpy(k, t, q)
+            left = [k for k in range(t + 1, ncols) if a[t][k]]
+            if left:
+                j = min(left, key=lambda k: abs(a[t][k]))
                 continue
             if d in (1, -1):
                 break
             culprit = next(
-                (i for i in range(t + 1, nrows) if any(a[i][j] % d for j in range(t + 1, ncols))), None
+                (r for r in range(t + 1, nrows) if any(a[r][k] % d for k in range(t + 1, ncols))), None
             )
             if culprit is None:
                 break
@@ -538,7 +546,6 @@ def _eager_dense_smith(a):
                 a[t][k] += a[culprit][k]
             for k in range(nrows):
                 u[t][k] += u[culprit][k]
-            piv = (t, t)
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
             u[t] = [-x for x in u[t]]
@@ -551,6 +558,10 @@ CORE_KINDS = st.sampled_from(["dense", "even", "tall"])
 
 @settings(max_examples=120, deadline=None)
 @given(st.integers(1, 9), st.integers(1, 9), CORE_KINDS, st.integers(0, 2**32 - 1))
+# a 40x40 core of 10- to 20-bit entries, which no draw reaches: its column
+# passes run many rounds, two row passes leave a remainder that starts
+# another column pass, and one pivot takes a divisibility fold
+@example(rows=40, cols=40, kind="large", seed=37)
 def test_replayed_core_vectors_match_the_eager_reduction(rows, cols, kind, seed):
     # no entry is 0 or +/-1, so the presolve leaves the whole matrix as the
     # core and every global transform vector is a core vector
@@ -561,6 +572,7 @@ def test_replayed_core_vectors_match_the_eager_reduction(rows, cols, kind, seed)
         "dense": [x for x in range(-9, 10) if abs(x) > 1],
         "even": [x for x in range(-8, 9, 2) if x],
         "tall": [x for x in range(-300, 301) if abs(x) > 1],
+        "large": range(2**9, 2**20),
     }[kind]
     m = IntMatrix(rows, cols, [rng.choice(pool) for _ in range(rows * cols)])
     a = m.to_lists()
@@ -615,41 +627,47 @@ def _full_sweep_dense_smith(a):
         piv = find_pivot(t)
         if piv is None:
             break
+        i, j = piv
         while True:
-            if piv[0] != t:
-                a[piv[0]], a[t] = a[t], a[piv[0]]
-                rlog.append((piv[0], t, 0))
-            if piv[1] != t:
-                j = piv[1]
+            if j != t:
                 for row in a:
                     row[j], row[t] = row[t], row[j]
                 clog.append((j, t, 0))
-            d = a[t][t]
-            dirty = False
-            for i in range(t + 1, nrows):
-                if a[i][t]:
-                    q = abelian._nearest_quotient(a[i][t], d)
+                j = t
+            # column t first, swapping in its smallest remainder each round
+            while True:
+                if i != t:
+                    a[i], a[t] = a[t], a[i]
+                    rlog.append((i, t, 0))
+                    i = t
+                d = a[t][t]
+                for r in range(t + 1, nrows):
+                    if a[r][t]:
+                        q = abelian._nearest_quotient(a[r][t], d)
+                        if q:
+                            row_axpy(r, t, q)
+                left = [r for r in range(t + 1, nrows) if a[r][t]]
+                if not left:
+                    break
+                i = min(left, key=lambda r: abs(a[r][t]))
+            # then one round on row t
+            for k in range(t + 1, ncols):
+                if a[t][k]:
+                    q = abelian._nearest_quotient(a[t][k], d)
                     if q:
-                        row_axpy(i, t, q)
-                    dirty = dirty or bool(a[i][t])
-            for j in range(t + 1, ncols):
-                if a[t][j]:
-                    q = abelian._nearest_quotient(a[t][j], d)
-                    if q:
-                        col_axpy(j, t, q)
-                    dirty = dirty or bool(a[t][j])
-            if dirty:
-                piv = find_pivot(t)
+                        col_axpy(k, t, q)
+            left = [k for k in range(t + 1, ncols) if a[t][k]]
+            if left:
+                j = min(left, key=lambda k: abs(a[t][k]))
                 continue
             if d in (1, -1):
                 break
             culprit = next(
-                (i for i in range(t + 1, nrows) if any(a[i][j] % d for j in range(t + 1, ncols))), None
+                (r for r in range(t + 1, nrows) if any(a[r][k] % d for k in range(t + 1, ncols))), None
             )
             if culprit is None:
                 break
             row_axpy(t, culprit, -1)
-            piv = (t, t)
         if a[t][t] < 0:
             row_axpy(t, t, 2)
         t += 1

@@ -1018,14 +1018,16 @@ def test_chain_report_builds_each_layer_graph_once(monkeypatch):
 
 def _count_replays(monkeypatch):
     """Route every Smith form through a recorder; returns the list of Smith
-    forms and the list of ``_replay`` calls, one per transform vector built."""
+    forms and the list of ``_replay`` calls, one per transform vector built,
+    each as the largest bit length among that vector's entries."""
     abelian_mod = importlib.import_module("graphck.abelian")
     orig_replay, orig_snf = abelian_mod._replay, abelian_mod.smith_normal_form
     replayed, snfs = [], []
 
     def replay(log, n, t, inverse):
-        replayed.append((t, inverse))
-        return orig_replay(log, n, t, inverse)
+        x = orig_replay(log, n, t, inverse)
+        replayed.append(max(abs(y) for y in x).bit_length())
+        return x
 
     def snf(m):
         snfs.append((m, orig_snf(m)))
@@ -1080,12 +1082,12 @@ def test_ktheory_folds_only_the_transform_vectors_it_reads(monkeypatch, graph, r
         # and in its transpose (46x30): K0 = Z^16 reads the 16 V columns at
         # the free positions of the first; K1 = 0, so route one reads no U
         # row and route two no kernel V column of the transpose
-        (80, 20, 7, True, (4, 16, 13497, (16, ()), (0, ()))),
+        (80, 20, 7, True, (4, 16, 10783, 58, (16, ()), (0, ()))),
         # K0 = Z + Z/2 reads the torsion V column of a 12x11 core, and K1 = Z
         # its one U row past the rank and the zero row's; the degree-one
         # lattice, shared by both routes, is 100x1 with a 97x1 core, whose
         # membership tests run the row log forward instead
-        (100, 3, 1, False, (2, 3, 1554, (1, (2,)), (1, ()))),
+        (100, 3, 1, False, (2, 3, 1483, 141, (1, (2,)), (1, ()))),
     ],
 )
 def test_ktheory_replays_only_the_core_vectors_it_reads(monkeypatch, n, outdeg, seed, exempt, pinned):
@@ -1098,9 +1100,10 @@ def test_ktheory_replays_only_the_core_vectors_it_reads(monkeypatch, n, outdeg, 
     _assert_each_vector_replayed_once(snfs, replayed)
     assert not _built_dense_transforms(snfs)
     # the row and column operations logged over every Smith form: each
-    # vector read replays one of these logs in full
+    # vector read replays one of these logs in full, and the largest entry
+    # of the vectors read pins the growth of the transforms
     ops = sum(len(log) for _, s in snfs for log in s._logs)
-    got = (len(snfs), len(replayed), ops, kt.k0.canonical_pair(), kt.k1.canonical_pair())
+    got = (len(snfs), len(replayed), ops, max(replayed), kt.k0.canonical_pair(), kt.k1.canonical_pair())
     assert got == pinned
 
 
