@@ -363,8 +363,8 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     if not nrows or not ncols:
         return SmithDecomposition(nrows, ncols, (), (range(nrows), range(ncols)), ((), ()))
     rows, colrows, pivots, rlog, clog = _presolve(m)
-    core_rows = [i for i in range(nrows) if rows[i]]
-    core_cols = [j for j in range(ncols) if colrows[j]]
+    core_rows, zero_rows = _core_and_zero(rows)
+    core_cols, zero_cols = _core_and_zero(colrows)
     diag = [1] * len(pivots)
     if core_rows:
         core = [[rows[i].get(j, 0) for j in core_cols] for i in core_rows]
@@ -373,8 +373,8 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
         clog += [(core_cols[i], core_cols[j], q) for i, j, q in core_clog]
         diag.extend(core[t][t] for t in range(min(len(core_rows), len(core_cols))))
     diag.extend([0] * (min(nrows, ncols) - len(diag)))
-    e_order = [p for p, _, _ in pivots] + core_rows + [i for i in range(nrows) if rows[i] == {}]
-    f_order = [c for _, c, _ in pivots] + core_cols + [j for j in range(ncols) if colrows[j] == set()]
+    e_order = [p for p, _, _ in pivots] + core_rows + zero_rows
+    f_order = [c for _, c, _ in pivots] + core_cols + zero_cols
     return SmithDecomposition(nrows, ncols, diag, (e_order, f_order), (rlog, clog))
 
 
@@ -394,11 +394,11 @@ def _presolve(m: IntMatrix):
     up to date inside the fill loop at O(1) per entry.  No global Markowitz
     order, (row nnz - 1) * (col nnz - 1) over every unit, is kept.  Keeping
     it meant rescanning every row of every column in the pivot row at each
-    pivot, which was most of the presolve's time: fed the same pivot
-    sequence with that search removed, the presolve ran the Smith-form
-    inputs of one ``ktheory_big`` benchmark pass in 0.14 s instead of
-    0.55 s.  This order takes 0.26 s there and leaves cores with 6% more
-    cells (best of 3, one process on a 2-core x86-64 host, Python 3.11).
+    pivot: the presolve that kept it ran the Smith-form inputs of one
+    seed-1 ``ktheory_big`` benchmark pass in 0.49 s.  This order takes
+    0.19 s there and leaves cores with 6% more cells (best of 10, one
+    process on a 2-core x86-64 host, Python 3.11).  One pass over the input
+    builds the rows, the column sets, the unit counts and the heap.
 
     No transform is kept: each step is appended to a row log or a column log
     in the format of ``_dense_smith``.  Returns the rows left ({column:
@@ -406,27 +406,37 @@ def _presolve(m: IntMatrix):
     columns), the pivots as (row, column, unit), the row log and the column
     log.
     """
-    rows: list = [dict(r) for r in m.sparse_rows]
+    rows: list = []
     colrows: list = [set() for _ in range(m.cols)]
-    units = [0] * m.rows
-    for i, r in enumerate(rows):
+    units: list = []
+    # every row holding a unit has an item at its current length; an item
+    # whose row is gone, unit-free or of another length is stale
+    heap = []
+    for i, r in enumerate(m.sparse_rows):
+        rows.append(dict(r))
+        u = 0
         for j, x in r.items():
             colrows[j].add(i)
             if x == 1 or x == -1:
-                units[i] += 1
+                u += 1
+        units.append(u)
+        if u:
+            heap.append((len(r), i))
+    heapify(heap)
     pivots: list[tuple[int, int, int]] = []
     rlog: list[tuple[int, int, int]] = []
     clog: list[tuple[int, int, int]] = []
-    # every row holding a unit has an item at its current length; an item
-    # whose row is gone, unit-free or of another length is stale
-    heap = [(len(r), i) for i, r in enumerate(rows) if units[i]]
-    heapify(heap)
     while heap:
         length, p = heappop(heap)
         rp = rows[p]
         if rp is None or not units[p] or length != len(rp):
             continue
-        c = min((len(colrows[j]), j) for j, x in rp.items() if x == 1 or x == -1)[1]
+        c = -1
+        for j, x in rp.items():
+            if x == 1 or x == -1:
+                k = len(colrows[j])
+                if c < 0 or k < least or (k == least and j < c):
+                    c, least = j, k
         s = rp.pop(c)
         pivots.append((p, c, s))
         rows[p] = None
@@ -439,19 +449,21 @@ def _presolve(m: IntMatrix):
             q = ri.pop(c) * s
             u = units[i] - (q == 1 or q == -1)
             for j, y in rp.items():
-                x = ri.get(j, 0)
-                z = x - q * y
-                if x == 1 or x == -1:
-                    u -= 1
-                if z:
-                    if not x:
-                        colrows[j].add(i)
-                    if z == 1 or z == -1:
-                        u += 1
-                    ri[j] = z
+                x = ri.get(j)
+                if x is None:  # fill: q and y are nonzero
+                    z = ri[j] = -q * y
+                    colrows[j].add(i)
                 else:
-                    del ri[j]
-                    colrows[j].discard(i)
+                    if x == 1 or x == -1:
+                        u -= 1
+                    z = x - q * y
+                    if not z:
+                        del ri[j]
+                        colrows[j].discard(i)
+                        continue
+                    ri[j] = z
+                if z == 1 or z == -1:
+                    u += 1
             units[i] = u
             if u:
                 heappush(heap, (len(ri), i))
@@ -464,6 +476,17 @@ def _presolve(m: IntMatrix):
             clog.append((j, c, y * s))
             colrows[j].discard(p)
     return rows, colrows, pivots, rlog, clog
+
+
+def _core_and_zero(lines: Sequence) -> tuple[list[int], list[int]]:
+    """The indices of the nonempty and of the empty lines; a pivot line is None."""
+    core, zero = [], []
+    for k, line in enumerate(lines):
+        if line:
+            core.append(k)
+        elif line is not None:
+            zero.append(k)
+    return core, zero
 
 
 def _dot(sparse: dict, vec: Sequence[int]) -> int:
@@ -1013,6 +1036,13 @@ def colimit_chain_detailed(
     them, or as many as the prefix affords), the last reduced group is
     reported with ``stabilized=True``.  A False flag means the prefix is too
     short to certify anything.
+
+    Repeated inputs are reduced once: a window input (the presentations at i
+    and i+window and the window's map matrices) equal to one met before
+    reuses that reduced group, and an induced map between the same two
+    reduced groups is checked once.  A chain that has settled into equal
+    groups and maps costs one reduction and one check instead of window+2
+    reductions and window+1 checks.
     """
     n = len(groups)
     if window < 1:
@@ -1025,24 +1055,33 @@ def colimit_chain_detailed(
         if not h.domain.same_as(groups[i]) or not h.codomain.same_as(groups[i + 1]):
             raise ValueError(f"hom {i} does not connect groups {i} -> {i + 1}")
 
-    # only the reduced groups of the final stretch are read
+    # only the reduced groups of the final stretch are read.  Keys are
+    # compared with ==, never hashed, so a matrix in a key builds no dense view
     last = n - 1 - window
     first = last - min(window + 1, last)
+    seen: list = []  # (window input, its reduced group)
     reduced: dict[int, FgAbelianGroup] = {}
     for i in range(first, last + 1):
-        comp = homs[i]
-        for j in range(i + 1, i + window):
-            comp = hom_compose(comp, homs[j])
-        pre = _preimage_lattice_rows(comp.matrix, groups[i + window])
-        rel = groups[i].relations.vstack(pre)
-        reduced[i] = cokernel(rel, groups[i].generators)
+        g, h = groups[i], groups[i + window]
+        key = (g.generators, g.relations, h.generators, h.relations)
+        key += tuple(f.matrix for f in homs[i : i + window])
+        red = next((red for k, red in seen if k == key), None)
+        if red is None:
+            comp = homs[i]
+            for j in range(i + 1, i + window):
+                comp = hom_compose(comp, homs[j])
+            red = cokernel(g.relations.vstack(_preimage_lattice_rows(comp.matrix, h)), g.generators)
+            seen.append((key, red))
+        reduced[i] = red
 
-    stabilized = True
+    # the reduced group at i fixes homs[i], the first map of its window, so a
+    # step is fixed by the two reduced groups it joins
+    steps: dict = {}
     for i in range(first, last):
-        induced = GroupHom(reduced[i], reduced[i + 1], homs[i].matrix)
-        if not induced.is_isomorphism():
-            stabilized = False
-            break
+        steps.setdefault((id(reduced[i]), id(reduced[i + 1])), i)
+    stabilized = all(
+        GroupHom(reduced[i], reduced[i + 1], homs[i].matrix).is_isomorphism() for i in steps.values()
+    )
 
     reduction = GroupHom(groups[last], reduced[last], IntMatrix.identity(groups[last].ngens))
     return ColimitResult(reduced[last], stabilized, last, reduction)

@@ -278,6 +278,11 @@ def graph_from_json_dict(data: object) -> FiniteGraph | GraphChain:
         raise GraphFormatError(f"missing required field {exc.args[0]!r}") from None
     if not _is_str_list(vertices):
         raise GraphFormatError("'vertices' must be an array of strings")
+    seen: set = set()
+    for v in vertices:
+        if v in seen:
+            raise GraphFormatError(f"duplicate vertex {v!r}")
+        seen.add(v)
     if not isinstance(raw_edges, list):
         raise GraphFormatError("'edges' must be an array")
     edges = []

@@ -40,6 +40,7 @@ degree zero), and the stabilization-flagged colimit from ``abelian``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .abelian import (
@@ -117,13 +118,20 @@ class KTheoryResult:
     k1_lattice: IntMatrix
     k1_column: ColumnLattice = field(repr=False, compare=False)
 
+    @cached_property
+    def k0_canonical(self) -> FgAbelianGroup:
+        """The canonical group of ``k0``, built on first read: the group that
+        inclusion maps in canonical coordinates run between."""
+        return FgAbelianGroup.canonical(*self.k0.canonical_pair())
+
 
 def ktheory(graph: FiniteGraph) -> KTheoryResult:
     """K0 and K1 of the algebra of ``graph`` with its relation-exempt set.
 
     The two descriptions of K1 (kernel of the relation map, and vertex
     functions satisfying the incoming-edge relations and vanishing off S)
-    are both computed and must agree; disagreement raises.
+    are both computed and must agree; disagreement raises.  Their bases are
+    compared as matrices first, and as lattices only when they differ.
     """
     verts = graph.vertex_list
     nv = len(verts)
@@ -148,13 +156,14 @@ def ktheory(graph: FiniteGraph) -> KTheoryResult:
     # route two: vertex functions vanishing off S with x(u) = sum of x(o(e))
     # over edges into u at every vertex u.  On Z^S these equations are the
     # transposed relation matrix, so with exempt vertices route two is its
-    # kernel, a Smith form of its own; with none it reuses route one's lattice
+    # kernel, a Smith form of its own; with none it is route one's lattice.
+    # Equal bases span the same lattice, so the lattices are compared only
+    # when the bases differ
     if exempt:
         ker = kernel_basis(rel.transpose())
         lattice_b = off_s_zero(ker.transpose().sparse_rows)
     la = ColumnLattice(lattice_a)
-    lb = ColumnLattice(lattice_b) if exempt else la
-    if not la.equals(lb):
+    if exempt and lattice_b != lattice_a and not la.equals(ColumnLattice(lattice_b)):
         raise AssertionError("the two K1 computations disagree; this is a bug")
 
     for col in lattice_a.sparse_columns():
@@ -408,8 +417,8 @@ def inclusion_k0(
     The section of canonical generator j is a vertex vector of the small
     graph, so column j is the reduced sum of the large graph's vertex
     classes, weighted by the section.  The hom runs between the canonical
-    groups of the two K0 groups, whose constructor checks it against the
-    torsion orders.
+    groups of the two K0 groups (``KTheoryResult.k0_canonical``), whose
+    constructor checks it against the torsion orders.
     """
     if not small.is_labeled_subgraph_of(large):
         raise ValueError("the first graph is not a labeled subgraph of the second")
@@ -431,11 +440,7 @@ def inclusion_k0(
                 acc[t] += x * y
         cols.append(dict(enumerate(cod.reduce_coords(acc))))
     matrix = IntMatrix.from_sparse_columns(cod.ncoords, cols)
-    return GroupHom(
-        FgAbelianGroup.canonical(*dom.canonical_pair()),
-        FgAbelianGroup.canonical(*cod.canonical_pair()),
-        matrix,
-    )
+    return GroupHom(kt_small.k0_canonical, kt_large.k0_canonical, matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +489,7 @@ def chain_ktheory_report(chain: GraphChain, window: int = 2, force: bool = False
         inclusion_k0(layer_graphs[n], layer_graphs[n + 1], kts[n], kts[n + 1])
         for n in range(nlayers - 1)
     ]
-    k0_groups = [h.domain for h in k0_homs] + [k0_homs[-1].codomain]
-    k0_res = colimit_chain_detailed(k0_groups, k0_homs, window)
+    k0_res = colimit_chain_detailed([kt.k0_canonical for kt in kts], k0_homs, window)
 
     # degree one: solve each basis column in the next lattice
     k1_homs = []

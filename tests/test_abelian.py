@@ -1156,24 +1156,40 @@ def _deep_chains():
     z, z2, mixed = FgAbelianGroup.canonical(1), FgAbelianGroup.canonical(2), parse_group_expr("Z + Z/2 + Z/4")
     shift = GroupHom(z2, z2, M([[0, 0], [1, 0]]))  # kills the second generator after one step
     onto = GroupHom(mixed, mixed, M([[1, 0, 0], [0, 1, 2], [0, 0, 1]]))
+    # Z -> Z^2 -> ... -> Z^18: each map doubles the first generator and keeps
+    # the others, so no two groups or maps are equal
+    growing = [FgAbelianGroup.canonical(k) for k in range(1, 19)]
+    widen = []
+    for k in range(1, 18):
+        rows = [[int(i == j) for j in range(k)] for i in range(k + 1)]
+        rows[0][0] = 2
+        widen.append(GroupHom(growing[k - 1], growing[k], M(rows)))
     return {
         "doubling": ([z] * 18, [GroupHom(z, z, M([[2]]))] * 17),
         "shift": ([z2] * 18, [shift] * 17),
         "mixed": ([mixed] * 18, [onto] * 17),
+        "growing": (growing, widen),
+        "scaling": ([z] * 18, [GroupHom(z, z, M([[k]])) for k in range(2, 19)]),  # equal groups, distinct maps
     }
 
 
-@pytest.mark.parametrize("name", ["doubling", "shift", "mixed"])
+@pytest.mark.parametrize("name", ["doubling", "shift", "mixed", "growing", "scaling"])
 @pytest.mark.parametrize("window", [1, 2, 3])
 def test_colimit_reduces_only_the_final_stretch(monkeypatch, name, window):
     # a depth-16 chain: the stabilization check reads the reduced groups at
-    # the last window + 2 indices, so only those are computed
+    # the last window + 2 indices, so only those are computed, and a window
+    # input (the groups at i and i + window and the maps between) met before
+    # is not reduced again: the constant chains reduce one, the growing and
+    # the scaling chain window + 2
     groups, homs = _deep_chains()[name]
     ref_group, ref_stabilized, ref_last = _colimit_reducing_every_group(groups, homs, window)
+    stretch = range(ref_last - window - 1, ref_last + 1)
+    inputs = {(id(groups[i]), id(groups[i + window]), *map(id, homs[i : i + window])) for i in stretch}
+    assert len(inputs) == (window + 2 if name in ("growing", "scaling") else 1)
     calls = []
     monkeypatch.setattr(abelian, "cokernel", lambda m, gens=None: calls.append(m) or cokernel(m, gens))
     res = colimit_chain_detailed(groups, homs, window)
-    assert len(calls) == window + 2 < ref_last + 1
+    assert len(calls) == len(inputs) < ref_last + 1
     assert (res.settled_index, res.stabilized) == (ref_last, ref_stabilized)
     assert res.group.canonical_pair() == ref_group.canonical_pair()
     assert res.group.relations == ref_group.relations

@@ -560,3 +560,31 @@ def test_synthesize_refuses_oversized_requests_under_a_memory_cap(k0, k1):
     assert proc.returncode == 2, proc.stderr
     assert "than the bound" in proc.stderr and "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("command", ["ktheory", "les-check", "check"])
+@pytest.mark.parametrize("chain", [False, True])
+def test_duplicate_vertex_exits_two(capsys, tmp_path, command, chain):
+    # a repeated name used to load as one vertex, and ktheory exited 0
+    data = {"vertices": ["a", "b", "a"], "edges": [{"id": "l", "from": "a", "to": "a"}]}
+    if chain:
+        data.update(infinite_vertices=[], layers=[["a"], ["a", "b"]])
+    path = write(tmp_path, "dup.json", data)
+    code, out, err = run(capsys, command, path)
+    assert code == 2 and out == ""
+    assert err == "input error: duplicate vertex 'a'\n"
+
+
+def test_python_dash_m_graphck_runs_the_cli(tmp_path):
+    src = os.path.dirname(os.path.dirname(importlib.import_module("graphck").__file__))
+    path = write(tmp_path, "loop.json", {"vertices": ["v"], "edges": [{"id": "l", "from": "v", "to": "v"}]})
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphck", "ktheory", path],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={"PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert (data["k0"], data["k1"]) == ("Z", "Z")

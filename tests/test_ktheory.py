@@ -292,6 +292,52 @@ def test_dual_route_check_catches_a_corrupted_route_two(monkeypatch, graph, corr
         ktheory(graph)
 
 
+# two graphs with one exempt vertex and K1 = Z^2: route two's kernel basis is
+# route one's U-row basis on the first, and the same two vectors in the other
+# order on the second
+K1_BASES = {
+    "equal": FiniteGraph(["v0", "v1", "v2"], [("e0", "v0", "v0"), ("e1", "v1", "v1")], ["v2"]),
+    "different": FiniteGraph(
+        ["v0", "v1", "v2", "v3", "v4"],
+        [("e0", "v4", "v4"), ("e1", "v3", "v3"), ("e2", "v0", "v1"), ("e3", "v4", "v0")],
+        ["v2"],
+    ),
+}
+
+
+@pytest.mark.parametrize("route", ["one", "two"])
+@pytest.mark.parametrize("bases", ["equal", "different"])
+def test_dual_route_check_compares_lattices_only_when_the_bases_differ(monkeypatch, bases, route):
+    graph = K1_BASES[bases]
+    kt, route_two = _recorded_route_two(monkeypatch, graph)
+    assert kt.k1.free_rank == 2
+    assert (route_two == kt.k1_lattice) == (bases == "equal")
+    compared = []
+    orig_equals = ColumnLattice.equals
+    monkeypatch.setattr(ColumnLattice, "equals", lambda self, other: compared.append(other) or orig_equals(self, other))
+    ktheory(graph)
+    assert len(compared) == (bases != "equal")
+
+    # equal bases skip the lattice comparison, so a corrupted route must make
+    # them differ and then fail it
+    if route == "two":
+        ktheory_mod = importlib.import_module("graphck.ktheory")
+
+        def doubled(m):  # one kernel column scaled by 2
+            cols = list(kernel_basis(m).sparse_columns())
+            cols[0] = {i: 2 * x for i, x in cols[0].items()}
+            return IntMatrix.from_sparse_columns(m.cols, cols)
+
+        monkeypatch.setattr(ktheory_mod, "kernel_basis", doubled)
+    else:
+        orig_u_row = SmithDecomposition.u_row
+        # the first U row past the rank is read as the second: still in the
+        # kernel, so only the dual-route check sees the lattice shrink
+        monkeypatch.setattr(SmithDecomposition, "u_row", lambda self, i: orig_u_row(self, i + (i == self.rank)))
+    with pytest.raises(AssertionError, match="two K1 computations disagree"):
+        ktheory(graph)
+
+
 def _full_relation_graphs(n, seed):
     """n random graphs with no exempt vertex, parallel edges and loops common."""
     rng = random.Random(seed)
@@ -406,7 +452,8 @@ def test_les_reuses_the_ktheory_smith_forms(snf_calls):
     # two ktheory calls and the node checks; the Toeplitz relation matrix, its
     # degree-one lattice and both class maps come from ktheory.  The Toeplitz
     # ktheory reduces the transposed Toeplitz matrix for route two, never the
-    # full relation matrix, which only the full ktheory reduces.  The full
+    # full relation matrix, which only the full ktheory reduces; route two's
+    # basis equals route one's, so its lattice is not reduced.  The full
     # ktheory has no exempt vertex, so its two routes share one lattice.  The
     # nodes add two Smith forms: the index-map matrix B, whose Smith form
     # gives node 1's kernel and node 2's image, and the presentation of
@@ -419,7 +466,7 @@ def test_les_reuses_the_ktheory_smith_forms(snf_calls):
         "exact_at_k0_toeplitz",
         "exact_at_k1_full",
     ]
-    assert len(snf_calls) == 8
+    assert len(snf_calls) == 7
 
 
 def _les_node_shapes(monkeypatch, snf_calls, graph):
@@ -986,12 +1033,19 @@ def test_chain_report_smith_form_count(snf_calls):
     # and reused by the degree-one inclusion maps; canonical groups take their
     # diagonal Smith forms without a reduction; every layer has an exempt
     # vertex, so its route two reduces the transposed relation matrix and no
-    # full relation matrix; a colimit step is an isomorphism when it is onto
-    # an isomorphic group, so no step reduces an injectivity kernel
+    # full relation matrix, and its basis equals route one's, so its lattice
+    # is not reduced; a colimit step is an isomorphism when it is onto an
+    # isomorphic group, so no step reduces an injectivity kernel.  A colimit
+    # reduces each distinct window input once, with two Smith forms (the
+    # preimage kernel and the cokernel), and checks each distinct induced
+    # map once, with one.  Every layer and every inclusion of this chain is
+    # the same in canonical coordinates, in both degrees, so each degree
+    # reduces one window and checks one step
     chain = build_case_ii(2, 1, (3,), 6)
     assert len(chain) == 6
     rep = chain_ktheory_report(chain, window=2)
-    assert len(snf_calls) == 46
+    assert len({h.matrix for h in rep.k0_homs}) == len({h.matrix for h in rep.k1_homs}) == 1
+    assert len(snf_calls) == 3 * len(chain) + 2 * (2 + 1) == 24
     assert (rep.k0.canonical_pair(), rep.k1.canonical_pair(), rep.stabilized) == ((0, (3,)), (1, ()), True)
 
 
@@ -1058,8 +1112,9 @@ def _built_dense_transforms(snfs):
         (build_case_i(0, (2, 2, 5)), 2, 16),
         # one exempt vertex: K0 reads one torsion and two free V columns of
         # the 16x17 Toeplitz matrix and K1 its one U row past the rank; route
-        # two reads the one kernel V column of the 17x16 transposed matrix
-        (build_case_ii(2, 1, (3,), 6).layer_graph(2), 5, 137),
+        # two reads the one kernel V column of the 17x16 transposed matrix,
+        # and as the two bases are equal, only route one's lattice is reduced
+        (build_case_ii(2, 1, (3,), 6).layer_graph(2), 5, 118),
     ],
 )
 def test_ktheory_folds_only_the_transform_vectors_it_reads(monkeypatch, graph, reads, vectors):
@@ -1081,8 +1136,9 @@ def test_ktheory_folds_only_the_transform_vectors_it_reads(monkeypatch, graph, r
         # out-degree 20 leaves dense cores in the 64x80 Toeplitz matrix (34x50)
         # and in its transpose (46x30): K0 = Z^16 reads the 16 V columns at
         # the free positions of the first; K1 = 0, so route one reads no U
-        # row and route two no kernel V column of the transpose
-        (80, 20, 7, True, (4, 16, 10783, 58, (16, ()), (0, ()))),
+        # row and route two no kernel V column of the transpose, and the two
+        # empty bases are equal, so only route one's lattice is reduced
+        (80, 20, 7, True, (3, 16, 10783, 58, (16, ()), (0, ()))),
         # K0 = Z + Z/2 reads the torsion V column of a 12x11 core, and K1 = Z
         # its one U row past the rank and the zero row's; the degree-one
         # lattice, shared by both routes, is 100x1 with a 97x1 core, whose
