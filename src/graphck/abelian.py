@@ -337,6 +337,13 @@ class SmithDecomposition:
                 raise AssertionError("divisibility chain broken")
 
 
+# the dense reduction of a core left by the presolve grows fast with its size:
+# 128x128 took 1.5 s and 190x190 (36,100 cells) 10 s, while a 412x412 core
+# ran for over 15 minutes (2-core x86-64, Python 3.11); larger cores are
+# refused before it starts
+MAX_CORE_CELLS = 40_000
+
+
 def _nearest_quotient(x: int, d: int) -> int:
     q = x // d
     r = x - q * d
@@ -357,7 +364,8 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     and the output order of rows and columns, hold the unit pivots, then the
     core, then zero lines.  D depends only on ``m``; U and V, and with them
     every coordinate read through them, depend on the pivot order.  A matrix
-    with no row or no column is its own Smith form.
+    with no row or no column is its own Smith form.  A core of more than
+    ``MAX_CORE_CELLS`` cells raises ``ValueError`` before its reduction.
     """
     nrows, ncols = m.rows, m.cols
     if not nrows or not ncols:
@@ -365,6 +373,11 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     rows, colrows, pivots, rlog, clog = _presolve(m)
     core_rows, zero_rows = _core_and_zero(rows)
     core_cols, zero_cols = _core_and_zero(colrows)
+    if len(core_rows) * len(core_cols) > MAX_CORE_CELLS:
+        raise ValueError(
+            f"the Smith form of a {nrows}x{ncols} matrix leaves a {len(core_rows)}x{len(core_cols)} "
+            f"core without unit entries, above the bound of {MAX_CORE_CELLS} cells"
+        )
     diag = [1] * len(pivots)
     if core_rows:
         core = [[rows[i].get(j, 0) for j in core_cols] for i in core_rows]

@@ -239,6 +239,9 @@ def cmd_lab_straighten(args) -> int:
     if args.trials < 1:
         _info(f"usage error: --trials must be at least 1, got {args.trials}")
         return USAGE
+    if args.seed < 0:
+        _info(f"usage error: --seed must be non-negative, got {args.seed}")
+        return USAGE
     rows = []
     for d in (1e-2, 1e-3, 1e-4):
         residuals, moves, sided = [], [], []
@@ -288,6 +291,9 @@ def cmd_lab_w(args) -> int:
 def cmd_lab_family(args) -> int:
     if args.scenario not in CANONICAL_FAMILY_SCENARIOS:
         _info(f"unknown scenario {args.scenario!r}")
+        return USAGE
+    if args.seed < 0:
+        _info(f"usage error: --seed must be non-negative, got {args.seed}")
         return USAGE
     sc = family_scenario(args.scenario, seed=args.seed)
     out = straighten_family(sc.small, sc.large, sc.infinite_vertices, sc.fields)

@@ -7,9 +7,16 @@ takes J to be the whole algebra).  The norm is the max over fibers of the
 operator norm.  A ``MatField`` stores its fibers as one read-only
 ``(G + 1, m, m)`` array, so arithmetic, adjoints, norms and the functional
 calculus are single numpy operations on the whole stack; the same formulas
-accept a bare m x m matrix.  Scalar fields are exactly central, so
-quasi-central approximate-unit commutators vanish identically and the
-experiments isolate the norm-limit content of the three tools:
+accept a bare m x m matrix.  Only the public constructor copies; results of
+field arithmetic wrap the array numpy just computed.  Reported norms come
+from singular value decompositions, one call per stack, which skips exact
+zero matrices: the residuals of a relation are stacked and decomposed
+together.  A tolerance check that
+reports no value passes on the Frobenius norm, which bounds the operator
+norm, when that is within the tolerance, and decomposes otherwise.  Scalar
+fields are exactly central, so quasi-central approximate-unit commutators
+vanish identically, and ``lemma36_w`` multiplies by h and k as per-fiber
+scalars; the experiments isolate the norm-limit content of the three tools:
 
 * ``straighten``: functional calculus x -> x * f(x*x) with
   f(t) = t^{-1/2} on (1/2, inf) and 0 below, turning an approximate partial
@@ -37,6 +44,7 @@ irreducible non-cycles.  Scenario graphs are chosen rank-solvable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -65,18 +73,34 @@ def _adj(a: np.ndarray) -> np.ndarray:
 
 
 def _norm(a: np.ndarray) -> float:
-    """Operator norm of a matrix, or the largest over a stack."""
+    """Operator norm of a matrix, or the largest over a stack.
+
+    A stack's exact zero matrices, whose norm is 0, are not decomposed: in
+    relation residuals they are most of the stack.
+    """
+    if a.ndim > 2:
+        a = a[a.any(axis=(-2, -1))]
+        if not len(a):
+            return 0.0
     return float(np.linalg.svd(a, compute_uv=False)[..., 0].max())
+
+
+def _within(a: np.ndarray, tol: float) -> bool:
+    """``_norm(a) <= tol``; the Frobenius norm of the whole stack bounds it
+    and settles the check when it is at most ``tol``."""
+    return math.sqrt(np.vdot(a, a).real) <= tol or _norm(a) <= tol
 
 
 class MatField:
     """A function on {0..grid_size} with values in m x m complex matrices.
 
-    ``fibers`` is one read-only ``(grid_size + 1, m, m)`` array, copied from
-    the input at construction; every operation acts on the whole stack.
+    ``fibers`` is one read-only, C-contiguous ``(grid_size + 1, m, m)``
+    array.  The constructor copies its input; every operation acts on the
+    whole stack and wraps its freshly computed result without a copy.
     """
 
     __slots__ = ("grid_size", "dim", "fibers")
+    __array_ufunc__ = None  # an array times a field is the field's __rmul__
 
     def __init__(self, fibers: Sequence[np.ndarray] | np.ndarray):
         if not len(fibers):
@@ -84,9 +108,19 @@ class MatField:
         try:
             stack = np.array(fibers, dtype=complex)
         except ValueError:
-            raise LabError("all fibers must be square matrices of one dimension") from None
-        if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-            raise LabError("all fibers must be square matrices of one dimension")
+            raise LabError("all fibers must be nonempty square matrices of one dimension") from None
+        if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or not stack.shape[1]:
+            raise LabError("all fibers must be nonempty square matrices of one dimension")
+        self._set(stack)
+
+    @classmethod
+    def _of(cls, stack: np.ndarray) -> "MatField":
+        """Wrap a fresh complex ``(G + 1, m, m)`` array that nothing else holds."""
+        f = object.__new__(cls)
+        f._set(stack)
+        return f
+
+    def _set(self, stack: np.ndarray) -> None:
         stack.flags.writeable = False
         object.__setattr__(self, "grid_size", stack.shape[0] - 1)
         object.__setattr__(self, "dim", stack.shape[1])
@@ -113,28 +147,28 @@ class MatField:
 
     def __add__(self, other: "MatField") -> "MatField":
         self._check_compatible(other)
-        return MatField(self.fibers + other.fibers)
+        return MatField._of(self.fibers + other.fibers)
 
     def __sub__(self, other: "MatField") -> "MatField":
         self._check_compatible(other)
-        return MatField(self.fibers - other.fibers)
+        return MatField._of(self.fibers - other.fibers)
 
     def __matmul__(self, other: "MatField") -> "MatField":
         self._check_compatible(other)
-        return MatField(self.fibers @ other.fibers)
+        return MatField._of(self.fibers @ other.fibers)
 
     def __mul__(self, scalar: complex) -> "MatField":
-        return MatField(scalar * self.fibers)
+        return MatField._of(scalar * self.fibers)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "MatField":
-        return MatField(-self.fibers)
+        return MatField._of(-self.fibers)
 
     @property
     def H(self) -> "MatField":
         """The adjoint field."""
-        return MatField(_adj(self.fibers))
+        return MatField._of(np.ascontiguousarray(_adj(self.fibers)))
 
     def norm(self) -> float:
         return _norm(self.fibers)
@@ -147,7 +181,7 @@ class MatField:
             raise LabError("field shape mismatch")
 
     def allclose(self, other: "MatField", tol: float = EXACT_TOL) -> bool:
-        return (self - other).norm() <= tol
+        return _within((self - other).fibers, tol)
 
     def __repr__(self):
         return f"MatField(grid={self.grid_size}, dim={self.dim})"
@@ -161,12 +195,21 @@ def j_residual(x: MatField, ideal_fiber: int | None) -> float:
 
 
 def _stack(x: MatField | np.ndarray) -> np.ndarray:
-    return x.fibers if isinstance(x, MatField) else np.asarray(x, dtype=complex)
+    if isinstance(x, MatField):
+        return x.fibers
+    a = np.asarray(x, dtype=complex)
+    if a.ndim < 2 or not a.size:
+        raise LabError(f"expected a nonempty matrix or stack of matrices, got shape {a.shape}")
+    return a
+
+
+def _defect(a: np.ndarray) -> np.ndarray:
+    """a a* a - a, whose norm is the partial-isometry defect."""
+    return a @ _adj(a) @ a - a
 
 
 def partial_isometry_defect(x: MatField | np.ndarray) -> float:
-    a = _stack(x)
-    return _norm(a @ _adj(a) @ a - a)
+    return _norm(_defect(_stack(x)))
 
 
 def ramp_profile(grid_size: int) -> tuple[float, ...]:
@@ -183,14 +226,18 @@ def ramp_profile(grid_size: int) -> tuple[float, ...]:
     return tuple(out)
 
 
-def approximate_unit(grid_size: int, dim: int, t: float) -> tuple[MatField, MatField]:
-    """Scalar fields h = t * ramp and k = (1 - h^2)^{1/2}."""
+def _unit_profiles(grid_size: int, t: float) -> tuple[list[float], list[float]]:
+    """The values of h = t * ramp and k = (1 - h^2)^{1/2}, fiber by fiber."""
     if not 0.0 <= t < 1.0:
         raise LabError("the approximate-unit parameter must lie in [0, 1)")
-    rho = ramp_profile(grid_size)
-    h = MatField.scalar([t * r for r in rho], dim)
-    k = MatField.scalar([float(np.sqrt(1.0 - (t * r) ** 2)) for r in rho], dim)
-    return h, k
+    h = [t * r for r in ramp_profile(grid_size)]
+    return h, [float(np.sqrt(1.0 - v**2)) for v in h]
+
+
+def approximate_unit(grid_size: int, dim: int, t: float) -> tuple[MatField, MatField]:
+    """Scalar fields h = t * ramp and k = (1 - h^2)^{1/2}."""
+    h, k = _unit_profiles(grid_size, t)
+    return MatField.scalar(h, dim), MatField.scalar(k, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -214,20 +261,20 @@ def straighten(x: MatField | np.ndarray):
     a = _stack(x)
     if not np.isfinite(a).all():
         raise LabError("cannot straighten an input with NaN or infinite entries")
-    defect = partial_isometry_defect(a)
-    if defect > MAX_STRAIGHTEN_DEFECT:
-        raise LabError(f"defect {defect:.4g} exceeds the straightening threshold {MAX_STRAIGHTEN_DEFECT}")
+    defect = _defect(a)
+    if not _within(defect, MAX_STRAIGHTEN_DEFECT):
+        raise LabError(f"defect {_norm(defect):.4g} exceeds the straightening threshold {MAX_STRAIGHTEN_DEFECT}")
     h = _adj(a) @ a
-    asym = _norm(h - _adj(h))
-    if asym > HERMITIAN_TOL:
-        raise LabError(f"x*x is not Hermitian to {HERMITIAN_TOL} (residue {asym:.2e})")
+    asym = h - _adj(h)
+    if not _within(asym, HERMITIAN_TOL):
+        raise LabError(f"x*x is not Hermitian to {HERMITIAN_TOL} (residue {_norm(asym):.2e})")
     evals, q = np.linalg.eigh((h + _adj(h)) / 2.0)
     f = np.where(evals > 0.5, 1.0 / np.sqrt(np.maximum(evals, 0.25)), 0.0)
     y = a @ ((q * f[..., None, :]) @ _adj(q))
-    residual = partial_isometry_defect(y)
-    if residual > EXACT_TOL:
-        raise LabError(f"straightening failed to converge (residual {residual:.2e})")
-    return MatField(y) if isinstance(x, MatField) else y
+    residual = _defect(y)
+    if not _within(residual, EXACT_TOL):
+        raise LabError(f"straightening failed to converge (residual {_norm(residual):.2e})")
+    return MatField._of(y) if isinstance(x, MatField) else y
 
 
 # ---------------------------------------------------------------------------
@@ -303,20 +350,22 @@ def lemma36_w(
     if bad:
         raise LabError(f"precondition residuals too large: {bad}")
 
-    h, k = approximate_unit(a.grid_size, a.dim, t)
-    hh, kk, hk = h @ h, k @ k, h @ k
+    # h and k are scalar fields, so a product with one scales each fiber by
+    # the profile's value there
+    h, k = (np.array(v)[:, None, None] for v in _unit_profiles(a.grid_size, t))
+    hh, kk, hk = h * h, k * k, h * k
     if case == "i":
-        w = (h @ a) + (k @ b)
+        w = (h * a) + (k * b)
     else:
-        w = (hh @ a) + (kk @ b) + (hk @ ((a @ r.H) + (b @ r)))
+        w = (hh * a) + (kk * b) + (hk * ((a @ r.H) + (b @ r)))
 
     wsw = w.H @ w
     wws = w @ w.H
     if case == "i":
         rhs1 = aha
     else:
-        rhs1 = (hh @ aha) + (kk @ bhb) + (hk @ (r + r.H))
-    rhs2 = (hh @ (a @ a.H)) + (kk @ (b @ b.H)) + (hk @ ((b @ r @ a.H) + (a @ r.H @ b.H)))
+        rhs1 = (hh * aha) + (kk * bhb) + (hk * (r + r.H))
+    rhs2 = (hh * (a @ a.H)) + (kk * (b @ b.H)) + (hk * ((b @ r @ a.H) + (a @ r.H @ b.H)))
 
     www_minus_w = (w @ wsw) - w
     report = DefectReport(t=t)
@@ -384,31 +433,29 @@ def condition_o_residuals(
     """
     d = frozenset(infinite_vertices)
     xi, consistency = _vertex_projections(graph, d, fields)
-    res = {"o1": 0.0, "o2": 0.0, "o3": consistency, "o4": 0.0, "o5": 0.0, "o6": 0.0}
-    for eid, _, _ in graph.edges:
-        res["o1"] = max(res["o1"], partial_isometry_defect(fields[eid]))
     verts = sorted(graph.vertices)
+    terms: dict[str, list[np.ndarray]] = {"o1": [], "o2": [], "o4": [], "o5": [], "o6": []}
+    for eid, _, _ in graph.edges:
+        terms["o1"].append(_defect(fields[eid].fibers))
     for i, u in enumerate(verts):
         for v in verts[i + 1 :]:
-            res["o2"] = max(res["o2"], (xi[u] @ xi[v]).norm())
+            terms["o2"].append(xi[u].fibers @ xi[v].fibers)
     for u in sorted(d):
-        for eid, _, _ in graph.out_edges(u):
-            res["o4"] = max(res["o4"], ((xi[u] @ fields[eid]) - fields[eid]).norm())
-        out = graph.out_edges(u)
-        for i in range(len(out)):
-            for j in range(i + 1, len(out)):
-                res["o5"] = max(
-                    res["o5"], (fields[out[i][0]].H @ fields[out[j][0]]).norm()
-                )
+        out = [fields[e[0]] for e in graph.out_edges(u)]
+        for i, f in enumerate(out):
+            terms["o4"].append(xi[u].fibers @ f.fibers - f.fibers)
+            fh = f.H.fibers
+            terms["o5"].extend(fh @ g.fibers for g in out[i + 1 :])
     for u in verts:
-        if u in d:
-            continue
         out = graph.out_edges(u)
-        if not out:
+        if u in d or not out:
             continue
         ranges = [fields[e[0]] @ fields[e[0]].H for e in out]
-        res["o6"] = max(res["o6"], (xi[u] - sum(ranges[1:], ranges[0])).norm())
-    return res
+        terms["o6"].append((xi[u] - sum(ranges[1:], ranges[0])).fibers)
+    # one decomposition call per relation, on all of its terms at once
+    res = {tag: _norm(np.stack(ts)) if ts else 0.0 for tag, ts in terms.items()}
+    res["o3"] = consistency
+    return dict(sorted(res.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -416,30 +463,32 @@ def condition_o_residuals(
 # ---------------------------------------------------------------------------
 
 
-def _projection_rank(p: np.ndarray) -> int:
-    return int(round(float(np.real(np.trace(p)))))
-
-
 def _intertwiner_fiber(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """A partial isometry d with d*d = q and dd* = p, for close projections.
 
-    Built from the singular value decomposition of p @ q; a fiber rank
+    Takes two matrices, or two stacks to intertwine fiber by fiber.  The
+    singular value decompositions of the products p @ q come from one call;
+    the kept singular vectors are multiplied fiber by fiber.  A fiber rank
     mismatch is the finite-dimensional obstruction and raises.
     """
-    rp, rq = _projection_rank(p), _projection_rank(q)
-    if rp != rq:
-        raise LabError(f"rank mismatch: cannot intertwine projections of ranks {rq} -> {rp}")
-    if rp == 0:
-        return np.zeros_like(p)
+    shape = p.shape
+    p, q = p.reshape(-1, *shape[-2:]), q.reshape(-1, *shape[-2:])
+    rp, rq = (np.rint(np.trace(x, axis1=1, axis2=2).real).astype(int) for x in (p, q))
     u, sv, vh = np.linalg.svd(p @ q)
     keep = sv > 0.5
-    if int(keep.sum()) != rp:
-        raise LabError("projections are too far apart to intertwine reliably")
-    return u[:, keep] @ vh[keep, :]
+    out = np.zeros_like(u)
+    for s in range(len(out)):
+        if rp[s] != rq[s]:
+            raise LabError(f"rank mismatch: cannot intertwine projections of ranks {rq[s]} -> {rp[s]}")
+        if rp[s]:
+            if keep[s].sum() != rp[s]:
+                raise LabError("projections are too far apart to intertwine reliably")
+            out[s] = u[s][:, keep[s]] @ vh[s][keep[s], :]
+    return out.reshape(shape)
 
 
 def _intertwiner(p: MatField, q: MatField) -> MatField:
-    return MatField([_intertwiner_fiber(a, b) for a, b in zip(p.fibers, q.fibers)])
+    return MatField._of(_intertwiner_fiber(p.fibers, q.fibers))
 
 
 def straighten_family(
@@ -477,6 +526,8 @@ def straighten_family(
     missing = [e[0] for e in large.edges if e[0] not in fields]
     if missing:
         raise LabError(f"fields missing for edges {missing}")
+    if not large.edges:
+        raise LabError("the large graph has no edges to carry a family")
 
     some_field = fields[large.edges[0][0]]
     grid, dim = some_field.grid_size, some_field.dim

@@ -895,6 +895,14 @@ def test_sections_and_relations_in_canonical_coordinates(n, exempt, seed):
 # ---------------------------------------------------------------------------
 
 
+def test_smith_form_refuses_cores_above_the_bound(monkeypatch):
+    monkeypatch.setattr(abelian, "MAX_CORE_CELLS", 6)
+    assert smith_normal_form(M([[2, 0, 4], [0, 2, 6]])).diagonal == (2, 2)
+    assert smith_normal_form(M([[1 if i == j else 0 for j in range(40)] for i in range(40)])).rank == 40
+    with pytest.raises(ValueError, match="a 3x3 matrix leaves a 3x3 core .* bound of 6 cells"):
+        smith_normal_form(M([[2, 0, 0], [0, 2, 0], [0, 0, 2]]))
+
+
 def test_cokernel_no_relations():
     g = cokernel(IntMatrix.from_rows([], cols=2))
     assert g.canonical_pair() == (2, ())

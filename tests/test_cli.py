@@ -9,6 +9,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -402,6 +403,20 @@ def test_byte_determinism(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("command", ["ktheory", "les-check"])
+def test_a_smith_core_above_the_bound_exits_two_and_names_its_shape(capsys, tmp_path, command):
+    # three loops at each vertex make the relation matrix 2I: no unit entry
+    # for the presolve, so the whole 201x201 matrix is the core
+    verts = [f"v{i}" for i in range(201)]
+    edges = [{"id": f"l{i}_{k}", "from": v, "to": v} for i, v in enumerate(verts) for k in range(3)]
+    path = write(tmp_path, "loops.json", {"vertices": verts, "edges": edges, "relation_exempt": []})
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, path)
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out == ""
+    assert "201x201 core" in err and "bound of 40000 cells" in err
+
+
 def test_lab_csv_deterministic(capsys):
     code, out1, _ = run(capsys, "lab", "straighten", "--trials", "5", "--seed", "3")
     assert code == 0
@@ -415,6 +430,22 @@ def test_lab_straighten_rejects_no_trials(capsys, trials):
     code, out, err = run(capsys, "lab", "straighten", "--trials", trials)
     assert code == 2 and out == ""
     assert "--trials must be at least 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("straighten", "--seed", "-1"), "usage error: --seed must be non-negative, got -1"),
+        (("family", "--seed", "-1"), "usage error: --seed must be non-negative, got -1"),
+        (("w", "--scenario", "nope"), "unknown scenario 'nope'"),
+        (("family", "--scenario", "nope"), "unknown scenario 'nope'"),
+    ],
+    ids=["straighten_seed", "family_seed", "w_scenario", "family_scenario"],
+)
+def test_lab_usage_errors_exit_two(capsys, argv, message):
+    code, out, err = run(capsys, "lab", *argv)
+    assert code == 2 and out == ""
+    assert message in err
 
 
 def test_lab_w_csv(capsys):

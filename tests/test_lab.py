@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from graphck import scenarios
+from graphck import lab, scenarios
+from graphck.graphs import FiniteGraph
 from graphck.lab import (
     LabError,
     MatField,
@@ -14,7 +15,11 @@ from graphck.lab import (
     partial_isometry_defect,
     straighten,
     straighten_family,
+    _intertwiner,
     _intertwiner_fiber,
+    _norm,
+    _vertex_projections,
+    _within,
 )
 from graphck.scenarios import (
     CANONICAL_FAMILY_SCENARIOS,
@@ -73,6 +78,13 @@ def test_matfield_stack_operations_equal_per_fiber_loops_exactly():
         assert ((f - 2.0 * f).fibers == np.stack([a - 2.0 * a for a in f.fibers])).all()
 
 
+def test_norm_of_a_stack_with_zero_matrices_equals_the_norm_of_the_rest():
+    for f in scenario_fields():
+        padded = MatField(np.concatenate([np.zeros_like(f.fibers), f.fibers, np.zeros_like(f.fibers)]))
+        assert padded.norm() == f.norm()
+    assert MatField.zero(3, 2).norm() == 0.0 and partial_isometry_defect(np.zeros((2, 3))) == 0.0
+
+
 def test_matfield_holds_one_read_only_stack():
     f = MatField.scalar([0.5, 1.0, 2.0], 3)
     assert f.fibers.shape == (3, 3, 3) and f.fibers.dtype == complex
@@ -105,12 +117,62 @@ def test_matfield_copies_its_input_once():
         [np.ones((2, 3))],
         [np.ones(4)],
         np.ones((3, 2, 2, 2)),
+        np.zeros((2, 0, 0)),
     ],
-    ids=["empty", "empty_stack", "ragged", "ragged_rank", "non_square", "vectors", "four_dim"],
+    ids=["empty", "empty_stack", "ragged", "ragged_rank", "non_square", "vectors", "four_dim", "zero_dim"],
 )
 def test_matfield_rejects_empty_ragged_and_non_square_fibers(fibers):
     with pytest.raises(LabError):
         MatField(fibers)
+
+
+def test_matfield_results_are_fresh_read_only_c_contiguous_stacks():
+    f = next(iter(family_scenario("orthogonal_pair", seed=1).fields.values()))
+    for g in (f + f, f - f, f @ f, 2.0 * f, -f, f.H, f.H.H):
+        assert not g.fibers.flags.writeable and g.fibers.flags.c_contiguous
+        assert not np.shares_memory(g.fibers, f.fibers)
+    assert (f.H.H.fibers == f.fibers).all()
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0), (0,), (2, 0, 0)])
+def test_partial_isometry_defect_rejects_empty_input(shape):
+    with pytest.raises(LabError, match="nonempty"):
+        partial_isometry_defect(np.zeros(shape))
+
+
+def screened_inputs():
+    """(stack, tol) pairs on both sides of the Frobenius screen."""
+    eye = np.eye(4, dtype=complex)
+    yield 0.3 * eye, 0.35  # Frobenius 0.6 > tol >= operator norm 0.3
+    yield np.stack([0.3 * eye, 0.1 * eye]), 0.3  # operator norm exactly tol
+    yield 0.5 * eye, 0.35  # both above
+    yield 1e-13 * eye, 1e-10  # both below
+    yield np.stack([1e-11 * eye, 2e-10 * eye]), 1e-10  # one fiber above
+    for f in scenario_fields():
+        yield f.fibers, 1e-10
+        yield f.fibers, f.norm()
+
+
+def test_tolerance_screen_decides_as_the_operator_norm():
+    seen = set()
+    for a, tol in screened_inputs():
+        want = _norm(a) <= tol
+        seen.add(want)
+        assert _within(a, tol) == want
+        if a.ndim == 3:
+            f, z = MatField(a), MatField(np.zeros_like(a))
+            assert f.allclose(z, tol) == want and z.allclose(f, tol) == want
+    assert seen == {True, False}
+
+
+def test_straighten_screens_its_defect_gate_and_reports_the_operator_norm():
+    # x = 0.8 I has defect 0.288 I: operator norm 0.288, Frobenius norm 0.576
+    x = 0.8 * np.eye(4, dtype=complex)
+    assert np.linalg.norm(straighten(x) - np.eye(4), 2) <= 1e-12
+    v = random_partial_isometry(np.random.default_rng(2), 4, 2)
+    want = partial_isometry_defect(0.5 * v)
+    with pytest.raises(LabError, match=f"defect {want:.4g} exceeds"):
+        straighten(MatField([v, 0.5 * v, v]))
 
 
 def test_approximate_unit_profile():
@@ -283,6 +345,41 @@ def test_w_not_partial_isometry_a_rejected():
         lemma36_w(a, a, None, 0.5, "i", ideal_fiber=None)
 
 
+def reference_w(sc, t):
+    """w and its report's defects from products with the scalar fields h and k."""
+    a, b, r = sc.a, sc.b, sc.r
+    h, k = approximate_unit(a.grid_size, a.dim, t)
+    hh, kk, hk = h @ h, k @ k, h @ k
+    if sc.case == "i":
+        r = rhs1 = a.H @ a
+        w = (h @ a) + (k @ b)
+    else:
+        w = (hh @ a) + (kk @ b) + (hk @ ((a @ r.H) + (b @ r)))
+        rhs1 = (hh @ (a.H @ a)) + (kk @ (b.H @ b)) + (hk @ (r + r.H))
+    rhs2 = (hh @ (a @ a.H)) + (kk @ (b @ b.H)) + (hk @ ((b @ r @ a.H) + (a @ r.H @ b.H)))
+    wsw = w.H @ w
+    www_minus_w = (w @ wsw) - w
+    wws_name = "wws_identity" if sc.case == "i" else "wws_vs_formula"
+    norms = {
+        "www_minus_w": www_minus_w.norm(),
+        "wsw_vs_formula": (wsw - rhs1).norm(),
+        wws_name: ((w @ w.H) - rhs2).norm(),
+    }
+    if sc.ideal_fiber is not None:
+        norms["defect_at_ideal"] = www_minus_w.fiber_norm(sc.ideal_fiber)
+    return w, norms
+
+
+@pytest.mark.parametrize("name", CANONICAL_W_SCENARIOS + ("scalar",))
+def test_w_scales_fibers_exactly_as_the_scalar_field_products(name):
+    sc = lemma36_scenario(name)
+    for t in T_GRID + (0.0,):
+        w, rep = lemma36_w(sc.a, sc.b, sc.r, t, sc.case, ideal_fiber=sc.ideal_fiber)
+        ref_w, norms = reference_w(sc, t)
+        assert (w.fibers == ref_w.fibers).all()
+        assert {**rep.defects, **rep.j_residuals} | norms == {**rep.defects, **rep.j_residuals}
+
+
 def test_w_defect_vanishes_at_ideal_fiber():
     for name in CANONICAL_W_SCENARIOS:
         sc = lemma36_scenario(name)
@@ -358,3 +455,92 @@ def test_intertwiner_for_close_projections():
     d = _intertwiner_fiber(p, q)
     assert np.linalg.norm(d @ d.conj().T - p, 2) <= 1e-12
     assert np.linalg.norm(d.conj().T @ d - q, 2) <= 1e-12
+
+
+def test_intertwiner_names_the_first_bad_fiber_of_a_stack():
+    one, two, far = (np.diag(d).astype(complex) for d in ([1.0, 0.0], [1.0, 1.0], [0.0, 1.0]))
+    p = MatField([one, one, two, one])
+    with pytest.raises(LabError, match=r"rank mismatch: cannot intertwine projections of ranks 1 -> 2"):
+        _intertwiner(p, MatField([one, one, one, one]))
+    with pytest.raises(LabError, match="too far apart"):
+        _intertwiner(MatField([one, one, one, one]), MatField([one, far, two, one]))
+    with pytest.raises(LabError, match="rank mismatch"):
+        _intertwiner(p, MatField([one, one, one, far]))
+
+
+def svd_intertwiner(p, q):
+    """One fiber's intertwiner from its own decomposition, for equal nonzero ranks."""
+    u, sv, vh = np.linalg.svd(p @ q)
+    keep = sv > 0.5
+    return u[:, keep] @ vh[keep, :]
+
+
+def test_intertwiner_stack_equals_its_fibers_exactly(monkeypatch):
+    pairs = []
+
+    def recording(p, q):
+        pairs.append((p, q))
+        return _intertwiner(p, q)
+
+    monkeypatch.setattr(lab, "_intertwiner", recording)
+    for name in CANONICAL_FAMILY_SCENARIOS:
+        for seed in range(3):
+            sc = family_scenario(name, seed=seed)
+            straighten_family(sc.small, sc.large, sc.infinite_vertices, sc.fields)
+    assert len(pairs) == 15
+    for p, q in pairs:
+        d = _intertwiner(p, q)
+        assert (d.fibers == np.stack([_intertwiner_fiber(a, b) for a, b in zip(p.fibers, q.fibers)])).all()
+        assert (d.fibers == np.stack([svd_intertwiner(a, b) for a, b in zip(p.fibers, q.fibers)])).all()
+        assert (d @ d.H).allclose(p) and (d.H @ d).allclose(q)
+
+
+def reference_residuals(graph, infinite_vertices, fields):
+    """condition_o_residuals term by term, each term's norm fiber by fiber."""
+
+    def norm(x):
+        return max(float(np.linalg.norm(a, 2)) for a in x.fibers)
+
+    d = frozenset(infinite_vertices)
+    xi, consistency = _vertex_projections(graph, d, fields)
+    res = dict.fromkeys(("o1", "o2", "o4", "o5", "o6"), 0.0)
+    res["o3"] = consistency
+    for eid, _, _ in graph.edges:
+        a = fields[eid].fibers
+        res["o1"] = max(res["o1"], norm(MatField(a @ a.conj().swapaxes(-1, -2) @ a - a)))
+    verts = sorted(graph.vertices)
+    for i, u in enumerate(verts):
+        for v in verts[i + 1 :]:
+            res["o2"] = max(res["o2"], norm(xi[u] @ xi[v]))
+    for u in sorted(d):
+        out = graph.out_edges(u)
+        for i, (e, _, _) in enumerate(out):
+            res["o4"] = max(res["o4"], norm((xi[u] @ fields[e]) - fields[e]))
+            for g, _, _ in out[i + 1 :]:
+                res["o5"] = max(res["o5"], norm(fields[e].H @ fields[g]))
+    for u in verts:
+        out = graph.out_edges(u)
+        if u not in d and out:
+            ranges = [fields[e[0]] @ fields[e[0]].H for e in out]
+            res["o6"] = max(res["o6"], norm(xi[u] - sum(ranges[1:], ranges[0])))
+    return res
+
+
+@pytest.mark.parametrize("name", CANONICAL_FAMILY_SCENARIOS)
+@pytest.mark.parametrize("seed", range(3))
+def test_condition_o_residuals_equal_the_per_term_reference_exactly(name, seed):
+    sc = family_scenario(name, seed=seed)
+    out = straighten_family(sc.small, sc.large, sc.infinite_vertices, sc.fields)
+    cases = [(sc.large, sc.fields), (sc.large, out)]
+    if sc.small.edges:
+        cases.append((sc.small, sc.fields))
+    for graph, fields in cases:
+        res = condition_o_residuals(graph, sc.infinite_vertices, fields)
+        assert list(res) == ["o1", "o2", "o3", "o4", "o5", "o6"]
+        assert res == reference_residuals(graph, sc.infinite_vertices, fields)
+
+
+def test_family_rejects_a_graph_without_edges():
+    g = FiniteGraph({"v"}, [])
+    with pytest.raises(LabError, match="no edges"):
+        straighten_family(g, g, frozenset(), {})
