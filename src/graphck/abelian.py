@@ -1010,12 +1010,9 @@ class GroupHom:
         # isomorphic ones is injective
         return self.domain == self.codomain and self.is_surjective()
 
-    def image_rank(self) -> int:
-        return self.codomain.free_rank - self._cokernel_pair()[0]
-
     def kernel_rank(self) -> int:
-        """Free rank of the kernel subgroup."""
-        return self.domain.free_rank - self.image_rank()
+        """Free rank of the kernel subgroup: the domain's, less the image's."""
+        return self.domain.free_rank - self.codomain.free_rank + self._cokernel_pair()[0]
 
 
 def hom_compose(f: GroupHom, g: GroupHom) -> GroupHom:

@@ -95,7 +95,12 @@ def cmd_check(args) -> int:
             cond = rep.condition_a
         except ChainConditionError as exc:
             cond = exc.report
-    out = {"type": "chain", **cond.to_json_dict()}
+    out = {
+        "type": "chain",
+        "passed": cond.passed,
+        "conditions": dict(sorted(cond.checks.items())),
+        "witnesses": dict(sorted(cond.witnesses.items())),
+    }
     ok = cond.passed
     if not cond.passed:
         out["b2"] = "skipped: layer conditions failed"
@@ -199,7 +204,10 @@ def cmd_les_check(args) -> int:
     if not isinstance(graph, FiniteGraph):
         raise GraphFormatError("les-check needs a finite graph file")
     rep = les_check(graph)
-    _emit(rep.to_json_dict())
+    out = {"passed": rep.passed, "nodes": dict(sorted(rep.checks.items())), "terms": rep.terms}
+    if not rep.passed:
+        out["witnesses"] = dict(sorted(rep.witnesses.items()))
+    _emit(out)
     _info(f"long exact sequence: {'PASS' if rep.passed else 'FAIL'}")
     return PASS if rep.passed else FAIL
 
@@ -265,13 +273,13 @@ def cmd_lab_straighten(args) -> int:
 
 def cmd_lab_w(args) -> int:
     if args.scenario not in CANONICAL_W_SCENARIOS + ("scalar",):
-        _info(f"unknown scenario {args.scenario!r}")
+        _info(f"usage error: unknown scenario {args.scenario!r}")
         return USAGE
     sc = lemma36_scenario(args.scenario)
     try:
         ts = [float(x) for x in args.t.split(",")]
     except ValueError:
-        _info("--t must be a comma-separated list of floats")
+        _info("usage error: --t must be a comma-separated list of floats")
         return USAGE
     bad = [t for t in ts if not 0.0 <= t < 1.0]  # NaN fails both comparisons
     if bad:
@@ -290,7 +298,7 @@ def cmd_lab_w(args) -> int:
 
 def cmd_lab_family(args) -> int:
     if args.scenario not in CANONICAL_FAMILY_SCENARIOS:
-        _info(f"unknown scenario {args.scenario!r}")
+        _info(f"usage error: unknown scenario {args.scenario!r}")
         return USAGE
     if args.seed < 0:
         _info(f"usage error: --seed must be non-negative, got {args.seed}")

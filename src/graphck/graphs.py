@@ -18,6 +18,9 @@ The structural conditions checked here:
 * (a5)  in-neighbors of layer n sit in layer n+1;
 * (a6)  every infinite-valence vertex emits into every new layer.
 
+``check_condition_a`` returns a ``Verdict``, as do les-check and synthesis
+verification: a boolean per named check, and a witness for each failure.
+
 Condition (b2) asks, for each finite-valence vertex u outside the first
 layer, for a vertex v in the first layer whose out-star is isomorphic to
 u's, matching loop shape, edge multiplicity per terminus, and the classes of
@@ -421,57 +424,50 @@ def toeplitz_s_set(chain: GraphChain, n: int) -> frozenset[str]:
 
 
 @dataclass
-class ConditionReport:
-    """Outcome of the per-condition chain checks, with first witnesses."""
+class Verdict:
+    """Named checks in record order.  A check passes exactly when it is
+    recorded without a witness: the message or dict that certifies a failure."""
 
-    conditions: dict[str, bool] = field(default_factory=dict)
-    witnesses: dict[str, str] = field(default_factory=dict)
+    checks: dict[str, bool] = field(default_factory=dict)
+    witnesses: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
-        return all(self.conditions.values())
+        return not self.witnesses
 
-    def record(self, name: str, ok: bool, witness: str = "") -> None:
-        self.conditions[name] = ok
-        if not ok and witness:
+    def record(self, name: str, witness=None) -> None:
+        self.checks[name] = witness is None
+        if witness is not None:
             self.witnesses[name] = witness
 
-    def to_json_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "conditions": dict(sorted(self.conditions.items())),
-            "witnesses": dict(sorted(self.witnesses.items())),
-        }
 
-
-def check_condition_a(chain: GraphChain) -> ConditionReport:
+def check_condition_a(chain: GraphChain) -> Verdict:
     """Check (a1)-(a6) on the chain prefix, reporting the first witness each."""
-    report = ConditionReport()
+    report = Verdict()
     d = chain.infinite_vertices
     nlayers = len(chain.layers)
 
     missing = sorted(d - chain.layers[0])
-    report.record("a1", not missing, f"infinite-valence vertex {missing[0]!r} not in layer 0" if missing else "")
+    report.record("a1", f"infinite-valence vertex {missing[0]!r} not in layer 0" if missing else None)
 
     # the layer's own graph, which chain_ktheory_report reuses; the relation
     # exempt set plays no part in (a2)
-    ok, witness = True, ""
+    witness = None
     for n in range(nlayers):
         g = chain.layer_graph(n)
         if not g.vertices:
-            ok, witness = False, f"layer {n} is empty"
+            witness = f"layer {n} is empty"
+        elif not is_irreducible(g):
+            witness = f"layer {n} is not strongly connected"
+        elif is_cycle(g):
+            witness = f"layer {n} is a cycle"
+        if witness:
             break
-        if not is_irreducible(g):
-            ok, witness = False, f"layer {n} is not strongly connected"
-            break
-        if is_cycle(g):
-            ok, witness = False, f"layer {n} is a cycle"
-            break
-    report.record("a2", ok, witness)
+    report.record("a2", witness)
 
     # layer edge sets are induced by construction (``layer_edges``), so (a3)
     # cannot fail; it stays in the report for transparency
-    report.record("a3", True)
+    report.record("a3")
 
     # (a4)-(a6) in one pass over the edges, from each vertex's first layer.
     # Layers are nested, so an edge o -> t leaves layers first(o) ..
@@ -488,24 +484,14 @@ def check_condition_a(chain: GraphChain) -> ConditionReport:
         if o not in d and fo < ft and (leaves is None or fo < leaves[0]):
             leaves = (fo, eid, o)
         if fo >= ft + 2 and (enters is None or ft < enters[0]):
-            enters = (ft, eid)
+            enters = (ft, eid, ft + 1)
         if o in d:
             reached[o].add(ft)
-    report.record(
-        "a4",
-        leaves is None,
-        f"edge {leaves[1]!r} leaves layer {leaves[0]} from finite-valence vertex {leaves[2]!r}" if leaves else "",
-    )
-    report.record(
-        "a5",
-        enters is None,
-        f"edge {enters[1]!r} enters layer {enters[0]} from outside layer {enters[0] + 1}" if enters else "",
-    )
+    report.record("a4", leaves and "edge {1!r} leaves layer {0} from finite-valence vertex {2!r}".format(*leaves))
+    report.record("a5", enters and "edge {1!r} enters layer {0} from outside layer {2}".format(*enters))
     # (a6): each infinite-valence vertex reaches the new part of every layer
     gap = next(((n, u) for n in range(nlayers) for u in sorted(d) if n not in reached[u]), None)
-    report.record(
-        "a6", gap is None, f"vertex {gap[1]!r} emits no edge into the new part of layer {gap[0]}" if gap else ""
-    )
+    report.record("a6", gap and "vertex {1!r} emits no edge into the new part of layer {0}".format(*gap))
 
     return report
 

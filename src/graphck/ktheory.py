@@ -53,16 +53,15 @@ from .abelian import (
     format_group,
     kernel_basis,
 )
-from .graphs import ConditionReport, FiniteGraph, GraphChain, check_condition_a
+from .graphs import FiniteGraph, GraphChain, Verdict, check_condition_a
 
 
 class ChainConditionError(ValueError):
     """The chain failed its structural gate and force was not given."""
 
-    def __init__(self, report: ConditionReport):
+    def __init__(self, report: Verdict):
         self.report = report
-        bad = sorted(k for k, ok in report.conditions.items() if not ok)
-        super().__init__(f"chain fails conditions {bad}; pass force=True to override")
+        super().__init__(f"chain fails conditions {sorted(report.witnesses)}; pass force=True to override")
 
 
 # ---------------------------------------------------------------------------
@@ -231,32 +230,11 @@ def _relation_classes(kt: KTheoryResult, at: Sequence[str]) -> list[tuple[int, .
 
 
 @dataclass
-class LesReport:
-    """Exactness verdicts for the Toeplitz extension sequence.
+class LesReport(Verdict):
+    """Exactness verdicts for the Toeplitz extension sequence, one check per
+    interior node, with the five groups of the sequence as ``terms``."""
 
-    ``witnesses`` maps each failing node to the first vector, vertex or
-    generator that failed its check; ``to_json_dict`` emits them only when a
-    node fails.
-    """
-
-    nodes: dict[str, bool] = field(default_factory=dict)
     terms: dict[str, str] = field(default_factory=dict)
-    witnesses: dict[str, dict] = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return all(self.nodes.values())
-
-    def record(self, node: str, witness: dict | None) -> None:
-        self.nodes[node] = witness is None
-        if witness is not None:
-            self.witnesses[node] = witness
-
-    def to_json_dict(self) -> dict:
-        out = {"passed": self.passed, "nodes": dict(sorted(self.nodes.items())), "terms": dict(self.terms)}
-        if not self.passed:
-            out["witnesses"] = dict(sorted(self.witnesses.items()))
-        return out
 
 
 def _first(witnesses) -> dict | None:
@@ -458,7 +436,7 @@ class ChainKTheory:
     window: int
     forced: bool
     settled_index: int
-    condition_a: ConditionReport
+    condition_a: Verdict
     layer_results: list[KTheoryResult]
     k0_class_map: dict[str, tuple[int, ...]]
     k0_homs: list[GroupHom]  # canonical-coordinate inclusion maps between layers

@@ -20,7 +20,8 @@ K-theory.  Three constructions cover the rank comparison:
 The towers are reconstructed from the linear relations they must impose
 (each construction is re-verified mechanically on every build: layer
 conditions, per-layer groups, inclusion behavior, and the colimit), so a
-bad reconstruction cannot go unnoticed.
+bad reconstruction cannot go unnoticed.  Its named checks go into a
+``graphs.Verdict``, whose witnesses are the messages reported for failures.
 
 Vertex names are fixed (v1.., z, w1.., u or u1.., a_i_j, b_i_j) so that
 regenerated graphs are byte-identical.
@@ -28,15 +29,15 @@ regenerated graphs are byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .abelian import FgAbelianGroup, format_group, parse_group_pair
 from .graphs import (
     B2Report,
-    ConditionReport,
     FiniteGraph,
     GraphChain,
+    Verdict,
     check_condition_b2,
     is_cycle,
     is_irreducible,
@@ -244,6 +245,8 @@ class SynthesisRequest:
         if self.depth < 4:
             raise ValueError("depth must be at least 4")
         _check_size(self.g0.free_rank, self.g0.invariant_factors, self.g1.free_rank, self.depth)
+        if self.g0.is_trivial and self.g1.is_trivial:
+            raise ValueError("the trivial pair (0, 0) is not realized by this construction")
 
     @classmethod
     def parse(cls, k0: str, k1: str, depth: int = 6) -> "SynthesisRequest":
@@ -259,13 +262,23 @@ class SynthesisRequest:
 
 @dataclass
 class Verification:
-    passed: bool
+    """The re-verification of a build: its named checks in ``verdict``, and
+    the groups and reports they were read from."""
+
+    verdict: Verdict
     k0: FgAbelianGroup
     k1: FgAbelianGroup
     stabilized: bool
-    condition_a: ConditionReport | None = None
+    condition_a: Verdict | None = None
     condition_b2: B2Report | None = None
-    messages: list[str] = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return self.verdict.passed
+
+    @property
+    def messages(self) -> list[str]:
+        return list(self.verdict.witnesses.values())
 
 
 @dataclass
@@ -284,27 +297,24 @@ class SynthesisResult:
             "k1": format_group(self.verification.k1),
         }
         if self.verification.messages:
-            out["messages"] = list(self.verification.messages)
+            out["messages"] = self.verification.messages
         return out
 
 
+def _record_groups(verdict: Verdict, k0: FgAbelianGroup, k1: FgAbelianGroup, req: SynthesisRequest) -> None:
+    """Record checks ``k0`` and ``k1``: is each built group the requested one?"""
+    for name, degree, got, want in (("k0", "zero", k0, req.g0), ("k1", "one", k1, req.g1)):
+        mismatch = not got.is_isomorphic_to(want)
+        verdict.record(name, f"degree-{degree} mismatch: got {format_group(got)}" if mismatch else None)
+
+
 def _verify_finite(graph: FiniteGraph, req: SynthesisRequest) -> Verification:
-    messages = []
     kt = ktheory(graph)
-    ok = True
-    if not is_irreducible(graph):
-        ok = False
-        messages.append("graph is not strongly connected")
-    if is_cycle(graph):
-        ok = False
-        messages.append("graph is a cycle")
-    if not kt.k0.is_isomorphic_to(req.g0):
-        ok = False
-        messages.append(f"degree-zero mismatch: got {format_group(kt.k0)}")
-    if not kt.k1.is_isomorphic_to(req.g1):
-        ok = False
-        messages.append(f"degree-one mismatch: got {format_group(kt.k1)}")
-    return Verification(passed=ok, k0=kt.k0, k1=kt.k1, stabilized=True, messages=messages)
+    verdict = Verdict()
+    verdict.record("irreducible", None if is_irreducible(graph) else "graph is not strongly connected")
+    verdict.record("not_a_cycle", "graph is a cycle" if is_cycle(graph) else None)
+    _record_groups(verdict, kt.k0, kt.k1, req)
+    return Verification(verdict, kt.k0, kt.k1, stabilized=True)
 
 
 def _verify_chain(emitted: GraphChain, padded: GraphChain, req: SynthesisRequest) -> Verification:
@@ -321,31 +331,14 @@ def _verify_chain(emitted: GraphChain, padded: GraphChain, req: SynthesisRequest
     chain with the padded report's class map, which gives every emitted
     vertex a class.
     """
-    messages = []
     rep = chain_ktheory_report(padded, window=VERIFICATION_WINDOW)
     cond_b2 = check_condition_b2(emitted, rep.k0_class_map)
-    ok = True
-    if not rep.stabilized:
-        ok = False
-        messages.append("colimit did not stabilize at the verification window")
-    if not cond_b2.passed or cond_b2.unchecked:
-        ok = False
-        messages.append("emitted chain fails the out-star matching")
-    if not rep.k0.is_isomorphic_to(req.g0):
-        ok = False
-        messages.append(f"degree-zero mismatch: got {format_group(rep.k0)}")
-    if not rep.k1.is_isomorphic_to(req.g1):
-        ok = False
-        messages.append(f"degree-one mismatch: got {format_group(rep.k1)}")
-    return Verification(
-        passed=ok,
-        k0=rep.k0,
-        k1=rep.k1,
-        stabilized=rep.stabilized,
-        condition_a=rep.condition_a,
-        condition_b2=cond_b2,
-        messages=messages,
-    )
+    verdict = Verdict()
+    verdict.record("stabilized", None if rep.stabilized else "colimit did not stabilize at the verification window")
+    b2_ok = cond_b2.passed and not cond_b2.unchecked
+    verdict.record("b2", None if b2_ok else "emitted chain fails the out-star matching")
+    _record_groups(verdict, rep.k0, rep.k1, req)
+    return Verification(verdict, rep.k0, rep.k1, rep.stabilized, condition_a=rep.condition_a, condition_b2=cond_b2)
 
 
 def synthesize(req: SynthesisRequest) -> SynthesisResult:
@@ -361,16 +354,12 @@ def synthesize(req: SynthesisRequest) -> SynthesisResult:
     r0, r1 = req.g0.free_rank, req.g1.free_rank
     torsion = req.g0.invariant_factors
     if r0 == r1:
-        l, k = r0, len(torsion)
-        if l + k < 1:
-            raise ValueError("the trivial pair (0, 0) is not realized by this construction")
-        graph = build_case_i(l, torsion)
-        verification = _verify_finite(graph, req)
+        graph = build_case_i(r0, torsion)
         return SynthesisResult(
             graph=graph,
             case_tag="i",
-            parameters={"l": l, "p": 0, "torsion": list(torsion), "depth": None},
-            verification=verification,
+            parameters={"l": r0, "p": 0, "torsion": list(torsion), "depth": None},
+            verification=_verify_finite(graph, req),
         )
     if r0 < r1:
         case_tag, l, p = "ii", r1 + 1, r1 - r0

@@ -124,7 +124,7 @@ def test_criterion_5_les_property_suite():
         exempt = {v for v in verts if rng.random() < 0.35}
         graph = FiniteGraph(verts, edges, exempt)
         rep = les_check(graph)  # ktheory() inside re-verifies the dual routes
-        assert rep.passed, (trial, verts, edges, exempt, rep.nodes)
+        assert rep.passed, (trial, verts, edges, exempt, rep.checks)
     _verdict(5, True, "200 random graphs pass every exactness node and the dual degree-one routes", t0, 30)
 
 

@@ -157,6 +157,12 @@ def test_synthesize_usage_error_on_torsion_k1(capsys):
     assert "free" in err
 
 
+def test_synthesize_trivial_pair_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "synthesize", "--k0", "0", "--k1", "0")
+    assert (code, out) == (2, "")
+    assert err == "usage error: the trivial pair (0, 0) is not realized by this construction\n"
+
+
 def test_check_short_chain_skips_b2(capsys, tmp_path):
     path = write(
         tmp_path,
@@ -437,10 +443,11 @@ def test_lab_straighten_rejects_no_trials(capsys, trials):
     [
         (("straighten", "--seed", "-1"), "usage error: --seed must be non-negative, got -1"),
         (("family", "--seed", "-1"), "usage error: --seed must be non-negative, got -1"),
-        (("w", "--scenario", "nope"), "unknown scenario 'nope'"),
-        (("family", "--scenario", "nope"), "unknown scenario 'nope'"),
+        (("w", "--scenario", "nope"), "usage error: unknown scenario 'nope'"),
+        (("family", "--scenario", "nope"), "usage error: unknown scenario 'nope'"),
+        (("w", "--t", "abc"), "usage error: --t must be a comma-separated list of floats"),
     ],
-    ids=["straighten_seed", "family_seed", "w_scenario", "family_scenario"],
+    ids=["straighten_seed", "family_seed", "w_scenario", "family_scenario", "w_t"],
 )
 def test_lab_usage_errors_exit_two(capsys, argv, message):
     code, out, err = run(capsys, "lab", *argv)
@@ -619,3 +626,173 @@ def test_python_dash_m_graphck_runs_the_cli(tmp_path):
     assert proc.returncode == 0, proc.stderr
     data = json.loads(proc.stdout)
     assert (data["k0"], data["k1"]) == ("Z", "Z")
+
+
+PINNED_SYNTH_CHAIN = """\
+{
+  "type": "chain",
+  "passed": true,
+  "conditions": {
+    "a1": true,
+    "a2": true,
+    "a3": true,
+    "a4": true,
+    "a5": true,
+    "a6": true
+  },
+  "witnesses": {},
+  "b2": {
+    "passed": true,
+    "matches": {
+      "a_1_3": "a_1_2",
+      "b_1_3": "b_1_2"
+    },
+    "failures": {},
+    "unchecked": [
+      "a_1_4",
+      "a_1_5",
+      "b_1_4",
+      "b_1_5"
+    ]
+  },
+  "pass": true
+}
+"""
+
+PINNED_A1_CHAIN = """\
+{
+  "type": "chain",
+  "passed": false,
+  "conditions": {
+    "a1": false,
+    "a2": true,
+    "a3": true,
+    "a4": false,
+    "a5": true,
+    "a6": false
+  },
+  "witnesses": {
+    "a1": "infinite-valence vertex 'u' not in layer 0",
+    "a4": "edge 'h' leaves layer 0 from finite-valence vertex 'v'",
+    "a6": "vertex 'u' emits no edge into the new part of layer 1"
+  },
+  "b2": "skipped: layer conditions failed",
+  "pass": false
+}
+"""
+
+PINNED_EMPTY_LAYER = """\
+{
+  "type": "chain",
+  "passed": false,
+  "conditions": {
+    "a1": true,
+    "a2": false,
+    "a3": true,
+    "a4": true,
+    "a5": true,
+    "a6": true
+  },
+  "witnesses": {
+    "a2": "layer 0 is empty"
+  },
+  "b2": "skipped: layer conditions failed",
+  "pass": false
+}
+"""
+
+PINNED_LES_PASS = """\
+{
+  "passed": true,
+  "nodes": {
+    "coker_ideal_map_is_k0_full": true,
+    "exact_at_ideal": true,
+    "exact_at_k0_toeplitz": true,
+    "exact_at_k1_full": true
+  },
+  "terms": {
+    "k1_toeplitz": "0",
+    "k1_full": "Z",
+    "ideal_k0": "Z",
+    "k0_toeplitz": "Z",
+    "k0_full": "Z"
+  }
+}
+"""
+
+# les-check of the same graph with the first index-map column zeroed
+PINNED_LES_FAIL = """\
+{
+  "passed": false,
+  "nodes": {
+    "coker_ideal_map_is_k0_full": true,
+    "exact_at_ideal": false,
+    "exact_at_k0_toeplitz": true,
+    "exact_at_k1_full": false
+  },
+  "terms": {
+    "k1_toeplitz": "0",
+    "k1_full": "Z",
+    "ideal_k0": "Z",
+    "k0_toeplitz": "Z",
+    "k0_full": "Z"
+  },
+  "witnesses": {
+    "exact_at_ideal": {
+      "check": "the kernel of the ideal-class map lies in the image of the index map",
+      "vector": [
+        1
+      ]
+    },
+    "exact_at_k1_full": {
+      "check": "the kernel of the index map lies in K1(T)",
+      "vector": [
+        1
+      ]
+    }
+  }
+}
+"""
+
+PINNED_SYNTHESIZE = """\
+{
+  "case": "ii",
+  "parameters": {
+    "l": 3,
+    "p": 2,
+    "torsion": [
+      2
+    ],
+    "depth": 6
+  },
+  "verified": true,
+  "k0": "Z/2",
+  "k1": "Z^2"
+}
+"""
+
+
+def test_check_les_check_and_synthesize_output_is_pinned(
+    capsys, tmp_path, monkeypatch, loop_with_exempt, empty_first_layer
+):
+    """Exit code, stdout and stderr byte for byte, on passing and failing verdicts."""
+    from test_ktheory import _zeroing_first_boundary
+
+    synthesized = str(tmp_path / "synth.json")
+    assert run(capsys, "synthesize", "--k0", "Z^2", "--k1", "Z", "--depth", "4", "-o", synthesized)[0] == 0
+    # u outside layer 0 fails (a1)
+    edges = [("lv1", "v", "v"), ("lv2", "v", "v"), ("g", "u", "v"), ("h", "v", "u")]
+    a1_failing = write(tmp_path, "a1.json", chain_data(edges, ["u"], [["v"], ["u", "v"]]))
+    b2_skipped = "b2: 4 vertices beyond the stabilization window were not checked\n"
+    assert run(capsys, "check", synthesized) == (0, PINNED_SYNTH_CHAIN, b2_skipped + "chain: PASS\n")
+    assert run(capsys, "check", a1_failing) == (1, PINNED_A1_CHAIN, "chain: FAIL\n")
+    assert run(capsys, "check", empty_first_layer) == (1, PINNED_EMPTY_LAYER, "chain: FAIL\n")
+    assert run(capsys, "les-check", loop_with_exempt) == (0, PINNED_LES_PASS, "long exact sequence: PASS\n")
+    with monkeypatch.context() as m:
+        _zeroing_first_boundary(m, 1)
+        assert run(capsys, "les-check", loop_with_exempt) == (1, PINNED_LES_FAIL, "long exact sequence: FAIL\n")
+    assert run(capsys, "synthesize", "--k0", "Z/2", "--k1", "Z^2") == (
+        0,
+        PINNED_SYNTHESIZE,
+        "case ii: verified=True K = (Z/2, Z^2)\n",
+    )

@@ -220,14 +220,14 @@ def test_condition_a1_violation_reported():
         [("lv", "v", "v"), ("g", "u", "v"), ("h", "v", "u")],
     )
     report = check_condition_a(chain)
-    assert not report.conditions["a1"]
+    assert not report.checks["a1"]
     assert "u" in report.witnesses["a1"]
 
 
 def test_condition_a2_empty_layer_is_a_witness():
     chain = GraphChain([], [[], ["a"], ["a"]], [("l1", "a", "a"), ("l2", "a", "a")])
     report = check_condition_a(chain)
-    assert report.conditions == {"a1": True, "a2": False, "a3": True, "a4": True, "a5": True, "a6": True}
+    assert report.checks == {"a1": True, "a2": False, "a3": True, "a4": True, "a5": True, "a6": True}
     assert report.witnesses == {"a2": "layer 0 is empty"}
 
 
@@ -256,7 +256,7 @@ def test_condition_a6_violation_when_emission_stops():
     pruned = [e for e in base.edges if not (e[1] == "u" and e[2] in new3)]
     chain = GraphChain({"u"}, base.layers, pruned)
     report = check_condition_a(chain)
-    assert not report.conditions["a6"]
+    assert not report.checks["a6"]
     assert "u" in report.witnesses["a6"]
     # oracle: a definition scan of the dropped layer
     assert not any(o == "u" and t in new3 for _, o, t in pruned)
@@ -277,7 +277,7 @@ def test_condition_a4_violation():
     ]
     chain = GraphChain({"u"}, [["u", "v", "w"], ["u", "v", "w", "x"]], edges)
     report = check_condition_a(chain)
-    assert not report.conditions["a4"]
+    assert not report.checks["a4"]
     assert "escape" in report.witnesses["a4"]
 
 
@@ -336,7 +336,7 @@ def test_edge_conditions_match_per_layer_scans():
     for chain in chains:
         report = check_condition_a(chain)
         verdicts, witnesses = per_layer_edge_conditions(chain)
-        assert {k: report.conditions[k] for k in verdicts} == verdicts
+        assert {k: report.checks[k] for k in verdicts} == verdicts
         assert {k: v for k, v in report.witnesses.items() if k in verdicts} == witnesses
         seen.update(verdicts.items())
     # the sample holds passing and failing chains for every condition

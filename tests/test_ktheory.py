@@ -460,7 +460,7 @@ def test_les_reuses_the_ktheory_smith_forms(snf_calls):
     # coker j, which gives node 2's kernel and node 3's cokernel
     rep = les_check(build_case_ii(2, 1, (), 5).layer_graph(1))
     assert rep.passed
-    assert sorted(rep.nodes) == [
+    assert sorted(rep.checks) == [
         "coker_ideal_map_is_k0_full",
         "exact_at_ideal",
         "exact_at_k0_toeplitz",
@@ -513,7 +513,7 @@ def test_les_random_graphs():
         edges = [(f"e{k}", rng.choice(verts), rng.choice(verts)) for k in range(rng.randint(0, 12))]
         exempt = {v for v in verts if rng.random() < 0.35}
         rep = les_check(FiniteGraph(verts, edges, exempt))
-        assert rep.passed, (verts, edges, exempt, rep.nodes)
+        assert rep.passed, (verts, edges, exempt, rep.checks)
 
 
 def _les_graphs(n, seed):
@@ -578,8 +578,8 @@ def test_les_nodes_match_the_vertex_space_formulation():
     for g in graphs:
         rep = les_check(g)
         ref, _ = _reference_les_nodes(g)
-        assert rep.nodes == ref, (g.vertices, g.edges, g.relation_exempt)
-        assert rep.passed and "witnesses" not in rep.to_json_dict()
+        assert rep.checks == ref, (g.vertices, g.edges, g.relation_exempt)
+        assert rep.passed and not rep.witnesses
         kt = ktheory(g)
         kinds["empty"] += not g.vertices
         kinds["loop-only"] += bool(g.edges) and all(o == t for _, o, t in g.edges)
@@ -663,8 +663,8 @@ def test_les_node3_catches_a_class_map_that_is_not_an_isomorphism(monkeypatch):
         with monkeypatch.context() as m:
             _corrupting(m, lambda graph, kt: bad_o if not graph.relation_exempt else kt)
             rep = les_check(g)
-        assert rep.nodes["exact_at_k1_full"] and rep.nodes["exact_at_ideal"]
-        assert not rep.nodes["exact_at_k0_toeplitz"]
+        assert rep.checks["exact_at_k1_full"] and rep.checks["exact_at_ideal"]
+        assert not rep.checks["exact_at_k0_toeplitz"]
         assert _recheck_k0_witness(g, kt_t, bad_o, rep.witnesses["exact_at_k0_toeplitz"])
         caught += 1
     assert applicable >= 80 and caught == applicable
@@ -686,7 +686,7 @@ def test_les_node3_catches_a_class_map_that_misses_generators(monkeypatch):
         with monkeypatch.context() as m:
             _corrupting(m, lambda graph, kt: bad_o if not graph.relation_exempt else kt)
             rep = les_check(g)
-        failing = [n for n, ok in rep.nodes.items() if not ok]
+        failing = [n for n, ok in rep.checks.items() if not ok]
         assert failing == ["exact_at_k0_toeplitz", "coker_ideal_map_is_k0_full"]
         witness = rep.witnesses["coker_ideal_map_is_k0_full"]
         assert witness == rep.witnesses["exact_at_k0_toeplitz"] and "generator" in witness
@@ -709,7 +709,7 @@ def test_les_node3_catches_corrupted_k0_full_invariants(monkeypatch):
         with monkeypatch.context() as m:
             _corrupting(m, lambda graph, kt: bad_o if not graph.relation_exempt else kt)
             rep = les_check(g)
-        assert not rep.nodes["exact_at_k0_toeplitz"] and not rep.nodes["coker_ideal_map_is_k0_full"]
+        assert not rep.checks["exact_at_k0_toeplitz"] and not rep.checks["coker_ideal_map_is_k0_full"]
         assert rep.terms["k0_full"] == format_group(bad)
         for node in ("exact_at_k0_toeplitz", "coker_ideal_map_is_k0_full"):
             assert _recheck_k0_witness(g, kt_t, bad_o, rep.witnesses[node])
@@ -730,7 +730,7 @@ def test_les_node1_catches_a_doubled_k1_toeplitz_column(monkeypatch):
         with monkeypatch.context() as m:
             _corrupting(m, lambda graph, kt: bad_t if graph.relation_exempt else kt)
             rep = les_check(g)
-        assert [n for n, ok in rep.nodes.items() if not ok] == ["exact_at_k1_full"]
+        assert [n for n, ok in rep.checks.items() if not ok] == ["exact_at_k1_full"]
         x = rep.witnesses["exact_at_k1_full"]["vector"]
         # x is a full-relation degree-one vector the index map kills, and its
         # coordinate on the doubled basis vector is odd
@@ -764,7 +764,7 @@ def test_les_index_map_is_boundary_map_without_the_recheck(monkeypatch):
         assert ktheory_mod._index_map(g, basis.sparse_columns()) == [boundary_map(g, x) for x in basis.columns()]
     with monkeypatch.context() as m:
         m.setattr(ktheory_mod, "boundary_map", None)
-        assert all(all(les_check(g).nodes.values()) for g in graphs)
+        assert all(all(les_check(g).checks.values()) for g in graphs)
 
 
 def _zeroing_first_boundary(m, ne):
@@ -796,7 +796,7 @@ def test_les_node2_catches_a_zeroed_index_map_column(monkeypatch, capsys, tmp_pa
         with monkeypatch.context() as m:
             _zeroing_first_boundary(m, ne)
             rep = les_check(g)
-        assert not rep.nodes["exact_at_ideal"]
+        assert not rep.checks["exact_at_ideal"]
         x = rep.witnesses["exact_at_ideal"]["vector"]
         # x is in the kernel of the ideal-class map: the class of the sum of
         # x_u times u's relation row vanishes in K0(T)

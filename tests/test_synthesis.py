@@ -7,12 +7,14 @@ computed lattices and as class equalities.
 """
 
 import importlib
+import json
 from collections import Counter
 
 import pytest
 
 from graphck.abelian import parse_group_expr
-from graphck.graphs import FiniteGraph, check_condition_a, dump_graph, is_cycle, is_irreducible
+from graphck.cli import main
+from graphck.graphs import B2Report, FiniteGraph, check_condition_a, dump_graph, is_cycle, is_irreducible
 from graphck.ktheory import chain_ktheory_report, ktheory
 from graphck.synthesis import (
     MAX_EDGE_LAYERS,
@@ -350,3 +352,46 @@ def test_synthesize_checks_b2_once_on_the_emitted_chain(monkeypatch, expr0, expr
     res = run(expr0, expr1, depth=5)
     assert res.verification.passed and res.verification.condition_b2.passed
     assert lengths == [5]
+
+
+def _b2_failing(chain, k0_class):
+    return B2Report(failures={"a_1_3": "no layer-0 vertex with an isomorphic out-star"})
+
+
+@pytest.mark.parametrize(
+    "k0,k1,patches,checks,messages",
+    [
+        (
+            "Z",
+            "Z",
+            {"is_cycle": lambda graph: True},
+            {"irreducible": True, "not_a_cycle": False, "k0": True, "k1": True},
+            ["graph is a cycle"],
+        ),
+        (
+            "Z",
+            "Z",
+            {"is_irreducible": lambda graph: False, "is_cycle": lambda graph: True},
+            {"irreducible": False, "not_a_cycle": False, "k0": True, "k1": True},
+            ["graph is not strongly connected", "graph is a cycle"],
+        ),
+        (
+            "Z",
+            "Z^2",
+            {"check_condition_b2": _b2_failing},
+            {"stabilized": True, "b2": False, "k0": True, "k1": True},
+            ["emitted chain fails the out-star matching"],
+        ),
+    ],
+    ids=["cycle", "reducible_cycle", "b2"],
+)
+def test_verification_keeps_a_boolean_per_named_check(monkeypatch, capsys, k0, k1, patches, checks, messages):
+    synthesis_mod = importlib.import_module("graphck.synthesis")
+    for name, fake in patches.items():
+        monkeypatch.setattr(synthesis_mod, name, fake)
+    verification = run(k0, k1, depth=4).verification
+    assert verification.verdict.checks == checks
+    assert not verification.passed and verification.messages == messages
+    code = main(["synthesize", "--k0", k0, "--k1", k1, "--depth", "4"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1 and out["verified"] is False and out["messages"] == messages
