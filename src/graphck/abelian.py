@@ -24,7 +24,8 @@ their diagonal presentation with empty logs and need no reduction.
 ``cokernel`` presents Z^n modulo the row lattice of a relation matrix and
 remembers enough of the transform to convert ambient integer vectors into
 canonical coordinates (``FgAbelianGroup.class_of``).  ``kernel_basis`` returns
-a saturated basis of the integer kernel lattice from the free columns of V.
+a saturated basis of the integer kernel lattice: the free columns of V, as the
+sparse ``{index: nonzero}`` columns the Smith form replayed them.
 ``GroupHom`` is a homomorphism between presented groups, checked for
 well-definedness at construction.  ``colimit_chain_detailed`` computes the
 direct limit of a finite prefix of a chain of groups along homomorphisms,
@@ -292,9 +293,9 @@ class SmithDecomposition:
         order = self._orders[0]
         return [x[order[k]] for k in range(start, self.rows)]
 
-    def kernel(self) -> IntMatrix:
-        """Basis of {x : M @ x == 0} as columns: the columns of V past the rank."""
-        return IntMatrix.from_sparse_columns(self.cols, [self.v_col(j) for j in range(self.rank, self.cols)])
+    def kernel(self) -> list[dict]:
+        """Basis of {x : M @ x == 0}: the columns of V past the rank, as ``v_col`` holds them."""
+        return [self.v_col(j) for j in range(self.rank, self.cols)]
 
     @cached_property
     def u(self) -> IntMatrix:
@@ -689,8 +690,8 @@ def _dense_smith(a: list[list[int]]) -> tuple[list, list]:
     return rlog, clog
 
 
-def kernel_basis(m: IntMatrix) -> IntMatrix:
-    """Basis of the lattice {x : m @ x == 0}, one basis vector per column.
+def kernel_basis(m: IntMatrix) -> list[dict]:
+    """Basis of the lattice {x : m @ x == 0}, as sparse ``{index: nonzero}`` columns.
 
     The kernel of an integer matrix is saturated (a direct summand), and the
     columns of V at zero diagonal positions form a basis of it.
@@ -932,12 +933,9 @@ class ColumnLattice:
 
 def _preimage_lattice_rows(hom_matrix: IntMatrix, codomain: FgAbelianGroup) -> IntMatrix:
     """Generators (as rows) of {x : hom_matrix @ x in codomain relation lattice}."""
-    rel_t = codomain.relations.transpose()
-    stacked = hom_matrix.hstack(-rel_t)
-    ker = kernel_basis(stacked)
+    ker = kernel_basis(hom_matrix.hstack(-codomain.relations.transpose()))
     ngen = hom_matrix.cols
-    rows = tuple({i: x for i, x in col.items() if i < ngen} for col in ker.transpose().sparse_rows)
-    return IntMatrix._of(ker.cols, ngen, rows)
+    return IntMatrix._of(len(ker), ngen, tuple({i: x for i, x in col.items() if i < ngen} for col in ker))
 
 
 class GroupHom:
@@ -964,13 +962,10 @@ class GroupHom:
     def _verify_well_defined(self):
         cod = self.codomain
         cod_rows = {frozenset(r.items()) for r in cod.relations.sparse_rows}
-        cols = self.matrix.sparse_columns()
+        rows = self.matrix.sparse_rows
         for rel in self.domain.relations.sparse_rows:
-            acc: dict = {}
-            for k, x in rel.items():
-                for i, y in cols[k].items():
-                    acc[i] = acc.get(i, 0) + x * y
-            image = {i: z for i, z in acc.items() if z}
+            # entry i of the image is row i of the matrix against the relation
+            image = {i: z for i, r in enumerate(rows) if (z := sum([x * r.get(k, 0) for k, x in rel.items()]))}
             if frozenset(image.items()) in cod_rows:
                 continue
             if not cod.lattice_contains(_dense(image, cod.ngens)):

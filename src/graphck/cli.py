@@ -64,10 +64,14 @@ def _info(msg: str) -> None:
     sys.stderr.write(msg + "\n")
 
 
+def _usage(msg: str) -> int:
+    _info(f"usage error: {msg}")
+    return USAGE
+
+
 def cmd_check(args) -> int:
     if args.window < 1:
-        _info(f"usage error: --window must be at least 1, got {args.window}")
-        return USAGE
+        return _usage(f"--window must be at least 1, got {args.window}")
     graph = load_graph(args.file)
     if isinstance(graph, FiniteGraph):
         irr = is_irreducible(graph) if graph.vertices else False
@@ -146,7 +150,7 @@ def cmd_ktheory(args) -> int:
             "k0": format_group(kt.k0),
             "k1": format_group(kt.k1),
             "k0_classes": {v: list(kt.k0_class_of_vertex[v]) for v in kt.vertex_order},
-            "k1_basis": [list(x) for x in kt.k1_lattice.columns()],
+            "k1_basis": [[x.get(i, 0) for i in range(len(kt.vertex_order))] for x in kt.k1_basis],
         }
     )
     _info(f"K0 = {format_group(kt.k0)}, K1 = {format_group(kt.k1)}")
@@ -155,11 +159,12 @@ def cmd_ktheory(args) -> int:
 
 def cmd_colimit(args) -> int:
     if args.window < 1:
-        _info(f"usage error: --window must be at least 1, got {args.window}")
-        return USAGE
+        return _usage(f"--window must be at least 1, got {args.window}")
     graph = load_graph(args.file)
     if not isinstance(graph, GraphChain):
         raise GraphFormatError("colimit needs a chain file")
+    if len(graph) < args.window + 2:
+        return _usage(f"chain of length {len(graph)} is too short for window {args.window}")
     rep = chain_ktheory_report(graph, window=args.window, force=args.force)
     _emit(
         {
@@ -216,8 +221,7 @@ def cmd_synthesize(args) -> int:
     try:
         req = SynthesisRequest.parse(args.k0, args.k1, depth=args.depth)
     except ValueError as exc:
-        _info(f"usage error: {exc}")
-        return USAGE
+        return _usage(str(exc))
     res = synthesize(req)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -245,11 +249,9 @@ def _csv_rows(rows) -> None:
 
 def cmd_lab_straighten(args) -> int:
     if args.trials < 1:
-        _info(f"usage error: --trials must be at least 1, got {args.trials}")
-        return USAGE
+        return _usage(f"--trials must be at least 1, got {args.trials}")
     if args.seed < 0:
-        _info(f"usage error: --seed must be non-negative, got {args.seed}")
-        return USAGE
+        return _usage(f"--seed must be non-negative, got {args.seed}")
     rows = []
     for d in (1e-2, 1e-3, 1e-4):
         residuals, moves, sided = [], [], []
@@ -273,18 +275,15 @@ def cmd_lab_straighten(args) -> int:
 
 def cmd_lab_w(args) -> int:
     if args.scenario not in CANONICAL_W_SCENARIOS + ("scalar",):
-        _info(f"usage error: unknown scenario {args.scenario!r}")
-        return USAGE
+        return _usage(f"unknown scenario {args.scenario!r}")
     sc = lemma36_scenario(args.scenario)
     try:
         ts = [float(x) for x in args.t.split(",")]
     except ValueError:
-        _info("usage error: --t must be a comma-separated list of floats")
-        return USAGE
+        return _usage("--t must be a comma-separated list of floats")
     bad = [t for t in ts if not 0.0 <= t < 1.0]  # NaN fails both comparisons
     if bad:
-        _info(f"usage error: --t must lie in [0, 1), got {bad[0]}")
-        return USAGE
+        return _usage(f"--t must lie in [0, 1), got {bad[0]}")
     rows = []
     for t in ts:
         _, rep = lemma36_w(sc.a, sc.b, sc.r, t, sc.case, ideal_fiber=sc.ideal_fiber)
@@ -298,11 +297,9 @@ def cmd_lab_w(args) -> int:
 
 def cmd_lab_family(args) -> int:
     if args.scenario not in CANONICAL_FAMILY_SCENARIOS:
-        _info(f"usage error: unknown scenario {args.scenario!r}")
-        return USAGE
+        return _usage(f"unknown scenario {args.scenario!r}")
     if args.seed < 0:
-        _info(f"usage error: --seed must be non-negative, got {args.seed}")
-        return USAGE
+        return _usage(f"--seed must be non-negative, got {args.seed}")
     sc = family_scenario(args.scenario, seed=args.seed)
     out = straighten_family(sc.small, sc.large, sc.infinite_vertices, sc.fields)
     res = condition_o_residuals(sc.large, sc.infinite_vertices, out)

@@ -8,7 +8,8 @@ generators by one relation per u in S:
 
 i.e. K0 = cokernel of the relation matrix R whose row at u is
 e_u - sum e_{t(e)}.  The degree-one group is free; it is computed along two
-routes and the two answers are required to agree exactly:
+routes, each giving a basis as sparse ``{vertex index: value}`` columns, and
+the two answers are required to agree exactly:
 
 * as the kernel of the map Z^S -> Z^{F0} sending c to sum c_u * row_u,
   read from the rows of U past the rank in the Smith form of R, and
@@ -17,6 +18,8 @@ routes and the two answers are required to agree exactly:
   description).  On Z^S these equations are the transposed matrix R^T, so
   this is the kernel of R^T, read from the V columns of its own Smith form.
   With no exempt vertex the two routes read the same Smith form of R.
+
+Route one's basis is then checked against the relation at every vertex.
 
 The index (boundary) map sends such an x to the vector
 (-sum_{e into u} x(o(e)))_{u outside S}; ``les_check`` verifies exactness of
@@ -103,10 +106,11 @@ def _k1_relations_hold(graph: FiniteGraph, x: dict, at: Sequence[str]) -> bool:
 class KTheoryResult:
     """K-theory of one (Toeplitz) graph algebra.
 
-    ``k1_lattice`` columns are representative integer vertex functions in
-    Z^{F0} (sorted vertex order); ``k0_class_of_vertex`` maps each vertex to
-    the canonical coordinates of its class.  ``k1_column`` is the lattice of
-    ``k1_lattice`` with the Smith form the degree-one check already computed.
+    ``k1_basis`` holds representative integer vertex functions in Z^{F0} as
+    sparse ``{vertex index: nonzero}`` columns (sorted vertex order);
+    ``k0_class_of_vertex`` maps each vertex to the canonical coordinates of
+    its class.  ``k1_column`` is the lattice they span, with the Smith form
+    the degree-one check already computed, and ``k1_lattice`` its matrix.
     """
 
     graph: FiniteGraph
@@ -114,8 +118,12 @@ class KTheoryResult:
     k0: FgAbelianGroup
     k0_class_of_vertex: dict[str, tuple[int, ...]]
     k1: FgAbelianGroup
-    k1_lattice: IntMatrix
+    k1_basis: list[dict]
     k1_column: ColumnLattice = field(repr=False, compare=False)
+
+    @property
+    def k1_lattice(self) -> IntMatrix:
+        return self.k1_column.matrix
 
     @cached_property
     def k0_canonical(self) -> FgAbelianGroup:
@@ -130,10 +138,11 @@ def ktheory(graph: FiniteGraph) -> KTheoryResult:
     The two descriptions of K1 (kernel of the relation map, and vertex
     functions satisfying the incoming-edge relations and vanishing off S)
     are both computed and must agree; disagreement raises.  Their bases are
-    compared as matrices first, and as lattices only when they differ.
+    compared as lists of sparse columns first, and as lattices only when
+    they differ.  Every basis vector is then checked against the relation at
+    every vertex.
     """
     verts = graph.vertex_list
-    nv = len(verts)
     vidx = graph.vertex_index
     svs = graph.s_vertices
     exempt = tuple(sorted(graph.relation_exempt))
@@ -144,13 +153,13 @@ def ktheory(graph: FiniteGraph) -> KTheoryResult:
     classes = dict(zip(verts, k0.generator_classes()))
     spos = [vidx[u] for u in svs]
 
-    def off_s_zero(vectors) -> IntMatrix:
-        # coefficient vectors over S, extended by zero off S, as columns
-        return IntMatrix.from_sparse_columns(nv, [{spos[k]: c for k, c in x.items()} for x in vectors])
+    def off_s_zero(vectors) -> list[dict]:
+        # coefficient vectors over S, extended by zero off S
+        return [{spos[k]: c for k, c in x.items()} for x in vectors]
 
     # route one: the rows of U past the rank of the relation matrix span its
     # left kernel, the c in Z^S with sum c_u * row_u = 0
-    lattice_a = off_s_zero(snf.u_row(i) for i in range(snf.rank, len(svs)))
+    basis = off_s_zero(snf.u_row(i) for i in range(snf.rank, len(svs)))
 
     # route two: vertex functions vanishing off S with x(u) = sum of x(o(e))
     # over edges into u at every vertex u.  On Z^S these equations are the
@@ -158,27 +167,24 @@ def ktheory(graph: FiniteGraph) -> KTheoryResult:
     # kernel, a Smith form of its own; with none it is route one's lattice.
     # Equal bases span the same lattice, so the lattices are compared only
     # when the bases differ
-    if exempt:
-        ker = kernel_basis(rel.transpose())
-        lattice_b = off_s_zero(ker.transpose().sparse_rows)
-    la = ColumnLattice(lattice_a)
-    if exempt and lattice_b != lattice_a and not la.equals(ColumnLattice(lattice_b)):
+    other = off_s_zero(kernel_basis(rel.transpose())) if exempt else basis
+    la = ColumnLattice(IntMatrix.from_sparse_columns(len(verts), basis))
+    if other != basis and not la.equals(ColumnLattice(IntMatrix.from_sparse_columns(len(verts), other))):
         raise AssertionError("the two K1 computations disagree; this is a bug")
 
-    for col in lattice_a.sparse_columns():
-        if not _k1_relations_hold(graph, col, svs):
-            raise AssertionError("K1 representative violates a relation on S")
+    for col in basis:
+        if not _k1_relations_hold(graph, col, verts):
+            raise AssertionError("K1 representative violates a relation on S or at an exempt vertex")
         if any(vidx[u] in col for u in exempt):
             raise AssertionError("K1 representative does not vanish off S")
 
-    k1 = FgAbelianGroup.canonical(lattice_a.cols)
     return KTheoryResult(
         graph=graph,
         vertex_order=verts,
         k0=k0,
         k0_class_of_vertex=classes,
-        k1=k1,
-        k1_lattice=lattice_a,
+        k1=FgAbelianGroup.canonical(len(basis)),
+        k1_basis=basis,
         k1_column=la,
     )
 
@@ -306,19 +312,19 @@ def les_check(graph: FiniteGraph) -> LesReport:
     # node 1: the degree-one Toeplitz lattice is the kernel of the index map
     # inside the full-relation lattice.  ktheory(graph_o) checked that its
     # basis satisfies the relation at every vertex, so B needs no recheck
-    k1_full = kt_o.k1_lattice
-    bdry_cols = _index_map(graph, k1_full.sparse_columns())
+    k1_full = kt_o.k1_lattice  # the K1(O) basis as the columns of a matrix
+    bdry_cols = _index_map(graph, kt_o.k1_basis)
     bmat = IntMatrix.from_sparse_columns(len(exempt), [dict(enumerate(c)) for c in bdry_cols])
     image = ColumnLattice(bmat)  # its Smith form gives node 1's kernel and node 2's image
-    ker_boundary = k1_full @ image.snf.kernel()
+    ker_boundary = (k1_full.mat_vec([c.get(k, 0) for k in range(k1_full.cols)]) for c in image.snf.kernel())
     witness = _first(
         {"check": "the kernel of the index map lies in K1(T)", "vector": list(x)}
-        for x in ker_boundary.columns()
+        for x in ker_boundary
         if not kt_t.k1_column.contains(x)
     ) or _first(
-        {"check": "K1(T) lies in the kernel of the index map", "vector": list(x)}
-        for x, c in ((x, kt_o.k1_column.solve(x)) for x in kt_t.k1_lattice.columns())
-        if c is None or any(bmat.mat_vec(c))
+        {"check": "K1(T) lies in the kernel of the index map", "vector": x}
+        for x in ([b.get(i, 0) for i in range(k1_full.rows)] for b in kt_t.k1_basis)
+        if (c := kt_o.k1_column.solve(x)) is None or any(bmat.mat_vec(c))
     )
     report.record("exact_at_k1_full", witness)
 
@@ -476,7 +482,7 @@ def chain_ktheory_report(chain: GraphChain, window: int = 2, force: bool = False
         dst_lat = dst.k1_column
         dst_idx = dst.graph.vertex_index
         cols = []
-        for x in src.k1_lattice.sparse_columns():
+        for x in src.k1_basis:
             ext = [0] * len(dst.vertex_order)
             for i, val in x.items():
                 ext[dst_idx[src.vertex_order[i]]] = val
@@ -486,7 +492,7 @@ def chain_ktheory_report(chain: GraphChain, window: int = 2, force: bool = False
                     f"degree-one basis of layer {n} does not extend into layer {n + 1}"
                 )
             cols.append(coeffs)
-        matrix = IntMatrix.from_sparse_columns(dst.k1_lattice.cols, [dict(enumerate(c)) for c in cols])
+        matrix = IntMatrix.from_sparse_columns(len(dst.k1_basis), [dict(enumerate(c)) for c in cols])
         k1_homs.append(GroupHom(src.k1, dst.k1, matrix))
     k1_res = colimit_chain_detailed([kt.k1 for kt in kts], k1_homs, window)
     if k1_res.group.invariant_factors:

@@ -231,7 +231,7 @@ def test_snf_with_no_row_or_column_runs_no_presolve(monkeypatch, n):
         assert [s.u_row(i) for i in range(m.rows)] == [{i: 1} for i in range(m.rows)]
         assert [s.v_col(j) for j in range(m.cols)] == [{j: 1} for j in range(m.cols)]
         assert [s.vinv_row(j) for j in range(m.cols)] == [{j: 1} for j in range(m.cols)]
-        assert s.kernel() == IntMatrix.identity(m.cols)
+        assert s.kernel() == [{j: 1} for j in range(m.cols)]
 
 
 @pytest.mark.parametrize("rows,cols", [(0, 0), (0, 3), (3, 0), (1, 1), (1, 5), (5, 1), (4, 7), (9, 9)])
@@ -263,7 +263,7 @@ def test_kernel_rank_complements_diagonal_rank(rows, cols, seed):
     rng = random.Random(seed)
     m = IntMatrix(rows, cols, [rng.randint(-9, 9) for _ in range(rows * cols)])
     s = smith_normal_form(m)
-    assert kernel_basis(m).cols + s.rank == cols
+    assert len(kernel_basis(m)) + s.rank == cols
 
 
 # ---------------------------------------------------------------------------
@@ -949,19 +949,19 @@ def _random_unimodular(rng, n):
 
 
 def test_kernel_injective():
-    assert kernel_basis(IntMatrix.identity(2)).cols == 0
+    assert kernel_basis(IntMatrix.identity(2)) == []
 
 
 def test_kernel_antidiagonal():
     kb = kernel_basis(M([[1, 1]]))
-    assert kb.cols == 1
-    assert ColumnLattice(kb).contains((1, -1))
+    assert len(kb) == 1
+    assert ColumnLattice(IntMatrix.from_sparse_columns(2, kb)).contains((1, -1))
 
 
 def test_kernel_full_rank():
     # oracle: det = 2*8 - 4*6 = -8 != 0, so the kernel is trivial
     assert M([[2, 4], [6, 8]]).determinant() == -8
-    assert kernel_basis(M([[2, 4], [6, 8]])).cols == 0
+    assert kernel_basis(M([[2, 4], [6, 8]])) == []
 
 
 def test_kernel_is_saturated():
@@ -969,10 +969,9 @@ def test_kernel_is_saturated():
     for _ in range(20):
         r, c = rng.randint(1, 5), rng.randint(2, 5)
         m = IntMatrix(r, c, [rng.randint(-4, 4) for _ in range(r * c)])
-        kb = kernel_basis(m)
-        lat = ColumnLattice(kb)
+        lat = ColumnLattice(IntMatrix.from_sparse_columns(c, kernel_basis(m)))
         # saturation: any integer vector with 2x in the kernel lattice is in it
-        for col in kb.columns():
+        for col in lat.matrix.columns():
             doubled = tuple(2 * x for x in col)
             assert lat.contains(doubled)
             assert all(x % 2 == 0 for x in doubled)

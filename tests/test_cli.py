@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphck.cli import main
+from graphck.graphs import dump_graph, load_graph
 
 
 def run(capsys, *argv):
@@ -293,7 +294,7 @@ def test_colimit_on_a_chain_too_short_for_the_window_is_a_usage_error(capsys, tm
     window = str(nlayers - 1)
     code, out, err = run(capsys, "colimit", path, "--window", window, *(["--force"] if force else []))
     assert (code, out) == (2, "")
-    assert err == f"error: chain of length {nlayers} is too short for window {window}\n"
+    assert err == f"usage error: chain of length {nlayers} is too short for window {window}\n"
 
 
 @pytest.fixture
@@ -796,3 +797,77 @@ def test_check_les_check_and_synthesize_output_is_pinned(
         PINNED_SYNTHESIZE,
         "case ii: verified=True K = (Z/2, Z^2)\n",
     )
+
+
+# the case ii layer 1 below, vertex by vertex: the same K0 classes with and
+# without --toeplitz
+PINNED_CASE_II_K0_CLASSES = {
+    "a_1_1": [0, 0, 0, 0], "a_1_2": [0, -1, 0, 0], "a_2_1": [0, 0, 0, 0], "a_2_2": [0, 0, -1, 0],
+    "a_3_1": [0, 0, 0, 0], "a_3_2": [0, 0, 0, -1], "b_1_1": [0, 0, 0, 0], "b_1_2": [0, 1, 0, 0],
+    "b_2_1": [0, 0, 0, 0], "b_2_2": [0, 0, 1, 0], "b_3_1": [0, 0, 0, 0], "b_3_2": [0, 0, 0, 1],
+    "u": [0, 0, 0, 0], "v1": [0, 0, 0, 0], "v2": [0, 0, 0, 0], "v3": [0, 0, 0, 0],
+    "w1": [1, 0, 0, 0], "z": [0, 0, 0, 0],
+}
+
+PINNED_KTHEORY = {
+    "different": {
+        "k0": "Z^2",
+        "k1": "Z^2",
+        "k0_classes": {"v0": [0, 0], "v1": [0, 0], "v2": [0, 0], "v3": [1, 0], "v4": [0, 1]},
+        "k1_basis": [[0, 0, 0, 1, 0], [1, 1, 0, 0, 1]],
+    },
+    "different --toeplitz": {
+        "k0": "Z^3",
+        "k1": "Z^2",
+        "k0_classes": {"v0": [0, 0, 0], "v1": [0, 0, 0], "v2": [1, 0, 0], "v3": [0, 1, 0], "v4": [0, 0, 1]},
+        "k1_basis": [[0, 0, 0, 1, 0], [1, 1, 0, 0, 1]],
+    },
+    "case ii": {
+        "k0": "Z^3 + Z/2",
+        "k1": "Z^3",
+        "k0_classes": PINNED_CASE_II_K0_CLASSES,
+        "k1_basis": [
+            [0, 0, 0, 0, 0, 0, -1, -1, -1, -1, -1, -1, 1, 1, 0, 0, -1, 0],
+            [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 1, 0, 0, 0],
+            [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 1, 0, 0],
+        ],
+    },
+    "case ii --toeplitz": {
+        "k0": "Z^3 + Z/2",
+        "k1": "Z^2",
+        "k0_classes": PINNED_CASE_II_K0_CLASSES,
+        "k1_basis": [
+            [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 1, 0, 0, 0],
+            [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 1, 0, 0],
+        ],
+    },
+}
+
+PINNED_COLIMIT = {
+    "k0": "Z/2",
+    "k1": "Z^2",
+    "k0_classes": {v: [int(v == "w1")] for v in PINNED_CASE_II_K0_CLASSES},
+    "stabilized": True,
+    "window": 2,
+    "forced": False,
+}
+
+
+def test_ktheory_and_colimit_output_is_pinned(capsys, tmp_path):
+    """Exit code, stdout and stderr byte for byte: ``ktheory`` with and without
+    --toeplitz on a graph whose two degree-one routes give different bases and
+    on a case ii chain layer with an exempt vertex, and ``colimit`` on that
+    chain."""
+    from test_ktheory import K1_BASES
+
+    different = write(tmp_path, "different.json", json.loads(dump_graph(K1_BASES["different"])))
+    chain = str(tmp_path / "chain.json")
+    assert run(capsys, "synthesize", "--k0", "Z/2", "--k1", "Z^2", "--depth", "4", "-o", chain)[0] == 0
+    assert load_graph(chain).layer_graph(1).relation_exempt == {"u"}
+    for key, argv in (("different", (different,)), ("case ii", (chain, "--at", "1"))):
+        for flag in ("", " --toeplitz"):
+            want = PINNED_KTHEORY[key + flag]
+            err = f"K0 = {want['k0']}, K1 = {want['k1']}\n"
+            assert run(capsys, "ktheory", *argv, *flag.split()) == (0, json.dumps(want, indent=2) + "\n", err)
+    err = "K0 = Z/2, K1 = Z^2, stabilized = True (window 2)\n"
+    assert run(capsys, "colimit", chain) == (0, json.dumps(PINNED_COLIMIT, indent=2) + "\n", err)

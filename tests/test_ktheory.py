@@ -218,7 +218,8 @@ def _full_relation_route_two(graph):
     full_k1 = IntMatrix.from_sparse_columns(len(verts), [full.u_row(i) for i in range(full.rank, len(verts))])
     full_rows = full_k1.to_lists()
     at_exempt = [full_rows[verts.index(u)] for u in sorted(graph.relation_exempt)]
-    return full_k1 @ kernel_basis(IntMatrix.from_rows(at_exempt, cols=full_k1.cols))
+    ker = kernel_basis(IntMatrix.from_rows(at_exempt, cols=full_k1.cols))
+    return full_k1 @ IntMatrix.from_sparse_columns(full_k1.cols, ker)
 
 
 def _recorded_route_two(monkeypatch, graph):
@@ -235,11 +236,9 @@ def _recorded_route_two(monkeypatch, graph):
     kt = ktheory(graph)
     monkeypatch.undo()
     (ker,) = kernels
-    verts, svs = graph.vertex_list, graph.s_vertices
-    rows = [(0,) * ker.cols] * len(verts)
-    for u, row in zip(svs, ker.to_lists()):
-        rows[verts.index(u)] = row
-    return kt, IntMatrix.from_rows(rows, cols=ker.cols)
+    verts = graph.vertex_list
+    spos = [verts.index(u) for u in graph.s_vertices]
+    return kt, IntMatrix.from_sparse_columns(len(verts), [{spos[k]: x for k, x in col.items()} for col in ker])
 
 
 def _route_two_graphs():
@@ -279,13 +278,12 @@ def test_dual_route_check_catches_a_corrupted_route_two(monkeypatch, graph, corr
     ktheory_mod = importlib.import_module("graphck.ktheory")
 
     def corrupted(m):
-        ker = kernel_basis(m)
-        cols = ker.columns()
+        cols = list(kernel_basis(m))
         if corrupt == "drop":
             cols.pop()
         else:
-            cols[0] = [2 * x for x in cols[0]]
-        return IntMatrix.from_rows(cols, cols=m.cols).transpose()
+            cols[0] = {i: 2 * x for i, x in cols[0].items()}
+        return cols
 
     monkeypatch.setattr(ktheory_mod, "kernel_basis", corrupted)
     with pytest.raises(AssertionError, match="two K1 computations disagree"):
@@ -324,9 +322,9 @@ def test_dual_route_check_compares_lattices_only_when_the_bases_differ(monkeypat
         ktheory_mod = importlib.import_module("graphck.ktheory")
 
         def doubled(m):  # one kernel column scaled by 2
-            cols = list(kernel_basis(m).sparse_columns())
+            cols = list(kernel_basis(m))
             cols[0] = {i: 2 * x for i, x in cols[0].items()}
-            return IntMatrix.from_sparse_columns(m.cols, cols)
+            return cols
 
         monkeypatch.setattr(ktheory_mod, "kernel_basis", doubled)
     else:
@@ -374,6 +372,27 @@ def test_k1_relation_check_catches_a_corrupted_route_one_row(monkeypatch):
                 ktheory(g)
         caught += 1
     assert caught == 90
+
+
+def test_k1_relation_check_runs_at_every_vertex(monkeypatch):
+    # e_u satisfies the relation at u, whose loop feeds it back, but not at
+    # the exempt w, which u also feeds: K1 = 0.  Both routes are made to
+    # return e_u, so only the relation at w can refuse it
+    graph = FiniteGraph(["u", "w"], [("l", "u", "u"), ("e", "u", "w")], ["w"])
+    assert ktheory(graph).k1.is_trivial
+    ktheory_mod = importlib.import_module("graphck.ktheory")
+    orig = ktheory_mod.cokernel
+
+    def route_one_e_u(m, generators):
+        k0 = orig(m, generators)
+        k0.snf.rank = 0  # the one U row is read as past the rank
+        k0.snf.u_row = lambda i: {0: 1}
+        return k0
+
+    monkeypatch.setattr(ktheory_mod, "cokernel", route_one_e_u)
+    monkeypatch.setattr(ktheory_mod, "kernel_basis", lambda m: [{0: 1}])
+    with pytest.raises(AssertionError, match="K1 representative violates a relation"):
+        ktheory(graph)
 
 
 def _dense_relations_hold(graph, x, at):
@@ -558,7 +577,7 @@ def _reference_les_nodes(graph):
     k1_full = kt_o.k1_lattice
     bdry_cols = [boundary_map(graph, x) for x in k1_full.columns()]
     image = ColumnLattice(IntMatrix.from_sparse_columns(len(exempt), [dict(enumerate(c)) for c in bdry_cols]))
-    ker_boundary = k1_full @ image.snf.kernel()
+    ker_boundary = k1_full @ IntMatrix.from_sparse_columns(k1_full.cols, image.snf.kernel())
     nodes["exact_at_k1_full"] = kt_t.k1_column.equals(ColumnLattice(ker_boundary))
     ideal_rows = relation_matrix(graph, at_vertices=exempt)
     kerj = _preimage_lattice_rows(ideal_rows.transpose(), kt_t.k0).transpose()
@@ -723,10 +742,10 @@ def test_les_node1_catches_a_doubled_k1_toeplitz_column(monkeypatch):
         kt_t = ktheory(g)
         if not kt_t.k1.free_rank:
             continue
-        cols = [dict(c) for c in kt_t.k1_lattice.sparse_columns()]
+        cols = list(kt_t.k1_basis)
         cols[0] = {i: 2 * x for i, x in cols[0].items()}
-        lattice = IntMatrix.from_sparse_columns(kt_t.k1_lattice.rows, cols)
-        bad_t = dataclasses.replace(kt_t, k1_lattice=lattice, k1_column=ColumnLattice(lattice))
+        lattice = ColumnLattice(IntMatrix.from_sparse_columns(len(kt_t.vertex_order), cols))
+        bad_t = dataclasses.replace(kt_t, k1_basis=cols, k1_column=lattice)
         with monkeypatch.context() as m:
             _corrupting(m, lambda graph, kt: bad_t if graph.relation_exempt else kt)
             rep = les_check(g)
