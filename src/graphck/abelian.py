@@ -786,9 +786,6 @@ class FgAbelianGroup:
     def canonical_pair(self) -> tuple[int, tuple[int, ...]]:
         return (self.free_rank, self.invariant_factors)
 
-    def is_isomorphic_to(self, other: "FgAbelianGroup") -> bool:
-        return self.canonical_pair() == other.canonical_pair()
-
     def same_as(self, other: "FgAbelianGroup") -> bool:
         """Same generators and relations, not just the same isomorphism class."""
         return self.generators == other.generators and self.relations == other.relations

@@ -131,14 +131,10 @@ def _layer_for(args, graph):
         n = args.at if args.at is not None else len(graph) - 1
         if not 0 <= n < len(graph):
             raise GraphFormatError(f"layer {n} out of range for a chain of length {len(graph)}")
-        if args.toeplitz:
-            return graph.layer_graph(n)
-        return graph.layer_graph(n, relation_exempt=())
-    if args.at is not None:
+        graph = graph.layer_graph(n)
+    elif args.at is not None:
         raise GraphFormatError("--at only applies to chain files")
-    if args.toeplitz:
-        return graph
-    return FiniteGraph(graph.vertices, graph.edges, ())
+    return graph if args.toeplitz else FiniteGraph(graph.vertices, graph.edges)
 
 
 def cmd_ktheory(args) -> int:
@@ -276,7 +272,6 @@ def cmd_lab_straighten(args) -> int:
 def cmd_lab_w(args) -> int:
     if args.scenario not in CANONICAL_W_SCENARIOS + ("scalar",):
         return _usage(f"unknown scenario {args.scenario!r}")
-    sc = lemma36_scenario(args.scenario)
     try:
         ts = [float(x) for x in args.t.split(",")]
     except ValueError:
@@ -284,6 +279,7 @@ def cmd_lab_w(args) -> int:
     bad = [t for t in ts if not 0.0 <= t < 1.0]  # NaN fails both comparisons
     if bad:
         return _usage(f"--t must lie in [0, 1), got {bad[0]}")
+    sc = lemma36_scenario(args.scenario)
     rows = []
     for t in ts:
         _, rep = lemma36_w(sc.a, sc.b, sc.r, t, sc.case, ideal_fiber=sc.ideal_fiber)

@@ -226,12 +226,10 @@ class GraphChain:
         vs = self.layers[n]
         return tuple(e for e in self.edges if e[1] in vs and e[2] in vs)
 
-    def layer_graph(self, n: int, relation_exempt: Iterable[str] | None = None) -> FiniteGraph:
-        """Layer n as a finite graph, by default exempting the layer's vertices
-        outside its Toeplitz S set; that default graph is built once per layer."""
+    def layer_graph(self, n: int) -> FiniteGraph:
+        """Layer n as a finite graph exempting the layer's vertices outside its
+        Toeplitz S set, built once per layer."""
         vs = self.layers[n]
-        if relation_exempt is not None:
-            return FiniteGraph(vs, self.layer_edges(n), relation_exempt)
         g = self._layer_graphs.get(n)
         if g is None:
             # the layer edges are a sorted subset of the checked chain edges

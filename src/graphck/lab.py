@@ -296,11 +296,6 @@ class DefectReport:
     defects: dict[str, float] = field(default_factory=dict)
     j_residuals: dict[str, float] = field(default_factory=dict)
 
-    def __post_init__(self):
-        for name, val in list(self.defects.items()) + list(self.j_residuals.items()):
-            if val < 0:
-                raise LabError(f"negative defect {name}")
-
 
 def lemma36_w(
     a: MatField,

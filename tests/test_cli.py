@@ -601,6 +601,64 @@ def test_synthesize_refuses_oversized_requests_under_a_memory_cap(k0, k1):
     assert proc.stdout == ""
 
 
+# Every usage and input error, one row per case: the arguments, with {graph}
+# for a finite graph file, {chain} for a two-layer chain file, {bad_json}
+# and {dup} for malformed files, and the start of the one stderr line.
+_ERROR_TABLE = [
+    (("check", "{chain}", "--window", "0"), "usage error: --window must be at least 1, got 0"),
+    (("colimit", "{chain}", "--window", "0"), "usage error: --window must be at least 1, got 0"),
+    (("colimit", "{chain}"), "usage error: chain of length 2 is too short for window 2"),
+    (("ktheory", "{graph}", "--at", "0"), "input error: --at only applies to chain files"),
+    (("ktheory", "{chain}", "--at", "2"), "input error: layer 2 out of range for a chain of length 2"),
+    (("ktheory", "{chain}", "--at", "-1", "--toeplitz"), "input error: layer -1 out of range"),
+    (("boundary", "{graph}", "--class", "x"), "input error: --class must be a comma-separated integer vector"),
+    (("synthesize", "--k0", "Z^", "--k1", "Z"), "usage error: syntax error in term 'Z^'"),
+    (("synthesize", "--k0", "0", "--k1", "0"), "usage error: the trivial pair (0, 0) is not realized"),
+    (("synthesize", "--k0", "Z^3000", "--k1", "Z^3000"), "usage error: the construction would build more edges"),
+    (("lab", "straighten", "--trials", "0"), "usage error: --trials must be at least 1, got 0"),
+    (("lab", "straighten", "--seed", "-1"), "usage error: --seed must be non-negative, got -1"),
+    (("lab", "w", "--scenario", "nope"), "usage error: unknown scenario 'nope'"),
+    (("lab", "w", "--t", "abc"), "usage error: --t must be a comma-separated list of floats"),
+    (("lab", "w", "--t", "1.5"), "usage error: --t must lie in [0, 1), got 1.5"),
+    (("lab", "family", "--scenario", "nope"), "usage error: unknown scenario 'nope'"),
+    (("lab", "family", "--seed", "-1"), "usage error: --seed must be non-negative, got -1"),
+]
+_ERROR_TABLE += [
+    ((command, "{" + file + "}", *extra), prefix)
+    for file, prefix in (
+        ("bad_json", "input error: {bad_json}: invalid JSON at line 1 column 2"),
+        ("dup", "input error: duplicate vertex 'a'"),
+    )
+    for command, *extra in (("check",), ("ktheory",), ("colimit",), ("boundary", "--class", "1"), ("les-check",))
+]
+
+# what the CLI reaches past its argument and file checks
+_ENGINE = (
+    "check_condition_a", "check_condition_b2", "every_cycle_has_exit", "is_cycle", "is_irreducible",
+    "boundary_map", "chain_ktheory_report", "ktheory", "les_check", "synthesize",
+    "condition_o_residuals", "lemma36_w", "partial_isometry_defect", "straighten", "straighten_family",
+    "family_scenario", "injected_defect_trial", "lemma36_scenario",
+)
+
+
+@pytest.mark.parametrize("argv,prefix", _ERROR_TABLE, ids=[" ".join(argv) for argv, _ in _ERROR_TABLE])
+def test_every_usage_and_input_error_exits_two_before_any_engine_call(capsys, tmp_path, monkeypatch, argv, prefix):
+    edges = [("g", "v", "u"), ("lv", "v", "v"), ("h", "u", "v"), ("hw", "u", "w"), ("lw", "w", "w"), ("back", "w", "v")]
+    files = {
+        "graph": write(tmp_path, "graph.json", {"vertices": ["v"], "edges": [{"id": "l", "from": "v", "to": "v"}]}),
+        "chain": write(tmp_path, "chain.json", chain_data(edges, ["u"], [["u", "v"], ["u", "v", "w"]])),
+        "dup": write(tmp_path, "dup.json", {"vertices": ["a", "b", "a"], "edges": []}),
+    }
+    files["bad_json"] = str(tmp_path / "bad.json")
+    (tmp_path / "bad.json").write_text("{", encoding="utf-8")
+    cli_mod = importlib.import_module("graphck.cli")
+    for name in _ENGINE:
+        monkeypatch.setattr(cli_mod, name, lambda *a, _name=name, **k: pytest.fail(f"{_name} reached"))
+    code, out, err = run(capsys, *(a.format(**files) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith(prefix.format(**files)) and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("command", ["ktheory", "les-check", "check"])
 @pytest.mark.parametrize("chain", [False, True])
 def test_duplicate_vertex_exits_two(capsys, tmp_path, command, chain):

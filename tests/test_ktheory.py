@@ -41,6 +41,12 @@ def loops(n):
     return FiniteGraph({"v"}, [(f"l{i}", "v", "v") for i in range(n)])
 
 
+def with_s_set(graph, at):
+    """The graph's vertices and edges with relation set ``at``, so that
+    ``relation_matrix`` gives one relation row per vertex of ``at``."""
+    return FiniteGraph(graph.vertices, graph.edges, graph.vertices - set(at))
+
+
 @pytest.fixture
 def snf_calls(monkeypatch):
     """Shapes of every Smith form computed."""
@@ -184,6 +190,17 @@ def test_boundary_rejects_non_classes():
     # x(v) = x(u) + x(v) forces x(u) = 0
     with pytest.raises(ValueError):
         boundary_map(g, (1, 0))
+    # x = e_v holds the relation at v (its one in-edge is v's loop) and fails
+    # it at exempt u, where x(u) = 0 but the in-edge sum is x(v) = 1: read
+    # unchecked, -x(u) would not be the in-edge sum
+    g = FiniteGraph({"u", "v"}, [("lv", "v", "v"), ("e", "v", "u")], {"u"})
+    x = (0, 1)
+    holds = {u: x[g.vertex_index[u]] == sum(x[g.vertex_index[o]] for _, o, _ in g.in_edges(u)) for u in "uv"}
+    assert holds == {"u": False, "v": True}
+    assert _in_edge_index_map(g, x) == (-1,)
+    with pytest.raises(ValueError, match="not a degree-one class"):
+        boundary_map(g, x)
+    assert boundary_map(g, (1, 1)) == (-1,)
 
 
 def test_boundary_onto_for_tower_layers():
@@ -214,7 +231,7 @@ def _full_relation_route_two(graph):
     the full relation matrix (the degree-one lattice with no exempt vertex),
     cut down to the vectors vanishing on the exempt vertices."""
     verts = graph.vertex_list
-    full = smith_normal_form(relation_matrix(graph, at_vertices=verts))
+    full = smith_normal_form(relation_matrix(with_s_set(graph, verts)))
     full_k1 = IntMatrix.from_sparse_columns(len(verts), [full.u_row(i) for i in range(full.rank, len(verts))])
     full_rows = full_k1.to_lists()
     at_exempt = [full_rows[verts.index(u)] for u in sorted(graph.relation_exempt)]
@@ -395,33 +412,38 @@ def test_k1_relation_check_runs_at_every_vertex(monkeypatch):
         ktheory(graph)
 
 
-def _dense_relations_hold(graph, x, at):
+def _dense_relations_hold(graph, x):
     """The K1 relation check as first written, kept as a reference: at each
-    vertex u of ``at``, x(u) against the sum of x over the edges into u."""
+    vertex u, x(u) against the sum of x over the edges into u."""
     vidx = graph.vertex_index
-    return all(x[vidx[u]] == sum(x[vidx[o]] for _, o, _ in graph.in_edges(u)) for u in at)
+    return all(x[vidx[u]] == sum(x[vidx[o]] for _, o, _ in graph.in_edges(u)) for u in graph.vertex_list)
 
 
 def test_sparse_k1_relation_check_matches_the_dense_reference():
     rng = random.Random(29)
     outcomes = Counter()
-    for g in _full_relation_graphs(300, 41):
-        verts, nv, vidx = g.vertex_list, len(g.vertex_list), g.vertex_index
-        vectors = [list(c) for c in ktheory(g).k1_lattice.columns()]
+    for g in _full_relation_graphs(400, 41):
+        nv, vidx = len(g.vertex_list), g.vertex_index
+        basis = [list(c) for c in ktheory(g).k1_lattice.columns()]
+        # integer combinations of the basis hold everywhere, and a unit step
+        # off one of them fails at some vertex
+        vectors = basis + [
+            [sum(c * col[i] for c, col in zip(coeffs, basis)) for i in range(nv)]
+            for coeffs in ([rng.randint(-2, 2) for _ in basis] for _ in range(2))
+        ]
         for x in list(vectors):
             y = list(x)
             y[rng.randrange(nv)] += rng.choice((-1, 1))
             vectors.append(y)
         vectors.append([rng.randint(-2, 2) for _ in range(nv)])
         for x in vectors:
-            for at in (verts, sorted(rng.sample(verts, rng.randint(0, nv)))):
-                want = _dense_relations_hold(g, x, at)
-                assert _k1_relations_hold(g, {i: v for i, v in enumerate(x) if v}, at) == want
-                assert _k1_relations_hold(g, dict(enumerate(x)), at) == want
-                # parallel edges leaving the support of x: the sums must count
-                # in-edge multiplicity
-                multi = max(Counter((o, t) for _, o, t in g.edges if x[vidx[o]]).values(), default=0) > 1
-                outcomes[want, multi] += 1
+            want = _dense_relations_hold(g, x)
+            assert _k1_relations_hold(g, {i: v for i, v in enumerate(x) if v}) == want
+            assert _k1_relations_hold(g, dict(enumerate(x))) == want
+            # parallel edges leaving the support of x: the sums must count
+            # in-edge multiplicity
+            multi = max(Counter((o, t) for _, o, t in g.edges if x[vidx[o]]).values(), default=0) > 1
+            outcomes[want, multi] += 1
     # the check holds and fails, with and without parallel edges, many times
     assert len(outcomes) == 4 and min(outcomes.values()) >= 50
 
@@ -579,7 +601,7 @@ def _reference_les_nodes(graph):
     image = ColumnLattice(IntMatrix.from_sparse_columns(len(exempt), [dict(enumerate(c)) for c in bdry_cols]))
     ker_boundary = k1_full @ IntMatrix.from_sparse_columns(k1_full.cols, image.snf.kernel())
     nodes["exact_at_k1_full"] = kt_t.k1_column.equals(ColumnLattice(ker_boundary))
-    ideal_rows = relation_matrix(graph, at_vertices=exempt)
+    ideal_rows = relation_matrix(with_s_set(graph, exempt))
     kerj = _preimage_lattice_rows(ideal_rows.transpose(), kt_t.k0).transpose()
     nodes["exact_at_ideal"] = image.equals(ColumnLattice(kerj))
     k0_all = kt_o.k0
@@ -587,7 +609,7 @@ def _reference_les_nodes(graph):
     nodes["exact_at_k0_toeplitz"] = all(
         coker_j.lattice_contains(r) for r in k0_all.relations.iter_rows()
     ) and all(k0_all.lattice_contains(r) for r in coker_j.relations.iter_rows())
-    nodes["coker_ideal_map_is_k0_full"] = coker_j.is_isomorphic_to(kt_o.k0)
+    nodes["coker_ideal_map_is_k0_full"] = coker_j == kt_o.k0
     return nodes, coker_j
 
 
@@ -638,8 +660,7 @@ def _recheck_k0_witness(graph, kt_t, kt_o, witness):
     """Confirm a node-3 witness from dense relation rows and sums of classes."""
     if "vertex" in witness:
         kt = kt_t if witness["check"].startswith("the Toeplitz") else kt_o
-        full = FiniteGraph(graph.vertices, graph.edges)
-        (row,) = relation_matrix(full, at_vertices=[witness["vertex"]]).to_lists()
+        (row,) = relation_matrix(with_s_set(graph, [witness["vertex"]])).to_lists()
         classes = [kt.k0_class_of_vertex[v] for v in graph.vertex_list]
         total = [sum(x * c[i] for x, c in zip(row, classes)) for i in range(kt.k0.ncoords)]
         return any(kt.k0.reduce_coords(total))
@@ -772,15 +793,34 @@ def _lattice_invariants(cols, n):
     return 0, 1
 
 
+def _in_edge_index_map(graph, x):
+    """The index map as first written, kept as a reference: at each exempt
+    u, minus the sum of x over the edges into u."""
+    vidx = graph.vertex_index
+    return tuple(-sum(x[vidx[o]] for _, o, _ in graph.in_edges(u)) for u in sorted(graph.relation_exempt))
+
+
 def test_les_index_map_is_boundary_map_without_the_recheck(monkeypatch):
-    # ktheory(graph_o) checks the relation at every vertex for the K1(O)
-    # basis, so node 1 reads B from the in-edges without boundary_map's
-    # recheck; the columns are boundary_map's all the same
+    # a K1(O) class satisfies the relation at every vertex, so at exempt u
+    # the in-edge sum is x(u): boundary_map and les_check's unchecked
+    # _index_map both read -x(u), and both must equal the in-edge sum
     ktheory_mod = importlib.import_module("graphck.ktheory")
-    graphs = _exempt_graphs(150, 16)
+    graphs = _exempt_graphs(150, 16) + list(_route_two_graphs())
+    kinds = Counter()
     for g in graphs:
         basis = ktheory(FiniteGraph(g.vertices, g.edges)).k1_lattice
-        assert ktheory_mod._index_map(g, basis.sparse_columns()) == [boundary_map(g, x) for x in basis.columns()]
+        want = [_in_edge_index_map(g, x) for x in basis.columns()]
+        assert ktheory_mod._index_map(g, basis.sparse_columns()) == want
+        assert [boundary_map(g, x) for x in basis.columns()] == want
+        # exempt vertices with a nonzero component, and those reached by a
+        # loop or by parallel edges
+        for k, u in enumerate(sorted(g.relation_exempt)):
+            if any(col[k] for col in want):
+                kinds["nonzero"] += 1
+                origins = Counter(o for _, o, _ in g.in_edges(u))
+                kinds["loop"] += u in origins
+                kinds["parallel"] += max(origins.values()) > 1
+    assert min(kinds.values()) >= 20, kinds
     with monkeypatch.context() as m:
         m.setattr(ktheory_mod, "boundary_map", None)
         assert all(all(les_check(g).checks.values()) for g in graphs)
@@ -819,7 +859,7 @@ def test_les_node2_catches_a_zeroed_index_map_column(monkeypatch, capsys, tmp_pa
         x = rep.witnesses["exact_at_ideal"]["vector"]
         # x is in the kernel of the ideal-class map: the class of the sum of
         # x_u times u's relation row vanishes in K0(T)
-        rows = relation_matrix(g, at_vertices=sorted(g.relation_exempt)).to_lists()
+        rows = relation_matrix(with_s_set(g, g.relation_exempt)).to_lists()
         ambient = [sum(x[k] * rows[k][i] for k in range(ne)) for i in range(len(g.vertex_list))]
         assert not any(kt_t.k0.class_of(ambient))
         # and outside the lattice of the corrupted index-map columns
@@ -1086,7 +1126,6 @@ def test_chain_report_builds_each_layer_graph_once(monkeypatch):
     assert built == [len(layer) for layer in chain.layers]
     assert [kt.graph for kt in rep.layer_results] == [chain.layer_graph(n) for n in range(len(chain))]
     assert chain.layer_graph(1) is rep.layer_results[1].graph
-    assert chain.layer_graph(1, relation_exempt=()).relation_exempt == frozenset()
 
 
 def _count_replays(monkeypatch):
