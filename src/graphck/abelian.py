@@ -21,11 +21,13 @@ use (class maps skip the positions with a unit diagonal entry, and lattice
 tests run the row log forward on the vector they test), and none of them
 builds a dense transform.  Groups given in canonical form carry
 their diagonal presentation with empty logs and need no reduction.
-``cokernel`` presents Z^n modulo the row lattice of a relation matrix and
-remembers enough of the transform to convert ambient integer vectors into
-canonical coordinates (``FgAbelianGroup.class_of``).  ``kernel_basis`` returns
-a saturated basis of the integer kernel lattice: the free columns of V, as the
-sparse ``{index: nonzero}`` columns the Smith form replayed them.
+A group is its relation matrix: ``cokernel`` presents Z^n modulo the row
+lattice of a matrix with n columns, the group's generators are the unit
+vectors of Z^n and carry no names, and the matrix's Smith form converts
+ambient integer vectors into canonical coordinates
+(``FgAbelianGroup.class_of``).  ``kernel_basis`` returns a saturated basis
+of the integer kernel lattice: the free columns of V, as the sparse
+``{index: nonzero}`` columns the Smith form replayed them.
 ``GroupHom`` is a homomorphism between presented groups, checked for
 well-definedness at construction.  ``colimit_chain_detailed`` computes the
 direct limit of a finite prefix of a chain of groups along homomorphisms,
@@ -712,34 +714,23 @@ def _canonical_from_diagonal(diag: Iterable[int], ambient: int) -> tuple[int, tu
 
 
 class FgAbelianGroup:
-    """A finitely generated abelian group, given by generators and relations.
+    """A finitely generated abelian group: a relation matrix and its Smith form.
 
-    ``relations`` rows are integer relations on the generators; the group
-    Z^n / rowspace(relations) is put in invariant-factor form once, by Smith
-    normal form.  ``invariant_factors`` are the torsion orders, each >= 2 and
-    each dividing the next; ``free_rank`` counts the Z summands.  The
-    canonical pair is the unique comparison key: two groups are isomorphic
-    iff the pairs agree.  Ambient vectors convert to canonical coordinates
-    and back.  Groups built straight from canonical data get the diagonal
-    presentation, whose Smith form needs no reduction.
+    The group is Z^n / rowspace(relations) with n = ``relations.cols``; its
+    generators are the n unit vectors of Z^n, unnamed, and each row of
+    ``relations`` is one integer relation on them.  The Smith form, computed
+    once, puts the group in invariant-factor form: ``invariant_factors`` are
+    the torsion orders, each >= 2 and each dividing the next, and
+    ``free_rank`` counts the Z summands.  The canonical pair is the unique
+    comparison key: two groups are isomorphic iff the pairs agree.  Ambient
+    vectors convert to canonical coordinates and back.  Groups built
+    straight from canonical data get the diagonal presentation, whose Smith
+    form needs no reduction.
     """
 
-    __slots__ = (
-        "generators",
-        "relations",
-        "snf",
-        "free_rank",
-        "invariant_factors",
-        "_torsion_pos",
-        "_free_pos",
-    )
+    __slots__ = ("relations", "snf", "free_rank", "invariant_factors", "_positions")
 
-    def __init__(
-        self, generators: Sequence[str], relations: IntMatrix, snf: SmithDecomposition | None = None
-    ):
-        self.generators = tuple(generators)
-        if relations.cols != len(self.generators):
-            raise ValueError("relation matrix width must match generator count")
+    def __init__(self, relations: IntMatrix, snf: SmithDecomposition | None = None):
         self.relations = relations
         self.snf = smith_normal_form(relations) if snf is None else snf
         diag = self.snf.diagonal
@@ -748,10 +739,11 @@ class FgAbelianGroup:
             if y % x:
                 raise ValueError("invariant factors must be in divisibility order")
         self.invariant_factors = factors
-        self._torsion_pos = tuple(j for j, x in enumerate(diag) if x >= 2)
-        self._free_pos = tuple(
-            j for j in range(relations.cols) if j >= len(diag) or diag[j] == 0
-        )
+        # coordinate t of a vector x is (x @ V)[_positions[t]].  The diagonal
+        # holds its unit entries, then the torsion orders, then zeros, and a
+        # unit entry constrains nothing, so the positions past the units carry
+        # the coordinates: torsion ones, then free ones
+        self._positions = tuple(range(diag.count(1), relations.cols))
 
     # -- constructors ------------------------------------------------------
 
@@ -767,13 +759,13 @@ class FgAbelianGroup:
         rel = IntMatrix._of(len(factors), n, tuple({i: x} for i, x in enumerate(factors)))
         # rel is already in Smith form: every transform is the identity
         snf = SmithDecomposition(len(factors), n, factors, (range(len(factors)), range(n)), ((), ()))
-        return cls([f"g{i + 1}" for i in range(n)], rel, snf)
+        return cls(rel, snf)
 
     # -- structure ---------------------------------------------------------
 
     @property
     def ngens(self) -> int:
-        return len(self.generators)
+        return self.relations.cols
 
     @property
     def is_trivial(self) -> bool:
@@ -787,8 +779,8 @@ class FgAbelianGroup:
         return (self.free_rank, self.invariant_factors)
 
     def same_as(self, other: "FgAbelianGroup") -> bool:
-        """Same generators and relations, not just the same isomorphism class."""
-        return self.generators == other.generators and self.relations == other.relations
+        """Same relations, not just the same isomorphism class."""
+        return self.relations == other.relations
 
     def __eq__(self, other) -> bool:
         # equality is isomorphism-class equality; presentations may differ
@@ -802,38 +794,26 @@ class FgAbelianGroup:
 
     # -- canonical coordinates ---------------------------------------------
 
-    def coordinate_positions(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return self._torsion_pos, self._free_pos
-
-    # coordinate j of a vector x is (x @ V)[j]; only the torsion and free
-    # positions are read, since a unit diagonal entry constrains nothing
-
     def class_of(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Canonical coordinates of an ambient integer vector."""
         if len(vec) != self.ngens:
             raise ValueError("ambient vector length mismatch")
-        snf = self.snf
-        diag = snf.diagonal
-        coords = [_dot(snf.v_col(j), vec) % diag[j] for j in self._torsion_pos]
-        coords.extend(_dot(snf.v_col(j), vec) for j in self._free_pos)
-        return tuple(coords)
+        v_col = self.snf.v_col
+        return self.reduce_coords([_dot(v_col(j), vec) for j in self._positions])
 
     def generator_classes(self) -> list[tuple[int, ...]]:
         """``class_of`` of every generator's unit vector, one V column at a time."""
-        snf = self.snf
-        diag = snf.diagonal
-        positions = self._torsion_pos + self._free_pos
-        coords = [[0] * len(positions) for _ in range(self.ngens)]
-        for t, j in enumerate(positions):
-            d = diag[j] if t < len(self._torsion_pos) else 0
-            for i, x in snf.v_col(j).items():
+        v_col, factors = self.snf.v_col, self.invariant_factors
+        coords = [[0] * len(self._positions) for _ in range(self.ngens)]
+        for t, j in enumerate(self._positions):
+            d = factors[t] if t < len(factors) else 0
+            for i, x in v_col(j).items():
                 coords[i][t] = x % d if d else x
         return [tuple(c) for c in coords]
 
     def section(self, i: int) -> tuple[int, ...]:
         """An ambient vector whose class is the i-th canonical basis element."""
-        pos = (self._torsion_pos + self._free_pos)[i]
-        return _dense(self.snf.vinv_row(pos), self.ngens)
+        return _dense(self.snf.vinv_row(self._positions[i]), self.ngens)
 
     def lattice_contains(self, vec: Sequence[int]) -> bool:
         """Is ``vec`` in the row lattice of the relations?"""
@@ -851,15 +831,14 @@ class FgAbelianGroup:
         return tuple(out)
 
 
-def cokernel(m: IntMatrix, generators: Sequence[str] | None = None) -> FgAbelianGroup:
-    """Z^cols(m) modulo the row lattice of ``m``, presented by ``m``.
+def cokernel(m: IntMatrix) -> FgAbelianGroup:
+    """Z^cols(m) modulo the row lattice of ``m``: the group whose relation matrix is ``m``.
 
-    Rows of ``m`` are relations on the ambient generators.  The result's
-    ``class_of`` maps any ambient vector to canonical coordinates.
+    Rows of ``m`` are relations on the unit vectors of Z^cols(m), the
+    group's unnamed generators.  The result's ``class_of`` maps any ambient
+    vector to canonical coordinates.
     """
-    if generators is None:
-        generators = tuple(f"g{i + 1}" for i in range(m.cols))
-    return FgAbelianGroup(generators, m)
+    return FgAbelianGroup(m)
 
 
 # ---------------------------------------------------------------------------
@@ -875,14 +854,6 @@ class ColumnLattice:
     def __init__(self, matrix: IntMatrix):
         self.matrix = matrix
         self.snf = smith_normal_form(matrix)
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.matrix.rows
-
-    @property
-    def rank(self) -> int:
-        return self.snf.rank
 
     # vec is in the lattice iff (U @ vec)[i] is a multiple of the i-th diagonal
     # entry (0 past the rank) for every i; rows at unit entries always pass
@@ -916,7 +887,7 @@ class ColumnLattice:
         return tuple(out)
 
     def equals(self, other: "ColumnLattice") -> bool:
-        if self.ambient_dim != other.ambient_dim:
+        if self.matrix.rows != other.matrix.rows:
             return False
         return all(map(other.contains, self.matrix.columns())) and all(
             map(self.contains, other.matrix.columns())
@@ -1039,8 +1010,8 @@ def colimit_chain_detailed(
     reported with ``stabilized=True``.  A False flag means the prefix is too
     short to certify anything.
 
-    Repeated inputs are reduced once: a window input (the presentations at i
-    and i+window and the window's map matrices) equal to one met before
+    Repeated inputs are reduced once: a window input (the relation matrices
+    at i and i+window and the window's map matrices) equal to one met before
     reuses that reduced group, and an induced map between the same two
     reduced groups is checked once.  A chain that has settled into equal
     groups and maps costs one reduction and one check instead of window+2
@@ -1065,14 +1036,14 @@ def colimit_chain_detailed(
     reduced: dict[int, FgAbelianGroup] = {}
     for i in range(first, last + 1):
         g, h = groups[i], groups[i + window]
-        key = (g.generators, g.relations, h.generators, h.relations)
+        key = (g.relations, h.relations)
         key += tuple(f.matrix for f in homs[i : i + window])
         red = next((red for k, red in seen if k == key), None)
         if red is None:
             comp = homs[i]
             for j in range(i + 1, i + window):
                 comp = hom_compose(comp, homs[j])
-            red = cokernel(g.relations.vstack(_preimage_lattice_rows(comp.matrix, h)), g.generators)
+            red = cokernel(g.relations.vstack(_preimage_lattice_rows(comp.matrix, h)))
             seen.append((key, red))
         reduced[i] = red
 

@@ -334,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("boundary", help="index map on a degree-one class")
     p.add_argument("file")
-    p.add_argument("--class", dest="cls", required=True, help="comma-separated integers")
+    p.add_argument("--class", dest="cls", required=True, help="comma-separated integers, as in --class=-1,0,1")
     p.set_defaults(func=cmd_boundary)
 
     p = sub.add_parser("les-check", help="verify the Toeplitz extension sequence")

@@ -316,6 +316,8 @@ def load_graph(path: str) -> FiniteGraph | GraphChain:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from None
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"{path}: not UTF-8 text at byte {exc.start}") from None
     except RecursionError:
         raise GraphFormatError(f"{path}: JSON nested too deeply") from None
     return graph_from_json_dict(data)

@@ -107,20 +107,25 @@ def _k1_relations_hold(graph: FiniteGraph, x: dict) -> bool:
 class KTheoryResult:
     """K-theory of one (Toeplitz) graph algebra.
 
+    ``vertex_order`` is the graph's sorted vertex list: vertex i is the
+    generator e_i of ``k0`` and index i of every vertex vector.
     ``k1_basis`` holds representative integer vertex functions in Z^{F0} as
-    sparse ``{vertex index: nonzero}`` columns (sorted vertex order);
-    ``k0_class_of_vertex`` maps each vertex to the canonical coordinates of
-    its class.  ``k1_column`` is the lattice they span, with the Smith form
-    the degree-one check already computed, and ``k1_lattice`` its matrix.
+    sparse ``{vertex index: nonzero}`` columns; ``k0_class_of_vertex`` maps
+    each vertex to the canonical coordinates of its class.  ``k1_column`` is
+    the lattice they span, with the Smith form the degree-one check already
+    computed, and ``k1_lattice`` its matrix.
     """
 
     graph: FiniteGraph
-    vertex_order: tuple[str, ...]
     k0: FgAbelianGroup
     k0_class_of_vertex: dict[str, tuple[int, ...]]
     k1: FgAbelianGroup
     k1_basis: list[dict]
     k1_column: ColumnLattice = field(repr=False, compare=False)
+
+    @property
+    def vertex_order(self) -> tuple[str, ...]:
+        return self.graph.vertex_list
 
     @property
     def k1_lattice(self) -> IntMatrix:
@@ -147,7 +152,7 @@ def ktheory(graph: FiniteGraph) -> KTheoryResult:
     svs = graph.s_vertices
 
     rel = relation_matrix(graph)
-    k0 = cokernel(rel, generators=verts)
+    k0 = cokernel(rel)
     snf = k0.snf
     classes = dict(zip(verts, k0.generator_classes()))
     spos = [graph.vertex_index[u] for u in svs]
@@ -178,7 +183,6 @@ def ktheory(graph: FiniteGraph) -> KTheoryResult:
 
     return KTheoryResult(
         graph=graph,
-        vertex_order=verts,
         k0=k0,
         k0_class_of_vertex=classes,
         k1=FgAbelianGroup.canonical(len(basis)),
@@ -215,19 +219,26 @@ def _index_map(graph: FiniteGraph, columns: Iterable[dict]) -> list[tuple[int, .
     return [tuple(-x.get(i, 0) for i in at) for x in columns]
 
 
+def _class_sum(k0: FgAbelianGroup, terms: Iterable[tuple[int, Sequence[int]]]) -> tuple[int, ...]:
+    """The reduced canonical coordinates of sum c * cls over the (c, cls) in ``terms``."""
+    acc = [0] * k0.ncoords
+    for c, cls in terms:
+        if c:
+            for t, y in enumerate(cls):
+                acc[t] += c * y
+    return k0.reduce_coords(acc)
+
+
 def _relation_classes(kt: KTheoryResult, at: Sequence[str]) -> list[tuple[int, ...]]:
     """Canonical K0 class of the relation row e_u - sum e_{t(e)} at each u in ``at``.
 
     Read from the vertex classes and the out-edges; no Smith form.
     """
-    classes, k0 = kt.k0_class_of_vertex, kt.k0
-    out = []
-    for u in at:
-        acc = classes[u]
-        for _, _, t in kt.graph.out_edges(u):
-            acc = [a - b for a, b in zip(acc, classes[t])]
-        out.append(k0.reduce_coords(acc))
-    return out
+    classes = kt.k0_class_of_vertex
+    return [
+        _class_sum(kt.k0, [(1, classes[u]), *((-1, classes[t]) for _, _, t in kt.graph.out_edges(u))])
+        for u in at
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -245,15 +256,6 @@ class LesReport(Verdict):
 
 def _first(witnesses) -> dict | None:
     return next(iter(witnesses), None)
-
-
-def _combine(coeffs: Sequence[int], vectors: Sequence[Sequence[int]], n: int) -> list[int]:
-    """The sum of coeffs[k] * vectors[k], each vector of length n."""
-    acc = [0] * n
-    for c, vec in zip(coeffs, vectors):
-        if c:
-            acc = [a + c * y for a, y in zip(acc, vec)]
-    return acc
 
 
 def les_check(graph: FiniteGraph) -> LesReport:
@@ -344,7 +346,7 @@ def les_check(graph: FiniteGraph) -> LesReport:
     ) or _first(
         {"check": "the ideal-class map kills the image of the index map", "vector": list(b)}
         for b in bdry_cols
-        if any(k0_t.reduce_coords(_combine(b, ideal, k0_t.ncoords)))
+        if any(_class_sum(k0_t, zip(b, ideal)))
     )
     report.record("exact_at_ideal", witness)
 
@@ -367,11 +369,11 @@ def les_check(graph: FiniteGraph) -> LesReport:
         }
     k0_o = kt_o.k0
     n = k0_o.ncoords
-    classes_o = [kt_o.k0_class_of_vertex[v] for v in k0_o.generators]
+    classes_o = [kt_o.k0_class_of_vertex[v] for v in kt_o.vertex_order]
     onto = _first(
         {"check": "the full vertex classes generate K0(O)", "generator": k, "section": list(s)}
         for k, s in ((k, k0_o.section(k)) for k in range(n))
-        if k0_o.reduce_coords(_combine(s, classes_o, n)) != tuple(int(i == k) for i in range(n))
+        if _class_sum(k0_o, zip(s, classes_o)) != tuple(int(i == k) for i in range(n))
     )
     report.record("exact_at_k0_toeplitz", killed or same or onto)
     report.record("coker_ideal_map_is_k0_full", same or onto)
@@ -413,16 +415,9 @@ def inclusion_k0(
             raise ValueError(f"out-edges at relation vertex {u!r} differ between the graphs")
     if kt_small.graph != small or kt_large.graph != large:
         raise ValueError("the K-theory results passed are not those of the two graphs")
-    dom, order = kt_small.k0, kt_small.vertex_order
-    cod, classes = kt_large.k0, kt_large.k0_class_of_vertex
-    torsion, free = dom.coordinate_positions()
-    cols = []
-    for pos in torsion + free:
-        acc = [0] * cod.ncoords
-        for i, x in dom.snf.vinv_row(pos).items():
-            for t, y in enumerate(classes[order[i]]):
-                acc[t] += x * y
-        cols.append(dict(enumerate(cod.reduce_coords(acc))))
+    dom, cod = kt_small.k0, kt_large.k0
+    classes = [kt_large.k0_class_of_vertex[v] for v in kt_small.vertex_order]
+    cols = [dict(enumerate(_class_sum(cod, zip(dom.section(k), classes)))) for k in range(dom.ncoords)]
     matrix = IntMatrix.from_sparse_columns(cod.ncoords, cols)
     return GroupHom(kt_small.k0_canonical, kt_large.k0_canonical, matrix)
 

@@ -71,6 +71,23 @@ def test_boundary_single_loop(capsys, loop_with_exempt):
     assert json.loads(out)["boundary"] == [-1]
 
 
+def test_boundary_class_with_a_leading_minus_needs_the_equals_form(capsys, tmp_path):
+    # argparse reads "-1,2" after "--class" as another option, not its value
+    data = {
+        "vertices": ["a", "b"],
+        "edges": [{"id": "la", "from": "a", "to": "a"}, {"id": "lb", "from": "b", "to": "b"}],
+        "relation_exempt": ["a", "b"],
+    }
+    path = write(tmp_path, "loops.json", data)
+    code, out, _ = run(capsys, "boundary", path, "--class=-1,2")
+    assert code == 0
+    assert json.loads(out)["boundary"] == [1, -2]
+    with pytest.raises(SystemExit) as exc:
+        main(["boundary", path, "--class", "-1,2"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_les_check_passes(capsys, loop_with_exempt):
     code, out, _ = run(capsys, "les-check", loop_with_exempt)
     assert code == 0
@@ -602,8 +619,8 @@ def test_synthesize_refuses_oversized_requests_under_a_memory_cap(k0, k1):
 
 
 # Every usage and input error, one row per case: the arguments, with {graph}
-# for a finite graph file, {chain} for a two-layer chain file, {bad_json}
-# and {dup} for malformed files, and the start of the one stderr line.
+# for a finite graph file, {chain} for a two-layer chain file, {bad_json},
+# {bad_utf8} and {dup} for malformed files, and the start of the one stderr line.
 _ERROR_TABLE = [
     (("check", "{chain}", "--window", "0"), "usage error: --window must be at least 1, got 0"),
     (("colimit", "{chain}", "--window", "0"), "usage error: --window must be at least 1, got 0"),
@@ -627,6 +644,7 @@ _ERROR_TABLE += [
     ((command, "{" + file + "}", *extra), prefix)
     for file, prefix in (
         ("bad_json", "input error: {bad_json}: invalid JSON at line 1 column 2"),
+        ("bad_utf8", "input error: {bad_utf8}: not UTF-8 text at byte 0"),
         ("dup", "input error: duplicate vertex 'a'"),
     )
     for command, *extra in (("check",), ("ktheory",), ("colimit",), ("boundary", "--class", "1"), ("les-check",))
@@ -651,6 +669,8 @@ def test_every_usage_and_input_error_exits_two_before_any_engine_call(capsys, tm
     }
     files["bad_json"] = str(tmp_path / "bad.json")
     (tmp_path / "bad.json").write_text("{", encoding="utf-8")
+    files["bad_utf8"] = str(tmp_path / "utf16.json")
+    (tmp_path / "utf16.json").write_bytes(b"\xff\xfe{\x00}\x00")  # UTF-16 with its byte-order mark
     cli_mod = importlib.import_module("graphck.cli")
     for name in _ENGINE:
         monkeypatch.setattr(cli_mod, name, lambda *a, _name=name, **k: pytest.fail(f"{_name} reached"))
