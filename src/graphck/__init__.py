@@ -33,7 +33,6 @@ from .ktheory import (
     boundary_map,
     chain_ktheory_report,
     inclusion_k0,
-    ktheory,
     les_check,
     relation_matrix,
 )

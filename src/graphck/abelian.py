@@ -907,16 +907,17 @@ def _preimage_lattice_rows(hom_matrix: IntMatrix, codomain: FgAbelianGroup) -> I
 
 
 class GroupHom:
-    """Homomorphism between presented groups.
+    """Homomorphism between presented groups; the hom is its matrix.
 
     ``matrix`` is ngens(codomain) x ngens(domain): column j is the image of
-    the j-th domain generator written in codomain generators.  The image of
-    every domain relation must land in the codomain relation lattice; this is
-    checked at construction (with a fast path for relations that are literal
-    codomain relation rows, the common case for graph inclusions).
+    the j-th domain generator written in codomain generators, so x maps to
+    ``codomain.class_of(matrix.mat_vec(x))``.  The image of every domain
+    relation must land in the codomain relation lattice; this is checked at
+    construction (with a fast path for relations that are literal codomain
+    relation rows, the common case for graph inclusions).
     """
 
-    __slots__ = ("domain", "codomain", "matrix", "_canonical_matrix")
+    __slots__ = ("domain", "codomain", "matrix")
 
     def __init__(self, domain: FgAbelianGroup, codomain: FgAbelianGroup, matrix: IntMatrix):
         if matrix.cols != domain.ngens or matrix.rows != codomain.ngens:
@@ -924,39 +925,15 @@ class GroupHom:
         self.domain = domain
         self.codomain = codomain
         self.matrix = matrix
-        self._canonical_matrix = None
         self._verify_well_defined()
 
     def _verify_well_defined(self):
         cod = self.codomain
-        cod_rows = {frozenset(r.items()) for r in cod.relations.sparse_rows}
-        rows = self.matrix.sparse_rows
-        for rel in self.domain.relations.sparse_rows:
-            # entry i of the image is row i of the matrix against the relation
-            image = {i: z for i, r in enumerate(rows) if (z := sum([x * r.get(k, 0) for k, x in rel.items()]))}
-            if frozenset(image.items()) in cod_rows:
-                continue
-            if not cod.lattice_contains(_dense(image, cod.ngens)):
+        cod_rows = set(cod.relations.iter_rows())
+        for rel in self.domain.relations.iter_rows():
+            image = self.matrix.mat_vec(rel)
+            if image not in cod_rows and not cod.lattice_contains(image):
                 raise ValueError("hom is not well defined: a relation maps outside the lattice")
-
-    # -- actions -----------------------------------------------------------
-
-    def canonical_matrix(self) -> IntMatrix:
-        """Action on canonical coordinates (column j = image of canonical gen j)."""
-        if self._canonical_matrix is None:
-            dom, cod = self.domain, self.codomain
-            cols = []
-            for j in range(dom.ncoords):
-                sec = dom.section(j)
-                img = cod.class_of(self.matrix.mat_vec(sec))
-                cols.append(img)
-            cols = [dict(enumerate(c)) for c in cols]
-            self._canonical_matrix = IntMatrix.from_sparse_columns(cod.ncoords, cols)
-        return self._canonical_matrix
-
-    def apply_coords(self, coords: Sequence[int]) -> tuple[int, ...]:
-        """Image in canonical coordinates of a canonical-coordinate element."""
-        return self.codomain.reduce_coords(self.canonical_matrix().mat_vec(coords))
 
     # -- structure ---------------------------------------------------------
 
@@ -992,10 +969,12 @@ def hom_compose(f: GroupHom, g: GroupHom) -> GroupHom:
 
 @dataclass
 class ColimitResult:
+    """``group`` is groups[settled_index] under more relations, so a class
+    of the settled group is read in the limit by ``group.class_of``."""
+
     group: FgAbelianGroup
     stabilized: bool
     settled_index: int
-    reduction: GroupHom  # groups[settled_index] -> group
 
 
 def colimit_chain_detailed(
@@ -1055,9 +1034,7 @@ def colimit_chain_detailed(
     stabilized = all(
         GroupHom(reduced[i], reduced[i + 1], homs[i].matrix).is_isomorphism() for i in steps.values()
     )
-
-    reduction = GroupHom(groups[last], reduced[last], IntMatrix.identity(groups[last].ngens))
-    return ColimitResult(reduced[last], stabilized, last, reduction)
+    return ColimitResult(reduced[last], stabilized, last)
 
 
 # ---------------------------------------------------------------------------

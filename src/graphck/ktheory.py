@@ -145,8 +145,8 @@ def ktheory(graph: FiniteGraph) -> KTheoryResult:
     functions satisfying the incoming-edge relations and vanishing off S)
     are both computed and must agree; disagreement raises.  Their bases are
     compared as lists of sparse columns first, and as lattices only when
-    they differ.  Every basis vector is then checked against the relation at
-    every vertex.
+    they differ.  The basis must span a saturated lattice, and each vector
+    is then checked against the relation at every vertex.
     """
     verts = graph.vertex_list
     svs = graph.s_vertices
@@ -175,6 +175,10 @@ def ktheory(graph: FiniteGraph) -> KTheoryResult:
     la = ColumnLattice(IntMatrix.from_sparse_columns(len(verts), basis))
     if other != basis and not la.equals(ColumnLattice(IntMatrix.from_sparse_columns(len(verts), other))):
         raise AssertionError("the two K1 computations disagree; this is a bug")
+    # a kernel is saturated, so every invariant factor of la is 1; with no
+    # exempt vertex nothing else tells the kernel from a sublattice of it
+    if la.snf.diagonal.count(1) != len(basis):
+        raise AssertionError("the K1 basis does not span a saturated lattice; this is a bug")
 
     # off_s_zero writes only at S positions, so each column vanishes off S
     for col in basis:
@@ -493,11 +497,11 @@ def chain_ktheory_report(chain: GraphChain, window: int = 2, force: bool = False
     if k1_res.group.invariant_factors:
         raise AssertionError("degree-one colimit acquired torsion; this is a bug")
 
-    # colimit classes: every chain map is a generator inclusion, so a vertex
-    # class pushed to the settled layer is that layer's own class; reduce it
+    # colimit classes: every chain map is a generator inclusion, and the reduced
+    # group is the settled layer's under more relations: read each class there
     settled = k0_res.settled_index
     top = kts[settled].k0_class_of_vertex
-    class_map = {v: k0_res.reduction.apply_coords(top[v]) for v in sorted(chain.layers[settled])}
+    class_map = {v: k0_res.group.class_of(top[v]) for v in sorted(chain.layers[settled])}
 
     return ChainKTheory(
         k0=k0_res.group,

@@ -571,26 +571,17 @@ def straighten_family(
         if not fields[e[0]].allclose(block_compress(fields, e), HERMITIAN_TOL * 100):
             raise LabError(f"new edge {e[0]!r} does not satisfy its block compression exactly")
 
-    # pass one: straighten new edges away from infinite-valence origins
+    # straighten each block's new edges within its top projection less the
+    # ranges secured so far: the edges away from infinite-valence origins
+    # under the identity, then the edges out of each u in d under xi[u]
+    blocks = [(one, zero, [e for e in new_edges if e[1] not in d])]
+    blocks += [(xi[u], q_of[u], [e for e in new_edges if e[1] == u]) for u in sorted(d)]
     b_fields: dict[str, MatField] = {}
-    plain = [e for e in new_edges if e[1] not in d]
-    secured = zero
-    for e in plain:
-        cand = (one - secured) @ fields[e[0]]
-        b = straighten(cand)
-        b_fields[e[0]] = b
-        secured = secured + (b @ b.H)
-
-    # pass two: new edges out of infinite-valence vertices, per vertex
-    for u in sorted(d):
-        win = q_of[u]
-        for e in new_edges:
-            if e[1] != u:
-                continue
-            cand = (xi[u] - win) @ fields[e[0]]
-            b = straighten(cand)
+    for top, secured, edges in blocks:
+        for e in edges:
+            b = straighten((top - secured) @ fields[e[0]])
             b_fields[e[0]] = b
-            win = win + (b @ b.H)
+            secured = secured + (b @ b.H)
 
     # projections of the new vertices from the secured ranges
     b_vertex = {
@@ -598,7 +589,7 @@ def straighten_family(
         for v in sorted(large.vertices - small.vertices)
     }
 
-    # pass three: align initial projections with intertwiners
+    # align initial projections with intertwiners
     out: dict[str, MatField] = {e[0]: fields[e[0]] for e in small.edges}
     for e in new_edges:
         target = xi[e[2]] if e[2] in small.vertices else b_vertex[e[2]]

@@ -105,10 +105,8 @@ CANONICAL_W_SCENARIOS = ("case_i_blocks", "case_ii_blocks", "off_ideal")
 @dataclass
 class StraightenTrial:
     x: np.ndarray
-    isometry: np.ndarray
     left_projection: np.ndarray  # p with p @ x == x
     right_projection: np.ndarray  # q with x @ q == x
-    defect: float
 
 
 def random_partial_isometry(rng: np.random.Generator, dim: int, rank: int) -> np.ndarray:
@@ -148,7 +146,7 @@ def injected_defect_trial(seed: int, defect: float) -> StraightenTrial:
             hi = mid
     s = (lo + hi) / 2.0
     x = v + s * noise
-    return StraightenTrial(x=x, isometry=v, left_projection=p, right_projection=q, defect=defect_at(s))
+    return StraightenTrial(x=x, left_projection=p, right_projection=q)
 
 
 # ---------------------------------------------------------------------------

@@ -1201,8 +1201,6 @@ def test_colimit_reduces_only_the_final_stretch(monkeypatch, name, window):
     assert (res.settled_index, res.stabilized) == (ref_last, ref_stabilized)
     assert res.group.canonical_pair() == ref_group.canonical_pair()
     assert res.group.relations == ref_group.relations
-    assert res.reduction.matrix == IntMatrix.identity(groups[ref_last].ngens)
-    assert res.reduction.codomain is res.group
 
 
 @pytest.mark.parametrize("window", [1, 2, 3])

@@ -391,6 +391,28 @@ def test_k1_relation_check_catches_a_corrupted_route_one_row(monkeypatch):
     assert caught == 90
 
 
+def test_ktheory_refuses_a_k1_basis_that_spans_a_proper_sublattice(monkeypatch):
+    # with no exempt vertex both routes read one Smith form, and twice a
+    # kernel row still satisfies every relation; only the saturation of the
+    # basis lattice tells the doubled basis from one of the kernel
+    orig = SmithDecomposition.u_row
+
+    def doubled(self, i):
+        row = orig(self, i)
+        return {j: 2 * x for j, x in row.items()} if i == self.rank else row
+
+    caught = 0
+    for g in _full_relation_graphs(200, 17):
+        if not ktheory(g).k1.free_rank:
+            continue
+        with monkeypatch.context() as m:
+            m.setattr(SmithDecomposition, "u_row", doubled)
+            with pytest.raises(AssertionError, match="does not span a saturated lattice"):
+                ktheory(g)
+        caught += 1
+    assert caught == 98
+
+
 def test_k1_relation_check_runs_at_every_vertex(monkeypatch):
     # e_u satisfies the relation at u, whose loop feeds it back, but not at
     # the exempt w, which u also feeds: K1 = 0.  Both routes are made to
@@ -952,8 +974,9 @@ def test_inclusion_k0_rejects_row_mismatch():
 )
 def test_inclusion_k0_is_proved_well_defined_from_the_graphs(chain):
     # reference: the vertex-selector matrix between the layer presentations,
-    # which GroupHom checks relation by relation and pushes through sections;
-    # the map read from the large layer's classes must be its canonical matrix
+    # which GroupHom checks relation by relation; the map read from the large
+    # layer's classes must be its action on canonical coordinates, column j
+    # the class of the image of small generator j's section
     layers = [chain.layer_graph(n) for n in range(len(chain))]
     kts = [ktheory(g) for g in layers]
     assert any(kt.k0.invariant_factors for kt in kts)
@@ -963,7 +986,8 @@ def test_inclusion_k0_is_proved_well_defined_from_the_graphs(chain):
         selector = GroupHom(small.k0, large.k0, IntMatrix.from_rows(rows, cols=len(small.vertex_order)))
         hom = inclusion_k0(layers[n], layers[n + 1], small, large)
         assert (hom.domain, hom.codomain) == (small.k0, large.k0)
-        assert hom.matrix == selector.canonical_matrix()
+        cols = [large.k0.class_of(selector.matrix.mat_vec(small.k0.section(j))) for j in range(small.k0.ncoords)]
+        assert hom.matrix == IntMatrix.from_sparse_columns(large.k0.ncoords, [dict(enumerate(c)) for c in cols])
 
 
 def test_inclusion_k0_rejects_ktheory_of_another_graph():
@@ -1073,7 +1097,7 @@ def test_chain_vertex_classes_push_to_the_settled_layer_class(chain):
         for v in sorted(chain.layers[m] - (chain.layers[m - 1] if m else frozenset())):
             coords = kts[m].k0_class_of_vertex[v]
             for hom in rep.k0_homs[m:settled]:
-                coords = hom.apply_coords(coords)
+                coords = hom.codomain.class_of(hom.matrix.mat_vec(coords))
             assert coords == kts[settled].k0_class_of_vertex[v]
             pushed += 1
     assert pushed == len(chain.layers[settled - 1])
@@ -1267,6 +1291,6 @@ def test_ideal_class_commuting_square_along_chains():
                 vec[vidx[u]] += 1
                 for _, _, t in f.out_edges(u):
                     vec[vidx[t]] -= 1
-                assert hom.apply_coords(small) == kts[n + 1].k0.class_of(vec)
+                assert hom.codomain.class_of(hom.matrix.mat_vec(small)) == kts[n + 1].k0.class_of(vec)
                 squares += 1
     assert squares == 8
