@@ -977,6 +977,22 @@ class ColimitResult:
     settled_index: int
 
 
+def final_stretch(n: int, window: int) -> tuple[int, int]:
+    """(first, last) of the final stretch of a chain of n groups.
+
+    The colimit reports the reduced group at ``last`` = n - 1 - window and
+    checks the steps between the reduced groups ``first`` .. ``last``: the last
+    window+1 of them, or as many as the prefix affords.  So it reads groups
+    ``first`` .. n - 1 and the maps between them, and nothing before.
+    """
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    if n < window + 2:
+        raise ValueError(f"chain of length {n} is too short for window {window}")
+    last = n - 1 - window
+    return last - min(window + 1, last), last
+
+
 def colimit_chain_detailed(
     groups: Sequence[FgAbelianGroup], homs: Sequence[GroupHom], window: int
 ) -> ColimitResult:
@@ -996,21 +1012,15 @@ def colimit_chain_detailed(
     groups and maps costs one reduction and one check instead of window+2
     reductions and window+1 checks.
     """
-    n = len(groups)
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    if len(homs) != n - 1:
+    first, last = final_stretch(len(groups), window)
+    if len(homs) != len(groups) - 1:
         raise ValueError("need exactly len(groups)-1 homs")
-    if n < window + 2:
-        raise ValueError(f"chain of length {n} is too short for window {window}")
     for i, h in enumerate(homs):
         if not h.domain.same_as(groups[i]) or not h.codomain.same_as(groups[i + 1]):
             raise ValueError(f"hom {i} does not connect groups {i} -> {i + 1}")
 
     # only the reduced groups of the final stretch are read.  Keys are
     # compared with ==, never hashed, so a matrix in a key builds no dense view
-    last = n - 1 - window
-    first = last - min(window + 1, last)
     seen: list = []  # (window input, its reduced group)
     reduced: dict[int, FgAbelianGroup] = {}
     for i in range(first, last + 1):

@@ -19,7 +19,9 @@ the two answers are required to agree exactly:
   this is the kernel of R^T, read from the V columns of its own Smith form.
   With no exempt vertex the two routes read the same Smith form of R.
 
-Route one's basis is then checked against the relation at every vertex.
+Route one's basis is then checked against the relation at every vertex, and
+its length against rank K0 - |S^c|, since rank K0 = |F0| - rank R and
+rank K1 = |S| - rank R.
 
 The index (boundary) map sends such an x to the vector
 (-sum_{e into u} x(o(e)))_{u outside S}, read as (-x(u))_{u outside S}
@@ -38,14 +40,15 @@ group), and a failing node reports a witness.
 
 Chains of graphs get their K-theory as a direct limit: per-layer results,
 inclusion-induced maps (extension by zero in degree one, generator-wise in
-degree zero), and the stabilization-flagged colimit from ``abelian``.
+degree zero), and the stabilization-flagged colimit from ``abelian``, which
+reads only the chain's final stretch.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
 
 from .abelian import (
     ColumnLattice,
@@ -54,6 +57,7 @@ from .abelian import (
     IntMatrix,
     cokernel,
     colimit_chain_detailed,
+    final_stretch,
     format_group,
     kernel_basis,
 )
@@ -145,8 +149,9 @@ def ktheory(graph: FiniteGraph) -> KTheoryResult:
     functions satisfying the incoming-edge relations and vanishing off S)
     are both computed and must agree; disagreement raises.  Their bases are
     compared as lists of sparse columns first, and as lattices only when
-    they differ.  The basis must span a saturated lattice, and each vector
-    is then checked against the relation at every vertex.
+    they differ.  The basis must span a saturated lattice, each vector is
+    then checked against the relation at every vertex, and the basis length
+    must be the rank of K0 less the number of exempt vertices.
     """
     verts = graph.vertex_list
     svs = graph.s_vertices
@@ -184,6 +189,10 @@ def ktheory(graph: FiniteGraph) -> KTheoryResult:
     for col in basis:
         if not _k1_relations_hold(graph, col):
             raise AssertionError("K1 representative violates a relation on S or at an exempt vertex")
+    # rank K0 = |F0| - rank R and rank K1 = |S| - rank R, the K0 rank read
+    # from the diagonal, so a basis one vector short of the kernel fails here
+    if k0.free_rank - len(basis) != len(graph.relation_exempt):
+        raise AssertionError("the K1 basis length does not match the rank of K0; this is a bug")
 
     return KTheoryResult(
         graph=graph,
@@ -431,9 +440,34 @@ def inclusion_k0(
 # ---------------------------------------------------------------------------
 
 
+class _OnFirstRead(Sequence):
+    """``n`` entries, entry i made by ``make(i)`` the first time it is read."""
+
+    def __init__(self, n: int, make):
+        self._make, self._made = make, [None] * n
+
+    def __len__(self) -> int:
+        return len(self._made)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self._made))[i]]
+        got = self._made[i]
+        if got is None:
+            got = self._made[i] = self._make(i % len(self._made))
+        return got
+
+
 @dataclass
 class ChainKTheory:
-    """Full per-layer and colimit K-theory data for a chain prefix."""
+    """Per-layer and colimit K-theory data for a chain prefix.
+
+    ``layer_results`` has one entry per layer, ``k0_homs`` and ``k1_homs`` one
+    per consecutive pair of layers.  The report computes the entries of the
+    final stretch, which are all the colimits read; an earlier entry is
+    computed, by the same code and with every check, the first time it is
+    read.
+    """
 
     k0: FgAbelianGroup
     k1: FgAbelianGroup
@@ -442,41 +476,42 @@ class ChainKTheory:
     forced: bool
     settled_index: int
     condition_a: Verdict
-    layer_results: list[KTheoryResult]
+    layer_results: Sequence[KTheoryResult]
     k0_class_map: dict[str, tuple[int, ...]]
-    k0_homs: list[GroupHom]  # canonical-coordinate inclusion maps between layers
-    k1_homs: list[GroupHom]  # canonical-coordinate maps between free layers
+    k0_homs: Sequence[GroupHom]  # canonical-coordinate inclusion maps between layers
+    k1_homs: Sequence[GroupHom]  # canonical-coordinate maps between free layers
 
 
 def chain_ktheory_report(chain: GraphChain, window: int = 2, force: bool = False) -> ChainKTheory:
     """Layerwise K-theory, inclusion maps and colimits.
 
+    Any tail of a chain has the same direct limit, and the colimits read only
+    the final stretch: the layers ``first`` .. length - 1 of
+    ``abelian.final_stretch`` and the maps between them.  Only those layers
+    get their K-theory here, with every check; earlier ones are computed when
+    read from the report.  The inclusions before the stretch hold by
+    construction, so skipping them hides no failure: a layer's S set and
+    out-edges are read from the chain's edges, so a relation vertex of layer
+    n has all its out-edges in layer n, stays a relation vertex of layer n+1
+    and keeps its out-edges there.
+
     The colimit class map covers vertices of layers up to the settled index
     (length - 1 - window); vertices beyond it have no reduced class within
     this prefix, and ``check_condition_b2`` reports them as unchecked.
     """
-    if window < 1:
-        raise ValueError("window must be >= 1")
     nlayers = len(chain)
-    if nlayers < window + 2:
-        raise ValueError(f"chain of length {nlayers} is too short for window {window}")
+    first, _ = final_stretch(nlayers, window)
     cond_a = check_condition_a(chain)
     if not cond_a.passed and not force:
         raise ChainConditionError(cond_a)
 
-    layer_graphs = [chain.layer_graph(n) for n in range(nlayers)]
-    kts = [ktheory(g) for g in layer_graphs]
+    kts = _OnFirstRead(nlayers, lambda n: ktheory(chain.layer_graph(n)))
 
     # degree zero: canonical-coordinate inclusions, read from the layer classes
-    k0_homs = [
-        inclusion_k0(layer_graphs[n], layer_graphs[n + 1], kts[n], kts[n + 1])
-        for n in range(nlayers - 1)
-    ]
-    k0_res = colimit_chain_detailed([kt.k0_canonical for kt in kts], k0_homs, window)
+    k0_homs = _OnFirstRead(nlayers - 1, lambda n: inclusion_k0(kts[n].graph, kts[n + 1].graph, kts[n], kts[n + 1]))
 
     # degree one: solve each basis column in the next lattice
-    k1_homs = []
-    for n in range(nlayers - 1):
+    def k1_hom(n: int) -> GroupHom:
         src, dst = kts[n], kts[n + 1]
         dst_lat = dst.k1_column
         dst_idx = dst.graph.vertex_index
@@ -492,14 +527,19 @@ def chain_ktheory_report(chain: GraphChain, window: int = 2, force: bool = False
                 )
             cols.append(coeffs)
         matrix = IntMatrix.from_sparse_columns(len(dst.k1_basis), [dict(enumerate(c)) for c in cols])
-        k1_homs.append(GroupHom(src.k1, dst.k1, matrix))
-    k1_res = colimit_chain_detailed([kt.k1 for kt in kts], k1_homs, window)
+        return GroupHom(src.k1, dst.k1, matrix)
+
+    k1_homs = _OnFirstRead(nlayers - 1, k1_hom)
+
+    stretch = kts[first:]
+    k0_res = colimit_chain_detailed([kt.k0_canonical for kt in stretch], k0_homs[first:], window)
+    k1_res = colimit_chain_detailed([kt.k1 for kt in stretch], k1_homs[first:], window)
     if k1_res.group.invariant_factors:
         raise AssertionError("degree-one colimit acquired torsion; this is a bug")
 
     # colimit classes: every chain map is a generator inclusion, and the reduced
     # group is the settled layer's under more relations: read each class there
-    settled = k0_res.settled_index
+    settled = first + k0_res.settled_index
     top = kts[settled].k0_class_of_vertex
     class_map = {v: k0_res.group.class_of(top[v]) for v in sorted(chain.layers[settled])}
 
@@ -516,4 +556,3 @@ def chain_ktheory_report(chain: GraphChain, window: int = 2, force: bool = False
         k0_homs=k0_homs,
         k1_homs=k1_homs,
     )
-

@@ -137,14 +137,17 @@ def injected_defect_trial(seed: int, defect: float) -> StraightenTrial:
     hi = defect
     while defect_at(hi) < defect:
         hi *= 2.0
-    lo = 0.0
+    # at most 80 halvings; once the midpoint s equals lo or hi, no later step
+    # moves it, so the bisection stops there
+    lo, s = 0.0, hi / 2.0
     for _ in range(80):
-        mid = (lo + hi) / 2.0
-        if defect_at(mid) < defect:
-            lo = mid
+        if s in (lo, hi):
+            break
+        if defect_at(s) < defect:
+            lo = s
         else:
-            hi = mid
-    s = (lo + hi) / 2.0
+            hi = s
+        s = (lo + hi) / 2.0
     x = v + s * noise
     return StraightenTrial(x=x, left_projection=p, right_projection=q)
 

@@ -326,9 +326,11 @@ def _verify_chain(emitted: GraphChain, padded: GraphChain, req: SynthesisRequest
     induced edge sets (a2, a3), its edges are a subset of the padded edges
     (a4, a5), and its infinite-valence vertices are those of the padded
     chain in its layers, with every padded edge between its vertices kept
-    (a1, a6).  The out-star matching (b2) is checked once, on the emitted
-    chain with the padded report's class map, which gives every emitted
-    vertex a class.
+    (a1, a6).  The report computes the groups and inclusion maps of the
+    final stretch of the padded chain, the layers its colimits read; the
+    inclusions before it hold by construction.  The out-star matching (b2)
+    is checked once, on the emitted chain with the padded report's class
+    map, which gives every emitted vertex a class.
     """
     rep = chain_ktheory_report(padded, window=VERIFICATION_WINDOW)
     cond_b2 = check_condition_b2(emitted, rep.k0_class_map)

@@ -949,3 +949,50 @@ def test_ktheory_and_colimit_output_is_pinned(capsys, tmp_path):
             assert run(capsys, "ktheory", *argv, *flag.split()) == (0, json.dumps(want, indent=2) + "\n", err)
     err = "K0 = Z/2, K1 = Z^2, stabilized = True (window 2)\n"
     assert run(capsys, "colimit", chain) == (0, json.dumps(PINNED_COLIMIT, indent=2) + "\n", err)
+
+
+PINNED_DEEP_COLIMIT = {
+    "k0": "Z^2 + Z/3",
+    "k1": "Z",
+    "k0_classes": {
+        "a_1_1": [0, 1, 1],
+        **{f"a_1_{j}": [0, 0, 0] for j in range(2, 8)},
+        **{f"b_1_{j}": [0, 0, 0] for j in range(1, 8)},
+        "u1": [0, 0, 0],
+        "v1": [0, -1, -1],
+        "v2": [0, 1, 0],
+        "w1": [1, 0, 0],
+        "z": [0, 0, 1],
+    },
+    "stabilized": True,
+    "window": 2,
+    "forced": False,
+}
+
+PINNED_DEEP_CHECK = {
+    "type": "chain",
+    "passed": True,
+    "conditions": {f"a{i}": True for i in range(1, 7)},
+    "witnesses": {},
+    "b2": {
+        "passed": True,
+        "matches": {f"{t}_1_{j}": f"{t}_1_2" for t in "ab" for j in range(3, 8)},
+        "failures": {},
+        "unchecked": ["a_1_8", "a_1_9", "b_1_8", "b_1_9"],
+    },
+    "pass": True,
+}
+
+
+def test_colimit_and_check_output_is_pinned_on_a_chain_read_from_layer_two(capsys, tmp_path):
+    """Exit code, stdout and stderr byte for byte of ``colimit`` and ``check``
+    on an 8-layer case iii chain, whose colimits read only layers 2 to 7."""
+    from graphck.abelian import final_stretch
+
+    chain = str(tmp_path / "chain.json")
+    assert run(capsys, "synthesize", "--k0", "Z^2 + Z/3", "--k1", "Z", "--depth", "8", "-o", chain)[0] == 0
+    assert len(load_graph(chain)) == 8 and final_stretch(8, 2) == (2, 5)
+    err = "K0 = Z^2 + Z/3, K1 = Z, stabilized = True (window 2)\n"
+    assert run(capsys, "colimit", chain) == (0, json.dumps(PINNED_DEEP_COLIMIT, indent=2) + "\n", err)
+    err = "b2: 4 vertices beyond the stabilization window were not checked\nchain: PASS\n"
+    assert run(capsys, "check", chain) == (0, json.dumps(PINNED_DEEP_CHECK, indent=2) + "\n", err)

@@ -413,6 +413,31 @@ def test_ktheory_refuses_a_k1_basis_that_spans_a_proper_sublattice(monkeypatch):
     assert caught == 98
 
 
+def test_ktheory_refuses_a_k1_basis_one_vector_short(monkeypatch):
+    # with no exempt vertex both routes read one Smith form, and a basis one
+    # vector short of the kernel spans a saturated lattice whose vectors
+    # satisfy every relation; only its length, against the rank of K0 read
+    # from the diagonal, tells it from a basis of the kernel
+    ktheory_mod = importlib.import_module("graphck.ktheory")
+    orig = ktheory_mod.cokernel
+
+    def rank_one_up(m):
+        k0 = orig(m)
+        k0.snf.rank += 1  # the first U row past the rank is not read
+        return k0
+
+    caught = 0
+    for g in _full_relation_graphs(200, 17):
+        if not ktheory(g).k1.free_rank:
+            continue
+        with monkeypatch.context() as m:
+            m.setattr(ktheory_mod, "cokernel", rank_one_up)
+            with pytest.raises(AssertionError, match="K1 basis length does not match the rank of K0"):
+                ktheory(g)
+        caught += 1
+    assert caught == 98
+
+
 def test_k1_relation_check_runs_at_every_vertex(monkeypatch):
     # e_u satisfies the relation at u, whose loop feeds it back, but not at
     # the exempt w, which u also feeds: K1 = 0.  Both routes are made to
@@ -1130,6 +1155,77 @@ def test_chain_report_smith_form_count(snf_calls):
     assert len({h.matrix for h in rep.k0_homs}) == len({h.matrix for h in rep.k1_homs}) == 1
     assert len(snf_calls) == 3 * len(chain) + 2 * (2 + 1) == 24
     assert (rep.k0.canonical_pair(), rep.k1.canonical_pair(), rep.stabilized) == ((0, (3,)), (1, ()), True)
+
+
+DEEP_CHAINS = {
+    "case_ii_18": build_case_ii(3, 1, (2,), 18),
+    "case_ii_34": build_case_ii(3, 1, (2,), 34),
+    "case_iii_18": build_case_iii(3, 1, (2,), 18),
+    "case_iii_34": build_case_iii(3, 1, (2,), 34),
+}
+
+
+@pytest.mark.parametrize("name", [*DEEP_CHAINS, "case_ii_6"])
+def test_chain_report_computes_layer_ktheory_on_the_final_stretch(monkeypatch, name):
+    # the colimits read layers first .. length - 1, which is 2 * window + 2
+    # layers on a deep chain and every layer of a 6-layer one; an earlier
+    # layer is computed once, when first read
+    chain = DEEP_CHAINS.get(name) or build_case_ii(3, 1, (2,), 6)
+    ktheory_mod = importlib.import_module("graphck.ktheory")
+    orig = ktheory_mod.ktheory
+    graphs = []
+    monkeypatch.setattr(ktheory_mod, "ktheory", lambda g: graphs.append(g) or orig(g))
+    rep = chain_ktheory_report(chain, window=2)
+    start = len(chain) - 6
+    assert graphs == [chain.layer_graph(n) for n in range(start, len(chain))]
+    assert rep.settled_index == len(chain) - 3
+    for entries in (rep.k1_homs, rep.k0_homs, rep.layer_results):
+        list(entries)
+    assert graphs == [chain.layer_graph(n) for n in (*range(start, len(chain)), *range(start))]
+
+
+def _extended(columns, src, dst):
+    """Sparse ``{vertex index: value}`` columns of ``src`` as dense vectors over
+    the vertices of ``dst``, zero at the vertices ``src`` lacks."""
+    index = dst.vertex_index
+    out = []
+    for x in columns:
+        ext = [0] * len(dst.vertex_list)
+        for i, val in x.items():
+            ext[index[src.vertex_list[i]]] = val
+        out.append(ext)
+    return out
+
+
+@pytest.mark.parametrize("name", list(DEEP_CHAINS))
+def test_chain_report_entries_read_on_demand_equal_the_eager_ones(name):
+    # reference: every layer's K-theory and degree-zero inclusion computed
+    # directly, and the degree-one map checked by what defines it: the next
+    # lattice's basis times its matrix is the extended basis.  Entries are
+    # read from the last back, so each earlier layer is computed on demand
+    chain = DEEP_CHAINS[name]
+    layers = [chain.layer_graph(n) for n in range(len(chain))]
+    kts = [ktheory(g) for g in layers]
+    rep = chain_ktheory_report(chain, window=2)
+    assert len(rep.layer_results) == len(chain) and len(rep.k0_homs) == len(rep.k1_homs) == len(chain) - 1
+    for n in reversed(range(len(chain))):
+        got, want = rep.layer_results[n], kts[n]
+        assert got.graph is layers[n]
+        assert (got.k0.relations, got.k0.canonical_pair()) == (want.k0.relations, want.k0.canonical_pair())
+        assert (got.k0_class_of_vertex, got.k1, got.k1_basis) == (want.k0_class_of_vertex, want.k1, want.k1_basis)
+    for n in reversed(range(len(chain) - 1)):
+        hom = rep.k0_homs[n]
+        ref = inclusion_k0(layers[n], layers[n + 1], kts[n], kts[n + 1])
+        assert (hom.domain.relations, hom.codomain.relations, hom.matrix) == (
+            ref.domain.relations,
+            ref.codomain.relations,
+            ref.matrix,
+        )
+        hom = rep.k1_homs[n]
+        assert (hom.domain, hom.codomain) == (kts[n].k1, kts[n + 1].k1)
+        ext = _extended(kts[n].k1_basis, layers[n], layers[n + 1])
+        assert ext and (kts[n + 1].k1_lattice @ hom.matrix).to_lists() == [list(r) for r in zip(*ext)]
+    assert rep.k0_homs[-3:] == [rep.k0_homs[n] for n in range(len(chain) - 4, len(chain) - 1)]
 
 
 def test_chain_report_builds_each_layer_graph_once(monkeypatch):

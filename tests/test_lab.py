@@ -249,6 +249,39 @@ def test_straighten_matches_the_svd_oracle():
         assert np.linalg.norm(y.fiber(s) - svd_straighten(t.x), 2) <= 1e-12
 
 
+def _defect_trial_by_80_halvings(seed, defect):
+    """``injected_defect_trial(seed, defect).x`` as first written, kept as a
+    reference: the bisection always runs 80 halvings."""
+    rng = np.random.default_rng(seed)
+    dim = scenarios.TRIAL_DIM
+    v = random_partial_isometry(rng, dim, int(rng.integers(1, dim)))
+    p, q = v @ v.conj().T, v.conj().T @ v
+    noise = p @ (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) @ q
+    noise /= np.linalg.norm(noise, 2)
+    hi = defect
+    while partial_isometry_defect(v + hi * noise) < defect:
+        hi *= 2.0
+    lo = 0.0
+    for _ in range(80):
+        mid = (lo + hi) / 2.0
+        if partial_isometry_defect(v + mid * noise) < defect:
+            lo = mid
+        else:
+            hi = mid
+    return v + (lo + hi) / 2.0 * noise
+
+
+def test_defect_bisection_stops_early_with_a_bit_identical_trial(monkeypatch):
+    # once the midpoint equals an end no later halving moves it, so stopping
+    # there gives the 80-halving answer bit for bit, with fewer defect calls
+    calls = []
+    monkeypatch.setattr(scenarios, "partial_isometry_defect", lambda x: calls.append(1) or partial_isometry_defect(x))
+    pairs = [(seed, d) for seed in range(80) for d in (1e-2, 1e-3, 1e-4, 0.3)]
+    for seed, d in pairs:
+        assert injected_defect_trial(seed, d).x.tobytes() == _defect_trial_by_80_halvings(seed, d).tobytes()
+    assert len(calls) < 70 * len(pairs)
+
+
 def test_straighten_idempotent_and_scalar_central():
     trial = injected_defect_trial(7, 1e-2)
     field = MatField.constant(trial.x, 8)
