@@ -6,13 +6,15 @@ associated algebra is *not* imposed (``relation_exempt``); the complement is
 the relation set S.  A ``GraphChain`` presents an infinite graph through an
 increasing chain of finite vertex layers plus the edge list of the union
 prefix; layer edge sets are always induced (edges with both endpoints in the
-layer), which removes a whole class of inconsistent inputs.
+layer), which removes a whole class of inconsistent inputs.  A chain holds
+each vertex's first layer, and the conditions below are checked from it in
+time linear in vertices plus edges, with no layer graph built.
 
 The structural conditions checked here:
 
 * (a1)  infinite-valence vertices all sit in the first layer;
 * (a2)  every layer is nonempty, irreducible (strongly connected) and not a
-        cycle;
+        cycle (searched with the previous layer contracted to one node);
 * (a3)  layer edge sets are induced (tautological here, still reported);
 * (a4)  finite-valence layer vertices keep all their out-edges in the layer;
 * (a5)  in-neighbors of layer n sit in layer n+1;
@@ -35,7 +37,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from itertools import accumulate
+from typing import Container, Iterable, Mapping, Sequence
 
 
 class GraphFormatError(ValueError):
@@ -45,7 +48,7 @@ class GraphFormatError(ValueError):
 Edge = tuple[str, str, str]  # (edge id, origin, terminus)
 
 
-def _check_edges(edges: Sequence[Edge], vertices: frozenset[str]) -> tuple[Edge, ...]:
+def _check_edges(edges: Sequence[Edge], vertices: Container[str]) -> tuple[Edge, ...]:
     seen = set()
     out: list[Edge] = []
     for e in edges:
@@ -168,6 +171,13 @@ class FiniteGraph:
 class GraphChain:
     """Increasing finite layers of an infinite graph, with the prefix edges.
 
+    The chain is ``first``, each vertex's first layer, and its length: layer
+    n holds the vertices with first layer at most n, so layers nest by
+    construction, and ``layers`` is built only when read.  One pass over the
+    edges gives each edge's layer, max(first(o), first(t)), each origin's
+    termini, and each finite-valence vertex's first S layer, the largest of
+    its own and its termini's first layers.
+
     ``infinite_vertices`` is the set D of vertices that emit infinitely many
     edges in the full graph; the prefix edge list can only ever record
     finitely many of those.  All finite-valence vertices of the prefix are
@@ -175,7 +185,10 @@ class GraphChain:
     what the (a4) check makes precise, per layer.
     """
 
-    __slots__ = ("infinite_vertices", "layers", "edges", "_layer_graphs")
+    __slots__ = (
+        "infinite_vertices", "first", "_length", "edges",
+        "_edge_layer", "_s_first", "_termini", "_layers", "_layer_graphs",
+    )
 
     def __init__(
         self,
@@ -184,32 +197,71 @@ class GraphChain:
         edges: Sequence[Edge],
     ):
         d = frozenset(str(v) for v in infinite_vertices)
-        lys = tuple(frozenset(str(v) for v in layer) for layer in layers)
-        if not lys:
+        # with layers 0 .. n - 1 nested, ``first`` holds layer n - 1, so layer
+        # n contains it exactly when it holds every vertex of ``first``
+        first: dict[str, int] = {}
+        n = -1
+        for n, layer in enumerate(layers):
+            vs = {str(v) for v in layer}
+            for v in vs:
+                first.setdefault(v, n)
+            if len(vs) < len(first):
+                raise GraphFormatError(f"layer {n - 1} is not contained in layer {n}")
+        if n < 0:
             raise GraphFormatError("a chain needs at least one layer")
-        for i in range(len(lys) - 1):
-            if not lys[i] <= lys[i + 1]:
-                raise GraphFormatError(f"layer {i} is not contained in layer {i + 1}")
-        if not d <= lys[-1]:
-            raise GraphFormatError(
-                f"unknown infinite-valence vertices: {sorted(d - lys[-1])}"
-            )
+        if not d <= first.keys():
+            raise GraphFormatError(f"unknown infinite-valence vertices: {sorted(d - first.keys())}")
         # D outside layer 0 is a condition violation, not malformedness: the
         # (a1) check reports it with a witness
-        object.__setattr__(self, "infinite_vertices", d)
-        object.__setattr__(self, "layers", lys)
-        object.__setattr__(self, "edges", _check_edges(edges, lys[-1]))
-        object.__setattr__(self, "_layer_graphs", {})
+        self._set(d, first, n + 1, _check_edges(edges, first))
+
+    @classmethod
+    def _of(cls, d: frozenset[str], first: dict[str, int], length: int, edges: tuple[Edge, ...]) -> "GraphChain":
+        """Wrap what the public constructor establishes: ``first`` maps into
+        ``range(length)``, ``d`` is a subset of its keys, and ``edges`` is
+        sorted, with unique string ids and endpoints in ``first``."""
+        chain = object.__new__(cls)
+        chain._set(d, first, length, edges)
+        return chain
+
+    def _set(self, d: frozenset[str], first: dict[str, int], length: int, edges: tuple[Edge, ...]) -> None:
+        s_first = {v: n for v, n in first.items() if v not in d}
+        termini: dict[str, list[str]] = {}
+        edge_layer = []
+        for _, o, t in edges:
+            fo, ft = first[o], first[t]
+            edge_layer.append(fo if fo > ft else ft)
+            termini.setdefault(o, []).append(t)
+            if o in s_first and ft > s_first[o]:
+                s_first[o] = ft
+        values = (d, first, length, edges, edge_layer, s_first, termini, None, {})
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("GraphChain is immutable")
 
     def __len__(self) -> int:
-        return len(self.layers)
+        return self._length
 
     @property
     def vertices(self) -> frozenset[str]:
-        return self.layers[-1]
+        return frozenset(self.first)
+
+    def _new_vertices(self) -> list[list[str]]:
+        """The vertices first appearing in each layer."""
+        new: list[list[str]] = [[] for _ in range(self._length)]
+        for v, n in self.first.items():
+            new[n].append(v)
+        return new
+
+    @property
+    def layers(self) -> tuple[frozenset[str], ...]:
+        """Each layer's vertex set, built on first read."""
+        if self._layers is None:
+            layers = accumulate(map(frozenset, self._new_vertices()), frozenset.union)
+            object.__setattr__(self, "_layers", tuple(layers))
+        return self._layers
 
     def prefix(self, n: int) -> "GraphChain":
         """The first n layers with the edges induced on them.
@@ -217,21 +269,21 @@ class GraphChain:
         Infinite-valence vertices outside the kept layers are dropped, since a
         chain only names vertices of its layers.
         """
-        if not 1 <= n <= len(self.layers):
+        if not 1 <= n <= len(self):
             raise ValueError(f"prefix length {n} out of range for a chain of length {len(self)}")
-        top = self.layers[n - 1]
-        return GraphChain(self.infinite_vertices & top, self.layers[:n], self.layer_edges(n - 1))
+        first = {v: k for v, k in self.first.items() if k < n}
+        return GraphChain._of(self.infinite_vertices & first.keys(), first, n, self.layer_edges(n - 1))
 
     def layer_edges(self, n: int) -> tuple[Edge, ...]:
-        vs = self.layers[n]
-        return tuple(e for e in self.edges if e[1] in vs and e[2] in vs)
+        return tuple(e for e, k in zip(self.edges, self._edge_layer) if k <= n)
 
     def layer_graph(self, n: int) -> FiniteGraph:
         """Layer n as a finite graph exempting the layer's vertices outside its
         Toeplitz S set, built once per layer."""
-        vs = self.layers[n]
+        n = range(len(self))[n]
         g = self._layer_graphs.get(n)
         if g is None:
+            vs = frozenset(v for v, k in self.first.items() if k <= n)
             # the layer edges are a sorted subset of the checked chain edges
             g = FiniteGraph._of(vs, self.layer_edges(n), vs - toeplitz_s_set(self, n))
             self._layer_graphs[n] = g
@@ -241,19 +293,20 @@ class GraphChain:
         return (
             isinstance(other, GraphChain)
             and self.infinite_vertices == other.infinite_vertices
-            and self.layers == other.layers
+            and len(self) == len(other)
+            and self.first == other.first
             and self.edges == other.edges
         )
 
     def __hash__(self):
-        return hash((self.infinite_vertices, self.layers, self.edges))
+        return hash((self.infinite_vertices, len(self), frozenset(self.first.items()), self.edges))
 
     def __repr__(self):
-        return f"GraphChain({len(self.layers)} layers, {len(self.vertices)} vertices, {len(self.edges)} edges)"
+        return f"GraphChain({len(self)} layers, {len(self.first)} vertices, {len(self.edges)} edges)"
 
     def to_json_dict(self) -> dict:
         return {
-            "vertices": sorted(self.vertices),
+            "vertices": sorted(self.first),
             "edges": [{"id": e[0], "from": e[1], "to": e[2]} for e in self.edges],
             "infinite_vertices": sorted(self.infinite_vertices),
             "layers": [sorted(layer) for layer in self.layers],
@@ -332,22 +385,27 @@ def dump_graph(graph: FiniteGraph | GraphChain) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _strongly_connected(graph: FiniteGraph) -> bool:
-    """Do a forward and a backward search from one vertex both reach every vertex?"""
-    verts = graph.vertex_list
-    if not verts:
-        return False
-    for adjacent, end in ((graph._out, 2), (graph._in, 1)):
-        seen = {verts[0]}
-        stack = [verts[0]]
+def _reaches_all(root, out: Mapping, inc: Mapping, count: int) -> bool:
+    """Do a forward search over ``out`` and a backward search over ``inc``,
+    both from ``root``, each reach ``count`` nodes?  ``out`` and ``inc`` map a
+    node to its out- and in-edges, (id, origin, terminus) triples."""
+    for adjacent, end in ((out, 2), (inc, 1)):
+        seen = {root}
+        stack = [root]
         while stack:
-            for e in adjacent[stack.pop()]:
+            for e in adjacent.get(stack.pop(), ()):
                 if e[end] not in seen:
                     seen.add(e[end])
                     stack.append(e[end])
-        if len(seen) < len(verts):
+        if len(seen) < count:
             return False
     return True
+
+
+def _strongly_connected(graph: FiniteGraph) -> bool:
+    """Do a forward and a backward search from one vertex both reach every
+    vertex of a nonempty graph?"""
+    return _reaches_all(graph.vertex_list[0], graph._out, graph._in, len(graph.vertex_list))
 
 
 def is_irreducible(graph: FiniteGraph) -> bool:
@@ -409,18 +467,15 @@ def every_cycle_has_exit(graph: FiniteGraph) -> bool:
 def toeplitz_s_set(chain: GraphChain, n: int) -> frozenset[str]:
     """Vertices of layer n whose full out-star is contained in the layer.
 
-    Computed against the recorded prefix edges; declared infinite-valence
-    vertices are excluded outright (their out-star is infinite in the full
-    graph, which no finite prefix can witness).
+    Computed against the recorded prefix edges: a finite-valence vertex is
+    in S_n from the last of its own first layer and its termini's first
+    layers on, which the chain reads in its one pass over the edges.
+    Declared infinite-valence vertices are excluded outright (their out-star
+    is infinite in the full graph, which no finite prefix can witness).
     """
-    if not 0 <= n < len(chain.layers):
+    if not 0 <= n < len(chain):
         raise ValueError(f"layer index {n} out of range")
-    layer = chain.layers[n]
-    leaving = set(chain.infinite_vertices)
-    for _, o, t in chain.edges:
-        if o in layer and t not in layer:
-            leaving.add(o)
-    return frozenset(layer - leaving)
+    return frozenset(v for v, k in chain._s_first.items() if k <= n)
 
 
 @dataclass
@@ -442,26 +497,49 @@ class Verdict:
 
 
 def check_condition_a(chain: GraphChain) -> Verdict:
-    """Check (a1)-(a6) on the chain prefix, reporting the first witness each."""
+    """Check (a1)-(a6) on the chain prefix, reporting the first witness each.
+
+    Every check reads the chain's first-layer map and edge layers, with no
+    layer graph, in time linear in vertices plus edges.  (a2) goes layer by
+    layer and stops at the first failure, so when layer n + 1 is checked,
+    layer n is strongly connected: contracted to one node, it reaches and is
+    reached from every vertex new in n + 1 exactly when layer n + 1 is
+    strongly connected.  The two searches from that node need only the edges
+    new in n + 1; every other edge of layer n + 1 lies in layer n.  A
+    strongly connected layer has every in- and out-degree at least 1, so it
+    is a cycle exactly when it has as many edges as vertices.
+    """
     report = Verdict()
     d = chain.infinite_vertices
-    nlayers = len(chain.layers)
+    first = chain.first
+    nlayers = len(chain)
 
-    missing = sorted(d - chain.layers[0])
+    missing = sorted(u for u in d if first[u])
     report.record("a1", f"infinite-valence vertex {missing[0]!r} not in layer 0" if missing else None)
 
-    # the layer's own graph, which chain_ktheory_report reuses; the relation
-    # exempt set plays no part in (a2)
+    new_edges: list[list[Edge]] = [[] for _ in range(nlayers)]
+    for e, n in zip(chain.edges, chain._edge_layer):
+        new_edges[n].append(e)
     witness = None
-    for n in range(nlayers):
-        g = chain.layer_graph(n)
-        if not g.vertices:
+    nvertices = nedges = 0
+    for n, new in enumerate(chain._new_vertices()):
+        nvertices += len(new)
+        nedges += len(new_edges[n])
+        if not nvertices:
             witness = f"layer {n} is empty"
-        elif not is_irreducible(g):
+            break
+        # the vertices of layer n - 1 contract to the node None; at layer 0 there are none
+        out, inc = {}, {}
+        for eid, o, t in new_edges[n]:
+            e = (eid, o if first[o] == n else None, t if first[t] == n else None)
+            out.setdefault(e[1], []).append(e)
+            inc.setdefault(e[2], []).append(e)
+        root, count = (None, len(new) + 1) if n else (new[0], len(new))
+        if not _reaches_all(root, out, inc, count):
             witness = f"layer {n} is not strongly connected"
-        elif is_cycle(g):
+            break
+        if nedges == nvertices:
             witness = f"layer {n} is a cycle"
-        if witness:
             break
     report.record("a2", witness)
 
@@ -474,9 +552,6 @@ def check_condition_a(chain: GraphChain) -> Verdict:
     # first(t) - 1 and enters layers first(t) .. first(o) - 2 from outside the
     # next one.  Its lowest such layer witnesses it, and the sorted edge order
     # breaks ties as a per-layer scan would.
-    first: dict[str, int] = {}
-    for n in range(nlayers - 1, -1, -1):
-        first.update(dict.fromkeys(chain.layers[n], n))
     leaves = enters = None
     reached: dict[str, set[int]] = {u: set() for u in d}
     for eid, o, t in chain.edges:
@@ -548,17 +623,15 @@ def check_condition_b2(chain: GraphChain, k0_class: Mapping[str, tuple]) -> B2Re
     """
     report = B2Report()
     d = chain.infinite_vertices
-    termini: dict[str, list[str]] = {}
-    for _, o, t in chain.edges:
-        termini.setdefault(o, []).append(t)
+    termini = chain._termini
     # the first layer-0 vertex, in sorted order, of each out-star shape
     first_with: dict[tuple, str] = {}
-    for v in sorted(chain.layers[0] - d):
+    for v in sorted(v for v, n in chain.first.items() if not n and v not in d):
         shape = _out_star_shape(termini.get(v, ()), v, k0_class)
         if shape is not None:
             first_with.setdefault(shape, v)
 
-    for u in sorted(chain.vertices - chain.layers[0] - d):
+    for u in sorted(v for v, n in chain.first.items() if n and v not in d):
         shape = _out_star_shape(termini.get(u, ()), u, k0_class)
         if shape is None:
             report.unchecked.append(u)

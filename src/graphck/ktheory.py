@@ -541,7 +541,7 @@ def chain_ktheory_report(chain: GraphChain, window: int = 2, force: bool = False
     # group is the settled layer's under more relations: read each class there
     settled = first + k0_res.settled_index
     top = kts[settled].k0_class_of_vertex
-    class_map = {v: k0_res.group.class_of(top[v]) for v in sorted(chain.layers[settled])}
+    class_map = {v: k0_res.group.class_of(top[v]) for v in kts[settled].vertex_order}
 
     return ChainKTheory(
         k0=k0_res.group,

@@ -46,7 +46,8 @@ from .ktheory import chain_ktheory_report, ktheory
 
 VERIFICATION_WINDOW = 2
 # requests whose construction would hold more edges than this, counted once
-# per layer that verification builds, are refused before anything is built.
+# per layer of the chain, are refused before anything is built: a chain's
+# JSON lists every layer in full.
 # Near the bound a build peaks below 500 MB; the largest equal-rank graph,
 # for (Z^998, Z^998), takes about six seconds (2-core x86-64, Python 3.11)
 MAX_EDGE_LAYERS = 1_000_000
@@ -126,6 +127,7 @@ def build_case_ii(l: int, p: int, torsion: Sequence[int] = (), depth: int = 6) -
         raise ValueError("torsion orders must be >= 2")
     bag = EdgeBag()
     _base_edges(bag, l, torsion)
+    first = dict.fromkeys([*_base_vertices(l, torsion), "u"], 0)
     maxj = depth  # layer n holds j <= n+1, topmost layer is depth-1
     for i in range(1, p + 2):
         bag.add(f"v{i}", "u")
@@ -135,20 +137,13 @@ def build_case_ii(l: int, p: int, torsion: Sequence[int] = (), depth: int = 6) -
             bag.add(_tower_name("a", i, j), _tower_name("a", i, j - 1))
             bag.add(_tower_name("a", i, j), _tower_name("a", i, j))
         for j in range(1, maxj + 1):
-            bag.add(_tower_name("b", i, j), _tower_name("b", i, j), copies=2)
-            bag.add(_tower_name("b", i, j), _tower_name("a", i, j))
-            bag.add("u", _tower_name("a", i, j))
-            bag.add("u", _tower_name("b", i, j))
-    base = _base_vertices(l, torsion)
-    layers = []
-    for n in range(depth):
-        layer = list(base) + ["u"]
-        for i in range(1, p + 2):
-            for j in range(1, n + 2):
-                layer.append(_tower_name("a", i, j))
-                layer.append(_tower_name("b", i, j))
-        layers.append(layer)
-    return GraphChain({"u"}, layers, bag.edges)
+            a, b = _tower_name("a", i, j), _tower_name("b", i, j)
+            first[a] = first[b] = j - 1
+            bag.add(b, b, copies=2)
+            bag.add(b, a)
+            bag.add("u", a)
+            bag.add("u", b)
+    return GraphChain._of(frozenset({"u"}), first, depth, tuple(sorted(bag.edges)))
 
 
 def build_case_iii(l: int, p: int, torsion: Sequence[int] = (), depth: int = 6) -> GraphChain:
@@ -169,6 +164,8 @@ def build_case_iii(l: int, p: int, torsion: Sequence[int] = (), depth: int = 6) 
         raise ValueError("torsion orders must be >= 2")
     bag = EdgeBag()
     _base_edges(bag, l, torsion)
+    d = frozenset(f"u{i}" for i in range(1, p + 1))
+    first = dict.fromkeys([*_base_vertices(l, torsion), *d], 0)
     maxj = depth + 1  # layer n holds j <= n+2, topmost layer is depth-1
     for i in range(1, p + 1):
         ui = f"u{i}"
@@ -184,17 +181,10 @@ def build_case_iii(l: int, p: int, torsion: Sequence[int] = (), depth: int = 6) 
             bag.add(_tower_name("b", i, j), _tower_name("a", i, j))
             bag.add(_tower_name("b", i, j), _tower_name("b", i, j - 1))
         for j in range(1, maxj + 1):
-            bag.add(ui, _tower_name("b", i, j))
-    base = _base_vertices(l, torsion)
-    layers = []
-    for n in range(depth):
-        layer = list(base) + [f"u{i}" for i in range(1, p + 1)]
-        for i in range(1, p + 1):
-            for j in range(1, n + 3):
-                layer.append(_tower_name("a", i, j))
-                layer.append(_tower_name("b", i, j))
-        layers.append(layer)
-    return GraphChain({f"u{i}" for i in range(1, p + 1)}, layers, bag.edges)
+            b = _tower_name("b", i, j)
+            first[_tower_name("a", i, j)] = first[b] = max(j - 2, 0)
+            bag.add(ui, b)
+    return GraphChain._of(d, first, depth, tuple(sorted(bag.edges)))
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +193,13 @@ def build_case_iii(l: int, p: int, torsion: Sequence[int] = (), depth: int = 6) 
 
 
 def edge_layers(r0: int, torsion: Sequence[int], r1: int, depth: int) -> int:
-    """Edges of the construction for ranks (r0, r1), times the layers verified.
+    """Edges of the construction for ranks (r0, r1), times its layers.
 
-    Case i is one graph.  A chain is built and verified with ``depth +
-    VERIFICATION_WINDOW`` layers, and each layer graph holds at most all of
-    the chain's edges.  The counts follow the constructions: the case-i
+    Case i is one graph.  A chain is built with ``depth +
+    VERIFICATION_WINDOW`` layers.  Verification builds only the graphs of
+    the final stretch, but the emitted chain's JSON lists every layer in
+    full, so its size still grows as edges times layers, which this count
+    bounds.  The counts follow the constructions: the case-i
     part has (l+1)(l+2) + sum(torsion) + len(torsion) edges, and each tower
     1 + 7 maxj (case ii) or 1 + 6 maxj (case iii) edges.
     """

@@ -7,13 +7,16 @@ vertices, which is the stated oracle for that operation.
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
+from graphck.abelian import parse_group_pair
 from graphck.graphs import (
     FiniteGraph,
     GraphChain,
     GraphFormatError,
+    Verdict,
     check_condition_a,
     check_condition_b2,
     dump_graph,
@@ -341,6 +344,100 @@ def test_edge_conditions_match_per_layer_scans():
         seen.update(verdicts.items())
     # the sample holds passing and failing chains for every condition
     assert seen == {(k, ok) for k in ("a4", "a5", "a6") for ok in (True, False)}
+
+
+def per_layer_condition_a(chain):
+    """(a1)-(a6) by their definitions, (a2) on each layer's own graph built
+    from its vertex set."""
+    report = Verdict()
+    missing = sorted(chain.infinite_vertices - chain.layers[0])
+    report.record("a1", f"infinite-valence vertex {missing[0]!r} not in layer 0" if missing else None)
+    witness = None
+    for n, layer in enumerate(chain.layers):
+        g = FiniteGraph(layer, [e for e in chain.edges if e[1] in layer and e[2] in layer])
+        if not layer:
+            witness = f"layer {n} is empty"
+        elif not is_irreducible(g):
+            witness = f"layer {n} is not strongly connected"
+        elif is_cycle(g):
+            witness = f"layer {n} is a cycle"
+        if witness:
+            break
+    report.record("a2", witness)
+    report.record("a3")
+    _, witnesses = per_layer_edge_conditions(chain)
+    for name in ("a4", "a5", "a6"):
+        report.record(name, witnesses.get(name))
+    return report
+
+
+def grown_chain(rng):
+    """A chain whose layer 0 is empty or a directed cycle, sometimes with
+    chords, and whose later layers add vertices that mostly get an edge from
+    and an edge to the layer so far: every (a2) outcome occurs."""
+    verts = [f"x{j}" for j in range(16)]
+    rng.shuffle(verts)
+    edges = []
+
+    def add(o, t):
+        edges.append((f"e{len(edges):02d}", o, t))
+
+    size = rng.choice((0, 1, 1, 2, 3, 4))
+    for j in range(size):
+        add(verts[j], verts[(j + 1) % size])
+    for _ in range(rng.choice((0, 0, 1, 2)) if size else 0):
+        add(rng.choice(verts[:size]), rng.choice(verts[:size]))
+    sizes = [size]
+    for _ in range(rng.randint(1, 4)):
+        size += rng.randint(0, 3)
+        for w in verts[sizes[-1] : size]:
+            if rng.random() < 0.9:
+                add(rng.choice(verts[:size]), w)
+            if rng.random() < 0.9:
+                add(w, rng.choice(verts[:size]))
+        sizes.append(size)
+    if rng.random() < 0.3 and size:
+        add(rng.choice(verts[:size]), rng.choice(verts[:size]))
+    return GraphChain([v for v in verts[:size] if rng.random() < 0.15], [verts[:k] for k in sizes], edges)
+
+
+def synth_grid_chains():
+    """The chains of the synth_chains benchmark grid: every pair of unequal
+    ranks 0-3 with every torsion part of at most two orders from (2, 3, 4, 9),
+    built at depth 6 and emitted at depth 4, as ``synthesize`` does."""
+    pool = (2, 3, 4, 9)
+    torsions = [()] + [(n,) for n in pool] + [(a, b) for i, a in enumerate(pool) for b in pool[i:]]
+    for r0 in range(4):
+        for r1 in range(4):
+            for torsion in torsions if r0 != r1 else ():
+                _, t = parse_group_pair(" + ".join(f"Z/{n}" for n in torsion) or "0")
+                padded = build_case_ii(r1 + 1, r1 - r0, t, 6) if r0 < r1 else build_case_iii(r0, r0 - r1, t, 6)
+                yield from (padded, padded.prefix(4))
+
+
+def test_condition_a_matches_per_layer_graphs():
+    # the verdict, each layer's S set and each layer graph equal their
+    # per-layer definitions on random, synthesized grid and deep chains
+    rng = random.Random(26)
+    chains = [random_chain(rng) for _ in range(1500)] + [grown_chain(rng) for _ in range(1500)]
+    outcomes = Counter()
+    for chain in chains:
+        a2 = check_condition_a(chain).witnesses.get("a2")
+        outcomes[a2 and a2.split(" ", 2)[2]] += 1
+    # every (a2) outcome, passing (None) included, occurs often among them
+    assert min(outcomes.values()) >= 50 and len(outcomes) == 4, outcomes
+    chains += synth_grid_chains()
+    for depth in (16, 17, 25, 34):
+        chains += [build_case_ii(3, 1, (2,), depth), build_case_iii(3, 1, (2,), depth), build_case_ii(4, 2, (), depth)]
+    for chain in chains:
+        report, ref = check_condition_a(chain), per_layer_condition_a(chain)
+        assert (list(report.checks.items()), report.witnesses) == (list(ref.checks.items()), ref.witnesses)
+        for n, layer in enumerate(chain.layers):
+            escaping = {o for _, o, t in chain.edges if o in layer and t not in layer}
+            s = layer - chain.infinite_vertices - escaping
+            assert toeplitz_s_set(chain, n) == s
+            induced = [e for e in chain.edges if e[1] in layer and e[2] in layer]
+            assert chain.layer_graph(n) == FiniteGraph(layer, induced, layer - s)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from graphck.abelian import (
     kernel_basis,
     smith_normal_form,
 )
-from graphck.graphs import FiniteGraph, GraphChain, dump_graph
+from graphck.graphs import FiniteGraph, GraphChain, check_condition_a, dump_graph
 from graphck.ktheory import (
     _k1_relations_hold,
     _relation_classes,
@@ -1228,9 +1228,8 @@ def test_chain_report_entries_read_on_demand_equal_the_eager_ones(name):
     assert rep.k0_homs[-3:] == [rep.k0_homs[n] for n in range(len(chain) - 4, len(chain) - 1)]
 
 
-def test_chain_report_builds_each_layer_graph_once(monkeypatch):
-    # (a2) and the layer K-theory read the same graph of each layer, which
-    # layer_graph wraps from the chain's checked edges without a new check
+def _count_layer_graphs(monkeypatch) -> list:
+    """Record the vertex count of every graph ``FiniteGraph._of`` wraps."""
     graphs_mod = importlib.import_module("graphck.graphs")
     orig = graphs_mod.FiniteGraph._of
     built = []
@@ -1240,12 +1239,32 @@ def test_chain_report_builds_each_layer_graph_once(monkeypatch):
         return orig(vertices, *args)
 
     monkeypatch.setattr(graphs_mod.FiniteGraph, "_of", classmethod(counting))
+    return built
+
+
+def test_chain_report_builds_each_layer_graph_once(monkeypatch):
+    # a 6-layer chain is all final stretch: the layer K-theory reads each
+    # layer's graph, which layer_graph wraps once from the chain's checked
+    # edges without a new check
+    built = _count_layer_graphs(monkeypatch)
     chain = build_case_ii(2, 1, (3,), 6)
     rep = chain_ktheory_report(chain, window=2)
     assert rep.condition_a.passed
     assert built == [len(layer) for layer in chain.layers]
     assert [kt.graph for kt in rep.layer_results] == [chain.layer_graph(n) for n in range(len(chain))]
     assert chain.layer_graph(1) is rep.layer_results[1].graph
+
+
+@pytest.mark.parametrize("build", [build_case_ii, build_case_iii])
+@pytest.mark.parametrize("depth", [18, 34])
+def test_chain_report_builds_only_the_stretch_layer_graphs(monkeypatch, build, depth):
+    # condition (a) reads the chain's first-layer map and builds no layer
+    # graph; the report builds the 2 * window + 2 its colimits read
+    chain = build(3, 1, (2,), depth)
+    built = _count_layer_graphs(monkeypatch)
+    assert check_condition_a(chain).passed and built == []
+    chain_ktheory_report(chain, window=2)
+    assert built == [len(chain.layer_graph(n).vertices) for n in range(depth - 6, depth)]
 
 
 def _count_replays(monkeypatch):
