@@ -1,0 +1,143 @@
+"""SHA-256 digests of graphck's outputs on the benchmark's inputs.
+
+Run from the repository root:
+
+    python3 scripts/output_digests.py --seed 1
+
+It prints one line per family, ``<family> <sha256>``.  Two checkouts that
+print the same line for a family gave byte-identical outputs on every input
+of that family.
+
+* ``workload:<name>``: the exact output text of every request in the
+  workload's seeded pass, in pass order.  The workload modules are loaded
+  from ``perfbench/`` by path and only read.
+* ``synthesize``, ``check``, ``colimit``, ``ktheory-at``: ``graphck
+  synthesize -o FILE`` on each distinct ``synth_chains`` request, with the
+  file it writes, then ``check``, ``colimit`` and ``ktheory --toeplitz`` on
+  that file, the last with ``--at N`` at every layer of a chain.
+* ``ktheory``, ``ktheory-toeplitz``, ``les-check``, ``boundary``: those
+  commands on every ``ktheory_big`` and ``les_small`` graph, ``boundary``
+  once per basis vector of the full-relation K1 that ``ktheory`` prints (or
+  on the zero vector when there is none).
+
+Each CLI call runs in process, on files under fixed relative names in a
+scratch directory, and its digest covers its arguments, exit code, stdout
+and stderr.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import importlib
+import importlib.util
+import io
+import json
+import os
+import sys
+import tempfile
+from collections import defaultdict
+from pathlib import Path
+from types import SimpleNamespace
+
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+WORKLOADS = ("synth_chains", "ktheory_big", "les_small", "lab_numeric")
+GRAPHCK_MODULES = ("abelian", "graphs", "ktheory", "synthesis", "lab", "scenarios", "cli")
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
+
+
+def load_graphck() -> SimpleNamespace:
+    """graphck from this checkout's ``src``, as the namespace the workloads read."""
+    src = str(ROOT / "src")
+    if src not in sys.path:
+        sys.path.insert(0, src)
+    import numpy
+
+    return SimpleNamespace(np=numpy, **{n: importlib.import_module(f"graphck.{n}") for n in GRAPHCK_MODULES})
+
+
+def load_perfbench(name: str):
+    """perfbench/<name>.py, registered under its bare name for its sibling imports."""
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def run_cli(gk, argv: list[str]) -> tuple[bytes, str]:
+    """One in-process ``graphck`` call: its digest record and its stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = gk.cli.main(argv)
+    record = json.dumps([argv, code, out.getvalue(), err.getvalue()]) + "\n"
+    return record.encode(), out.getvalue()
+
+
+def cli_digests(gk, synth_requests, graph_texts) -> dict[str, str]:
+    """Digests of the CLI families on ``(k0, k1, depth)`` synthesis requests
+    and graph file texts, run in the current directory."""
+    h: dict = defaultdict(hashlib.sha256)
+    for i, (k0, k1, depth) in enumerate(synth_requests):
+        name = f"synth{i:03d}.json"
+        h["synthesize"].update(run_cli(gk, ["synthesize", "--k0", k0, "--k1", k1, "--depth", str(depth), "-o", name])[0])
+        h["synthesize"].update(Path(name).read_bytes())
+        h["check"].update(run_cli(gk, ["check", name])[0])
+        h["colimit"].update(run_cli(gk, ["colimit", name])[0])
+        g = gk.graphs.load_graph(name)
+        ats = [["--at", str(n)] for n in range(len(g))] if isinstance(g, gk.graphs.GraphChain) else [[]]
+        for at in ats:
+            h["ktheory-at"].update(run_cli(gk, ["ktheory", name, *at, "--toeplitz"])[0])
+    for i, text in enumerate(graph_texts):
+        name = f"graph{i:04d}.json"
+        Path(name).write_text(text, encoding="utf-8")
+        record, out = run_cli(gk, ["ktheory", name])
+        h["ktheory"].update(record)
+        h["ktheory-toeplitz"].update(run_cli(gk, ["ktheory", name, "--toeplitz"])[0])
+        h["les-check"].update(run_cli(gk, ["les-check", name])[0])
+        full = json.loads(out)
+        for x in full["k1_basis"] or [[0] * len(full["k0_classes"])]:
+            h["boundary"].update(run_cli(gk, ["boundary", name, f"--class={','.join(map(str, x))}"])[0])
+    return {family: d.hexdigest() for family, d in h.items()}
+
+
+def digests(seed: int) -> dict[str, str]:
+    """Every family's digest at ``seed``, computed in a scratch directory."""
+    gk = load_graphck()
+    load_perfbench("oracle")  # workloads imports it by name
+    workloads = load_perfbench("workloads")
+    out, passes = {}, {}
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            os.mkdir("pass")
+            for name in WORKLOADS:
+                passes[name] = workloads.WORKLOADS[name](gk, seed, os.path.abspath("pass"))
+                h = hashlib.sha256()
+                for req in passes[name].requests:
+                    h.update(workloads.KINDS[req.kind][0](gk, req.payload)[0].encode() + b"\n")
+                out[f"workload:{name}"] = h.hexdigest()
+            synth = {r.key: r.payload for r in passes["synth_chains"].requests}
+            big = [gk.graphs.dump_graph(r.payload) for r in passes["ktheory_big"].requests if r.key.endswith(":T")]
+            small = [Path(r.payload).read_text(encoding="utf-8") for r in passes["les_small"].requests]
+            out.update(cli_digests(gk, synth.values(), big + small))
+        finally:
+            os.chdir(here)
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description="Print SHA-256 digests of graphck's outputs on the benchmark inputs.")
+    ap.add_argument("--seed", type=int, required=True, help="workload seed, as for perfbench/run.py")
+    args = ap.parse_args(argv)
+    for var in BLAS_THREAD_VARS:
+        os.environ[var] = "1"  # as the benchmark sets them, before numpy is imported
+    sys.dont_write_bytecode = True  # perfbench/ is read, never written
+    for family, digest in digests(args.seed).items():
+        print(family, digest)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -187,7 +187,7 @@ class GraphChain:
 
     __slots__ = (
         "infinite_vertices", "first", "_length", "edges",
-        "_edge_layer", "_s_first", "_termini", "_layers", "_layer_graphs",
+        "_edge_layer", "_s_first", "_termini", "_layers",
     )
 
     def __init__(
@@ -234,7 +234,7 @@ class GraphChain:
             termini.setdefault(o, []).append(t)
             if o in s_first and ft > s_first[o]:
                 s_first[o] = ft
-        values = (d, first, length, edges, edge_layer, s_first, termini, None, {})
+        values = (d, first, length, edges, edge_layer, s_first, termini, None)
         for name, value in zip(self.__slots__, values, strict=True):
             object.__setattr__(self, name, value)
 
@@ -279,15 +279,11 @@ class GraphChain:
 
     def layer_graph(self, n: int) -> FiniteGraph:
         """Layer n as a finite graph exempting the layer's vertices outside its
-        Toeplitz S set, built once per layer."""
+        Toeplitz S set, built anew on each call."""
         n = range(len(self))[n]
-        g = self._layer_graphs.get(n)
-        if g is None:
-            vs = frozenset(v for v, k in self.first.items() if k <= n)
-            # the layer edges are a sorted subset of the checked chain edges
-            g = FiniteGraph._of(vs, self.layer_edges(n), vs - toeplitz_s_set(self, n))
-            self._layer_graphs[n] = g
-        return g
+        vs = frozenset(v for v, k in self.first.items() if k <= n)
+        # the layer edges are a sorted subset of the checked chain edges
+        return FiniteGraph._of(vs, self.layer_edges(n), vs - toeplitz_s_set(self, n))
 
     def __eq__(self, other):
         return (

@@ -38,10 +38,11 @@ by exempt vertices, K1(O) basis vectors and K0(T) coordinates.  At K0 the
 check is a certificate (a well-defined map from coker j onto an isomorphic
 group), and a failing node reports a witness.
 
-Chains of graphs get their K-theory as a direct limit: per-layer results,
-inclusion-induced maps (extension by zero in degree one, generator-wise in
-degree zero), and the stabilization-flagged colimit from ``abelian``, which
-reads only the chain's final stretch.
+Chains of graphs get their K-theory as a direct limit of the layers' groups
+along the inclusion-induced maps (generator-wise in degree zero, extension
+by zero in degree one), through the stabilization-flagged colimit from
+``abelian``.  Any tail has the same limit, so only the chain's final stretch
+gets its layer results and maps.
 """
 
 from __future__ import annotations
@@ -399,19 +400,15 @@ def les_check(graph: FiniteGraph) -> LesReport:
 # ---------------------------------------------------------------------------
 
 
-def inclusion_k0(
-    small: FiniteGraph,
-    large: FiniteGraph,
-    kt_small: KTheoryResult,
-    kt_large: KTheoryResult,
-) -> GroupHom:
+def inclusion_k0(small: KTheoryResult, large: KTheoryResult) -> GroupHom:
     """Degree-zero map of a graph inclusion, in canonical coordinates.
 
-    The inclusion sends each vertex to itself.  It is well defined when each
+    ``small`` and ``large`` are the K-theory results of the two graphs.  The
+    inclusion sends each vertex to itself.  It is well defined when each
     relation vertex of the small graph has identical out-edge sets in both
     graphs: S of the small graph lies in S of the large one, so each small
     relation row is sent to the large relation row of the same vertex.  Both
-    are checked, and the K-theory results must be those of the two graphs.
+    are checked.
 
     The section of canonical generator j is a vertex vector of the small
     graph, so column j is the reduced sum of the large graph's vertex
@@ -419,20 +416,35 @@ def inclusion_k0(
     groups of the two K0 groups (``KTheoryResult.k0_canonical``), whose
     constructor checks it against the torsion orders.
     """
-    if not small.is_labeled_subgraph_of(large):
+    f, g = small.graph, large.graph
+    if not f.is_labeled_subgraph_of(g):
         raise ValueError("the first graph is not a labeled subgraph of the second")
-    if not set(small.s_vertices) <= set(large.s_vertices):
+    if not set(f.s_vertices) <= set(g.s_vertices):
         raise ValueError("the relation set must not shrink along the inclusion")
-    for u in small.s_vertices:
-        if set(small.out_edges(u)) != set(large.out_edges(u)):
+    for u in f.s_vertices:
+        if set(f.out_edges(u)) != set(g.out_edges(u)):
             raise ValueError(f"out-edges at relation vertex {u!r} differ between the graphs")
-    if kt_small.graph != small or kt_large.graph != large:
-        raise ValueError("the K-theory results passed are not those of the two graphs")
-    dom, cod = kt_small.k0, kt_large.k0
-    classes = [kt_large.k0_class_of_vertex[v] for v in kt_small.vertex_order]
+    dom, cod = small.k0, large.k0
+    classes = [large.k0_class_of_vertex[v] for v in small.vertex_order]
     cols = [dict(enumerate(_class_sum(cod, zip(dom.section(k), classes)))) for k in range(dom.ncoords)]
     matrix = IntMatrix.from_sparse_columns(cod.ncoords, cols)
-    return GroupHom(kt_small.k0_canonical, kt_large.k0_canonical, matrix)
+    return GroupHom(small.k0_canonical, large.k0_canonical, matrix)
+
+
+def inclusion_k1(small: KTheoryResult, large: KTheoryResult) -> GroupHom:
+    """Degree-one map of a graph inclusion: each basis column of ``small``,
+    extended by zero, solved in the lattice of ``large``."""
+    index = large.graph.vertex_index
+    cols = []
+    for x in small.k1_basis:
+        ext = [0] * len(large.vertex_order)
+        for i, val in x.items():
+            ext[index[small.vertex_order[i]]] = val
+        coeffs = large.k1_column.solve(ext)
+        if coeffs is None:
+            raise ValueError("the degree-one basis of the small graph does not extend into the large one")
+        cols.append(dict(enumerate(coeffs)))
+    return GroupHom(small.k1, large.k1, IntMatrix.from_sparse_columns(len(large.k1_basis), cols))
 
 
 # ---------------------------------------------------------------------------
@@ -440,33 +452,14 @@ def inclusion_k0(
 # ---------------------------------------------------------------------------
 
 
-class _OnFirstRead(Sequence):
-    """``n`` entries, entry i made by ``make(i)`` the first time it is read."""
-
-    def __init__(self, n: int, make):
-        self._make, self._made = make, [None] * n
-
-    def __len__(self) -> int:
-        return len(self._made)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self._made))[i]]
-        got = self._made[i]
-        if got is None:
-            got = self._made[i] = self._make(i % len(self._made))
-        return got
-
-
 @dataclass
 class ChainKTheory:
-    """Per-layer and colimit K-theory data for a chain prefix.
+    """Colimit K-theory of a chain prefix, with the final stretch it read.
 
-    ``layer_results`` has one entry per layer, ``k0_homs`` and ``k1_homs`` one
-    per consecutive pair of layers.  The report computes the entries of the
-    final stretch, which are all the colimits read; an earlier entry is
-    computed, by the same code and with every check, the first time it is
-    read.
+    ``layer_results`` holds the K-theory of layers ``first`` .. length - 1,
+    and ``k0_homs`` and ``k1_homs`` the inclusion maps between consecutive
+    ones, so entry i is layer ``first`` + i.  ``settled_index`` is a layer
+    number.
     """
 
     k0: FgAbelianGroup
@@ -476,72 +469,48 @@ class ChainKTheory:
     forced: bool
     settled_index: int
     condition_a: Verdict
-    layer_results: Sequence[KTheoryResult]
+    first: int
+    layer_results: list[KTheoryResult]
     k0_class_map: dict[str, tuple[int, ...]]
-    k0_homs: Sequence[GroupHom]  # canonical-coordinate inclusion maps between layers
-    k1_homs: Sequence[GroupHom]  # canonical-coordinate maps between free layers
+    k0_homs: list[GroupHom]  # canonical-coordinate inclusion maps between layers
+    k1_homs: list[GroupHom]  # canonical-coordinate maps between free layers
 
 
 def chain_ktheory_report(chain: GraphChain, window: int = 2, force: bool = False) -> ChainKTheory:
-    """Layerwise K-theory, inclusion maps and colimits.
+    """Colimit K-theory of a chain, read from its final stretch.
 
     Any tail of a chain has the same direct limit, and the colimits read only
     the final stretch: the layers ``first`` .. length - 1 of
     ``abelian.final_stretch`` and the maps between them.  Only those layers
-    get their K-theory here, with every check; earlier ones are computed when
-    read from the report.  The inclusions before the stretch hold by
-    construction, so skipping them hides no failure: a layer's S set and
-    out-edges are read from the chain's edges, so a relation vertex of layer
-    n has all its out-edges in layer n, stays a relation vertex of layer n+1
-    and keeps its out-edges there.
+    get their K-theory and inclusion maps, with every check.  The inclusions
+    before the stretch hold by construction, so leaving them out hides no
+    failure: a layer's S set and out-edges are read from the chain's edges,
+    so a relation vertex of layer n has all its out-edges in layer n, stays
+    a relation vertex of layer n+1 and keeps its out-edges there.
 
     The colimit class map covers vertices of layers up to the settled index
     (length - 1 - window); vertices beyond it have no reduced class within
     this prefix, and ``check_condition_b2`` reports them as unchecked.
     """
-    nlayers = len(chain)
-    first, _ = final_stretch(nlayers, window)
+    first, _ = final_stretch(len(chain), window)
     cond_a = check_condition_a(chain)
     if not cond_a.passed and not force:
         raise ChainConditionError(cond_a)
 
-    kts = _OnFirstRead(nlayers, lambda n: ktheory(chain.layer_graph(n)))
+    kts = [ktheory(chain.layer_graph(n)) for n in range(first, len(chain))]
+    pairs = list(zip(kts, kts[1:]))
+    k0_homs = [inclusion_k0(a, b) for a, b in pairs]
+    k1_homs = [inclusion_k1(a, b) for a, b in pairs]
 
-    # degree zero: canonical-coordinate inclusions, read from the layer classes
-    k0_homs = _OnFirstRead(nlayers - 1, lambda n: inclusion_k0(kts[n].graph, kts[n + 1].graph, kts[n], kts[n + 1]))
-
-    # degree one: solve each basis column in the next lattice
-    def k1_hom(n: int) -> GroupHom:
-        src, dst = kts[n], kts[n + 1]
-        dst_lat = dst.k1_column
-        dst_idx = dst.graph.vertex_index
-        cols = []
-        for x in src.k1_basis:
-            ext = [0] * len(dst.vertex_order)
-            for i, val in x.items():
-                ext[dst_idx[src.vertex_order[i]]] = val
-            coeffs = dst_lat.solve(ext)
-            if coeffs is None:
-                raise ValueError(
-                    f"degree-one basis of layer {n} does not extend into layer {n + 1}"
-                )
-            cols.append(coeffs)
-        matrix = IntMatrix.from_sparse_columns(len(dst.k1_basis), [dict(enumerate(c)) for c in cols])
-        return GroupHom(src.k1, dst.k1, matrix)
-
-    k1_homs = _OnFirstRead(nlayers - 1, k1_hom)
-
-    stretch = kts[first:]
-    k0_res = colimit_chain_detailed([kt.k0_canonical for kt in stretch], k0_homs[first:], window)
-    k1_res = colimit_chain_detailed([kt.k1 for kt in stretch], k1_homs[first:], window)
+    k0_res = colimit_chain_detailed([kt.k0_canonical for kt in kts], k0_homs, window)
+    k1_res = colimit_chain_detailed([kt.k1 for kt in kts], k1_homs, window)
     if k1_res.group.invariant_factors:
         raise AssertionError("degree-one colimit acquired torsion; this is a bug")
 
     # colimit classes: every chain map is a generator inclusion, and the reduced
     # group is the settled layer's under more relations: read each class there
-    settled = first + k0_res.settled_index
-    top = kts[settled].k0_class_of_vertex
-    class_map = {v: k0_res.group.class_of(top[v]) for v in kts[settled].vertex_order}
+    top = kts[k0_res.settled_index].k0_class_of_vertex
+    class_map = {v: k0_res.group.class_of(c) for v, c in top.items()}
 
     return ChainKTheory(
         k0=k0_res.group,
@@ -549,8 +518,9 @@ def chain_ktheory_report(chain: GraphChain, window: int = 2, force: bool = False
         stabilized=k0_res.stabilized and k1_res.stabilized,
         window=window,
         forced=force and not cond_a.passed,
-        settled_index=settled,
+        settled_index=first + k0_res.settled_index,
         condition_a=cond_a,
+        first=first,
         layer_results=kts,
         k0_class_map=class_map,
         k0_homs=k0_homs,

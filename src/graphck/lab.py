@@ -574,6 +574,7 @@ def straighten_family(
     # straighten each block's new edges within its top projection less the
     # ranges secured so far: the edges away from infinite-valence origins
     # under the identity, then the edges out of each u in d under xi[u]
+    # u's secured range starts at q_of[u], its small out-ranges, which new edges out of u must avoid
     blocks = [(one, zero, [e for e in new_edges if e[1] not in d])]
     blocks += [(xi[u], q_of[u], [e for e in new_edges if e[1] == u]) for u in sorted(d)]
     b_fields: dict[str, MatField] = {}

@@ -30,6 +30,7 @@ from graphck.ktheory import (
     boundary_map,
     chain_ktheory_report,
     inclusion_k0,
+    inclusion_k1,
     ktheory,
     les_check,
     relation_matrix,
@@ -949,10 +950,19 @@ def test_inclusion_k1_towers_give_isomorphism():
         assert hom.is_isomorphism()
 
 
+def test_inclusion_k1_rejects_a_basis_that_does_not_extend():
+    # the loop class at v breaks the relation at w once v also feeds w
+    f = FiniteGraph({"v"}, [("l", "v", "v")])
+    g = FiniteGraph({"v", "w"}, [("l", "v", "v"), ("e", "v", "w"), ("wl", "w", "w")])
+    assert ktheory(f).k1 == ktheory(g).k1 == FgAbelianGroup.canonical(1)
+    with pytest.raises(ValueError, match="does not extend into the large one"):
+        inclusion_k1(ktheory(f), ktheory(g))
+
+
 def test_inclusion_k0_identity():
     g = loops(1)
     kt = ktheory(g)
-    hom = inclusion_k0(g, g, kt, kt)
+    hom = inclusion_k0(kt, kt)
     assert hom.is_isomorphism()
 
 
@@ -973,8 +983,7 @@ def test_inclusion_k0_kills_tower_tops():
 def test_inclusion_k0_isomorphisms_in_stable_towers():
     chain = build_case_iii(2, 1, (3,), 6)
     rep = chain_ktheory_report(chain, window=2)
-    graphs = [chain.layer_graph(n) for n in range(len(chain))]
-    for n, hom in enumerate(rep.k0_homs):
+    for hom in rep.k0_homs:
         assert hom.is_isomorphism()
 
 
@@ -985,7 +994,21 @@ def test_inclusion_k0_rejects_row_mismatch():
         [("l", "v", "v"), ("e", "v", "w"), ("wl", "w", "w"), ("back", "w", "v")],
     )
     with pytest.raises(ValueError, match="out-edges at relation vertex 'v' differ"):
-        inclusion_k0(f, g, ktheory(f), ktheory(g))
+        inclusion_k0(ktheory(f), ktheory(g))
+
+
+def test_inclusion_k0_rejects_a_shrinking_relation_set_and_a_non_subgraph():
+    chain = build_case_ii(3, 1, (2,), 5)
+    f, g = chain.layer_graph(0), chain.layer_graph(1)
+    kt_f, kt_g = ktheory(f), ktheory(g)
+    assert inclusion_k0(kt_f, kt_g).domain == kt_f.k0
+    # u emits infinitely many edges, so it is exempt in every layer
+    f_full = FiniteGraph(f.vertices, f.edges, ())
+    assert "u" in f.relation_exempt and "u" in g.relation_exempt
+    with pytest.raises(ValueError, match="relation set must not shrink"):
+        inclusion_k0(ktheory(f_full), kt_g)
+    with pytest.raises(ValueError, match="not a labeled subgraph"):
+        inclusion_k0(kt_g, kt_f)
 
 
 @pytest.mark.parametrize(
@@ -1009,22 +1032,10 @@ def test_inclusion_k0_is_proved_well_defined_from_the_graphs(chain):
         small, large = kts[n], kts[n + 1]
         rows = [[int(v == w) for v in small.vertex_order] for w in large.vertex_order]
         selector = GroupHom(small.k0, large.k0, IntMatrix.from_rows(rows, cols=len(small.vertex_order)))
-        hom = inclusion_k0(layers[n], layers[n + 1], small, large)
+        hom = inclusion_k0(small, large)
         assert (hom.domain, hom.codomain) == (small.k0, large.k0)
         cols = [large.k0.class_of(selector.matrix.mat_vec(small.k0.section(j))) for j in range(small.k0.ncoords)]
         assert hom.matrix == IntMatrix.from_sparse_columns(large.k0.ncoords, [dict(enumerate(c)) for c in cols])
-
-
-def test_inclusion_k0_rejects_ktheory_of_another_graph():
-    chain = build_case_ii(3, 1, (2,), 5)
-    f, g, h = (chain.layer_graph(n) for n in range(3))
-    kt_f, kt_g, kt_h = ktheory(f), ktheory(g), ktheory(h)
-    assert inclusion_k0(f, g, kt_f, kt_g).domain == kt_f.k0
-    # the same vertices and edges with another exempt set is another graph
-    f_full = FiniteGraph(f.vertices, f.edges, ())
-    for kts in ((kt_g, kt_g), (kt_f, kt_h), (kt_h, kt_g), (ktheory(f_full), kt_g)):
-        with pytest.raises(ValueError, match="not those of the two graphs"):
-            inclusion_k0(f, g, *kts)
 
 
 # ---------------------------------------------------------------------------
@@ -1114,14 +1125,17 @@ def test_chain_class_map_matches_expected_kills():
 def test_chain_vertex_classes_push_to_the_settled_layer_class(chain):
     # the colimit class map reads each vertex's class in the settled layer;
     # pushing the class from the vertex's first layer through the inclusion
-    # maps must land on that same class
+    # maps must land on that same class.  The layers before the report's
+    # stretch get their K-theory and inclusions here
     rep = chain_ktheory_report(chain, window=2)
-    kts, settled = rep.layer_results, rep.settled_index
+    settled = rep.settled_index
+    kts = [ktheory(chain.layer_graph(n)) for n in range(rep.first)] + rep.layer_results
+    homs = [inclusion_k0(a, b) for a, b in zip(kts, kts[1 : rep.first + 1])] + rep.k0_homs
     pushed = 0
     for m in range(settled):
         for v in sorted(chain.layers[m] - (chain.layers[m - 1] if m else frozenset())):
             coords = kts[m].k0_class_of_vertex[v]
-            for hom in rep.k0_homs[m:settled]:
+            for hom in homs[m:settled]:
                 coords = hom.codomain.class_of(hom.matrix.mat_vec(coords))
             assert coords == kts[settled].k0_class_of_vertex[v]
             pushed += 1
@@ -1168,8 +1182,8 @@ DEEP_CHAINS = {
 @pytest.mark.parametrize("name", [*DEEP_CHAINS, "case_ii_6"])
 def test_chain_report_computes_layer_ktheory_on_the_final_stretch(monkeypatch, name):
     # the colimits read layers first .. length - 1, which is 2 * window + 2
-    # layers on a deep chain and every layer of a 6-layer one; an earlier
-    # layer is computed once, when first read
+    # layers on a deep chain and every layer of a 6-layer one, and the
+    # report computes those layers only
     chain = DEEP_CHAINS.get(name) or build_case_ii(3, 1, (2,), 6)
     ktheory_mod = importlib.import_module("graphck.ktheory")
     orig = ktheory_mod.ktheory
@@ -1179,9 +1193,7 @@ def test_chain_report_computes_layer_ktheory_on_the_final_stretch(monkeypatch, n
     start = len(chain) - 6
     assert graphs == [chain.layer_graph(n) for n in range(start, len(chain))]
     assert rep.settled_index == len(chain) - 3
-    for entries in (rep.k1_homs, rep.k0_homs, rep.layer_results):
-        list(entries)
-    assert graphs == [chain.layer_graph(n) for n in (*range(start, len(chain)), *range(start))]
+    assert rep.first == start and len(rep.layer_results) == len(rep.k0_homs) + 1 == len(rep.k1_homs) + 1 == 6
 
 
 def _extended(columns, src, dst):
@@ -1199,33 +1211,34 @@ def _extended(columns, src, dst):
 
 @pytest.mark.parametrize("name", list(DEEP_CHAINS))
 def test_chain_report_entries_read_on_demand_equal_the_eager_ones(name):
-    # reference: every layer's K-theory and degree-zero inclusion computed
-    # directly, and the degree-one map checked by what defines it: the next
-    # lattice's basis times its matrix is the extended basis.  Entries are
-    # read from the last back, so each earlier layer is computed on demand
+    # reference: each stretch layer's K-theory and degree-zero inclusion
+    # computed directly, and the degree-one map checked by what defines it:
+    # the next lattice's basis times its matrix is the extended basis
     chain = DEEP_CHAINS[name]
-    layers = [chain.layer_graph(n) for n in range(len(chain))]
-    kts = [ktheory(g) for g in layers]
     rep = chain_ktheory_report(chain, window=2)
-    assert len(rep.layer_results) == len(chain) and len(rep.k0_homs) == len(rep.k1_homs) == len(chain) - 1
-    for n in reversed(range(len(chain))):
-        got, want = rep.layer_results[n], kts[n]
-        assert got.graph is layers[n]
+    first = rep.first
+    stretch = range(first, len(chain))
+    layers = {n: chain.layer_graph(n) for n in stretch}
+    kts = {n: ktheory(g) for n, g in layers.items()}
+    assert len(rep.layer_results) == len(stretch) and len(rep.k0_homs) == len(rep.k1_homs) == len(stretch) - 1
+    for n in stretch:
+        got, want = rep.layer_results[n - first], kts[n]
+        assert got.graph == layers[n]
         assert (got.k0.relations, got.k0.canonical_pair()) == (want.k0.relations, want.k0.canonical_pair())
         assert (got.k0_class_of_vertex, got.k1, got.k1_basis) == (want.k0_class_of_vertex, want.k1, want.k1_basis)
-    for n in reversed(range(len(chain) - 1)):
-        hom = rep.k0_homs[n]
-        ref = inclusion_k0(layers[n], layers[n + 1], kts[n], kts[n + 1])
+    for n in stretch[:-1]:
+        hom = rep.k0_homs[n - first]
+        ref = inclusion_k0(kts[n], kts[n + 1])
         assert (hom.domain.relations, hom.codomain.relations, hom.matrix) == (
             ref.domain.relations,
             ref.codomain.relations,
             ref.matrix,
         )
-        hom = rep.k1_homs[n]
+        hom = rep.k1_homs[n - first]
         assert (hom.domain, hom.codomain) == (kts[n].k1, kts[n + 1].k1)
         ext = _extended(kts[n].k1_basis, layers[n], layers[n + 1])
         assert ext and (kts[n + 1].k1_lattice @ hom.matrix).to_lists() == [list(r) for r in zip(*ext)]
-    assert rep.k0_homs[-3:] == [rep.k0_homs[n] for n in range(len(chain) - 4, len(chain) - 1)]
+        assert hom.matrix == inclusion_k1(kts[n], kts[n + 1]).matrix
 
 
 def _count_layer_graphs(monkeypatch) -> list:
@@ -1246,13 +1259,14 @@ def test_chain_report_builds_each_layer_graph_once(monkeypatch):
     # a 6-layer chain is all final stretch: the layer K-theory reads each
     # layer's graph, which layer_graph wraps once from the chain's checked
     # edges without a new check
-    built = _count_layer_graphs(monkeypatch)
     chain = build_case_ii(2, 1, (3,), 6)
+    sizes = [len(layer) for layer in chain.layers]
+    built = _count_layer_graphs(monkeypatch)
     rep = chain_ktheory_report(chain, window=2)
     assert rep.condition_a.passed
-    assert built == [len(layer) for layer in chain.layers]
+    assert built == sizes
     assert [kt.graph for kt in rep.layer_results] == [chain.layer_graph(n) for n in range(len(chain))]
-    assert chain.layer_graph(1) is rep.layer_results[1].graph
+    assert chain.layer_graph(1) == rep.layer_results[1].graph
 
 
 @pytest.mark.parametrize("build", [build_case_ii, build_case_iii])
@@ -1261,10 +1275,11 @@ def test_chain_report_builds_only_the_stretch_layer_graphs(monkeypatch, build, d
     # condition (a) reads the chain's first-layer map and builds no layer
     # graph; the report builds the 2 * window + 2 its colimits read
     chain = build(3, 1, (2,), depth)
+    sizes = [len(chain.layer_graph(n).vertices) for n in range(depth - 6, depth)]
     built = _count_layer_graphs(monkeypatch)
     assert check_condition_a(chain).passed and built == []
     chain_ktheory_report(chain, window=2)
-    assert built == [len(chain.layer_graph(n).vertices) for n in range(depth - 6, depth)]
+    assert built == sizes
 
 
 def _count_replays(monkeypatch):
@@ -1398,7 +1413,7 @@ def test_ideal_class_commuting_square_along_chains():
         kts = [ktheory(chain.layer_graph(n)) for n in range(len(chain))]
         for n in range(len(chain) - 1):
             f, g = chain.layer_graph(n), chain.layer_graph(n + 1)
-            hom = inclusion_k0(f, g, kts[n], kts[n + 1])
+            hom = inclusion_k0(kts[n], kts[n + 1])
             exempt, vidx = sorted(f.relation_exempt), g.vertex_index
             for u, small in zip(exempt, _relation_classes(kts[n], exempt)):
                 assert u in g.relation_exempt

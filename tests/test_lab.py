@@ -458,6 +458,38 @@ def test_family_orthogonal_pair_ranges_exactly_orthogonal():
     assert cross <= 1e-12
 
 
+def test_family_cuts_a_new_edge_leak_into_the_small_out_ranges():
+    # u emits f0 in the small graph and e in the large one; off the ideal
+    # fiber e leaks 5e-11 into f0's range, within the precondition
+    # tolerance.  Straightening e inside xi[u] less f0's range removes the
+    # leak, so e and f0 come out with exactly orthogonal ranges (o5)
+    dim, grid = 6, 4
+
+    def unit(*entries):
+        m = np.zeros((dim, dim), dtype=complex)
+        for i, j in entries:
+            m[i, j] = 1
+        return MatField.constant(m, grid)
+
+    small = FiniteGraph({"v", "u", "a"}, [("g", "v", "u"), ("f0", "u", "a"), ("la", "a", "a")])
+    large = FiniteGraph(
+        {"v", "u", "a", "w"},
+        [*small.edges, ("e", "u", "w"), ("lw", "w", "w")],
+    )
+    leak = np.zeros((grid + 1, dim, dim), dtype=complex)
+    leak[:grid, 1, 5] = 5e-11
+    fields = {
+        "g": unit((3, 1), (4, 2)),
+        "f0": unit((1, 0)),
+        "la": unit((0, 0)),
+        "e": unit((2, 5)) + MatField(leak),
+        "lw": unit((5, 5)),
+    }
+    assert condition_o_residuals(large, {"u"}, fields)["o5"] > 1e-11
+    out = straighten_family(small, large, {"u"}, fields)
+    assert condition_o_residuals(large, {"u"}, out)["o5"] <= 1e-13
+
+
 def test_family_rejects_excess_defects(monkeypatch):
     monkeypatch.setattr(scenarios, "FAMILY_NOISE", 0.2)
     sc = family_scenario("unitary_extension", seed=1)

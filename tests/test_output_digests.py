@@ -1,0 +1,61 @@
+"""The CLI's exact outputs on a small fixed corpus, pinned by digest.
+
+``scripts/output_digests.py`` digests the CLI families on the benchmark's
+inputs, to compare two checkouts.  Here the same families run on a corpus
+small enough for every test run: synthesis requests of each case, shallow
+and deep, and small random graphs with relation-exempt vertices.  Answers to
+fixed inputs change only when a change documents it; a digest that moves
+must be re-pinned in that change.
+"""
+
+import importlib.util
+import json
+import random
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "output_digests.py"
+
+SYNTH_REQUESTS = [
+    ("Z + Z/2", "Z", 4),
+    ("Z/3 + Z/3", "0", 4),
+    ("Z", "Z^3", 4),
+    ("Z^3 + Z/4", "Z", 4),
+    ("Z^2 + Z/9", "0", 10),
+    ("0", "Z^2", 10),
+    ("Z/2", "Z^3", 16),
+    ("Z^3", "0", 16),
+]
+
+PINNED = {
+    "synthesize": "bc7bb4b803925b559bc429ae75b72f82ed53df583c63402907c9ee7fe1076c10",
+    "check": "14b9205f95eb8173d56c56ff7923537054775b4ed3d034861ccd1b992865b510",
+    "colimit": "079675f68efccd6b51c58a9a3abb2c8d29150f9072afee022a074961c847ee20",
+    "ktheory-at": "58d1a5799d4b85ac707445ccc51b3b908ece058213f15f3d4f5181d594364a07",
+    "ktheory": "d480e8fc4c79cf9984922bf55369d30b2b0e0d0c997071d87a7c27fcc80c1523",
+    "ktheory-toeplitz": "77ddebb2c56d133f29e6af746cb5c9e33d275d53e318bec94426dda252e740b1",
+    "les-check": "5881eee68e4ce0dec937c93cf55bed6e24ba1c058706867f4667a6c4934add75",
+    "boundary": "6693792aa112d4669dc063d1c50722bdd9a4fa9cd78dda7618f02add24da1b36",
+}
+
+
+def graph_texts(count: int, seed: int) -> list[str]:
+    rng = random.Random(seed)
+    texts = []
+    for _ in range(count):
+        n = rng.randint(1, 12)
+        verts = [f"v{j}" for j in range(n)]
+        edges = [{"id": f"e{k}", "from": rng.choice(verts), "to": rng.choice(verts)} for k in range(rng.randint(0, 3 * n))]
+        exempt = [v for v in verts if rng.random() < 0.35]
+        texts.append(json.dumps({"vertices": verts, "edges": edges, "relation_exempt": exempt}))
+    return texts
+
+
+def test_cli_output_digests_on_a_small_corpus(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("output_digests", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "output_digests", module)
+    spec.loader.exec_module(module)
+    monkeypatch.chdir(tmp_path)
+    got = module.cli_digests(module.load_graphck(), SYNTH_REQUESTS, graph_texts(200, 20261019))
+    assert got == PINNED

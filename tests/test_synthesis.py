@@ -104,7 +104,7 @@ def test_case_ii_layer_groups_and_kills():
     l, p = 3, 1
     chain = build_case_ii(l, p, (), 6)
     rep = chain_ktheory_report(chain, window=2)
-    for n, kt in enumerate(rep.layer_results):
+    for n, kt in enumerate(rep.layer_results, rep.first):
         assert kt.k1.canonical_pair() == (l - 1, ())
         assert kt.k0.canonical_pair() == (l, ())
         # degree-zero classes stated to vanish: u, v_1..v_{p+1}, low tower levels
@@ -167,7 +167,7 @@ def test_case_iii_layer_groups_are_stable():
     chain = build_case_iii(l, p, (3,), 6)
     rep = chain_ktheory_report(chain, window=2)
     base_kt = ktheory(build_case_i(l, (3,)))
-    for n, kt in enumerate(rep.layer_results):
+    for n, kt in enumerate(rep.layer_results, rep.first):
         assert kt.k1.canonical_pair() == (l - p, ())
         assert kt.k0.canonical_pair() == base_kt.k0.canonical_pair()
         zero = (0,) * kt.k0.ncoords
