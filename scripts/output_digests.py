@@ -6,7 +6,14 @@ Run from the repository root:
 
 It prints one line per family, ``<family> <sha256>``.  Two checkouts that
 print the same line for a family gave byte-identical outputs on every input
-of that family.
+of that family.  To compare a change with its parent, save the parent's
+lines and check the change against them:
+
+    python3 scripts/output_digests.py --seed 1 > parent.txt    # on the parent
+    python3 scripts/output_digests.py --seed 1 --against parent.txt    # on the change
+
+With ``--against FILE`` it prints each family whose digest differs from the
+file's, or that only one side has, and exits 1 if there is any, else 0.
 
 * ``workload:<name>``: the exact output text of every request in the
   workload's seeded pass, in pass order.  The workload modules are loaded
@@ -127,16 +134,42 @@ def digests(seed: int) -> dict[str, str]:
     return out
 
 
+def read_digests(text: str) -> dict[str, str]:
+    """The ``<family> <digest>`` lines this script prints, as a dict."""
+    return dict(line.split() for line in text.splitlines() if line.strip())
+
+
+def differences(got: dict[str, str], want: dict[str, str]) -> list[str]:
+    """One line per family whose digest differs or that only one side has."""
+    lines = []
+    for family in [*want, *(f for f in got if f not in want)]:
+        if family not in got:
+            lines.append(f"{family} missing here")
+        elif family not in want:
+            lines.append(f"{family} missing from the file")
+        elif got[family] != want[family]:
+            lines.append(f"{family} differs")
+    return lines
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description="Print SHA-256 digests of graphck's outputs on the benchmark inputs.")
     ap.add_argument("--seed", type=int, required=True, help="workload seed, as for perfbench/run.py")
+    ap.add_argument("--against", metavar="FILE", help="compare with the lines this script printed on another checkout")
     args = ap.parse_args(argv)
+    want = read_digests(Path(args.against).read_text(encoding="utf-8")) if args.against else None
     for var in BLAS_THREAD_VARS:
         os.environ[var] = "1"  # as the benchmark sets them, before numpy is imported
     sys.dont_write_bytecode = True  # perfbench/ is read, never written
-    for family, digest in digests(args.seed).items():
-        print(family, digest)
-    return 0
+    got = digests(args.seed)
+    if want is None:
+        for family, digest in got.items():
+            print(family, digest)
+        return 0
+    lines = differences(got, want)
+    for line in lines:
+        print(line)
+    return 1 if lines else 0
 
 
 if __name__ == "__main__":

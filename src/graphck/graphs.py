@@ -71,7 +71,10 @@ class FiniteGraph:
 
     ``vertex_list`` and ``s_vertices`` are the sorted vertices and relation
     vertices, and ``vertex_index`` maps each vertex to its position in
-    ``vertex_list``, the matrix index of the vertex everywhere.
+    ``vertex_list``, the matrix index of the vertex everywhere.  Each
+    vertex's out-edges are held in sorted edge order.  The in-edge map is
+    built on first read: only the strong-connectivity checks and the lab
+    read it.
     """
 
     __slots__ = (
@@ -105,23 +108,50 @@ class FiniteGraph:
         g._set(vertices, edges, exempt)
         return g
 
+    def _extended(self, vertices: Sequence[str], edges: Sequence[Edge], exempt: frozenset[str]) -> "FiniteGraph":
+        """This graph with new vertices and edges added, exempting ``exempt``.
+
+        ``vertices`` and ``edges`` must be sorted and new to this graph, with
+        unique edge ids and endpoints among the old and new vertices, and
+        ``exempt`` a subset of all of them.  The out-map is copied, and only
+        the out-tuples of origins with new edges are merged again.
+        """
+        out = dict(self._out)
+        out.update((v, ()) for v in vertices)
+        added: dict[str, list[Edge]] = {}
+        for e in edges:
+            added.setdefault(e[1], []).append(e)
+        for o, es in added.items():
+            out[o] = tuple(sorted(out[o] + tuple(es)))
+        g = object.__new__(FiniteGraph)
+        g._fill(
+            self.vertices.union(vertices),
+            tuple(sorted(self.edges + tuple(edges))),
+            exempt,
+            tuple(sorted(self.vertex_list + tuple(vertices))),
+            out,
+        )
+        return g
+
     def _set(self, vertices: frozenset[str], edges: tuple[Edge, ...], exempt: frozenset[str]) -> None:
         vertex_list = tuple(sorted(vertices))
         out: dict[str, list[Edge]] = {v: [] for v in vertex_list}
-        inc: dict[str, list[Edge]] = {v: [] for v in vertex_list}
         for e in edges:
             out[e[1]].append(e)
-            inc[e[2]].append(e)
-        for name, value in (
-            ("vertices", vertices),
-            ("edges", edges),
-            ("relation_exempt", exempt),
-            ("vertex_list", vertex_list),
-            ("s_vertices", tuple(v for v in vertex_list if v not in exempt)),
-            ("vertex_index", {v: i for i, v in enumerate(vertex_list)}),
-            ("_out", {v: tuple(es) for v, es in out.items()}),
-            ("_in", {v: tuple(es) for v, es in inc.items()}),
-        ):
+        self._fill(vertices, edges, exempt, vertex_list, {v: tuple(es) for v, es in out.items()})
+
+    def _fill(
+        self,
+        vertices: frozenset[str],
+        edges: tuple[Edge, ...],
+        exempt: frozenset[str],
+        vertex_list: tuple[str, ...],
+        out: dict[str, tuple[Edge, ...]],
+    ) -> None:
+        s_vertices = tuple(v for v in vertex_list if v not in exempt)
+        vertex_index = {v: i for i, v in enumerate(vertex_list)}
+        values = (vertices, edges, exempt, vertex_list, s_vertices, vertex_index, out, None)
+        for name, value in zip(self.__slots__, values, strict=True):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -129,20 +159,29 @@ class FiniteGraph:
 
     # -- views --------------------------------------------------------------
 
+    def _in_map(self) -> dict[str, tuple[Edge, ...]]:
+        """Each vertex's in-edges in sorted edge order, built on first read."""
+        if self._in is None:
+            inc: dict[str, list[Edge]] = {v: [] for v in self.vertex_list}
+            for e in self.edges:
+                inc[e[2]].append(e)
+            object.__setattr__(self, "_in", {v: tuple(es) for v, es in inc.items()})
+        return self._in
+
     def out_edges(self, v: str) -> tuple[Edge, ...]:
         return self._out[v]
 
     def in_edges(self, v: str) -> tuple[Edge, ...]:
-        return self._in[v]
+        return self._in_map()[v]
 
     def out_degree(self, v: str) -> int:
         return len(self._out[v])
 
     def in_degree(self, v: str) -> int:
-        return len(self._in[v])
+        return len(self._in_map()[v])
 
     def is_labeled_subgraph_of(self, other: "FiniteGraph") -> bool:
-        return self.vertices <= other.vertices and set(self.edges) <= set(other.edges)
+        return self.vertices <= other.vertices and set(other.edges).issuperset(self.edges)
 
     def __eq__(self, other):
         return self is other or (
@@ -277,13 +316,40 @@ class GraphChain:
     def layer_edges(self, n: int) -> tuple[Edge, ...]:
         return tuple(e for e, k in zip(self.edges, self._edge_layer) if k <= n)
 
+    def _new_edges(self) -> list[list[Edge]]:
+        """The edges first appearing in each layer, in sorted order."""
+        new: list[list[Edge]] = [[] for _ in range(self._length)]
+        for e, n in zip(self.edges, self._edge_layer):
+            new[n].append(e)
+        return new
+
     def layer_graph(self, n: int) -> FiniteGraph:
         """Layer n as a finite graph exempting the layer's vertices outside its
-        Toeplitz S set, built anew on each call."""
+        Toeplitz S set, built anew from the chain's edges on each call.
+        ``layer_graphs_from`` builds a run of consecutive layers cheaper."""
         n = range(len(self))[n]
         vs = frozenset(v for v, k in self.first.items() if k <= n)
         # the layer edges are a sorted subset of the checked chain edges
         return FiniteGraph._of(vs, self.layer_edges(n), vs - toeplitz_s_set(self, n))
+
+    def layer_graphs_from(self, first: int) -> list[FiniteGraph]:
+        """The graphs of layers ``first`` .. length - 1, each equal to its
+        ``layer_graph``.
+
+        Layer ``first`` comes from ``layer_graph``; each later layer extends
+        the one before by only the vertices and edges whose layer it is.  A
+        vertex of layer n - 1 in its S set stays in the S set of layer n, so
+        only the previous exempt vertices and the new ones are read again.
+        """
+        first = range(len(self))[first]
+        new_vertices, new_edges = self._new_vertices(), self._new_edges()
+        graphs = [self.layer_graph(first)]
+        for n in range(first + 1, len(self)):
+            g, new = graphs[-1], sorted(new_vertices[n])
+            # infinite-valence vertices have no first S layer: exempt throughout
+            exempt = frozenset(v for v in (*g.relation_exempt, *new) if self._s_first.get(v, n + 1) > n)
+            graphs.append(g._extended(new, new_edges[n], exempt))
+        return graphs
 
     def __eq__(self, other):
         return (
@@ -401,7 +467,7 @@ def _reaches_all(root, out: Mapping, inc: Mapping, count: int) -> bool:
 def _strongly_connected(graph: FiniteGraph) -> bool:
     """Do a forward and a backward search from one vertex both reach every
     vertex of a nonempty graph?"""
-    return _reaches_all(graph.vertex_list[0], graph._out, graph._in, len(graph.vertex_list))
+    return _reaches_all(graph.vertex_list[0], graph._out, graph._in_map(), len(graph.vertex_list))
 
 
 def is_irreducible(graph: FiniteGraph) -> bool:
@@ -513,9 +579,7 @@ def check_condition_a(chain: GraphChain) -> Verdict:
     missing = sorted(u for u in d if first[u])
     report.record("a1", f"infinite-valence vertex {missing[0]!r} not in layer 0" if missing else None)
 
-    new_edges: list[list[Edge]] = [[] for _ in range(nlayers)]
-    for e, n in zip(chain.edges, chain._edge_layer):
-        new_edges[n].append(e)
+    new_edges = chain._new_edges()
     witness = None
     nvertices = nedges = 0
     for n, new in enumerate(chain._new_vertices()):

@@ -83,11 +83,14 @@ def relation_matrix(graph: FiniteGraph) -> IntMatrix:
     vidx = graph.vertex_index
     rows = []
     for u in graph.s_vertices:
-        row = {vidx[u]: 1}
+        i = vidx[u]
+        row = {i: 1}
         for _, _, t in graph.out_edges(u):
             j = vidx[t]
             row[j] = row.get(j, 0) - 1
-        rows.append({j: x for j, x in row.items() if x})  # one loop at u cancels e_u
+        if not row[i]:
+            del row[i]  # one loop at u cancels e_u; every other entry is negative
+        rows.append(row)
     return IntMatrix._of(len(rows), len(vidx), tuple(rows))
 
 
@@ -408,7 +411,11 @@ def inclusion_k0(small: KTheoryResult, large: KTheoryResult) -> GroupHom:
     relation vertex of the small graph has identical out-edge sets in both
     graphs: S of the small graph lies in S of the large one, so each small
     relation row is sent to the large relation row of the same vertex.  Both
-    are checked.
+    are checked, after the vertex and edge inclusion.  With the vertices
+    included, S does not shrink exactly when no small relation vertex is
+    exempt in the large graph.  A graph holds each vertex's out-edges in
+    sorted edge order, and edge ids are unique, so two out-edge tuples are
+    equal exactly when their sets are.
 
     The section of canonical generator j is a vertex vector of the small
     graph, so column j is the reduced sum of the large graph's vertex
@@ -419,10 +426,10 @@ def inclusion_k0(small: KTheoryResult, large: KTheoryResult) -> GroupHom:
     f, g = small.graph, large.graph
     if not f.is_labeled_subgraph_of(g):
         raise ValueError("the first graph is not a labeled subgraph of the second")
-    if not set(f.s_vertices) <= set(g.s_vertices):
+    if not g.relation_exempt.isdisjoint(f.s_vertices):
         raise ValueError("the relation set must not shrink along the inclusion")
     for u in f.s_vertices:
-        if set(f.out_edges(u)) != set(g.out_edges(u)):
+        if f.out_edges(u) != g.out_edges(u):
             raise ValueError(f"out-edges at relation vertex {u!r} differ between the graphs")
     dom, cod = small.k0, large.k0
     classes = [large.k0_class_of_vertex[v] for v in small.vertex_order]
@@ -482,11 +489,14 @@ def chain_ktheory_report(chain: GraphChain, window: int = 2, force: bool = False
     Any tail of a chain has the same direct limit, and the colimits read only
     the final stretch: the layers ``first`` .. length - 1 of
     ``abelian.final_stretch`` and the maps between them.  Only those layers
-    get their K-theory and inclusion maps, with every check.  The inclusions
-    before the stretch hold by construction, so leaving them out hides no
-    failure: a layer's S set and out-edges are read from the chain's edges,
-    so a relation vertex of layer n has all its out-edges in layer n, stays
-    a relation vertex of layer n+1 and keeps its out-edges there.
+    get their K-theory and inclusion maps, with every check.  Their graphs
+    are built layer on layer (``GraphChain.layer_graphs_from``): layer
+    ``first`` from the chain's edges, each later one from the one before.
+    The inclusions before the stretch hold by construction, so leaving them
+    out hides no failure: a layer's S set and out-edges are read from the
+    chain's edges, so a relation vertex of layer n has all its out-edges in
+    layer n, stays a relation vertex of layer n+1 and keeps its out-edges
+    there.
 
     The colimit class map covers vertices of layers up to the settled index
     (length - 1 - window); vertices beyond it have no reduced class within
@@ -497,7 +507,7 @@ def chain_ktheory_report(chain: GraphChain, window: int = 2, force: bool = False
     if not cond_a.passed and not force:
         raise ChainConditionError(cond_a)
 
-    kts = [ktheory(chain.layer_graph(n)) for n in range(first, len(chain))]
+    kts = [ktheory(g) for g in chain.layer_graphs_from(first)]
     pairs = list(zip(kts, kts[1:]))
     k0_homs = [inclusion_k0(a, b) for a, b in pairs]
     k1_homs = [inclusion_k1(a, b) for a, b in pairs]
@@ -508,9 +518,11 @@ def chain_ktheory_report(chain: GraphChain, window: int = 2, force: bool = False
         raise AssertionError("degree-one colimit acquired torsion; this is a bug")
 
     # colimit classes: every chain map is a generator inclusion, and the reduced
-    # group is the settled layer's under more relations: read each class there
+    # group is the settled layer's under more relations: read each class there,
+    # once per distinct layer class, which a tower's vertices share
     top = kts[k0_res.settled_index].k0_class_of_vertex
-    class_map = {v: k0_res.group.class_of(c) for v, c in top.items()}
+    reduced = {c: k0_res.group.class_of(c) for c in set(top.values())}
+    class_map = {v: reduced[c] for v, c in top.items()}
 
     return ChainKTheory(
         k0=k0_res.group,

@@ -512,11 +512,14 @@ def straighten_family(
         raise LabError("the first graph must be a labeled subgraph of the second")
     if not d <= small.vertices:
         raise LabError("infinite-valence vertices must belong to the small graph")
+    # out-edge tuples are in sorted edge order with unique ids: equal as sets
+    # exactly when equal as tuples
     for u in small.vertices - d:
-        if set(small.out_edges(u)) != set(large.out_edges(u)):
+        if small.out_edges(u) != large.out_edges(u):
             raise LabError(f"finite-valence vertex {u!r} of the small graph gains out-edges")
+    small_edges = set(small.edges)
     for e in large.edges:
-        if e[1] in small.vertices and e[2] in small.vertices and e not in small.edges:
+        if e[1] in small.vertices and e[2] in small.vertices and e not in small_edges:
             raise LabError(f"edge {e[0]!r} joins small vertices but is not a small edge")
     missing = [e[0] for e in large.edges if e[0] not in fields]
     if missing:

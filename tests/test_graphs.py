@@ -415,20 +415,31 @@ def synth_grid_chains():
                 yield from (padded, padded.prefix(4))
 
 
+def random_and_grown_chains():
+    rng = random.Random(26)
+    return [random_chain(rng) for _ in range(1500)] + [grown_chain(rng) for _ in range(1500)]
+
+
+def deep_chains():
+    """Case ii and iii chains of depth 16 to 34."""
+    return [
+        chain
+        for depth in (16, 17, 25, 34)
+        for chain in (build_case_ii(3, 1, (2,), depth), build_case_iii(3, 1, (2,), depth), build_case_ii(4, 2, (), depth))
+    ]
+
+
 def test_condition_a_matches_per_layer_graphs():
     # the verdict, each layer's S set and each layer graph equal their
     # per-layer definitions on random, synthesized grid and deep chains
-    rng = random.Random(26)
-    chains = [random_chain(rng) for _ in range(1500)] + [grown_chain(rng) for _ in range(1500)]
+    chains = random_and_grown_chains()
     outcomes = Counter()
     for chain in chains:
         a2 = check_condition_a(chain).witnesses.get("a2")
         outcomes[a2 and a2.split(" ", 2)[2]] += 1
     # every (a2) outcome, passing (None) included, occurs often among them
     assert min(outcomes.values()) >= 50 and len(outcomes) == 4, outcomes
-    chains += synth_grid_chains()
-    for depth in (16, 17, 25, 34):
-        chains += [build_case_ii(3, 1, (2,), depth), build_case_iii(3, 1, (2,), depth), build_case_ii(4, 2, (), depth)]
+    chains += [*synth_grid_chains(), *deep_chains()]
     for chain in chains:
         report, ref = check_condition_a(chain), per_layer_condition_a(chain)
         assert (list(report.checks.items()), report.witnesses) == (list(ref.checks.items()), ref.witnesses)
@@ -438,6 +449,46 @@ def test_condition_a_matches_per_layer_graphs():
             assert toeplitz_s_set(chain, n) == s
             induced = [e for e in chain.edges if e[1] in layer and e[2] in layer]
             assert chain.layer_graph(n) == FiniteGraph(layer, induced, layer - s)
+
+
+def assert_same_layer_graph(g, ref):
+    assert (g.vertices, g.edges, g.relation_exempt) == (ref.vertices, ref.edges, ref.relation_exempt)
+    assert (g.vertex_list, g.s_vertices, g.vertex_index) == (ref.vertex_list, ref.s_vertices, ref.vertex_index)
+    out = [g.out_edges(v) for v in ref.vertex_list]
+    assert out == [ref.out_edges(v) for v in ref.vertex_list]
+    assert [g.in_edges(v) for v in ref.vertex_list] == [ref.in_edges(v) for v in ref.vertex_list]
+    assert all(list(es) == sorted(es) for es in out)
+
+
+def test_layer_graphs_from_extend_layer_on_layer_to_each_layer_graph():
+    # from every first layer, each graph built on the one before equals the
+    # layer graph built from the chain's edges, and holds its out-edges
+    # sorted, which inclusion_k0's tuple comparison of out-edges rests on
+    chains = [*random_and_grown_chains(), *synth_grid_chains(), *deep_chains()]
+    extended = 0
+    for chain in chains:
+        refs = [chain.layer_graph(n) for n in range(len(chain))]
+        for first in range(len(chain)):
+            graphs = chain.layer_graphs_from(first)
+            assert len(graphs) == len(chain) - first
+            for g, ref in zip(graphs, refs[first:]):
+                assert_same_layer_graph(g, ref)
+            extended += len(graphs) - 1
+    assert extended > 10_000
+
+
+def test_out_edges_are_sorted_however_a_graph_is_built():
+    rng = random.Random(28)
+    for _ in range(300):
+        g = random_graph(rng, max_vertices=8, max_edges=20)
+        # edge ids listed out of order, and out of order within each origin
+        shuffled = list(g.edges)
+        rng.shuffle(shuffled)
+        checked = FiniteGraph(g.vertex_list, shuffled, g.relation_exempt)
+        for built in (checked, FiniteGraph._of(g.vertices, g.edges, g.relation_exempt)):
+            for v in built.vertex_list:
+                assert list(built.out_edges(v)) == sorted(built.out_edges(v))
+                assert list(built.in_edges(v)) == sorted(built.in_edges(v))
 
 
 # ---------------------------------------------------------------------------

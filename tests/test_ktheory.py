@@ -1241,30 +1241,46 @@ def test_chain_report_entries_read_on_demand_equal_the_eager_ones(name):
         assert hom.matrix == inclusion_k1(kts[n], kts[n + 1]).matrix
 
 
-def _count_layer_graphs(monkeypatch) -> list:
-    """Record the vertex count of every graph ``FiniteGraph._of`` wraps."""
+def _count_layer_graphs(monkeypatch) -> tuple[list, list]:
+    """Record the vertex count of every graph ``FiniteGraph._of`` wraps or
+    ``FiniteGraph._extended`` builds, and the layer of every
+    ``GraphChain.layer_graph`` call."""
     graphs_mod = importlib.import_module("graphck.graphs")
-    orig = graphs_mod.FiniteGraph._of
-    built = []
+    orig_of, orig_extended = graphs_mod.FiniteGraph._of, graphs_mod.FiniteGraph._extended
+    orig_layer_graph = graphs_mod.GraphChain.layer_graph
+    built, layer_graph_calls = [], []
 
-    def counting(cls, vertices, *args):
+    def counting_of(cls, vertices, *args):
         built.append(len(vertices))
-        return orig(vertices, *args)
+        return orig_of(vertices, *args)
 
-    monkeypatch.setattr(graphs_mod.FiniteGraph, "_of", classmethod(counting))
-    return built
+    def counting_extended(self, *args):
+        g = orig_extended(self, *args)
+        built.append(len(g.vertices))
+        return g
+
+    def counting_layer_graph(self, n):
+        layer_graph_calls.append(n)
+        return orig_layer_graph(self, n)
+
+    monkeypatch.setattr(graphs_mod.FiniteGraph, "_of", classmethod(counting_of))
+    monkeypatch.setattr(graphs_mod.FiniteGraph, "_extended", counting_extended)
+    monkeypatch.setattr(graphs_mod.GraphChain, "layer_graph", counting_layer_graph)
+    return built, layer_graph_calls
 
 
 def test_chain_report_builds_each_layer_graph_once(monkeypatch):
     # a 6-layer chain is all final stretch: the layer K-theory reads each
-    # layer's graph, which layer_graph wraps once from the chain's checked
-    # edges without a new check
+    # layer's graph, built once, layer 0 by layer_graph from the chain's
+    # checked edges and each later one from the one before, without a new
+    # check
     chain = build_case_ii(2, 1, (3,), 6)
     sizes = [len(layer) for layer in chain.layers]
-    built = _count_layer_graphs(monkeypatch)
+    built, layer_graph_calls = _count_layer_graphs(monkeypatch)
     rep = chain_ktheory_report(chain, window=2)
     assert rep.condition_a.passed
     assert built == sizes
+    assert layer_graph_calls == [0]
     assert [kt.graph for kt in rep.layer_results] == [chain.layer_graph(n) for n in range(len(chain))]
     assert chain.layer_graph(1) == rep.layer_results[1].graph
 
@@ -1273,13 +1289,15 @@ def test_chain_report_builds_each_layer_graph_once(monkeypatch):
 @pytest.mark.parametrize("depth", [18, 34])
 def test_chain_report_builds_only_the_stretch_layer_graphs(monkeypatch, build, depth):
     # condition (a) reads the chain's first-layer map and builds no layer
-    # graph; the report builds the 2 * window + 2 its colimits read
+    # graph; the report builds the 2 * window + 2 its colimits read, calling
+    # layer_graph for the first of them only
     chain = build(3, 1, (2,), depth)
     sizes = [len(chain.layer_graph(n).vertices) for n in range(depth - 6, depth)]
-    built = _count_layer_graphs(monkeypatch)
+    built, layer_graph_calls = _count_layer_graphs(monkeypatch)
     assert check_condition_a(chain).passed and built == []
     chain_ktheory_report(chain, window=2)
     assert built == sizes
+    assert layer_graph_calls == [depth - 6]
 
 
 def _count_replays(monkeypatch):

@@ -51,11 +51,45 @@ def graph_texts(count: int, seed: int) -> list[str]:
     return texts
 
 
-def test_cli_output_digests_on_a_small_corpus(tmp_path, monkeypatch):
+def load_script(monkeypatch):
     spec = importlib.util.spec_from_file_location("output_digests", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, "output_digests", module)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_cli_output_digests_on_a_small_corpus(tmp_path, monkeypatch):
+    module = load_script(monkeypatch)
     monkeypatch.chdir(tmp_path)
     got = module.cli_digests(module.load_graphck(), SYNTH_REQUESTS, graph_texts(200, 20261019))
     assert got == PINNED
+
+
+def test_against_names_each_family_that_differs_or_is_missing(monkeypatch):
+    module = load_script(monkeypatch)
+    saved = "workload:a 11\ncheck 22\ncolimit 33\n\n"
+    want = module.read_digests(saved)
+    assert want == {"workload:a": "11", "check": "22", "colimit": "33"}
+    assert module.differences(dict(want), want) == []
+    got = {"workload:a": "11", "check": "2f", "boundary": "44"}
+    assert module.differences(got, want) == [
+        "check differs",
+        "colimit missing here",
+        "boundary missing from the file",
+    ]
+
+
+def test_against_exits_1_on_a_difference_and_0_on_none(tmp_path, monkeypatch, capsys):
+    module = load_script(monkeypatch)
+    monkeypatch.setattr(module, "digests", lambda seed: {"check": "22", "colimit": "33"})
+    for var in module.BLAS_THREAD_VARS:
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    saved = tmp_path / "parent.txt"
+    saved.write_text("check 22\ncolimit 33\n", encoding="utf-8")
+    assert module.main(["--seed", "1", "--against", str(saved)]) == 0
+    assert capsys.readouterr().out == ""
+    saved.write_text("check 22\ncolimit 3f\n", encoding="utf-8")
+    assert module.main(["--seed", "1", "--against", str(saved)]) == 1
+    assert capsys.readouterr().out == "colimit differs\n"
