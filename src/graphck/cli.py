@@ -134,7 +134,8 @@ def _layer_for(args, graph):
         graph = graph.layer_graph(n)
     elif args.at is not None:
         raise GraphFormatError("--at only applies to chain files")
-    return graph if args.toeplitz else FiniteGraph(graph.vertices, graph.edges)
+    # the full-relation graph has the same, already checked, vertices and edges
+    return graph if args.toeplitz else FiniteGraph._of(graph.vertices, graph.edges, frozenset())
 
 
 def cmd_ktheory(args) -> int:

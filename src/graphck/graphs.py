@@ -7,8 +7,10 @@ the relation set S.  A ``GraphChain`` presents an infinite graph through an
 increasing chain of finite vertex layers plus the edge list of the union
 prefix; layer edge sets are always induced (edges with both endpoints in the
 layer), which removes a whole class of inconsistent inputs.  A chain holds
-each vertex's first layer, and the conditions below are checked from it in
-time linear in vertices plus edges, with no layer graph built.
+each vertex's first layer and groups its vertices and edges, once, by the
+layer that adds them.  The conditions below are checked from these in time
+linear in vertices plus edges, with no layer graph built, and a run of layer
+graphs is built layer on layer from the groups.
 
 The structural conditions checked here:
 
@@ -35,9 +37,10 @@ and column order everywhere, so output is reproducible byte for byte.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
-from itertools import accumulate
+from operator import itemgetter
 from typing import Container, Iterable, Mapping, Sequence
 
 
@@ -81,78 +84,52 @@ class FiniteGraph:
         "vertices", "edges", "relation_exempt", "vertex_list", "s_vertices", "vertex_index", "_out", "_in"
     )
 
-    def __init__(
-        self,
-        vertices: Iterable[str],
-        edges: Sequence[Edge],
-        relation_exempt: Iterable[str] = (),
-    ):
+    def __new__(cls, vertices: Iterable[str], edges: Sequence[Edge], relation_exempt: Iterable[str] = ()):
         vset = frozenset(str(v) for v in vertices)
         exempt = frozenset(str(v) for v in relation_exempt)
         if not exempt <= vset:
-            raise GraphFormatError(
-                f"relation_exempt contains unknown vertices: {sorted(exempt - vset)}"
-            )
-        self._set(vset, _check_edges(edges, vset), exempt)
+            raise GraphFormatError(f"relation_exempt contains unknown vertices: {sorted(exempt - vset)}")
+        return cls._grown(None, sorted(vset), _check_edges(edges, vset), exempt)
 
     @classmethod
     def _of(cls, vertices: frozenset[str], edges: tuple[Edge, ...], exempt: frozenset[str]) -> "FiniteGraph":
-        """Wrap data its caller has already checked.
+        """Wrap checked data: ``edges`` sorted, with unique string ids and
+        endpoints in ``vertices``, and ``exempt`` a subset of ``vertices``, as
+        ``_check_edges`` and the public constructor establish."""
+        return cls._grown(None, sorted(vertices), edges, exempt)
 
-        ``edges`` must be sorted, with unique string ids and endpoints in
-        ``vertices``, and ``exempt`` a subset of ``vertices``: what
-        ``_check_edges`` and the public constructor establish.  A chain's
-        layer edges are a sorted subset of its checked edges.
+    @classmethod
+    def _grown(
+        cls, base: "FiniteGraph | None", vertices: Sequence[str], edges: Sequence[Edge], exempt: frozenset[str]
+    ) -> "FiniteGraph":
+        """``base``, or the empty graph, with new vertices and edges added,
+        exempting ``exempt``; every graph is built here.
+
+        ``vertices`` and ``edges`` must be sorted and new to ``base``, with
+        unique string edge ids and endpoints among the old and new vertices,
+        and ``exempt`` a subset of all of them.  The out-map of ``base`` is
+        copied, and only the out-tuples of origins with new edges are merged
+        again.  Edge ids are unique, so edges sort by id.
         """
-        g = object.__new__(cls)
-        g._set(vertices, edges, exempt)
-        return g
-
-    def _extended(self, vertices: Sequence[str], edges: Sequence[Edge], exempt: frozenset[str]) -> "FiniteGraph":
-        """This graph with new vertices and edges added, exempting ``exempt``.
-
-        ``vertices`` and ``edges`` must be sorted and new to this graph, with
-        unique edge ids and endpoints among the old and new vertices, and
-        ``exempt`` a subset of all of them.  The out-map is copied, and only
-        the out-tuples of origins with new edges are merged again.
-        """
-        out = dict(self._out)
-        out.update((v, ()) for v in vertices)
-        added: dict[str, list[Edge]] = {}
+        # the out-edges of each new vertex, and the new ones of old origins
+        added: dict[str, list[Edge]] = {v: [] for v in vertices}
+        out, vertex_list, all_edges = {}, tuple(vertices), tuple(edges)
+        if base is not None:
+            added.update({e[1]: [] for e in edges if e[1] not in added})
+            out = dict(base._out)
+            vertex_list = tuple(sorted(base.vertex_list + vertex_list))
+            all_edges = tuple(sorted(base.edges + all_edges, key=itemgetter(0)))
         for e in edges:
-            added.setdefault(e[1], []).append(e)
+            added[e[1]].append(e)
         for o, es in added.items():
-            out[o] = tuple(sorted(out[o] + tuple(es)))
-        g = object.__new__(FiniteGraph)
-        g._fill(
-            self.vertices.union(vertices),
-            tuple(sorted(self.edges + tuple(edges))),
-            exempt,
-            tuple(sorted(self.vertex_list + tuple(vertices))),
-            out,
-        )
-        return g
-
-    def _set(self, vertices: frozenset[str], edges: tuple[Edge, ...], exempt: frozenset[str]) -> None:
-        vertex_list = tuple(sorted(vertices))
-        out: dict[str, list[Edge]] = {v: [] for v in vertex_list}
-        for e in edges:
-            out[e[1]].append(e)
-        self._fill(vertices, edges, exempt, vertex_list, {v: tuple(es) for v, es in out.items()})
-
-    def _fill(
-        self,
-        vertices: frozenset[str],
-        edges: tuple[Edge, ...],
-        exempt: frozenset[str],
-        vertex_list: tuple[str, ...],
-        out: dict[str, tuple[Edge, ...]],
-    ) -> None:
+            out[o] = tuple(sorted(out[o] + tuple(es), key=itemgetter(0))) if o in out else tuple(es)
         s_vertices = tuple(v for v in vertex_list if v not in exempt)
         vertex_index = {v: i for i, v in enumerate(vertex_list)}
-        values = (vertices, edges, exempt, vertex_list, s_vertices, vertex_index, out, None)
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
+        values = (frozenset(vertex_list), all_edges, exempt, vertex_list, s_vertices, vertex_index, out, None)
+        g = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values, strict=True):
+            object.__setattr__(g, name, value)
+        return g
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteGraph is immutable")
@@ -212,10 +189,12 @@ class GraphChain:
 
     The chain is ``first``, each vertex's first layer, and its length: layer
     n holds the vertices with first layer at most n, so layers nest by
-    construction, and ``layers`` is built only when read.  One pass over the
-    edges gives each edge's layer, max(first(o), first(t)), each origin's
-    termini, and each finite-valence vertex's first S layer, the largest of
-    its own and its termini's first layers.
+    construction, and ``layers`` is built only when read.  The chain groups
+    its vertices and edges once, by the layer that adds them (an edge's
+    layer is max(first(o), first(t))), and every per-layer reader reads the
+    groups.  The one pass over the edges also gives each origin's termini
+    and each finite-valence vertex's first S layer, the largest of its own
+    and its termini's first layers.
 
     ``infinite_vertices`` is the set D of vertices that emit infinitely many
     edges in the full graph; the prefix edge list can only ever record
@@ -226,7 +205,7 @@ class GraphChain:
 
     __slots__ = (
         "infinite_vertices", "first", "_length", "edges",
-        "_edge_layer", "_s_first", "_termini", "_layers",
+        "_added_vertices", "_added_edges", "_s_first", "_termini", "_layers",
     )
 
     def __init__(
@@ -264,16 +243,21 @@ class GraphChain:
         return chain
 
     def _set(self, d: frozenset[str], first: dict[str, int], length: int, edges: tuple[Edge, ...]) -> None:
+        added_vertices: list[list[str]] = [[] for _ in range(length)]
+        for v, n in first.items():
+            added_vertices[n].append(v)
+        # each layer's edges are a sorted subsequence of the sorted chain edges
+        added_edges: list[list[Edge]] = [[] for _ in range(length)]
         s_first = {v: n for v, n in first.items() if v not in d}
         termini: dict[str, list[str]] = {}
-        edge_layer = []
-        for _, o, t in edges:
+        for e in edges:
+            _, o, t = e
             fo, ft = first[o], first[t]
-            edge_layer.append(fo if fo > ft else ft)
+            added_edges[fo if fo > ft else ft].append(e)
             termini.setdefault(o, []).append(t)
             if o in s_first and ft > s_first[o]:
                 s_first[o] = ft
-        values = (d, first, length, edges, edge_layer, s_first, termini, None)
+        values = (d, first, length, edges, added_vertices, added_edges, s_first, termini, None)
         for name, value in zip(self.__slots__, values, strict=True):
             object.__setattr__(self, name, value)
 
@@ -287,18 +271,11 @@ class GraphChain:
     def vertices(self) -> frozenset[str]:
         return frozenset(self.first)
 
-    def _new_vertices(self) -> list[list[str]]:
-        """The vertices first appearing in each layer."""
-        new: list[list[str]] = [[] for _ in range(self._length)]
-        for v, n in self.first.items():
-            new[n].append(v)
-        return new
-
     @property
     def layers(self) -> tuple[frozenset[str], ...]:
         """Each layer's vertex set, built on first read."""
         if self._layers is None:
-            layers = accumulate(map(frozenset, self._new_vertices()), frozenset.union)
+            layers = itertools.accumulate(map(frozenset, self._added_vertices), frozenset.union)
             object.__setattr__(self, "_layers", tuple(layers))
         return self._layers
 
@@ -311,45 +288,41 @@ class GraphChain:
         if not 1 <= n <= len(self):
             raise ValueError(f"prefix length {n} out of range for a chain of length {len(self)}")
         first = {v: k for v, k in self.first.items() if k < n}
-        return GraphChain._of(self.infinite_vertices & first.keys(), first, n, self.layer_edges(n - 1))
-
-    def layer_edges(self, n: int) -> tuple[Edge, ...]:
-        return tuple(e for e, k in zip(self.edges, self._edge_layer) if k <= n)
-
-    def _new_edges(self) -> list[list[Edge]]:
-        """The edges first appearing in each layer, in sorted order."""
-        new: list[list[Edge]] = [[] for _ in range(self._length)]
-        for e, n in zip(self.edges, self._edge_layer):
-            new[n].append(e)
-        return new
+        edges = tuple(sorted(itertools.chain.from_iterable(self._added_edges[:n]), key=itemgetter(0)))
+        return GraphChain._of(self.infinite_vertices & first.keys(), first, n, edges)
 
     def layer_graph(self, n: int) -> FiniteGraph:
         """Layer n as a finite graph exempting the layer's vertices outside its
-        Toeplitz S set, built anew from the chain's edges on each call.
-        ``layer_graphs_from`` builds a run of consecutive layers cheaper."""
+        Toeplitz S set, built anew from the groups of layers 0 .. n on each
+        call.  ``layer_graphs_from`` builds a run of consecutive layers
+        cheaper."""
         n = range(len(self))[n]
-        vs = frozenset(v for v, k in self.first.items() if k <= n)
-        # the layer edges are a sorted subset of the checked chain edges
-        return FiniteGraph._of(vs, self.layer_edges(n), vs - toeplitz_s_set(self, n))
+        vertices = sorted(itertools.chain.from_iterable(self._added_vertices[: n + 1]))
+        edges = sorted(itertools.chain.from_iterable(self._added_edges[: n + 1]), key=itemgetter(0))
+        return self._grown_layer(None, n, vertices, edges)
 
     def layer_graphs_from(self, first: int) -> list[FiniteGraph]:
         """The graphs of layers ``first`` .. length - 1, each equal to its
-        ``layer_graph``.
-
-        Layer ``first`` comes from ``layer_graph``; each later layer extends
-        the one before by only the vertices and edges whose layer it is.  A
-        vertex of layer n - 1 in its S set stays in the S set of layer n, so
-        only the previous exempt vertices and the new ones are read again.
+        ``layer_graph``: layer ``first`` comes from ``layer_graph``, and each
+        later layer extends the one before by the vertices and edges it adds.
         """
         first = range(len(self))[first]
-        new_vertices, new_edges = self._new_vertices(), self._new_edges()
         graphs = [self.layer_graph(first)]
         for n in range(first + 1, len(self)):
-            g, new = graphs[-1], sorted(new_vertices[n])
-            # infinite-valence vertices have no first S layer: exempt throughout
-            exempt = frozenset(v for v in (*g.relation_exempt, *new) if self._s_first.get(v, n + 1) > n)
-            graphs.append(g._extended(new, new_edges[n], exempt))
+            graphs.append(self._grown_layer(graphs[-1], n, sorted(self._added_vertices[n]), self._added_edges[n]))
         return graphs
+
+    def _grown_layer(
+        self, base: FiniteGraph | None, n: int, vertices: Sequence[str], edges: Sequence[Edge]
+    ) -> FiniteGraph:
+        """Layer n: ``base`` (layer n - 1, or None) plus the rest of its
+        vertices and edges, sorted.  A vertex of layer n - 1 in its S set stays
+        in the S set of layer n, so only the exempt vertices of ``base`` and
+        the added ones are read again."""
+        # infinite-valence vertices have no first S layer: exempt throughout
+        read = vertices if base is None else (*base.relation_exempt, *vertices)
+        exempt = frozenset(v for v in read if self._s_first.get(v, n + 1) > n)
+        return FiniteGraph._grown(base, vertices, edges, exempt)
 
     def __eq__(self, other):
         return (
@@ -561,15 +534,15 @@ class Verdict:
 def check_condition_a(chain: GraphChain) -> Verdict:
     """Check (a1)-(a6) on the chain prefix, reporting the first witness each.
 
-    Every check reads the chain's first-layer map and edge layers, with no
-    layer graph, in time linear in vertices plus edges.  (a2) goes layer by
-    layer and stops at the first failure, so when layer n + 1 is checked,
-    layer n is strongly connected: contracted to one node, it reaches and is
-    reached from every vertex new in n + 1 exactly when layer n + 1 is
-    strongly connected.  The two searches from that node need only the edges
-    new in n + 1; every other edge of layer n + 1 lies in layer n.  A
-    strongly connected layer has every in- and out-degree at least 1, so it
-    is a cycle exactly when it has as many edges as vertices.
+    Every check reads the chain's first-layer map and the vertices and edges
+    each layer adds, with no layer graph, in time linear in vertices plus
+    edges.  (a2) goes layer by layer and stops at the first failure, so when
+    layer n + 1 is checked, layer n is strongly connected: contracted to one
+    node, it reaches and is reached from every vertex new in n + 1 exactly
+    when layer n + 1 is strongly connected.  The two searches from that node
+    need only the edges new in n + 1; every other edge of layer n + 1 lies in
+    layer n.  A strongly connected layer has every in- and out-degree at
+    least 1, so it is a cycle exactly when it has as many edges as vertices.
     """
     report = Verdict()
     d = chain.infinite_vertices
@@ -579,18 +552,17 @@ def check_condition_a(chain: GraphChain) -> Verdict:
     missing = sorted(u for u in d if first[u])
     report.record("a1", f"infinite-valence vertex {missing[0]!r} not in layer 0" if missing else None)
 
-    new_edges = chain._new_edges()
     witness = None
     nvertices = nedges = 0
-    for n, new in enumerate(chain._new_vertices()):
+    for n, (new, new_edges) in enumerate(zip(chain._added_vertices, chain._added_edges)):
         nvertices += len(new)
-        nedges += len(new_edges[n])
+        nedges += len(new_edges)
         if not nvertices:
             witness = f"layer {n} is empty"
             break
         # the vertices of layer n - 1 contract to the node None; at layer 0 there are none
         out, inc = {}, {}
-        for eid, o, t in new_edges[n]:
+        for eid, o, t in new_edges:
             e = (eid, o if first[o] == n else None, t if first[t] == n else None)
             out.setdefault(e[1], []).append(e)
             inc.setdefault(e[2], []).append(e)
@@ -603,7 +575,7 @@ def check_condition_a(chain: GraphChain) -> Verdict:
             break
     report.record("a2", witness)
 
-    # layer edge sets are induced by construction (``layer_edges``), so (a3)
+    # layer edge sets are induced by construction (``_added_edges``), so (a3)
     # cannot fail; it stays in the report for transparency
     report.record("a3")
 

@@ -491,7 +491,8 @@ def chain_ktheory_report(chain: GraphChain, window: int = 2, force: bool = False
     ``abelian.final_stretch`` and the maps between them.  Only those layers
     get their K-theory and inclusion maps, with every check.  Their graphs
     are built layer on layer (``GraphChain.layer_graphs_from``): layer
-    ``first`` from the chain's edges, each later one from the one before.
+    ``first`` from the vertices and edges the chain groups under layers
+    0 .. ``first``, each later one from the one before plus those it adds.
     The inclusions before the stretch hold by construction, so leaving them
     out hides no failure: a layer's S set and out-edges are read from the
     chain's edges, so a relation vertex of layer n has all its out-edges in

@@ -47,7 +47,7 @@ from .ktheory import chain_ktheory_report, ktheory
 VERIFICATION_WINDOW = 2
 # requests whose construction would hold more edges than this, counted once
 # per layer of the chain, are refused before anything is built: a chain's
-# JSON lists every layer in full.
+# JSON lists every layer's vertices, which this count bounds (``edge_layers``).
 # Near the bound a build peaks below 500 MB; the largest equal-rank graph,
 # for (Z^998, Z^998), takes about six seconds (2-core x86-64, Python 3.11)
 MAX_EDGE_LAYERS = 1_000_000
@@ -197,11 +197,12 @@ def edge_layers(r0: int, torsion: Sequence[int], r1: int, depth: int) -> int:
 
     Case i is one graph.  A chain is built with ``depth +
     VERIFICATION_WINDOW`` layers.  Verification builds only the graphs of
-    the final stretch, but the emitted chain's JSON lists every layer in
-    full, so its size still grows as edges times layers, which this count
-    bounds.  The counts follow the constructions: the case-i
-    part has (l+1)(l+2) + sum(torsion) + len(torsion) edges, and each tower
-    1 + 7 maxj (case ii) or 1 + 6 maxj (case iii) edges.
+    the final stretch.  The emitted chain's JSON lists each edge once and
+    every layer's vertices, so its size grows as vertices times layers;
+    every vertex emits an edge, so this count bounds it.  The counts follow
+    the constructions: the case-i part has (l+1)(l+2) + sum(torsion) +
+    len(torsion) edges, and each tower 1 + 7 maxj (case ii) or 1 + 6 maxj
+    (case iii) edges.
     """
 
     def base(l: int) -> int:

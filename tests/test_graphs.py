@@ -461,13 +461,24 @@ def assert_same_layer_graph(g, ref):
 
 
 def test_layer_graphs_from_extend_layer_on_layer_to_each_layer_graph():
-    # from every first layer, each graph built on the one before equals the
-    # layer graph built from the chain's edges, and holds its out-edges
-    # sorted, which inclusion_k0's tuple comparison of out-edges rests on
+    # the chain's groups are the differences of consecutive layers and of
+    # their induced edge lists; from every first layer, each graph built on
+    # the one before equals the layer graph built by the public constructor
+    # from the per-layer definition, and holds its out-edges sorted, which
+    # inclusion_k0's tuple comparison of out-edges rests on
     chains = [*random_and_grown_chains(), *synth_grid_chains(), *deep_chains()]
     extended = 0
     for chain in chains:
-        refs = [chain.layer_graph(n) for n in range(len(chain))]
+        refs, below, induced_below = [], frozenset(), set()
+        for n, layer in enumerate(chain.layers):
+            induced = [e for e in chain.edges if e[1] in layer and e[2] in layer]
+            escaping = {o for _, o, t in chain.edges if o in layer and t not in layer}
+            s = layer - chain.infinite_vertices - escaping
+            refs.append(FiniteGraph(layer, induced, layer - s))
+            added = chain._added_vertices[n]
+            assert len(added) == len(set(added)) and set(added) == layer - below
+            assert chain._added_edges[n] == [e for e in induced if e not in induced_below]
+            below, induced_below = layer, set(induced)
         for first in range(len(chain)):
             graphs = chain.layer_graphs_from(first)
             assert len(graphs) == len(chain) - first

@@ -1242,20 +1242,16 @@ def test_chain_report_entries_read_on_demand_equal_the_eager_ones(name):
 
 
 def _count_layer_graphs(monkeypatch) -> tuple[list, list]:
-    """Record the vertex count of every graph ``FiniteGraph._of`` wraps or
-    ``FiniteGraph._extended`` builds, and the layer of every
-    ``GraphChain.layer_graph`` call."""
+    """Record the vertex count of every graph ``FiniteGraph._grown``, the
+    one builder, builds, and the layer of every ``GraphChain.layer_graph``
+    call."""
     graphs_mod = importlib.import_module("graphck.graphs")
-    orig_of, orig_extended = graphs_mod.FiniteGraph._of, graphs_mod.FiniteGraph._extended
+    orig_grown = graphs_mod.FiniteGraph._grown
     orig_layer_graph = graphs_mod.GraphChain.layer_graph
     built, layer_graph_calls = [], []
 
-    def counting_of(cls, vertices, *args):
-        built.append(len(vertices))
-        return orig_of(vertices, *args)
-
-    def counting_extended(self, *args):
-        g = orig_extended(self, *args)
+    def counting_grown(cls, *args):
+        g = orig_grown(*args)
         built.append(len(g.vertices))
         return g
 
@@ -1263,8 +1259,7 @@ def _count_layer_graphs(monkeypatch) -> tuple[list, list]:
         layer_graph_calls.append(n)
         return orig_layer_graph(self, n)
 
-    monkeypatch.setattr(graphs_mod.FiniteGraph, "_of", classmethod(counting_of))
-    monkeypatch.setattr(graphs_mod.FiniteGraph, "_extended", counting_extended)
+    monkeypatch.setattr(graphs_mod.FiniteGraph, "_grown", classmethod(counting_grown))
     monkeypatch.setattr(graphs_mod.GraphChain, "layer_graph", counting_layer_graph)
     return built, layer_graph_calls
 
