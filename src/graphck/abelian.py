@@ -406,15 +406,17 @@ def _presolve(m: IntMatrix):
     Dumas, Saunders and Villard, J. Symbolic Comput. 2001).
 
     This is a restricted Markowitz search (Zlatev, SIAM J. Numer. Anal.
-    1980): a heap of (row length, row) and a unit count per row, both kept
-    up to date inside the fill loop at O(1) per entry.  No global Markowitz
-    order, (row nnz - 1) * (col nnz - 1) over every unit, is kept.  Keeping
-    it meant rescanning every row of every column in the pivot row at each
-    pivot: the presolve that kept it ran the Smith-form inputs of one
-    seed-1 ``ktheory_big`` benchmark pass in 0.49 s.  This order takes
+    1980) over a heap of (row length, row).  Every nonempty row is pushed on
+    input and again each time it changes, and a popped row without a unit is
+    passed over until then.  An empty row is never pushed, since fill
+    reaches only rows with an entry in the pivot column.  No global
+    Markowitz order, (row nnz - 1) * (col nnz - 1) over every unit, is kept.
+    Keeping it meant rescanning every row of every column in the pivot row
+    at each pivot: the presolve that kept it ran the Smith-form inputs of
+    one seed-1 ``ktheory_big`` benchmark pass in 0.49 s.  This order takes
     0.19 s there and leaves cores with 6% more cells (best of 10, one
     process on a 2-core x86-64 host, Python 3.11).  One pass over the input
-    builds the rows, the column sets, the unit counts and the heap.
+    builds the rows, the column sets and the heap.
 
     No transform is kept: each step is appended to a row log or a column log
     in the format of ``_dense_smith``.  Returns the rows left ({column:
@@ -424,19 +426,14 @@ def _presolve(m: IntMatrix):
     """
     rows: list = []
     colrows: list = [set() for _ in range(m.cols)]
-    units: list = []
-    # every row holding a unit has an item at its current length; an item
-    # whose row is gone, unit-free or of another length is stale
+    # every nonempty row has an item at its current length; an item whose
+    # row is gone or of another length is stale
     heap = []
     for i, r in enumerate(m.sparse_rows):
         rows.append(dict(r))
-        u = 0
-        for j, x in r.items():
+        for j in r:
             colrows[j].add(i)
-            if x == 1 or x == -1:
-                u += 1
-        units.append(u)
-        if u:
+        if r:
             heap.append((len(r), i))
     heapify(heap)
     pivots: list[tuple[int, int, int]] = []
@@ -445,7 +442,7 @@ def _presolve(m: IntMatrix):
     while heap:
         length, p = heappop(heap)
         rp = rows[p]
-        if rp is None or not units[p] or length != len(rp):
+        if rp is None or length != len(rp):
             continue
         c = -1
         for j, x in rp.items():
@@ -453,6 +450,8 @@ def _presolve(m: IntMatrix):
                 k = len(colrows[j])
                 if c < 0 or k < least or (k == least and j < c):
                     c, least = j, k
+        if c < 0:  # no unit: pushed again when the row changes
+            continue
         s = rp.pop(c)
         pivots.append((p, c, s))
         rows[p] = None
@@ -463,25 +462,17 @@ def _presolve(m: IntMatrix):
         for i in changed:
             ri = rows[i]
             q = ri.pop(c) * s
-            u = units[i] - (q == 1 or q == -1)
             for j, y in rp.items():
                 x = ri.get(j)
                 if x is None:  # fill: q and y are nonzero
-                    z = ri[j] = -q * y
+                    ri[j] = -q * y
                     colrows[j].add(i)
-                else:
-                    if x == 1 or x == -1:
-                        u -= 1
-                    z = x - q * y
-                    if not z:
-                        del ri[j]
-                        colrows[j].discard(i)
-                        continue
+                elif z := x - q * y:
                     ri[j] = z
-                if z == 1 or z == -1:
-                    u += 1
-            units[i] = u
-            if u:
+                else:
+                    del ri[j]
+                    colrows[j].discard(i)
+            if ri:
                 heappush(heap, (len(ri), i))
             rlog.append((i, p, q))
         if s < 0:

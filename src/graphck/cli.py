@@ -135,7 +135,7 @@ def _layer_for(args, graph):
     elif args.at is not None:
         raise GraphFormatError("--at only applies to chain files")
     # the full-relation graph has the same, already checked, vertices and edges
-    return graph if args.toeplitz else FiniteGraph._of(graph.vertices, graph.edges, frozenset())
+    return graph if args.toeplitz else FiniteGraph._grown(graph, (), (), frozenset())
 
 
 def cmd_ktheory(args) -> int:

@@ -92,13 +92,6 @@ class FiniteGraph:
         return cls._grown(None, sorted(vset), _check_edges(edges, vset), exempt)
 
     @classmethod
-    def _of(cls, vertices: frozenset[str], edges: tuple[Edge, ...], exempt: frozenset[str]) -> "FiniteGraph":
-        """Wrap checked data: ``edges`` sorted, with unique string ids and
-        endpoints in ``vertices``, and ``exempt`` a subset of ``vertices``, as
-        ``_check_edges`` and the public constructor establish."""
-        return cls._grown(None, sorted(vertices), edges, exempt)
-
-    @classmethod
     def _grown(
         cls, base: "FiniteGraph | None", vertices: Sequence[str], edges: Sequence[Edge], exempt: frozenset[str]
     ) -> "FiniteGraph":
@@ -192,9 +185,9 @@ class GraphChain:
     construction, and ``layers`` is built only when read.  The chain groups
     its vertices and edges once, by the layer that adds them (an edge's
     layer is max(first(o), first(t))), and every per-layer reader reads the
-    groups.  The one pass over the edges also gives each origin's termini
-    and each finite-valence vertex's first S layer, the largest of its own
-    and its termini's first layers.
+    groups.  The one pass over the edges also gives each finite-valence
+    vertex's first S layer, the largest of its own and its termini's first
+    layers.
 
     ``infinite_vertices`` is the set D of vertices that emit infinitely many
     edges in the full graph; the prefix edge list can only ever record
@@ -205,7 +198,7 @@ class GraphChain:
 
     __slots__ = (
         "infinite_vertices", "first", "_length", "edges",
-        "_added_vertices", "_added_edges", "_s_first", "_termini", "_layers",
+        "_added_vertices", "_added_edges", "_s_first", "_layers",
     )
 
     def __init__(
@@ -249,15 +242,13 @@ class GraphChain:
         # each layer's edges are a sorted subsequence of the sorted chain edges
         added_edges: list[list[Edge]] = [[] for _ in range(length)]
         s_first = {v: n for v, n in first.items() if v not in d}
-        termini: dict[str, list[str]] = {}
         for e in edges:
             _, o, t = e
             fo, ft = first[o], first[t]
             added_edges[fo if fo > ft else ft].append(e)
-            termini.setdefault(o, []).append(t)
             if o in s_first and ft > s_first[o]:
                 s_first[o] = ft
-        values = (d, first, length, edges, added_vertices, added_edges, s_first, termini, None)
+        values = (d, first, length, edges, added_vertices, added_edges, s_first, None)
         for name, value in zip(self.__slots__, values, strict=True):
             object.__setattr__(self, name, value)
 
@@ -655,7 +646,9 @@ def check_condition_b2(chain: GraphChain, k0_class: Mapping[str, tuple]) -> B2Re
     """
     report = B2Report()
     d = chain.infinite_vertices
-    termini = chain._termini
+    termini: dict[str, list[str]] = {}
+    for _, o, t in chain.edges:
+        termini.setdefault(o, []).append(t)
     # the first layer-0 vertex, in sorted order, of each out-star shape
     first_with: dict[tuple, str] = {}
     for v in sorted(v for v, n in chain.first.items() if not n and v not in d):

@@ -320,7 +320,7 @@ def les_check(graph: FiniteGraph) -> LesReport:
     kt_t = ktheory(graph)
     # with no exempt vertex the graph is its own full-relation graph; with
     # one, that graph has the same checked vertices and edges
-    kt_o = ktheory(FiniteGraph._of(graph.vertices, graph.edges, frozenset())) if exempt else kt_t
+    kt_o = ktheory(FiniteGraph._grown(graph, (), (), frozenset())) if exempt else kt_t
 
     report.terms["k1_toeplitz"] = format_group(kt_t.k1)
     report.terms["k1_full"] = format_group(kt_o.k1)

@@ -105,10 +105,6 @@ def build_case_i(l: int, torsion: Sequence[int] = ()) -> FiniteGraph:
     return FiniteGraph(_base_vertices(l, torsion), bag.edges)
 
 
-def _tower_name(kind: str, i: int, j: int) -> str:
-    return f"{kind}_{i}_{j}"
-
-
 def build_case_ii(l: int, p: int, torsion: Sequence[int] = (), depth: int = 6) -> GraphChain:
     """Chain whose colimit K-theory is (Z^{l-p-1} + torsion, Z^{l-1}).
 
@@ -131,13 +127,13 @@ def build_case_ii(l: int, p: int, torsion: Sequence[int] = (), depth: int = 6) -
     maxj = depth  # layer n holds j <= n+1, topmost layer is depth-1
     for i in range(1, p + 2):
         bag.add(f"v{i}", "u")
-        bag.add(_tower_name("a", i, 1), f"v{i}")
-        bag.add(_tower_name("a", i, 1), _tower_name("a", i, 1))
+        bag.add(f"a_{i}_1", f"v{i}")
+        bag.add(f"a_{i}_1", f"a_{i}_1")
         for j in range(2, maxj + 1):
-            bag.add(_tower_name("a", i, j), _tower_name("a", i, j - 1))
-            bag.add(_tower_name("a", i, j), _tower_name("a", i, j))
+            bag.add(f"a_{i}_{j}", f"a_{i}_{j - 1}")
+            bag.add(f"a_{i}_{j}", f"a_{i}_{j}")
         for j in range(1, maxj + 1):
-            a, b = _tower_name("a", i, j), _tower_name("b", i, j)
+            a, b = f"a_{i}_{j}", f"b_{i}_{j}"
             first[a] = first[b] = j - 1
             bag.add(b, b, copies=2)
             bag.add(b, a)
@@ -170,19 +166,19 @@ def build_case_iii(l: int, p: int, torsion: Sequence[int] = (), depth: int = 6) 
     for i in range(1, p + 1):
         ui = f"u{i}"
         bag.add(f"v{i}", ui)
-        bag.add(_tower_name("a", i, 1), f"v{i}")
-        bag.add(_tower_name("a", i, 1), _tower_name("a", i, 1), copies=2)
+        bag.add(f"a_{i}_1", f"v{i}")
+        bag.add(f"a_{i}_1", f"a_{i}_1", copies=2)
         for j in range(2, maxj + 1):
-            bag.add(_tower_name("a", i, j), _tower_name("b", i, j - 1))
-            bag.add(_tower_name("a", i, j), _tower_name("a", i, j), copies=2)
-        bag.add(_tower_name("b", i, 1), _tower_name("a", i, 1))
-        bag.add(_tower_name("b", i, 1), f"v{i}")
+            bag.add(f"a_{i}_{j}", f"b_{i}_{j - 1}")
+            bag.add(f"a_{i}_{j}", f"a_{i}_{j}", copies=2)
+        bag.add(f"b_{i}_1", f"a_{i}_1")
+        bag.add(f"b_{i}_1", f"v{i}")
         for j in range(2, maxj + 1):
-            bag.add(_tower_name("b", i, j), _tower_name("a", i, j))
-            bag.add(_tower_name("b", i, j), _tower_name("b", i, j - 1))
+            bag.add(f"b_{i}_{j}", f"a_{i}_{j}")
+            bag.add(f"b_{i}_{j}", f"b_{i}_{j - 1}")
         for j in range(1, maxj + 1):
-            b = _tower_name("b", i, j)
-            first[_tower_name("a", i, j)] = first[b] = max(j - 2, 0)
+            b = f"b_{i}_{j}"
+            first[f"a_{i}_{j}"] = first[b] = max(j - 2, 0)
             bag.add(ui, b)
     return GraphChain._of(d, first, depth, tuple(sorted(bag.edges)))
 

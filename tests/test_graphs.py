@@ -496,10 +496,12 @@ def test_out_edges_are_sorted_however_a_graph_is_built():
         shuffled = list(g.edges)
         rng.shuffle(shuffled)
         checked = FiniteGraph(g.vertex_list, shuffled, g.relation_exempt)
-        for built in (checked, FiniteGraph._of(g.vertices, g.edges, g.relation_exempt)):
+        for built in (checked, FiniteGraph._grown(g, (), (), g.relation_exempt)):
             for v in built.vertex_list:
                 assert list(built.out_edges(v)) == sorted(built.out_edges(v))
                 assert list(built.in_edges(v)) == sorted(built.in_edges(v))
+        # the full-relation twin that les_check and the CLI build
+        assert_same_layer_graph(FiniteGraph._grown(g, (), (), frozenset()), FiniteGraph(g.vertex_list, g.edges))
 
 
 # ---------------------------------------------------------------------------
