@@ -1052,6 +1052,15 @@ def parse_group_expr(text: str) -> FgAbelianGroup:
     return FgAbelianGroup.canonical(*parse_group_pair(text))
 
 
+def parse_decimal(text: str, signed: bool = False) -> int:
+    """``text`` in ASCII digits, after one ``-`` if ``signed``; unlike ``int``,
+    no plus sign, space, underscore or non-ASCII digit."""
+    digits = text[1:] if signed and text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def parse_group_pair(text: str) -> tuple[int, tuple[int, ...]]:
     """The canonical pair (free rank, invariant factors) of a group expression.
 
@@ -1071,22 +1080,19 @@ def parse_group_pair(text: str) -> tuple[int, tuple[int, ...]]:
             raise ValueError(f"syntax error in group expression: {text!r}")
         if term == "Z":
             free += 1
-        elif term.startswith("Z^"):
+        elif term[:2] in ("Z^", "Z/"):
             try:
-                k = int(term[2:])
+                n = parse_decimal(term[2:])
             except ValueError:
                 raise ValueError(f"syntax error in term {term!r}") from None
-            if k < 1:
-                raise ValueError(f"free power must be >= 1 in {term!r}")
-            free += k
-        elif term.startswith("Z/"):
-            try:
-                nval = int(term[2:])
-            except ValueError:
-                raise ValueError(f"syntax error in term {term!r}") from None
-            if nval < 2:
+            if term[1] == "^":
+                if n < 1:
+                    raise ValueError(f"free power must be >= 1 in {term!r}")
+                free += n
+            elif n < 2:
                 raise ValueError(f"torsion order must be >= 2 in {term!r}")
-            torsion.append(nval)
+            else:
+                torsion.append(n)
         else:
             raise ValueError(f"syntax error in term {term!r}")
     # Z/a + Z/b is Z/gcd + Z/lcm; after every pair is replaced so, each

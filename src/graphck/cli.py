@@ -16,7 +16,7 @@ from statistics import median
 
 import numpy as np
 
-from .abelian import format_group
+from .abelian import format_group, parse_decimal
 from .graphs import (
     FiniteGraph,
     GraphChain,
@@ -185,7 +185,7 @@ def cmd_boundary(args) -> int:
     if not isinstance(graph, FiniteGraph):
         raise GraphFormatError("boundary needs a finite graph file")
     try:
-        vec = tuple(int(x) for x in args.cls.split(","))
+        vec = tuple(parse_decimal(x, signed=True) for x in args.cls.split(","))
     except ValueError:
         raise GraphFormatError("--class must be a comma-separated integer vector") from None
     image = boundary_map(graph, vec)

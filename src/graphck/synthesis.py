@@ -4,11 +4,12 @@ Given a pair of finitely generated abelian groups (G0, G1) with G1 free, a
 graph (or chain of graphs) is constructed whose algebra has exactly that
 K-theory.  Three constructions cover the rank comparison:
 
-* case i   (rank G0 == rank G1): one finite graph on vertices v1..vl, z,
-  w1..wk, where the v-block and the return vertex give the free part and a
-  chain of parallel-edge bundles z -> w1 -> ... -> wk gives the torsion;
-  every vertex carries one extra loop.  With no torsion the incidence matrix
-  is the all-ones matrix plus the identity.
+* case i   (rank G0 == rank G1): one finite graph, a star.  Every vertex
+  carries one loop; bundles of n_1, ..., n_k parallel edges run z -> w1 ->
+  ... -> wk, and the hub (wk, or z with no torsion) has an edge to each leaf
+  v1..vl, y, which has an edge back to z.  The relations are [z] = 0, the
+  leaf sum [v1] + ... + [vl] + [y] = 0 and n_i [w_i] = 0, so K0 = Z^l + sum
+  Z/n_i and K1 = Z^l, spanned by e_{v_i} - e_y.
 * case ii  (rank G0 < rank G1): the case-i graph plus one infinite-valence
   vertex u and p+1 descending towers a_i_* with companion vertices b_i_*;
   each tower kills one free generator of degree zero per layer while fixing
@@ -23,7 +24,7 @@ conditions, per-layer groups, inclusion behavior, and the colimit), so a
 bad reconstruction cannot go unnoticed.  Its named checks go into a
 ``graphs.Verdict``, whose witnesses are the messages reported for failures.
 
-Vertex names are fixed (v1.., z, w1.., u or u1.., a_i_j, b_i_j) so that
+Vertex names are fixed (v1.., y, z, w1.., u or u1.., a_i_j, b_i_j) so that
 regenerated graphs are byte-identical.
 """
 
@@ -45,12 +46,13 @@ from .graphs import (
 from .ktheory import chain_ktheory_report, ktheory
 
 VERIFICATION_WINDOW = 2
-# requests whose construction would hold more edges than this, counted once
-# per layer of the chain, are refused before anything is built: a chain's
-# JSON lists every layer's vertices, which this count bounds (``edge_layers``).
-# Near the bound a build peaks below 500 MB; the largest equal-rank graph,
-# for (Z^998, Z^998), takes about six seconds (2-core x86-64, Python 3.11)
-MAX_EDGE_LAYERS = 1_000_000
+# a request whose edges + vertices x (layers + K0 coordinates), from
+# ``build_size``, exceed this is refused before anything is built: the count
+# bounds the emitted JSON (each edge once, every layer's vertices) and the
+# dense K0 class maps of verification.  At the bound, equal ranks, (0, Z^r),
+# (Z^r, 0) and (Z, Z^2) take at most 2.5 s and 120 MB in process, with their
+# JSON (2-core x86-64, Python 3.11); the README names requests that cost more
+MAX_BUILD_SIZE = 1_000_000
 
 
 class EdgeBag:
@@ -68,41 +70,33 @@ class EdgeBag:
             self.edges.append((eid, origin, terminus))
 
 
-def _base_vertices(l: int, torsion: Sequence[int]) -> list[str]:
-    return [f"v{i}" for i in range(1, l + 1)] + ["z"] + [f"w{i}" for i in range(1, len(torsion) + 1)]
-
-
-def _base_edges(bag: EdgeBag, l: int, torsion: Sequence[int]) -> None:
-    k = len(torsion)
-    vs_and_z = [f"v{i}" for i in range(1, l + 1)] + ["z"]
-    for i in range(1, l + 1):
-        for t in vs_and_z:
-            bag.add(f"v{i}", t)
-    if k == 0:
-        for t in vs_and_z:
-            bag.add("z", t)
-    else:
-        bag.add("z", "w1", copies=torsion[0])
-        for i in range(1, k):
-            bag.add(f"w{i}", f"w{i + 1}", copies=torsion[i])
-        for t in vs_and_z:
-            bag.add(f"w{k}", t)
-    for v in _base_vertices(l, torsion):
-        bag.add(v, v)  # the extra loop at every vertex
+def _star(bag: EdgeBag, l: int, torsion: Sequence[int]) -> list[str]:
+    """Add the edges of the case-i star (see the module docstring) to ``bag``
+    and return its vertices."""
+    if any(n < 2 for n in torsion):
+        raise ValueError("torsion orders must be >= 2")
+    ws = [f"w{i}" for i in range(1, len(torsion) + 1)]
+    path = ["z", *ws]
+    for origin, terminus, n in zip(path, ws, torsion):
+        bag.add(origin, terminus, copies=int(n))
+    leaves = [*(f"v{i}" for i in range(1, l + 1)), "y"]
+    for v in leaves:
+        bag.add(v, "z")
+        bag.add(path[-1], v)
+    for v in leaves + path:
+        bag.add(v, v)
+    return leaves + path
 
 
 def build_case_i(l: int, torsion: Sequence[int] = ()) -> FiniteGraph:
-    """Finite graph with K0 = Z^l + sum Z/n_i and K1 = Z^l, relations everywhere."""
-    torsion = tuple(int(n) for n in torsion)
+    """Finite graph with K0 = Z^l + sum Z/n_i and K1 = Z^l, relations everywhere:
+    the star of the module docstring, with 3l + 4 + k + sum n_i edges."""
     if l < 0:
         raise ValueError("free rank must be nonnegative")
-    if any(n < 2 for n in torsion):
-        raise ValueError("torsion orders must be >= 2")
     if l + len(torsion) < 1:
         raise ValueError("the trivial pair (0, 0) is not realized by this construction")
     bag = EdgeBag()
-    _base_edges(bag, l, torsion)
-    return FiniteGraph(_base_vertices(l, torsion), bag.edges)
+    return FiniteGraph(_star(bag, l, torsion), bag.edges)
 
 
 def build_case_ii(l: int, p: int, torsion: Sequence[int] = (), depth: int = 6) -> GraphChain:
@@ -114,16 +108,12 @@ def build_case_ii(l: int, p: int, torsion: Sequence[int] = (), depth: int = 6) -
     loops and b_i_j -> a_i_j; u emits to every a_i_j and b_i_j; v_i -> u for
     i <= p+1.
     """
-    torsion = tuple(int(n) for n in torsion)
     if not 0 < p < l or l <= 1:
         raise ValueError("need 0 < p < l and l > 1")
     if depth < 4:
         raise ValueError("depth must be at least 4")
-    if any(n < 2 for n in torsion):
-        raise ValueError("torsion orders must be >= 2")
     bag = EdgeBag()
-    _base_edges(bag, l, torsion)
-    first = dict.fromkeys([*_base_vertices(l, torsion), "u"], 0)
+    first = dict.fromkeys([*_star(bag, l, torsion), "u"], 0)
     maxj = depth  # layer n holds j <= n+1, topmost layer is depth-1
     for i in range(1, p + 2):
         bag.add(f"v{i}", "u")
@@ -151,17 +141,13 @@ def build_case_iii(l: int, p: int, torsion: Sequence[int] = (), depth: int = 6) 
     loops for j >= 2; b_i_1 -> a_i_1 and b_i_1 -> v_i; b_i_j -> a_i_j and
     b_i_j -> b_i_{j-1} for j >= 2.
     """
-    torsion = tuple(int(n) for n in torsion)
     if not 0 < p <= l or l < 1:
         raise ValueError("need 0 < p <= l and l >= 1")
     if depth < 4:
         raise ValueError("depth must be at least 4")
-    if any(n < 2 for n in torsion):
-        raise ValueError("torsion orders must be >= 2")
     bag = EdgeBag()
-    _base_edges(bag, l, torsion)
     d = frozenset(f"u{i}" for i in range(1, p + 1))
-    first = dict.fromkeys([*_base_vertices(l, torsion), *d], 0)
+    first = dict.fromkeys([*_star(bag, l, torsion), *d], 0)
     maxj = depth + 1  # layer n holds j <= n+2, topmost layer is depth-1
     for i in range(1, p + 1):
         ui = f"u{i}"
@@ -188,37 +174,37 @@ def build_case_iii(l: int, p: int, torsion: Sequence[int] = (), depth: int = 6) 
 # ---------------------------------------------------------------------------
 
 
-def edge_layers(r0: int, torsion: Sequence[int], r1: int, depth: int) -> int:
-    """Edges of the construction for ranks (r0, r1), times its layers.
+def build_size(r0: int, torsion: Sequence[int], r1: int, depth: int) -> tuple[int, int, int, int]:
+    """The edges, vertices, layers and K0 coordinates of the construction for
+    ranks (r0, r1), in closed form.
 
-    Case i is one graph.  A chain is built with ``depth +
-    VERIFICATION_WINDOW`` layers.  Verification builds only the graphs of
-    the final stretch.  The emitted chain's JSON lists each edge once and
-    every layer's vertices, so its size grows as vertices times layers;
-    every vertex emits an edge, so this count bounds it.  The counts follow
-    the constructions: the case-i part has (l+1)(l+2) + sum(torsion) +
-    len(torsion) edges, and each tower 1 + 7 maxj (case ii) or 1 + 6 maxj
-    (case iii) edges.
+    The case-i star with leaves v1..vl, y and k torsion orders has 3l + 4 +
+    k + sum(torsion) edges and l + 2 + k vertices, and K0 has l + k
+    coordinates.  A chain has ``depth + VERIFICATION_WINDOW`` layers, and
+    each tower adds 1 + 7 maxj edges and 2 maxj vertices besides the shared
+    u (case ii), or 1 + 6 maxj edges and 1 + 2 maxj vertices (case iii).
     """
-
-    def base(l: int) -> int:
-        return (l + 1) * (l + 2) + sum(torsion) + len(torsion)
-
+    k, layers = len(torsion), depth + VERIFICATION_WINDOW
+    l = r1 + 1 if r0 < r1 else r0
+    edges, vertices = 3 * l + 4 + k + sum(torsion), l + 2 + k
     if r0 == r1:
-        return base(r0)
-    layers = depth + VERIFICATION_WINDOW
-    if r0 < r1:
-        edges = base(r1 + 1) + (r1 - r0 + 1) * (1 + 7 * layers)
-    else:
-        edges = base(r0) + (r0 - r1) * (1 + 6 * (layers + 1))
-    return edges * layers
+        return edges, vertices, 1, l + k
+    if r0 < r1:  # r1 - r0 + 1 towers with maxj = layers
+        edges += (r1 - r0 + 1) * (1 + 7 * layers)
+        vertices += 1 + (r1 - r0 + 1) * 2 * layers
+    else:  # r0 - r1 towers with maxj = layers + 1
+        edges += (r0 - r1) * (7 + 6 * layers)
+        vertices += (r0 - r1) * (3 + 2 * layers)
+    return edges, vertices, layers, l + k
 
 
 def _check_size(r0: int, torsion: Sequence[int], r1: int, depth: int) -> None:
-    if edge_layers(r0, torsion, r1, depth) > MAX_EDGE_LAYERS:
+    edges, vertices, layers, coords = build_size(r0, torsion, r1, depth)
+    size = edges + vertices * (layers + coords)
+    if size > MAX_BUILD_SIZE:
         raise ValueError(
-            f"the construction would build more edges over its verified layers "
-            f"than the bound of {MAX_EDGE_LAYERS}"
+            f"the construction would build more edges plus vertices times (layers + K0 coordinates) "
+            f"than the bound of {MAX_BUILD_SIZE}: {size}"
         )
 
 

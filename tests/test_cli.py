@@ -598,11 +598,19 @@ def _address_space_cap():
 
 @pytest.mark.parametrize(
     "k0,k1",
-    [("Z^99999999999999999999", "Z"), ("Z/99999999999999999999999", "Z"), ("Z^3000", "Z^3000")],
+    [
+        ("Z^99999999999999999999", "Z"),
+        ("Z/99999999999999999999999", "Z"),
+        ("Z^3000", "Z^3000"),
+        ("Z^2000", "0"),
+    ],
 )
 def test_synthesize_refuses_oversized_requests_under_a_memory_cap(k0, k1):
-    # under a 1 GB address-space cap these ran out of memory with a traceback
-    # (a name per rank, n parallel edges, quadratically many edges)
+    # under a 1 GB address-space cap the first three ran out of memory with a
+    # traceback (a name per rank, n parallel edges, an equal-rank graph with
+    # quadratically many edges); the depth-6 chain for (Z^2000, 0) has only
+    # 116,004 edges, but verifying it would hold about 40,000 vertices x
+    # 2,000 dense class coordinates per layer
     src = os.path.dirname(os.path.dirname(importlib.import_module("graphck").__file__))
     env = {"PYTHONPATH": src, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     proc = subprocess.run(
@@ -629,7 +637,18 @@ _ERROR_TABLE = [
     (("ktheory", "{chain}", "--at", "2"), "input error: layer 2 out of range for a chain of length 2"),
     (("ktheory", "{chain}", "--at", "-1", "--toeplitz"), "input error: layer -1 out of range"),
     (("boundary", "{graph}", "--class", "x"), "input error: --class must be a comma-separated integer vector"),
+    *(
+        (("boundary", "{graph}", f"--class={cls}"), "input error: --class must be a comma-separated integer vector")
+        for cls in ("1_0", "+1", " 1", "-", "\u0661", "-\u0663")
+    ),
     (("synthesize", "--k0", "Z^", "--k1", "Z"), "usage error: syntax error in term 'Z^'"),
+    (("synthesize", "--k0", "Z^1_0", "--k1", "Z"), "usage error: syntax error in term 'Z^1_0'"),
+    (("synthesize", "--k0", "Z^ 3", "--k1", "Z"), "usage error: syntax error in term 'Z^ 3'"),
+    (("synthesize", "--k0", "Z", "--k1", "Z/ 4"), "usage error: syntax error in term 'Z/ 4'"),
+    (("synthesize", "--k0", "Z/-3", "--k1", "Z"), "usage error: syntax error in term 'Z/-3'"),
+    (("synthesize", "--k0", "Z^\t2", "--k1", "Z"), "usage error: syntax error in term 'Z^\\t2'"),
+    (("synthesize", "--k0", "Z^\u0661", "--k1", "Z"), "usage error: syntax error in term 'Z^\u0661'"),
+    (("synthesize", "--k0", "Z/\u0663", "--k1", "Z"), "usage error: syntax error in term 'Z/\u0663'"),
     (("synthesize", "--k0", "0", "--k1", "0"), "usage error: the trivial pair (0, 0) is not realized"),
     (("synthesize", "--k0", "Z^3000", "--k1", "Z^3000"), "usage error: the construction would build more edges"),
     (("lab", "straighten", "--trials", "0"), "usage error: --trials must be at least 1, got 0"),
@@ -884,7 +903,7 @@ PINNED_CASE_II_K0_CLASSES = {
     "a_3_1": [0, 0, 0, 0], "a_3_2": [0, 0, 0, -1], "b_1_1": [0, 0, 0, 0], "b_1_2": [0, 1, 0, 0],
     "b_2_1": [0, 0, 0, 0], "b_2_2": [0, 0, 1, 0], "b_3_1": [0, 0, 0, 0], "b_3_2": [0, 0, 0, 1],
     "u": [0, 0, 0, 0], "v1": [0, 0, 0, 0], "v2": [0, 0, 0, 0], "v3": [0, 0, 0, 0],
-    "w1": [1, 0, 0, 0], "z": [0, 0, 0, 0],
+    "w1": [1, 0, 0, 0], "y": [0, 0, 0, 0], "z": [0, 0, 0, 0],
 }
 
 PINNED_KTHEORY = {
@@ -905,9 +924,9 @@ PINNED_KTHEORY = {
         "k1": "Z^3",
         "k0_classes": PINNED_CASE_II_K0_CLASSES,
         "k1_basis": [
-            [0, 0, 0, 0, 0, 0, -1, -1, -1, -1, -1, -1, 1, 1, 0, 0, -1, 0],
-            [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 1, 0, 0, 0],
-            [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 1, 0, 0],
+            [0, 0, 0, 0, 0, 0, -1, -1, -1, -1, -1, -1, 1, 1, 0, 0, 0, -1, 0],
+            [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 1, 0, 0, 0, 0],
+            [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 1, 0, 0, 0],
         ],
     },
     "case ii --toeplitz": {
@@ -915,8 +934,8 @@ PINNED_KTHEORY = {
         "k1": "Z^2",
         "k0_classes": PINNED_CASE_II_K0_CLASSES,
         "k1_basis": [
-            [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 1, 0, 0, 0],
-            [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 1, 0, 0],
+            [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 1, 0, 0, 0, 0],
+            [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 1, 0, 0, 0],
         ],
     },
 }
@@ -962,7 +981,8 @@ PINNED_DEEP_COLIMIT = {
         "v1": [0, -1, -1],
         "v2": [0, 1, 0],
         "w1": [1, 0, 0],
-        "z": [0, 0, 1],
+        "y": [0, 0, 1],
+        "z": [0, 0, 0],
     },
     "stabilized": True,
     "window": 2,

@@ -7,7 +7,7 @@ import json
 import math
 import random
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, count, product
 
 import pytest
 
@@ -115,27 +115,41 @@ def test_case_i_torsion_generators_have_stated_orders():
     assert any(kt.k0_class_of_vertex["v1"][nfac:])
 
 
-def test_case_i_k1_basis_vectors():
-    # degree-one basis: +1 at v_i, -1 at the last torsion vertex
-    g = build_case_i(2, (3,))
-    kt = ktheory(g)
-    order = {v: i for i, v in enumerate(kt.vertex_order)}
-    lattice = kt.k1_column
-    for i in (1, 2):
-        x = [0] * len(kt.vertex_order)
-        x[order[f"v{i}"]] = 1
-        x[order["w1"]] = -1
-        assert lattice.contains(x)
-    # with no torsion the roles of the w-vertices fall to z
-    g = build_case_i(2, ())
-    kt = ktheory(g)
-    order = {v: i for i, v in enumerate(kt.vertex_order)}
-    lattice = kt.k1_column
-    for i in (1, 2):
-        x = [0] * len(kt.vertex_order)
-        x[order[f"v{i}"]] = 1
-        x[order["z"]] = -1
-        assert lattice.contains(x)
+def test_case_i_matches_its_closed_form():
+    # the star's relations are [z] = 0, the leaf sum [v_1] + ... + [v_l] +
+    # [y] = 0 and n_i [w_i] = 0, so the v-classes are a free basis, [w_i] has
+    # order n_i, and K1 is the lattice of the vectors e_{v_i} - e_y
+    from test_acceptance import TORSION_POOL
+
+    for l in range(6):
+        for torsion in (t for k in range(3) for t in product(TORSION_POOL, repeat=k)):
+            if l + len(torsion) == 0:
+                continue
+            kt = ktheory(build_case_i(l, torsion))
+            k0, classes = kt.k0, kt.k0_class_of_vertex
+            zero, nfac = (0,) * k0.ncoords, len(k0.invariant_factors)
+            vs = [f"v{i}" for i in range(1, l + 1)]
+            assert classes["z"] == zero
+            assert classes["y"] == k0.reduce_coords([-sum(x) for x in zip(zero, *(classes[v] for v in vs))])
+            if l:
+                free = IntMatrix.from_rows([classes[v][nfac:] for v in vs])
+                assert smith_normal_form(free).diagonal == (1,) * l, (l, torsion)
+            for i, n in enumerate(torsion, 1):
+                c = classes[f"w{i}"]
+                assert next(d for d in count(1) if k0.reduce_coords([d * x for x in c]) == zero) == n
+            # the lattice holds every e_{v_i} - e_y, and each of its basis
+            # vectors x is sum x(v_i) (e_{v_i} - e_y)
+            order = {v: i for i, v in enumerate(kt.vertex_order)}
+            for v in vs:
+                x = [0] * len(order)
+                x[order[v]], x[order["y"]] = 1, -1
+                assert kt.k1_column.contains(x)
+            for col in kt.k1_lattice.columns():
+                x = [0] * len(order)
+                for v in vs:
+                    x[order[v]] = col[order[v]]
+                x[order["y"]] = -sum(x)
+                assert list(col) == x, (l, torsion)
 
 
 def test_vertex_classes_generate_k0():
@@ -1330,16 +1344,17 @@ def _built_dense_transforms(snfs):
 @pytest.mark.parametrize(
     "graph,reads,vectors",
     [
-        # one unit pivot, then a 3x3 core with diagonal (1, 2, 10): K0 reads
+        # two unit pivots, then a 3x3 core with diagonal (1, 2, 10): K0 reads
         # the V columns at the two torsion positions, K1 = 0 reads no U row;
         # with no exempt vertex both routes share one degree-one lattice, and
-        # the dense transforms of the two Smith forms hold 16 vectors
-        (build_case_i(0, (2, 2, 5)), 2, 16),
+        # the dense transforms of the two Smith forms, of the 5x5 relation
+        # matrix and the 5x0 lattice, hold 20 vectors
+        (build_case_i(0, (2, 2, 5)), 2, 20),
         # one exempt vertex: K0 reads one torsion and two free V columns of
-        # the 16x17 Toeplitz matrix and K1 its one U row past the rank; route
-        # two reads the one kernel V column of the 17x16 transposed matrix,
+        # the 17x18 Toeplitz matrix and K1 its one U row past the rank; route
+        # two reads the one kernel V column of the 18x17 transposed matrix,
         # and as the two bases are equal, only route one's lattice is reduced
-        (build_case_ii(2, 1, (3,), 6).layer_graph(2), 5, 118),
+        (build_case_ii(2, 1, (3,), 6).layer_graph(2), 5, 125),
     ],
 )
 def test_ktheory_folds_only_the_transform_vectors_it_reads(monkeypatch, graph, reads, vectors):

@@ -28,10 +28,10 @@ SYNTH_REQUESTS = [
 ]
 
 PINNED = {
-    "synthesize": "bc7bb4b803925b559bc429ae75b72f82ed53df583c63402907c9ee7fe1076c10",
+    "synthesize": "b4a320297270612b0f469c2e3b57202be0ba98445a7de120f2dc196ba60149b4",
     "check": "14b9205f95eb8173d56c56ff7923537054775b4ed3d034861ccd1b992865b510",
-    "colimit": "079675f68efccd6b51c58a9a3abb2c8d29150f9072afee022a074961c847ee20",
-    "ktheory-at": "58d1a5799d4b85ac707445ccc51b3b908ece058213f15f3d4f5181d594364a07",
+    "colimit": "524aa8df7016759d37dcda221319fe302bf1320c5dfeea42d8f8bb95279d78d4",
+    "ktheory-at": "6bb11fc90cc395ead5ea0f67cfdeb098191364d94873d555a0da9693ca1db791",
     "ktheory": "d480e8fc4c79cf9984922bf55369d30b2b0e0d0c997071d87a7c27fcc80c1523",
     "ktheory-toeplitz": "77ddebb2c56d133f29e6af746cb5c9e33d275d53e318bec94426dda252e740b1",
     "les-check": "5881eee68e4ce0dec937c93cf55bed6e24ba1c058706867f4667a6c4934add75",

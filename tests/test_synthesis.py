@@ -17,14 +17,14 @@ from graphck.cli import main
 from graphck.graphs import B2Report, FiniteGraph, check_condition_a, dump_graph, is_cycle, is_irreducible
 from graphck.ktheory import chain_ktheory_report, ktheory
 from graphck.synthesis import (
-    MAX_EDGE_LAYERS,
+    MAX_BUILD_SIZE,
     VERIFICATION_WINDOW,
     SynthesisRequest,
     SynthesisResult,
     build_case_i,
     build_case_ii,
     build_case_iii,
-    edge_layers,
+    build_size,
     synthesize,
 )
 
@@ -46,11 +46,14 @@ def functional_vanishes(kt, coeffs_by_vertex):
 
 def test_case_i_smallest_incidence():
     g = build_case_i(1, ())
-    # edge counts per (origin, terminus): two loops at each vertex, one edge
-    # each way between them
-    assert sorted(g.vertices) == ["v1", "z"]
+    # edge counts per (origin, terminus): one loop at each vertex, and one
+    # edge each way between the hub z and each leaf
+    assert sorted(g.vertices) == ["v1", "y", "z"]
     counts = Counter((o, t) for _, o, t in g.edges)
-    assert counts == {("v1", "v1"): 2, ("v1", "z"): 1, ("z", "v1"): 1, ("z", "z"): 2}
+    assert counts == {
+        ("v1", "v1"): 1, ("y", "y"): 1, ("z", "z"): 1,
+        ("v1", "z"): 1, ("z", "v1"): 1, ("y", "z"): 1, ("z", "y"): 1,
+    }  # fmt: skip
 
 
 def test_case_i_parallel_bundles_give_torsion():
@@ -80,10 +83,9 @@ def test_case_ii_degree_one_relations():
     for n in range(len(chain)):
         layer = chain.layer_graph(n)
         full = ktheory(FiniteGraph(layer.vertices, layer.edges, ()))
-        k = 1  # torsion length
-        # sum of x(v_i) plus x(w_k) vanishes
+        # the leaf sum, x(v_1) + ... + x(v_l) + x(y), vanishes
         coeffs = {f"v{i}": 1 for i in range(1, l + 1)}
-        coeffs["w1"] = 1
+        coeffs["y"] = 1
         assert functional_vanishes(full, coeffs)
         # x(z) vanishes
         assert functional_vanishes(full, {"z": 1})
@@ -267,35 +269,50 @@ def test_synthesize_rejects_trivial_pair():
         run("0", "0")
 
 
-def test_edge_layers_counts_what_the_constructions_build():
+def test_build_size_counts_what_the_constructions_build():
     for r0 in range(4):
         for r1 in range(4):
             for torsion in [(), (2,), (2, 6), (3, 3, 9)]:
                 for depth in (4, 7):
-                    layers = depth + VERIFICATION_WINDOW
+                    edges, vertices, layers, coords = build_size(r0, torsion, r1, depth)
                     if r0 == r1:
                         if not r0 and not torsion:
                             continue
-                        built = len(build_case_i(r0, torsion).edges)
-                    elif r0 < r1:
-                        built = len(build_case_ii(r1 + 1, r1 - r0, torsion, layers).edges) * layers
+                        graph = build_case_i(r0, torsion)
+                        built, verified = (len(graph.edges), len(graph.vertices), 1), [ktheory(graph)]
                     else:
-                        built = len(build_case_iii(r0, r0 - r1, torsion, layers).edges) * layers
-                    assert edge_layers(r0, torsion, r1, depth) == built, (r0, r1, torsion, depth)
+                        build, l, p = (build_case_ii, r1 + 1, r1 - r0) if r0 < r1 else (build_case_iii, r0, r0 - r1)
+                        chain = build(l, p, torsion, depth + VERIFICATION_WINDOW)
+                        built = (len(chain.edges), len(chain.first), len(chain))
+                        verified = chain_ktheory_report(chain, window=VERIFICATION_WINDOW).layer_results
+                    assert (edges, vertices, layers) == built, (r0, r1, torsion, depth)
+                    assert coords >= max(kt.k0.ncoords for kt in verified), (r0, r1, torsion, depth)
 
 
 def test_synthesize_refuses_requests_above_the_size_bound():
-    # the largest equal-rank request under the bound is accepted (and not
-    # built here); one more rank is refused, from the groups or the text
-    l = max(k for k in range(2000) if edge_layers(k, (), k, 6) <= MAX_EDGE_LAYERS)
-    assert SynthesisRequest.parse(f"Z^{l}", f"Z^{l}").g0.free_rank == l
-    with pytest.raises(ValueError, match="than the bound"):
-        SynthesisRequest.parse(f"Z^{l + 1}", f"Z^{l + 1}")
-    with pytest.raises(ValueError, match="than the bound"):
-        SynthesisRequest(parse_group_expr(f"Z^{l + 1}"), parse_group_expr(f"Z^{l + 1}"))
+    # the largest request of each shape under the bound is accepted (and not
+    # built here); one more unit of rank is refused, from the text or from
+    # the groups
+    refused = rf"edges plus vertices times \(layers \+ K0 coordinates\) than the bound of {MAX_BUILD_SIZE}\b"
+    for k0, k1, depth, rank in [
+        ("Z^{}", "Z^{}", 6, 997),  # case i: 2,995 edges + 999 vertices x (1 + 997) = 999,997
+        ("0", "Z^{}", 4, 271),  # case ii
+        ("0", "Z^{}", 64, 57),
+        ("Z^{}", "0", 4, 245),  # case iii
+        ("Z^{}", "0", 64, 57),
+    ]:
+        req = SynthesisRequest.parse(k0.format(rank), k1.format(rank), depth)
+        assert (req.g0, req.g1) == (parse_group_expr(k0.format(rank)), parse_group_expr(k1.format(rank)))
+        over = k0.format(rank + 1), k1.format(rank + 1)
+        with pytest.raises(ValueError, match=refused):
+            SynthesisRequest.parse(*over, depth)
+        with pytest.raises(ValueError, match=refused):
+            SynthesisRequest(parse_group_expr(over[0]), parse_group_expr(over[1]), depth)
+    # the chain for (Z, Z^2) is admitted up to depth 494
+    assert SynthesisRequest.parse("Z", "Z^2", 494).depth == 494
     # huge ranks, torsion orders and depths are refused from the parsed text
-    for k0, k1, depth in [("Z^" + "9" * 20, "Z", 6), ("Z/" + "9" * 23, "Z", 6), ("Z", "Z^2", 10**6)]:
-        with pytest.raises(ValueError, match="than the bound"):
+    for k0, k1, depth in [("Z", "Z^2", 495), ("Z^" + "9" * 20, "Z", 6), ("Z/" + "9" * 23, "Z", 6), ("Z", "Z^2", 10**6)]:
+        with pytest.raises(ValueError, match=refused):
             SynthesisRequest.parse(k0, k1, depth)
 
 
