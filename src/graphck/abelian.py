@@ -16,16 +16,16 @@ eliminates unit pivots, shortest row first, and a dense reduction finishes
 the core they leave, clearing each pivot's column before its row; both
 append their operations to one row log and one column log, and a row of
 U, column of V or row of V^-1 is replayed from a log when a caller reads
-it.  The callers below read only the vectors they
-use (class maps skip the positions with a unit diagonal entry, and lattice
+it.  The callers below read only the vectors they use (a group's
+generator classes skip the V columns at unit diagonal entries, and lattice
 tests run the row log forward on the vector they test), and none of them
 builds a dense transform.  Groups given in canonical form carry
 their diagonal presentation with empty logs and need no reduction.
 A group is its relation matrix: ``cokernel`` presents Z^n modulo the row
 lattice of a matrix with n columns, the group's generators are the unit
-vectors of Z^n and carry no names, and the matrix's Smith form converts
-ambient integer vectors into canonical coordinates
-(``FgAbelianGroup.class_of``).  ``kernel_basis`` returns a saturated basis
+vectors of Z^n and carry no names, and the group builds each generator's
+class once; every class in canonical coordinates is a sum of those
+(``FgAbelianGroup.class_sum``).  ``kernel_basis`` returns a saturated basis
 of the integer kernel lattice: the free columns of V, as the sparse
 ``{index: nonzero}`` columns the Smith form replayed them.
 ``GroupHom`` is a homomorphism between presented groups, checked for
@@ -496,11 +496,6 @@ def _core_and_zero(lines: Sequence) -> tuple[list[int], list[int]]:
     return core, zero
 
 
-def _dot(sparse: dict, vec: Sequence[int]) -> int:
-    """Inner product of a sparse vector with a dense one."""
-    return sum(x * vec[k] for k, x in sparse.items())
-
-
 def _dense(vec: dict, n: int) -> tuple[int, ...]:
     """The length-n tuple of a sparse vector."""
     out = [0] * n
@@ -713,13 +708,13 @@ class FgAbelianGroup:
     once, puts the group in invariant-factor form: ``invariant_factors`` are
     the torsion orders, each >= 2 and each dividing the next, and
     ``free_rank`` counts the Z summands.  The canonical pair is the unique
-    comparison key: two groups are isomorphic iff the pairs agree.  Ambient
-    vectors convert to canonical coordinates and back.  Groups built
+    comparison key: two groups are isomorphic iff the pairs agree.  Every
+    class is a ``class_sum`` of the shared generator classes.  Groups built
     straight from canonical data get the diagonal presentation, whose Smith
     form needs no reduction.
     """
 
-    __slots__ = ("relations", "snf", "free_rank", "invariant_factors", "_positions")
+    __slots__ = ("relations", "snf", "free_rank", "invariant_factors", "_positions", "_classes")
 
     def __init__(self, relations: IntMatrix, snf: SmithDecomposition | None = None):
         self.relations = relations
@@ -735,6 +730,7 @@ class FgAbelianGroup:
         # unit entry constrains nothing, so the positions past the units carry
         # the coordinates: torsion ones, then free ones
         self._positions = tuple(range(diag.count(1), relations.cols))
+        self._classes = None  # generator_classes, built on first read
 
     # -- constructors ------------------------------------------------------
 
@@ -786,21 +782,31 @@ class FgAbelianGroup:
     # -- canonical coordinates ---------------------------------------------
 
     def class_of(self, vec: Sequence[int]) -> tuple[int, ...]:
-        """Canonical coordinates of an ambient integer vector."""
+        """Canonical coordinates of an ambient vector: the generator classes summed with weights ``vec``."""
         if len(vec) != self.ngens:
             raise ValueError("ambient vector length mismatch")
-        v_col = self.snf.v_col
-        return self.reduce_coords([_dot(v_col(j), vec) for j in self._positions])
+        return self.class_sum(zip(vec, self.generator_classes()))
 
     def generator_classes(self) -> list[tuple[int, ...]]:
-        """``class_of`` of every generator's unit vector, one V column at a time."""
-        v_col, factors = self.snf.v_col, self.invariant_factors
-        coords = [[0] * len(self._positions) for _ in range(self.ngens)]
-        for t, j in enumerate(self._positions):
-            d = factors[t] if t < len(factors) else 0
-            for i, x in v_col(j).items():
-                coords[i][t] = x % d if d else x
-        return [tuple(c) for c in coords]
+        """The class of every generator, built once from the V columns and shared: do not mutate it."""
+        if self._classes is None:
+            v_col, factors = self.snf.v_col, self.invariant_factors
+            coords = [[0] * len(self._positions) for _ in range(self.ngens)]
+            for t, j in enumerate(self._positions):
+                d = factors[t] if t < len(factors) else 0
+                for i, x in v_col(j).items():
+                    coords[i][t] = x % d if d else x
+            self._classes = [tuple(c) for c in coords]
+        return self._classes
+
+    def class_sum(self, terms: Iterable[tuple[int, Sequence[int]]]) -> tuple[int, ...]:
+        """The reduced canonical coordinates of sum c * cls over the (c, cls) in ``terms``."""
+        acc = [0] * self.ncoords
+        for c, cls in terms:
+            if c:
+                for t, y in enumerate(cls):
+                    acc[t] += c * y
+        return self.reduce_coords(acc)
 
     def section(self, i: int) -> tuple[int, ...]:
         """An ambient vector whose class is the i-th canonical basis element."""
@@ -811,14 +817,12 @@ class FgAbelianGroup:
         return not any(self.class_of(vec))
 
     def reduce_coords(self, coords: Sequence[int]) -> tuple[int, ...]:
+        """``coords`` with its torsion coordinates, which come first, reduced modulo their orders."""
         if len(coords) != self.ncoords:
             raise ValueError("coordinate length mismatch")
-        out = []
-        for i, x in enumerate(coords):
-            if i < len(self.invariant_factors):
-                out.append(x % self.invariant_factors[i])
-            else:
-                out.append(x)
+        out = list(coords)
+        for t, d in enumerate(self.invariant_factors):
+            out[t] %= d
         return tuple(out)
 
 

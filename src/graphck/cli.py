@@ -23,11 +23,11 @@ from .graphs import (
     GraphFormatError,
     check_condition_a,
     check_condition_b2,
-    dump_graph,
     every_cycle_has_exit,
     is_cycle,
     is_irreducible,
     load_graph,
+    write_graph,
 )
 from .ktheory import (
     ChainConditionError,
@@ -222,7 +222,7 @@ def cmd_synthesize(args) -> int:
     res = synthesize(req)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(dump_graph(res.graph))
+            write_graph(res.graph, fh)
         _info(f"wrote {args.output}")
     _emit(res.to_json_dict())
     v = res.verification

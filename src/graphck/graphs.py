@@ -37,6 +37,7 @@ and column order everywhere, so output is reproducible byte for byte.
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -402,8 +403,16 @@ def load_graph(path: str) -> FiniteGraph | GraphChain:
     return graph_from_json_dict(data)
 
 
+def write_graph(graph: FiniteGraph | GraphChain, fh) -> None:
+    """Write the graph's JSON text to the text file ``fh`` in pieces, never as one string."""
+    json.dump(graph.to_json_dict(), fh, ensure_ascii=False, indent=2)
+    fh.write("\n")
+
+
 def dump_graph(graph: FiniteGraph | GraphChain) -> str:
-    return json.dumps(graph.to_json_dict(), ensure_ascii=False, indent=2) + "\n"
+    out = io.StringIO()
+    write_graph(graph, out)
+    return out.getvalue()
 
 
 # ---------------------------------------------------------------------------

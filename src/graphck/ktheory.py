@@ -236,16 +236,6 @@ def _index_map(graph: FiniteGraph, columns: Iterable[dict]) -> list[tuple[int, .
     return [tuple(-x.get(i, 0) for i in at) for x in columns]
 
 
-def _class_sum(k0: FgAbelianGroup, terms: Iterable[tuple[int, Sequence[int]]]) -> tuple[int, ...]:
-    """The reduced canonical coordinates of sum c * cls over the (c, cls) in ``terms``."""
-    acc = [0] * k0.ncoords
-    for c, cls in terms:
-        if c:
-            for t, y in enumerate(cls):
-                acc[t] += c * y
-    return k0.reduce_coords(acc)
-
-
 def _relation_classes(kt: KTheoryResult, at: Sequence[str]) -> list[tuple[int, ...]]:
     """Canonical K0 class of the relation row e_u - sum e_{t(e)} at each u in ``at``.
 
@@ -253,7 +243,7 @@ def _relation_classes(kt: KTheoryResult, at: Sequence[str]) -> list[tuple[int, .
     """
     classes = kt.k0_class_of_vertex
     return [
-        _class_sum(kt.k0, [(1, classes[u]), *((-1, classes[t]) for _, _, t in kt.graph.out_edges(u))])
+        kt.k0.class_sum([(1, classes[u]), *((-1, classes[t]) for _, _, t in kt.graph.out_edges(u))])
         for u in at
     ]
 
@@ -363,7 +353,7 @@ def les_check(graph: FiniteGraph) -> LesReport:
     ) or _first(
         {"check": "the ideal-class map kills the image of the index map", "vector": list(b)}
         for b in bdry_cols
-        if any(_class_sum(k0_t, zip(b, ideal)))
+        if any(k0_t.class_sum(zip(b, ideal)))
     )
     report.record("exact_at_ideal", witness)
 
@@ -390,7 +380,7 @@ def les_check(graph: FiniteGraph) -> LesReport:
     onto = _first(
         {"check": "the full vertex classes generate K0(O)", "generator": k, "section": list(s)}
         for k, s in ((k, k0_o.section(k)) for k in range(n))
-        if _class_sum(k0_o, zip(s, classes_o)) != tuple(int(i == k) for i in range(n))
+        if k0_o.class_sum(zip(s, classes_o)) != tuple(int(i == k) for i in range(n))
     )
     report.record("exact_at_k0_toeplitz", killed or same or onto)
     report.record("coker_ideal_map_is_k0_full", same or onto)
@@ -418,10 +408,10 @@ def inclusion_k0(small: KTheoryResult, large: KTheoryResult) -> GroupHom:
     equal exactly when their sets are.
 
     The section of canonical generator j is a vertex vector of the small
-    graph, so column j is the reduced sum of the large graph's vertex
-    classes, weighted by the section.  The hom runs between the canonical
-    groups of the two K0 groups (``KTheoryResult.k0_canonical``), whose
-    constructor checks it against the torsion orders.
+    graph, so column j is ``class_sum`` of the classes ``large`` reports in
+    ``k0_class_of_vertex``, weighted by the section.  The hom runs between
+    the canonical groups of the two K0 groups (``KTheoryResult.k0_canonical``),
+    whose constructor checks it against the torsion orders.
     """
     f, g = small.graph, large.graph
     if not f.is_labeled_subgraph_of(g):
@@ -433,7 +423,7 @@ def inclusion_k0(small: KTheoryResult, large: KTheoryResult) -> GroupHom:
             raise ValueError(f"out-edges at relation vertex {u!r} differ between the graphs")
     dom, cod = small.k0, large.k0
     classes = [large.k0_class_of_vertex[v] for v in small.vertex_order]
-    cols = [dict(enumerate(_class_sum(cod, zip(dom.section(k), classes)))) for k in range(dom.ncoords)]
+    cols = [dict(enumerate(cod.class_sum(zip(dom.section(k), classes)))) for k in range(dom.ncoords)]
     matrix = IntMatrix.from_sparse_columns(cod.ncoords, cols)
     return GroupHom(small.k0_canonical, large.k0_canonical, matrix)
 

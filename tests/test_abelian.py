@@ -30,8 +30,15 @@ from graphck.abelian import (
     smith_normal_form,
 )
 from graphck.graphs import FiniteGraph
-from graphck.ktheory import relation_matrix
-from graphck.synthesis import build_case_i
+from graphck.ktheory import chain_ktheory_report, relation_matrix
+from graphck.synthesis import (
+    VERIFICATION_WINDOW,
+    SynthesisRequest,
+    build_case_i,
+    build_case_ii,
+    build_case_iii,
+    synthesize,
+)
 
 
 def M(rows):
@@ -386,6 +393,24 @@ def _dense(vec, n):
     return tuple(vec.get(k, 0) for k in range(n))
 
 
+def _dot(sparse, vec):
+    return sum(x * vec[k] for k, x in sparse.items())
+
+
+def _dense_v_classes(g, vectors):
+    """Oracle: the canonical coordinates of each ambient vector x, read from
+    the dense transform as (x @ V) at the positions whose diagonal entry is
+    not 1, each torsion coordinate reduced modulo its diagonal entry."""
+    v = g.snf.v.to_lists()
+    diag = list(g.snf.diagonal) + [0] * (g.ngens - len(g.snf.diagonal))
+    at = [j for j, d in enumerate(diag) if d != 1]
+    out = []
+    for x in vectors:
+        z = {j: sum(xi * v[i][j] for i, xi in enumerate(x) if xi) for j in at}
+        out.append(tuple(z[j] % diag[j] if diag[j] else z[j] for j in at))
+    return out
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 9), st.integers(0, 9), MATRIX_KINDS, st.integers(0, 2**32 - 1))
 def test_transform_vectors_read_in_any_order_match_the_dense_transforms(rows, cols, kind, seed):
@@ -412,9 +437,48 @@ def test_transform_vectors_read_in_any_order_match_the_dense_transforms(rows, co
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 7), st.integers(0, 7), MATRIX_KINDS, st.integers(0, 2**32 - 1))
 def test_generator_classes_are_the_classes_of_the_unit_vectors(rows, cols, kind, seed):
-    g = cokernel(_random_matrix(random.Random(seed), rows, cols, kind))
-    units = [tuple(int(k == i) for k in range(cols)) for i in range(cols)]
-    assert g.generator_classes() == [g.class_of(e) for e in units]
+    # class_of sums the generator classes, so both are checked against the
+    # dense-transform oracle rather than against each other
+    rng = random.Random(seed)
+    g = cokernel(_random_matrix(rng, rows, cols, kind))
+    units = [[int(k == i) for k in range(cols)] for i in range(cols)]
+    vecs = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(4)]
+    classes = g.generator_classes()
+    assert classes == _dense_v_classes(g, units)
+    assert [g.class_of(x) for x in vecs] == _dense_v_classes(g, vecs)
+    assert g.generator_classes() is classes  # built once, then shared
+
+
+@pytest.mark.parametrize("k0,k1", [("Z^40 + Z/2 + Z/6", "Z^41"), ("Z^41 + Z/4", "Z^40")])
+def test_wide_layers_with_torsion_read_their_classes_as_the_dense_transform_does(k0, k1):
+    # every layer the verification reads has many free coordinates beside
+    # torsion ones; each inclusion column is the class of the image of a
+    # section, and the colimit class of a vertex is the reduced group's class
+    # of its settled-layer class
+    res = synthesize(SynthesisRequest.parse(k0, k1, depth=4))
+    assert res.verification.passed
+    build = build_case_ii if res.case_tag == "ii" else build_case_iii
+    p = res.parameters
+    chain = build(p["l"], p["p"], tuple(p["torsion"]), p["depth"] + VERIFICATION_WINDOW)
+    rep = chain_ktheory_report(chain, window=VERIFICATION_WINDOW)
+    kts = rep.layer_results
+    assert all(kt.k0.free_rank >= 40 and kt.k0.invariant_factors for kt in kts)
+    for small, large, hom in zip(kts, kts[1:], rep.k0_homs):
+        n, index = small.k0.ncoords, large.graph.vertex_index
+        sections = [small.k0.section(j) for j in range(n)]
+        assert _dense_v_classes(small.k0, sections) == [tuple(int(i == j) for i in range(n)) for j in range(n)]
+        images = []
+        for x in sections:
+            y = [0] * len(index)
+            for v, c in zip(small.vertex_order, x):
+                y[index[v]] = c
+            images.append(y)
+        assert hom.matrix.columns() == _dense_v_classes(large.k0, images)
+    top = kts[rep.settled_index - rep.first]
+    n = len(top.vertex_order)
+    layer = _dense_v_classes(top.k0, [[int(i == k) for i in range(n)] for k in range(n)])
+    assert list(rep.k0_class_map) == list(top.vertex_order)
+    assert list(rep.k0_class_map.values()) == _dense_v_classes(rep.k0, layer)
 
 
 @settings(max_examples=100, deadline=None)
@@ -838,7 +902,7 @@ def test_transform_vectors_match_the_eager_presolve_and_core(n, kind, seed):
     inside = m.mat_vec([rng.randint(-3, 3) for _ in range(m.cols)])
     for vec in ([rng.randint(-5, 5) for _ in range(m.rows)], inside):
         start = rng.randint(0, m.rows)
-        assert s.u_mul(vec, start) == [abelian._dot(r, vec) for r in eu[start:]]
+        assert s.u_mul(vec, start) == [_dot(r, vec) for r in eu[start:]]
 
 
 def _torsion_factor_sets():

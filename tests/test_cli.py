@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from graphck.cli import main
 from graphck.graphs import dump_graph, load_graph
+from graphck.synthesis import build_case_i
 
 
 def run(capsys, *argv):
@@ -592,8 +593,24 @@ def test_any_json_file_gives_an_exit_code_and_no_traceback(value):
             assert b"Traceback" not in err.buffer.getvalue()
 
 
-def _address_space_cap():
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+def _run_capped(argv, cap):
+    """``python -m graphck.cli`` with ``argv`` under an address-space cap of ``cap`` bytes."""
+    src = os.path.dirname(os.path.dirname(importlib.import_module("graphck").__file__))
+    env = {
+        "PYTHONPATH": src,
+        "PYTHONDONTWRITEBYTECODE": "1",
+        "OMP_NUM_THREADS": "1",
+        "OPENBLAS_NUM_THREADS": "1",
+        "MKL_NUM_THREADS": "1",
+    }
+    return subprocess.run(
+        [sys.executable, "-m", "graphck.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
 
 
 @pytest.mark.parametrize(
@@ -611,19 +628,21 @@ def test_synthesize_refuses_oversized_requests_under_a_memory_cap(k0, k1):
     # quadratically many edges); the depth-6 chain for (Z^2000, 0) has only
     # 116,004 edges, but verifying it would hold about 40,000 vertices x
     # 2,000 dense class coordinates per layer
-    src = os.path.dirname(os.path.dirname(importlib.import_module("graphck").__file__))
-    env = {"PYTHONPATH": src, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    proc = subprocess.run(
-        [sys.executable, "-m", "graphck.cli", "synthesize", "--k0", k0, "--k1", k1],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env=env,
-        preexec_fn=_address_space_cap,
-    )
+    proc = _run_capped(["synthesize", "--k0", k0, "--k1", k1], 1 << 30)
     assert proc.returncode == 2, proc.stderr
     assert "than the bound" in proc.stderr and "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_synthesize_streams_its_output_file_under_a_memory_cap(tmp_path):
+    # (Z/200000, 0) builds and verifies in about 100 MB.  Writing its 15 MB
+    # of JSON as one string first, with every piece of that string held
+    # until the join, took the process past a 256 MB cap: a MemoryError,
+    # exit 1 and an empty file
+    path = tmp_path / "graph.json"
+    proc = _run_capped(["synthesize", "--k0", "Z/200000", "--k1", "0", "-o", str(path)], 256 << 20)
+    assert proc.returncode == 0, proc.stderr
+    assert path.read_bytes() == dump_graph(build_case_i(0, (200000,))).encode("utf-8")
 
 
 # Every usage and input error, one row per case: the arguments, with {graph}
@@ -719,7 +738,7 @@ def test_python_dash_m_graphck_runs_the_cli(tmp_path):
         capture_output=True,
         text=True,
         timeout=120,
-        env={"PYTHONPATH": src},
+        env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
     )
     assert proc.returncode == 0, proc.stderr
     data = json.loads(proc.stdout)
