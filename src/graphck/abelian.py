@@ -50,13 +50,13 @@ class IntMatrix:
     ``sparse_rows`` holds one ``{column: nonzero}`` dict per row.  No row
     stores a zero and none is mutated after construction, so matrices may
     share rows.  ``entry`` and ``columns`` read the rows; the dense
-    row-major tuple ``entries`` is derived from them on first read, for
+    row-major tuple ``entries`` is built from them on each read, for
     hashing, printing and readers outside the package.
     """
 
-    __slots__ = ("rows", "cols", "sparse_rows", "_entries", "_hash")
+    __slots__ = ("rows", "cols", "sparse_rows")
 
-    def __init__(self, rows: int, cols: int, entries: Sequence[int]):
+    def __new__(cls, rows: int, cols: int, entries: Sequence[int]):
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         entries = tuple(int(x) for x in entries)
@@ -65,14 +65,7 @@ class IntMatrix:
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(entries)}"
             )
         dense_rows = (entries[i * cols : (i + 1) * cols] for i in range(rows))
-        self._set(rows, cols, tuple({j: x for j, x in enumerate(r) if x} for r in dense_rows))
-
-    def _set(self, rows: int, cols: int, sparse_rows: tuple[dict, ...]) -> None:
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "sparse_rows", sparse_rows)
-        object.__setattr__(self, "_entries", None)
-        object.__setattr__(self, "_hash", None)
+        return cls._of(rows, cols, tuple({j: x for j, x in enumerate(r) if x} for r in dense_rows))
 
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
@@ -89,7 +82,9 @@ class IntMatrix:
         constructor.
         """
         m = object.__new__(cls)
-        m._set(rows, cols, sparse_rows)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "sparse_rows", sparse_rows)
         return m
 
     @classmethod
@@ -118,12 +113,8 @@ class IntMatrix:
 
     @property
     def entries(self) -> tuple[int, ...]:
-        """The row-major dense entries, built from the rows on first read."""
-        ents = self._entries
-        if ents is None:
-            ents = tuple(itertools.chain.from_iterable(self.iter_rows()))
-            object.__setattr__(self, "_entries", ents)
-        return ents
+        """The row-major dense entries, built from the rows."""
+        return tuple(itertools.chain.from_iterable(self.iter_rows()))
 
     def entry(self, i: int, j: int) -> int:
         return self.sparse_rows[i].get(j, 0)
@@ -174,11 +165,7 @@ class IntMatrix:
         )
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.rows, self.cols, self.entries))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.rows, self.cols, self.entries))
 
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols}, {self.to_lists()})"

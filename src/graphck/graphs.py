@@ -186,9 +186,8 @@ class GraphChain:
     construction, and ``layers`` is built only when read.  The chain groups
     its vertices and edges once, by the layer that adds them (an edge's
     layer is max(first(o), first(t))), and every per-layer reader reads the
-    groups.  The one pass over the edges also gives each finite-valence
-    vertex's first S layer, the largest of its own and its termini's first
-    layers.
+    groups, the S sets too: a vertex of layer n is outside S_n exactly when
+    it is infinite-valence or the origin of an edge of a later group.
 
     ``infinite_vertices`` is the set D of vertices that emit infinitely many
     edges in the full graph; the prefix edge list can only ever record
@@ -197,17 +196,9 @@ class GraphChain:
     what the (a4) check makes precise, per layer.
     """
 
-    __slots__ = (
-        "infinite_vertices", "first", "_length", "edges",
-        "_added_vertices", "_added_edges", "_s_first", "_layers",
-    )
+    __slots__ = ("infinite_vertices", "first", "_length", "edges", "_added_vertices", "_added_edges", "_layers")
 
-    def __init__(
-        self,
-        infinite_vertices: Iterable[str],
-        layers: Sequence[Iterable[str]],
-        edges: Sequence[Edge],
-    ):
+    def __new__(cls, infinite_vertices: Iterable[str], layers: Sequence[Iterable[str]], edges: Sequence[Edge]):
         d = frozenset(str(v) for v in infinite_vertices)
         # with layers 0 .. n - 1 nested, ``first`` holds layer n - 1, so layer
         # n contains it exactly when it holds every vertex of ``first``
@@ -225,33 +216,30 @@ class GraphChain:
             raise GraphFormatError(f"unknown infinite-valence vertices: {sorted(d - first.keys())}")
         # D outside layer 0 is a condition violation, not malformedness: the
         # (a1) check reports it with a witness
-        self._set(d, first, n + 1, _check_edges(edges, first))
+        return cls._of(d, first, n + 1, _check_edges(edges, first))
 
     @classmethod
     def _of(cls, d: frozenset[str], first: dict[str, int], length: int, edges: tuple[Edge, ...]) -> "GraphChain":
-        """Wrap what the public constructor establishes: ``first`` maps into
+        """Group by layer what ``__new__`` establishes: ``first`` maps into
         ``range(length)``, ``d`` is a subset of its keys, and ``edges`` is
         sorted, with unique string ids and endpoints in ``first``."""
-        chain = object.__new__(cls)
-        chain._set(d, first, length, edges)
-        return chain
-
-    def _set(self, d: frozenset[str], first: dict[str, int], length: int, edges: tuple[Edge, ...]) -> None:
         added_vertices: list[list[str]] = [[] for _ in range(length)]
         for v, n in first.items():
             added_vertices[n].append(v)
         # each layer's edges are a sorted subsequence of the sorted chain edges
         added_edges: list[list[Edge]] = [[] for _ in range(length)]
-        s_first = {v: n for v, n in first.items() if v not in d}
         for e in edges:
-            _, o, t = e
-            fo, ft = first[o], first[t]
+            fo, ft = first[e[1]], first[e[2]]
             added_edges[fo if fo > ft else ft].append(e)
-            if o in s_first and ft > s_first[o]:
-                s_first[o] = ft
-        values = (d, first, length, edges, added_vertices, added_edges, s_first, None)
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
+        return cls._assign(d, first, length, edges, added_vertices, added_edges)
+
+    @classmethod
+    def _assign(cls, *values) -> "GraphChain":
+        """A chain with ``values`` in its slots, in slot order; ``layers`` is unread."""
+        chain = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (*values, None), strict=True):
+            object.__setattr__(chain, name, value)
+        return chain
 
     def __setattr__(self, name, value):
         raise AttributeError("GraphChain is immutable")
@@ -272,7 +260,8 @@ class GraphChain:
         return self._layers
 
     def prefix(self, n: int) -> "GraphChain":
-        """The first n layers with the edges induced on them.
+        """The first n layers with the edges induced on them: the first n
+        groups, as an edge's group is the later first layer of its endpoints.
 
         Infinite-valence vertices outside the kept layers are dropped, since a
         chain only names vertices of its layers.
@@ -280,8 +269,11 @@ class GraphChain:
         if not 1 <= n <= len(self):
             raise ValueError(f"prefix length {n} out of range for a chain of length {len(self)}")
         first = {v: k for v, k in self.first.items() if k < n}
-        edges = tuple(sorted(itertools.chain.from_iterable(self._added_edges[:n]), key=itemgetter(0)))
-        return GraphChain._of(self.infinite_vertices & first.keys(), first, n, edges)
+        added_edges = self._added_edges[:n]
+        edges = tuple(sorted(itertools.chain.from_iterable(added_edges), key=itemgetter(0)))
+        return GraphChain._assign(
+            self.infinite_vertices.intersection(first), first, n, edges, self._added_vertices[:n], added_edges
+        )
 
     def layer_graph(self, n: int) -> FiniteGraph:
         """Layer n as a finite graph exempting the layer's vertices outside its
@@ -308,13 +300,16 @@ class GraphChain:
         self, base: FiniteGraph | None, n: int, vertices: Sequence[str], edges: Sequence[Edge]
     ) -> FiniteGraph:
         """Layer n: ``base`` (layer n - 1, or None) plus the rest of its
-        vertices and edges, sorted.  A vertex of layer n - 1 in its S set stays
-        in the S set of layer n, so only the exempt vertices of ``base`` and
-        the added ones are read again."""
-        # infinite-valence vertices have no first S layer: exempt throughout
-        read = vertices if base is None else (*base.relation_exempt, *vertices)
-        exempt = frozenset(v for v in read if self._s_first.get(v, n + 1) > n)
-        return FiniteGraph._grown(base, vertices, edges, exempt)
+        vertices and edges, sorted."""
+        return FiniteGraph._grown(base, vertices, edges, self._outside_s(n))
+
+    def _outside_s(self, n: int) -> frozenset[str]:
+        """The vertices of layer n outside S_n: the infinite-valence ones, and
+        the origins in layer n of later groups' edges (first(o) <= n < first(t))."""
+        first = self.first
+        outside = {v for v in self.infinite_vertices if first[v] <= n}
+        outside.update(o for group in self._added_edges[n + 1 :] for _, o, _ in group if first[o] <= n)
+        return frozenset(outside)
 
     def __eq__(self, other):
         return (
@@ -503,14 +498,14 @@ def toeplitz_s_set(chain: GraphChain, n: int) -> frozenset[str]:
     """Vertices of layer n whose full out-star is contained in the layer.
 
     Computed against the recorded prefix edges: a finite-valence vertex is
-    in S_n from the last of its own first layer and its termini's first
-    layers on, which the chain reads in its one pass over the edges.
-    Declared infinite-valence vertices are excluded outright (their out-star
-    is infinite in the full graph, which no finite prefix can witness).
+    outside S_n while some edge from it lies in a later layer group, which
+    ``GraphChain._outside_s`` reads.  Declared infinite-valence vertices are
+    excluded outright (their out-star is infinite in the full graph, which no
+    finite prefix can witness).
     """
     if not 0 <= n < len(chain):
         raise ValueError(f"layer index {n} out of range")
-    return frozenset(v for v, k in chain._s_first.items() if k <= n)
+    return chain.layers[n] - chain._outside_s(n)
 
 
 @dataclass

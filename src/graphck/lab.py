@@ -102,7 +102,7 @@ class MatField:
     __slots__ = ("grid_size", "dim", "fibers")
     __array_ufunc__ = None  # an array times a field is the field's __rmul__
 
-    def __init__(self, fibers: Sequence[np.ndarray] | np.ndarray):
+    def __new__(cls, fibers: Sequence[np.ndarray] | np.ndarray):
         if not len(fibers):
             raise LabError("a field needs at least one fiber")
         try:
@@ -111,20 +111,17 @@ class MatField:
             raise LabError("all fibers must be nonempty square matrices of one dimension") from None
         if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or not stack.shape[1]:
             raise LabError("all fibers must be nonempty square matrices of one dimension")
-        self._set(stack)
+        return cls._of(stack)
 
     @classmethod
     def _of(cls, stack: np.ndarray) -> "MatField":
         """Wrap a fresh complex ``(G + 1, m, m)`` array that nothing else holds."""
-        f = object.__new__(cls)
-        f._set(stack)
-        return f
-
-    def _set(self, stack: np.ndarray) -> None:
         stack.flags.writeable = False
-        object.__setattr__(self, "grid_size", stack.shape[0] - 1)
-        object.__setattr__(self, "dim", stack.shape[1])
-        object.__setattr__(self, "fibers", stack)
+        f = object.__new__(cls)
+        object.__setattr__(f, "grid_size", stack.shape[0] - 1)
+        object.__setattr__(f, "dim", stack.shape[1])
+        object.__setattr__(f, "fibers", stack)
+        return f
 
     def __setattr__(self, name, value):
         raise AttributeError("MatField is immutable")

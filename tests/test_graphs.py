@@ -250,6 +250,19 @@ def test_prefix_keeps_induced_edges_and_its_infinite_vertices():
     for n in (0, len(chain) + 1):
         with pytest.raises(ValueError, match="out of range"):
             chain.prefix(n)
+    # a prefix of random length of each random and grown chain reads like the
+    # chain rebuilt from its layers and induced edges, also where an edge of a
+    # finite-valence vertex leaves the prefix (the chain fails (a4))
+    rng = random.Random(33)
+    for chain in random_and_grown_chains():
+        n = rng.randint(1, len(chain))
+        layer = chain.layers[n - 1]
+        induced = [e for e in chain.edges if e[1] in layer and e[2] in layer]
+        prefix, rebuilt = chain.prefix(n), GraphChain(chain.infinite_vertices & layer, chain.layers[:n], induced)
+        assert prefix == rebuilt and hash(prefix) == hash(rebuilt)
+        for k in range(n):
+            assert toeplitz_s_set(prefix, k) == toeplitz_s_set(rebuilt, k)
+            assert prefix.layer_graph(k) == rebuilt.layer_graph(k)
 
 
 def test_condition_a6_violation_when_emission_stops():
