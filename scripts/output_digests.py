@@ -26,6 +26,12 @@ file's, or that only one side has, and exits 1 if there is any, else 0.
   commands on every ``ktheory_big`` and ``les_small`` graph, ``boundary``
   once per basis vector of the full-relation K1 that ``ktheory`` prints (or
   on the zero vector when there is none).
+* ``lab-straighten``, ``lab-w``, ``lab-family``: ``graphck lab straighten
+  --seed SEED``, then ``lab w`` on the scenario and t values of each
+  ``lab_numeric`` w request and ``lab family`` on the scenario and seed of
+  each family request.  These CSVs print residuals at machine precision,
+  whose last digits depend on the host's LAPACK, so they compare two
+  checkouts on one host and are not pinned.
 
 Each CLI call runs in process, on files under fixed relative names in a
 scratch directory, and its digest covers its arguments, exit code, stdout
@@ -108,6 +114,27 @@ def cli_digests(gk, synth_requests, graph_texts) -> dict[str, str]:
     return {family: d.hexdigest() for family, d in h.items()}
 
 
+def lab_argvs(seed: int, lab_requests) -> list[list[str]]:
+    """The ``graphck lab`` calls of the lab families, from the ``lab_numeric``
+    pass's requests; a family request's key ends in its scenario seed."""
+    argvs = [["lab", "straighten", "--seed", str(seed)]]
+    for req in lab_requests:
+        if req.kind == "lab_w":
+            scenario, ts = req.payload
+            argvs.append(["lab", "w", "--scenario", scenario.name, "--t", ",".join(map(str, ts))])
+        elif req.kind == "lab_family":
+            argvs.append(["lab", "family", "--scenario", req.payload.name, "--seed", req.key.rsplit(":", 1)[1]])
+    return argvs
+
+
+def lab_digests(gk, argvs) -> dict[str, str]:
+    """Digests of ``graphck lab`` calls, one family per lab command."""
+    h: dict = defaultdict(hashlib.sha256)
+    for argv in argvs:
+        h[f"lab-{argv[1]}"].update(run_cli(gk, argv)[0])
+    return {family: d.hexdigest() for family, d in h.items()}
+
+
 def digests(seed: int) -> dict[str, str]:
     """Every family's digest at ``seed``, computed in a scratch directory."""
     gk = load_graphck()
@@ -129,6 +156,7 @@ def digests(seed: int) -> dict[str, str]:
             big = [gk.graphs.dump_graph(r.payload) for r in passes["ktheory_big"].requests if r.key.endswith(":T")]
             small = [Path(r.payload).read_text(encoding="utf-8") for r in passes["les_small"].requests]
             out.update(cli_digests(gk, synth.values(), big + small))
+            out.update(lab_digests(gk, lab_argvs(seed, passes["lab_numeric"].requests)))
         finally:
             os.chdir(here)
     return out

@@ -41,6 +41,7 @@ import io
 import itertools
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring as _json_string
 from operator import itemgetter
 from typing import Container, Iterable, Mapping, Sequence
 
@@ -398,10 +399,46 @@ def load_graph(path: str) -> FiniteGraph | GraphChain:
     return graph_from_json_dict(data)
 
 
+def _write_array(fh, items: Iterable, indent: str) -> None:
+    """Write a JSON array closing at ``indent``, laid out as ``json.dump``
+    lays it out with ``indent=2``, one write per item.  An item is encoded
+    JSON text, or an iterable of such texts, written as a nested array."""
+    inner = indent + "  "
+    sep = "[\n" + inner
+    for item in items:
+        if isinstance(item, str):
+            fh.write(sep + item)
+        else:
+            fh.write(sep)
+            _write_array(fh, item, inner)
+        sep = ",\n" + inner
+    fh.write("[]" if sep[0] == "[" else "\n" + indent + "]")
+
+
 def write_graph(graph: FiniteGraph | GraphChain, fh) -> None:
-    """Write the graph's JSON text to the text file ``fh`` in pieces, never as one string."""
-    json.dump(graph.to_json_dict(), fh, ensure_ascii=False, indent=2)
-    fh.write("\n")
+    """Write the graph's JSON text to the text file ``fh`` one edge or string at a time.
+
+    The text is ``json.dump(graph.to_json_dict(), fh, ensure_ascii=False,
+    indent=2)`` and a newline, byte for byte.  With an indent ``json`` runs
+    its pure-Python encoder token by token; here ``json``'s C encoder
+    encodes each string, and each edge is written with one format.
+    """
+    head = "{"
+    for key, items in graph.to_json_dict().items():
+        fh.write(f"{head}\n  {_json_string(key)}: ")
+        head = ","
+        if key == "edges":
+            items = (
+                f'{{\n      "id": {_json_string(e["id"])},\n      "from": {_json_string(e["from"])},'
+                f'\n      "to": {_json_string(e["to"])}\n    }}'
+                for e in items
+            )
+        elif key == "layers":
+            items = (map(_json_string, layer) for layer in items)
+        else:
+            items = map(_json_string, items)
+        _write_array(fh, items, "  ")
+    fh.write("\n}\n")
 
 
 def dump_graph(graph: FiniteGraph | GraphChain) -> str:

@@ -638,6 +638,25 @@ def test_chain_roundtrip():
     assert graph_from_json_dict(data) == chain
 
 
+ODD_IDS = ['q"uote', "back\\slash", "tab\tnew\nline\x00\x1f\x7f", "caf\u00e9", "\u65e5\u672c", "\u2028\U0001f600", "", " "]
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        FiniteGraph(ODD_IDS, [(v + "!", v, w) for v, w in zip(ODD_IDS, ODD_IDS[1:] + ODD_IDS[:1])], ODD_IDS[::3]),
+        FiniteGraph({"\\"}, []),
+        GraphChain(ODD_IDS[:2], [[], ODD_IDS[:2], ODD_IDS], [("e\"0", ODD_IDS[0], ODD_IDS[1]), ("\u00e9", ODD_IDS[2], ODD_IDS[0])]),
+        GraphChain([], [["x"]], []),
+        build_case_iii(2, 1, (3,), 5),
+    ],
+    ids=["graph", "no_edges", "chain", "chain_without_edges", "case_iii"],
+)
+def test_dump_writes_the_bytes_of_json_dump_with_indent_two(graph):
+    want = json.dumps(graph.to_json_dict(), ensure_ascii=False, indent=2) + "\n"
+    assert dump_graph(graph) == want
+
+
 def test_dump_is_deterministic():
     a = dump_graph(build_case_iii(2, 1, (3,), 5))
     b = dump_graph(build_case_iii(2, 1, (3,), 5))

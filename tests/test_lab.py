@@ -1,5 +1,7 @@
 """Numerical perturbation-lab tests."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from graphck.graphs import FiniteGraph
 from graphck.lab import (
     LabError,
     MatField,
-    approximate_unit,
     condition_o_residuals,
     j_residual,
     lemma36_w,
@@ -173,6 +174,13 @@ def test_straighten_screens_its_defect_gate_and_reports_the_operator_norm():
     want = partial_isometry_defect(0.5 * v)
     with pytest.raises(LabError, match=f"defect {want:.4g} exceeds"):
         straighten(MatField([v, 0.5 * v, v]))
+
+
+def approximate_unit(grid_size, dim, t):
+    """Scalar fields h = t * ramp and k = (1 - h^2)^{1/2}, whose fibers
+    ``lemma36_w`` multiplies by as scalars."""
+    h, k = lab._unit_profiles(grid_size, t)
+    return MatField.scalar(h, dim), MatField.scalar(k, dim)
 
 
 def test_approximate_unit_profile():
@@ -490,10 +498,15 @@ def test_family_cuts_a_new_edge_leak_into_the_small_out_ranges():
     assert condition_o_residuals(large, {"u"}, out)["o5"] <= 1e-13
 
 
+# Each gate of straighten_family passes on a Frobenius screen; the tests
+# below make each one fail and read the exact worst norm in its message.
+
+
 def test_family_rejects_excess_defects(monkeypatch):
     monkeypatch.setattr(scenarios, "FAMILY_NOISE", 0.2)
     sc = family_scenario("unitary_extension", seed=1)
-    with pytest.raises(LabError, match="family defects .* exceed tol 0.05"):
+    worst = max(condition_o_residuals(sc.large, sc.infinite_vertices, sc.fields).values())
+    with pytest.raises(LabError, match=re.escape(f"family defects {worst:.4g} exceed tol 0.05")):
         straighten_family(sc.small, sc.large, sc.infinite_vertices, sc.fields)
 
 
@@ -501,8 +514,60 @@ def test_family_rejects_inexact_small_family():
     sc = family_scenario("orthogonal_pair", seed=2)
     fields = dict(sc.fields)
     fields["g"] = 0.99 * fields["g"]
-    with pytest.raises(LabError):
+    worst = max(condition_o_residuals(sc.small, sc.infinite_vertices, fields).values())
+    with pytest.raises(LabError, match=re.escape(f"small-graph family is not exact (worst residual {worst:.2e})")):
         straighten_family(sc.small, sc.large, sc.infinite_vertices, fields)
+
+
+@pytest.mark.parametrize("name", ["orthogonal_pair", "unitary_extension"])
+def test_family_rejects_a_family_inexact_only_at_the_ideal_fiber(name):
+    sc = family_scenario(name, seed=3)
+    eid = sc.new_edge_ids[0]
+    fibers = sc.fields[eid].fibers.copy()
+    fibers[-1] *= 1 + 1e-8
+    fields = {**sc.fields, eid: MatField(fibers)}
+    assert max(condition_o_residuals(sc.large, sc.infinite_vertices, fields).values()) <= lab.FAMILY_TOL
+    ideal = {e: MatField(f.fibers[-1:]) for e, f in fields.items()}
+    worst = max(condition_o_residuals(sc.large, sc.infinite_vertices, ideal).values())
+    assert worst > lab.EXACT_TOL
+    with pytest.raises(LabError, match=re.escape(f"family is not exact at the ideal fiber (residual {worst:.2e})")):
+        straighten_family(sc.small, sc.large, sc.infinite_vertices, fields)
+
+
+def straighten_with_intertwiners_times(monkeypatch, sc, factor):
+    """``straighten_family`` with every intertwiner times ``factor``: its
+    LabError and the family its final gate checked."""
+    families = []
+    relation_terms = lab._relation_terms
+
+    def recording(graph, infinite_vertices, fields):
+        families.append(fields)
+        return relation_terms(graph, infinite_vertices, fields)
+
+    monkeypatch.setattr(lab, "_relation_terms", recording)
+    monkeypatch.setattr(lab, "_intertwiner", lambda p, q: factor * _intertwiner(p, q))
+    with pytest.raises(LabError) as info:
+        straighten_family(sc.small, sc.large, sc.infinite_vertices, sc.fields)
+    return str(info.value), families[-1]
+
+
+def test_family_rejects_an_inexact_straightened_family(monkeypatch):
+    sc = family_scenario("unitary_extension", seed=4)
+    message, out = straighten_with_intertwiners_times(monkeypatch, sc, 1.001)
+    worst = max(condition_o_residuals(sc.large, sc.infinite_vertices, out).values())
+    assert worst > lab.EXACT_TOL
+    assert message == f"straightened family is not exact (worst residual {worst:.2e})"
+
+
+def test_family_rejects_a_straightening_that_moves_the_ideal_fiber(monkeypatch):
+    # a unit phase keeps every relation and block exact but moves each new edge
+    sc = family_scenario("orthogonal_pair", seed=4)
+    message, out = straighten_with_intertwiners_times(monkeypatch, sc, np.exp(1e-6j))
+    assert max(condition_o_residuals(sc.large, sc.infinite_vertices, out).values()) <= lab.EXACT_TOL
+    eid = next(e for e, _, _ in sc.large.edges if e in sc.new_edge_ids)
+    moved = (out[eid] - sc.fields[eid]).fiber_norm(out[eid].grid_size)
+    assert moved > lab.EXACT_TOL
+    assert message == f"straightening moved edge {eid!r} at the ideal fiber (by {moved:.2e})"
 
 
 def test_intertwiner_rank_mismatch():
@@ -567,13 +632,17 @@ def reference_residuals(graph, infinite_vertices, fields):
         return max(float(np.linalg.norm(a, 2)) for a in x.fibers)
 
     d = frozenset(infinite_vertices)
-    xi, consistency = _vertex_projections(graph, d, fields)
-    res = dict.fromkeys(("o1", "o2", "o4", "o5", "o6"), 0.0)
-    res["o3"] = consistency
+    xi, _ = _vertex_projections(graph, d, fields)
+    res = dict.fromkeys(("o1", "o2", "o3", "o4", "o5", "o6"), 0.0)
+    verts = sorted(graph.vertices)
+    for v in verts:
+        # every in-edge's e*e must equal the first one's
+        candidates = [fields[e].H @ fields[e] for e, _, _ in graph.in_edges(v)]
+        for other in candidates[1:]:
+            res["o3"] = max(res["o3"], norm(candidates[0] - other))
     for eid, _, _ in graph.edges:
         a = fields[eid].fibers
         res["o1"] = max(res["o1"], norm(MatField(a @ a.conj().swapaxes(-1, -2) @ a - a)))
-    verts = sorted(graph.vertices)
     for i, u in enumerate(verts):
         for v in verts[i + 1 :]:
             res["o2"] = max(res["o2"], norm(xi[u] @ xi[v]))

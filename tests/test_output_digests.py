@@ -93,3 +93,28 @@ def test_against_exits_1_on_a_difference_and_0_on_none(tmp_path, monkeypatch, ca
     saved.write_text("check 22\ncolimit 3f\n", encoding="utf-8")
     assert module.main(["--seed", "1", "--against", str(saved)]) == 1
     assert capsys.readouterr().out == "colimit differs\n"
+
+
+def test_lab_families_run_each_lab_command_on_the_lab_pass(monkeypatch):
+    module = load_script(monkeypatch)
+    for name in ("oracle", "workloads"):
+        monkeypatch.setitem(sys.modules, name, None)  # dropped again when the test ends
+    module.load_perfbench("oracle")
+    gk = module.load_graphck()
+    requests = module.load_perfbench("workloads").WORKLOADS["lab_numeric"](gk, 1, None).requests
+    argvs = module.lab_argvs(1, requests)
+    assert [a[1] for a in argvs].count("w") == 3 and [a[1] for a in argvs].count("family") == 12
+    records = []
+    run_cli = module.run_cli
+
+    def recording(gk, argv):
+        result = run_cli(gk, argv)
+        records.append(json.loads(result[0]))
+        return result
+
+    monkeypatch.setattr(module, "run_cli", recording)
+    got = module.lab_digests(gk, argvs)
+    assert sorted(got) == ["lab-family", "lab-straighten", "lab-w"]
+    assert all(len(d) == 64 for d in got.values())
+    for argv, (called, code, out, err) in zip(argvs, records, strict=True):
+        assert (called, code, err) == (argv, 0, "") and out.startswith("t,defect_name,value\n")
