@@ -26,6 +26,12 @@ file's, or that only one side has, and exits 1 if there is any, else 0.
   commands on every ``ktheory_big`` and ``les_small`` graph, ``boundary``
   once per basis vector of the full-relation K1 that ``ktheory`` prints (or
   on the zero vector when there is none).
+* ``smith``: the diagonal, the row and column output orders and the row
+  and column logs of ``smith_normal_form`` on the relation matrix of every
+  ``ktheory_big`` and ``les_small`` graph, Toeplitz (with its exempt
+  vertices) and full (with none), and on its transpose.  Every transform
+  vector is replayed from those logs, so two checkouts with the same line
+  pivot alike, operation for operation.
 * ``lab-straighten``, ``lab-w``, ``lab-family``: ``graphck lab straighten
   --seed SEED``, then ``lab w`` on the scenario and t values of each
   ``lab_numeric`` w request and ``lab family`` on the scenario and seed of
@@ -114,6 +120,20 @@ def cli_digests(gk, synth_requests, graph_texts) -> dict[str, str]:
     return {family: d.hexdigest() for family, d in h.items()}
 
 
+def smith_digests(gk, graph_texts) -> dict[str, str]:
+    """The ``smith`` family's digest on graph file texts."""
+    h = hashlib.sha256()
+    for text in graph_texts:
+        g = gk.graphs.graph_from_json_dict(json.loads(text))
+        for graph in (g, gk.graphs.FiniteGraph(g.vertices, g.edges)):
+            m = gk.ktheory.relation_matrix(graph)
+            for a in (m, m.transpose()):
+                s = gk.abelian.smith_normal_form(a)
+                record = [s.diagonal, *map(list, s._orders), *map(list, s._logs)]
+                h.update(json.dumps(record).encode() + b"\n")
+    return {"smith": h.hexdigest()}
+
+
 def lab_argvs(seed: int, lab_requests) -> list[list[str]]:
     """The ``graphck lab`` calls of the lab families, from the ``lab_numeric``
     pass's requests; a family request's key ends in its scenario seed."""
@@ -156,6 +176,7 @@ def digests(seed: int) -> dict[str, str]:
             big = [gk.graphs.dump_graph(r.payload) for r in passes["ktheory_big"].requests if r.key.endswith(":T")]
             small = [Path(r.payload).read_text(encoding="utf-8") for r in passes["les_small"].requests]
             out.update(cli_digests(gk, synth.values(), big + small))
+            out.update(smith_digests(gk, big + small))
             out.update(lab_digests(gk, lab_argvs(seed, passes["lab_numeric"].requests)))
         finally:
             os.chdir(here)

@@ -41,6 +41,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 
@@ -232,11 +233,13 @@ class SmithDecomposition:
     row ``e_order[k]``, and column k of V and row k of V^-1 from the column
     log on the one at column ``f_order[k]`` (see ``_replay``).  Each is
     replayed the first time it is read with ``u_row``, ``v_col`` or
-    ``vinv_row``, then kept as an ``{index: nonzero}`` dict.  Callers read
-    only what they need, and
-    most need little: a unit diagonal entry constrains nothing, so classes
-    read only the V columns at non-unit positions, and ``u_mul`` runs the row
-    log forward on the one vector it multiplies.  ``u``, ``v``, ``v_inv``
+    ``vinv_row``, then kept as an ``{index: nonzero}`` dict.  ``v_col_dense``
+    keeps a V column as the dense list the replay gives, for the class map;
+    a column read both ways is replayed once, and the second read converts
+    the first.  Callers read only what they need, and most need little: a
+    unit diagonal entry constrains nothing, so classes read only the V
+    columns at non-unit positions, and ``u_mul`` runs the row log forward on
+    the one vector it multiplies.  ``u``, ``v``, ``v_inv``
     and ``d`` build the whole matrices on first use.  ``v_inv`` is the exact
     inverse of V; its rows give sections of the quotient map (see
     ``FgAbelianGroup.section``).  The returned dicts are shared and must not be
@@ -250,14 +253,17 @@ class SmithDecomposition:
         self._orders = orders  # (e_order, f_order)
         self._logs = logs  # (row log, column log)
         self._read = ({}, {}, {})  # the vectors read so far: U rows, V columns, V^-1 rows
+        self._dense_v = {}  # the V columns read so far with v_col_dense
 
     def _vector(self, which: int, k: int) -> dict:
         read = self._read[which]
         vec = read.get(k)
         if vec is None:
-            side = which > 0
-            x = _replay(self._logs[side], self.cols if side else self.rows, self._orders[side][k], which == 2)
-            vec = read[k] = {i: y for i, y in enumerate(x) if y}
+            x = self._dense_v.get(k) if which == 1 else None
+            if x is None:
+                side = which > 0
+                x = _replay(self._logs[side], self.cols if side else self.rows, self._orders[side][k], which == 2)
+            vec = read[k] = dict(filter(itemgetter(1), enumerate(x)))
         return vec
 
     def u_row(self, i: int) -> dict:
@@ -268,6 +274,18 @@ class SmithDecomposition:
 
     def vinv_row(self, j: int) -> dict:
         return self._vector(2, j)
+
+    def v_col_dense(self, j: int) -> Sequence[int]:
+        """Column j of V as a dense sequence of length ``cols``, read once as ``v_col`` reads it."""
+        x = self._dense_v.get(j)
+        if x is None:
+            vec = self._read[1].get(j)
+            if vec is None:
+                x = _replay(self._logs[1], self.cols, self._orders[1][j], False)
+            else:
+                x = _dense(vec, self.cols)
+            self._dense_v[j] = x
+        return x
 
     def u_mul(self, vec: Sequence[int], start: int = 0) -> list[int]:
         """(U @ vec)[start:], building no row of U: the row log runs forward on ``vec``."""
@@ -328,18 +346,10 @@ class SmithDecomposition:
 
 
 # the dense reduction of a core left by the presolve grows fast with its size:
-# 128x128 took 1.5 s and 190x190 (36,100 cells) 10 s, while a 412x412 core
-# ran for over 15 minutes (2-core x86-64, Python 3.11); larger cores are
-# refused before it starts
+# 128x128 took 0.8 s and 190x190 (36,100 cells) 6.0 s (2-core x86-64, Python
+# 3.11), while a 412x412 core ran for over 15 minutes in an earlier, slower
+# version of the reduction; larger cores are refused before it starts
 MAX_CORE_CELLS = 40_000
-
-
-def _nearest_quotient(x: int, d: int) -> int:
-    q = x // d
-    r = x - q * d
-    if 2 * abs(r) > abs(d):
-        q += 1
-    return q
 
 
 def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
@@ -393,17 +403,19 @@ def _presolve(m: IntMatrix):
     Dumas, Saunders and Villard, J. Symbolic Comput. 2001).
 
     This is a restricted Markowitz search (Zlatev, SIAM J. Numer. Anal.
-    1980) over a heap of (row length, row).  Every nonempty row is pushed on
-    input and again each time it changes, and a popped row without a unit is
-    passed over until then.  An empty row is never pushed, since fill
-    reaches only rows with an entry in the pivot column.  No global
+    1980) over a heap of (row length, row), each pair held as the one int
+    length * rows + row, which orders alike.  Every nonempty row is pushed
+    on input and again each time it changes, and a popped row without a
+    unit is passed over until then.  An empty row is never pushed, since
+    fill reaches only rows with an entry in the pivot column.  No global
     Markowitz order, (row nnz - 1) * (col nnz - 1) over every unit, is kept.
     Keeping it meant rescanning every row of every column in the pivot row
     at each pivot: the presolve that kept it ran the Smith-form inputs of
-    one seed-1 ``ktheory_big`` benchmark pass in 0.49 s.  This order takes
-    0.19 s there and leaves cores with 6% more cells (best of 10, one
+    one seed-1 ``ktheory_big`` benchmark pass in 0.47 s.  This order takes
+    0.16 s there and leaves cores with 6% more cells (best of 10, one
     process on a 2-core x86-64 host, Python 3.11).  One pass over the input
-    builds the rows, the column sets and the heap.
+    builds the rows, the column sets and the heap, and each pivot lists its
+    row's other entries once for all the row and column operations it takes.
 
     No transform is kept: each step is appended to a row log or a column log
     in the format of ``_dense_smith``.  Returns the rows left ({column:
@@ -413,21 +425,23 @@ def _presolve(m: IntMatrix):
     """
     rows: list = []
     colrows: list = [set() for _ in range(m.cols)]
-    # every nonempty row has an item at its current length; an item whose
-    # row is gone or of another length is stale
+    # every nonempty row i has an item length * n + i at its current length;
+    # an item whose row is gone or of another length is stale.  With i < n
+    # the keys order as the (length, row) pairs they stand for
+    n = m.rows
     heap = []
     for i, r in enumerate(m.sparse_rows):
         rows.append(dict(r))
         for j in r:
             colrows[j].add(i)
         if r:
-            heap.append((len(r), i))
+            heap.append(len(r) * n + i)
     heapify(heap)
     pivots: list[tuple[int, int, int]] = []
     rlog: list[tuple[int, int, int]] = []
     clog: list[tuple[int, int, int]] = []
     while heap:
-        length, p = heappop(heap)
+        length, p = divmod(heappop(heap), n)
         rp = rows[p]
         if rp is None or length != len(rp):
             continue
@@ -442,6 +456,7 @@ def _presolve(m: IntMatrix):
         s = rp.pop(c)
         pivots.append((p, c, s))
         rows[p] = None
+        rest = tuple(rp.items())
         # clear column c with row operations (s is its own inverse)
         changed = colrows[c]
         changed.discard(p)
@@ -449,7 +464,7 @@ def _presolve(m: IntMatrix):
         for i in changed:
             ri = rows[i]
             q = ri.pop(c) * s
-            for j, y in rp.items():
+            for j, y in rest:
                 x = ri.get(j)
                 if x is None:  # fill: q and y are nonzero
                     ri[j] = -q * y
@@ -460,13 +475,13 @@ def _presolve(m: IntMatrix):
                     del ri[j]
                     colrows[j].discard(i)
             if ri:
-                heappush(heap, (len(ri), i))
+                heappush(heap, len(ri) * n + i)
             rlog.append((i, p, q))
         if s < 0:
             rlog.append((p, p, 2))
         # clear row p with column operations; column c is zero off the pivot,
         # so they change no other row
-        for j, y in rp.items():
+        for j, y in rest:
             clog.append((j, c, y * s))
             colrows[j].discard(p)
     return rows, colrows, pivots, rlog, clog
@@ -541,7 +556,9 @@ def _dense_smith(a: list[list[int]]) -> tuple[list, list]:
     remaining submatrix (with early exit on +/-1) and clears the pivot's
     column before its row (Kannan and Bachem, SIAM J. Comput. 1979).  The
     column pass reduces every row by nearest-integer division and swaps in
-    the smallest remainder as the pivot, until column t is zero off row t.
+    the smallest remainder as the pivot, until column t is zero off row t;
+    each round subtracts multiples of the pivot row's nonzeros, listed once
+    at its start, since only the swaps and folds between rounds change row t.
     Then one round of column operations reduces row t; with column t clear,
     each changes row t alone.  A remainder left in row t is swapped in as
     the pivot column and the column pass runs again.  Divisibility of later
@@ -607,20 +624,30 @@ def _dense_smith(a: list[list[int]]) -> tuple[list, list]:
                     row[j], row[t] = row[t], row[j]
                 clog.append((j, t, 0))
             # column pass: swap row i in as the pivot row and reduce every
-            # row against it, until no row keeps a remainder
+            # row against it, until no row keeps a remainder.  Row t does not
+            # change during a round, so its nonzeros are listed once per round
             while True:
                 if i != t:
                     a[i], a[t] = a[t], a[i]
                     rlog.append((i, t, 0))
-                d = a[t][t]
+                at = a[t]
+                d = at[t]
+                absd = d if d > 0 else -d
+                pivot_row = [(k, y) for k, y in enumerate(at[t:], t) if y]
                 i, least = t, 0
                 for r in range(t + 1, nrows):
-                    x = a[r][t]
+                    ar = a[r]
+                    x = ar[t]
                     if x:
-                        q = _nearest_quotient(x, d)
+                        # the nearest quotient, and x its remainder
+                        q, x = divmod(x, d)
+                        if 2 * (x if x > 0 else -x) > absd:
+                            q += 1
+                            x -= d
                         if q:
-                            row_axpy(r, t, q)
-                            x = a[r][t]
+                            for k, y in pivot_row:
+                                ar[k] -= q * y
+                            rlog.append((r, t, q))
                         if x:
                             x = -x if x < 0 else x
                             if not least or x < least:
@@ -629,14 +656,16 @@ def _dense_smith(a: list[list[int]]) -> tuple[list, list]:
                     break
             # row pass: column t is zero off row t, so each column operation
             # changes row t alone
-            at = a[t]
             j, least = t, 0
             for k in range(t + 1, ncols):
                 x = at[k]
                 if x:
-                    q = _nearest_quotient(x, d)
+                    q, x = divmod(x, d)
+                    if 2 * (x if x > 0 else -x) > absd:
+                        q += 1
+                        x -= d
                     if q:
-                        x = at[k] = x - q * d
+                        at[k] = x
                         clog.append((k, t, q))
                     if x:
                         x = -x if x < 0 else x
@@ -775,15 +804,17 @@ class FgAbelianGroup:
         return self.class_sum(zip(vec, self.generator_classes()))
 
     def generator_classes(self) -> list[tuple[int, ...]]:
-        """The class of every generator, built once from the V columns and shared: do not mutate it."""
+        """The class of every generator, built once from the V columns and shared: do not mutate it.
+
+        Coordinate t of every class is the dense V column at ``_positions[t]``,
+        reduced modulo its order if it is a torsion one, so generator i's
+        class is entry i of those columns.
+        """
         if self._classes is None:
-            v_col, factors = self.snf.v_col, self.invariant_factors
-            coords = [[0] * len(self._positions) for _ in range(self.ngens)]
-            for t, j in enumerate(self._positions):
-                d = factors[t] if t < len(factors) else 0
-                for i, x in v_col(j).items():
-                    coords[i][t] = x % d if d else x
-            self._classes = [tuple(c) for c in coords]
+            cols = [self.snf.v_col_dense(j) for j in self._positions]
+            for t, d in enumerate(self.invariant_factors):
+                cols[t] = [x % d for x in cols[t]]
+            self._classes = list(zip(*cols)) if cols else [()] * self.ngens
         return self._classes
 
     def class_sum(self, terms: Iterable[tuple[int, Sequence[int]]]) -> tuple[int, ...]:

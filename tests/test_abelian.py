@@ -9,6 +9,7 @@ import math
 import random
 from fractions import Fraction
 from collections import Counter
+from heapq import heapify, heappop, heappush
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -434,6 +435,25 @@ def test_transform_vectors_read_in_any_order_match_the_dense_transforms(rows, co
     s.verify(m)
 
 
+@pytest.mark.parametrize("sparse_first", [True, False])
+def test_a_v_column_read_sparse_and_dense_is_replayed_once(monkeypatch, sparse_first):
+    m = _random_matrix(random.Random(5), 7, 7, "sparse")
+    s = smith_normal_form(m)
+    replays = []
+    replay = abelian._replay
+    monkeypatch.setattr(abelian, "_replay", lambda *args: replays.append(args) or replay(*args))
+    for j in range(m.cols):
+        if sparse_first:
+            sparse, dense = s.v_col(j), s.v_col_dense(j)
+        else:
+            dense, sparse = s.v_col_dense(j), s.v_col(j)
+        assert tuple(dense) == _dense(sparse, m.cols)
+        assert s.v_col_dense(j) is dense and s.v_col(j) is sparse
+    assert len(replays) == m.cols
+    assert [_dense(s.v_col(j), m.cols) for j in range(m.cols)] == s.v.columns()
+    s.verify(m)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 7), st.integers(0, 7), MATRIX_KINDS, st.integers(0, 2**32 - 1))
 def test_generator_classes_are_the_classes_of_the_unit_vectors(rows, cols, kind, seed):
@@ -519,6 +539,13 @@ def test_sparse_lattice_queries_match_the_dense_transforms(rows, cols, kind, see
 # ---------------------------------------------------------------------------
 
 
+def _nearest_quotient(x, d):
+    q = x // d
+    if 2 * abs(x - q * d) > abs(d):
+        q += 1
+    return q
+
+
 def _eager_dense_smith(a):
     """Reference core reduction: the same pivoting as ``abelian._dense_smith``,
     but keeping dense U, V and V^-1 current through every operation.
@@ -583,7 +610,7 @@ def _eager_dense_smith(a):
                 d = a[t][t]
                 for r in range(t + 1, nrows):
                     if a[r][t]:
-                        q = abelian._nearest_quotient(a[r][t], d)
+                        q = _nearest_quotient(a[r][t], d)
                         if q:
                             row_axpy(r, t, q)
                 left = [r for r in range(t + 1, nrows) if a[r][t]]
@@ -593,7 +620,7 @@ def _eager_dense_smith(a):
             # then one round on row t
             for k in range(t + 1, ncols):
                 if a[t][k]:
-                    q = abelian._nearest_quotient(a[t][k], d)
+                    q = _nearest_quotient(a[t][k], d)
                     if q:
                         col_axpy(k, t, q)
             left = [k for k in range(t + 1, ncols) if a[t][k]]
@@ -708,7 +735,7 @@ def _full_sweep_dense_smith(a):
                 d = a[t][t]
                 for r in range(t + 1, nrows):
                     if a[r][t]:
-                        q = abelian._nearest_quotient(a[r][t], d)
+                        q = _nearest_quotient(a[r][t], d)
                         if q:
                             row_axpy(r, t, q)
                 left = [r for r in range(t + 1, nrows) if a[r][t]]
@@ -718,7 +745,7 @@ def _full_sweep_dense_smith(a):
             # then one round on row t
             for k in range(t + 1, ncols):
                 if a[t][k]:
-                    q = abelian._nearest_quotient(a[t][k], d)
+                    q = _nearest_quotient(a[t][k], d)
                     if q:
                         col_axpy(k, t, q)
             left = [k for k in range(t + 1, ncols) if a[t][k]]
@@ -903,6 +930,224 @@ def test_transform_vectors_match_the_eager_presolve_and_core(n, kind, seed):
     for vec in ([rng.randint(-5, 5) for _ in range(m.rows)], inside):
         start = rng.randint(0, m.rows)
         assert s.u_mul(vec, start) == [_dot(r, vec) for r in eu[start:]]
+
+
+# ---------------------------------------------------------------------------
+# Kernels against the loops they replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_presolve(m):
+    """The presolve as it was before its heap took integer keys: (length,
+    row) pairs on the heap, and the pivot row's items read once per changed
+    row.  It must give the same pivots, rows, column sets and logs."""
+    rows = []
+    colrows = [set() for _ in range(m.cols)]
+    heap = []
+    for i, r in enumerate(m.sparse_rows):
+        rows.append(dict(r))
+        for j in r:
+            colrows[j].add(i)
+        if r:
+            heap.append((len(r), i))
+    heapify(heap)
+    pivots, rlog, clog = [], [], []
+    while heap:
+        length, p = heappop(heap)
+        rp = rows[p]
+        if rp is None or length != len(rp):
+            continue
+        c = -1
+        for j, x in rp.items():
+            if x == 1 or x == -1:
+                k = len(colrows[j])
+                if c < 0 or k < least or (k == least and j < c):
+                    c, least = j, k
+        if c < 0:
+            continue
+        s = rp.pop(c)
+        pivots.append((p, c, s))
+        rows[p] = None
+        changed = colrows[c]
+        changed.discard(p)
+        colrows[c] = None
+        for i in changed:
+            ri = rows[i]
+            q = ri.pop(c) * s
+            for j, y in rp.items():
+                x = ri.get(j)
+                if x is None:
+                    ri[j] = -q * y
+                    colrows[j].add(i)
+                elif z := x - q * y:
+                    ri[j] = z
+                else:
+                    del ri[j]
+                    colrows[j].discard(i)
+            if ri:
+                heappush(heap, (len(ri), i))
+            rlog.append((i, p, q))
+        if s < 0:
+            rlog.append((p, p, 2))
+        for j, y in rp.items():
+            clog.append((j, c, y * s))
+            colrows[j].discard(p)
+    return rows, colrows, pivots, rlog, clog
+
+
+def _reference_dense_smith(a):
+    """The dense reduction as it was before its column pass listed the pivot
+    row's nonzeros once per round: every row operation scans the pivot row
+    from column t.  It must give the same logs and leave the same matrix."""
+    nrows = len(a)
+    ncols = len(a[0]) if a else 0
+    rlog, clog = [], []
+
+    def row_axpy(i, j, q):
+        ai, aj = a[i], a[j]
+        for k in range(t, ncols):
+            x = aj[k]
+            if x:
+                ai[k] -= q * x
+        rlog.append((i, j, q))
+
+    def find_pivot(t):
+        best, best_val = None, 0
+        for i in range(t, nrows):
+            ai = a[i]
+            for j in range(t, ncols):
+                x = ai[j]
+                if x:
+                    ax = -x if x < 0 else x
+                    if best is None or ax < best_val:
+                        best, best_val = (i, j), ax
+                        if ax == 1:
+                            return best
+        return best
+
+    t = 0
+    while t < min(nrows, ncols):
+        piv = find_pivot(t)
+        if piv is None:
+            break
+        i, j = piv
+        while True:
+            if j != t:
+                for row in a[t:]:
+                    row[j], row[t] = row[t], row[j]
+                clog.append((j, t, 0))
+            while True:
+                if i != t:
+                    a[i], a[t] = a[t], a[i]
+                    rlog.append((i, t, 0))
+                d = a[t][t]
+                i, least = t, 0
+                for r in range(t + 1, nrows):
+                    x = a[r][t]
+                    if x:
+                        q = _nearest_quotient(x, d)
+                        if q:
+                            row_axpy(r, t, q)
+                            x = a[r][t]
+                        if x:
+                            x = -x if x < 0 else x
+                            if not least or x < least:
+                                i, least = r, x
+                if not least:
+                    break
+            at = a[t]
+            j, least = t, 0
+            for k in range(t + 1, ncols):
+                x = at[k]
+                if x:
+                    q = _nearest_quotient(x, d)
+                    if q:
+                        x = at[k] = x - q * d
+                        clog.append((k, t, q))
+                    if x:
+                        x = -x if x < 0 else x
+                        if not least or x < least:
+                            j, least = k, x
+            if least:
+                continue
+            if d in (1, -1):
+                break
+            culprit = None
+            for r in range(t + 1, nrows):
+                if any(a[r][k] % d for k in range(t + 1, ncols)):
+                    culprit = r
+                    break
+            if culprit is None:
+                break
+            row_axpy(t, culprit, -1)
+        if a[t][t] < 0:
+            row_axpy(t, t, 2)
+        t += 1
+    return rlog, clog
+
+
+def _reference_generator_classes(g):
+    """The class map as it was built before it read dense V columns: one
+    sparse V column per coordinate, its entries written into per-generator
+    lists."""
+    factors = g.invariant_factors
+    coords = [[0] * len(g._positions) for _ in range(g.ngens)]
+    for t, j in enumerate(g._positions):
+        d = factors[t] if t < len(factors) else 0
+        for i, x in g.snf.v_col(j).items():
+            coords[i][t] = x % d if d else x
+    return [tuple(c) for c in coords]
+
+
+def _bundled_graph(rng):
+    """A random graph of 1-60 vertices and out-degree 1-20, in half the draws
+    with its edges in parallel bundles of 2-5 and in half with exempt rows."""
+    n, outdeg = rng.randint(1, 60), rng.randint(1, 20)
+    bundles = rng.random() < 0.5
+    verts = [f"v{i:02d}" for i in range(n)]
+    edges = []
+    for i, v in enumerate(verts):
+        targets = []
+        while len(targets) < outdeg:
+            targets += [rng.choice(verts)] * (rng.randint(2, 5) if bundles else 1)
+        edges += [(f"e{i}_{k}", v, t) for k, t in enumerate(targets[:outdeg])]
+    exempt = [v for v in verts if rng.random() < 0.2] if rng.random() < 0.5 else []
+    return FiniteGraph(verts, edges, exempt)
+
+
+@pytest.mark.parametrize("block", range(10))
+def test_kernels_keep_the_reference_pivots_and_logs(block):
+    # 100 graphs per block, 1,000 in all: the presolve of each relation
+    # matrix and of its transpose, 2,000 inputs, then the dense reduction of
+    # every core they leave and the class map of both cokernels
+    rng = random.Random(f"kernels:{block}")
+    cores = 0
+    for _ in range(100):
+        m = relation_matrix(_bundled_graph(rng))
+        for a in (m, m.transpose()):
+            got = abelian._presolve(a)
+            assert got == _reference_presolve(a)
+            rows, colrows = got[0], got[1]
+            core_rows = [i for i, r in enumerate(rows) if r]
+            core_cols = [j for j, c in enumerate(colrows) if c]
+            core = [[rows[i].get(j, 0) for j in core_cols] for i in core_rows]
+            ref = [list(r) for r in core]
+            assert abelian._dense_smith(core) == _reference_dense_smith(ref)
+            assert core == ref
+            cores += bool(core)
+            assert cokernel(a).generator_classes() == _reference_generator_classes(cokernel(a))
+    assert cores > 100
+
+
+@pytest.mark.parametrize("n", [2, 5, 12, 24, 36, 48])
+def test_dense_reduction_keeps_the_reference_logs_on_square_cores(n):
+    # unit-free entries, as the presolve leaves them, up to 48x48
+    rng = random.Random(n)
+    for _ in range(max(1, 96 // n)):
+        core = [[rng.choice((-4, -3, -2, 0, 2, 3, 5)) for _ in range(n)] for _ in range(n)]
+        ref = [list(r) for r in core]
+        assert abelian._dense_smith(core) == _reference_dense_smith(ref)
+        assert core == ref
 
 
 def _torsion_factor_sets():

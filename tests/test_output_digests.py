@@ -118,3 +118,26 @@ def test_lab_families_run_each_lab_command_on_the_lab_pass(monkeypatch):
     assert all(len(d) == 64 for d in got.values())
     for argv, (called, code, out, err) in zip(argvs, records, strict=True):
         assert (called, code, err) == (argv, 0, "") and out.startswith("t,defect_name,value\n")
+
+
+def test_smith_family_reduces_each_graph_toeplitz_and_full_and_transposed(monkeypatch):
+    module = load_script(monkeypatch)
+    gk = module.load_graphck()
+    texts = graph_texts(12, 7)
+    shapes = []
+    snf = gk.abelian.smith_normal_form
+
+    def recording(m):
+        shapes.append((m.rows, m.cols))
+        return snf(m)
+
+    monkeypatch.setattr(gk.abelian, "smith_normal_form", recording)
+    got = module.smith_digests(gk, texts)
+    assert list(got) == ["smith"] and len(got["smith"]) == 64
+    want = []
+    for text in texts:
+        d = json.loads(text)
+        n, s = len(d["vertices"]), len(set(d["vertices"]) - set(d["relation_exempt"]))
+        want += [(s, n), (n, s), (n, n), (n, n)]
+    assert shapes == want
+    assert module.smith_digests(gk, texts[:-1]) != got
