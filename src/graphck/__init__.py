@@ -25,7 +25,6 @@ from .graphs import (
     is_cycle,
     is_irreducible,
     load_graph,
-    toeplitz_s_set,
 )
 from .ktheory import (
     ChainKTheory,

@@ -16,11 +16,12 @@ eliminates unit pivots, shortest row first, and a dense reduction finishes
 the core they leave, clearing each pivot's column before its row; both
 append their operations to one row log and one column log, and a row of
 U, column of V or row of V^-1 is replayed from a log when a caller reads
-it.  The callers below read only the vectors they use (a group's
-generator classes skip the V columns at unit diagonal entries, and lattice
-tests run the row log forward on the vector they test), and none of them
-builds a dense transform.  Groups given in canonical form carry
-their diagonal presentation with empty logs and need no reduction.
+it; only the sparse reads are kept.  The callers below read only the
+vectors they use (a group's generator classes skip the V columns at unit
+diagonal entries, and lattice tests run the row log forward on the vector
+they test), and none of them builds a dense transform.  Groups given in
+canonical form carry their diagonal presentation with empty logs and need
+no reduction.
 A group is its relation matrix: ``cokernel`` presents Z^n modulo the row
 lattice of a matrix with n columns, the group's generators are the unit
 vectors of Z^n and carry no names, and the group builds each generator's
@@ -233,17 +234,17 @@ class SmithDecomposition:
     row ``e_order[k]``, and column k of V and row k of V^-1 from the column
     log on the one at column ``f_order[k]`` (see ``_replay``).  Each is
     replayed the first time it is read with ``u_row``, ``v_col`` or
-    ``vinv_row``, then kept as an ``{index: nonzero}`` dict.  ``v_col_dense``
-    keeps a V column as the dense list the replay gives, for the class map;
-    a column read both ways is replayed once, and the second read converts
-    the first.  Callers read only what they need, and most need little: a
-    unit diagonal entry constrains nothing, so classes read only the V
-    columns at non-unit positions, and ``u_mul`` runs the row log forward on
-    the one vector it multiplies.  ``u``, ``v``, ``v_inv``
-    and ``d`` build the whole matrices on first use.  ``v_inv`` is the exact
-    inverse of V; its rows give sections of the quotient map (see
-    ``FgAbelianGroup.section``).  The returned dicts are shared and must not be
-    mutated.
+    ``vinv_row``, then kept as an ``{index: nonzero}`` dict: that is the one
+    read cache.  ``v_col_dense`` gives a V column as a dense list for the
+    class map and keeps nothing; it converts a column the cache holds and
+    replays any other, and the group keeps the classes it builds from them.
+    Callers read only what they need, and most need little: a unit diagonal
+    entry constrains nothing, so classes read only the V columns at non-unit
+    positions, and ``u_mul`` runs the row log forward on the one vector it
+    multiplies.  ``u``, ``v``, ``v_inv`` and ``d`` build the whole matrices
+    on first use.  ``v_inv`` is the exact inverse of V; its rows give
+    sections of the quotient map (see ``FgAbelianGroup.section``).  The
+    returned dicts are shared and must not be mutated.
     """
 
     def __init__(self, rows: int, cols: int, diagonal: Sequence[int], orders, logs):
@@ -253,16 +254,13 @@ class SmithDecomposition:
         self._orders = orders  # (e_order, f_order)
         self._logs = logs  # (row log, column log)
         self._read = ({}, {}, {})  # the vectors read so far: U rows, V columns, V^-1 rows
-        self._dense_v = {}  # the V columns read so far with v_col_dense
 
     def _vector(self, which: int, k: int) -> dict:
         read = self._read[which]
         vec = read.get(k)
         if vec is None:
-            x = self._dense_v.get(k) if which == 1 else None
-            if x is None:
-                side = which > 0
-                x = _replay(self._logs[side], self.cols if side else self.rows, self._orders[side][k], which == 2)
+            side = which > 0
+            x = _replay(self._logs[side], self.cols if side else self.rows, self._orders[side][k], which == 2)
             vec = read[k] = dict(filter(itemgetter(1), enumerate(x)))
         return vec
 
@@ -276,16 +274,15 @@ class SmithDecomposition:
         return self._vector(2, j)
 
     def v_col_dense(self, j: int) -> Sequence[int]:
-        """Column j of V as a dense sequence of length ``cols``, read once as ``v_col`` reads it."""
-        x = self._dense_v.get(j)
-        if x is None:
-            vec = self._read[1].get(j)
-            if vec is None:
-                x = _replay(self._logs[1], self.cols, self._orders[1][j], False)
-            else:
-                x = _dense(vec, self.cols)
-            self._dense_v[j] = x
-        return x
+        """Column j of V as a dense sequence of length ``cols``, kept nowhere.
+
+        A column ``v_col`` has read is densified from its dict; any other is
+        replayed.  The caller keeps what it needs of the result.
+        """
+        vec = self._read[1].get(j)
+        if vec is None:
+            return _replay(self._logs[1], self.cols, self._orders[1][j], False)
+        return _dense(vec, self.cols)
 
     def u_mul(self, vec: Sequence[int], start: int = 0) -> list[int]:
         """(U @ vec)[start:], building no row of U: the row log runs forward on ``vec``."""
@@ -808,7 +805,7 @@ class FgAbelianGroup:
 
         Coordinate t of every class is the dense V column at ``_positions[t]``,
         reduced modulo its order if it is a torsion one, so generator i's
-        class is entry i of those columns.
+        class is entry i of those columns; the columns are dropped once zipped.
         """
         if self._classes is None:
             cols = [self.snf.v_col_dense(j) for j in self._positions]

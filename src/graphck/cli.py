@@ -2,8 +2,9 @@
 
 Machine-readable output (JSON, or CSV for lab sweeps) goes to stdout; human
 summaries go to stderr.  Exit codes: 0 = pass, 1 = a check or verification
-failed, 2 = unreadable input or bad usage.  Identical inputs and flags give
-byte-identical output (lab commands: identical for the same seed).
+failed, 2 = unreadable input, bad usage, or a request that ran out of
+memory.  Identical inputs and flags give byte-identical output (lab
+commands: identical for the same seed).
 """
 
 from __future__ import annotations
@@ -397,6 +398,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         _info(f"error: {exc}")
         return USAGE
+    except MemoryError:
+        pass  # reported below: leaving the handler frees the request's frames first
+    _info("error: out of memory: the request does not fit in the memory this process may use")
+    return USAGE
 
 
 if __name__ == "__main__":

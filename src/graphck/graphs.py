@@ -531,20 +531,6 @@ def every_cycle_has_exit(graph: FiniteGraph) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def toeplitz_s_set(chain: GraphChain, n: int) -> frozenset[str]:
-    """Vertices of layer n whose full out-star is contained in the layer.
-
-    Computed against the recorded prefix edges: a finite-valence vertex is
-    outside S_n while some edge from it lies in a later layer group, which
-    ``GraphChain._outside_s`` reads.  Declared infinite-valence vertices are
-    excluded outright (their out-star is infinite in the full graph, which no
-    finite prefix can witness).
-    """
-    if not 0 <= n < len(chain):
-        raise ValueError(f"layer index {n} out of range")
-    return chain.layers[n] - chain._outside_s(n)
-
-
 @dataclass
 class Verdict:
     """Named checks in record order.  A check passes exactly when it is

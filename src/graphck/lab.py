@@ -139,11 +139,6 @@ class MatField:
     def zero(cls, grid_size: int, dim: int) -> "MatField":
         return cls(np.zeros((grid_size + 1, dim, dim)))
 
-    @classmethod
-    def scalar(cls, values: Sequence[float], dim: int) -> "MatField":
-        eye = np.eye(dim, dtype=complex)
-        return cls([v * eye for v in values])
-
     def fiber(self, s: int) -> np.ndarray:
         return self.fibers[s]
 
@@ -163,9 +158,6 @@ class MatField:
         return MatField._of(scalar * self.fibers)
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "MatField":
-        return MatField._of(-self.fibers)
 
     @property
     def H(self) -> "MatField":

@@ -51,7 +51,9 @@ VERIFICATION_WINDOW = 2
 # bounds the emitted JSON (each edge once, every layer's vertices) and the
 # dense K0 class maps of verification.  At the bound, equal ranks, (0, Z^r),
 # (Z^r, 0) and (Z, Z^2) take at most 2.5 s and 120 MB in process, with their
-# JSON (2-core x86-64, Python 3.11); the README names requests that cost more
+# JSON (2-core x86-64, Python 3.11).  Nearly equal ranks cost more: (Z^975,
+# Z^976) at depth 6 and (Z^950, Z^951) at depth 16 take 3.6-3.9 s and
+# 143-147 MB; the README names the others
 MAX_BUILD_SIZE = 1_000_000
 
 

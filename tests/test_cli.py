@@ -645,6 +645,25 @@ def test_synthesize_streams_its_output_file_under_a_memory_cap(tmp_path):
     assert path.read_bytes() == dump_graph(build_case_i(0, (200000,))).encode("utf-8")
 
 
+def test_synthesize_nearly_equal_ranks_within_a_memory_cap():
+    # the admitted chain request of nearly equal ranks at its default depth
+    # peaks near 146 MB in process and needs about 220 MB of address space;
+    # holding a dense copy of every class-map V column beside the classes
+    # built from it ran out of memory under 250 MB
+    proc = _run_capped(["synthesize", "--k0", "Z^975", "--k1", "Z^976"], 240 << 20)
+    assert proc.returncode == 0, proc.stderr
+    assert '"verified": true' in proc.stdout
+
+
+def test_a_request_that_runs_out_of_memory_exits_2_with_one_line():
+    # the CLI starts under 120 MB of address space; this request needs
+    # about 220 MB, so it runs out of memory part way
+    proc = _run_capped(["synthesize", "--k0", "Z^975", "--k1", "Z^976"], 160 << 20)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: out of memory: the request does not fit in the memory this process may use\n"
+    assert proc.stdout == ""
+
+
 # Every usage and input error, one row per case: the arguments, with {graph}
 # for a finite graph file, {chain} for a two-layer chain file, {bad_json},
 # {bad_utf8} and {dup} for malformed files, and the start of the one stderr line.

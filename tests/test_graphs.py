@@ -24,10 +24,10 @@ from graphck.graphs import (
     graph_from_json_dict,
     is_cycle,
     is_irreducible,
-    toeplitz_s_set,
 )
 from graphck.ktheory import chain_ktheory_report
 from graphck.synthesis import build_case_ii, build_case_iii
+from helpers import toeplitz_s_set
 
 
 def G(vertices, edges, exempt=()):

@@ -1312,35 +1312,50 @@ def test_chain_report_builds_only_the_stretch_layer_graphs(monkeypatch, build, d
 def _count_replays(monkeypatch):
     """Route every Smith form through a recorder; returns the list of Smith
     forms and the list of ``_replay`` calls, one per transform vector built,
-    each as the largest bit length among that vector's entries."""
+    each as a key and the largest bit length among that vector's entries.
+    The key is the Smith form read, which of U's rows, V's columns or V^-1's
+    rows it read (a side and a direction), and the line: the Smith form
+    itself, not its log, since canonical and empty Smith forms share the
+    empty log ``()``."""
     abelian_mod = importlib.import_module("graphck.abelian")
     orig_replay, orig_snf = abelian_mod._replay, abelian_mod.smith_normal_form
-    replayed, snfs = [], []
+    smith = abelian_mod.SmithDecomposition
+    orig_vector, orig_dense = smith._vector, smith.v_col_dense
+    replayed, snfs, reading = [], [], []
+
+    def vector(self, which, k):
+        reading.append((self, which, k))
+        try:
+            return orig_vector(self, which, k)
+        finally:
+            reading.pop()
+
+    def v_col_dense(self, j):
+        reading.append((self, 1, j))
+        try:
+            return orig_dense(self, j)
+        finally:
+            reading.pop()
 
     def replay(log, n, t, inverse):
         x = orig_replay(log, n, t, inverse)
-        replayed.append(max(abs(y) for y in x).bit_length())
+        replayed.append((reading[-1], max(abs(y) for y in x).bit_length()))
         return x
 
     def snf(m):
         snfs.append((m, orig_snf(m)))
         return snfs[-1][1]
 
+    monkeypatch.setattr(smith, "_vector", vector)
+    monkeypatch.setattr(smith, "v_col_dense", v_col_dense)
     monkeypatch.setattr(abelian_mod, "_replay", replay)
     monkeypatch.setattr(abelian_mod, "smith_normal_form", snf)
     return snfs, replayed
 
 
-def _assert_each_vector_replayed_once(snfs, replayed):
-    # every replay fills one slot of a read cache, so a vector replayed twice
-    # would leave fewer cached vectors than replays.  A V column read both
-    # densely and sparsely is one vector: whichever read comes second
-    # converts the first instead of replaying
-    cached = 0
-    for _, s in snfs:
-        u_rows, v_cols, vinv_rows = s._read
-        cached += len(u_rows) + len(v_cols.keys() | s._dense_v.keys()) + len(vinv_rows)
-    assert len(replayed) == cached
+def _assert_each_vector_replayed_once(replayed):
+    keys = [key for key, _ in replayed]
+    assert len(set(keys)) == len(keys)
 
 
 def _built_dense_transforms(snfs):
@@ -1354,26 +1369,31 @@ def _built_dense_transforms(snfs):
         # the V columns at the two torsion positions, K1 = 0 reads no U row;
         # with no exempt vertex both routes share one degree-one lattice, and
         # the dense transforms of the two Smith forms, of the 5x5 relation
-        # matrix and the 5x0 lattice, hold 20 vectors
-        (build_case_i(0, (2, 2, 5)), 2, 20),
+        # matrix and the 5x0 lattice, hold 20 vectors, and the two class-map
+        # columns are replayed again for them: 22 replays
+        (build_case_i(0, (2, 2, 5)), 2, 22),
         # one exempt vertex: K0 reads one torsion and two free V columns of
         # the 17x18 Toeplitz matrix and K1 its one U row past the rank; route
         # two reads the one kernel V column of the 18x17 transposed matrix,
-        # and as the two bases are equal, only route one's lattice is reduced
-        (build_case_ii(2, 1, (3,), 6).layer_graph(2), 5, 125),
+        # and as the two bases are equal, only route one's lattice is reduced;
+        # the dense transforms hold 125 vectors, and the three class-map
+        # columns are replayed again for them: 128 replays
+        (build_case_ii(2, 1, (3,), 6).layer_graph(2), 5, 128),
     ],
 )
 def test_ktheory_folds_only_the_transform_vectors_it_reads(monkeypatch, graph, reads, vectors):
     snfs, replayed = _count_replays(monkeypatch)
-    ktheory(graph)
+    kt = ktheory(graph)
     assert len(replayed) == reads
-    _assert_each_vector_replayed_once(snfs, replayed)
+    _assert_each_vector_replayed_once(replayed)
     assert not _built_dense_transforms(snfs)
     # the dense transforms replay every row of U, column of V and row of V^-1
+    # once more; the class map's V columns, read dense and kept nowhere, are
+    # the only vectors replayed on both reads
     for m, s in snfs:
         s.verify(m)
-    _assert_each_vector_replayed_once(snfs, replayed)
-    assert len(replayed) == sum(s.rows + 2 * s.cols for _, s in snfs) == vectors
+    _assert_each_vector_replayed_once(replayed[reads:])
+    assert len(replayed) == sum(s.rows + 2 * s.cols for _, s in snfs) + kt.k0.ncoords == vectors
 
 
 @pytest.mark.parametrize(
@@ -1399,18 +1419,19 @@ def test_ktheory_replays_only_the_core_vectors_it_reads(monkeypatch, n, outdeg, 
     graph = FiniteGraph(verts, edges, sorted(rng.sample(verts, n // 5)) if exempt else [])
     snfs, replayed = _count_replays(monkeypatch)
     kt = ktheory(graph)
-    _assert_each_vector_replayed_once(snfs, replayed)
+    _assert_each_vector_replayed_once(replayed)
     assert not _built_dense_transforms(snfs)
     # the row and column operations logged over every Smith form: each
     # vector read replays one of these logs in full, and the largest entry
     # of the vectors read pins the growth of the transforms
     ops = sum(len(log) for _, s in snfs for log in s._logs)
-    got = (len(snfs), len(replayed), ops, max(replayed), kt.k0.canonical_pair(), kt.k1.canonical_pair())
+    bits = max(b for _, b in replayed)
+    got = (len(snfs), len(replayed), ops, bits, kt.k0.canonical_pair(), kt.k1.canonical_pair())
     assert got == pinned
 
 
 def test_s_sets_on_synthesized_chains():
-    from graphck.graphs import toeplitz_s_set
+    from helpers import toeplitz_s_set
 
     for chain in (build_case_ii(2, 1, (), 5), build_case_iii(2, 2, (2,), 5)):
         d = chain.infinite_vertices

@@ -30,6 +30,7 @@ from graphck.scenarios import (
     lemma36_scenario,
     random_partial_isometry,
 )
+from helpers import neg_field, scalar_field
 
 T_GRID = (0.5, 0.9, 0.99)
 
@@ -87,13 +88,13 @@ def test_norm_of_a_stack_with_zero_matrices_equals_the_norm_of_the_rest():
 
 
 def test_matfield_holds_one_read_only_stack():
-    f = MatField.scalar([0.5, 1.0, 2.0], 3)
+    f = scalar_field([0.5, 1.0, 2.0], 3)
     assert f.fibers.shape == (3, 3, 3) and f.fibers.dtype == complex
     assert (f.grid_size, f.dim) == (2, 3)
     assert not f.fibers.flags.writeable
     with pytest.raises(ValueError):
         f.fibers[1, 0, 0] = 7.0
-    for g in (f + f, f - f, f @ f, 2.0 * f, -f, f.H, MatField.zero(2, 3), MatField.constant(np.eye(3), 2)):
+    for g in (f + f, f - f, f @ f, 2.0 * f, neg_field(f), f.H, MatField.zero(2, 3), MatField.constant(np.eye(3), 2)):
         assert g.fibers.shape == (3, 3, 3) and not g.fibers.flags.writeable
 
 
@@ -129,7 +130,7 @@ def test_matfield_rejects_empty_ragged_and_non_square_fibers(fibers):
 
 def test_matfield_results_are_fresh_read_only_c_contiguous_stacks():
     f = next(iter(family_scenario("orthogonal_pair", seed=1).fields.values()))
-    for g in (f + f, f - f, f @ f, 2.0 * f, -f, f.H, f.H.H):
+    for g in (f + f, f - f, f @ f, 2.0 * f, neg_field(f), f.H, f.H.H):
         assert not g.fibers.flags.writeable and g.fibers.flags.c_contiguous
         assert not np.shares_memory(g.fibers, f.fibers)
     assert (f.H.H.fibers == f.fibers).all()
@@ -180,7 +181,7 @@ def approximate_unit(grid_size, dim, t):
     """Scalar fields h = t * ramp and k = (1 - h^2)^{1/2}, whose fibers
     ``lemma36_w`` multiplies by as scalars."""
     h, k = lab._unit_profiles(grid_size, t)
-    return MatField.scalar(h, dim), MatField.scalar(k, dim)
+    return scalar_field(h, dim), scalar_field(k, dim)
 
 
 def test_approximate_unit_profile():
@@ -296,7 +297,7 @@ def test_straighten_idempotent_and_scalar_central():
     y = straighten(field)
     again = straighten(y)
     assert (again - y).norm() <= 1e-10
-    g = MatField.scalar([0.3 + 0.1 * s for s in range(9)], 6)
+    g = scalar_field([0.3 + 0.1 * s for s in range(9)], 6)
     assert ((g @ y) - (y @ g)).norm() == 0.0
 
 
