@@ -32,6 +32,10 @@ file's, or that only one side has, and exits 1 if there is any, else 0.
   vertices) and full (with none), and on its transpose.  Every transform
   vector is replayed from those logs, so two checkouts with the same line
   pivot alike, operation for operation.
+* ``input-errors``: ``ktheory``, ``les-check``, ``check`` and ``boundary``
+  on fixed malformed files (``INPUT_ERRORS``), one for each way the loader
+  and the graph and chain builders refuse a file, and a few with two faults
+  that pin which check runs first.  These inputs do not depend on the seed.
 * ``lab-straighten``, ``lab-w``, ``lab-family``: ``graphck lab straighten
   --seed SEED``, then ``lab w`` on the scenario and t values of each
   ``lab_numeric`` w request and ``lab family`` on the scenario and seed of
@@ -63,6 +67,61 @@ PERFBENCH = ROOT / "perfbench"
 WORKLOADS = ("synth_chains", "ktheory_big", "les_small", "lab_numeric")
 GRAPHCK_MODULES = ("abelian", "graphs", "ktheory", "synthesis", "lab", "scenarios", "cli")
 BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
+
+
+def _graph_file(vertices, edges, **fields) -> bytes:
+    """A graph file's bytes.  A list of ``edges`` holds (id, from, to) triples
+    or raw JSON values; any other ``edges`` is written as it is."""
+    if isinstance(edges, list):
+        edges = [{"id": e[0], "from": e[1], "to": e[2]} if isinstance(e, tuple) else e for e in edges]
+    return json.dumps({"vertices": vertices, "edges": edges, **fields}).encode()
+
+
+# (file name, file bytes): each file is refused by one check of
+# ``graphs.load_graph``, ``graphs.graph_from_json_dict``, ``FiniteGraph`` or
+# ``GraphChain``; the ``first-*`` files fail two checks, the first one named.
+# ``missing.json`` is never written, and ``valid-chain.json`` is a chain that
+# ``les-check`` and ``boundary`` refuse
+INPUT_ERRORS = (
+    ("bad-json.json", b'{"vertices": ["a"], "edges": [}'),
+    ("not-utf8.json", b'{"vertices": ["a\xff"], "edges": []}'),
+    ("too-deep.json", b"[" * 100_000 + b"]" * 100_000),
+    ("missing.json", None),
+    ("not-object.json", b'["a", "b"]'),
+    ("no-vertices.json", b'{"edges": []}'),
+    ("no-edges.json", b'{"vertices": ["a"]}'),
+    ("vertices-not-list.json", _graph_file("a", [])),
+    ("vertex-not-string.json", _graph_file(["a", 1], [])),
+    ("duplicate-vertex.json", _graph_file(["b", "a", "c", "b", "a"], [])),
+    ("edges-not-list.json", _graph_file(["a"], {"id": "e", "from": "a", "to": "a"})),
+    ("edge-not-object.json", _graph_file(["a"], [("e", "a", "a"), ["f", "a", "a"]])),
+    ("edge-without-to.json", _graph_file(["a"], [{"id": "e", "from": "a"}])),
+    ("edge-id-not-string.json", _graph_file(["a"], [(7, "a", "a")])),
+    ("edge-from-not-string.json", _graph_file(["a"], [("e", None, "a")])),
+    ("edge-to-not-string.json", _graph_file(["a"], [("e", "a", ["a"])])),
+    ("duplicate-edge.json", _graph_file(["a", "b"], [("e", "a", "b"), ("f", "b", "a"), ("e", "b", "b")])),
+    ("unknown-origin.json", _graph_file(["a"], [("e", "a", "a"), ("f", "z", "a")])),
+    ("unknown-terminus.json", _graph_file(["a"], [("e", "a", "z")])),
+    ("exempt-not-strings.json", _graph_file(["a"], [], relation_exempt=[0])),
+    ("unknown-exempt.json", _graph_file(["a"], [], relation_exempt=["a", "z", "y"])),
+    ("layers-missing.json", _graph_file(["a"], [], infinite_vertices=[])),
+    ("layers-not-lists.json", _graph_file(["a"], [], layers=["a"])),
+    ("infinite-not-strings.json", _graph_file(["a"], [], layers=[["a"]], infinite_vertices=[1])),
+    ("no-layers.json", _graph_file([], [], layers=[])),
+    ("layers-not-nested.json", _graph_file(["a", "b"], [], layers=[["a"], ["b"]])),
+    ("unknown-infinite.json", _graph_file(["a"], [], layers=[["a"]], infinite_vertices=["a", "z"])),
+    ("chain-unknown-terminus.json", _graph_file(["a"], [("e", "a", "z")], layers=[["a"]])),
+    ("chain-duplicate-edge.json", _graph_file(["a"], [("e", "a", "a"), ("e", "a", "a")], layers=[["a"]])),
+    ("vertices-not-layers.json", _graph_file(["a", "b"], [], layers=[["a"]])),
+    ("first-duplicate-vertex.json", _graph_file(["a", "a"], "edges", relation_exempt=[1])),
+    ("first-edge-shape.json", _graph_file(["a"], [{"id": "e", "to": "a"}, ("f", 1, "a")])),
+    ("first-edge-types.json", _graph_file(["a"], [("e", "a", 1), ("e", "a", "z")])),
+    ("first-exempt.json", _graph_file(["a"], [("e", "z", "a")], relation_exempt=["z"])),
+    ("first-duplicate-edge.json", _graph_file(["a"], [("e", "a", "a"), ("e", "z", "a")])),
+    ("first-chain-edges.json", _graph_file(["a", "b"], [("e", "a", "z")], layers=[["a"]])),
+    ("valid-chain.json", _graph_file(["a"], [("e", "a", "a"), ("f", "a", "a")], layers=[["a"]])),
+)
+INPUT_ERROR_COMMANDS = (["ktheory"], ["les-check"], ["check"], ["boundary", "--class=0"])
 
 
 def load_graphck() -> SimpleNamespace:
@@ -118,6 +177,17 @@ def cli_digests(gk, synth_requests, graph_texts) -> dict[str, str]:
         for x in full["k1_basis"] or [[0] * len(full["k0_classes"])]:
             h["boundary"].update(run_cli(gk, ["boundary", name, f"--class={','.join(map(str, x))}"])[0])
     return {family: d.hexdigest() for family, d in h.items()}
+
+
+def input_error_digests(gk) -> dict[str, str]:
+    """The ``input-errors`` family's digest, its files written in the current directory."""
+    h = hashlib.sha256()
+    for name, data in INPUT_ERRORS:
+        if data is not None:
+            Path(name).write_bytes(data)
+        for command in INPUT_ERROR_COMMANDS:
+            h.update(run_cli(gk, [command[0], name, *command[1:]])[0])
+    return {"input-errors": h.hexdigest()}
 
 
 def smith_digests(gk, graph_texts) -> dict[str, str]:
@@ -177,6 +247,7 @@ def digests(seed: int) -> dict[str, str]:
             small = [Path(r.payload).read_text(encoding="utf-8") for r in passes["les_small"].requests]
             out.update(cli_digests(gk, synth.values(), big + small))
             out.update(smith_digests(gk, big + small))
+            out.update(input_error_digests(gk))
             out.update(lab_digests(gk, lab_argvs(seed, passes["lab_numeric"].requests)))
         finally:
             os.chdir(here)

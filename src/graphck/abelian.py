@@ -250,7 +250,7 @@ class SmithDecomposition:
     def __init__(self, rows: int, cols: int, diagonal: Sequence[int], orders, logs):
         self.rows, self.cols = rows, cols
         self.diagonal = tuple(diagonal)
-        self.rank = sum(1 for x in self.diagonal if x)
+        self.rank = len(self.diagonal) - self.diagonal.count(0)
         self._orders = orders  # (e_order, f_order)
         self._logs = logs  # (row log, column log)
         self._read = ({}, {}, {})  # the vectors read so far: U rows, V columns, V^-1 rows
@@ -347,6 +347,13 @@ class SmithDecomposition:
 # 3.11), while a 412x412 core ran for over 15 minutes in an earlier, slower
 # version of the reduction; larger cores are refused before it starts
 MAX_CORE_CELLS = 40_000
+# the presolve's time and fill follow the entries its row operations write.
+# Random full-relation graphs (as in the README) whose cores are admitted
+# write at most about 1.0 million (1,550 vertices of out-degree 3), benchmark
+# and tier-1 inputs at most 36,317, and the 10,000 x 3 graph 81 million, for
+# 15-21 s (2-core x86-64, Python 3.11), before its core is refused; the
+# presolve stops at 2 million, after under 1.5 s there
+MAX_PRESOLVE_FILL = 2_000_000
 
 
 def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
@@ -361,8 +368,9 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     and the output order of rows and columns, hold the unit pivots, then the
     core, then zero lines.  D depends only on ``m``; U and V, and with them
     every coordinate read through them, depend on the pivot order.  A matrix
-    with no row or no column is its own Smith form.  A core of more than
-    ``MAX_CORE_CELLS`` cells raises ``ValueError`` before its reduction.
+    with no row or no column is its own Smith form.  A presolve that writes
+    more than ``MAX_PRESOLVE_FILL`` entries, and a core of more than
+    ``MAX_CORE_CELLS`` cells, raise ``ValueError`` before the reduction ends.
     """
     nrows, ncols = m.rows, m.cols
     if not nrows or not ncols:
@@ -414,6 +422,12 @@ def _presolve(m: IntMatrix):
     builds the rows, the column sets and the heap, and each pivot lists its
     row's other entries once for all the row and column operations it takes.
 
+    Each pivot adds to a fill count the entries its row operations write,
+    the rows changed times the pivot row's other entries, which bounds the
+    fill it creates; once the count passes ``MAX_PRESOLVE_FILL`` the
+    presolve raises ``ValueError`` with the matrix's shape.  It is counted
+    per pivot, not per entry, so the elimination loop is not slowed.
+
     No transform is kept: each step is appended to a row log or a column log
     in the format of ``_dense_smith``.  Returns the rows left ({column:
     nonzero}, None at pivot rows), the column occurrence sets (None at pivot
@@ -437,6 +451,7 @@ def _presolve(m: IntMatrix):
     pivots: list[tuple[int, int, int]] = []
     rlog: list[tuple[int, int, int]] = []
     clog: list[tuple[int, int, int]] = []
+    fill, max_fill = 0, MAX_PRESOLVE_FILL
     while heap:
         length, p = divmod(heappop(heap), n)
         rp = rows[p]
@@ -458,6 +473,13 @@ def _presolve(m: IntMatrix):
         changed = colrows[c]
         changed.discard(p)
         colrows[c] = None
+        if length > 1:  # the row operations write len(rest) = length - 1 entries per row
+            fill += len(changed) * (length - 1)
+            if fill > max_fill:
+                raise ValueError(
+                    f"the Smith form of a {n}x{m.cols} matrix writes more than {max_fill} "
+                    f"entries in its presolve, above the fill bound"
+                )
         for i in changed:
             ri = rows[i]
             q = ri.pop(c) * s
@@ -708,7 +730,7 @@ def kernel_basis(m: IntMatrix) -> list[dict]:
 def _canonical_from_diagonal(diag: Iterable[int], ambient: int) -> tuple[int, tuple[int, ...]]:
     diag = list(diag)
     factors = tuple(x for x in diag if x >= 2)
-    free = ambient - sum(1 for x in diag if x != 0)
+    free = ambient - len(diag) + diag.count(0)
     return free, factors
 
 

@@ -3,8 +3,10 @@
 Machine-readable output (JSON, or CSV for lab sweeps) goes to stdout; human
 summaries go to stderr.  Exit codes: 0 = pass, 1 = a check or verification
 failed, 2 = unreadable input, bad usage, or a request that ran out of
-memory.  Identical inputs and flags give byte-identical output (lab
-commands: identical for the same seed).
+memory.  Running out of memory gives exit 2 only once ``main`` runs: a
+``MemoryError`` while Python imports numpy or graphck (under about 100 MB)
+still ends in a traceback and exit 1.  Identical inputs and flags give
+byte-identical output (lab commands: identical for the same seed).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring as _json_string
 from statistics import median
 
 import numpy as np
@@ -58,7 +61,46 @@ PASS, FAIL, USAGE = 0, 1, 2
 
 
 def _emit(data: dict) -> None:
-    sys.stdout.write(json.dumps(data, ensure_ascii=False, indent=2) + "\n")
+    """Write ``json.dumps(data, ensure_ascii=False, indent=2)`` and a newline to stdout, byte for byte.
+
+    With an indent ``json`` runs its pure-Python encoder token by token; here
+    ``json``'s C encoder encodes each string, and the layout is joined once.
+    """
+    parts: list[str] = []
+    _encode(data, "\n", parts)
+    parts.append("\n")
+    sys.stdout.write("".join(parts))
+
+
+def _encode(value, newline: str, parts: list[str]) -> None:
+    """Append the indent-2 JSON text of ``value`` to ``parts``; ``newline`` is a
+    newline and the indent of the line ``value`` starts on.  Strings, ints,
+    bools, None, lists, tuples and dicts with string keys are laid out as
+    ``json`` lays them out, and any other value by ``json.dumps`` itself."""
+    if isinstance(value, (list, tuple)) and value:
+        items, brackets = ((None, v) for v in value), "[]"
+    elif isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
+        items, brackets = value.items(), "{}"
+    else:
+        if isinstance(value, str):
+            text = _json_string(value)
+        elif value is None or value is True or value is False:
+            text = "null" if value is None else "true" if value else "false"
+        elif isinstance(value, int):
+            text = int.__repr__(value)
+        else:
+            # empty containers, floats, other keys: a newline in json's
+            # indented text is always layout, never inside a string
+            text = json.dumps(value, ensure_ascii=False, indent=2).replace("\n", newline)
+        parts.append(text)
+        return
+    inner = newline + "  "
+    sep = brackets[0] + inner
+    for key, item in items:
+        parts.append(sep if key is None else f"{sep}{_json_string(key)}: ")
+        _encode(item, inner, parts)
+        sep = "," + inner
+    parts.append(newline + brackets[1])
 
 
 def _info(msg: str) -> None:

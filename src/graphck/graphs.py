@@ -87,11 +87,7 @@ class FiniteGraph:
     )
 
     def __new__(cls, vertices: Iterable[str], edges: Sequence[Edge], relation_exempt: Iterable[str] = ()):
-        vset = frozenset(str(v) for v in vertices)
-        exempt = frozenset(str(v) for v in relation_exempt)
-        if not exempt <= vset:
-            raise GraphFormatError(f"relation_exempt contains unknown vertices: {sorted(exempt - vset)}")
-        return cls._grown(None, sorted(vset), _check_edges(edges, vset), exempt)
+        return _checked_graph(frozenset(map(str, vertices)), edges, frozenset(map(str, relation_exempt)))
 
     @classmethod
     def _grown(
@@ -104,7 +100,8 @@ class FiniteGraph:
         unique string edge ids and endpoints among the old and new vertices,
         and ``exempt`` a subset of all of them.  The out-map of ``base`` is
         copied, and only the out-tuples of origins with new edges are merged
-        again.  Edge ids are unique, so edges sort by id.
+        again.  Edge ids are unique, so edges sort by id.  With nothing added,
+        ``base``'s sorted vertex and edge tuples are shared, not sorted again.
         """
         # the out-edges of each new vertex, and the new ones of old origins
         added: dict[str, list[Edge]] = {v: [] for v in vertices}
@@ -112,8 +109,8 @@ class FiniteGraph:
         if base is not None:
             added.update({e[1]: [] for e in edges if e[1] not in added})
             out = dict(base._out)
-            vertex_list = tuple(sorted(base.vertex_list + vertex_list))
-            all_edges = tuple(sorted(base.edges + all_edges, key=itemgetter(0)))
+            vertex_list = tuple(sorted(base.vertex_list + vertex_list)) if vertices else base.vertex_list
+            all_edges = tuple(sorted(base.edges + all_edges, key=itemgetter(0))) if edges else base.edges
         for e in edges:
             added[e[1]].append(e)
         for o, es in added.items():
@@ -177,6 +174,14 @@ class FiniteGraph:
             "edges": [{"id": e[0], "from": e[1], "to": e[2]} for e in self.edges],
             "relation_exempt": sorted(self.relation_exempt),
         }
+
+
+def _checked_graph(vset: frozenset[str], edges: Sequence[Edge], exempt: frozenset[str]) -> FiniteGraph:
+    """The finite graph on the string vertices ``vset``, with its exempt set
+    and edges checked in that order."""
+    if not exempt <= vset:
+        raise GraphFormatError(f"relation_exempt contains unknown vertices: {sorted(exempt - vset)}")
+    return FiniteGraph._grown(None, sorted(vset), _check_edges(edges, vset), exempt)
 
 
 class GraphChain:
@@ -355,20 +360,23 @@ def graph_from_json_dict(data: object) -> FiniteGraph | GraphChain:
         raise GraphFormatError(f"missing required field {exc.args[0]!r}") from None
     if not _is_str_list(vertices):
         raise GraphFormatError("'vertices' must be an array of strings")
-    seen: set = set()
-    for v in vertices:
-        if v in seen:
-            raise GraphFormatError(f"duplicate vertex {v!r}")
-        seen.add(v)
+    vset = frozenset(vertices)
+    if len(vset) < len(vertices):
+        seen: set = set()
+        for v in vertices:  # the first repeat in file order
+            if v in seen:
+                raise GraphFormatError(f"duplicate vertex {v!r}")
+            seen.add(v)
     if not isinstance(raw_edges, list):
         raise GraphFormatError("'edges' must be an array")
     edges = []
     for i, e in enumerate(raw_edges):
-        if not isinstance(e, dict) or not {"id", "from", "to"} <= set(e):
+        if not isinstance(e, dict) or "id" not in e or "from" not in e or "to" not in e:
             raise GraphFormatError(f"edge #{i} must be an object with id/from/to")
-        if not all(isinstance(e[k], str) for k in ("id", "from", "to")):
+        eid, origin, terminus = edge = (e["id"], e["from"], e["to"])
+        if not (isinstance(eid, str) and isinstance(origin, str) and isinstance(terminus, str)):
             raise GraphFormatError(f"edge #{i}: id, from and to must be strings")
-        edges.append((e["id"], e["from"], e["to"]))
+        edges.append(edge)
     if "layers" in data or "infinite_vertices" in data:
         layers = data.get("layers")
         dset = data.get("infinite_vertices", [])
@@ -377,13 +385,13 @@ def graph_from_json_dict(data: object) -> FiniteGraph | GraphChain:
         if not _is_str_list(dset):
             raise GraphFormatError("'infinite_vertices' must be an array of strings")
         chain = GraphChain(dset, layers, edges)
-        if set(vertices) != set(chain.vertices):
+        if vset != chain.first.keys():
             raise GraphFormatError("'vertices' must equal the union of the layers")
         return chain
     exempt = data.get("relation_exempt", [])
     if not _is_str_list(exempt):
         raise GraphFormatError("'relation_exempt' must be an array of strings")
-    return FiniteGraph(vertices, edges, exempt)
+    return _checked_graph(vset, edges, frozenset(exempt))
 
 
 def load_graph(path: str) -> FiniteGraph | GraphChain:

@@ -239,13 +239,26 @@ def _index_map(graph: FiniteGraph, columns: Iterable[dict]) -> list[tuple[int, .
 def _relation_classes(kt: KTheoryResult, at: Sequence[str]) -> list[tuple[int, ...]]:
     """Canonical K0 class of the relation row e_u - sum e_{t(e)} at each u in ``at``.
 
-    Read from the vertex classes and the out-edges; no Smith form.
+    Read from the vertex classes and the out-edges; no Smith form.  Each row
+    is classed in one pass over u's out-edges, subtracting each terminus
+    class, and reduced once.  ``FgAbelianGroup.class_sum`` gives the same
+    tuples, but it multiplies every term by its coefficient and checks and
+    copies the sum, which a relation row, with coefficients 1 and -1 on
+    classes of the group's own length, does not need.
     """
     classes = kt.k0_class_of_vertex
-    return [
-        kt.k0.class_sum([(1, classes[u]), *((-1, classes[t]) for _, _, t in kt.graph.out_edges(u))])
-        for u in at
-    ]
+    factors = tuple(enumerate(kt.k0.invariant_factors))
+    out = kt.graph.out_edges
+    rows = []
+    for u in at:
+        acc = list(classes[u])
+        for _, _, t in out(u):
+            for k, y in enumerate(classes[t]):
+                acc[k] -= y
+        for k, d in factors:
+            acc[k] %= d
+        rows.append(tuple(acc))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -274,19 +287,21 @@ def les_check(graph: FiniteGraph) -> LesReport:
     class maps in canonical coordinates.  Besides them only two small
     matrices are reduced: B below, with a row per exempt vertex and a column
     per K1(O) basis vector, and the presentation of coker j, with a column
-    per K0(T) coordinate.
+    per K0(T) coordinate.  The class of the relation row e_u - sum e_{t(e)}
+    is read from a class map and u's out-edges (``_relation_classes``): the
+    Toeplitz rows of all vertices in one pass, which J reads at the exempt
+    vertices and (a) at S, and the full rows in another.
 
     * ``exact_at_k1_full``: B is the index map on the K1(O) basis.  Every
       basis vector of ker B, taken into Z^{F0}, lies in K1(T), and every
       K1(T) basis vector solves in K1(O) to coefficients that B kills.  The
       kernel is saturated, so this is lattice equality.
     * ``exact_at_ideal``: J is the matrix of the ideal-class map
-      j: Z^{S^c} -> K0(T); its column at exempt u is the class of u's
-      relation row, read from the class map and the out-edges.  coker j is
-      presented by the K0(T) torsion rows and the rows of J^T, and the rows
-      of U past the rank of its Smith form span the left kernel, whose J^T
-      part generates ker j.  Every generator of ker j lies in the image of
-      B, and J kills every column of B.
+      j: Z^{S^c} -> K0(T); its column at exempt u is the Toeplitz class of
+      u's relation row.  coker j is presented by the K0(T) torsion rows and
+      the rows of J^T, and the rows of U past the rank of its Smith form
+      span the left kernel, whose J^T part generates ker j.  Every generator
+      of ker j lies in the image of B, and J kills every column of B.
     * ``exact_at_k0_toeplitz`` is (a), (b) and (c):
       (a) the Toeplitz class map kills every relation row at S and the full
       class map every relation row, so phi: K0(T) -> K0(O), [v] -> [v], is
@@ -309,7 +324,7 @@ def les_check(graph: FiniteGraph) -> LesReport:
 
     kt_t = ktheory(graph)
     # with no exempt vertex the graph is its own full-relation graph; with
-    # one, that graph has the same checked vertices and edges
+    # one, that graph shares the checked, sorted vertices and edges
     kt_o = ktheory(FiniteGraph._grown(graph, (), (), frozenset())) if exempt else kt_t
 
     report.terms["k1_toeplitz"] = format_group(kt_t.k1)
@@ -337,9 +352,13 @@ def les_check(graph: FiniteGraph) -> LesReport:
     )
     report.record("exact_at_k1_full", witness)
 
-    # node 2: the image of the index map is the kernel of the ideal-class map
+    # node 2: the image of the index map is the kernel of the ideal-class map.
+    # J's columns are the Toeplitz row classes at the exempt vertices; the
+    # rows of every vertex are classed at once, and node 3 reads those at S
     k0_t = kt_t.k0
-    ideal = _relation_classes(kt_t, exempt)
+    verts, vidx = graph.vertex_list, graph.vertex_index
+    rows_t = _relation_classes(kt_t, verts)
+    ideal = [rows_t[vidx[u]] for u in exempt]
     rows = tuple({i: d} for i, d in enumerate(k0_t.invariant_factors))
     nt = len(rows)
     rows += tuple({i: x for i, x in enumerate(c) if x} for c in ideal)
@@ -357,15 +376,16 @@ def les_check(graph: FiniteGraph) -> LesReport:
     )
     report.record("exact_at_ideal", witness)
 
-    # node 3 on the two independent Smith forms, as in the docstring
-    class_maps = [("Toeplitz", kt_t, graph.s_vertices)]
+    # node 3 on the two independent Smith forms, as in the docstring: the
+    # Toeplitz rows at S, then the full rows at every vertex
+    class_maps = [("Toeplitz", rows_t, graph.relation_exempt)]
     if exempt:
-        class_maps.append(("full", kt_o, graph.vertex_list))
+        class_maps.append(("full", _relation_classes(kt_o, verts), ()))
     killed = _first(
         {"check": f"the {name} class map kills the relation row at the vertex", "vertex": u}
-        for name, kt, at in class_maps
-        for u, c in zip(at, _relation_classes(kt, at))
-        if any(c)
+        for name, classes, skip in class_maps
+        for u, c in zip(verts, classes)
+        if any(c) and u not in skip
     )
     same = None
     if coker_j != kt_o.k0:
@@ -380,7 +400,8 @@ def les_check(graph: FiniteGraph) -> LesReport:
     onto = _first(
         {"check": "the full vertex classes generate K0(O)", "generator": k, "section": list(s)}
         for k, s in ((k, k0_o.section(k)) for k in range(n))
-        if k0_o.class_sum(zip(s, classes_o)) != tuple(int(i == k) for i in range(n))
+        # the class of the section must be e_k: 1 at k and n - 1 zeros
+        if (c := k0_o.class_sum(zip(s, classes_o)))[k] != 1 or c.count(0) != n - 1
     )
     report.record("exact_at_k0_toeplitz", killed or same or onto)
     report.record("coker_ideal_map_is_k0_full", same or onto)

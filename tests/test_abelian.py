@@ -1211,6 +1211,18 @@ def test_smith_form_refuses_cores_above_the_bound(monkeypatch):
         smith_normal_form(M([[2, 0, 0], [0, 2, 0], [0, 0, 2]]))
 
 
+def test_presolve_refuses_fill_above_the_bound(monkeypatch):
+    # the all-ones 5x5 matrix takes one pivot, at row 0 and column 0, which
+    # changes the other 4 rows at the other 4 entries of row 0: 16 entries
+    # written, after which every other row is zero
+    ones = M([[1] * 5 for _ in range(5)])
+    monkeypatch.setattr(abelian, "MAX_PRESOLVE_FILL", 16)
+    assert smith_normal_form(ones).diagonal == (1, 0, 0, 0, 0)
+    monkeypatch.setattr(abelian, "MAX_PRESOLVE_FILL", 15)
+    with pytest.raises(ValueError, match=r"a 5x5 matrix writes more than 15 entries in its presolve"):
+        smith_normal_form(ones)
+
+
 def test_cokernel_no_relations():
     g = cokernel(IntMatrix.from_rows([], cols=2))
     assert g.canonical_pair() == (2, ())

@@ -5,6 +5,7 @@ import importlib
 import io
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -12,9 +13,10 @@ import tempfile
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from graphck import cli
 from graphck.cli import main
 from graphck.graphs import dump_graph, load_graph
 from graphck.synthesis import build_case_i
@@ -440,6 +442,110 @@ def test_a_smith_core_above_the_bound_exits_two_and_names_its_shape(capsys, tmp_
     assert time.perf_counter() - start < 5
     assert code == 2 and out == ""
     assert "201x201 core" in err and "bound of 40000 cells" in err
+
+
+def _random_full_graph(n, outdeg):
+    """A full-relation graph drawn from ``random.Random(1)`` as the benchmark
+    draws its large graphs: ``outdeg`` edges from each vertex to uniform targets."""
+    rng = random.Random(1)
+    verts = [f"v{i:03d}" for i in range(n)]
+    edges = [
+        {"id": f"e{i * outdeg + k:04d}", "from": verts[i], "to": rng.choice(verts)}
+        for i in range(n)
+        for k in range(outdeg)
+    ]
+    return {"vertices": verts, "edges": edges, "relation_exempt": []}
+
+
+def test_a_presolve_above_the_fill_bound_exits_two_within_five_seconds(capsys, tmp_path):
+    # the 10,000 x 3 presolve writes 81 million entries, and about 15 s,
+    # before its 1372x1372 core is refused; it stops at the fill bound
+    path = write(tmp_path, "big.json", _random_full_graph(10_000, 3))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "ktheory", path)
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: the Smith form of a 10000x10000 matrix writes more than 2000000 entries in its presolve, "
+        "above the fill bound\n"
+    )
+    # 1,500 x 3 writes about 1 million, under the fill bound: its core is refused
+    code, out, err = run(capsys, "ktheory", write(tmp_path, "mid.json", _random_full_graph(1_500, 3)))
+    assert (code, out) == (2, "")
+    assert "1500x1500 matrix leaves a 202x202 core" in err and "bound of 40000 cells" in err
+
+
+def _emitted(value, emit=cli._emit) -> str:
+    """What ``emit``, by default ``cli._emit`` as first imported, writes for ``value``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        emit(value)
+    return out.getvalue()
+
+
+JSON_TEXT = st.text() | st.sampled_from(["", "é", "日本", '"', "\\", "\n\t\x00\x1f\x7f", "\u2028", "\ud800", '"é\n"'])
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(2**64, 2**200).flatmap(lambda x: st.sampled_from([x, -x]))
+    | st.floats()
+    | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(JSON_TEXT, inner, max_size=4)
+    | st.dictionaries(st.integers(-3, 3) | st.booleans() | st.none(), inner, max_size=3),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=JSON_VALUES)
+@example(value={"k0": "Z + Z/2", "k0_classes": {"é\n": [1, 0], "\"": []}, "k1_basis": [[-(2**70), 2**64]], "x": {}})
+def test_emit_writes_what_json_dumps_writes(value):
+    assert _emitted(value) == json.dumps(value, ensure_ascii=False, indent=2) + "\n"
+
+
+def test_emit_writes_each_command_payload_as_json_dumps_does(capsys, tmp_path, monkeypatch):
+    payloads = []
+    emit = cli._emit
+
+    def recording(data):
+        payloads.append((data, _emitted(data, emit)))
+        emit(data)
+
+    monkeypatch.setattr(cli, "_emit", recording)
+    chain = str(tmp_path / "chain.json")
+    graph = write(
+        tmp_path,
+        "g.json",
+        {
+            "vertices": ["é", "b\"q", "c"],
+            "edges": [
+                {"id": "l", "from": "é", "to": "é"},
+                {"id": "m", "from": "é", "to": "b\"q"},
+                {"id": "n", "from": "b\"q", "to": "c"},
+                {"id": "o", "from": "c", "to": "é"},
+            ],
+            "relation_exempt": ["c"],
+        },
+    )
+    argvs = [
+        ("synthesize", "--k0", "Z/2", "--k1", "Z^3", "--depth", "4", "-o", chain),
+        ("check", chain),
+        ("colimit", chain),
+        ("ktheory", chain, "--at", "1"),
+        ("check", graph),
+        ("ktheory", graph, "--toeplitz"),
+        ("boundary", graph, "--class=0,0,0"),
+        ("les-check", graph),
+    ]
+    for argv in argvs:
+        code, out, _ = run(capsys, *argv)
+        assert code in (0, 1) and out == payloads[-1][1]
+    assert len(payloads) == len(argvs)
+    for data, text in payloads:
+        assert text == json.dumps(data, ensure_ascii=False, indent=2) + "\n"
 
 
 def test_lab_csv_deterministic(capsys):

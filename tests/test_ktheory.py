@@ -37,6 +37,20 @@ from graphck.ktheory import (
 )
 from graphck.synthesis import build_case_i, build_case_ii, build_case_iii
 
+# node 3(a)'s witnesses in les_check on the graph of
+# test_les_node3_names_the_first_relation_row_a_shifted_class_map_does_not_kill,
+# with the first coordinate of one vertex's Toeplitz (T) or full (O) class
+# moved by one
+_KILLS = "the {} class map kills the relation row at the vertex"
+PINNED_SHIFTED_WITNESSES = {
+    ("T", "a"): {"check": _KILLS.format("Toeplitz"), "vertex": "a"},
+    ("T", "b"): {"check": _KILLS.format("Toeplitz"), "vertex": "a"},
+    ("T", "c"): None,
+    ("O", "a"): {"check": _KILLS.format("full"), "vertex": "a"},
+    ("O", "b"): {"check": _KILLS.format("full"), "vertex": "a"},
+    ("O", "c"): {"check": "the full vertex classes generate K0(O)", "generator": 1, "section": [0, 0, 1]},
+}
+
 
 def loops(n):
     return FiniteGraph({"v"}, [(f"l{i}", "v", "v") for i in range(n)])
@@ -950,6 +964,95 @@ def test_ideal_class_map_basis():
     (image,) = _relation_classes(kt, sorted(g.relation_exempt))
     assert image == kt.k0.reduce_coords([-x for x in kt.k0_class_of_vertex["v"]])
     assert any(image)
+
+
+def _class_sum_relation_classes(kt, at):
+    """The relation-row classes as first built, kept as a reference: one
+    ``class_sum`` of (1, [u]) and (-1, [t(e)]) over u's out-edges, per u."""
+    classes = kt.k0_class_of_vertex
+    return [
+        kt.k0.class_sum([(1, classes[u]), *((-1, classes[t]) for _, _, t in kt.graph.out_edges(u))])
+        for u in at
+    ]
+
+
+def _shifted(kt, v, k):
+    """``kt`` with coordinate k of vertex v's class moved by one, reduced."""
+    bad = dict(kt.k0_class_of_vertex)
+    bad[v] = kt.k0.reduce_coords([c + (i == k) for i, c in enumerate(bad[v])])
+    return dataclasses.replace(kt, k0_class_of_vertex=bad)
+
+
+def test_relation_classes_match_the_per_vertex_class_sums():
+    # on the Toeplitz and the full class maps, and on random class maps of
+    # the same groups, whose rows are rarely killed
+    rng = random.Random(5)
+    graphs = list(_les_graphs(330, 37))
+    kinds = Counter()
+    for g in graphs:
+        for name, graph in (("Toeplitz", g), ("full", FiniteGraph(g.vertices, g.edges))):
+            kt = ktheory(graph)
+            k0 = kt.k0
+            scrambled = {v: k0.reduce_coords([rng.randint(-9, 9) for _ in range(k0.ncoords)]) for v in graph.vertex_list}
+            for kt_ in (kt, dataclasses.replace(kt, k0_class_of_vertex=scrambled)):
+                for at in (graph.vertex_list, graph.vertex_list[::-2]):
+                    want = _class_sum_relation_classes(kt_, at)
+                    assert _relation_classes(kt_, at) == want
+                    kinds[f"{name} nonzero rows"] += any(map(any, want))
+            kinds[f"{name} torsion"] += bool(k0.invariant_factors)
+        kinds["exempt"] += bool(g.relation_exempt)
+        kinds["no exempt"] += bool(g.vertices) and not g.relation_exempt
+        kinds["loop"] += any(o == t for _, o, t in g.edges)
+        kinds["parallel"] += len({(o, t) for _, o, t in g.edges}) < len(g.edges)
+    assert len(graphs) > 300 and min(kinds.values()) >= 50, kinds
+
+
+def _first_unkilled_row(graph, kt_t, kt_o):
+    """Node 3(a)'s witness, by the reference construction: the first Toeplitz
+    relation row at S, then the first full relation row, whose class is not 0."""
+    exempt = graph.relation_exempt
+    for name, kt, at in (("Toeplitz", kt_t, graph.s_vertices), ("full", kt_o, graph.vertex_list if exempt else ())):
+        for u, c in zip(at, _class_sum_relation_classes(kt, at)):
+            if any(c):
+                return {"check": f"the {name} class map kills the relation row at the vertex", "vertex": u}
+    return None
+
+
+def test_les_node3_names_the_first_relation_row_a_shifted_class_map_does_not_kill(monkeypatch):
+    rng = random.Random(3)
+    caught = Counter()
+    for g in _exempt_graphs(300, 17):
+        kt_t = ktheory(g)
+        kt_o = ktheory(FiniteGraph(g.vertices, g.edges))
+        for name, kt in (("Toeplitz", kt_t), ("full", kt_o)):
+            if not kt.k0.ncoords:
+                continue
+            bad = _shifted(kt, rng.choice(g.vertex_list), rng.randrange(kt.k0.ncoords))
+            bad_t, bad_o = (bad, kt_o) if name == "Toeplitz" else (kt_t, bad)
+            want = _first_unkilled_row(g, bad_t, bad_o)
+            if want is None:
+                continue
+            with monkeypatch.context() as m:
+                _corrupting(m, lambda graph, kt: bad_t if graph.relation_exempt else bad_o)
+                rep = les_check(g)
+            assert rep.witnesses["exact_at_k0_toeplitz"] == want
+            caught[name] += 1
+    assert min(caught.values()) >= 40, caught
+    # witnesses pinned as les_check gave them when each relation row was a
+    # class_sum.  K0(T) = K0(O) = Z + Z/3, and only c's loop ends at c, so a
+    # shifted class of c changes no relation row; the full one fails (c)
+    g = FiniteGraph(
+        ["a", "b", "c"],
+        [("e0", "c", "c"), ("e1", "b", "a"), ("e2", "b", "b"), ("e3", "a", "b"), ("e4", "b", "a"), ("e5", "b", "a")],
+        ["c"],
+    )
+    witnesses = {}
+    for name, v in PINNED_SHIFTED_WITNESSES:
+        with monkeypatch.context() as m:
+            _corrupting(m, lambda graph, kt: _shifted(kt, v, 0) if bool(graph.relation_exempt) == (name == "T") else kt)
+            rep = les_check(g)
+        witnesses[name, v] = rep.witnesses.get("exact_at_k0_toeplitz")
+    assert witnesses == PINNED_SHIFTED_WITNESSES
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,8 @@ PINNED = {
     "boundary": "6693792aa112d4669dc063d1c50722bdd9a4fa9cd78dda7618f02add24da1b36",
 }
 
+INPUT_ERRORS_PINNED = {"input-errors": "8f57131cd619e591afed750b238c72451d608af65d92fce824faef7fbc6b06e7"}
+
 
 def graph_texts(count: int, seed: int) -> list[str]:
     rng = random.Random(seed)
@@ -64,6 +66,31 @@ def test_cli_output_digests_on_a_small_corpus(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     got = module.cli_digests(module.load_graphck(), SYNTH_REQUESTS, graph_texts(200, 20261019))
     assert got == PINNED
+
+
+def test_input_error_messages_are_pinned(tmp_path, monkeypatch):
+    module = load_script(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    gk = module.load_graphck()
+    records = []
+    run_cli = module.run_cli
+
+    def recording(gk, argv):
+        result = run_cli(gk, argv)
+        records.append(json.loads(result[0]))
+        return result
+
+    monkeypatch.setattr(module, "run_cli", recording)
+    assert module.input_error_digests(gk) == INPUT_ERRORS_PINNED
+    # every file but the valid chain is refused by every command, with one
+    # line that does not depend on the command
+    messages: dict = {}
+    for argv, code, out, err in records:
+        if argv[1] != "valid-chain.json":
+            assert (code, out, err.count("\n")) == (2, "", 1) and err.startswith("input error: ")
+            messages.setdefault(argv[1], set()).add(err)
+    assert len(messages) == len(module.INPUT_ERRORS) - 1
+    assert all(len(m) == 1 for m in messages.values())
 
 
 def test_against_names_each_family_that_differs_or_is_missing(monkeypatch):
