@@ -42,6 +42,10 @@ file's, or that only one side has, and exits 1 if there is any, else 0.
   each family request.  These CSVs print residuals at machine precision,
   whose last digits depend on the host's LAPACK, so they compare two
   checkouts on one host and are not pinned.
+* ``lab-trials``: the bytes of ``x`` and of the projections ``p`` and ``q``
+  of every injected-defect trial in the ``lab_numeric`` straighten
+  requests, in pass order.  Like the other lab families it depends on the
+  host's LAPACK and is not pinned.
 
 Each CLI call runs in process, on files under fixed relative names in a
 scratch directory, and its digest covers its arguments, exit code, stdout
@@ -225,6 +229,16 @@ def lab_digests(gk, argvs) -> dict[str, str]:
     return {family: d.hexdigest() for family, d in h.items()}
 
 
+def trial_digests(lab_requests) -> dict[str, str]:
+    """The ``lab-trials`` family's digest on the ``lab_numeric`` pass's requests."""
+    h = hashlib.sha256()
+    for req in lab_requests:
+        if req.kind == "lab_straighten":
+            for t in req.payload:
+                h.update(t.x.tobytes() + t.left_projection.tobytes() + t.right_projection.tobytes())
+    return {"lab-trials": h.hexdigest()}
+
+
 def digests(seed: int) -> dict[str, str]:
     """Every family's digest at ``seed``, computed in a scratch directory."""
     gk = load_graphck()
@@ -249,6 +263,7 @@ def digests(seed: int) -> dict[str, str]:
             out.update(smith_digests(gk, big + small))
             out.update(input_error_digests(gk))
             out.update(lab_digests(gk, lab_argvs(seed, passes["lab_numeric"].requests)))
+            out.update(trial_digests(passes["lab_numeric"].requests))
         finally:
             os.chdir(here)
     return out

@@ -56,9 +56,8 @@ Edge = tuple[str, str, str]  # (edge id, origin, terminus)
 def _check_edges(edges: Sequence[Edge], vertices: Container[str]) -> tuple[Edge, ...]:
     seen = set()
     out: list[Edge] = []
-    for e in edges:
-        eid, origin, terminus = e
-        eid = str(eid)
+    for eid, origin, terminus in edges:
+        eid, origin, terminus = str(eid), str(origin), str(terminus)
         if eid in seen:
             raise GraphFormatError(f"duplicate edge id {eid!r}")
         seen.add(eid)
@@ -66,7 +65,7 @@ def _check_edges(edges: Sequence[Edge], vertices: Container[str]) -> tuple[Edge,
             raise GraphFormatError(f"edge {eid!r} has unknown origin {origin!r}")
         if terminus not in vertices:
             raise GraphFormatError(f"edge {eid!r} has unknown terminus {terminus!r}")
-        out.append((eid, str(origin), str(terminus)))
+        out.append((eid, origin, terminus))
     out.sort()
     return tuple(out)
 

@@ -206,6 +206,11 @@ def partial_isometry_defect(x: MatField | np.ndarray) -> float:
     return _norm(_defect(_stack(x)))
 
 
+def matrix_defects(a: np.ndarray) -> np.ndarray:
+    """The defect of each matrix in a stack, from one decomposition."""
+    return np.linalg.svd(_defect(a), compute_uv=False)[..., 0]
+
+
 def ramp_profile(grid_size: int) -> tuple[float, ...]:
     """Piecewise-linear profile: 1 on the first half, sloping to 0 at the end."""
     if grid_size == 0:

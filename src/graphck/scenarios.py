@@ -17,17 +17,22 @@ then compressed back into their defining blocks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graphs import FiniteGraph
-from .lab import MatField, partial_isometry_defect
+from .lab import MatField, matrix_defects
 
 GRID = 16
 DIM = 4
 TRIAL_DIM = 6
 FAMILY_NOISE = 1e-3
+# near a crossing the computed defect of a trial's matrix wobbles by up to
+# about 5e-16; within this much of the target, rounding decides which side
+# of the crossing a midpoint falls on
+ROUNDING = 1e-15
 
 
 def _unit(i: int, j: int, dim: int) -> np.ndarray:
@@ -121,7 +126,20 @@ def injected_defect_trial(seed: int, defect: float) -> StraightenTrial:
     The perturbation is compressed between the isometry's range and initial
     projections, so the one-sided relations p x = x and x q = x hold exactly
     and must survive straightening.
+
+    The scale of the unit-norm perturbation is found as a sequential
+    bisection would find it: double from ``defect`` until the defect reaches
+    ``defect``, then halve at most 80 times from 0 and that scale, stopping
+    once the midpoint equals an end.  The bisection is batched, not
+    sequential: a secant estimate of the crossing predicts the midpoints the
+    bisection will visit, one stacked decomposition evaluates them all, and
+    the real bisection walks those values up to the first midpoint not
+    predicted.  Every decision reads the value the sequential loop reads, so
+    the trial is the same bit for bit; a wrong prediction costs one more
+    decomposition, never a different scale.
     """
+    if not (math.isfinite(defect) and defect >= 0.0):
+        raise ValueError(f"defect must be finite and at least 0, got {defect!r}")
     rng = np.random.default_rng(seed)
     rank = int(rng.integers(1, TRIAL_DIM))
     v = random_partial_isometry(rng, TRIAL_DIM, rank)
@@ -131,23 +149,59 @@ def injected_defect_trial(seed: int, defect: float) -> StraightenTrial:
     noise = p @ noise @ q
     noise /= np.linalg.norm(noise, 2)
 
-    def defect_at(s: float) -> float:
-        return partial_isometry_defect(v + s * noise)
+    def defects_at(scales: list[float]) -> list[float]:
+        return matrix_defects(v + np.array(scales)[:, None, None] * noise).tolist()
 
-    hi = defect
-    while defect_at(hi) < defect:
-        hi *= 2.0
-    # at most 80 halvings; once the midpoint s equals lo or hi, no later step
-    # moves it, so the bisection stops there
-    lo, s = 0.0, hi / 2.0
-    for _ in range(80):
-        if s in (lo, hi):
+    # hi is the first of defect, 2 defect, 4 defect, ... whose defect is at
+    # least defect.  The doublings are decomposed six to a call, and only
+    # once defect itself falls short: a scale far past the crossing, where a
+    # huge defect would overflow, is never decomposed
+    scales = [defect * 0.5, defect]
+    values = defects_at(scales)
+    while max(values[1:]) < defect:
+        more = [scales[-1] * 2.0**j for j in range(1, 7)]
+        scales += more
+        values += defects_at(more)
+    k = next(i for i in range(1, len(scales)) if values[i] >= defect)
+    hi, f_hi = scales[k], values[k]
+    # secant steps from hi / 2 and hi, kept in [0, hi], estimate the crossing
+    # until its defect is within ROUNDING of defect
+    a, f_a, est, f_est = scales[k - 1], values[k - 1], hi, f_hi
+    for _ in range(8):
+        if f_est == f_a or abs(f_est - defect) <= ROUNDING:
             break
-        if defect_at(s) < defect:
-            lo = s
-        else:
-            hi = s
-        s = (lo + hi) / 2.0
+        step = (f_est - defect) * (est - a) / (f_est - f_a)
+        a, f_a, est = est, f_est, min(max(est - step, 0.0), hi)
+        f_est = defects_at([est])[0]
+
+    # at most 80 halvings; once the midpoint s equals lo or hi, no later step
+    # moves it, so the bisection stops there.  f_lo < defect <= f_hi, and f(0)
+    # is taken as 0
+    lo, f_lo, s, steps = 0.0, 0.0, hi / 2.0, 80
+    while steps and s not in (lo, hi):
+        # the midpoints visited if each one below est falls below defect, up
+        # to the second whose defect the bracket's secant puts within
+        # ROUNDING of defect: past it a guess fails as often as not
+        slope = (f_hi - f_lo) / (hi - lo)
+        path, unsure, plo, phi, m = [], 0, lo, hi, s
+        while len(path) < steps and m not in (plo, phi) and unsure < 2:
+            path.append(m)
+            unsure += abs(m - est) * slope <= ROUNDING
+            if m < est:
+                plo = m
+            else:
+                phi = m
+            m = (plo + phi) / 2.0
+        for m, value in zip(path, defects_at(path)):
+            if m != s:
+                break
+            if value < defect:
+                lo, f_lo = s, value
+            else:
+                hi, f_hi = s, value
+            s = (lo + hi) / 2.0
+            steps -= 1
+        est = lo + (defect - f_lo) * (hi - lo) / (f_hi - f_lo)
     x = v + s * noise
     return StraightenTrial(x=x, left_projection=p, right_projection=q)
 

@@ -702,6 +702,14 @@ def test_duplicate_edge_ids_rejected_after_normalization():
         GraphChain([], [["a", "b"]], [("1", "a", "b"), (1, "b", "a")])
 
 
+def test_edge_endpoints_are_normalized_like_vertices():
+    # vertices and edge ids go through str(), and so do the endpoints
+    assert FiniteGraph([1, 2], [("e", 1, "2")]).edges == (("e", "1", "2"),)
+    assert GraphChain([], [[1], [1, 2]], [("e", 2, 1)]).edges == (("e", "2", "1"),)
+    with pytest.raises(GraphFormatError, match="edge 'e' has unknown origin '3'"):
+        FiniteGraph([1, 2], [("e", 3, 1)])
+
+
 @pytest.mark.parametrize(
     "edges",
     [

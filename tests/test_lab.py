@@ -1,6 +1,8 @@
 """Numerical perturbation-lab tests."""
 
+import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -282,13 +284,40 @@ def _defect_trial_by_80_halvings(seed, defect):
 
 def test_defect_bisection_stops_early_with_a_bit_identical_trial(monkeypatch):
     # once the midpoint equals an end no later halving moves it, so stopping
-    # there gives the 80-halving answer bit for bit, with fewer defect calls
-    calls = []
-    monkeypatch.setattr(scenarios, "partial_isometry_defect", lambda x: calls.append(1) or partial_isometry_defect(x))
-    pairs = [(seed, d) for seed in range(80) for d in (1e-2, 1e-3, 1e-4, 0.3)]
+    # there gives the 80-halving answer bit for bit; the batched bisection
+    # reads the same defects from a few stacked decompositions per trial
+    calls, counts = [], []
+    monkeypatch.setattr(scenarios, "matrix_defects", lambda a: calls.append(len(a)) or lab.matrix_defects(a))
+    pairs = [(seed, d) for seed in range(80) for d in (1e-2, 1e-3, 1e-4, 0.3, 0.0, 1e-8, 0.34)]
     for seed, d in pairs:
+        calls.clear()
         assert injected_defect_trial(seed, d).x.tobytes() == _defect_trial_by_80_halvings(seed, d).tobytes()
-    assert len(calls) < 70 * len(pairs)
+        counts.append((len(calls), sum(calls)))
+    assert max(c for c, _ in counts) <= 30
+    assert sum(c for c, _ in counts) < 14 * len(pairs)
+    assert sum(n for _, n in counts) < 70 * len(pairs)
+
+
+def test_a_huge_defect_decomposes_no_scale_that_overflows():
+    # here the defect of every scale far past the crossing overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in range(4):
+            for d in (1e102, 5e102):
+                assert injected_defect_trial(seed, d).x.tobytes() == _defect_trial_by_80_halvings(seed, d).tobytes()
+
+
+def test_matrix_defects_match_the_defect_of_each_matrix():
+    rng = np.random.default_rng(3)
+    stack = rng.normal(size=(9, 6, 6)) + 1j * rng.normal(size=(9, 6, 6))
+    stack[4] = random_partial_isometry(rng, 6, 2)
+    assert lab.matrix_defects(stack).tolist() == [partial_isometry_defect(a) for a in stack]
+
+
+@pytest.mark.parametrize("defect", [-0.01, -math.inf, math.inf, math.nan])
+def test_injected_defect_trial_rejects_a_defect_that_is_not_finite_and_nonnegative(defect):
+    with pytest.raises(ValueError, match="defect must be finite and at least 0"):
+        injected_defect_trial(0, defect)
 
 
 def test_straighten_idempotent_and_scalar_central():

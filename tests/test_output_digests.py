@@ -13,6 +13,7 @@ import json
 import random
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "output_digests.py"
 
@@ -145,6 +146,25 @@ def test_lab_families_run_each_lab_command_on_the_lab_pass(monkeypatch):
     assert all(len(d) == 64 for d in got.values())
     for argv, (called, code, out, err) in zip(argvs, records, strict=True):
         assert (called, code, err) == (argv, 0, "") and out.startswith("t,defect_name,value\n")
+
+
+def test_trials_family_covers_each_straighten_trial_and_its_projections(monkeypatch):
+    module = load_script(monkeypatch)
+    gk = module.load_graphck()
+    trials = [gk.scenarios.injected_defect_trial(seed, 1e-3) for seed in range(3)]
+    requests = [
+        SimpleNamespace(kind="lab_straighten", payload=trials[:2]),
+        SimpleNamespace(kind="lab_w", payload=None),
+        SimpleNamespace(kind="lab_straighten", payload=trials[2:]),
+    ]
+    got = module.trial_digests(requests)
+    assert list(got) == ["lab-trials"] and len(got["lab-trials"]) == 64
+    assert module.trial_digests([SimpleNamespace(kind="lab_straighten", payload=trials)]) == got
+    assert module.trial_digests(requests[2:] + requests[:2]) != got
+    for field in ("x", "left_projection", "right_projection"):
+        moved = [SimpleNamespace(**vars(t)) for t in trials]
+        setattr(moved[1], field, -getattr(moved[1], field))
+        assert module.trial_digests([SimpleNamespace(kind="lab_straighten", payload=moved)]) != got
 
 
 def test_smith_family_reduces_each_graph_toeplitz_and_full_and_transposed(monkeypatch):
