@@ -15,8 +15,8 @@ in divisibility order.  It keeps no transform.  A sparse presolve
 eliminates unit pivots, shortest row first, and a dense reduction finishes
 the core they leave, clearing each pivot's column before its row; both
 append their operations to one row log and one column log, and a row of
-U, column of V or row of V^-1 is replayed from a log when a caller reads
-it; only the sparse reads are kept.  The callers below read only the
+U, column of V or row of V^-1 is replayed from a log each time a caller
+reads it, and no vector is kept.  The callers below read only the
 vectors they use (a group's generator classes skip the V columns at unit
 diagonal entries, and lattice tests run the row log forward on the vector
 they test), and none of them builds a dense transform.  Groups given in
@@ -27,8 +27,8 @@ lattice of a matrix with n columns, the group's generators are the unit
 vectors of Z^n and carry no names, and the group builds each generator's
 class once; every class in canonical coordinates is a sum of those
 (``FgAbelianGroup.class_sum``).  ``kernel_basis`` returns a saturated basis
-of the integer kernel lattice: the free columns of V, as the sparse
-``{index: nonzero}`` columns the Smith form replayed them.
+of the integer kernel lattice: the free columns of V, each replayed as a
+sparse ``{index: nonzero}`` column.
 ``GroupHom`` is a homomorphism between presented groups, checked for
 well-definedness at construction.  ``colimit_chain_detailed`` computes the
 direct limit of a finite prefix of a chain of groups along homomorphisms,
@@ -232,19 +232,16 @@ class SmithDecomposition:
     sits at row ``e_order[k]`` and column ``f_order[k]`` of the reduced
     matrix.  Row k of U is replayed from the row log on the unit vector at
     row ``e_order[k]``, and column k of V and row k of V^-1 from the column
-    log on the one at column ``f_order[k]`` (see ``_replay``).  Each is
-    replayed the first time it is read with ``u_row``, ``v_col`` or
-    ``vinv_row``, then kept as an ``{index: nonzero}`` dict: that is the one
-    read cache.  ``v_col_dense`` gives a V column as a dense list for the
-    class map and keeps nothing; it converts a column the cache holds and
-    replays any other, and the group keeps the classes it builds from them.
+    log on the one at column ``f_order[k]`` (see ``_replay``).  Every read
+    replays: ``u_row``, ``v_col`` and ``vinv_row`` return a new
+    ``{index: nonzero}`` dict and ``v_col_dense`` a new dense list, and no
+    vector is kept, so a caller that needs a vector twice keeps it itself.
     Callers read only what they need, and most need little: a unit diagonal
     entry constrains nothing, so classes read only the V columns at non-unit
     positions, and ``u_mul`` runs the row log forward on the one vector it
     multiplies.  ``u``, ``v``, ``v_inv`` and ``d`` build the whole matrices
-    on first use.  ``v_inv`` is the exact inverse of V; its rows give
-    sections of the quotient map (see ``FgAbelianGroup.section``).  The
-    returned dicts are shared and must not be mutated.
+    on first use and keep them.  ``v_inv`` is the exact inverse of V; its
+    rows give sections of the quotient map (see ``FgAbelianGroup.section``).
     """
 
     def __init__(self, rows: int, cols: int, diagonal: Sequence[int], orders, logs):
@@ -253,16 +250,12 @@ class SmithDecomposition:
         self.rank = len(self.diagonal) - self.diagonal.count(0)
         self._orders = orders  # (e_order, f_order)
         self._logs = logs  # (row log, column log)
-        self._read = ({}, {}, {})  # the vectors read so far: U rows, V columns, V^-1 rows
 
     def _vector(self, which: int, k: int) -> dict:
-        read = self._read[which]
-        vec = read.get(k)
-        if vec is None:
-            side = which > 0
-            x = _replay(self._logs[side], self.cols if side else self.rows, self._orders[side][k], which == 2)
-            vec = read[k] = dict(filter(itemgetter(1), enumerate(x)))
-        return vec
+        """Row k of U (``which`` 0), column k of V (1) or row k of V^-1 (2), replayed."""
+        side = which > 0
+        x = _replay(self._logs[side], self.cols if side else self.rows, self._orders[side][k], which == 2)
+        return dict(filter(itemgetter(1), enumerate(x)))
 
     def u_row(self, i: int) -> dict:
         return self._vector(0, i)
@@ -273,16 +266,9 @@ class SmithDecomposition:
     def vinv_row(self, j: int) -> dict:
         return self._vector(2, j)
 
-    def v_col_dense(self, j: int) -> Sequence[int]:
-        """Column j of V as a dense sequence of length ``cols``, kept nowhere.
-
-        A column ``v_col`` has read is densified from its dict; any other is
-        replayed.  The caller keeps what it needs of the result.
-        """
-        vec = self._read[1].get(j)
-        if vec is None:
-            return _replay(self._logs[1], self.cols, self._orders[1][j], False)
-        return _dense(vec, self.cols)
+    def v_col_dense(self, j: int) -> list[int]:
+        """Column j of V as a dense list of length ``cols``, replayed."""
+        return _replay(self._logs[1], self.cols, self._orders[1][j], False)
 
     def u_mul(self, vec: Sequence[int], start: int = 0) -> list[int]:
         """(U @ vec)[start:], building no row of U: the row log runs forward on ``vec``."""
@@ -298,7 +284,7 @@ class SmithDecomposition:
         return [x[order[k]] for k in range(start, self.rows)]
 
     def kernel(self) -> list[dict]:
-        """Basis of {x : M @ x == 0}: the columns of V past the rank, as ``v_col`` holds them."""
+        """Basis of {x : M @ x == 0}: the columns of V past the rank, each replayed by ``v_col``."""
         return [self.v_col(j) for j in range(self.rank, self.cols)]
 
     @cached_property
@@ -717,7 +703,8 @@ def kernel_basis(m: IntMatrix) -> list[dict]:
     """Basis of the lattice {x : m @ x == 0}, as sparse ``{index: nonzero}`` columns.
 
     The kernel of an integer matrix is saturated (a direct summand), and the
-    columns of V at zero diagonal positions form a basis of it.
+    columns of V at zero diagonal positions form a basis of it.  Each is
+    replayed from the Smith form's column log, and the Smith form keeps none.
     """
     return smith_normal_form(m).kernel()
 
@@ -827,7 +814,9 @@ class FgAbelianGroup:
 
         Coordinate t of every class is the dense V column at ``_positions[t]``,
         reduced modulo its order if it is a torsion one, so generator i's
-        class is entry i of those columns; the columns are dropped once zipped.
+        class is entry i of those columns.  Each column is replayed once, by
+        ``v_col_dense``, and dropped once zipped: the classes are kept, no
+        column is.
         """
         if self._classes is None:
             cols = [self.snf.v_col_dense(j) for j in self._positions]

@@ -165,15 +165,6 @@ class FiniteGraph:
     def __repr__(self):
         return f"FiniteGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
 
-    # -- serialization -------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "vertices": list(self.vertex_list),
-            "edges": [{"id": e[0], "from": e[1], "to": e[2]} for e in self.edges],
-            "relation_exempt": sorted(self.relation_exempt),
-        }
-
 
 def _checked_graph(vset: frozenset[str], edges: Sequence[Edge], exempt: frozenset[str]) -> FiniteGraph:
     """The finite graph on the string vertices ``vset``, with its exempt set
@@ -288,7 +279,7 @@ class GraphChain:
         n = range(len(self))[n]
         vertices = sorted(itertools.chain.from_iterable(self._added_vertices[: n + 1]))
         edges = sorted(itertools.chain.from_iterable(self._added_edges[: n + 1]), key=itemgetter(0))
-        return self._grown_layer(None, n, vertices, edges)
+        return FiniteGraph._grown(None, vertices, edges, self._outside_s(n))
 
     def layer_graphs_from(self, first: int) -> list[FiniteGraph]:
         """The graphs of layers ``first`` .. length - 1, each equal to its
@@ -298,15 +289,9 @@ class GraphChain:
         first = range(len(self))[first]
         graphs = [self.layer_graph(first)]
         for n in range(first + 1, len(self)):
-            graphs.append(self._grown_layer(graphs[-1], n, sorted(self._added_vertices[n]), self._added_edges[n]))
+            added = sorted(self._added_vertices[n])
+            graphs.append(FiniteGraph._grown(graphs[-1], added, self._added_edges[n], self._outside_s(n)))
         return graphs
-
-    def _grown_layer(
-        self, base: FiniteGraph | None, n: int, vertices: Sequence[str], edges: Sequence[Edge]
-    ) -> FiniteGraph:
-        """Layer n: ``base`` (layer n - 1, or None) plus the rest of its
-        vertices and edges, sorted."""
-        return FiniteGraph._grown(base, vertices, edges, self._outside_s(n))
 
     def _outside_s(self, n: int) -> frozenset[str]:
         """The vertices of layer n outside S_n: the infinite-valence ones, and
@@ -330,14 +315,6 @@ class GraphChain:
 
     def __repr__(self):
         return f"GraphChain({len(self)} layers, {len(self.first)} vertices, {len(self.edges)} edges)"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "vertices": sorted(self.first),
-            "edges": [{"id": e[0], "from": e[1], "to": e[2]} for e in self.edges],
-            "infinite_vertices": sorted(self.infinite_vertices),
-            "layers": [sorted(layer) for layer in self.layers],
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -425,25 +402,35 @@ def _write_array(fh, items: Iterable, indent: str) -> None:
 def write_graph(graph: FiniteGraph | GraphChain, fh) -> None:
     """Write the graph's JSON text to the text file ``fh`` one edge or string at a time.
 
-    The text is ``json.dump(graph.to_json_dict(), fh, ensure_ascii=False,
-    indent=2)`` and a newline, byte for byte.  With an indent ``json`` runs
-    its pure-Python encoder token by token; here ``json``'s C encoder
-    encodes each string, and each edge is written with one format.
+    The text is what ``json.dump(data, fh, ensure_ascii=False, indent=2)``
+    writes, and a newline, byte for byte, where ``data`` holds in this order
+    "vertices", the sorted vertices, and "edges", one {"id", "from", "to"}
+    object per edge in sorted order, then for a finite graph
+    "relation_exempt", its sorted exempt vertices, and for a chain
+    "infinite_vertices", sorted, and "layers", each layer's vertices sorted.
+    ``graph_from_json_dict`` reads it back.  No such dict is built: with an
+    indent ``json`` runs its pure-Python encoder token by token, so here
+    ``json``'s C encoder encodes each string, each edge is written with one
+    format, and the text is written from the graph's own tuples and sets.
     """
+    if isinstance(graph, GraphChain):
+        vertices = sorted(graph.first)
+        rest = (
+            ("infinite_vertices", map(_json_string, sorted(graph.infinite_vertices))),
+            ("layers", (map(_json_string, sorted(layer)) for layer in graph.layers)),
+        )
+    else:
+        vertices = graph.vertex_list
+        rest = (("relation_exempt", map(_json_string, sorted(graph.relation_exempt))),)
+    edges = (
+        f'{{\n      "id": {_json_string(eid)},\n      "from": {_json_string(origin)},'
+        f'\n      "to": {_json_string(terminus)}\n    }}'
+        for eid, origin, terminus in graph.edges
+    )
     head = "{"
-    for key, items in graph.to_json_dict().items():
-        fh.write(f"{head}\n  {_json_string(key)}: ")
+    for key, items in (("vertices", map(_json_string, vertices)), ("edges", edges), *rest):
+        fh.write(f'{head}\n  "{key}": ')
         head = ","
-        if key == "edges":
-            items = (
-                f'{{\n      "id": {_json_string(e["id"])},\n      "from": {_json_string(e["from"])},'
-                f'\n      "to": {_json_string(e["to"])}\n    }}'
-                for e in items
-            )
-        elif key == "layers":
-            items = (map(_json_string, layer) for layer in items)
-        else:
-            items = map(_json_string, items)
         _write_array(fh, items, "  ")
     fh.write("\n}\n")
 

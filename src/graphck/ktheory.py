@@ -364,7 +364,7 @@ def les_check(graph: FiniteGraph) -> LesReport:
     rows += tuple({i: x for i, x in enumerate(c) if x} for c in ideal)
     coker_j = cokernel(IntMatrix._of(len(rows), k0_t.ncoords, rows))
     snf = coker_j.snf
-    kerj = ([snf.u_row(r).get(nt + k, 0) for k in range(len(exempt))] for r in range(snf.rank, len(rows)))
+    kerj = ([u.get(nt + k, 0) for k in range(len(exempt))] for u in map(snf.u_row, range(snf.rank, len(rows))))
     witness = _first(
         {"check": "the kernel of the ideal-class map lies in the image of the index map", "vector": x}
         for x in kerj

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import FiniteGraph
-from .lab import MatField, matrix_defects
+from .lab import MatField, _defect, matrix_defects
 
 GRID = 16
 DIM = 4
@@ -136,7 +136,9 @@ def injected_defect_trial(seed: int, defect: float) -> StraightenTrial:
     the real bisection walks those values up to the first midpoint not
     predicted.  Every decision reads the value the sequential loop reads, so
     the trial is the same bit for bit; a wrong prediction costs one more
-    decomposition, never a different scale.
+    decomposition, never a different scale.  A defect so large that the
+    matrix at that scale has a defect past the float range raises
+    ``ValueError``.
     """
     if not (math.isfinite(defect) and defect >= 0.0):
         raise ValueError(f"defect must be finite and at least 0, got {defect!r}")
@@ -148,6 +150,15 @@ def injected_defect_trial(seed: int, defect: float) -> StraightenTrial:
     noise = rng.normal(size=(TRIAL_DIM, TRIAL_DIM)) + 1j * rng.normal(size=(TRIAL_DIM, TRIAL_DIM))
     noise = p @ noise @ q
     noise /= np.linalg.norm(noise, 2)
+
+    # the defect at scale s is at most about (1 + s)^3, so below a defect of
+    # 1e100 nothing overflows.  Above it no scale past defect is decomposed,
+    # and the matrix at defect is checked once, before any decomposition
+    if defect > 1e100:
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(_defect(v + defect * noise)).all()
+        if not finite:
+            raise ValueError(f"defect {defect!r} overflows: the defect of the trial matrix at that scale is not finite")
 
     def defects_at(scales: list[float]) -> list[float]:
         return matrix_defects(v + np.array(scales)[:, None, None] * noise).tolist()

@@ -424,7 +424,7 @@ def test_transform_vectors_read_in_any_order_match_the_dense_transforms(rows, co
     read = {(t, k): readers[t](k) for t, k in keys}
     for (t, k), vec in read.items():
         assert all(vec.values())  # sparse: no stored zeros
-        assert readers[t](k) is vec  # folded once, then kept
+        assert readers[t](k) == vec  # replayed again on each read, kept nowhere
     # the dense matrices are built after every vector was read
     u_rows, v_cols, vinv_rows = s.u.to_lists(), s.v.columns(), s.v_inv.to_lists()
     for i in range(rows):
@@ -435,20 +435,19 @@ def test_transform_vectors_read_in_any_order_match_the_dense_transforms(rows, co
     s.verify(m)
 
 
-def test_a_v_column_read_sparse_and_dense_is_replayed_once(monkeypatch):
-    # a dense read of a column the sparse cache holds converts it; the dense
-    # list is kept nowhere, so each read gives a new, equal one
+def test_each_v_column_read_sparse_or_dense_is_one_replay(monkeypatch):
+    # the Smith form keeps no vector: every sparse and every dense read of a
+    # V column replays it once, and both agree with the dense V
     m = _random_matrix(random.Random(5), 7, 7, "sparse")
     s = smith_normal_form(m)
     replays = []
     replay = abelian._replay
     monkeypatch.setattr(abelian, "_replay", lambda *args: replays.append(args) or replay(*args))
-    for j in range(m.cols):
-        sparse, dense = s.v_col(j), s.v_col_dense(j)
-        assert tuple(dense) == _dense(sparse, m.cols)
-        assert s.v_col_dense(j) == dense and s.v_col(j) is sparse
-    assert len(replays) == m.cols
-    assert [_dense(s.v_col(j), m.cols) for j in range(m.cols)] == s.v.columns()
+    v_cols = [(s.v_col(j), s.v_col_dense(j), s.v_col(j), s.v_col_dense(j)) for j in range(m.cols)]
+    assert len(replays) == 4 * m.cols
+    for (sparse, dense, sparse_again, dense_again), col in zip(v_cols, s.v.columns()):
+        assert _dense(sparse, m.cols) == tuple(dense) == col
+        assert sparse_again == sparse and dense_again == dense
     s.verify(m)
 
 

@@ -1,6 +1,7 @@
 """Command-line interface tests: exit codes, formats, determinism."""
 
 import contextlib
+import hashlib
 import importlib
 import io
 import json
@@ -749,6 +750,20 @@ def test_synthesize_streams_its_output_file_under_a_memory_cap(tmp_path):
     proc = _run_capped(["synthesize", "--k0", "Z/200000", "--k1", "0", "-o", str(path)], 256 << 20)
     assert proc.returncode == 0, proc.stderr
     assert path.read_bytes() == dump_graph(build_case_i(0, (200000,))).encode("utf-8")
+
+
+def test_synthesize_writes_a_large_graph_from_its_tuples_under_a_memory_cap(tmp_path):
+    # (Z/999000, 0) writes 77 MB of JSON.  Written from the graph's own
+    # tuples it needs 345 MB of address space (out of memory at 340 MB);
+    # building one dict per edge first needed 450 MB (out of memory at
+    # 440 MB; x86-64, Python 3.11).  The 400 MB cap leaves 55 MB of margin
+    # and does not fit the per-edge dicts.  The digest is of the file that
+    # the per-edge dicts wrote
+    path = tmp_path / "graph.json"
+    proc = _run_capped(["synthesize", "--k0", "Z/999000", "--k1", "0", "-o", str(path)], 400 << 20)
+    assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "7c3d4cb260a1556a2510f1300ca83026f8aee632bc4cfaa813dfff39406dfc4f"
 
 
 def test_synthesize_nearly_equal_ranks_within_a_memory_cap():

@@ -1472,31 +1472,29 @@ def _built_dense_transforms(snfs):
         # the V columns at the two torsion positions, K1 = 0 reads no U row;
         # with no exempt vertex both routes share one degree-one lattice, and
         # the dense transforms of the two Smith forms, of the 5x5 relation
-        # matrix and the 5x0 lattice, hold 20 vectors, and the two class-map
-        # columns are replayed again for them: 22 replays
+        # matrix and the 5x0 lattice, replay their 20 vectors again: 22
+        # replays
         (build_case_i(0, (2, 2, 5)), 2, 22),
         # one exempt vertex: K0 reads one torsion and two free V columns of
         # the 17x18 Toeplitz matrix and K1 its one U row past the rank; route
         # two reads the one kernel V column of the 18x17 transposed matrix,
         # and as the two bases are equal, only route one's lattice is reduced;
-        # the dense transforms hold 125 vectors, and the three class-map
-        # columns are replayed again for them: 128 replays
-        (build_case_ii(2, 1, (3,), 6).layer_graph(2), 5, 128),
+        # the dense transforms replay their 125 vectors again: 130 replays
+        (build_case_ii(2, 1, (3,), 6).layer_graph(2), 5, 130),
     ],
 )
 def test_ktheory_folds_only_the_transform_vectors_it_reads(monkeypatch, graph, reads, vectors):
     snfs, replayed = _count_replays(monkeypatch)
-    kt = ktheory(graph)
+    ktheory(graph)
     assert len(replayed) == reads
     _assert_each_vector_replayed_once(replayed)
     assert not _built_dense_transforms(snfs)
     # the dense transforms replay every row of U, column of V and row of V^-1
-    # once more; the class map's V columns, read dense and kept nowhere, are
-    # the only vectors replayed on both reads
+    # once more, since the Smith forms keep none of the vectors read before
     for m, s in snfs:
         s.verify(m)
     _assert_each_vector_replayed_once(replayed[reads:])
-    assert len(replayed) == sum(s.rows + 2 * s.cols for _, s in snfs) + kt.k0.ncoords == vectors
+    assert len(replayed) == sum(s.rows + 2 * s.cols for _, s in snfs) + reads == vectors
 
 
 @pytest.mark.parametrize(
@@ -1531,6 +1529,40 @@ def test_ktheory_replays_only_the_core_vectors_it_reads(monkeypatch, n, outdeg, 
     bits = max(b for _, b in replayed)
     got = (len(snfs), len(replayed), ops, bits, kt.k0.canonical_pair(), kt.k1.canonical_pair())
     assert got == pinned
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [build_case_i(0, (2, 2, 5)), build_case_ii(2, 1, (3,), 6).layer_graph(2)],
+    ids=["no_exempt_vertex", "one_exempt_vertex"],
+)
+def test_reading_the_dense_transforms_first_changes_no_replay(monkeypatch, graph):
+    # the benchmark's tracer reads each Smith form's dense U, V and V^-1 as
+    # soon as it is computed; every vector that ktheory and les_check read
+    # afterwards is still replayed, as in a run that reads no dense transform
+    abelian_mod = importlib.import_module("graphck.abelian")
+
+    def replays(read_dense):
+        with monkeypatch.context() as m:
+            snfs, replayed = _count_replays(m)
+            if read_dense:
+                counted = abelian_mod.smith_normal_form
+
+                def snf(mat):
+                    s = counted(mat)
+                    start = len(replayed)
+                    s.u, s.v, s.v_inv
+                    del replayed[start:]  # the dense reads' own replays
+                    return s
+
+                m.setattr(abelian_mod, "smith_normal_form", snf)
+            ktheory(graph)
+            les_check(graph)
+        index = {s: n for n, (_, s) in enumerate(snfs)}
+        return [((index[s], which, k), bits) for (s, which, k), bits in replayed]
+
+    plain = replays(False)
+    assert plain and replays(True) == plain
 
 
 def test_s_sets_on_synthesized_chains():

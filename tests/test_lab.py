@@ -307,6 +307,18 @@ def test_a_huge_defect_decomposes_no_scale_that_overflows():
                 assert injected_defect_trial(seed, d).x.tobytes() == _defect_trial_by_80_halvings(seed, d).tobytes()
 
 
+@pytest.mark.parametrize("defect", [1e103, 1e110])
+def test_a_defect_that_overflows_is_refused_before_any_decomposition(capfd, defect):
+    # the defect of the matrix at these scales is past the float range; a
+    # decomposition of it warned, made LAPACK print to the process's output
+    # and raised LinAlgError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"defect {defect!r} overflows")):
+            injected_defect_trial(0, defect)
+    assert capfd.readouterr() == ("", "")
+
+
 def test_matrix_defects_match_the_defect_of_each_matrix():
     rng = np.random.default_rng(3)
     stack = rng.normal(size=(9, 6, 6)) + 1j * rng.normal(size=(9, 6, 6))
