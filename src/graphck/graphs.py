@@ -41,7 +41,6 @@ import io
 import itertools
 import json
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring as _json_string
 from operator import itemgetter
 from typing import Container, Iterable, Mapping, Sequence
 
@@ -383,56 +382,20 @@ def load_graph(path: str) -> FiniteGraph | GraphChain:
     return graph_from_json_dict(data)
 
 
-def _write_array(fh, items: Iterable, indent: str) -> None:
-    """Write a JSON array closing at ``indent``, laid out as ``json.dump``
-    lays it out with ``indent=2``, one write per item.  An item is encoded
-    JSON text, or an iterable of such texts, written as a nested array."""
-    inner = indent + "  "
-    sep = "[\n" + inner
-    for item in items:
-        if isinstance(item, str):
-            fh.write(sep + item)
-        else:
-            fh.write(sep)
-            _write_array(fh, item, inner)
-        sep = ",\n" + inner
-    fh.write("[]" if sep[0] == "[" else "\n" + indent + "]")
-
-
 def write_graph(graph: FiniteGraph | GraphChain, fh) -> None:
-    """Write the graph's JSON text to the text file ``fh`` one edge or string at a time.
-
-    The text is what ``json.dump(data, fh, ensure_ascii=False, indent=2)``
-    writes, and a newline, byte for byte, where ``data`` holds in this order
-    "vertices", the sorted vertices, and "edges", one {"id", "from", "to"}
-    object per edge in sorted order, then for a finite graph
-    "relation_exempt", its sorted exempt vertices, and for a chain
-    "infinite_vertices", sorted, and "layers", each layer's vertices sorted.
-    ``graph_from_json_dict`` reads it back.  No such dict is built: with an
-    indent ``json`` runs its pure-Python encoder token by token, so here
-    ``json``'s C encoder encodes each string, each edge is written with one
-    format, and the text is written from the graph's own tuples and sets.
-    """
+    """Write the graph to the text file ``fh`` as JSON with an indent of 2,
+    and a newline: "vertices", sorted, and "edges", one {"id", "from", "to"}
+    object per edge in sorted order, then "relation_exempt", sorted, or for
+    a chain "infinite_vertices", sorted, and "layers", each sorted.
+    ``graph_from_json_dict`` reads it back."""
+    data = {"vertices": sorted(graph.vertices), "edges": [{"id": i, "from": o, "to": t} for i, o, t in graph.edges]}
     if isinstance(graph, GraphChain):
-        vertices = sorted(graph.first)
-        rest = (
-            ("infinite_vertices", map(_json_string, sorted(graph.infinite_vertices))),
-            ("layers", (map(_json_string, sorted(layer)) for layer in graph.layers)),
-        )
+        data["infinite_vertices"] = sorted(graph.infinite_vertices)
+        data["layers"] = [sorted(layer) for layer in graph.layers]
     else:
-        vertices = graph.vertex_list
-        rest = (("relation_exempt", map(_json_string, sorted(graph.relation_exempt))),)
-    edges = (
-        f'{{\n      "id": {_json_string(eid)},\n      "from": {_json_string(origin)},'
-        f'\n      "to": {_json_string(terminus)}\n    }}'
-        for eid, origin, terminus in graph.edges
-    )
-    head = "{"
-    for key, items in (("vertices", map(_json_string, vertices)), ("edges", edges), *rest):
-        fh.write(f'{head}\n  "{key}": ')
-        head = ","
-        _write_array(fh, items, "  ")
-    fh.write("\n}\n")
+        data["relation_exempt"] = sorted(graph.relation_exempt)
+    json.dump(data, fh, ensure_ascii=False, indent=2)
+    fh.write("\n")
 
 
 def dump_graph(graph: FiniteGraph | GraphChain) -> str:

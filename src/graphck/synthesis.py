@@ -4,12 +4,14 @@ Given a pair of finitely generated abelian groups (G0, G1) with G1 free, a
 graph (or chain of graphs) is constructed whose algebra has exactly that
 K-theory.  Three constructions cover the rank comparison:
 
-* case i   (rank G0 == rank G1): one finite graph, a star.  Every vertex
-  carries one loop; bundles of n_1, ..., n_k parallel edges run z -> w1 ->
-  ... -> wk, and the hub (wk, or z with no torsion) has an edge to each leaf
-  v1..vl, y, which has an edge back to z.  The relations are [z] = 0, the
-  leaf sum [v1] + ... + [vl] + [y] = 0 and n_i [w_i] = 0, so K0 = Z^l + sum
-  Z/n_i and K1 = Z^l, spanned by e_{v_i} - e_y.
+* case i   (rank G0 == rank G1): one finite graph, a star.  A path z ->
+  w1 -> ... -> wk of looped vertices ends in the hub (z with no torsion),
+  which has an edge to each looped leaf v1..vl, y, which has one back to z.
+  Step i is n_i parallel edges or, with m = bits(n_i) - ``BUNDLE_BITS`` >
+  0, n_i >> m edges to c_i_m, one to c_i_j per set bit j < m of n_i, and
+  two edges c_i_j -> c_i_(j-1) (c_i_0 = w_i): [c_i_j] = 2^j [w_i].  The
+  relations are [z] = 0, the leaf sum [v1] + ... + [vl] + [y] = 0 and n_i
+  [w_i] = 0, so K0 = Z^l + sum Z/n_i and K1 = Z^l, spanned by e_{v_i} - e_y.
 * case ii  (rank G0 < rank G1): the case-i graph plus one infinite-valence
   vertex u and p+1 descending towers a_i_* with companion vertices b_i_*;
   each tower kills one free generator of degree zero per layer while fixing
@@ -24,8 +26,8 @@ conditions, per-layer groups, inclusion behavior, and the colimit), so a
 bad reconstruction cannot go unnoticed.  Its named checks go into a
 ``graphs.Verdict``, whose witnesses are the messages reported for failures.
 
-Vertex names are fixed (v1.., y, z, w1.., u or u1.., a_i_j, b_i_j) so that
-regenerated graphs are byte-identical.
+Vertex names are fixed (v1.., y, z, w1.., c_i_j, u or u1.., a_i_j, b_i_j) so
+that regenerated graphs are byte-identical.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .abelian import FgAbelianGroup, format_group, parse_group_pair
+from .abelian import MAX_CORE_CELLS, FgAbelianGroup, format_group, parse_group_pair
 from .graphs import (
     B2Report,
     FiniteGraph,
@@ -49,12 +51,16 @@ VERIFICATION_WINDOW = 2
 # a request whose edges + vertices x (layers + K0 coordinates), from
 # ``build_size``, exceed this is refused before anything is built: the count
 # bounds the emitted JSON (each edge once, every layer's vertices) and the
-# dense K0 class maps of verification.  At the bound, equal ranks, (0, Z^r),
-# (Z^r, 0) and (Z, Z^2) take at most 2.5 s and 120 MB in process, with their
-# JSON (2-core x86-64, Python 3.11).  Nearly equal ranks cost more: (Z^975,
-# Z^976) at depth 6 and (Z^950, Z^951) at depth 16 take 3.6-3.9 s and
-# 143-147 MB; the README names the others
+# dense K0 class maps of verification, in 64-bit words.  At the bound, equal
+# ranks, (0, Z^r), (Z^r, 0) and (Z, Z^2) take at most 2.5 s and 120 MB in
+# process, with their JSON, and 1 to 64 torsion orders of up to 7,872 bits
+# at most 1.7 s and 131 MB (2-core x86-64, Python 3.11).  Nearly equal ranks
+# cost more: (Z^975, Z^976) at depth 6 and (Z^950, Z^951) at depth 16 take
+# 3.6-3.9 s and 143-147 MB
 MAX_BUILD_SIZE = 1_000_000
+# orders of up to this many bits stay bundles: a gadget for every order cost
+# ``synth_chains``, whose orders are all below 64, a tenth of its throughput
+BUNDLE_BITS = 6
 
 
 class EdgeBag:
@@ -74,25 +80,37 @@ class EdgeBag:
 
 def _star(bag: EdgeBag, l: int, torsion: Sequence[int]) -> list[str]:
     """Add the edges of the case-i star (see the module docstring) to ``bag``
-    and return its vertices."""
+    and return its vertices.  The c_i_j sort before the path, so that the
+    Smith form's presolve pivots on their rows before an origin's single-bit
+    edge, and k orders leave a k x k core (200 of Z/1000 left 397x397 when
+    named after w_i)."""
     if any(n < 2 for n in torsion):
         raise ValueError("torsion orders must be >= 2")
     ws = [f"w{i}" for i in range(1, len(torsion) + 1)]
-    path = ["z", *ws]
-    for origin, terminus, n in zip(path, ws, torsion):
-        bag.add(origin, terminus, copies=int(n))
+    path, gadgets = ["z", *ws], []
+    for i, (origin, terminus, n) in enumerate(zip(path, ws, torsion), 1):
+        n = int(n)
+        m = max(n.bit_length() - BUNDLE_BITS, 0)
+        c = [terminus, *(f"c{i}_{j}" for j in range(1, m + 1))]
+        for j in range(1, m + 1):
+            bag.add(c[j], c[j - 1], copies=2)
+        bag.add(origin, c[m], copies=n >> m)
+        for j in range(m):
+            if n >> j & 1:
+                bag.add(origin, c[j])
+        gadgets += c[1:]
     leaves = [*(f"v{i}" for i in range(1, l + 1)), "y"]
     for v in leaves:
         bag.add(v, "z")
         bag.add(path[-1], v)
     for v in leaves + path:
         bag.add(v, v)
-    return leaves + path
+    return leaves + path + gadgets
 
 
 def build_case_i(l: int, torsion: Sequence[int] = ()) -> FiniteGraph:
     """Finite graph with K0 = Z^l + sum Z/n_i and K1 = Z^l, relations everywhere:
-    the star of the module docstring, with 3l + 4 + k + sum n_i edges."""
+    the star of the module docstring, of the size ``build_size`` counts."""
     if l < 0:
         raise ValueError("free rank must be nonnegative")
     if l + len(torsion) < 1:
@@ -181,26 +199,42 @@ def build_size(r0: int, torsion: Sequence[int], r1: int, depth: int) -> tuple[in
     ranks (r0, r1), in closed form.
 
     The case-i star with leaves v1..vl, y and k torsion orders has 3l + 4 +
-    k + sum(torsion) edges and l + 2 + k vertices, and K0 has l + k
-    coordinates.  A chain has ``depth + VERIFICATION_WINDOW`` layers, and
-    each tower adds 1 + 7 maxj edges and 2 maxj vertices besides the shared
-    u (case ii), or 1 + 6 maxj edges and 1 + 2 maxj vertices (case iii).
+    k edges and l + 2 + k vertices, and each order n of b bits adds n edges,
+    or with m = b - ``BUNDLE_BITS`` > 0, 2m + (n >> m) + popcount(n mod 2^m)
+    edges and m vertices.  K0 has l coordinates and ceil(b / 64) words per
+    order, l + k below 2^64.  A chain has ``depth + VERIFICATION_WINDOW``
+    layers, and each tower adds 1 + 7 maxj edges and 2 maxj vertices besides
+    the shared u (case ii), or 1 + 6 maxj edges and 1 + 2 maxj vertices
+    (case iii).
     """
     k, layers = len(torsion), depth + VERIFICATION_WINDOW
     l = r1 + 1 if r0 < r1 else r0
-    edges, vertices = 3 * l + 4 + k + sum(torsion), l + 2 + k
+    edges, vertices, coords = 3 * l + 4 + k, l + 2 + k, l
+    for n in torsion:
+        m = max(n.bit_length() - BUNDLE_BITS, 0)
+        edges += 2 * m + (n >> m) + (n & ((1 << m) - 1)).bit_count()
+        vertices += m
+        coords += -(-n.bit_length() // 64)
     if r0 == r1:
-        return edges, vertices, 1, l + k
+        return edges, vertices, 1, coords
     if r0 < r1:  # r1 - r0 + 1 towers with maxj = layers
         edges += (r1 - r0 + 1) * (1 + 7 * layers)
         vertices += 1 + (r1 - r0 + 1) * 2 * layers
     else:  # r0 - r1 towers with maxj = layers + 1
         edges += (r0 - r1) * (7 + 6 * layers)
         vertices += (r0 - r1) * (3 + 2 * layers)
-    return edges, vertices, layers, l + k
+    return edges, vertices, layers, coords
 
 
 def _check_size(r0: int, torsion: Sequence[int], r1: int, depth: int) -> None:
+    # k orders leave a k x k Smith-form core in the star, 2k x k in a chain's colimit
+    k = len(torsion)
+    rows = k if r0 == r1 else 2 * k
+    if rows * k > MAX_CORE_CELLS:
+        raise ValueError(
+            f"{k} torsion orders would leave a {rows}x{k} Smith-form core without unit entries, "
+            f"above the bound of {MAX_CORE_CELLS} cells"
+        )
     edges, vertices, layers, coords = build_size(r0, torsion, r1, depth)
     size = edges + vertices * (layers + coords)
     if size > MAX_BUILD_SIZE:

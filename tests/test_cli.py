@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from graphck import cli
 from graphck.cli import main
 from graphck.graphs import dump_graph, load_graph
-from graphck.synthesis import build_case_i
 
 
 def run(capsys, *argv):
@@ -618,6 +617,9 @@ def test_lab_family_csv(capsys):
         ("Z/2 + Z/4", "Z"),
         ("Z^3 + Z/9", "Z"),
         ("Z/3", "0"),
+        (f"Z/{2**127 - 1}", "0"),
+        (f"Z + Z/{10**30}", "Z^2"),
+        (f"Z^3 + Z/{10**30}", "Z"),
     ],
 )
 def test_synthesize_then_colimit_reproduces_request(capsys, tmp_path, expr0, expr1):
@@ -724,46 +726,49 @@ def _run_capped(argv, cap):
     "k0,k1",
     [
         ("Z^99999999999999999999", "Z"),
-        ("Z/99999999999999999999999", "Z"),
+        pytest.param(f"Z/{2**7552 + 2**6285 - 1}", "Z", id="Z/(2^7552+2^6285-1)-Z"),
         ("Z^3000", "Z^3000"),
         ("Z^2000", "0"),
     ],
 )
 def test_synthesize_refuses_oversized_requests_under_a_memory_cap(k0, k1):
-    # under a 1 GB address-space cap the first three ran out of memory with a
-    # traceback (a name per rank, n parallel edges, an equal-rank graph with
-    # quadratically many edges); the depth-6 chain for (Z^2000, 0) has only
-    # 116,004 edges, but verifying it would hold about 40,000 vertices x
-    # 2,000 dense class coordinates per layer
+    # under a 1 GB address-space cap, (Z^99999999999999999999, Z) and
+    # (Z^3000, Z^3000) ran out of memory with a traceback (a name per rank,
+    # an equal-rank graph with quadratically many edges); the depth-6 chain
+    # for (Z^2000, 0) has only 116,004 edges, but verifying it would hold
+    # about 40,000 vertices x 2,000 dense class coordinates per layer.  The
+    # torsion order is the smallest refused for (Z/n, Z): 21,536 edges +
+    # 7,585 vertices x (8 layers + 2 + 119 words of its 7,553 bits) =
+    # 1,000,001
     proc = _run_capped(["synthesize", "--k0", k0, "--k1", k1], 1 << 30)
     assert proc.returncode == 2, proc.stderr
     assert "than the bound" in proc.stderr and "Traceback" not in proc.stderr
     assert proc.stdout == ""
 
 
-def test_synthesize_streams_its_output_file_under_a_memory_cap(tmp_path):
-    # (Z/200000, 0) builds and verifies in about 100 MB.  Writing its 15 MB
-    # of JSON as one string first, with every piece of that string held
-    # until the join, took the process past a 256 MB cap: a MemoryError,
-    # exit 1 and an empty file
+@pytest.mark.parametrize(
+    "args,cap_mb,digest",
+    [
+        # 22,462 edges and 6.3 MB of JSON; the run needs 173 MB of address
+        # space, the most of the three
+        (("Z^57", "0", 64), 200, "19380821e2d1102f907c5e665caf8056138c81c7dd82bb169df09d942d799b7d"),
+        # 8.8 MB of JSON, the largest admitted file: 494 layers list their
+        # vertices; the run needs 135 MB
+        (("Z", "Z^2", 494), 160, "c2e462c816d3dbef2fd922fd6be2f536d260f50502a4374870564d5f4a825d13"),
+        # 101 edges; the run needs 101 MB, what the CLI needs to start
+        (("Z/999000", "0", 6), 128, "0e9044ba4fb6ae6743a5bbd01c1fb9a1e46c164808e80257e882ba18bbf5ed0c"),
+    ],
+    ids=["Z^57-0-depth64", "Z-Z^2-depth494", "Z/999000-0"],
+)
+def test_synthesize_writes_its_output_file_under_a_memory_cap(tmp_path, args, cap_mb, digest):
+    # each cap leaves 25-27 MB above what the run needs (x86-64, Python
+    # 3.11, one BLAS thread)
+    k0, k1, depth = args
     path = tmp_path / "graph.json"
-    proc = _run_capped(["synthesize", "--k0", "Z/200000", "--k1", "0", "-o", str(path)], 256 << 20)
+    argv = ["synthesize", "--k0", k0, "--k1", k1, "--depth", str(depth), "-o", str(path)]
+    proc = _run_capped(argv, cap_mb << 20)
     assert proc.returncode == 0, proc.stderr
-    assert path.read_bytes() == dump_graph(build_case_i(0, (200000,))).encode("utf-8")
-
-
-def test_synthesize_writes_a_large_graph_from_its_tuples_under_a_memory_cap(tmp_path):
-    # (Z/999000, 0) writes 77 MB of JSON.  Written from the graph's own
-    # tuples it needs 345 MB of address space (out of memory at 340 MB);
-    # building one dict per edge first needed 450 MB (out of memory at
-    # 440 MB; x86-64, Python 3.11).  The 400 MB cap leaves 55 MB of margin
-    # and does not fit the per-edge dicts.  The digest is of the file that
-    # the per-edge dicts wrote
-    path = tmp_path / "graph.json"
-    proc = _run_capped(["synthesize", "--k0", "Z/999000", "--k1", "0", "-o", str(path)], 400 << 20)
-    assert proc.returncode == 0, proc.stderr
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "7c3d4cb260a1556a2510f1300ca83026f8aee632bc4cfaa813dfff39406dfc4f"
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_synthesize_nearly_equal_ranks_within_a_memory_cap():

@@ -41,6 +41,10 @@ PINNED = {
 
 INPUT_ERRORS_PINNED = {"input-errors": "8f57131cd619e591afed750b238c72451d608af65d92fce824faef7fbc6b06e7"}
 
+# exact integer output, so it does not depend on the host: a moved digest
+# means some Smith form pivots differently
+SMITH_PINNED = {"smith": "1d764a74c043ac1a6ea4ffd37035a26021284227432f3fde0755cdab2bfa0c22"}
+
 
 def graph_texts(count: int, seed: int) -> list[str]:
     rng = random.Random(seed)
@@ -67,6 +71,11 @@ def test_cli_output_digests_on_a_small_corpus(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     got = module.cli_digests(module.load_graphck(), SYNTH_REQUESTS, graph_texts(200, 20261019))
     assert got == PINNED
+
+
+def test_smith_forms_are_pinned_on_the_small_corpus(monkeypatch):
+    module = load_script(monkeypatch)
+    assert module.smith_digests(module.load_graphck(), graph_texts(200, 20261019)) == SMITH_PINNED
 
 
 def test_input_error_messages_are_pinned(tmp_path, monkeypatch):

@@ -8,11 +8,13 @@ computed lattices and as class equalities.
 
 import importlib
 import json
+import math
 from collections import Counter
 
 import pytest
 
-from graphck.abelian import parse_group_expr
+from graphck import synthesis
+from graphck.abelian import MAX_CORE_CELLS, parse_group_expr
 from graphck.cli import main
 from graphck.graphs import B2Report, FiniteGraph, check_condition_a, dump_graph, is_cycle, is_irreducible
 from graphck.ktheory import chain_ktheory_report, ktheory
@@ -70,6 +72,39 @@ def test_case_i_rejects_trivial_pair_and_bad_orders():
         build_case_i(0, ())
     with pytest.raises(ValueError):
         build_case_i(1, (1,))
+
+
+def test_orders_below_64_keep_their_bundle_of_parallel_edges():
+    rest = [("w1->w1", "w1", "w1"), ("w1->y", "w1", "y"), ("y->y", "y", "y"), ("y->z", "y", "z"), ("z->z", "z", "z")]
+    for n in range(2, 64):
+        bundle = [("z->w1" if k == 1 else f"z->w1#{k}", "z", "w1") for k in range(1, n + 1)]
+        assert build_case_i(0, (n,)).edges == tuple(sorted(bundle + rest)), n
+
+
+def _class_order(k0, c):
+    """The order of the torsion class ``c``, in canonical coordinates of ``k0``."""
+    nfac = len(k0.invariant_factors)
+    assert not any(c[nfac:])
+    return math.lcm(*(n // math.gcd(x, n) for x, n in zip(c, k0.invariant_factors)))
+
+
+@pytest.mark.parametrize("torsion", [(63,), (64,), (65,), (2**64,), (2**127 - 1,), (10**30,), (2, 10, 10**30)])
+def test_gadget_orders_give_the_closed_form_groups(torsion):
+    # the star has K0 = Z^l + sum Z/n_i and K1 = Z^l, [w_i] has order n_i,
+    # and the gadget vertex c_i_j has class 2^j [w_i]
+    for l in (0, 2):
+        kt = ktheory(build_case_i(l, torsion))
+        k0, classes = kt.k0, kt.k0_class_of_vertex
+        assert (k0.canonical_pair(), kt.k1.canonical_pair()) == ((l, torsion), (l, ()))
+        for i, n in enumerate(torsion, 1):
+            w = classes[f"w{i}"]
+            assert _class_order(k0, w) == n
+            for j in range(1, max(n.bit_length() - 6, 0) + 1):
+                assert classes[f"c{i}_{j}"] == k0.reduce_coords([2**j * x for x in w])
+    # the chains' colimits are (Z^(l-p-1) + torsion, Z^(l-1)) and (Z^l + torsion, Z^(l-p))
+    for build, l, p, want in [(build_case_ii, 3, 1, ((1, torsion), (2, ()))), (build_case_iii, 3, 2, ((3, torsion), (1, ())))]:
+        rep = chain_ktheory_report(build(l, p, torsion, 6), window=VERIFICATION_WINDOW)
+        assert rep.stabilized and (rep.k0.canonical_pair(), rep.k1.canonical_pair()) == want
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +307,7 @@ def test_synthesize_rejects_trivial_pair():
 def test_build_size_counts_what_the_constructions_build():
     for r0 in range(4):
         for r1 in range(4):
-            for torsion in [(), (2,), (2, 6), (3, 3, 9)]:
+            for torsion in [(), (2,), (2, 6), (3, 3, 9), (63,), (64,), (65,), (1000,), (2**127 - 1,)]:
                 for depth in (4, 7):
                     edges, vertices, layers, coords = build_size(r0, torsion, r1, depth)
                     if r0 == r1:
@@ -310,10 +345,43 @@ def test_synthesize_refuses_requests_above_the_size_bound():
             SynthesisRequest(parse_group_expr(over[0]), parse_group_expr(over[1]), depth)
     # the chain for (Z, Z^2) is admitted up to depth 494
     assert SynthesisRequest.parse("Z", "Z^2", 494).depth == 494
-    # huge ranks, torsion orders and depths are refused from the parsed text
-    for k0, k1, depth in [("Z", "Z^2", 495), ("Z^" + "9" * 20, "Z", 6), ("Z/" + "9" * 23, "Z", 6), ("Z", "Z^2", 10**6)]:
+    # huge ranks and depths are refused from the parsed text
+    for k0, k1, depth in [("Z", "Z^2", 495), ("Z^" + "9" * 20, "Z", 6), ("Z", "Z^2", 10**6)]:
         with pytest.raises(ValueError, match=refused):
             SynthesisRequest.parse(k0, k1, depth)
+    # a torsion order counts ceil(bits / 64) K0 coordinates; the smallest
+    # order refused for each shape is 2^(b - 1) + 2^j - 1, and one less is
+    # admitted with a count of exactly 1,000,000
+    for k0, k1, n in [
+        ("Z/{}", "0", 2**7872 + 2**480 - 1),  # case i, 7,873 bits
+        ("Z + Z/{}", "Z^2", 2**7542 + 2**7463 - 1),  # case ii, 7,543 bits
+        ("Z^3 + Z/{}", "Z", 2**7537 + 2**7477 - 1),  # case iii, 7,538 bits
+    ]:
+        assert SynthesisRequest.parse(k0.format(n - 1), k1).g0 == parse_group_expr(k0.format(n - 1))
+        with pytest.raises(ValueError, match=refused):
+            SynthesisRequest.parse(k0.format(n), k1)
+        with pytest.raises(ValueError, match=refused):
+            SynthesisRequest(parse_group_expr(k0.format(n)), parse_group_expr(k1))
+
+
+def test_synthesize_refuses_more_torsion_orders_than_its_smith_cores_hold(monkeypatch):
+    # k orders leave a k x k Smith-form core in the star and a 2k x k one in
+    # a chain's colimit; the most orders of each kind verify, and one more
+    # is refused before any graph is built
+    for k0, k1, k in [("{}", "0", 200), ("Z^3 + {}", "Z", 141)]:
+        res = synthesize(SynthesisRequest.parse(k0.format(" + ".join(["Z/2"] * k)), k1))
+        assert res.verification.passed and res.verification.k0.invariant_factors == (2,) * k
+    for name in ("build_case_i", "build_case_ii", "build_case_iii"):
+        monkeypatch.setattr(synthesis, name, None)
+    for k0, k1, core in [("{}", "0", "201x201"), ("Z^3 + {}", "Z", "284x142"), ("{}", "Z", "284x142")]:
+        k = int(core.split("x")[1])
+        text = k0.format(" + ".join(["Z/2"] * k))
+        refused = rf"^{k} torsion orders would leave a {core} Smith-form core .* bound of {MAX_CORE_CELLS} cells$"
+        with pytest.raises(ValueError, match=refused):
+            SynthesisRequest.parse(text, k1)
+        with pytest.raises(ValueError, match=refused):
+            SynthesisRequest(parse_group_expr(text), parse_group_expr(k1))
+        assert main(["synthesize", "--k0", text, "--k1", k1]) == 2
 
 
 def test_synthesize_b2_witnesses_match_towers():
