@@ -35,16 +35,6 @@ from .ktheory import (
     les_check,
     relation_matrix,
 )
-from .lab import (
-    DefectReport,
-    LabError,
-    MatField,
-    condition_o_residuals,
-    lemma36_w,
-    partial_isometry_defect,
-    straighten,
-    straighten_family,
-)
 from .synthesis import (
     SynthesisRequest,
     SynthesisResult,
@@ -55,3 +45,16 @@ from .synthesis import (
 )
 
 __version__ = "0.1.0"
+
+# the numeric lab, and numpy with it, loads on first use of one of its names
+_LAB_NAMES = (
+    "DefectReport", "LabError", "MatField", "condition_o_residuals",
+    "lemma36_w", "partial_isometry_defect", "straighten", "straighten_family",
+)
+
+
+def __getattr__(name: str):
+    if name in _LAB_NAMES:
+        from . import lab
+        return getattr(lab, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -3,10 +3,10 @@
 Machine-readable output (JSON, or CSV for lab sweeps) goes to stdout; human
 summaries go to stderr.  Exit codes: 0 = pass, 1 = a check or verification
 failed, 2 = unreadable input, bad usage, or a request that ran out of
-memory.  Running out of memory gives exit 2 only once ``main`` runs: a
-``MemoryError`` while Python imports numpy or graphck (under about 100 MB)
-still ends in a traceback and exit 1.  Identical inputs and flags give
-byte-identical output (lab commands: identical for the same seed).
+memory.  Only the lab commands load numpy.  Out of memory while Python
+imports graphck (under about 20 MB), or numpy for a lab command, can end in
+a traceback and exit 1.  Identical inputs and flags give byte-identical
+output (lab commands: identical for the same seed).
 """
 
 from __future__ import annotations
@@ -16,9 +16,6 @@ import functools
 import json
 import sys
 from json.encoder import encode_basestring as _json_string
-from statistics import median
-
-import numpy as np
 
 from .abelian import format_group, parse_decimal
 from .graphs import (
@@ -39,21 +36,6 @@ from .ktheory import (
     chain_ktheory_report,
     ktheory,
     les_check,
-)
-from .lab import (
-    LabError,
-    condition_o_residuals,
-    lemma36_w,
-    partial_isometry_defect,
-    straighten,
-    straighten_family,
-)
-from .scenarios import (
-    CANONICAL_FAMILY_SCENARIOS,
-    CANONICAL_W_SCENARIOS,
-    family_scenario,
-    injected_defect_trial,
-    lemma36_scenario,
 )
 from .synthesis import SynthesisRequest, synthesize
 
@@ -281,6 +263,17 @@ def cmd_synthesize(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def cmd_lab(args) -> int:
+    """Run a lab handler; each imports the lab as it runs, so only lab commands load numpy."""
+    from .lab import LabError
+
+    try:
+        return args.run(args)
+    except LabError as exc:
+        _info(f"lab error: {exc}")
+        return FAIL
+
+
 def _csv_rows(rows) -> None:
     sys.stdout.write("t,defect_name,value\n")
     for t, name, value in rows:
@@ -288,6 +281,11 @@ def _csv_rows(rows) -> None:
 
 
 def cmd_lab_straighten(args) -> int:
+    from statistics import median
+
+    from .lab import _norm, partial_isometry_defect, straighten
+    from .scenarios import injected_defect_trial
+
     if args.trials < 1:
         return _usage(f"--trials must be at least 1, got {args.trials}")
     if args.seed < 0:
@@ -299,13 +297,8 @@ def cmd_lab_straighten(args) -> int:
             trial = injected_defect_trial(args.seed + i, d)
             y = straighten(trial.x)
             residuals.append(partial_isometry_defect(y))
-            moves.append(float(np.linalg.norm(y - trial.x, 2)))
-            sided.append(
-                max(
-                    float(np.linalg.norm(trial.left_projection @ y - y, 2)),
-                    float(np.linalg.norm(y @ trial.right_projection - y, 2)),
-                )
-            )
+            moves.append(_norm(y - trial.x))
+            sided.append(max(_norm(trial.left_projection @ y - y), _norm(y @ trial.right_projection - y)))
         rows.append((d, "pi_residual_max", max(residuals)))
         rows.append((d, "y_minus_x_median", median(moves)))
         rows.append((d, "one_sided_relation_max", max(sided)))
@@ -314,6 +307,9 @@ def cmd_lab_straighten(args) -> int:
 
 
 def cmd_lab_w(args) -> int:
+    from .lab import lemma36_w
+    from .scenarios import CANONICAL_W_SCENARIOS, lemma36_scenario
+
     if args.scenario not in CANONICAL_W_SCENARIOS + ("scalar",):
         return _usage(f"unknown scenario {args.scenario!r}")
     try:
@@ -336,6 +332,9 @@ def cmd_lab_w(args) -> int:
 
 
 def cmd_lab_family(args) -> int:
+    from .lab import condition_o_residuals, straighten_family
+    from .scenarios import CANONICAL_FAMILY_SCENARIOS, family_scenario
+
     if args.scenario not in CANONICAL_FAMILY_SCENARIOS:
         return _usage(f"unknown scenario {args.scenario!r}")
     if args.seed < 0:
@@ -398,17 +397,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = labsub.add_parser("straighten", help="injected-defect straightening sweep")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=50)
-    p.set_defaults(func=cmd_lab_straighten)
+    p.set_defaults(func=cmd_lab, run=cmd_lab_straighten)
 
     p = labsub.add_parser("w", help="two-term interpolation sweep")
     p.add_argument("--scenario", default="case_ii_blocks")
     p.add_argument("--t", default="0.5,0.9,0.99")
-    p.set_defaults(func=cmd_lab_w)
+    p.set_defaults(func=cmd_lab, run=cmd_lab_w)
 
     p = labsub.add_parser("family", help="family straightening scenario")
     p.add_argument("--scenario", default="orthogonal_pair")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_lab_family)
+    p.set_defaults(func=cmd_lab, run=cmd_lab_family)
 
     return ap
 
@@ -429,9 +428,6 @@ def main(argv=None) -> int:
         return USAGE
     except ChainConditionError as exc:
         _info(f"check failed: {exc}")
-        return FAIL
-    except LabError as exc:
-        _info(f"lab error: {exc}")
         return FAIL
     except OSError as exc:
         # unreadable input or unwritable output path: missing, a directory, ...

@@ -739,8 +739,10 @@ def test_synthesize_refuses_oversized_requests_under_a_memory_cap(k0, k1):
     # about 40,000 vertices x 2,000 dense class coordinates per layer.  The
     # torsion order is the smallest refused for (Z/n, Z): 21,536 edges +
     # 7,585 vertices x (8 layers + 2 + 119 words of its 7,553 bits) =
-    # 1,000,001
-    proc = _run_capped(["synthesize", "--k0", k0, "--k1", k1], 1 << 30)
+    # 1,000,001.  Each refusal needs 19 MB of address space, what the CLI
+    # needs to start, so the 48 MB cap leaves 29 MB and a refusal must come
+    # before the engine builds anything sizable
+    proc = _run_capped(["synthesize", "--k0", k0, "--k1", k1], 48 << 20)
     assert proc.returncode == 2, proc.stderr
     assert "than the bound" in proc.stderr and "Traceback" not in proc.stderr
     assert proc.stdout == ""
@@ -749,20 +751,21 @@ def test_synthesize_refuses_oversized_requests_under_a_memory_cap(k0, k1):
 @pytest.mark.parametrize(
     "args,cap_mb,digest",
     [
-        # 22,462 edges and 6.3 MB of JSON; the run needs 173 MB of address
-        # space, the most of the three
-        (("Z^57", "0", 64), 200, "19380821e2d1102f907c5e665caf8056138c81c7dd82bb169df09d942d799b7d"),
+        # 22,462 edges and 6.3 MB of JSON; the run needs 91 MB of address
+        # space, the most of the three, and the cap leaves 25 MB
+        (("Z^57", "0", 64), 116, "19380821e2d1102f907c5e665caf8056138c81c7dd82bb169df09d942d799b7d"),
         # 8.8 MB of JSON, the largest admitted file: 494 layers list their
-        # vertices; the run needs 135 MB
-        (("Z", "Z^2", 494), 160, "c2e462c816d3dbef2fd922fd6be2f536d260f50502a4374870564d5f4a825d13"),
-        # 101 edges; the run needs 101 MB, what the CLI needs to start
-        (("Z/999000", "0", 6), 128, "0e9044ba4fb6ae6743a5bbd01c1fb9a1e46c164808e80257e882ba18bbf5ed0c"),
+        # vertices; the run needs 53 MB, and the cap leaves 27 MB
+        (("Z", "Z^2", 494), 80, "c2e462c816d3dbef2fd922fd6be2f536d260f50502a4374870564d5f4a825d13"),
+        # 101 edges; the run needs 19 MB, no more than the CLI needs to
+        # start, and the cap leaves 25 MB
+        (("Z/999000", "0", 6), 44, "0e9044ba4fb6ae6743a5bbd01c1fb9a1e46c164808e80257e882ba18bbf5ed0c"),
     ],
     ids=["Z^57-0-depth64", "Z-Z^2-depth494", "Z/999000-0"],
 )
 def test_synthesize_writes_its_output_file_under_a_memory_cap(tmp_path, args, cap_mb, digest):
-    # each cap leaves 25-27 MB above what the run needs (x86-64, Python
-    # 3.11, one BLAS thread)
+    # what each run needs was measured on x86-64 with Python 3.11; the
+    # exact commands load no numpy, so no cap depends on BLAS threads
     k0, k1, depth = args
     path = tmp_path / "graph.json"
     argv = ["synthesize", "--k0", k0, "--k1", k1, "--depth", str(depth), "-o", str(path)]
@@ -773,18 +776,20 @@ def test_synthesize_writes_its_output_file_under_a_memory_cap(tmp_path, args, ca
 
 def test_synthesize_nearly_equal_ranks_within_a_memory_cap():
     # the admitted chain request of nearly equal ranks at its default depth
-    # peaks near 146 MB in process and needs about 220 MB of address space;
-    # holding a dense copy of every class-map V column beside the classes
-    # built from it ran out of memory under 250 MB
-    proc = _run_capped(["synthesize", "--k0", "Z^975", "--k1", "Z^976"], 240 << 20)
+    # needs 133 MB of address space.  The cap leaves 27 MB, so a regression
+    # of 45 MB, as large as holding a dense copy of every class-map V column
+    # beside the classes built from it, runs out of memory
+    proc = _run_capped(["synthesize", "--k0", "Z^975", "--k1", "Z^976"], 160 << 20)
     assert proc.returncode == 0, proc.stderr
     assert '"verified": true' in proc.stdout
 
 
 def test_a_request_that_runs_out_of_memory_exits_2_with_one_line():
-    # the CLI starts under 120 MB of address space; this request needs
-    # about 220 MB, so it runs out of memory part way
-    proc = _run_capped(["synthesize", "--k0", "Z^975", "--k1", "Z^976"], 160 << 20)
+    # the CLI starts in 19 MB of address space and this request needs 133
+    # MB, so under the 80 MB cap it runs out of memory part way, 61 MB past
+    # start-up and 53 MB short of its need; the one stderr line rules out a
+    # failure at start-up
+    proc = _run_capped(["synthesize", "--k0", "Z^975", "--k1", "Z^976"], 80 << 20)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == "error: out of memory: the request does not fit in the memory this process may use\n"
     assert proc.stdout == ""
@@ -833,13 +838,16 @@ _ERROR_TABLE += [
     for command, *extra in (("check",), ("ktheory",), ("colimit",), ("boundary", "--class", "1"), ("les-check",))
 ]
 
-# what the CLI reaches past its argument and file checks
-_ENGINE = (
-    "check_condition_a", "check_condition_b2", "every_cycle_has_exit", "is_cycle", "is_irreducible",
-    "boundary_map", "chain_ktheory_report", "ktheory", "les_check", "synthesize",
-    "condition_o_residuals", "lemma36_w", "partial_isometry_defect", "straighten", "straighten_family",
-    "family_scenario", "injected_defect_trial", "lemma36_scenario",
-)
+# what the CLI reaches past its argument and file checks, by the module each
+# name is read from when a command runs: the lab handlers import the lab then
+_ENGINE = {
+    "graphck.cli": (
+        "check_condition_a", "check_condition_b2", "every_cycle_has_exit", "is_cycle", "is_irreducible",
+        "boundary_map", "chain_ktheory_report", "ktheory", "les_check", "synthesize",
+    ),
+    "graphck.lab": ("condition_o_residuals", "lemma36_w", "partial_isometry_defect", "straighten", "straighten_family"),
+    "graphck.scenarios": ("family_scenario", "injected_defect_trial", "lemma36_scenario"),
+}
 
 
 @pytest.mark.parametrize("argv,prefix", _ERROR_TABLE, ids=[" ".join(argv) for argv, _ in _ERROR_TABLE])
@@ -854,9 +862,9 @@ def test_every_usage_and_input_error_exits_two_before_any_engine_call(capsys, tm
     (tmp_path / "bad.json").write_text("{", encoding="utf-8")
     files["bad_utf8"] = str(tmp_path / "utf16.json")
     (tmp_path / "utf16.json").write_bytes(b"\xff\xfe{\x00}\x00")  # UTF-16 with its byte-order mark
-    cli_mod = importlib.import_module("graphck.cli")
-    for name in _ENGINE:
-        monkeypatch.setattr(cli_mod, name, lambda *a, _name=name, **k: pytest.fail(f"{_name} reached"))
+    for module, names in _ENGINE.items():
+        for name in names:
+            monkeypatch.setattr(f"{module}.{name}", lambda *a, _name=name, **k: pytest.fail(f"{_name} reached"))
     code, out, err = run(capsys, *(a.format(**files) for a in argv))
     assert (code, out) == (2, "")
     assert err.startswith(prefix.format(**files)) and err.count("\n") == 1, err
@@ -889,6 +897,65 @@ def test_python_dash_m_graphck_runs_the_cli(tmp_path):
     data = json.loads(proc.stdout)
     assert (data["k0"], data["k1"]) == ("Z", "Z")
 
+
+
+@pytest.mark.parametrize(
+    "argv,name", [(("w",), "lemma36_w"), (("straighten", "--trials", "1"), "straighten")], ids=["w", "straighten"]
+)
+def test_a_lab_error_exits_one_with_one_line(capsys, monkeypatch, argv, name):
+    from graphck.lab import LabError
+
+    def fail(*args, **kwargs):
+        raise LabError("injected failure")
+
+    monkeypatch.setattr(f"graphck.lab.{name}", fail)
+    assert run(capsys, "lab", *argv) == (1, "", "lab error: injected failure\n")
+
+
+# imports graphck, runs every exact command and then a lab command, and
+# prints which of the lab's modules each step left loaded
+_LAB_MODULES_LOADED = """
+import contextlib, io, sys
+import graphck
+from graphck.cli import main
+
+def loaded(step):
+    print(step, *(m for m in ("numpy", "statistics", "graphck.lab", "graphck.scenarios") if m in sys.modules))
+
+graph, chain = sys.argv[1:]
+loaded("import")
+for argv in (
+    ["synthesize", "--k0", "Z", "--k1", "Z^2", "-o", chain],
+    ["check", chain],
+    ["colimit", chain],
+    ["check", graph],
+    ["ktheory", graph],
+    ["boundary", graph, "--class=0"],
+    ["les-check", graph],
+    ["lab", "w", "--t", "0.5"],
+):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    loaded(f"{argv[0]}:{code}")
+"""
+
+
+def test_only_lab_commands_load_numpy(tmp_path):
+    src = os.path.dirname(os.path.dirname(importlib.import_module("graphck").__file__))
+    loops = [{"id": "l1", "from": "v", "to": "v"}, {"id": "l2", "from": "v", "to": "v"}]
+    graph = write(tmp_path, "loops.json", {"vertices": ["v"], "edges": loops, "relation_exempt": ["v"]})
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAB_MODULES_LOADED, graph, str(tmp_path / "chain.json")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1", "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "import", "synthesize:0", "check:0", "colimit:0", "check:0", "ktheory:0", "boundary:0", "les-check:0",
+        "lab:0 numpy graphck.lab graphck.scenarios",
+    ]
 
 PINNED_SYNTH_CHAIN = """\
 {
